@@ -165,11 +165,7 @@ def fano_index(data: DegenerationData, known_b2: int | None = None) -> int:
     kernel = kernel_basis(rows)
     if len(kernel) != 1:
         raise InvariantError("not rank one")
-    denom = 1
-    for x in kernel[0]:
-        denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
-    gen = [int(Fraction(x) * denom) for x in kernel[0]]
-    return index_in_saturation(d_values, [gen])
+    return index_in_saturation(d_values, [primitive(kernel[0])])
 
 
 def analyze_degree(data: DegenerationData) -> int:

@@ -7,7 +7,7 @@ no floating point is used anywhere.  Matrices are lists of row lists.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 IntMatrix = list[list[int]]
 
@@ -29,10 +29,6 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
-
-
-def transpose(a):
-    return [list(col) for col in zip(*a)]
 
 
 def det(a) -> int:
@@ -234,26 +230,51 @@ def _resmith(s, u, v, t):
                 return
 
 
-def rank(a) -> int:
-    """Rank of a rational matrix via exact Gaussian elimination."""
-    if not a or not a[0]:
-        return 0
-    m = [[Fraction(x) for x in row] for row in a]
-    nrows, ncols = len(m), len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+def _reduced(ints: list[int]) -> list[int]:
+    """Divide an integer row by the gcd of its entries (zero stays zero)."""
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def _integral(row) -> list[int]:
+    """Primitive integer row on the ray through a rational row."""
+    den = lcm(*(x.denominator for x in row))
+    return _reduced([x.numerator * (den // x.denominator) for x in row])
+
+
+def _echelon(a, stop=None) -> tuple[IntMatrix, list[int]]:
+    """Fraction-free reduced row echelon form of a rational matrix.
+
+    Rows are kept as primitive integer vectors.  Pivots are the first
+    nonzero entries in column order (columns before `stop` only), and each
+    pivot column is cleared above and below its pivot.  Returns
+    (rows, pivot_columns); rows[i] carries the pivot in pivot_columns[i],
+    and the rows after the last pivot row are what is left of the rest.
+    """
+    m = [_integral(row) for row in a]
+    if stop is None:
+        stop = len(m[0]) if m else 0
+    pivots = []
+    for c in range(stop):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c] / m[r][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == nrows:
-            break
-    return r
+        prow, p = m[r], m[r][c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = _reduced([p * x - f * y for x, y in zip(row, prow)])
+        pivots.append(c)
+    return m, pivots
+
+
+def rank(a) -> int:
+    """Rank of a rational matrix."""
+    return len(_echelon(a)[1])
 
 
 def kernel_basis(a) -> list[tuple[Fraction, ...]]:
@@ -265,32 +286,13 @@ def kernel_basis(a) -> list[tuple[Fraction, ...]]:
     if not a:
         return []
     ncols = len(a[0])
-    m = [[Fraction(x) for x in row] for row in a]
-    nrows = len(m)
-    pivots = {}  # column -> row
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots[c] = r
-        r += 1
-        if r == nrows:
-            break
+    m, pivots = _echelon(a)
     basis = []
-    free = [c for c in range(ncols) if c not in pivots]
-    for fc in free:
+    for fc in (c for c in range(ncols) if c not in pivots):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for c, row_i in pivots.items():
-            vec[c] = -m[row_i][fc]
+        for row, c in zip(m, pivots):
+            vec[c] = Fraction(-row[fc], row[c])
         basis.append(tuple(vec))
     return basis
 
@@ -308,28 +310,11 @@ def saturate(basis: list) -> list[list[int]]:
         return []
     h, _ = hnf(rows)
     h = [r for r in h if any(r)]
-    r = len(h)
-    s, _, v = snf(h)
-    # rowspan_Q(H) = span of the first r rows of V^{-1}; V unimodular so
-    # V^{-1} is integral. Those rows form a saturated basis.
-    vinv = _unimodular_inverse(v)
-    return [vinv[i] for i in range(r)]
-
-
-def _unimodular_inverse(v: IntMatrix) -> IntMatrix:
-    n = len(v)
-    d = det(v)
-    if d not in (1, -1):
-        raise LinalgError("matrix is not unimodular")
-    # adjugate via cofactors; n <= 6 in this package so this is fine
-    inv = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [[v[r][c] for c in range(n) if c != i]
-                     for r in range(n) if r != j]
-            cof = det(minor) if minor else 1
-            inv[i][j] = ((-1) ** (i + j)) * cof * d
-    return inv
+    s, u, _ = snf(h)
+    # rowspan_Q(H) = span of the first r rows of V^{-1}, a saturated basis
+    # since V is unimodular; S = U*H*V makes row i of V^{-1} row i of U*H
+    # divided by the invariant factor s_ii.
+    return [[x // s[i][i] for x in row] for i, row in enumerate(mat_mul(u, h))]
 
 
 def solve_in_span(rows: list, target) -> list[Fraction] | None:
@@ -337,30 +322,15 @@ def solve_in_span(rows: list, target) -> list[Fraction] | None:
     if not rows:
         return None if any(target) else []
     ncols = len(rows[0])
-    aug = [[Fraction(rows[i][c]) for i in range(len(rows))] + [Fraction(target[c])]
-           for c in range(ncols)]
     nvars = len(rows)
+    aug = [[rows[i][c] for i in range(nvars)] + [target[c]]
+           for c in range(ncols)]
+    m, pivots = _echelon(aug, stop=nvars)
+    if any(row[-1] for row in m[len(pivots):]):
+        return None
     sol = [Fraction(0)] * nvars
-    r = 0
-    pivots = []
-    for c in range(nvars):
-        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(aug)):
-        if aug[i][-1] != 0:
-            return None
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][-1]
+    for row, c in zip(m, pivots):
+        sol[c] = Fraction(row[-1], row[c])
     # verify (free variables set to zero must actually solve the system)
     for c in range(ncols):
         if sum(sol[i] * rows[i][c] for i in range(nvars)) != target[c]:
@@ -380,9 +350,7 @@ def index_in_saturation(v, basis: list) -> int:
         if c.denominator != 1:
             raise LinalgError("saturation solve produced non-integer")
         ints.append(int(c))
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    g = gcd(*ints)
     if g == 0:
         raise LinalgError("zero vector has no saturation index")
     return g
@@ -390,17 +358,9 @@ def index_in_saturation(v, basis: list) -> int:
 
 def primitive(vec) -> tuple[int, ...]:
     """Primitive integer vector on the ray through vec (clears denominators)."""
-    fr = [Fraction(x) for x in vec]
-    if all(x == 0 for x in fr):
+    if not any(vec):
         raise LinalgError("zero vector has no primitive representative")
-    denom = 1
-    for x in fr:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in fr]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return tuple(x // g for x in ints)
+    return tuple(_integral(vec))
 
 
 def lex_positive(vec) -> tuple[int, ...]:

@@ -6,9 +6,11 @@ Database-gated criteria skip cleanly when FANOSCOPE_DB is not set.
 import random
 import time
 
+import pytest
+
 from conftest import bundled, bundled_polygon, database, db_path, needs_db
-from fanoscope.degeneration import (decomposition_regimes, method1_data,
-                                    product_data)
+from fanoscope.degeneration import (DegenerationError, decomposition_regimes,
+                                    method1_data, product_data)
 from fanoscope.fileio import data_from_fixture, expected_rows, load_fixture
 from fanoscope.gamma import (barT_hypothesis, barT_sections, b2 as gamma_b2,
                              baseline_ok, build_system, gamma_dimension)
@@ -108,6 +110,19 @@ def test_criterion_07_identity24_database(database):
                f"in {took:.1f}s")
 
 
+def _bundled_method1(name):
+    """Method-1 data of a bundled reflexive polytope; None for b3_cubic,
+    whose facets have no smooth Minkowski decomposition."""
+    if name != "b3_cubic":
+        return method1_data(bundled(name))
+    with pytest.raises(DegenerationError) as err:
+        method1_data(bundled(name))
+    assert err.type is DegenerationError
+    assert str(err.value) == ("no smooth Minkowski decomposition for the "
+                              "facet dual to vertex 0")
+    return None
+
+
 def _method1_like(data):
     e = euler_number(data)
     if data.kind == "normal_fan" and data.polytope.is_reflexive():
@@ -117,10 +132,9 @@ def _method1_like(data):
 
 def test_criterion_08_dual_euler_bundled():
     for name in BUNDLED_REFLEXIVE:
-        try:
-            _method1_like(method1_data(bundled(name)))
-        except Exception:
-            continue
+        data = _bundled_method1(name)
+        if data is not None:
+            _method1_like(data)
     for fix in ("b3_cubic", "v2", "b1", "mm2_1", "mm2_2", "mm2_3", "mm2_5",
                 "mm3_2", "mm3_4", "mm3_5", "mm4_2", "mm5_1"):
         euler_number(data_from_fixture(load_fixture(fix)))
@@ -155,11 +169,9 @@ def test_criterion_08_dual_euler_database(database):
 
 def test_criterion_09_gamma_bundled():
     for name in BUNDLED_REFLEXIVE:
-        try:
-            data = method1_data(bundled(name))
-        except Exception:
-            continue
-        assert baseline_ok(build_system(data))
+        data = _bundled_method1(name)
+        if data is not None:
+            assert baseline_ok(build_system(data))
     assert gamma_dimension(method1_data(bundled("p3"))) == 3
     assert gamma_dimension(method1_data(bundled("cube"))) == 3
     verdict(9, "torus baseline satisfies every bundled system; "

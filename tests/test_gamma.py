@@ -32,6 +32,12 @@ def test_baseline_always_satisfied():
         assert baseline_ok(system)
 
 
+def test_baseline_fails_on_a_flipped_annihilator():
+    system = build_system(method1_data(bundled("p3")))
+    system.nu[0] = tuple(-x for x in system.nu[0])
+    assert baseline_ok(system) is False
+
+
 def test_triangle_gives_single_relation():
     # eliminating the auxiliary covector of a triangle summand leaves
     # exactly one scalar relation among the three incident values: the

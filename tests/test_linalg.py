@@ -2,10 +2,13 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fanoscope.linalg import (LinalgError, det, hnf, identity,
                               index_in_saturation, kernel_basis, lex_positive,
-                              mat_mul, primitive, snf)
+                              mat_mul, primitive, rank, saturate,
+                              solve_in_span, snf)
 
 
 def test_hnf_identity():
@@ -93,3 +96,198 @@ def test_primitive_and_sign():
     assert primitive((2, 4, 6)) == (1, 2, 3)
     assert primitive((Fraction(1, 2), Fraction(-1, 3), 0)) == (3, -2, 0)
     assert lex_positive((0, -2, 1)) == (0, 2, -1)
+
+
+# ---------------------------------------------------------------------------
+# the echelon-based routines against the Gauss-Jordan and adjugate versions
+# they replaced, kept here verbatim as references
+
+
+def ref_rank(a) -> int:
+    if not a or not a[0]:
+        return 0
+    m = [[Fraction(x) for x in row] for row in a]
+    nrows, ncols = len(m), len(m[0])
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c] / m[r][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        r += 1
+        if r == nrows:
+            break
+    return r
+
+
+def ref_kernel_basis(a):
+    if not a:
+        return []
+    ncols = len(a[0])
+    m = [[Fraction(x) for x in row] for row in a]
+    nrows = len(m)
+    pivots = {}  # column -> row
+    r = 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, nrows) if m[i][c] != 0), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(nrows):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots[c] = r
+        r += 1
+        if r == nrows:
+            break
+    basis = []
+    free = [c for c in range(ncols) if c not in pivots]
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for c, row_i in pivots.items():
+            vec[c] = -m[row_i][fc]
+        basis.append(tuple(vec))
+    return basis
+
+
+def ref_saturate(basis):
+    rows = [list(map(int, r)) for r in basis if any(r)]
+    if not rows:
+        return []
+    h, _ = hnf(rows)
+    h = [r for r in h if any(r)]
+    r = len(h)
+    s, _, v = snf(h)
+    vinv = ref_unimodular_inverse(v)
+    return [vinv[i] for i in range(r)]
+
+
+def ref_unimodular_inverse(v):
+    n = len(v)
+    d = det(v)
+    if d not in (1, -1):
+        raise LinalgError("matrix is not unimodular")
+    inv = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            minor = [[v[r][c] for c in range(n) if c != i]
+                     for r in range(n) if r != j]
+            cof = det(minor) if minor else 1
+            inv[i][j] = ((-1) ** (i + j)) * cof * d
+    return inv
+
+
+def ref_solve_in_span(rows, target):
+    if not rows:
+        return None if any(target) else []
+    ncols = len(rows[0])
+    aug = [[Fraction(rows[i][c]) for i in range(len(rows))]
+           + [Fraction(target[c])] for c in range(ncols)]
+    nvars = len(rows)
+    sol = [Fraction(0)] * nvars
+    r = 0
+    pivots = []
+    for c in range(nvars):
+        piv = next((i for i in range(r, len(aug)) if aug[i][c] != 0), None)
+        if piv is None:
+            continue
+        aug[r], aug[piv] = aug[piv], aug[r]
+        inv = 1 / aug[r][c]
+        aug[r] = [x * inv for x in aug[r]]
+        for i in range(len(aug)):
+            if i != r and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
+        pivots.append(c)
+        r += 1
+    for i in range(r, len(aug)):
+        if aug[i][-1] != 0:
+            return None
+    for i, c in enumerate(pivots):
+        sol[c] = aug[i][-1]
+    for c in range(ncols):
+        if sum(sol[i] * rows[i][c] for i in range(nvars)) != target[c]:
+            return None
+    return sol
+
+
+SMALL_INTS = st.integers(-4, 4)
+RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def matrices(draw):
+    """1-5 x 1-6 matrices, either all int or all Fraction entries."""
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    entries = draw(st.sampled_from([SMALL_INTS, RATIONALS]))
+    return [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@st.composite
+def span_problems(draw):
+    """(rows, target) with the target either a drawn combination of the
+    rows (consistent) or drawn freely (mostly inconsistent)."""
+    rows = draw(matrices())
+    ncols = len(rows[0])
+    if draw(st.booleans()):
+        coeffs = [draw(RATIONALS) for _ in rows]
+        target = [sum(x * row[c] for x, row in zip(coeffs, rows))
+                  for c in range(ncols)]
+    else:
+        target = [draw(RATIONALS) for _ in range(ncols)]
+    return rows, target
+
+
+EXACT = settings(max_examples=300, deadline=None, derandomize=True,
+                 database=None)
+
+
+@EXACT
+@given(matrices())
+def test_rank_and_kernel_match_reference(a):
+    assert rank(a) == ref_rank(a)
+    assert repr(kernel_basis(a)) == repr(ref_kernel_basis(a))
+
+
+@EXACT
+@given(matrices())
+def test_kernel_basis_is_a_kernel(a):
+    ker = kernel_basis(a)
+    assert len(ker) == len(a[0]) - rank(a)
+    for vec in ker:
+        assert all(sum(f * x for f, x in zip(vec, row)) == 0 for row in a)
+
+
+@EXACT
+@given(span_problems())
+def test_solve_in_span_matches_reference(problem):
+    rows, target = problem
+    got = solve_in_span(rows, target)
+    assert repr(got) == repr(ref_solve_in_span(rows, target))
+    if got is not None:
+        assert [sum(x * row[c] for x, row in zip(got, rows))
+                for c in range(len(target))] == target
+
+
+def outcome(f, *args):
+    """repr of the result, or the type and message of the error raised."""
+    try:
+        return repr(f(*args))
+    except LinalgError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@EXACT
+@given(matrices())
+def test_saturate_matches_reference(a):
+    # int() truncates non-integer entries in both versions, so drawn
+    # Fraction rows may end in the same LinalgError
+    assert outcome(saturate, a) == outcome(ref_saturate, a)
