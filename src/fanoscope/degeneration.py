@@ -11,11 +11,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-from .linalg import kernel_basis, lex_positive, primitive, saturate, solve_in_span
+from .linalg import kernel_basis, lex_positive, primitive, saturate
 from .minkowski import Summand, enumerate_smooth_decompositions, minkowski_sum
 from .polytope import (LatticePolytope, Polygon, PolytopeError, dot,
                        gorenstein_index, is_integral, lattice_length,
-                       pick_area, vsub, _frac)
+                       pick_area, plane_coords, vsub, _frac)
 
 
 class DegenerationError(ValueError):
@@ -191,16 +191,6 @@ class GeneralizedFan:
     direction: tuple | None = None   # minimal-cone line direction (line fans)
     rays2d: tuple = ()               # 3-space generators of the 2-cones mod L
 
-    @property
-    def minimal_dim(self):
-        return 1 if self.kind == "line" else 0
-
-
-def normal_fan(p: LatticePolytope) -> GeneralizedFan:
-    if not p.is_fano():
-        raise DegenerationError("normal fan wants a Fano polytope")
-    return GeneralizedFan("normal")
-
 
 def line_fan(direction, rays2d) -> GeneralizedFan:
     d = primitive(direction)
@@ -315,10 +305,22 @@ def _plane_basis(span_vectors):
 
 
 def _coords_in(basis, vec):
-    sol = solve_in_span([list(b) for b in basis], list(vec))
-    if sol is None:
+    xy = plane_coords(basis, vec)
+    if xy is None:
         raise DegenerationError("point outside its plane")
-    return tuple(int(x) if x.denominator == 1 else x for x in sol)
+    return tuple(int(x) if x.denominator == 1 else x for x in xy)
+
+
+def _two_cone(dirv, w):
+    """The 2-cone spanned by the line through dirv and the ray through w:
+    (plane basis, primitive annihilator of the plane, primitive functional
+    on plane coordinates that vanishes on the line and is >= 0 on w)."""
+    basis = _plane_basis([dirv, w])
+    dir2 = _coords_in(basis, dirv)
+    side = primitive((-dir2[1], dir2[0]))
+    if dot(side, _coords_in(basis, w)) < 0:
+        side = tuple(-x for x in side)
+    return basis, _ann_functional(basis), side
 
 
 def _ann_functional(plane_basis_vectors):
@@ -551,20 +553,11 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     t_hi = _exit_parameter(dual, dirv)
     t_lo = _exit_parameter(dual, tuple(-x for x in dirv))
 
-    def _side_functional(basis, w):
-        dir2 = _coords_in(basis, dirv)
-        w2 = _coords_in(basis, w)
-        f = primitive((-dir2[1], dir2[0]))
-        if dot(f, w2) < 0:
-            f = tuple(-x for x in f)
-        return f
-
+    two_cones = [_two_cone(dirv, w) for w in fan.rays2d]
     slabs = []
     slab_functionals = {}
     for k, w in enumerate(fan.rays2d):
-        basis = _plane_basis([dirv, w])
-        nu = _ann_functional(basis)
-        side = _side_functional(basis, w)  # cuts out the w-halfplane
+        basis, nu, side = two_cones[k]  # side cuts out the w-halfplane
         pts = _plane_slice(dual, nu)
         coords = [_coords_in(basis, pt) for pt in pts]
         clipped = _clip_halfplane(coords, side)
@@ -636,21 +629,8 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
                 ray_summands.append(RaySummand(ray_id, s.kind, hits, s))
 
     # vertices of the polar polytope in no 2-cone keep their corner
-    v_count = 0
-    for v in dual.vertices:
-        if _along_line(v, dirv):
-            continue
-        in_two_cone = False
-        for w in fan.rays2d:
-            basis = _plane_basis([dirv, w])
-            nu = _ann_functional(basis)
-            if dot(nu, v) == 0:
-                side = _side_functional(basis, w)
-                if dot(side, _coords_in(basis, v)) >= 0:
-                    in_two_cone = True
-                    break
-        if not in_two_cone:
-            v_count += 1
+    v_count = sum(1 for v in dual.vertices if not _along_line(v, dirv)
+                  and _two_cone_containing(two_cones, v) is None)
 
     edge_values = {}
     for i, e in enumerate(dual.edges):
@@ -785,6 +765,15 @@ def _containing_edge(poly: LatticePolytope, a3, b3):
         ea, eb = (poly.vertices[j] for j in sorted(e.vertex_ids))
         if _on_segment(a3, ea, eb) and _on_segment(b3, ea, eb):
             return i
+    return None
+
+
+def _two_cone_containing(two_cones, v):
+    """Annihilator of the first of the `_two_cone` triples whose 2-cone
+    holds v, or None."""
+    for basis, nu, side in two_cones:
+        if dot(nu, v) == 0 and dot(side, _coords_in(basis, v)) >= 0:
+            return nu
     return None
 
 
@@ -977,6 +966,7 @@ def check_smooth_data(data: DegenerationData):
         return verdicts
     dirv = fan.direction
     w_basis = ray_lattice(dirv)
+    two_cones = [_two_cone(dirv, w) for w in fan.rays2d]
     for vid, vert in enumerate(dual.vertices):
         if _along_line(vert, dirv):
             ray_id = "rho_plus" if any(
@@ -984,18 +974,7 @@ def check_smooth_data(data: DegenerationData):
                 else "rho_minus"
             verdicts[vid] = _d1_verdict(data, dual, ray_id, vert, w_basis)
             continue
-        hit = None
-        for w in fan.rays2d:
-            basis = _plane_basis([dirv, w])
-            nu = _ann_functional(basis)
-            if dot(nu, vert) == 0:
-                dir2 = _coords_in(basis, dirv)
-                side = primitive((-dir2[1], dir2[0]))
-                if dot(side, _coords_in(basis, w)) < 0:
-                    side = tuple(-x for x in side)
-                if dot(side, _coords_in(basis, vert)) >= 0:
-                    hit = nu
-                    break
+        hit = _two_cone_containing(two_cones, vert)
         if hit is not None:
             verdicts[vid] = _d2_verdict(data, dual, vid, hit)
         else:

@@ -107,7 +107,10 @@ def ingest_database(path):
                 continue
             block = []
             for _ in range(r):
-                block.append([int(x) for x in next(lines).split()])
+                row = next(lines, None)
+                if row is None:
+                    raise ParseError(f"database block {count} is truncated")
+                block.append([int(x) for x in row.split()])
             if any(len(row) != c for row in block):
                 raise ParseError(f"database block {count} is ragged")
             verts = _orient(block, r, c)
@@ -219,11 +222,3 @@ def expected_rows():
 
 def bundled_polytopes() -> dict:
     return json.loads((_fixture_dir() / "polytopes.json").read_text())
-
-
-def bundled_polytope(name: str) -> LatticePolytope:
-    table = bundled_polytopes()
-    if name not in table:
-        raise ParseError(f"unknown bundled polytope {name!r}; have "
-                         f"{sorted(table)}")
-    return LatticePolytope(table[name]["vertices"])

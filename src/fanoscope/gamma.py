@@ -68,16 +68,16 @@ def build_system(data: DegenerationData) -> GammaSystem:
             else:
                 raise GammaError("segment cones are not coplanar: corrupted "
                                  "data")
-            row = [Fraction(0)] * (n_alpha)
-            row[c1] = Fraction(eps)
-            row[c2] = Fraction(-1)
+            row = [0] * n_alpha
+            row[c1] = eps
+            row[c2] = -1
             rows.append(row)
         else:
             triangles += 1
             for c in cones:
-                row = [Fraction(0)] * n_alpha
-                row[c] = Fraction(-1)
-                rows.append(row + [Fraction(x) for x in nus[c]])
+                row = [0] * n_alpha
+                row[c] = -1
+                rows.append(row + list(nus[c]))
             aux_base += 3
     # pad each triangle's three rows into its own auxiliary 3-block
     padded = []
@@ -85,13 +85,13 @@ def build_system(data: DegenerationData) -> GammaSystem:
     row_iter = iter(rows)
     for row in row_iter:
         if len(row) == n_alpha:
-            padded.append(row + [Fraction(0)] * (3 * triangles))
+            padded.append(row + [0] * (3 * triangles))
         else:
             for r in (row, next(row_iter), next(row_iter)):
                 left = r[:n_alpha]
                 block = r[n_alpha:]
-                pre = [Fraction(0)] * (3 * tri_seen)
-                post = [Fraction(0)] * (3 * (triangles - tri_seen - 1))
+                pre = [0] * (3 * tri_seen)
+                post = [0] * (3 * (triangles - tri_seen - 1))
                 padded.append(left + pre + block + post)
             tri_seen += 1
     return GammaSystem(padded, n_alpha, 3 * triangles, triangles, nus,
@@ -201,9 +201,8 @@ def barT_sections(data: DegenerationData) -> int:
         for i, e in enumerate(dual.edges):
             if vid not in e.vertex_ids:
                 continue
-            row = [Fraction(0)] * width
-            row[i] = Fraction(-1)
-            for k in range(3):
-                row[n_alpha + 3 * vid + k] = Fraction(nus[i][k])
+            row = [0] * width
+            row[i] = -1
+            row[n_alpha + 3 * vid:n_alpha + 3 * vid + 3] = nus[i]
             rows.append(row)
     return nullity(rows) - n_rays

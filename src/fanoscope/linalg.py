@@ -305,6 +305,8 @@ def nullity(a) -> int:
 
 def saturate(basis: list) -> list[list[int]]:
     """Basis of the saturation of the sublattice spanned by integer rows."""
+    if any(x.denominator != 1 for r in basis for x in r):
+        raise LinalgError("saturate needs integer rows")
     rows = [list(map(int, r)) for r in basis if any(r)]
     if not rows:
         return []

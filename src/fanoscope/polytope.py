@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 
 from .linalg import primitive, saturate, solve_in_span
 
@@ -25,8 +25,11 @@ def _frac(v):
 
 
 def _clean(v):
-    """Fractions with denominator 1 become ints (stable repr / JSON)."""
-    return tuple(int(x) if Fraction(x).denominator == 1 else Fraction(x) for x in v)
+    """Exact coordinates; those with denominator 1 become ints (stable repr /
+    JSON)."""
+    return tuple(x if type(x) is int
+                 else int(x) if Fraction(x).denominator == 1 else Fraction(x)
+                 for x in v)
 
 
 def is_integral(v) -> bool:
@@ -70,7 +73,7 @@ class Polygon:
     """Convex lattice polygon with canonical ccw vertex order."""
 
     def __init__(self, points, hull=True):
-        pts = [_clean(_frac(p)) for p in points]
+        pts = [_clean(p) for p in points]
         if hull:
             verts = _hull2d(pts)
         else:
@@ -207,28 +210,43 @@ def pick_area(polygon: Polygon) -> int:
     return by_pick
 
 
+def plane_coords(basis, v):
+    """Coordinates (x, y) with v = x*b0 + y*b1 for a rank-2 basis (b0, b1)
+    of a plane through the origin in 3-space (integer b0, b1; rational v);
+    None when v is off the plane.
+
+    With c = b0 x b1: v x b1 = x*c and b0 x v = y*c, so both coordinates are
+    one exact quotient by |c|^2.
+    """
+    b0, b1 = basis
+    c = cross(b0, b1)
+    den = lcm(*(x.denominator for x in v))
+    if den != 1:
+        v = [int(x * den) for x in v]  # integer arithmetic from here on
+    if dot(c, v) != 0:
+        return None
+    norm2 = dot(c, c) * den
+    return (Fraction(dot(cross(v, b1), c), norm2),
+            Fraction(dot(cross(b0, v), c), norm2))
+
+
 def embed_polygon(points3):
     """Project coplanar 3-space points to their saturated rank-2 sublattice.
 
     Returns (Polygon, basis, base_point): point = base + x*b0 + y*b1.
     """
-    pts = [_frac(p) for p in points3]
-    base = pts[0]
-    dirs = [vsub(p, base) for p in pts[1:]]
-    denom = 1
-    for d in dirs:
-        for x in d:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    rows = [[int(x * denom) for x in d] for d in dirs if any(d)]
-    basis = saturate(rows)
+    base = points3[0]
+    dirs = [vsub(p, base) for p in points3]
+    denom = lcm(*(x.denominator for d in dirs for x in d))
+    basis = saturate([[int(x * denom) for x in d] for d in dirs if any(d)])
     if len(basis) != 2:
         raise PolytopeError("points do not span a plane")
     coords = []
-    for p in pts:
-        sol = solve_in_span(basis, list(vsub(p, base)))
-        if sol is None:
+    for d in dirs:
+        xy = plane_coords(basis, d)
+        if xy is None:
             raise PolytopeError("point outside the plane")
-        coords.append(tuple(sol))
+        coords.append(xy)
     return Polygon(coords), [tuple(b) for b in basis], _clean(base)
 
 
@@ -237,13 +255,20 @@ def embed_polygon(points3):
 
 
 class Facet:
-    __slots__ = ("normal", "level", "vertex_ids", "cycle")
+    __slots__ = ("normal", "level", "vertex_ids", "cycle", "dual")
 
     def __init__(self, normal, level, vertex_ids, cycle):
         self.normal = normal          # primitive inner normal (ints)
         self.level = level            # min of <normal, .> over the polytope
         self.vertex_ids = vertex_ids  # frozenset of vertex indices
         self.cycle = cycle            # vertex indices in cyclic order
+        # vertex of the polar dual: normal / -level (None at level 0)
+        if level == -1:
+            self.dual = normal
+        elif level:
+            self.dual = _clean(tuple(Fraction(n, -level) for n in normal))
+        else:
+            self.dual = None
 
     def __repr__(self):
         return f"Facet(n={self.normal}, c={self.level})"
@@ -258,10 +283,15 @@ class Edge:
 
 
 class LatticePolytope:
-    """Full-dimensional polytope in rank 3 with exact face data."""
+    """Full-dimensional polytope in rank 3 with exact face data.
+
+    The face data (facets with their cycles and dual vertices, edges, the
+    vertex -> facets incidence) is built once here; the polar dual is built
+    on the first call to `polar_dual` and kept.
+    """
 
     def __init__(self, points):
-        pts = sorted({_clean(_frac(p)) for p in points})
+        pts = sorted({_clean(p) for p in points})
         if not pts or len(pts[0]) != 3:
             raise PolytopeError("expected 3-space points")
         facets_raw = _hull3d_facets(pts)
@@ -272,14 +302,20 @@ class LatticePolytope:
         vertex_ids = [i for i in range(len(pts)) if len(on_facets[i]) >= 3]
         self.vertices = tuple(pts[i] for i in vertex_ids)
         reindex = {old: new for new, old in enumerate(vertex_ids)}
-        self.facets = []
+        facets = []
         for normal, level, members in facets_raw:
             ids = frozenset(reindex[m] for m in members if m in reindex)
-            cycle = _facet_cycle([self.vertices[i] for i in sorted(ids)],
-                                 sorted(ids), normal)
-            self.facets.append(Facet(normal, level, ids, cycle))
-        self.facets.sort(key=lambda f: f.normal)
-        self.edges = _edges_from_facets(self.facets)
+            facets.append(Facet(normal, level, ids,
+                                _facet_cycle(self.vertices, ids, normal)))
+        facets.sort(key=lambda f: f.normal)
+        self.facets = tuple(facets)
+        self.edges = tuple(_edges_from_facets(self.facets))
+        self._facets_at = {
+            vid: frozenset(fi for fi, f in enumerate(self.facets)
+                           if vid in f.vertex_ids)
+            for vid in range(len(self.vertices))}
+        self._dual = None
+        self._fano = None
 
     def __repr__(self):
         return f"LatticePolytope({list(self.vertices)})"
@@ -297,9 +333,10 @@ class LatticePolytope:
         return all(f.level < 0 for f in self.facets)
 
     def is_fano(self) -> bool:
-        if not (self.is_integral and self.origin_interior()):
-            return False
-        return all(primitive(v) == v for v in self.vertices)
+        if self._fano is None:
+            self._fano = (self.is_integral and self.origin_interior()
+                          and all(primitive(v) == v for v in self.vertices))
+        return self._fano
 
     def is_reflexive(self) -> bool:
         return self.is_fano() and all(f.level == -1 for f in self.facets)
@@ -308,20 +345,23 @@ class LatticePolytope:
 
     def dual_vertex(self, facet: Facet):
         """Vertex of the polar dual corresponding to a facet."""
-        c = -Fraction(facet.level)
-        return _clean(tuple(Fraction(n, 1) / c for n in facet.normal))
+        if facet.dual is None:
+            raise PolytopeError("facet through the origin has no dual vertex")
+        return facet.dual
 
     def polar_dual(self) -> "LatticePolytope":
-        if not self.origin_interior():
-            raise PolytopeError("origin is not interior")
-        return LatticePolytope([self.dual_vertex(f) for f in self.facets])
+        if self._dual is None:
+            if not self.origin_interior():
+                raise PolytopeError("origin is not interior")
+            self._dual = LatticePolytope([f.dual for f in self.facets])
+        return self._dual
 
     def dual_face_vertices(self, vertex_ids):
         """Vertices (in the dual) of the face dual to the face spanned by the
         given vertex ids: the dual vertices of all facets containing it."""
         common = None
         for vid in vertex_ids:
-            fs = {fi for fi, f in enumerate(self.facets) if vid in f.vertex_ids}
+            fs = self._facets_at.get(vid, frozenset())
             common = fs if common is None else (common & fs)
         if not common:
             raise PolytopeError("not a proper face")
@@ -383,24 +423,27 @@ def _hull3d_facets(pts):
     if n < 4:
         raise PolytopeError("not full-dimensional")
     seen = {}
+    planes = set()  # every plane tested so far, in one orientation
     for i, j, k in combinations(range(n), 3):
         nrm = cross(vsub(pts[j], pts[i]), vsub(pts[k], pts[i]))
         if all(x == 0 for x in nrm):
             continue
         nrm = primitive(nrm)
+        nrm = max(nrm, tuple(-x for x in nrm))
         c = dot(nrm, pts[i])
+        if (nrm, c) in planes:
+            continue
+        planes.add((nrm, c))
         vals = [dot(nrm, p) for p in pts]
-        if all(v >= c for v in vals):
+        if min(vals) == c:
             pass
-        elif all(v <= c for v in vals):
+        elif max(vals) == c:
             nrm = tuple(-x for x in nrm)
             c = -c
             vals = [-v for v in vals]
         else:
             continue
-        key = (nrm, c)
-        if key not in seen:
-            seen[key] = [m for m, v in enumerate(vals) if v == c]
+        seen[(nrm, c)] = [m for m, v in enumerate(vals) if v == c]
     if not seen:
         raise PolytopeError("not full-dimensional")
     facets = [(nrm, c, members) for (nrm, c), members in seen.items()]
@@ -409,18 +452,33 @@ def _hull3d_facets(pts):
     return facets
 
 
-def _facet_cycle(verts, ids, normal):
-    """Order facet vertices cyclically (ccw as seen from inside)."""
-    poly, basis, base = embed_polygon(verts)
-    lookup = {}
-    for vid, v in zip(ids, verts):
-        sol = solve_in_span(basis, list(vsub(_frac(v), _frac(base))))
-        lookup[tuple(sol)] = vid
-    cycle = [lookup[_frac(v)] for v in poly.vertices]
-    # fix orientation: the 2D ccw order should be ccw around the inner normal
-    b0, b1 = basis
-    if dot(cross(b0, b1), normal) < 0:
-        cycle = [cycle[0]] + cycle[:0:-1]
+def _facet_cycle(points, ids, normal):
+    """Order facet vertex ids cyclically, ccw about the inner normal.
+
+    The successor of a is the vertex b with every other facet vertex c on
+    its left: <(b - a) x (c - a), normal> >= 0.  The walk starts at the
+    lowest id and must close over all of them.
+    """
+    ids = sorted(ids)
+    succ = {}
+    for a in ids:
+        pa = points[a]
+        for b in ids:
+            if b == a:
+                continue
+            ab = vsub(points[b], pa)
+            if all(dot(cross(ab, vsub(points[c], pa)), normal) >= 0
+                   for c in ids if c != a and c != b):
+                succ[a] = b
+                break
+    cycle = [ids[0]]
+    for _ in ids[1:]:
+        nxt = succ.get(cycle[-1])
+        if nxt is None or nxt in cycle:
+            break
+        cycle.append(nxt)
+    if len(cycle) != len(ids) or succ.get(cycle[-1]) != cycle[0]:
+        raise PolytopeError("facet vertices do not close into a convex cycle")
     return tuple(cycle)
 
 

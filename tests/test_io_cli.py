@@ -167,6 +167,19 @@ def test_cli_parse_failure_exits_2(tmp_path):
     assert json.loads(err.strip())["error"]
 
 
+def test_cli_truncated_database_exits_2(tmp_path):
+    path = tmp_path / "truncated.txt"
+    path.write_text("3 4\n1 0 0 -1\n0 1 0 -1\n")
+    with pytest.raises(ParseError, match="block 0 is truncated"):
+        list(ingest_database(str(path)))
+    code, out, err = run_cli("verify24", "--db", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "ParseError",
+                                    "message": "database block 0 is truncated"}
+
+
 def test_cli_verify24(tmp_path):
     path = minidb(tmp_path)
     code, out, _ = run_cli("verify24", "--db", path)

@@ -288,6 +288,15 @@ def outcome(f, *args):
 @EXACT
 @given(matrices())
 def test_saturate_matches_reference(a):
-    # int() truncates non-integer entries in both versions, so drawn
-    # Fraction rows may end in the same LinalgError
-    assert outcome(saturate, a) == outcome(ref_saturate, a)
+    if all(x.denominator == 1 for row in a for x in row):
+        assert outcome(saturate, a) == outcome(ref_saturate, a)
+    else:
+        # the reference truncates non-integer entries with int()
+        assert outcome(saturate, a) == \
+            "LinalgError: saturate needs integer rows"
+
+
+@pytest.mark.parametrize("rows", [[[Fraction(3, 2), 1]], [[Fraction(1, 2)]]])
+def test_saturate_rejects_rational_rows(rows):
+    with pytest.raises(LinalgError, match="saturate needs integer rows"):
+        saturate(rows)
