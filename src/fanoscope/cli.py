@@ -13,6 +13,7 @@ import io
 import json
 import os
 import sys
+from fractions import Fraction
 from multiprocessing import Pool
 
 from . import fileio
@@ -161,7 +162,6 @@ def cmd_gamma(args):
 
 def _reduced_basis(vectors):
     """Echelon basis of the span of the given rational vectors."""
-    from fractions import Fraction
     rows = [[Fraction(x) for x in v] for v in vectors if any(v)]
     basis = []
     for row in rows:

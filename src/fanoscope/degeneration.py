@@ -9,10 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .linalg import kernel_basis, lex_positive, primitive, saturate
-from .minkowski import Summand, enumerate_smooth_decompositions, minkowski_sum
+from .linalg import (clear_denominators, det, kernel_basis, lex_positive,
+                     primitive, saturate)
+from .minkowski import (Summand, enumerate_smooth_decompositions,
+                        minkowski_sum, segment, triangle)
 from .polytope import (LatticePolytope, Polygon, PolytopeError, dot,
                        gorenstein_index, is_integral, lattice_length,
                        pick_area, plane_coords, vsub, _frac)
@@ -292,13 +294,8 @@ class DegenerationData:
 
 def _plane_basis(span_vectors):
     """Saturated basis of the rank-2 sublattice spanned by the vectors."""
-    denom = 1
-    fr = [[Fraction(x) for x in v] for v in span_vectors]
-    for v in fr:
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    rows = [[int(x * denom) for x in v] for v in fr if any(v)]
-    basis = saturate(rows)
+    rows, _ = clear_denominators(span_vectors)
+    basis = saturate([r for r in rows if any(r)])
     if len(basis) != 2:
         raise DegenerationError("vectors do not span a plane")
     return [tuple(b) for b in basis]
@@ -308,7 +305,7 @@ def _coords_in(basis, vec):
     xy = plane_coords(basis, vec)
     if xy is None:
         raise DegenerationError("point outside its plane")
-    return tuple(int(x) if x.denominator == 1 else x for x in xy)
+    return xy
 
 
 def _two_cone(dirv, w):
@@ -336,12 +333,18 @@ def ray_lattice(dir3):
     """Basis of W = ann(primitive direction) in the opposite lattice, plus
     the W-coordinate map; deterministic."""
     u = primitive(dir3)
-    ker = kernel_basis([list(u)])
-    denom = 1
-    for v in ker:
-        for x in v:
-            denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
-    rows = [[int(Fraction(x) * denom) for x in v] for v in ker]
+    # The kernel of the row u has one vector e_c - (u_c / u_p) e_p per free
+    # column c, p the first nonzero column; scaled by the least common
+    # denominator d of the u_c / u_p, it is d e_c - (d u_c / u_p) e_p.
+    p = next(i for i, x in enumerate(u) if x)
+    free = [c for c in range(len(u)) if c != p]
+    d = lcm(*(abs(u[p]) // gcd(u[c], u[p]) for c in free))
+    rows = []
+    for c in free:
+        row = [0] * len(u)
+        row[c] = d
+        row[p] = -u[c] * d // u[p]
+        rows.append(row)
     basis = saturate(rows)
     if len(basis) != 2:
         raise DegenerationError("direction annihilator is not a plane")
@@ -849,19 +852,18 @@ def _sv_remainder_ok(facet: Polygon, scaled: Polygon, r: int) -> bool:
         return False
     if r != 1:
         return False
-    from .minkowski import segment as mk_segment, triangle as mk_triangle
     if len(rest) == 2:
         a, b = rest
         if tuple(-x for x in a) != tuple(b):
             return False
-        extra = mk_segment(a)
+        extra = segment(a)
     elif len(rest) == 3:
         a, b, c = rest
         if tuple(map(sum, zip(a, b, c))) != (0, 0):
             return False
         if abs(a[0] * b[1] - a[1] * b[0]) != 1:
             return False
-        extra = mk_triangle(a, b, c)
+        extra = triangle(a, b, c)
     else:
         return False
     resum = minkowski_sum([_polygon_summand(scaled), extra])
@@ -940,7 +942,6 @@ def _d3_verdict(dual, vid):
     facet_pts = dual.dual_face_vertices([vid])
     if len(facet_pts) != 3:
         return "violation: cone over v* is not simplicial"
-    from .linalg import det
     if abs(det([list(map(int, p)) for p in facet_pts])) != 1:
         return "violation: cone over v* is not smooth"
     return "corner"

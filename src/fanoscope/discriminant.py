@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .degeneration import ROLE_BOUNDARY, ROLE_SPINE, DegenerationData, DegenerationError
-from .polytope import Polygon, dot, vsub
+from .polytope import Polygon, dot, lattice_length, vsub
 
 
 @dataclass
@@ -147,7 +147,6 @@ def dual_graph(data: DegenerationData, slab) -> tuple:
         ell = 0
         if slab.sections.dim == 1:
             a, b = slab.sections.points[0], slab.sections.points[-1]
-            from .polytope import lattice_length
             ell = lattice_length(a, b)
         stubs = {}
         normals = [n for n, _ in slab.polygon.edge_normals()]

@@ -110,7 +110,10 @@ def ingest_database(path):
                 row = next(lines, None)
                 if row is None:
                     raise ParseError(f"database block {count} is truncated")
-                block.append([int(x) for x in row.split()])
+                try:
+                    block.append([int(x) for x in row.split()])
+                except ValueError as exc:
+                    raise ParseError(f"database block {count}: {exc}") from exc
             if any(len(row) != c for row in block):
                 raise ParseError(f"database block {count} is ragged")
             verts = _orient(block, r, c)
@@ -153,9 +156,26 @@ def list_fixtures():
     return sorted(out)
 
 
+# keys each fixture kind cannot do without
+REQUIRED_KEYS = {"normal_fan": ("polytope",),
+                 "line_fan": ("polytope", "direction", "rays2d"),
+                 "product": ("base_polygon",),
+                 "slabs": ("slabs",)}
+
+
+def _require(doc, keys, where):
+    if not isinstance(doc, dict):
+        raise ParseError(f"{where} must be a JSON object")
+    for key in keys:
+        if key not in doc:
+            raise ParseError(f"{where} without required key {key!r}")
+
+
 def data_from_fixture(doc: dict) -> DegenerationData:
+    _require(doc, (), "fixture")
     kind = doc.get("kind")
     name = doc.get("name", "fixture")
+    _require(doc, REQUIRED_KEYS.get(kind, ()), f"{kind} fixture")
     p = LatticePolytope(doc["polytope"]) if doc.get("polytope") else None
     if kind == "normal_fan":
         ev = doc.get("edge_values")
@@ -173,6 +193,7 @@ def data_from_fixture(doc: dict) -> DegenerationData:
     if doc.get("vertex_count") is not None:
         data.vertex_count = int(doc["vertex_count"])
     if doc.get("b2") is not None:
+        _require(doc["b2"], ("value",), "fixture b2 block")
         data.b2_fixture = int(doc["b2"]["value"])
         data.b2_source = doc["b2"].get("source", "fixture")
     if doc.get("degree") is not None:
@@ -185,7 +206,8 @@ def data_from_fixture(doc: dict) -> DegenerationData:
 
 def _slab_fixture(doc, name, p):
     slabs = []
-    for spec in doc["slabs"]:
+    for i, spec in enumerate(doc["slabs"]):
+        _require(spec, ("name", "polygon"), f"slab {i}")
         poly = Polygon(spec["polygon"])
         if [list(v) for v in poly.vertices] != [list(v) for v in spec["polygon"]]:
             raise ParseError(
@@ -203,6 +225,7 @@ def _slab_fixture(doc, name, p):
     summands = []
     for ray, entries in doc.get("rays", {}).items():
         for ent in entries:
+            _require(ent, ("kind",), f"ray {ray} entry")
             cnt = int(ent.get("count", 1))
             for _ in range(cnt):
                 summands.append(RaySummand(ray, ent["kind"],

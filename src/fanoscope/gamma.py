@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .degeneration import DegenerationData, DegenerationError, _edge_name
 from .linalg import lex_positive, nullity, primitive
-from .polytope import dot
+from .polytope import cross, dot
 
 
 class GammaError(DegenerationError):
@@ -35,7 +35,6 @@ def _annihilators(data: DegenerationData):
     nus = []
     for e in dual.edges:
         a, b = (dual.vertices[i] for i in sorted(e.vertex_ids))
-        from .polytope import cross
         nus.append(lex_positive(primitive(cross(a, b))))
     return dual, nus
 

@@ -10,7 +10,8 @@ from math import gcd
 
 from .degeneration import DegenerationData, DegenerationError
 from .gamma import b2 as gamma_b2, barT_hypothesis, barT_sections
-from .linalg import index_in_saturation, kernel_basis, primitive, snf
+from .linalg import (clear_denominators, index_in_saturation, kernel_basis,
+                     primitive, snf)
 from .polytope import LatticePolytope, cross, dot
 
 
@@ -74,11 +75,8 @@ def degree(p: LatticePolytope) -> int:
         if deg != dual.boundary_area():
             raise InvariantError("degree cross-check failed")
         return deg
-    k = 1
-    for v in dual.vertices:
-        for x in v:
-            k = k * Fraction(x).denominator // gcd(k, Fraction(x).denominator)
-    scaled = dual.dilate(k)
+    rows, k = clear_denominators(dual.vertices)
+    scaled = LatticePolytope(rows)
     area = scaled.boundary_area()
     if area % (k * k):
         raise InvariantError("dilated boundary area is not divisible by k^2")

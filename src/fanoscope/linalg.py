@@ -236,10 +236,18 @@ def _reduced(ints: list[int]) -> list[int]:
     return [x // g for x in ints] if g > 1 else ints
 
 
+def clear_denominators(rows) -> tuple[IntMatrix, int]:
+    """(d * rows, d) for the least common denominator d of all entries of
+    the rational rows; the scaled rows are plain ints."""
+    den = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (den // x.denominator) for x in row]
+            for row in rows], den
+
+
 def _integral(row) -> list[int]:
     """Primitive integer row on the ray through a rational row."""
-    den = lcm(*(x.denominator for x in row))
-    return _reduced([x.numerator * (den // x.denominator) for x in row])
+    (ints,), _ = clear_denominators([row])
+    return _reduced(ints)
 
 
 def _echelon(a, stop=None) -> tuple[IntMatrix, list[int]]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from math import gcd
 
 from .linalg import lex_positive
 from .polytope import Polygon, PolytopeError, vadd
@@ -68,7 +69,6 @@ class Summand:
         if len(face) == 1:
             return 0
         (x1, y1), (x2, y2) = min(face), max(face)
-        from math import gcd
         return gcd(abs(x2 - x1), abs(y2 - y1))
 
 

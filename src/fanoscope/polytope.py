@@ -9,9 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
+from operator import add, mul, sub
 
-from .linalg import primitive, saturate, solve_in_span
+from .linalg import (clear_denominators, kernel_basis, primitive, saturate,
+                     solve_in_span)
 
 Vec = tuple
 
@@ -33,19 +35,19 @@ def _clean(v):
 
 
 def is_integral(v) -> bool:
-    return all(Fraction(x).denominator == 1 for x in v)
+    return all(type(x) is int or x.denominator == 1 for x in v)
 
 
 def vsub(a, b):
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def vadd(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def cross(a, b):
@@ -59,10 +61,7 @@ def lattice_length(a, b) -> int:
     d = vsub(b, a)
     if not is_integral(d):
         raise PolytopeError("lattice length of a non-integral segment")
-    g = 0
-    for x in d:
-        g = gcd(g, abs(int(x)))
-    return g
+    return gcd(*map(int, d))
 
 
 # ---------------------------------------------------------------------------
@@ -216,18 +215,21 @@ def plane_coords(basis, v):
     None when v is off the plane.
 
     With c = b0 x b1: v x b1 = x*c and b0 x v = y*c, so both coordinates are
-    one exact quotient by |c|^2.
+    one exact quotient by |c|^2 (an int when it divides, else a Fraction).
     """
     b0, b1 = basis
     c = cross(b0, b1)
-    den = lcm(*(x.denominator for x in v))
-    if den != 1:
-        v = [int(x * den) for x in v]  # integer arithmetic from here on
+    (v,), den = clear_denominators([v])  # integer arithmetic from here on
     if dot(c, v) != 0:
         return None
     norm2 = dot(c, c) * den
-    return (Fraction(dot(cross(v, b1), c), norm2),
-            Fraction(dot(cross(b0, v), c), norm2))
+    return (_quotient(dot(cross(v, b1), c), norm2),
+            _quotient(dot(cross(b0, v), c), norm2))
+
+
+def _quotient(num: int, den: int):
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
 
 
 def embed_polygon(points3):
@@ -237,8 +239,8 @@ def embed_polygon(points3):
     """
     base = points3[0]
     dirs = [vsub(p, base) for p in points3]
-    denom = lcm(*(x.denominator for d in dirs for x in d))
-    basis = saturate([[int(x * denom) for x in d] for d in dirs if any(d)])
+    rows, _ = clear_denominators(dirs)
+    basis = saturate([r for r in rows if any(r)])
     if len(basis) != 2:
         raise PolytopeError("points do not span a plane")
     coords = []
@@ -286,34 +288,41 @@ class LatticePolytope:
     """Full-dimensional polytope in rank 3 with exact face data.
 
     The face data (facets with their cycles and dual vertices, edges, the
-    vertex -> facets incidence) is built once here; the polar dual is built
-    on the first call to `polar_dual` and kept.
+    vertex -> facets incidence) is built once here; the polar dual is read
+    off it on the first call to `polar_dual` and kept.
     """
 
     def __init__(self, points):
         pts = sorted({_clean(p) for p in points})
         if not pts or len(pts[0]) != 3:
             raise PolytopeError("expected 3-space points")
-        facets_raw = _hull3d_facets(pts)
-        on_facets = {i: set() for i in range(len(pts))}
-        for fi, (_, _, members) in enumerate(facets_raw):
+        ipts, _ = clear_denominators(pts)  # same facets, integer arithmetic
+        facets_raw = _hull3d_facets(pts, ipts)
+        on_facets = [0] * len(pts)
+        for _, _, members in facets_raw:
             for m in members:
-                on_facets[m].add(fi)
-        vertex_ids = [i for i in range(len(pts)) if len(on_facets[i]) >= 3]
-        self.vertices = tuple(pts[i] for i in vertex_ids)
+                on_facets[m] += 1
+        vertex_ids = [i for i in range(len(pts)) if on_facets[i] >= 3]
         reindex = {old: new for new, old in enumerate(vertex_ids)}
+        ivertices = [ipts[i] for i in vertex_ids]
         facets = []
         for normal, level, members in facets_raw:
             ids = frozenset(reindex[m] for m in members if m in reindex)
             facets.append(Facet(normal, level, ids,
-                                _facet_cycle(self.vertices, ids, normal)))
+                                _facet_cycle(ivertices, ids, normal)))
         facets.sort(key=lambda f: f.normal)
-        self.facets = tuple(facets)
-        self.edges = tuple(_edges_from_facets(self.facets))
-        self._facets_at = {
-            vid: frozenset(fi for fi, f in enumerate(self.facets)
-                           if vid in f.vertex_ids)
-            for vid in range(len(self.vertices))}
+        self._set_faces(tuple(pts[i] for i in vertex_ids), tuple(facets),
+                        _edges_from_facets(facets))
+
+    def _set_faces(self, vertices, facets, edges):
+        self.vertices = vertices
+        self.facets = facets
+        self.edges = edges
+        at = [[] for _ in vertices]
+        for fi, f in enumerate(facets):
+            for vid in f.vertex_ids:
+                at[vid].append(fi)
+        self._facets_at = {vid: frozenset(fs) for vid, fs in enumerate(at)}
         self._dual = None
         self._fano = None
 
@@ -353,8 +362,61 @@ class LatticePolytope:
         if self._dual is None:
             if not self.origin_interior():
                 raise PolytopeError("origin is not interior")
-            self._dual = LatticePolytope([f.dual for f in self.facets])
+            self._dual = self._dual_from_faces()
         return self._dual
+
+    def _dual_from_faces(self) -> "LatticePolytope":
+        """P* read off the face lattice of P, with no hull: facet f of P
+        gives the vertex f.dual, vertex v of P the facet with normal
+        primitive(v) whose cycle is the ring of P's facets around v, and
+        every edge of P an edge of P* with its vertex and facet ids
+        swapped.  Ids follow the hull's order: vertices sorted, facets
+        sorted by normal, edges by their vertex ids."""
+        order = sorted(range(len(self.facets)),
+                       key=lambda fi: self.facets[fi].dual)
+        vertices = tuple(self.facets[fi].dual for fi in order)
+        vid = [0] * len(order)  # facet of P -> vertex of P*
+        for new, fi in enumerate(order):
+            vid[fi] = new
+        rings = [{} for _ in self.vertices]  # adjacent facets around v
+        for e in self.edges:
+            f, g = (vid[fi] for fi in e.facet_ids)
+            for v in e.vertex_ids:
+                rings[v].setdefault(f, []).append(g)
+                rings[v].setdefault(g, []).append(f)
+        facets = []
+        for v, ring in enumerate(rings):
+            normal = primitive(self.vertices[v])
+            start = min(ring)
+            nxt, other = ring[start]
+            # ccw about the normal: the other neighbour is on the left
+            a = vertices[start]
+            if dot(cross(vsub(vertices[nxt], a), vsub(vertices[other], a)),
+                   normal) < 0:
+                nxt = other
+            cycle = [start]
+            while nxt != start and len(cycle) < len(ring):
+                cycle.append(nxt)
+                x, y = ring[nxt]
+                nxt = y if x == cycle[-2] else x
+            if nxt != start or len(cycle) != len(ring):
+                raise PolytopeError("facets around a vertex do not close "
+                                    "into a ring")
+            facets.append(Facet(normal, dot(normal, a), frozenset(cycle),
+                                tuple(cycle)))
+        by_normal = sorted(range(len(facets)), key=lambda v: facets[v].normal)
+        fid = [0] * len(facets)  # vertex of P -> facet of P*
+        for new, v in enumerate(by_normal):
+            fid[v] = new
+        edges = sorted((Edge(frozenset(vid[fi] for fi in e.facet_ids),
+                             frozenset(fid[v] for v in e.vertex_ids))
+                        for e in self.edges),
+                       key=lambda e: sorted(e.vertex_ids))
+        dual = LatticePolytope.__new__(LatticePolytope)
+        dual._set_faces(vertices, tuple(facets[v] for v in by_normal),
+                        tuple(edges))
+        dual._dual = self
+        return dual
 
     def dual_face_vertices(self, vertex_ids):
         """Vertices (in the dual) of the face dual to the face spanned by the
@@ -418,35 +480,40 @@ class LatticePolytope:
         return lattice_length(self.dual_vertex(f1), self.dual_vertex(f2))
 
 
-def _hull3d_facets(pts):
+def _hull3d_facets(pts, ipts):
+    """(primitive inner normal, level, member indices) of every facet of the
+    hull of pts; ipts are the same points scaled to integers, on which
+    every candidate plane is tested."""
     n = len(pts)
     if n < 4:
         raise PolytopeError("not full-dimensional")
     seen = {}
     planes = set()  # every plane tested so far, in one orientation
     for i, j, k in combinations(range(n), 3):
-        nrm = cross(vsub(pts[j], pts[i]), vsub(pts[k], pts[i]))
-        if all(x == 0 for x in nrm):
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = ipts[i], ipts[j], ipts[k]
+        ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
+        vx, vy, vz = x2 - x0, y2 - y0, z2 - z0
+        a, b, c = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        g = gcd(a, b, c)
+        if g == 0:
             continue
-        nrm = primitive(nrm)
-        nrm = max(nrm, tuple(-x for x in nrm))
-        c = dot(nrm, pts[i])
-        if (nrm, c) in planes:
+        if a < 0 or (a == 0 and (b < 0 or (b == 0 and c < 0))):
+            g = -g  # the lex-larger of the two orientations
+        a, b, c = a // g, b // g, c // g
+        lvl = a * x0 + b * y0 + c * z0
+        if (a, b, c, lvl) in planes:
             continue
-        planes.add((nrm, c))
-        vals = [dot(nrm, p) for p in pts]
-        if min(vals) == c:
-            pass
-        elif max(vals) == c:
-            nrm = tuple(-x for x in nrm)
-            c = -c
-            vals = [-v for v in vals]
+        planes.add((a, b, c, lvl))
+        vals = [a * x + b * y + c * z for x, y, z in ipts]
+        if min(vals) == lvl:
+            nrm = (a, b, c)
+        elif max(vals) == lvl:
+            nrm = (-a, -b, -c)
         else:
             continue
-        seen[(nrm, c)] = [m for m, v in enumerate(vals) if v == c]
-    if not seen:
-        raise PolytopeError("not full-dimensional")
-    facets = [(nrm, c, members) for (nrm, c), members in seen.items()]
+        seen[nrm] = (dot(nrm, pts[i]),
+                     [m for m, v in enumerate(vals) if v == lvl])
+    facets = [(nrm, c, members) for nrm, (c, members) in seen.items()]
     if len(facets) < 4:
         raise PolytopeError("not full-dimensional")
     return facets
@@ -456,21 +523,29 @@ def _facet_cycle(points, ids, normal):
     """Order facet vertex ids cyclically, ccw about the inner normal.
 
     The successor of a is the vertex b with every other facet vertex c on
-    its left: <(b - a) x (c - a), normal> >= 0.  The walk starts at the
-    lowest id and must close over all of them.
+    its left: <(b - a) x (c - a), normal> >= 0.  One tournament pass keeps
+    the rightmost candidate, then every other vertex is checked against
+    it.  The walk starts at the lowest id and must close over all of them.
     """
     ids = sorted(ids)
+    n0, n1, n2 = normal
     succ = {}
     for a in ids:
-        pa = points[a]
-        for b in ids:
-            if b == a:
-                continue
-            ab = vsub(points[b], pa)
-            if all(dot(cross(ab, vsub(points[c], pa)), normal) >= 0
-                   for c in ids if c != a and c != b):
-                succ[a] = b
-                break
+        ax, ay, az = points[a]
+        rest = []
+        for q in ids:
+            if q != a:
+                x, y, z = points[q]
+                rest.append((q, x - ax, y - ay, z - az))
+        # <(b - a) x (c - a), n> = <n x (b - a), c - a>
+        b, x, y, z = rest[0]
+        w0, w1, w2 = n1 * z - n2 * y, n2 * x - n0 * z, n0 * y - n1 * x
+        for q, x, y, z in rest[1:]:
+            if w0 * x + w1 * y + w2 * z < 0:
+                b = q
+                w0, w1, w2 = n1 * z - n2 * y, n2 * x - n0 * z, n0 * y - n1 * x
+        if all(w0 * x + w1 * y + w2 * z >= 0 for q, x, y, z in rest if q != b):
+            succ[a] = b
     cycle = [ids[0]]
     for _ in ids[1:]:
         nxt = succ.get(cycle[-1])
@@ -483,17 +558,16 @@ def _facet_cycle(points, ids, normal):
 
 
 def _edges_from_facets(facets):
-    edges = []
-    seen = set()
-    for i, j in combinations(range(len(facets)), 2):
-        shared = facets[i].vertex_ids & facets[j].vertex_ids
-        if len(shared) == 2:
-            key = frozenset(shared)
-            if key not in seen:
-                seen.add(key)
-                edges.append(Edge(key, frozenset((i, j))))
+    """Edges from consecutive vertices of the facet cycles; each edge lies
+    on exactly two facets."""
+    on = {}
+    for fi, f in enumerate(facets):
+        cyc = f.cycle
+        for t, u in enumerate(cyc):
+            on.setdefault(frozenset((u, cyc[t - 1])), []).append(fi)
+    edges = [Edge(key, frozenset(fs)) for key, fs in on.items()]
     edges.sort(key=lambda e: sorted(e.vertex_ids))
-    return edges
+    return tuple(edges)
 
 
 def convex_hull(points):
@@ -555,7 +629,6 @@ def _affine_normal(coords, r):
             raise PolytopeError("face is not a hyperplane section")
         return (1,)
     # kernel of the difference matrix, 1-dimensional
-    from .linalg import kernel_basis
     ker = kernel_basis(rows)
     if len(ker) != 1:
         raise PolytopeError("face is not a hyperplane section")

@@ -3,18 +3,21 @@ GL(3,Z) images of the bundled polytopes and their polar duals."""
 
 import random
 from fractions import Fraction
-from math import gcd
+from itertools import combinations, product
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unimodular3
+from fanoscope.degeneration import ray_lattice
 from fanoscope.fileio import bundled_polytopes
-from fanoscope.linalg import mat_vec, saturate, solve_in_span
+from fanoscope.linalg import (clear_denominators, kernel_basis, mat_vec,
+                              primitive, saturate, solve_in_span)
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                _clean, _facet_cycle, _frac, cross, dot,
-                                plane_coords, vsub)
+                                _clean, _facet_cycle, _frac, _hull3d_facets,
+                                cross, dot, plane_coords, vsub)
 
 NAMES = sorted(k for k in bundled_polytopes() if k != "polygons")
 
@@ -88,6 +91,19 @@ def test_facet_cycle_rejects_points_off_the_convex_cycle():
         _facet_cycle(square, range(5), (0, 0, 1))
 
 
+def ref_plane_coords(basis, v):
+    b0, b1 = basis
+    c = cross(b0, b1)
+    den = lcm(*(x.denominator for x in v))
+    if den != 1:
+        v = [int(x * den) for x in v]
+    if dot(c, v) != 0:
+        return None
+    norm2 = dot(c, c) * den
+    return (Fraction(dot(cross(v, b1), c), norm2),
+            Fraction(dot(cross(b0, v), c), norm2))
+
+
 SMALL = st.integers(-5, 5)
 VECTORS = st.tuples(SMALL, SMALL, SMALL)
 RATIONALS = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
@@ -102,10 +118,14 @@ def test_plane_coords_matches_solve_in_span(b0, b1, x, y, off):
     v = tuple(x * p + y * q + off * n for p, q, n in zip(b0, b1, c))
     got = plane_coords((b0, b1), v)
     ref = solve_in_span([list(b0), list(b1)], list(v))
+    assert got == ref_plane_coords((b0, b1), v)
     if off:
         assert got is None and ref is None
     else:
         assert got == (x, y) == tuple(ref)
+        # an int exactly where the quotient is integral
+        assert [type(t) is int for t in got] == [t.denominator == 1
+                                                  for t in (x, y)]
 
 
 @FACE
@@ -126,3 +146,93 @@ def test_polar_dual_is_built_once_and_is_an_involution(p):
     d = p.polar_dual()
     assert d is p.polar_dual()
     assert d.polar_dual().vertices == p.vertices
+
+
+def face_fields(p):
+    """Every piece of face data, in the polytope's own order."""
+    return (p.vertices,
+            [(f.normal, f.level, f.vertex_ids, f.cycle, f.dual)
+             for f in p.facets],
+            [(e.vertex_ids, e.facet_ids) for e in p.edges],
+            p._facets_at)
+
+
+@FACE
+@given(polytopes())
+def test_polar_dual_from_faces_equals_hull_built_dual(p):
+    d = p.polar_dual()
+    assert face_fields(d) == face_fields(
+        LatticePolytope([f.dual for f in p.facets]))
+    assert d.polar_dual() is p
+
+
+def test_polar_dual_from_faces_keeps_rational_duals():
+    for name in ("b1", "v2"):  # not reflexive: P* has rational vertices
+        p = LatticePolytope(bundled_polytopes()[name]["vertices"])
+        d = p.polar_dual()
+        assert not d.is_integral
+        assert face_fields(d) == face_fields(
+            LatticePolytope([f.dual for f in p.facets]))
+        assert [f.dual for f in d.facets] == [
+            v for v in sorted(p.vertices, key=primitive)]
+
+
+def ref_hull3d_facets(pts):
+    """The triple scan with generic vector helpers, before integer
+    inlining."""
+    seen = {}
+    planes = set()
+    for i, j, k in combinations(range(len(pts)), 3):
+        nrm = cross(vsub(pts[j], pts[i]), vsub(pts[k], pts[i]))
+        if all(x == 0 for x in nrm):
+            continue
+        nrm = primitive(nrm)
+        nrm = max(nrm, tuple(-x for x in nrm))
+        c = dot(nrm, pts[i])
+        if (nrm, c) in planes:
+            continue
+        planes.add((nrm, c))
+        vals = [dot(nrm, p) for p in pts]
+        if min(vals) == c:
+            pass
+        elif max(vals) == c:
+            nrm = tuple(-x for x in nrm)
+            c = -c
+            vals = [-v for v in vals]
+        else:
+            continue
+        seen[(nrm, c)] = [m for m, v in enumerate(vals) if v == c]
+    return [(nrm, c, members) for (nrm, c), members in seen.items()]
+
+
+@FACE
+@given(polytopes(), st.integers(1, 3))
+def test_hull_facets_match_generic_triple_scan(p, den):
+    # the origin and edge midpoints are points that are not vertices;
+    # den > 1 makes every coordinate rational
+    extra = [(0, 0, 0)] + [
+        tuple(Fraction(x + y, 2) for x, y in
+              zip(*(p.vertices[i] for i in sorted(e.vertex_ids))))
+        for e in p.edges[:3]]
+    pts = sorted({_clean(tuple(Fraction(x, den) for x in v))
+                  for v in list(p.vertices) + extra})
+    got = _hull3d_facets(pts, clear_denominators(pts)[0])
+    assert sorted(got) == sorted(ref_hull3d_facets(pts))
+
+
+def ref_ray_lattice(dir3):
+    u = primitive(dir3)
+    ker = kernel_basis([list(u)])
+    denom = 1
+    for v in ker:
+        for x in v:
+            denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
+    rows = [[int(Fraction(x) * denom) for x in v] for v in ker]
+    basis = saturate(rows)
+    return [tuple(b) for b in basis]
+
+
+def test_ray_lattice_matches_kernel_route():
+    for v in product(range(-4, 5), repeat=3):
+        if any(v):
+            assert ray_lattice(v) == ref_ray_lattice(v)

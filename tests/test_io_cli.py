@@ -180,6 +180,39 @@ def test_cli_truncated_database_exits_2(tmp_path):
                                     "message": "database block 0 is truncated"}
 
 
+def test_cli_database_non_integer_token_exits_2(tmp_path):
+    path = tmp_path / "bad_token.txt"
+    path.write_text("3 4\n1 0 x -1\n0 1 0 -1\n0 0 1 -1\n")
+    code, out, err = run_cli("verify24", "--db", str(path))
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    doc = json.loads(lines[0])
+    assert doc["error"] == "ParseError"
+    assert doc["message"].startswith("database block 0:") and "'x'" in doc["message"]
+
+
+LINE_FAN_WITHOUT_DIRECTION = {
+    "kind": "line_fan",
+    "polytope": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],
+    "rays2d": [[1, 0, 0], [0, 1, 0], [-1, -1, 0]],
+}
+
+
+@pytest.mark.parametrize("doc, key", [({"kind": "slabs"}, "slabs"),
+                                      (LINE_FAN_WITHOUT_DIRECTION, "direction")])
+def test_cli_fixture_missing_key_exits_2(tmp_path, doc, key):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("analyze", str(path), "--fixture")
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {
+        "error": "ParseError",
+        "message": f"{doc['kind']} fixture without required key {key!r}"}
+
+
 def test_cli_verify24(tmp_path):
     path = minidb(tmp_path)
     code, out, _ = run_cli("verify24", "--db", path)

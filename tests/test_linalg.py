@@ -300,3 +300,85 @@ def test_saturate_matches_reference(a):
 def test_saturate_rejects_rational_rows(rows):
     with pytest.raises(LinalgError, match="saturate needs integer rows"):
         saturate(rows)
+
+
+# ---------------------------------------------------------------------------
+# HNF / SNF properties
+
+
+@st.composite
+def int_matrices(draw, max_rows=4, max_cols=4):
+    nrows = draw(st.integers(1, max_rows))
+    ncols = draw(st.integers(1, max_cols))
+    return [[draw(st.integers(-9, 9)) for _ in range(ncols)]
+            for _ in range(nrows)]
+
+
+@st.composite
+def unimodular(draw, n):
+    """A word of elementary row operations: add a multiple of one row to
+    another, swap two rows, or negate one."""
+    w = identity(n)
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.integers(0, 2))
+        if op == 0 and i != j:
+            q = draw(st.integers(-3, 3))
+            w[i] = [x + q * y for x, y in zip(w[i], w[j])]
+        elif op == 1:
+            w[i], w[j] = w[j], w[i]
+        else:
+            w[i] = [-x for x in w[i]]
+    return w
+
+
+NORMAL_FORMS = settings(max_examples=300, deadline=None, derandomize=True,
+                        database=None)
+
+
+def assert_hermite(h):
+    """Row echelon; pivots positive, entries above each pivot in
+    [0, pivot); zero rows last."""
+    last = -1
+    for r, row in enumerate(h):
+        nonzero = [c for c, x in enumerate(row) if x]
+        if not nonzero:
+            assert not any(any(rest) for rest in h[r:])
+            return
+        c = nonzero[0]
+        assert c > last and row[c] > 0
+        assert all(0 <= h[i][c] < row[c] for i in range(r))
+        last = c
+
+
+@NORMAL_FORMS
+@given(int_matrices())
+def test_hnf_is_a_unimodular_multiple_in_hermite_form(a):
+    h, u = hnf(a)
+    assert mat_mul(u, a) == h
+    assert abs(det(u)) == 1
+    assert_hermite(h)
+
+
+@NORMAL_FORMS
+@given(st.data())
+def test_hnf_is_unique_under_left_unimodular_multiples(data):
+    a = data.draw(int_matrices())
+    w = data.draw(unimodular(len(a)))
+    assert hnf(mat_mul(w, a))[0] == hnf(a)[0]
+
+
+@NORMAL_FORMS
+@given(int_matrices())
+def test_snf_is_diagonal_with_divisibility(a):
+    s, u, v = snf(a)
+    assert mat_mul(mat_mul(u, a), v) == s
+    assert abs(det(u)) == 1 and abs(det(v)) == 1
+    assert all(x == 0 for i, row in enumerate(s) for j, x in enumerate(row)
+               if i != j)
+    diag = [s[i][i] for i in range(min(len(s), len(s[0])))]
+    assert all(d >= 0 for d in diag)
+    for d, e in zip(diag, diag[1:]):
+        assert (e % d == 0) if d else e == 0
+    if len(a) == len(a[0]):
+        assert abs(det(a)) == abs(det(s))
