@@ -54,10 +54,11 @@ def _resolve_data(target: str, decomposition=None, fixture=False):
         return [fileio.data_from_fixture(fileio.load_fixture(target))]
     p = _resolve_polytope(target)
     name = target if target in table else os.path.basename(str(target))
-    if decomposition in (None, "auto"):
-        regimes = decomposition_regimes(p)
-        counts = [len(r) for r in regimes]
-        if decomposition is None or all(c == 1 for c in counts):
+    if decomposition is None:
+        return [method1_data(p, None, name)]
+    if decomposition == "auto":
+        counts = [len(r) for r in decomposition_regimes(p)]
+        if all(c == 1 for c in counts):
             return [method1_data(p, None, name)]
         out = []
         total = 1

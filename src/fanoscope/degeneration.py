@@ -11,13 +11,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import (clear_denominators, det, kernel_basis, lex_positive,
-                     primitive, saturate)
+from .linalg import det, primitive, saturate
 from .minkowski import (Summand, enumerate_smooth_decompositions,
                         minkowski_sum, segment, triangle)
 from .polytope import (LatticePolytope, Polygon, PolytopeError, dot,
                        gorenstein_index, is_integral, lattice_length,
-                       pick_area, plane_coords, vsub, _frac)
+                       pick_area, plane_basis, plane_coords, plane_normal,
+                       vadd, vsub, _frac)
 
 
 class DegenerationError(ValueError):
@@ -292,15 +292,6 @@ class DegenerationData:
 # geometric construction helpers
 
 
-def _plane_basis(span_vectors):
-    """Saturated basis of the rank-2 sublattice spanned by the vectors."""
-    rows, _ = clear_denominators(span_vectors)
-    basis = saturate([r for r in rows if any(r)])
-    if len(basis) != 2:
-        raise DegenerationError("vectors do not span a plane")
-    return [tuple(b) for b in basis]
-
-
 def _coords_in(basis, vec):
     xy = plane_coords(basis, vec)
     if xy is None:
@@ -312,21 +303,12 @@ def _two_cone(dirv, w):
     """The 2-cone spanned by the line through dirv and the ray through w:
     (plane basis, primitive annihilator of the plane, primitive functional
     on plane coordinates that vanishes on the line and is >= 0 on w)."""
-    basis = _plane_basis([dirv, w])
+    basis = plane_basis([dirv, w])
     dir2 = _coords_in(basis, dirv)
     side = primitive((-dir2[1], dir2[0]))
     if dot(side, _coords_in(basis, w)) < 0:
         side = tuple(-x for x in side)
-    return basis, _ann_functional(basis), side
-
-
-def _ann_functional(plane_basis_vectors):
-    """Primitive annihilator of a plane in the dual lattice, lex-positive."""
-    rows = [[Fraction(x) for x in v] for v in plane_basis_vectors]
-    ker = kernel_basis(rows)
-    if len(ker) != 1:
-        raise DegenerationError("expected a rank-2 plane")
-    return lex_positive(primitive(ker[0]))
+    return basis, plane_normal(dirv, w), side
 
 
 def ray_lattice(dir3):
@@ -354,11 +336,27 @@ def ray_lattice(dir3):
 def facet_in_ray_coords(p_dual: LatticePolytope, vertex_id: int,
                         w_basis) -> Polygon:
     """Dual facet of a vertex of the polar polytope, written in W-coords and
-    translation-normalized."""
+    translation-normalized: the lex-least point is a vertex, and it moves to
+    the origin."""
     verts = p_dual.dual_face_vertices([vertex_id])
-    base = verts[0]
-    coords = [_coords_in(w_basis, vsub(v, base)) for v in verts]
-    return Polygon(coords).normalized()
+    coords = [_coords_in(w_basis, vsub(v, verts[0])) for v in verts]
+    low = min(coords)
+    return Polygon([vsub(c, low) for c in coords])
+
+
+def _ray_target(p_dual: LatticePolytope, vertex_id: int, w_basis,
+                ray) -> Polygon:
+    """`facet_in_ray_coords` divided by the facet's Gorenstein index r;
+    raises, naming the ray, unless r divides every vertex."""
+    facet = facet_in_ray_coords(p_dual, vertex_id, w_basis)
+    r = gorenstein_index(p_dual.dual_face_vertices([vertex_id]))
+    if r == 1:
+        return facet
+    if any(x % r for v in facet.vertices for x in v):
+        raise DegenerationError(
+            f"no smooth Minkowski decomposition: facet of ray {ray} is not "
+            f"divisible by its index {r}")
+    return Polygon([tuple(x // r for x in v) for v in facet.vertices])
 
 
 def quotient_functional(w_basis, m_point):
@@ -421,7 +419,7 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
     for i, e in enumerate(dual.edges):
         a_id, b_id = sorted(e.vertex_ids)
         va, vb = dual.vertices[a_id], dual.vertices[b_id]
-        basis = _plane_basis([va, vb])
+        basis = plane_basis([va, vb])
         origin = (0, 0)
         ca, cb = _coords_in(basis, va), _coords_in(basis, vb)
         poly = Polygon([origin, ca, cb])
@@ -443,18 +441,7 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
     chosen = []
     for vid, vert in enumerate(dual.vertices):
         w_basis = ray_lattice(vert)
-        facet = facet_in_ray_coords(dual, vid, w_basis)
-        r = gorenstein_index(dual.dual_face_vertices([vid]))
-        target = facet
-        if r > 1:
-            scaled = []
-            for v in facet.vertices:
-                if any(Fraction(x, r).denominator != 1 for x in v):
-                    raise DegenerationError(
-                        f"no smooth Minkowski decomposition: facet of ray "
-                        f"{vid} is not divisible by its index {r}")
-                scaled.append(tuple(x // r for x in v))
-            target = Polygon(scaled)
+        target = _ray_target(dual, vid, w_basis, vid)
         if ray_decompositions and vid in ray_decompositions:
             deco = tuple(ray_decompositions[vid])
         else:
@@ -479,7 +466,7 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
                 functionals[_edge_name(i)] = quotient_functional(
                     w_basis, dual.vertices[other])
         check = minkowski_sum([s for s in deco if s.kind != "point"])
-        if isinstance(check, Polygon) and check != target.normalized():
+        if isinstance(check, Polygon) and check != target:
             raise DegenerationError("ray data does not re-sum to its facet")
         for s in deco:
             if s.kind == "point":
@@ -604,20 +591,8 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
         if isinstance(spec, dict):
             spec = ray_summand_spec.get(ray_id, "auto")
         if spec == "auto":
-            facet_pts = dual.dual_face_vertices([vertex_hit])
-            r = gorenstein_index(facet_pts)
-            base = facet_pts[0]
-            coords = [_coords_in(w_basis, vsub(v, base)) for v in facet_pts]
-            facet = Polygon(coords).normalized()
-            target = facet
-            if r > 1:
-                target = Polygon([tuple(x // r if x % r == 0 else Fraction(x, r)
-                                        for x in v)
-                                  for v in facet.vertices])
-                if not target.is_integral:
-                    raise DegenerationError(
-                        "ray facet not divisible by its Gorenstein index")
-            decos = enumerate_smooth_decompositions(target)
+            decos = enumerate_smooth_decompositions(
+                _ray_target(dual, vertex_hit, w_basis, ray_id))
             if not decos:
                 raise DegenerationError("no smooth Minkowski decomposition "
                                         f"for {ray_id}")
@@ -866,18 +841,9 @@ def _sv_remainder_ok(facet: Polygon, scaled: Polygon, r: int) -> bool:
         extra = triangle(a, b, c)
     else:
         return False
-    resum = minkowski_sum([_polygon_summand(scaled), extra])
-    return isinstance(resum, Polygon) and resum == facet.normalized()
-
-
-class _polygon_summand:
-    """Adapter so an arbitrary polygon can enter a Minkowski sum."""
-
-    def __init__(self, polygon: Polygon):
-        self._polygon = polygon
-
-    def polygon_vertices(self):
-        return [tuple(v) for v in self._polygon.normalized().vertices]
+    # both are normalized, so their vertex sums are too
+    return facet == Polygon([vadd(p, q) for p in scaled.vertices
+                             for q in extra.polygon_vertices()])
 
 
 def _d1_verdict(data, dual, ray_id, vertex, w_basis):
@@ -891,7 +857,7 @@ def _d1_verdict(data, dual, ray_id, vertex, w_basis):
     if total is None or not isinstance(total, Polygon):
         return "violation: ray carries no surface summands"
     scaled = Polygon([tuple(r * x for x in v) for v in total.vertices])
-    if scaled == facet.normalized():
+    if scaled == facet:
         return "smooth"  # S_v is a point
     if _sv_remainder_ok(facet, scaled, r):
         return "smooth"

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .degeneration import DegenerationData, DegenerationError, _edge_name
-from .linalg import lex_positive, nullity, primitive
-from .polytope import cross, dot
+from .linalg import nullity
+from .polytope import dot, plane_normal
 
 
 class GammaError(DegenerationError):
@@ -32,10 +32,8 @@ class GammaSystem:
 
 def _annihilators(data: DegenerationData):
     dual = data.polytope.polar_dual() if data.dual is None else data.dual
-    nus = []
-    for e in dual.edges:
-        a, b = (dual.vertices[i] for i in sorted(e.vertex_ids))
-        nus.append(lex_positive(primitive(cross(a, b))))
+    nus = [plane_normal(*(dual.vertices[i] for i in sorted(e.vertex_ids)))
+           for e in dual.edges]
     return dual, nus
 
 

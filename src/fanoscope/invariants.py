@@ -10,8 +10,7 @@ from math import gcd
 
 from .degeneration import DegenerationData, DegenerationError
 from .gamma import b2 as gamma_b2, barT_hypothesis, barT_sections
-from .linalg import (clear_denominators, index_in_saturation, kernel_basis,
-                     primitive, snf)
+from .linalg import clear_denominators, nullity, primitive, snf
 from .polytope import LatticePolytope, cross, dot
 
 
@@ -136,6 +135,9 @@ def fano_index(data: DegenerationData, known_b2: int | None = None) -> int:
     One integer coordinate per maximal cell (cone over a facet of the polar
     polytope), glued along walls; returns the saturation index of the
     boundary tuple in the kernel.  Only valid for rank-one data.
+
+    The boundary tuple d solves every gluing row by construction, so a
+    one-dimensional kernel is its line and the index is gcd(d).
     """
     if data.boundary_components is not None:
         deg = analyze_degree(data)
@@ -160,10 +162,9 @@ def fano_index(data: DegenerationData, known_b2: int | None = None) -> int:
         row[f1] = d_values[f2]
         row[f2] = -d_values[f1]
         rows.append(row)
-    kernel = kernel_basis(rows)
-    if len(kernel) != 1:
+    if nullity(rows) != 1:
         raise InvariantError("not rank one")
-    return index_in_saturation(d_values, [primitive(kernel[0])])
+    return gcd(*d_values)
 
 
 def analyze_degree(data: DegenerationData) -> int:

@@ -348,24 +348,6 @@ def solve_in_span(rows: list, target) -> list[Fraction] | None:
     return sol
 
 
-def index_in_saturation(v, basis: list) -> int:
-    """Largest k such that v/k lies in the saturation of the lattice spanned
-    by the given integer rows.  Raises if v is outside the rational span."""
-    sat = saturate(basis)
-    coeffs = solve_in_span(sat, list(v))
-    if coeffs is None:
-        raise LinalgError("not in span")
-    ints = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise LinalgError("saturation solve produced non-integer")
-        ints.append(int(c))
-    g = gcd(*ints)
-    if g == 0:
-        raise LinalgError("zero vector has no saturation index")
-    return g
-
-
 def primitive(vec) -> tuple[int, ...]:
     """Primitive integer vector on the ray through vec (clears denominators)."""
     if not any(vec):

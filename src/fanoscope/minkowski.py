@@ -89,11 +89,6 @@ def triangle(v1, v2, v3) -> Summand:
 POINT = Summand("point", ())
 
 
-def edge_vector_multiset(polygon: Polygon):
-    """ccw boundary word of a lattice polygon (sorted)."""
-    return polygon.edge_vector_multiset()
-
-
 def minkowski_sum(summands):
     """Minkowski sum of summands as a translation-normalized polygon or, when
     degenerate, the sorted vertex list of the sum."""

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
 from operator import add, mul, sub
 
-from .linalg import (clear_denominators, kernel_basis, primitive, saturate,
-                     solve_in_span)
+from .linalg import (clear_denominators, lex_positive, primitive, saturate,
+                     snf)
 
 Vec = tuple
 
@@ -117,10 +117,6 @@ class Polygon:
                 for i in range(len(vs)))
         return _clean((s,))[0]
 
-    def contains(self, p) -> bool:
-        p = _frac(p)
-        return all(dot(n, p) >= c for n, c in self.edge_normals())
-
     def lattice_points(self):
         if not self.is_integral:
             raise PolytopeError("lattice points of a non-integral polygon")
@@ -144,18 +140,14 @@ class Polygon:
                 interior += 1
         return total, interior, total - interior
 
-    def boundary_lattice_points(self):
-        normals = self.edge_normals()
-        return [p for p in self.lattice_points()
-                if any(dot(n, p) == c for n, c in normals)]
-
     def translate(self, t):
         return Polygon([vadd(v, t) for v in self.vertices], hull=False)
 
     def normalized(self):
-        """Translate so the lex-least vertex sits at the origin."""
-        v0 = min(self.vertices)
-        return self.translate(tuple(-x for x in v0))
+        """Translate so the lex-least vertex (the first) sits at the origin;
+        a polygon already there is returned as it is."""
+        v0 = self.vertices[0]
+        return self.translate(tuple(-x for x in v0)) if any(v0) else self
 
     def dilate(self, k):
         return Polygon([tuple(k * x for x in v) for v in self.vertices], hull=False)
@@ -232,6 +224,21 @@ def _quotient(num: int, den: int):
     return Fraction(num, den) if r else q
 
 
+def plane_basis(vectors):
+    """Saturated basis of the rank-2 sublattice spanned by rational vectors
+    in 3-space."""
+    rows, _ = clear_denominators(vectors)
+    basis = saturate([r for r in rows if any(r)])
+    if len(basis) != 2:
+        raise PolytopeError("vectors do not span a plane")
+    return [tuple(b) for b in basis]
+
+
+def plane_normal(a, b):
+    """Primitive lex-positive annihilator of the plane spanned by a and b."""
+    return lex_positive(primitive(cross(a, b)))
+
+
 def embed_polygon(points3):
     """Project coplanar 3-space points to their saturated rank-2 sublattice.
 
@@ -239,17 +246,14 @@ def embed_polygon(points3):
     """
     base = points3[0]
     dirs = [vsub(p, base) for p in points3]
-    rows, _ = clear_denominators(dirs)
-    basis = saturate([r for r in rows if any(r)])
-    if len(basis) != 2:
-        raise PolytopeError("points do not span a plane")
+    basis = plane_basis(dirs)
     coords = []
     for d in dirs:
         xy = plane_coords(basis, d)
         if xy is None:
             raise PolytopeError("point outside the plane")
         coords.append(xy)
-    return Polygon(coords), [tuple(b) for b in basis], _clean(base)
+    return Polygon(coords), basis, _clean(base)
 
 
 # ---------------------------------------------------------------------------
@@ -587,52 +591,30 @@ def convex_hull(points):
 def gorenstein_index(face_vertices) -> int:
     """Gorenstein index r(Q) of the cone over an integral face Q.
 
-    r is the (positive) level of Q against the primitive inner normal inside
-    the saturated sublattice spanned by Q, of rank dim(Q) + 1.
+    Let L be the saturation of span(Q) and u the primitive functional on L
+    with <u, Q> = -r.  When the vertex differences D have rank rank(Q) - 1
+    they span ker(u) over Q, so span(Q) = Z*q0 + D has index r * [sat D : D]
+    in L: r is the quotient of the two lattice indices.
     """
-    pts = [tuple(int(x) for x in _frac(p)) if is_integral(p) else None
-           for p in face_vertices]
-    if any(p is None for p in pts):
+    if not all(is_integral(p) for p in face_vertices):
         raise PolytopeError("Gorenstein index needs integral vertices")
-    basis = saturate([list(p) for p in pts])
-    r = len(basis)
-    coords = []
-    for p in pts:
-        sol = solve_in_span(basis, list(p))
-        if sol is None:
-            raise PolytopeError("face outside its saturation")
-        coords.append(tuple(sol))
-    # affine dimension of Q inside the rank-r lattice must be r - 1,
-    # otherwise the cone over Q is not strictly convex
-    diffs = [list(vsub(c, coords[0])) for c in coords[1:]]
-    adim = len(saturate(diffs)) if any(any(d) for d in diffs) else 0
-    if adim != r - 1:
+    pts = [[int(x) for x in p] for p in face_vertices]
+    rank_q, index_q = _lattice_index(pts)
+    rank_d, index_d = _lattice_index([list(vsub(p, pts[0])) for p in pts[1:]])
+    if rank_d != rank_q - 1:
         raise PolytopeError("cone over the face is not strictly convex")
-    # primitive u with <u, q> = const < 0 on Q
-    normal = _affine_normal(coords, r)
-    level = dot(normal, coords[0])
-    if level > 0:
-        normal = tuple(-x for x in normal)
-        level = -level
-    if level == 0:
-        raise PolytopeError("cone over the face is not strictly convex")
-    return -int(level)
+    return index_q // index_d
 
 
-def _affine_normal(coords, r):
-    """Primitive integer functional constant on the given rank-(r-1) affine
-    set of rational points in Z^r."""
-    rows = [list(vsub(c, coords[0])) for c in coords[1:]]
-    rows = [[Fraction(x) for x in row] for row in rows if any(row)]
+def _lattice_index(rows):
+    """(rank, [saturation : lattice]) of the lattice spanned by integer rows:
+    the number and the product of their nonzero invariant factors."""
+    rows = [r for r in rows if any(r)]
     if not rows:
-        if r != 1:
-            raise PolytopeError("face is not a hyperplane section")
-        return (1,)
-    # kernel of the difference matrix, 1-dimensional
-    ker = kernel_basis(rows)
-    if len(ker) != 1:
-        raise PolytopeError("face is not a hyperplane section")
-    return primitive(ker[0])
+        return 0, 1
+    s, _, _ = snf(rows)
+    factors = [s[i][i] for i in range(min(len(s), len(s[0]))) if s[i][i]]
+    return len(factors), prod(factors)
 
 
 def identity24(p: LatticePolytope) -> int:

@@ -1,5 +1,6 @@
-"""Face data of LatticePolytope against the routines it replaced, over
-GL(3,Z) images of the bundled polytopes and their polar duals."""
+"""Face data and lattice indices of faces against the routines they
+replaced, over GL(3,Z) images of the bundled polytopes and their polar
+duals."""
 
 import random
 from fractions import Fraction
@@ -11,13 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unimodular3
-from fanoscope.degeneration import ray_lattice
+from fanoscope.degeneration import (method1_data, normal_fan_data,
+                                    ray_lattice)
 from fanoscope.fileio import bundled_polytopes
-from fanoscope.linalg import (clear_denominators, kernel_basis, mat_vec,
-                              primitive, saturate, solve_in_span)
+from fanoscope.invariants import InvariantError, _cell_class_data, fano_index
+from fanoscope.linalg import (LinalgError, clear_denominators, kernel_basis,
+                              lex_positive, mat_vec, primitive, saturate,
+                              solve_in_span)
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 _clean, _facet_cycle, _frac, _hull3d_facets,
-                                cross, dot, plane_coords, vsub)
+                                cross, dot, gorenstein_index, is_integral,
+                                plane_coords, plane_normal, vsub)
 
 NAMES = sorted(k for k in bundled_polytopes() if k != "polygons")
 
@@ -236,3 +241,127 @@ def test_ray_lattice_matches_kernel_route():
     for v in product(range(-4, 5), repeat=3):
         if any(v):
             assert ray_lattice(v) == ref_ray_lattice(v)
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except (PolytopeError, LinalgError, InvariantError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def ref_gorenstein_index(face_vertices):
+    """The saturate -> solve_in_span -> affine-normal route."""
+    pts = [tuple(int(x) for x in _frac(p)) if is_integral(p) else None
+           for p in face_vertices]
+    if any(p is None for p in pts):
+        raise PolytopeError("Gorenstein index needs integral vertices")
+    basis = saturate([list(p) for p in pts])
+    r = len(basis)
+    coords = []
+    for p in pts:
+        sol = solve_in_span(basis, list(p))
+        if sol is None:
+            raise PolytopeError("face outside its saturation")
+        coords.append(tuple(sol))
+    diffs = [list(vsub(c, coords[0])) for c in coords[1:]]
+    adim = len(saturate(diffs)) if any(any(d) for d in diffs) else 0
+    if adim != r - 1:
+        raise PolytopeError("cone over the face is not strictly convex")
+    normal = ref_affine_normal(coords, r)
+    level = dot(normal, coords[0])
+    if level > 0:
+        normal = tuple(-x for x in normal)
+        level = -level
+    if level == 0:
+        raise PolytopeError("cone over the face is not strictly convex")
+    return -int(level)
+
+
+def ref_affine_normal(coords, r):
+    rows = [list(vsub(c, coords[0])) for c in coords[1:]]
+    rows = [[Fraction(x) for x in row] for row in rows if any(row)]
+    if not rows:
+        if r != 1:
+            raise PolytopeError("face is not a hyperplane section")
+        return (1,)
+    ker = kernel_basis(rows)
+    if len(ker) != 1:
+        raise PolytopeError("face is not a hyperplane section")
+    return primitive(ker[0])
+
+
+@FACE
+@given(polytopes())
+def test_gorenstein_index_matches_saturation_route(p):
+    faces = ([[vid] for vid in range(len(p.vertices))]
+             + [sorted(e.vertex_ids) for e in p.edges]
+             + [f.cycle for f in p.facets])
+    for face in faces:
+        pts = [p.vertices[i] for i in face]
+        assert outcome(gorenstein_index, pts) == \
+            outcome(ref_gorenstein_index, pts)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.lists(st.tuples(SMALL, SMALL), min_size=1, max_size=5),
+                 st.lists(VECTORS, min_size=1, max_size=5)))
+def test_gorenstein_index_matches_saturation_route_on_point_sets(pts):
+    assert outcome(gorenstein_index, pts) == outcome(ref_gorenstein_index, pts)
+
+
+def ref_ann_functional(plane_basis_vectors):
+    rows = [[Fraction(x) for x in v] for v in plane_basis_vectors]
+    ker = kernel_basis(rows)
+    assert len(ker) == 1
+    return lex_positive(primitive(ker[0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(VECTORS, VECTORS)
+def test_plane_normal_matches_kernel_route(a, b):
+    if any(cross(a, b)):
+        assert plane_normal(a, b) == ref_ann_functional([a, b])
+
+
+def ref_index_in_saturation(v, basis):
+    sat = saturate(basis)
+    coeffs = solve_in_span(sat, list(v))
+    assert coeffs is not None
+    assert all(c.denominator == 1 for c in coeffs)
+    return gcd(*map(int, coeffs))
+
+
+def ref_fano_index(data):
+    """The kernel_basis + index_in_saturation route on rank-one data."""
+    dual = data.dual
+    d_values = [_cell_class_data(dual, f) for f in dual.facets]
+    rows = []
+    for e in dual.edges:
+        f1, f2 = sorted(e.facet_ids)
+        row = [0] * len(dual.facets)
+        row[f1] = d_values[f2]
+        row[f2] = -d_values[f1]
+        rows.append(row)
+    kernel = kernel_basis(rows)
+    if len(kernel) != 1:
+        raise InvariantError("not rank one")
+    return ref_index_in_saturation(d_values, [primitive(kernel[0])])
+
+
+RANK_ONE = {"p3": method1_data, "q3_quadric": method1_data,
+            "cube": method1_data, "b4_intersection": method1_data,
+            "v2": lambda p: normal_fan_data(p, 6)}
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.none(), st.integers(0, 2 ** 32)))
+def test_fano_index_matches_kernel_route(seed):
+    # seed None: the bundled models themselves; else one GL(3,Z) image
+    for name, build in RANK_ONE.items():
+        verts = bundled_polytopes()[name]["vertices"]
+        if seed is not None:
+            m = random_unimodular3(random.Random(seed))
+            verts = [tuple(mat_vec(m, list(v))) for v in verts]
+        data = build(LatticePolytope(verts))
+        assert fano_index(data, known_b2=1) == ref_fano_index(data)

@@ -5,10 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fanoscope.linalg import (LinalgError, det, hnf, identity,
-                              index_in_saturation, kernel_basis, lex_positive,
-                              mat_mul, primitive, rank, saturate,
-                              solve_in_span, snf)
+from fanoscope.linalg import (LinalgError, det, hnf, identity, kernel_basis,
+                              lex_positive, mat_mul, primitive, rank,
+                              saturate, solve_in_span, snf)
 
 
 def test_hnf_identity():
@@ -47,25 +46,6 @@ def test_kernel_basis():
     assert len(ker) == 1
     v = ker[0]
     assert v[0] == v[1] == v[2] != 0
-
-
-def test_saturation_index():
-    assert index_in_saturation([2, 2], [[1, 1]]) == 2
-    assert index_in_saturation([3, 6, 9], [[1, 2, 3]]) == 3
-    assert index_in_saturation([2, 4], [[1, 2], [0, 4]]) == 2
-    with pytest.raises(LinalgError, match="not in span"):
-        index_in_saturation([1, 0], [[0, 1]])
-
-
-def test_saturation_property():
-    rng = random.Random(11)
-    for _ in range(50):
-        w = [rng.randrange(-5, 6) for _ in range(3)]
-        if not any(w):
-            continue
-        w = list(primitive(w))
-        k = rng.randrange(1, 9)
-        assert index_in_saturation([k * x for x in w], [w]) == k
 
 
 def test_normal_form_properties_random():
