@@ -1,8 +1,8 @@
 """Command-line surface: analyze, decompositions, verify24, gamma,
 discriminant, table.
 
-Exit codes: 0 success, 1 validation failure, 2 parse / IO error.  Errors are
-emitted as one JSON object on stderr.
+Exit codes: 0 success, 1 validation failure, 2 parse / IO / usage error.
+Errors are emitted as one JSON object on stderr.
 """
 
 from __future__ import annotations
@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
+import math
 import os
 import sys
 from fractions import Fraction
-from multiprocessing import Pool
 
 from . import fileio
 from .degeneration import (DegenerationError, decomposition_regimes,
@@ -60,18 +61,11 @@ def _resolve_data(target: str, decomposition=None, fixture=False):
         counts = [len(r) for r in decomposition_regimes(p)]
         if all(c == 1 for c in counts):
             return [method1_data(p, None, name)]
-        out = []
-        total = 1
-        for c in counts:
-            total *= c
+        total = math.prod(counts)
         if total > 512:
             raise DegenerationError(f"{total} decomposition choices; pick one")
-        choices = [[]]
-        for c in counts:
-            choices = [ch + [i] for ch in choices for i in range(c)]
-        for ch in choices:
-            out.append(method1_data(p, tuple(ch), f"{name}[{','.join(map(str, ch))}]"))
-        return out
+        return [method1_data(p, ch, f"{name}[{','.join(map(str, ch))}]")
+                for ch in itertools.product(*map(range, counts))]
     idx = tuple(int(x) for x in str(decomposition).split(","))
     return [method1_data(p, idx, name)]
 
@@ -112,32 +106,18 @@ def cmd_decompositions(args):
     return 0
 
 
-def _verify24_worker(item):
-    ident, verts = item
-    p = LatticePolytope(verts)
-    total = identity24(p)
-    return ident, total, total == 24
-
-
 def cmd_verify24(args):
     path = args.db or os.environ.get("FANOSCOPE_DB")
     if not path:
         return _fail("usage", "no database: pass --db or set FANOSCOPE_DB", 2)
-    items = [(i, [list(v) for v in p.vertices])
-             for i, p in fileio.ingest_database(path)]
-    if args.parallel and args.parallel > 1:
-        with Pool(args.parallel) as pool:
-            rows = pool.map(_verify24_worker, items, chunksize=64)
-    else:
-        rows = [_verify24_worker(it) for it in items]
-    rows.sort(key=lambda r: r[0])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["id", "sum", "pass"])
     ok = True
-    for ident, total, good in rows:
-        writer.writerow([ident, total, "pass" if good else "FAIL"])
-        ok = ok and good
+    for ident, p in fileio.ingest_database(path):
+        total = identity24(p)
+        writer.writerow([ident, total, "pass" if total == 24 else "FAIL"])
+        ok = ok and total == 24
     _write_out(args.out, buf.getvalue())
     return 0 if ok else 1
 
@@ -200,18 +180,14 @@ def cmd_discriminant(args):
 
 def _match_db_row(row, p: LatticePolytope):
     """Try every decomposition choice; return a matching report dict."""
-    regimes = decomposition_regimes(p)
-    counts = [len(r) for r in regimes]
-    if any(c == 0 for c in counts):
+    counts = [len(r) for r in decomposition_regimes(p)]
+    if 0 in counts:
         return None, "no smooth decomposition"
-    choices = [[]]
-    for c in counts:
-        choices = [ch + [i] for ch in choices for i in range(c)]
-        if len(choices) > 4096:
-            return None, "too many choices"
+    if math.prod(counts) > 4096:
+        return None, "too many choices"
     last = None
-    for ch in choices:
-        data = method1_data(p, tuple(ch), row["name"])
+    for ch in itertools.product(*map(range, counts)):
+        data = method1_data(p, ch, row["name"])
         rep = analyze(data)
         last = rep
         if (rep.degree, rep.p, rep.n, rep.euler) == \
@@ -243,7 +219,6 @@ def cmd_table(args):
         method = row.get("method", "db")
         expected = (row["degree"], row["p"], row["n"], row["chi"])
         note = ""
-        got = None
         if method == "db":
             if row["palp"] not in db:
                 note = "skipped: database not supplied" if not db_path \
@@ -256,23 +231,14 @@ def cmd_table(args):
                     note = f"FAIL: {err}"
                     failures.append(row["name"])
                 else:
-                    got = (rep.degree, rep.p, rep.n, rep.euler)
                     note = "ok"
-        elif method.startswith("fixture:"):
-            data = fileio.data_from_fixture(
-                fileio.load_fixture(method.split(":", 1)[1]))
-            rep = analyze(data)
-            got = (rep.degree, rep.p, rep.n, rep.euler)
-            note = "ok (method 2)" if got == expected else "FAIL: mismatch"
-            if got != expected:
-                failures.append(row["name"])
-        elif method.startswith("product:"):
-            table = fileio.bundled_polytopes()
-            poly = Polygon(table["polygons"][method.split(":", 1)[1]])
-            rep = analyze(product_data(poly, row["name"]))
-            got = (rep.degree, rep.p, rep.n, rep.euler)
-            note = "ok (product)" if got == expected else "FAIL: mismatch"
-            if got != expected:
+        elif method.startswith(("fixture:", "product:")):
+            kind, target = method.split(":", 1)
+            rep = analyze(_resolve_data(target, fixture=kind == "fixture")[0])
+            if (rep.degree, rep.p, rep.n, rep.euler) == expected:
+                note = "ok (method 2)" if kind == "fixture" else "ok (product)"
+            else:
+                note = "FAIL: mismatch"
                 failures.append(row["name"])
         else:
             note = "stated only (construction out of scope)"
@@ -297,8 +263,15 @@ def _write_out(path, text):
         sys.stdout.write(text)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors become a ParseError: one JSON line and exit 2."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def build_parser():
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="fanoscope",
         description="Degeneration data and torus-fibration invariants of "
                     "Fano 3-polytopes")
@@ -322,7 +295,6 @@ def build_parser():
     v = sub.add_parser("verify24", help="check the 24-identity over the "
                                         "reflexive database")
     v.add_argument("--db", default=None)
-    v.add_argument("--parallel", type=int, default=0)
     v.add_argument("--out", default=None)
     v.set_defaults(func=cmd_verify24)
 
@@ -347,8 +319,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ParseError, OSError, json.JSONDecodeError) as exc:
         return _fail(type(exc).__name__, str(exc), 2)

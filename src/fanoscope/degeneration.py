@@ -14,10 +14,10 @@ from math import gcd, lcm
 from .linalg import det, primitive, saturate
 from .minkowski import (Summand, enumerate_smooth_decompositions,
                         minkowski_sum, segment, triangle)
-from .polytope import (LatticePolytope, Polygon, PolytopeError, dot,
+from .polytope import (LatticePolytope, Polygon, PolytopeError, cross, dot,
                        gorenstein_index, is_integral, lattice_length,
                        pick_area, plane_basis, plane_coords, plane_normal,
-                       vadd, vsub, _frac)
+                       vadd, vsub, _clean, _frac)
 
 
 class DegenerationError(ValueError):
@@ -405,6 +405,11 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
     if not p.is_fano():
         raise DegenerationError("P is not a Fano polytope")
     dual = p.polar_dual()
+    if choice is not None and not isinstance(choice, dict) \
+            and len(choice) != len(dual.vertices):
+        raise DegenerationError(
+            f"got {len(choice)} decomposition indices, need one per vertex "
+            f"0..{len(dual.vertices) - 1} of the polar dual")
     values = {}
     for i, e in enumerate(dual.edges):
         ell_dual = dual.dual_edge_length(e)
@@ -453,7 +458,7 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
             idx = 0
             if choice is not None:
                 idx = choice[vid] if not isinstance(choice, dict) else choice.get(vid, 0)
-            if idx >= len(decos):
+            if not 0 <= idx < len(decos):
                 raise DegenerationError(
                     f"decomposition index {idx} out of range for vertex {vid}")
             deco = decos[idx]
@@ -531,13 +536,12 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     fan = line_fan(direction, rays2d)
     dirv = fan.direction
     w_basis = ray_lattice(dirv)
-
-    def edge_value(pa, pb):
-        for rule in edge_rule:
-            target = _frac(rule["meets"])
-            if _on_segment(target, pa, pb):
-                return int(rule["value"])
-        return 0
+    rules = [(_clean(rule["meets"]), int(rule["value"])) for rule in edge_rule]
+    edge_values = {}  # a_E: the value of the first rule whose point is on E
+    for i, e in enumerate(dual.edges):
+        ea, eb = (dual.vertices[j] for j in sorted(e.vertex_ids))
+        edge_values[i] = next((value for meets, value in rules
+                               if _on_segment(meets, ea, eb)), 0)
 
     # the spine: P^dual intersected with the minimal line
     t_hi = _exit_parameter(dual, dirv)
@@ -561,11 +565,7 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
                 roles.append(ROLE_SPINE)
                 continue
             eidx = _containing_edge(dual, a3, b3)
-            if eidx is not None:
-                ea, eb = (dual.vertices[i] for i in sorted(dual.edges[eidx].vertex_ids))
-                coeffs.append(edge_value(ea, eb))
-            else:
-                coeffs.append(0)
+            coeffs.append(0 if eidx is None else edge_values[eidx])
             roles.append(ROLE_BOUNDARY)
         sname = f"S{k}"
         slabs.append(Slab(sname, poly, tuple(coeffs), tuple(roles)))
@@ -574,11 +574,11 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     ray_summands = []
     for ray_id, tpar, rdir in (("rho_plus", t_hi, dirv),
                                ("rho_minus", t_lo, tuple(-x for x in dirv))):
-        hit = tuple(tpar * Fraction(x) for x in rdir)
+        hit = tuple(tpar * x for x in rdir)
         tight = [f for f in dual.facets if dot(f.normal, hit) == f.level]
         vertex_hit = None
         for vid, v in enumerate(dual.vertices):
-            if _frac(v) == _frac(hit):
+            if v == hit:
                 vertex_hit = vid
         if vertex_hit is None:
             if len(tight) != 1:
@@ -609,11 +609,6 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     # vertices of the polar polytope in no 2-cone keep their corner
     v_count = sum(1 for v in dual.vertices if not _along_line(v, dirv)
                   and _two_cone_containing(two_cones, v) is None)
-
-    edge_values = {}
-    for i, e in enumerate(dual.edges):
-        ea, eb = (dual.vertices[j] for j in sorted(e.vertex_ids))
-        edge_values[i] = edge_value(ea, eb)
 
     data = DegenerationData(
         name=name or "line-fan data",
@@ -673,18 +668,9 @@ def _dual_edge_length(q: Polygon, v, qdualverts):
 
 
 def _on_segment(p, a, b) -> bool:
+    """p lies on the segment [a, b], a != b."""
     pa, ab = vsub(p, a), vsub(b, a)
-    crossz = [pa[i] * ab[j] - pa[j] * ab[i] for i, j in ((0, 1), (0, 2), (1, 2))]
-    if any(crossz):
-        return False
-    t = None
-    for i in range(3):
-        if ab[i]:
-            t = Fraction(pa[i]) / Fraction(ab[i])
-            break
-    if t is None:
-        return _frac(p) == _frac(a)
-    return 0 <= t <= 1
+    return not any(cross(pa, ab)) and 0 <= dot(pa, ab) <= dot(ab, ab)
 
 
 def _along_line(p, dirv) -> bool:
@@ -850,7 +836,7 @@ def _d1_verdict(data, dual, ray_id, vertex, w_basis):
     summands = [s.summand for s in data.ray_summands
                 if s.ray == ray_id and s.summand is not None]
     vid = next(i for i, v in enumerate(dual.vertices)
-               if _frac(v) == _frac(vertex))
+               if v == vertex)
     facet = facet_in_ray_coords(dual, vid, w_basis)
     r = gorenstein_index(dual.dual_face_vertices([vid]))
     total = minkowski_sum(summands) if summands else None
@@ -886,8 +872,7 @@ def _d2_verdict(data, dual, vid, t_dir):
         # the segment is the dual face of an edge of the polar polytope
         eidx = None
         for i, e in enumerate(dual.edges):
-            if set(map(_frac, dual.dual_face_vertices(sorted(e.vertex_ids)))) \
-                    == set(map(_frac, g)):
+            if set(dual.dual_face_vertices(sorted(e.vertex_ids))) == set(g):
                 eidx = i
                 break
         a_vals.append(data.edge_values.get(eidx, 0) if eidx is not None else 0)
@@ -937,7 +922,7 @@ def check_smooth_data(data: DegenerationData):
     for vid, vert in enumerate(dual.vertices):
         if _along_line(vert, dirv):
             ray_id = "rho_plus" if any(
-                Fraction(a) * b > 0 for a, b in zip(vert, dirv)) \
+                a * b > 0 for a, b in zip(vert, dirv)) \
                 else "rho_minus"
             verdicts[vid] = _d1_verdict(data, dual, ray_id, vert, w_basis)
             continue

@@ -171,6 +171,20 @@ def _require(doc, keys, where):
             raise ParseError(f"{where} without required key {key!r}")
 
 
+def _int_keyed(doc, key):
+    """doc[key], with the string keys of a JSON object read as indices."""
+    value = doc.get(key)
+    if not isinstance(value, dict):
+        return value
+    out = {}
+    for k, v in value.items():
+        try:
+            out[int(k)] = v
+        except ValueError:
+            raise ParseError(f"{key} key {k!r} is not an integer") from None
+    return out
+
+
 def data_from_fixture(doc: dict) -> DegenerationData:
     _require(doc, (), "fixture")
     kind = doc.get("kind")
@@ -178,8 +192,8 @@ def data_from_fixture(doc: dict) -> DegenerationData:
     _require(doc, REQUIRED_KEYS.get(kind, ()), f"{kind} fixture")
     p = LatticePolytope(doc["polytope"]) if doc.get("polytope") else None
     if kind == "normal_fan":
-        ev = doc.get("edge_values")
-        data = normal_fan_data(p, ev, doc.get("choice"), name)
+        data = normal_fan_data(p, _int_keyed(doc, "edge_values"),
+                               _int_keyed(doc, "choice"), name)
     elif kind == "line_fan":
         data = line_fan_data(p, doc["direction"], doc["rays2d"],
                              doc.get("edge_data", []), name,

@@ -49,9 +49,11 @@ def build_system(data: DegenerationData) -> GammaSystem:
     dual, nus = _annihilators(data)
     edge_index = {_edge_name(i): i for i in range(len(dual.edges))}
     n_alpha = len(dual.edges)
+    triangles = sum(rs.kind not in ("point", "segment")
+                    for rs in data.ray_summands)
+    width = n_alpha + 3 * triangles  # one auxiliary covector per triangle
     rows = []
-    aux_base = n_alpha
-    triangles = 0
+    aux = n_alpha  # first column of the next triangle's covector
     for rs in data.ray_summands:
         if rs.kind == "point":
             continue
@@ -65,33 +67,18 @@ def build_system(data: DegenerationData) -> GammaSystem:
             else:
                 raise GammaError("segment cones are not coplanar: corrupted "
                                  "data")
-            row = [0] * n_alpha
+            row = [0] * width
             row[c1] = eps
             row[c2] = -1
             rows.append(row)
         else:
-            triangles += 1
             for c in cones:
-                row = [0] * n_alpha
+                row = [0] * width
                 row[c] = -1
-                rows.append(row + list(nus[c]))
-            aux_base += 3
-    # pad each triangle's three rows into its own auxiliary 3-block
-    padded = []
-    tri_seen = 0
-    row_iter = iter(rows)
-    for row in row_iter:
-        if len(row) == n_alpha:
-            padded.append(row + [0] * (3 * triangles))
-        else:
-            for r in (row, next(row_iter), next(row_iter)):
-                left = r[:n_alpha]
-                block = r[n_alpha:]
-                pre = [0] * (3 * tri_seen)
-                post = [0] * (3 * (triangles - tri_seen - 1))
-                padded.append(left + pre + block + post)
-            tri_seen += 1
-    return GammaSystem(padded, n_alpha, 3 * triangles, triangles, nus,
+                row[aux:aux + 3] = nus[c]
+                rows.append(row)
+            aux += 3
+    return GammaSystem(rows, n_alpha, 3 * triangles, triangles, nus,
                        [_edge_name(i) for i in range(n_alpha)])
 
 

@@ -1,4 +1,8 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import bundled, bundled_polygon
 from fanoscope.degeneration import (DegenerationError, EmptyLinearSystem,
@@ -6,9 +10,10 @@ from fanoscope.degeneration import (DegenerationError, EmptyLinearSystem,
                                     check_convexity, check_smooth_data,
                                     check_smooth_edge_data, line_fan_data,
                                     method1_data, normal_fan_data,
-                                    polygon_of_sections, product_data)
+                                    polygon_of_sections, product_data,
+                                    _on_segment)
 from fanoscope.minkowski import segment
-from fanoscope.polytope import Polygon
+from fanoscope.polytope import Polygon, _frac, vsub
 
 
 def b3_data():
@@ -166,3 +171,34 @@ def test_smooth_data_vertex_classification():
     prod = product_data(bundled_polygon("diamond"))
     assert all(v.startswith("violation")
                for v in check_smooth_data(prod).values())
+
+
+def ref_on_segment(p, a, b) -> bool:
+    """The Fraction-division test that `_on_segment` replaced."""
+    pa, ab = vsub(p, a), vsub(b, a)
+    crossz = [pa[i] * ab[j] - pa[j] * ab[i] for i, j in ((0, 1), (0, 2), (1, 2))]
+    if any(crossz):
+        return False
+    t = None
+    for i in range(3):
+        if ab[i]:
+            t = Fraction(pa[i]) / Fraction(ab[i])
+            break
+    if t is None:
+        return _frac(p) == _frac(a)
+    return 0 <= t <= 1
+
+
+COORD = st.one_of(st.integers(-6, 6),
+                  st.fractions(-6, 6, max_denominator=6))
+VEC = st.tuples(COORD, COORD, COORD)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(VEC, VEC, VEC,
+       st.one_of(st.integers(-1, 2), st.fractions(-1, 2, max_denominator=8)))
+def test_on_segment_matches_fraction_route(a, b, off, t):
+    assume(a != b)
+    on_line = tuple(x + t * (y - x) for x, y in zip(a, b))
+    for p in (on_line, off, a, b):
+        assert _on_segment(p, a, b) == ref_on_segment(p, a, b)

@@ -1,12 +1,17 @@
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import bundled, random_unimodular3
-from fanoscope.degeneration import (line_fan_data, method1_data,
-                                    normal_fan_data)
-from fanoscope.gamma import (GammaError, b2, barT_hypothesis, barT_sections,
-                             baseline_ok, build_system, gamma_dimension)
+from fanoscope.degeneration import (decomposition_regimes, line_fan_data,
+                                    method1_data, normal_fan_data)
+from fanoscope.fileio import data_from_fixture, load_fixture
+from fanoscope.gamma import (GammaError, _annihilators, b2, barT_hypothesis,
+                             barT_sections, baseline_ok, build_system,
+                             gamma_dimension)
 from fanoscope.linalg import mat_vec, rank
 from fanoscope.polytope import LatticePolytope
 
@@ -80,3 +85,86 @@ def test_dimension_invariant_under_gl3():
         image = LatticePolytope([tuple(mat_vec(m, list(v)))
                                  for v in base.vertices])
         assert gamma_dimension(method1_data(image)) == want
+
+
+def ref_build_system(data):
+    """The short-rows-then-pad routine that `build_system` replaced; returns
+    (rows, n_aux, triangles)."""
+    dual, nus = _annihilators(data)
+    edge_index = {f"E{i}": i for i in range(len(dual.edges))}
+    n_alpha = len(dual.edges)
+    rows = []
+    aux_base = n_alpha
+    triangles = 0
+    for rs in data.ray_summands:
+        if rs.kind == "point":
+            continue
+        cones = [edge_index[s] for s in rs.slabs]
+        if rs.kind == "segment":
+            c1, c2 = cones
+            if nus[c1] == nus[c2]:
+                eps = 1
+            elif nus[c1] == tuple(-x for x in nus[c2]):
+                eps = -1
+            else:
+                raise GammaError("segment cones are not coplanar: corrupted "
+                                 "data")
+            row = [0] * n_alpha
+            row[c1] = eps
+            row[c2] = -1
+            rows.append(row)
+        else:
+            triangles += 1
+            for c in cones:
+                row = [0] * n_alpha
+                row[c] = -1
+                rows.append(row + list(nus[c]))
+            aux_base += 3
+    # pad each triangle's three rows into its own auxiliary 3-block
+    padded = []
+    tri_seen = 0
+    row_iter = iter(rows)
+    for row in row_iter:
+        if len(row) == n_alpha:
+            padded.append(row + [0] * (3 * triangles))
+        else:
+            for r in (row, next(row_iter), next(row_iter)):
+                left = r[:n_alpha]
+                block = r[n_alpha:]
+                pre = [0] * (3 * tri_seen)
+                post = [0] * (3 * (triangles - tri_seen - 1))
+                padded.append(left + pre + block + post)
+            tri_seen += 1
+    return padded, 3 * triangles, triangles
+
+
+METHOD1 = ("b4_intersection", "cube", "hexagon_cone", "octahedron", "p3",
+           "q3_quadric")
+
+
+def every_choice(p):
+    counts = [len(r) for r in decomposition_regimes(p)]
+    return itertools.product(*map(range, counts))
+
+
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.none(), st.integers(0, 2 ** 32)))
+def test_build_system_matches_padding_routine(seed):
+    # seed None: the bundled polytopes and the v2 fixture; else GL(3,Z) images
+    def image(name):
+        verts = bundled(name).vertices
+        if seed is not None:
+            m = random_unimodular3(random.Random(seed))
+            verts = [tuple(mat_vec(m, list(v))) for v in verts]
+        return LatticePolytope(verts)
+
+    datas = [data_from_fixture(load_fixture("v2")) if seed is None
+             else normal_fan_data(image("v2"), 6)]
+    for name in METHOD1:
+        p = image(name)
+        datas += [method1_data(p, choice) for choice in every_choice(p)]
+    assert len(datas) == 8
+    for data in datas:
+        system = build_system(data)
+        assert (system.rows, system.n_aux, system.triangles) == \
+            ref_build_system(data)

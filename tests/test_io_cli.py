@@ -10,6 +10,7 @@ from fanoscope import cli
 from fanoscope.fileio import (ParseError, data_from_fixture, ingest_database,
                               list_fixtures, load_fixture, parse_polytope,
                               serialize_polytope, serialize_polytope_text)
+from fanoscope.polytope import LatticePolytope
 
 P3_TEXT = "3 4\n1 0 0 -1\n0 1 0 -1\n0 0 1 -1\n"
 
@@ -222,11 +223,62 @@ def test_cli_verify24(tmp_path):
     assert lines[1:] == ["0,24,pass", "1,24,pass", "2,24,pass"]
 
 
-def test_cli_verify24_parallel_matches_serial(tmp_path):
-    path = minidb(tmp_path)
-    _, serial, _ = run_cli("verify24", "--db", path)
-    _, parallel, _ = run_cli("verify24", "--db", path, "--parallel", "2")
-    assert serial == parallel
+def one_json_line(err):
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+@pytest.mark.parametrize("target, choice", [
+    ("p3", "0"),                              # 4 rays, 1 index
+    ("p3", "0,0,0,0,0"),                      # 4 rays, 5 indices
+    ("hexagon_cone", "0,0,0,-1,0,0,0"),       # negative index
+    ("hexagon_cone", "0,0,0,-3,0,0,0")])
+def test_cli_bad_decomposition_exits_1(target, choice):
+    code, out, err = run_cli("analyze", target, f"--decomposition={choice}")
+    assert code == 1 and out == ""
+    doc = one_json_line(err)
+    assert doc["error"] == "DegenerationError"
+    assert "vertex" in doc["message"]
+
+
+def v2_fixture_with(tmp_path, **changes):
+    doc = load_fixture("v2")
+    doc.update(changes)
+    path = tmp_path / "v2_variant.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def test_cli_fixture_edge_values_object_matches_int(tmp_path):
+    doc = load_fixture("v2")
+    dual = LatticePolytope(doc["polytope"]).polar_dual()
+    path = v2_fixture_with(
+        tmp_path,
+        edge_values={str(i): doc["edge_values"] for i in range(len(dual.edges))},
+        choice={str(i): 0 for i in range(len(dual.vertices))})
+    code, out, err = run_cli("analyze", path, "--fixture")
+    assert (code, err) == (0, "")
+    assert out == run_cli("analyze", "v2")[1]
+
+
+@pytest.mark.parametrize("key", ["edge_values", "choice"])
+def test_cli_fixture_non_integer_key_exits_2(tmp_path, key):
+    path = v2_fixture_with(tmp_path, **{key: {"0": 6, "x": 6}})
+    code, out, err = run_cli("analyze", path, "--fixture")
+    assert code == 2 and out == ""
+    assert one_json_line(err) == {"error": "ParseError",
+                                  "message": f"{key} key 'x' is not an integer"}
+
+
+@pytest.mark.parametrize("argv", [("analyze",),
+                                  ("analyze", "p3", "--decomposition"),
+                                  ("verify24", "--parallel", "2"),
+                                  ()])
+def test_cli_usage_error_exits_2(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert one_json_line(err)["error"] == "ParseError"
 
 
 def test_cli_gamma():
