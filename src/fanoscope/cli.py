@@ -66,8 +66,14 @@ def _resolve_data(target: str, decomposition=None, fixture=False):
             raise DegenerationError(f"{total} decomposition choices; pick one")
         return [method1_data(p, ch, f"{name}[{','.join(map(str, ch))}]")
                 for ch in itertools.product(*map(range, counts))]
-    idx = tuple(int(x) for x in str(decomposition).split(","))
-    return [method1_data(p, idx, name)]
+    idx = []
+    for token in str(decomposition).split(","):
+        try:
+            idx.append(int(token))
+        except ValueError:
+            raise ParseError(f"--decomposition index {token!r} is not an "
+                             "integer") from None
+    return [method1_data(p, tuple(idx), name)]
 
 
 def _looks_like_fixture(target: str) -> bool:

@@ -100,24 +100,26 @@ def polygon_of_sections(normals, coeffs) -> Sections:
     coeffs:  divisor coefficients per edge (same order).
     """
     k = len(normals)
+    cuts = [(n0, n1, -q) for (n0, n1), q in zip(normals, coeffs)]
     cands = set()
     for i in range(k):
+        a, b = normals[i]
         for j in range(i + 1, k):
-            (a, b), (c, d) = normals[i], normals[j]
-            det = a * d - b * c
-            if det == 0:
+            c, d = normals[j]
+            den = a * d - b * c
+            if den == 0:
                 continue
-            rx = Fraction(-coeffs[i] * d + coeffs[j] * b, det)
-            ry = Fraction(-coeffs[j] * a + coeffs[i] * c, det)
-            if all(n[0] * rx + n[1] * ry >= -q for n, q in zip(normals, coeffs)):
-                cands.add((rx, ry))
+            # the corner of edges i and j in homogeneous coordinates (x:y:den)
+            x = -coeffs[i] * d + coeffs[j] * b
+            y = -coeffs[j] * a + coeffs[i] * c
+            if den < 0:
+                x, y, den = -x, -y, -den
+            if all(n0 * x + n1 * y >= lvl * den for n0, n1, lvl in cuts):
+                cands.add((x // den if x % den == 0 else Fraction(x, den),
+                           y // den if y % den == 0 else Fraction(y, den)))
     if not cands:
         raise EmptyLinearSystem("empty linear system")
-    pts = []
-    for (x, y) in cands:
-        pts.append((int(x) if x.denominator == 1 else x,
-                    int(y) if y.denominator == 1 else y))
-    sec = Sections(pts)
+    sec = Sections(cands)
     for n, q in zip(normals, coeffs):
         if sec.support_min(n) != -q:
             raise NotNef(f"divisor not nef: slack on edge with normal {n}")
@@ -394,6 +396,13 @@ def _ray_name(i: int) -> str:
     return f"v{i}"
 
 
+def _check_keys(mapping, what, part, count):
+    for key in mapping:
+        if not 0 <= key < count:
+            raise DegenerationError(f"{what} key {key} names no {part} "
+                                    f"0..{count - 1} of the polar dual")
+
+
 def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
                     name="", ray_decompositions=None) -> DegenerationData:
     """Degeneration data with the normal fan of P.
@@ -405,11 +414,14 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
     if not p.is_fano():
         raise DegenerationError("P is not a Fano polytope")
     dual = p.polar_dual()
-    if choice is not None and not isinstance(choice, dict) \
-            and len(choice) != len(dual.vertices):
+    if isinstance(choice, dict):
+        _check_keys(choice, "choice", "vertex", len(dual.vertices))
+    elif choice is not None and len(choice) != len(dual.vertices):
         raise DegenerationError(
             f"got {len(choice)} decomposition indices, need one per vertex "
             f"0..{len(dual.vertices) - 1} of the polar dual")
+    if isinstance(edge_values, dict):
+        _check_keys(edge_values, "edge_values", "edge", len(dual.edges))
     values = {}
     for i, e in enumerate(dual.edges):
         ell_dual = dual.dual_edge_length(e)

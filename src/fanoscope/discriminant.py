@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .degeneration import ROLE_BOUNDARY, ROLE_SPINE, DegenerationData, DegenerationError
-from .polytope import Polygon, dot, lattice_length, vsub
+from .polytope import Polygon, dot, lattice_length
 
 
 @dataclass
@@ -24,74 +24,52 @@ def max_triangulation(polygon: Polygon) -> UnimodularTriangulation:
     """Full lattice triangulation into unimodular triangles.
 
     Deterministic: fan from the lex-least vertex, then insert the remaining
-    lattice points in lex order, splitting the containing triangle (or the
-    two triangles along the containing edge).
+    lattice points in lex order.  One scan of orientation triples finds the
+    triangles that hold the point: a zero side puts it on that edge, and
+    both triangles along the edge are split, else the one triangle is.
     """
-    pts = sorted(polygon.lattice_points())
+    pts = polygon.lattice_points()
     verts = list(polygon.vertices)
     v0 = min(verts)
     k = verts.index(v0)
     ordered = verts[k:] + verts[:k]
-    tris = []
     idx = {p: i for i, p in enumerate(pts)}
-    for t in range(1, len(ordered) - 1):
-        tris.append((idx[v0], idx[ordered[t]], idx[ordered[t + 1]]))
-
-    def tri_two_area(t):
-        a, b, c = (pts[i] for i in t)
-        return abs((b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0]))
-
-    def inside(p, t):
-        a, b, c = (pts[i] for i in t)
-        s1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
-        s2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
-        s3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
-        return (s1 >= 0 and s2 >= 0 and s3 >= 0) or \
-               (s1 <= 0 and s2 <= 0 and s3 <= 0)
-
-    def on_edge(p, a, b):
-        ab, ap = vsub(b, a), vsub(p, a)
-        if ab[0] * ap[1] - ab[1] * ap[0] != 0:
-            return False
-        d = ab[0] * ap[0] + ab[1] * ap[1]
-        return 0 < d < ab[0] ** 2 + ab[1] ** 2
-
+    tris = [(idx[v0], idx[ordered[t]], idx[ordered[t + 1]])
+            for t in range(1, len(ordered) - 1)]
     used = {i for t in tris for i in t}
-    for pi, p in enumerate(pts):
+    for pi, (px, py) in enumerate(pts):
         if pi in used:
             continue
-        # split along a containing edge first, else split a triangle
-        host_edge = None
-        for ti, t in enumerate(tris):
-            for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-                if on_edge(p, pts[e[0]], pts[e[1]]):
-                    host_edge = e
-                    break
-            if host_edge:
-                break
-        if host_edge:
-            a, b = host_edge
+        hosts = []
+        for t in tris:
+            (ax, ay), (bx, by), (cx, cy) = pts[t[0]], pts[t[1]], pts[t[2]]
+            s = ((bx - ax) * (py - ay) - (by - ay) * (px - ax),
+                 (cx - bx) * (py - by) - (cy - by) * (px - bx),
+                 (ax - cx) * (py - cy) - (ay - cy) * (px - cx))
+            if min(s) >= 0 or max(s) <= 0:
+                hosts.append((t, s))
+        if not hosts:
+            raise DegenerationError(f"lattice point {(px, py)} lies in no "
+                                    "triangle of the triangulation")
+        t, s = hosts[0]
+        if 0 in s:
+            side = s.index(0)
+            a, b = t[side], t[(side + 1) % 3]
             new = []
-            for t in tris:
-                es = {frozenset((t[0], t[1])), frozenset((t[1], t[2])),
-                      frozenset((t[2], t[0]))}
-                if frozenset((a, b)) in es:
-                    c = next(x for x in t if x not in (a, b))
-                    new.append(tuple(sorted((a, pi, c))))
-                    new.append(tuple(sorted((pi, b, c))))
-                else:
-                    new.append(t)
-            tris = new
+            for host, _ in hosts:
+                c = next(x for x in host if x not in (a, b))
+                new += [tuple(sorted((a, pi, c))), tuple(sorted((pi, b, c)))]
         else:
-            host = next(ti for ti, t in enumerate(tris) if inside(p, t))
-            a, b, c = tris[host]
-            tris = (tris[:host] + tris[host + 1:]
-                    + [tuple(sorted((a, b, pi))), tuple(sorted((b, c, pi))),
-                       tuple(sorted((a, c, pi)))])
+            a, b, c = t
+            new = [tuple(sorted((a, b, pi))), tuple(sorted((b, c, pi))),
+                   tuple(sorted((a, c, pi)))]
+        gone = {host for host, _ in hosts}
+        tris = [t for t in tris if t not in gone] + new
         used.add(pi)
-    tris = sorted(tris)
+    tris.sort()
     for t in tris:
-        if tri_two_area(t) != 1:
+        (ax, ay), (bx, by), (cx, cy) = (pts[i] for i in t)
+        if abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) != 1:
             raise DegenerationError("triangulation produced a non-unimodular "
                                     "triangle")
     return UnimodularTriangulation(polygon, pts, tris)
@@ -129,9 +107,8 @@ class DiscriminantGraph:
 
 
 def _tri_centroid(pts, t):
-    xs = [Fraction(pts[i][0]) for i in t]
-    ys = [Fraction(pts[i][1]) for i in t]
-    return (sum(xs) / 3, sum(ys) / 3)
+    return (Fraction(sum(pts[i][0] for i in t), 3),
+            Fraction(sum(pts[i][1] for i in t), 3))
 
 
 def dual_graph(data: DegenerationData, slab) -> tuple:
@@ -149,7 +126,6 @@ def dual_graph(data: DegenerationData, slab) -> tuple:
             a, b = slab.sections.points[0], slab.sections.points[-1]
             ell = lattice_length(a, b)
         stubs = {}
-        normals = [n for n, _ in slab.polygon.edge_normals()]
         sides = [i for i, s in enumerate(slab.spans) if s > 0]
         for i in sides:
             ids = []
@@ -176,17 +152,18 @@ def dual_graph(data: DegenerationData, slab) -> tuple:
                                 _tri_centroid(tri.points, t)))
     edge_tris = {}
     for t in tri.triangles:
-        for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            edge_tris.setdefault(frozenset(e), []).append(t)
-    for key, ts in sorted(edge_tris.items(), key=lambda kv: sorted(kv[0])):
+        for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            edge_tris.setdefault((u, v) if u < v else (v, u), []).append(t)
+    edge_tris = sorted(edge_tris.items())
+    for _, ts in edge_tris:
         if len(ts) == 2:
-            graph.edges.append(tuple(sorted((names[ts[0]], names[ts[1]])))),
+            graph.edges.append(tuple(sorted((names[ts[0]], names[ts[1]]))))
     # boundary stubs: unit segments of the section polygon boundary, mapped
     # to the slab edge whose support line they lie on
     normals = [n for n, _ in slab.polygon.edge_normals()]
     stubs = {i: [] for i in range(len(normals))}
     counter = 0
-    for key, ts in sorted(edge_tris.items(), key=lambda kv: sorted(kv[0])):
+    for key, ts in edge_tris:
         if len(ts) != 1:
             continue
         t = ts[0]
@@ -199,7 +176,7 @@ def dual_graph(data: DegenerationData, slab) -> tuple:
                 break
         if owner_edge is None:
             raise DegenerationError("boundary segment on no support line")
-        mid = ((Fraction(a[0]) + b[0]) / 2, (Fraction(a[1]) + b[1]) / 2)
+        mid = (Fraction(a[0] + b[0], 2), Fraction(a[1] + b[1], 2))
         ident = f"{slab.name}/s{counter}"
         counter += 1
         kind = ("boundary" if slab.roles[owner_edge] == ROLE_BOUNDARY

@@ -352,6 +352,9 @@ def primitive(vec) -> tuple[int, ...]:
     """Primitive integer vector on the ray through vec (clears denominators)."""
     if not any(vec):
         raise LinalgError("zero vector has no primitive representative")
+    if all(type(x) is int for x in vec):
+        g = gcd(*vec)
+        return tuple(x // g for x in vec)
     return tuple(_integral(vec))
 
 

@@ -82,6 +82,8 @@ class Polygon:
         # rotate so the lex-least vertex comes first
         k = min(range(len(verts)), key=lambda i: verts[i])
         self.vertices = tuple(verts[k:] + verts[:k])
+        self._normals = None   # memo of edge_normals()
+        self._scan = None      # memo of (lattice points, point counts)
 
     def __eq__(self, other):
         return isinstance(other, Polygon) and self.vertices == other.vertices
@@ -102,12 +104,14 @@ class Polygon:
 
     def edge_normals(self):
         """Primitive inner normal and support level per ccw edge."""
-        out = []
-        for a, b in self.edges():
-            d = vsub(b, a)
-            n = primitive((-d[1], d[0]))  # inner for ccw orientation
-            out.append((n, dot(n, a)))
-        return out
+        if self._normals is None:
+            out = []
+            for a, b in self.edges():
+                d = vsub(b, a)
+                n = primitive((-d[1], d[0]))  # inner for ccw orientation
+                out.append((n, dot(n, a)))
+            self._normals = tuple(out)
+        return self._normals
 
     def two_area(self):
         """Normalized area (twice the Euclidean area), exact."""
@@ -117,28 +121,49 @@ class Polygon:
                 for i in range(len(vs)))
         return _clean((s,))[0]
 
+    def _lattice_scan(self):
+        """(points, (total, interior, boundary)) from one scanline pass.
+
+        Column x meets the polygon in the y range cut out by the edge
+        inequalities n0*x + n1*y >= c, each an exact ceil/floor division;
+        interior points satisfy them strictly.  Points come in (x, y) order.
+        """
+        if self._scan is None:
+            if not self.is_integral:
+                raise PolytopeError("lattice points of a non-integral polygon")
+            xs = [v[0] for v in self.vertices]
+            ys = [v[1] for v in self.vertices]
+            normals = self.edge_normals()
+            ymin, ymax = min(ys), max(ys)
+            pts = []
+            interior = 0
+            for x in range(min(xs), max(xs) + 1):
+                lo = ilo = ymin
+                hi = ihi = ymax
+                for (n0, n1), c in normals:
+                    r = c - n0 * x          # need n1*y >= r (> r inside)
+                    if n1 > 0:
+                        lo = max(lo, -(-r // n1))
+                        ilo = max(ilo, r // n1 + 1)
+                    elif n1 < 0:
+                        hi = min(hi, r // n1)
+                        ihi = min(ihi, -(-r // n1) - 1)
+                    elif r > 0:
+                        lo, hi = 1, 0
+                    elif r == 0:
+                        ilo, ihi = 1, 0
+                pts.extend((x, y) for y in range(lo, hi + 1))
+                interior += max(0, min(hi, ihi) - max(lo, ilo) + 1)
+            total = len(pts)
+            self._scan = (tuple(pts), (total, interior, total - interior))
+        return self._scan
+
     def lattice_points(self):
-        if not self.is_integral:
-            raise PolytopeError("lattice points of a non-integral polygon")
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        normals = self.edge_normals()
-        pts = []
-        for x in range(min(xs), max(xs) + 1):
-            for y in range(min(ys), max(ys) + 1):
-                if all(n[0] * x + n[1] * y >= c for n, c in normals):
-                    pts.append((x, y))
-        return pts
+        return list(self._lattice_scan()[0])
 
     def point_counts(self):
         """(total, interior, boundary) lattice point counts."""
-        normals = self.edge_normals()
-        total = interior = 0
-        for p in self.lattice_points():
-            total += 1
-            if all(dot(n, p) > c for n, c in normals):
-                interior += 1
-        return total, interior, total - interior
+        return self._lattice_scan()[1]
 
     def translate(self, t):
         return Polygon([vadd(v, t) for v in self.vertices], hull=False)

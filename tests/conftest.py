@@ -2,9 +2,11 @@ import os
 import random
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from fanoscope.fileio import bundled_polytopes
-from fanoscope.polytope import LatticePolytope, Polygon
+from fanoscope.polytope import LatticePolytope, Polygon, PolytopeError
 
 
 def db_path():
@@ -67,3 +69,24 @@ def random_unimodular2(rng: random.Random):
             e[0][0] *= -1
         m = mat_mul(m, e)
     return m
+
+
+@st.composite
+def lattice_polygons(draw, span=5):
+    """Integral polygons: hulls of points drawn in [-span, span]^2, or boxes
+    with a corner cut (so vertical and horizontal edges are common), moved
+    by a translation."""
+    coord = st.integers(-span, span)
+    if draw(st.booleans()):
+        pts = draw(st.lists(st.tuples(coord, coord), min_size=3, max_size=8))
+    else:
+        x0, y0 = draw(coord), draw(coord)
+        w, h = draw(st.integers(1, span + 1)), draw(st.integers(1, span + 1))
+        cut = draw(st.integers(0, min(w, h)))
+        pts = [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h - cut),
+               (x0 + w - cut, y0 + h), (x0, y0 + h)]
+    tx, ty = draw(st.integers(-40, 40)), draw(st.integers(-40, 40))
+    try:
+        return Polygon([(x + tx, y + ty) for x, y in pts])
+    except PolytopeError:
+        assume(False)

@@ -4,16 +4,17 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bundled, bundled_polygon
+from conftest import bundled, bundled_polygon, lattice_polygons
 from fanoscope.degeneration import (DegenerationError, EmptyLinearSystem,
-                                    NotCartier, NotNef, check_compatibility,
+                                    NotCartier, NotNef, Sections,
+                                    check_compatibility,
                                     check_convexity, check_smooth_data,
                                     check_smooth_edge_data, line_fan_data,
                                     method1_data, normal_fan_data,
                                     polygon_of_sections, product_data,
                                     _on_segment)
 from fanoscope.minkowski import segment
-from fanoscope.polytope import Polygon, _frac, vsub
+from fanoscope.polytope import Polygon, _frac, dot, is_integral, vsub
 
 
 def b3_data():
@@ -202,3 +203,61 @@ def test_on_segment_matches_fraction_route(a, b, off, t):
     on_line = tuple(x + t * (y - x) for x, y in zip(a, b))
     for p in (on_line, off, a, b):
         assert _on_segment(p, a, b) == ref_on_segment(p, a, b)
+
+
+def ref_polygon_of_sections(normals, coeffs):
+    """The Fraction candidate scan that `polygon_of_sections` replaced."""
+    k = len(normals)
+    cands = set()
+    for i in range(k):
+        for j in range(i + 1, k):
+            (a, b), (c, d) = normals[i], normals[j]
+            det = a * d - b * c
+            if det == 0:
+                continue
+            rx = Fraction(-coeffs[i] * d + coeffs[j] * b, det)
+            ry = Fraction(-coeffs[j] * a + coeffs[i] * c, det)
+            if all(n[0] * rx + n[1] * ry >= -q for n, q in zip(normals, coeffs)):
+                cands.add((rx, ry))
+    if not cands:
+        raise EmptyLinearSystem("empty linear system")
+    pts = []
+    for (x, y) in cands:
+        pts.append((int(x) if x.denominator == 1 else x,
+                    int(y) if y.denominator == 1 else y))
+    sec = Sections(pts)
+    for n, q in zip(normals, coeffs):
+        if sec.support_min(n) != -q:
+            raise NotNef(f"divisor not nef: slack on edge with normal {n}")
+    for i in range(k):
+        j = (i + 1) % k
+        tight = [p for p in sec.vertices()
+                 if dot(normals[i], p) == -coeffs[i]
+                 and dot(normals[j], p) == -coeffs[j]]
+        if not tight:
+            raise NotNef("divisor not nef: support function breaks on a "
+                         "vertex cone")
+        if not any(is_integral(p) for p in tight):
+            raise NotCartier("not Cartier: no integral section witness at a "
+                             "vertex cone")
+    return sec
+
+
+def outcome(fn, *args):
+    try:
+        sec = fn(*args)
+    except DegenerationError as exc:
+        return type(exc), str(exc)
+    return sec.dim, [(x, type(x)) for p in sec.points for x in p], \
+        sec.vertices()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(lattice_polygons(span=3), st.data())
+def test_polygon_of_sections_matches_fraction_scan(poly, data):
+    normals = [n for n, _ in poly.edge_normals()]
+    coeffs = data.draw(st.lists(st.integers(-3, 6), min_size=len(normals),
+                                max_size=len(normals)))
+    want = outcome(ref_polygon_of_sections, normals, coeffs)
+    got = outcome(polygon_of_sections, normals, coeffs)
+    assert got == want

@@ -1,11 +1,14 @@
 import random
 
-from conftest import bundled, bundled_polygon
-from fanoscope.degeneration import (line_fan_data, method1_data,
+import pytest
+from hypothesis import assume, given, settings
+
+from conftest import bundled, bundled_polygon, lattice_polygons
+from fanoscope.degeneration import (DegenerationError, line_fan_data, method1_data,
                                     normal_fan_data, product_data)
 from fanoscope.discriminant import (assemble_global, dual_graph, export_json,
                                     max_triangulation, render_svg)
-from fanoscope.polytope import Polygon, PolytopeError, pick_area
+from fanoscope.polytope import Polygon, PolytopeError, pick_area, vsub
 
 
 def test_triangulation_counts():
@@ -78,3 +81,84 @@ def test_svg_and_json_deterministic():
     assert kinds == {"negative", "positive", "boundary", "stub"}
     ids = {v["id"] for v in doc["nodes"]}
     assert all(a in ids and b in ids for a, b in doc["edges"])
+
+
+def ref_max_triangulation(polygon):
+    """The two-scan insertion (edge scan, then containment scan) that
+    `max_triangulation` replaced; returns (points, triangles)."""
+    pts = sorted(polygon.lattice_points())
+    verts = list(polygon.vertices)
+    v0 = min(verts)
+    k = verts.index(v0)
+    ordered = verts[k:] + verts[:k]
+    tris = []
+    idx = {p: i for i, p in enumerate(pts)}
+    for t in range(1, len(ordered) - 1):
+        tris.append((idx[v0], idx[ordered[t]], idx[ordered[t + 1]]))
+
+    def inside(p, t):
+        a, b, c = (pts[i] for i in t)
+        s1 = (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0])
+        s2 = (c[0] - b[0]) * (p[1] - b[1]) - (c[1] - b[1]) * (p[0] - b[0])
+        s3 = (a[0] - c[0]) * (p[1] - c[1]) - (a[1] - c[1]) * (p[0] - c[0])
+        return (s1 >= 0 and s2 >= 0 and s3 >= 0) or \
+               (s1 <= 0 and s2 <= 0 and s3 <= 0)
+
+    def on_edge(p, a, b):
+        ab, ap = vsub(b, a), vsub(p, a)
+        if ab[0] * ap[1] - ab[1] * ap[0] != 0:
+            return False
+        d = ab[0] * ap[0] + ab[1] * ap[1]
+        return 0 < d < ab[0] ** 2 + ab[1] ** 2
+
+    used = {i for t in tris for i in t}
+    for pi, p in enumerate(pts):
+        if pi in used:
+            continue
+        host_edge = None
+        for ti, t in enumerate(tris):
+            for e in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+                if on_edge(p, pts[e[0]], pts[e[1]]):
+                    host_edge = e
+                    break
+            if host_edge:
+                break
+        if host_edge:
+            a, b = host_edge
+            new = []
+            for t in tris:
+                es = {frozenset((t[0], t[1])), frozenset((t[1], t[2])),
+                      frozenset((t[2], t[0]))}
+                if frozenset((a, b)) in es:
+                    c = next(x for x in t if x not in (a, b))
+                    new.append(tuple(sorted((a, pi, c))))
+                    new.append(tuple(sorted((pi, b, c))))
+                else:
+                    new.append(t)
+            tris = new
+        else:
+            host = next(ti for ti, t in enumerate(tris) if inside(p, t))
+            a, b, c = tris[host]
+            tris = (tris[:host] + tris[host + 1:]
+                    + [tuple(sorted((a, b, pi))), tuple(sorted((b, c, pi))),
+                       tuple(sorted((a, c, pi)))])
+        used.add(pi)
+    return pts, sorted(tris)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lattice_polygons(span=3))
+def test_max_triangulation_matches_two_scan_insertion(poly):
+    assume(poly.point_counts()[0] <= 40)
+    tri = max_triangulation(poly)
+    assert (tri.points, tri.triangles) == ref_max_triangulation(poly)
+
+
+class _StrayPoint(Polygon):
+    def lattice_points(self):
+        return super().lattice_points() + [(10, 10)]
+
+
+def test_point_in_no_triangle_is_named():
+    with pytest.raises(DegenerationError, match=r"\(10, 10\) lies in no"):
+        max_triangulation(_StrayPoint([(0, 0), (2, 0), (0, 2)]))

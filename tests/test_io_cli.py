@@ -242,6 +242,16 @@ def test_cli_bad_decomposition_exits_1(target, choice):
     assert "vertex" in doc["message"]
 
 
+@pytest.mark.parametrize("choice, token", [("a", "a"), ("0,x,0,0", "x"),
+                                           ("0,,0,0", ""), ("0,1.5,0,0", "1.5")])
+def test_cli_non_integer_decomposition_exits_2(choice, token):
+    code, out, err = run_cli("analyze", "p3", f"--decomposition={choice}")
+    assert code == 2 and out == ""
+    assert one_json_line(err) == {
+        "error": "ParseError",
+        "message": f"--decomposition index {token!r} is not an integer"}
+
+
 def v2_fixture_with(tmp_path, **changes):
     doc = load_fixture("v2")
     doc.update(changes)
@@ -269,6 +279,29 @@ def test_cli_fixture_non_integer_key_exits_2(tmp_path, key):
     assert code == 2 and out == ""
     assert one_json_line(err) == {"error": "ParseError",
                                   "message": f"{key} key 'x' is not an integer"}
+
+
+def test_cli_fixture_choice_key_off_the_dual_exits_1(tmp_path):
+    path = tmp_path / "p3_choice.json"
+    path.write_text(json.dumps({"kind": "normal_fan", "name": "P3",
+                                "polytope": bundled("p3").vertices,
+                                "choice": {"9": 0}}))
+    code, out, err = run_cli("analyze", str(path), "--fixture")
+    assert code == 1 and out == ""
+    assert one_json_line(err) == {
+        "error": "DegenerationError",
+        "message": "choice key 9 names no vertex 0..3 of the polar dual"}
+
+
+def test_cli_fixture_edge_values_key_off_the_dual_exits_1(tmp_path):
+    doc = load_fixture("v2")
+    values = {str(i): doc["edge_values"] for i in range(6)}
+    path = v2_fixture_with(tmp_path, edge_values={**values, "99": 7})
+    code, out, err = run_cli("analyze", path, "--fixture")
+    assert code == 1 and out == ""
+    assert one_json_line(err) == {
+        "error": "DegenerationError",
+        "message": "edge_values key 99 names no edge 0..5 of the polar dual"}
 
 
 @pytest.mark.parametrize("argv", [("analyze",),

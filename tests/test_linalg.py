@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -362,3 +363,25 @@ def test_snf_is_diagonal_with_divisibility(a):
         assert (e % d == 0) if d else e == 0
     if len(a) == len(a[0]):
         assert abs(det(a)) == abs(det(s))
+
+
+def ref_primitive(vec):
+    """The route every `primitive` call took before its all-int fast path:
+    clear denominators by their lcm, then divide by the gcd."""
+    den = lcm(*(x.denominator for x in vec))
+    ints = [x.numerator * (den // x.denominator) for x in vec]
+    g = gcd(*ints)
+    return tuple(x // g for x in ints) if g > 1 else tuple(ints)
+
+
+@EXACT
+@given(st.sampled_from([SMALL_INTS, st.integers(-10**6, 10**6), RATIONALS])
+       .flatmap(lambda entries: st.lists(entries, min_size=1, max_size=4)))
+def test_primitive_matches_denominator_route(vec):
+    if not any(vec):
+        with pytest.raises(LinalgError):
+            primitive(vec)
+        return
+    got = primitive(vec)
+    assert got == ref_primitive(vec)
+    assert all(type(x) is int for x in got)

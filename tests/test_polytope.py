@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from conftest import bundled, random_unimodular2
+from conftest import bundled, lattice_polygons, random_unimodular2
 from fanoscope.linalg import mat_vec
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 convex_hull, embed_polygon, gorenstein_index,
@@ -170,3 +171,44 @@ def test_polygon_invariance_under_gl2():
         im = Polygon([tuple(mat_vec(m, list(v))) for v in hexagon.vertices])
         assert im.point_counts() == hexagon.point_counts()
         assert abs(im.two_area()) == hexagon.two_area()
+
+
+def ref_lattice_points(poly):
+    """The bounding-box scan that `Polygon.lattice_points` replaced."""
+    xs = [v[0] for v in poly.vertices]
+    ys = [v[1] for v in poly.vertices]
+    normals = poly.edge_normals()
+    pts = []
+    for x in range(min(xs), max(xs) + 1):
+        for y in range(min(ys), max(ys) + 1):
+            if all(n[0] * x + n[1] * y >= c for n, c in normals):
+                pts.append((x, y))
+    return pts
+
+
+def ref_point_counts(poly):
+    normals = poly.edge_normals()
+    total = interior = 0
+    for p in ref_lattice_points(poly):
+        total += 1
+        if all(n[0] * p[0] + n[1] * p[1] > c for n, c in normals):
+            interior += 1
+    return total, interior, total - interior
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(lattice_polygons())
+def test_scanline_points_match_bounding_box_scan(poly):
+    assert poly.lattice_points() == ref_lattice_points(poly)
+    assert poly.point_counts() == ref_point_counts(poly)
+
+
+def test_lattice_point_memo_is_not_shared_with_callers():
+    poly = Polygon([(0, 0), (3, 0), (0, 2)])
+    pts = poly.lattice_points()
+    want = list(pts)
+    pts.append((9, 9))
+    pts[0] = (7, 7)
+    assert poly.lattice_points() == want
+    assert poly.point_counts() == (len(want), 1, len(want) - 1)
+    assert isinstance(poly.edge_normals(), tuple)
