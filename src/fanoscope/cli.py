@@ -47,12 +47,26 @@ def _resolve_polytope(target: str) -> LatticePolytope:
 
 
 def _resolve_data(target: str, decomposition=None, fixture=False):
-    """Degeneration data from a bundled name or a file path."""
+    """Degeneration data from a bundled name or a file path.
+
+    `decomposition` is None, 'auto', or comma-separated per-facet indices.
+    A product polygon or a fixture has no decomposition choice: 'auto'
+    leaves it as it is, and indices are refused.
+    """
+    indices = _decomposition_indices(decomposition)
     table = fileio.bundled_polytopes()
+    fixed = None
     if not fixture and target in table.get("polygons", {}):
-        return [product_data(Polygon(table["polygons"][target]), target)]
-    if fixture or target in fileio.list_fixtures() or _looks_like_fixture(target):
-        return [fileio.data_from_fixture(fileio.load_fixture(target))]
+        fixed = product_data(Polygon(table["polygons"][target]), target)
+    elif (fixture or target in fileio.list_fixtures()
+          or _looks_like_fixture(target)):
+        fixed = fileio.data_from_fixture(fileio.load_fixture(target))
+    if fixed is not None:
+        if indices is not None:
+            raise DegenerationError(
+                f"{target} has no decomposition choice: --decomposition "
+                "indices apply to a polytope only")
+        return [fixed]
     p = _resolve_polytope(target)
     name = target if target in table else os.path.basename(str(target))
     if decomposition is None:
@@ -66,6 +80,14 @@ def _resolve_data(target: str, decomposition=None, fixture=False):
             raise DegenerationError(f"{total} decomposition choices; pick one")
         return [method1_data(p, ch, f"{name}[{','.join(map(str, ch))}]")
                 for ch in itertools.product(*map(range, counts))]
+    return [method1_data(p, indices, name)]
+
+
+def _decomposition_indices(decomposition):
+    """The per-facet indices of a --decomposition value; None for no value
+    or 'auto'."""
+    if decomposition is None or decomposition == "auto":
+        return None
     idx = []
     for token in str(decomposition).split(","):
         try:
@@ -73,7 +95,7 @@ def _resolve_data(target: str, decomposition=None, fixture=False):
         except ValueError:
             raise ParseError(f"--decomposition index {token!r} is not an "
                              "integer") from None
-    return [method1_data(p, tuple(idx), name)]
+    return tuple(idx)
 
 
 def _looks_like_fixture(target: str) -> bool:

@@ -294,11 +294,11 @@ class DegenerationData:
 # geometric construction helpers
 
 
-def _coords_in(basis, vec):
-    xy = plane_coords(basis, vec)
-    if xy is None:
+def _coords_in(basis, points):
+    coords = plane_coords(basis, points)
+    if None in coords:
         raise DegenerationError("point outside its plane")
-    return xy
+    return coords
 
 
 def _two_cone(dirv, w):
@@ -306,9 +306,9 @@ def _two_cone(dirv, w):
     (plane basis, primitive annihilator of the plane, primitive functional
     on plane coordinates that vanishes on the line and is >= 0 on w)."""
     basis = plane_basis([dirv, w])
-    dir2 = _coords_in(basis, dirv)
+    dir2, w2 = _coords_in(basis, [dirv, w])
     side = primitive((-dir2[1], dir2[0]))
-    if dot(side, _coords_in(basis, w)) < 0:
+    if dot(side, w2) < 0:
         side = tuple(-x for x in side)
     return basis, plane_normal(dirv, w), side
 
@@ -341,7 +341,7 @@ def facet_in_ray_coords(p_dual: LatticePolytope, vertex_id: int,
     translation-normalized: the lex-least point is a vertex, and it moves to
     the origin."""
     verts = p_dual.dual_face_vertices([vertex_id])
-    coords = [_coords_in(w_basis, vsub(v, verts[0])) for v in verts]
+    coords = _coords_in(w_basis, [vsub(v, verts[0]) for v in verts])
     low = min(coords)
     return Polygon([vsub(c, low) for c in coords])
 
@@ -438,7 +438,7 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
         va, vb = dual.vertices[a_id], dual.vertices[b_id]
         basis = plane_basis([va, vb])
         origin = (0, 0)
-        ca, cb = _coords_in(basis, va), _coords_in(basis, vb)
+        ca, cb = _coords_in(basis, [va, vb])
         poly = Polygon([origin, ca, cb])
         coeffs, roles = [], []
         for x, y in poly.edges():
@@ -456,13 +456,16 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
 
     ray_summands = []
     chosen = []
+    found = {}  # target polygon -> its decompositions, within this call
     for vid, vert in enumerate(dual.vertices):
         w_basis = ray_lattice(vert)
         target = _ray_target(dual, vid, w_basis, vid)
         if ray_decompositions and vid in ray_decompositions:
             deco = tuple(ray_decompositions[vid])
         else:
-            decos = enumerate_smooth_decompositions(target)
+            if target not in found:
+                found[target] = enumerate_smooth_decompositions(target)
+            decos = found[target]
             if not decos:
                 raise DegenerationError(
                     f"no smooth Minkowski decomposition for the facet dual "
@@ -521,13 +524,19 @@ def method1_data(p: LatticePolytope, choice=None, name="") -> DegenerationData:
 
 
 def decomposition_regimes(p: LatticePolytope):
-    """All decomposition choices per ray: list of lists of Summand tuples."""
+    """All decomposition choices per ray: list of lists of Summand tuples.
+
+    Rays whose facets are equal in ray coordinates share one enumeration;
+    each ray still gets a list of its own.
+    """
     dual = p.polar_dual()
+    found = {}  # facet polygon -> its decompositions, within this call
     out = []
     for vid, vert in enumerate(dual.vertices):
-        w_basis = ray_lattice(vert)
-        facet = facet_in_ray_coords(dual, vid, w_basis)
-        out.append(enumerate_smooth_decompositions(facet))
+        facet = facet_in_ray_coords(dual, vid, ray_lattice(vert))
+        if facet not in found:
+            found[facet] = enumerate_smooth_decompositions(facet)
+        out.append(list(found[facet]))
     return out
 
 
@@ -565,7 +574,7 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     for k, w in enumerate(fan.rays2d):
         basis, nu, side = two_cones[k]  # side cuts out the w-halfplane
         pts = _plane_slice(dual, nu)
-        coords = [_coords_in(basis, pt) for pt in pts]
+        coords = _coords_in(basis, pts)
         clipped = _clip_halfplane(coords, side)
         poly = Polygon(clipped)
         coeffs, roles = [], []
@@ -748,7 +757,7 @@ def _two_cone_containing(two_cones, v):
     """Annihilator of the first of the `_two_cone` triples whose 2-cone
     holds v, or None."""
     for basis, nu, side in two_cones:
-        if dot(nu, v) == 0 and dot(side, _coords_in(basis, v)) >= 0:
+        if dot(nu, v) == 0 and dot(side, _coords_in(basis, [v])[0]) >= 0:
             return nu
     return None
 

@@ -17,7 +17,10 @@ class LinalgError(ValueError):
 
 
 def identity(n: int) -> IntMatrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        m[i][i] = 1
+    return m
 
 
 def mat_mul(a, b):
@@ -54,17 +57,13 @@ def det(a) -> int:
     return sign * m[-1][-1]
 
 
-def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
-    """Row Hermite normal form.
-
-    Returns (H, U) with U unimodular, H = U*A, pivots positive and entries
-    above each pivot reduced into [0, pivot).
-    """
+def hnf(a: IntMatrix) -> IntMatrix:
+    """Row Hermite normal form H = U*A, U unimodular (not kept): pivots
+    positive and entries above each pivot reduced into [0, pivot)."""
     if not a:
         raise LinalgError("hnf of empty matrix")
     h = [row[:] for row in a]
     m, n = len(h), len(h[0])
-    u = identity(m)
     r = 0
     for c in range(n):
         # gcd-reduce column c below row r
@@ -75,13 +74,11 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
             piv = min(rows, key=lambda i: abs(h[i][c]))
             if piv != r:
                 h[r], h[piv] = h[piv], h[r]
-                u[r], u[piv] = u[piv], u[r]
             done = True
             for i in range(r + 1, m):
                 if h[i][c] != 0:
                     q = h[i][c] // h[r][c]
                     h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
                     if h[i][c] != 0:
                         done = False
             if done:
@@ -89,85 +86,53 @@ def hnf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
         if r < m and h[r][c] != 0:
             if h[r][c] < 0:
                 h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
             for i in range(r):
                 q = h[i][c] // h[r][c]
                 if q:
                     h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
             r += 1
         if r == m:
             break
-    return h, u
+    return h
 
 
 def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: returns (S, U, V) with S = U*A*V diagonal, d1|d2|...
+    """Smith normal form: returns (S, W, V) with S = U*A*V diagonal,
+    d1|d2|..., for unimodular U (not kept) and V, and W = V^-1.
 
-    U and V are unimodular.
+    Each column move on S is made on V and, as the inverse row move, on W.
     """
     if not a:
         raise LinalgError("snf of empty matrix")
     s = [row[:] for row in a]
     m, n = len(s), len(s[0])
-    u = identity(m)
     v = identity(n)
-
-    def row_op(i, j, q):  # row i -= q * row j
-        s[i] = [x - q * y for x, y in zip(s[i], s[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(j, i, q):  # col j -= q * col i
-        for row in s:
-            row[j] -= q * row[i]
-        for row in v:
-            row[j] -= q * row[i]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(m, n):
-        # find a pivot
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if s[i][j] != 0 and (best is None or abs(s[i][j]) < best):
-                    best = abs(s[i][j])
-                    piv = (i, j)
+    w = [row[:] for row in v]
+    for t in range(min(m, n)):
+        piv = _pivot(s, t)
         if piv is None:
             break
-        swap_rows(t, piv[0])
-        swap_cols(t, piv[1])
+        s[t], s[piv[0]] = s[piv[0]], s[t]
+        _swap_cols(s, w, v, t, piv[1])
         dirty = True
         while dirty:
             dirty = False
             for i in range(t + 1, m):
                 if s[i][t] != 0:
                     q = s[i][t] // s[t][t]
-                    row_op(i, t, q)
+                    s[i] = [x - q * y for x, y in zip(s[i], s[t])]
                     if s[i][t] != 0:
-                        swap_rows(t, i)
+                        s[t], s[i] = s[i], s[t]
                         dirty = True
             for j in range(t + 1, n):
                 if s[t][j] != 0:
                     q = s[t][j] // s[t][t]
-                    col_op(j, t, q)
+                    _col_op(s, w, v, j, t, q)
                     if s[t][j] != 0:
-                        swap_cols(t, j)
+                        _swap_cols(s, w, v, t, j)
                         dirty = True
         if s[t][t] < 0:
             s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-        t += 1
     # enforce divisibility d1 | d2 | ...
     changed = True
     while changed:
@@ -176,55 +141,71 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             a_, b_ = s[i][i], s[i + 1][i + 1]
             if b_ % a_ if a_ else b_:
                 # fold b into a: standard trick via one extra reduction round
-                col_op(i, i + 1, -1)  # col i += col i+1
+                _col_op(s, w, v, i, i + 1, -1)  # col i += col i+1
                 # now redo the elimination at position i
-                _resmith(s, u, v, i)
+                _resmith(s, w, v, i)
                 changed = True
-    return s, u, v
+    return s, w, v
 
 
-def _resmith(s, u, v, t):
+def _pivot(s, t):
+    """(row, column) of the first entry, row by row, of least nonzero
+    absolute value in the block of S below and right of (t, t); None when
+    that block is zero."""
+    piv, best = None, 0
+    for i in range(t, len(s)):
+        row = s[i]
+        for j in range(t, len(row)):
+            x = abs(row[j])
+            if x and (x < best or not best):
+                best, piv = x, (i, j)
+    return piv
+
+
+def _col_op(s, w, v, j, i, q):
+    """Column j -= q * column i on S and V; row i += q * row j on W."""
+    for row in s:
+        row[j] -= q * row[i]
+    for row in v:
+        row[j] -= q * row[i]
+    w[i] = [x + q * y for x, y in zip(w[i], w[j])]
+
+
+def _swap_cols(s, w, v, i, j):
+    """Swap columns i and j of S and V, rows i and j of W."""
+    if i != j:
+        for row in s:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+        w[i], w[j] = w[j], w[i]
+
+
+def _resmith(s, w, v, t):
     m, n = len(s), len(s[0])
     while True:
-        piv = None
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if s[i][j] != 0 and (best is None or abs(s[i][j]) < best):
-                    best = abs(s[i][j])
-                    piv = (i, j)
+        piv = _pivot(s, t)
         if piv is None:
             return
         if piv != (t, t):
             s[t], s[piv[0]] = s[piv[0]], s[t]
-            u[t], u[piv[0]] = u[piv[0]], u[t]
-            j = piv[1]
-            if j != t:
-                for row in s:
-                    row[t], row[j] = row[j], row[t]
-                for row in v:
-                    row[t], row[j] = row[j], row[t]
+            _swap_cols(s, w, v, t, piv[1])
         clean = True
         for i in range(t + 1, m):
             if s[i][t] != 0:
                 q = s[i][t] // s[t][t]
                 s[i] = [x - q * y for x, y in zip(s[i], s[t])]
-                u[i] = [x - q * y for x, y in zip(u[i], u[t])]
                 if s[i][t] != 0:
                     clean = False
         for j in range(t + 1, n):
             if s[t][j] != 0:
                 q = s[t][j] // s[t][t]
-                for row in s:
-                    row[j] -= q * row[t]
-                for row in v:
-                    row[j] -= q * row[t]
+                _col_op(s, w, v, j, t, q)
                 if s[t][j] != 0:
                     clean = False
         if clean:
             if s[t][t] < 0:
                 s[t] = [-x for x in s[t]]
-                u[t] = [-x for x in u[t]]
             t += 1
             if t >= min(m, n):
                 return
@@ -318,13 +299,11 @@ def saturate(basis: list) -> list[list[int]]:
     rows = [list(map(int, r)) for r in basis if any(r)]
     if not rows:
         return []
-    h, _ = hnf(rows)
-    h = [r for r in h if any(r)]
-    s, u, _ = snf(h)
+    h = [r for r in hnf(rows) if any(r)]
     # rowspan_Q(H) = span of the first r rows of V^{-1}, a saturated basis
-    # since V is unimodular; S = U*H*V makes row i of V^{-1} row i of U*H
-    # divided by the invariant factor s_ii.
-    return [[x // s[i][i] for x in row] for i, row in enumerate(mat_mul(u, h))]
+    # since V is unimodular
+    _, w, _ = snf(h)
+    return w[:len(h)]
 
 
 def solve_in_span(rows: list, target) -> list[Fraction] | None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .linalg import lex_positive
-from .polytope import Polygon, PolytopeError, vadd
+from .polytope import Polygon, PolytopeError
 
 
 @dataclass(frozen=True, order=True)
@@ -43,10 +43,10 @@ class Summand:
             return [(0, 0)]
         if self.kind == "segment":
             return sorted([(0, 0), self.vectors[0]])
-        v1, v2, _ = self.vectors
-        pts = [(0, 0), v1, vadd(v1, v2)]
-        m = min(pts)
-        return sorted(tuple(a - b for a, b in zip(p, m)) for p in pts)
+        (a, b), (c, d), _ = self.vectors
+        pts = [(0, 0), (a, b), (a + c, b + d)]
+        mx, my = min(pts)
+        return sorted((x - mx, y - my) for x, y in pts)
 
     def edge_normals(self):
         """Inner-normal rays of the summand's normal fan, primitive."""
@@ -94,10 +94,10 @@ def minkowski_sum(summands):
     degenerate, the sorted vertex list of the sum."""
     pts = [(0, 0)]
     for s in summands:
-        pts = [vadd(p, q) for p in pts for q in s.polygon_vertices()]
-        pts = sorted(set(pts))
-    m = min(pts)
-    pts = [tuple(a - b for a, b in zip(p, m)) for p in pts]
+        pts = sorted({(x + u, y + w)
+                      for x, y in pts for u, w in s.polygon_vertices()})
+    mx, my = min(pts)
+    pts = [(x - mx, y - my) for x, y in pts]
     try:
         return Polygon(pts)
     except PolytopeError:
@@ -113,29 +113,36 @@ def enumerate_smooth_decompositions(polygon: Polygon):
     """
     if not polygon.is_integral:
         raise PolytopeError("decompositions of a non-integral polygon")
-    word = Counter(polygon.edge_vector_multiset())
+    count = Counter(polygon.edge_vector_multiset())
+    letters = sorted(count)
     found = set()
+    acc = []
 
-    def rec(counter, acc):
-        if not counter:
+    def take(summand, used, left):
+        # remove the summand's other edge vectors, recurse, put them back
+        for k in used:
+            count[k] -= 1
+        acc.append(summand)
+        rec(left)
+        acc.pop()
+        for k in used:
+            count[k] += 1
+
+    def rec(left):
+        if not left:
             found.add(tuple(sorted(acc)))
             return
-        v = min(counter)
-        rest = counter.copy()
-        rest[v] -= 1
-        if not rest[v]:
-            del rest[v]
-        neg = tuple(-x for x in v)
+        v = next(k for k in letters if count[k])
+        count[v] -= 1
+        neg = (-v[0], -v[1])
         # segment {v, -v}
-        if rest.get(neg):
-            nxt = rest.copy()
-            nxt[neg] -= 1
-            if not nxt[neg]:
-                del nxt[neg]
-            rec(nxt, acc + [segment(v)])
+        if count.get(neg):
+            take(segment(v), (neg,), left - 2)
         # triangles {v, w, -v-w}
         tried = set()
-        for w in list(rest):
+        for w in letters:
+            if not count[w]:
+                continue
             third = (-v[0] - w[0], -v[1] - w[1])
             key = frozenset((w, third))
             if key in tried:
@@ -143,22 +150,12 @@ def enumerate_smooth_decompositions(polygon: Polygon):
             tried.add(key)
             if abs(v[0] * w[1] - v[1] * w[0]) != 1:
                 continue
-            nxt = rest.copy()
-            if w == third:
-                if nxt[w] < 2:
-                    continue
-                nxt[w] -= 2
-            else:
-                if not nxt.get(third):
-                    continue
-                nxt[w] -= 1
-                nxt[third] -= 1
-            for k in (w, third):
-                if k in nxt and not nxt[k]:
-                    del nxt[k]
-            rec(nxt, acc + [triangle(v, w, third)])
+            if count.get(third, 0) < (2 if w == third else 1):
+                continue
+            take(triangle(v, w, third), (w, third), left - 3)
+        count[v] += 1
 
-    rec(word, [])
+    rec(sum(count.values()))
     out = []
     target = polygon.normalized()
     for deco in sorted(found, key=lambda d: (sum(1 for s in d if s.dim == 2), d)):

@@ -182,9 +182,8 @@ class Polygon:
         primitive direction; the multiset sums to zero."""
         out = []
         for a, b in self.edges():
-            d = vsub(b, a)
-            step = primitive(d)
-            out.extend([step] * lattice_length(a, b))
+            length = lattice_length(a, b)
+            out.extend([tuple(x // length for x in vsub(b, a))] * length)
         return sorted(out)
 
 
@@ -226,22 +225,24 @@ def pick_area(polygon: Polygon) -> int:
     return by_pick
 
 
-def plane_coords(basis, v):
-    """Coordinates (x, y) with v = x*b0 + y*b1 for a rank-2 basis (b0, b1)
-    of a plane through the origin in 3-space (integer b0, b1; rational v);
-    None when v is off the plane.
+def plane_coords(basis, points):
+    """Coordinates (x, y) with v = x*b0 + y*b1 of each point v, for a rank-2
+    basis (b0, b1) of a plane through the origin in 3-space (integer b0, b1;
+    rational points); None for a point off the plane.
 
-    With c = b0 x b1: v x b1 = x*c and b0 x v = y*c, so both coordinates are
-    one exact quotient by |c|^2 (an int when it divides, else a Fraction).
+    With c = b0 x b1: v x b1 = x*c and b0 x v = y*c, so by the triple
+    product x = <v, b1 x c> / |c|^2 and y = <v, c x b0> / |c|^2, each one
+    exact quotient (an int when it divides, else a Fraction).  c and the
+    least common denominator are computed once for the whole batch.
     """
     b0, b1 = basis
     c = cross(b0, b1)
-    (v,), den = clear_denominators([v])  # integer arithmetic from here on
-    if dot(c, v) != 0:
-        return None
+    ex, ey = cross(b1, c), cross(c, b0)
+    rows, den = clear_denominators(points)  # integer arithmetic from here on
     norm2 = dot(c, c) * den
-    return (_quotient(dot(cross(v, b1), c), norm2),
-            _quotient(dot(cross(b0, v), c), norm2))
+    return [None if dot(c, v) else
+            (_quotient(dot(ex, v), norm2), _quotient(dot(ey, v), norm2))
+            for v in rows]
 
 
 def _quotient(num: int, den: int):
@@ -272,12 +273,9 @@ def embed_polygon(points3):
     base = points3[0]
     dirs = [vsub(p, base) for p in points3]
     basis = plane_basis(dirs)
-    coords = []
-    for d in dirs:
-        xy = plane_coords(basis, d)
-        if xy is None:
-            raise PolytopeError("point outside the plane")
-        coords.append(xy)
+    coords = plane_coords(basis, dirs)
+    if None in coords:
+        raise PolytopeError("point outside the plane")
     return Polygon(coords), basis, _clean(base)
 
 

@@ -1,20 +1,27 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import bundled, bundled_polygon, lattice_polygons
+from conftest import (bundled, bundled_polygon, lattice_polygons,
+                      random_unimodular3)
 from fanoscope.degeneration import (DegenerationError, EmptyLinearSystem,
                                     NotCartier, NotNef, Sections,
                                     check_compatibility,
                                     check_convexity, check_smooth_data,
-                                    check_smooth_edge_data, line_fan_data,
+                                    check_smooth_edge_data,
+                                    decomposition_regimes,
+                                    facet_in_ray_coords, line_fan_data,
                                     method1_data, normal_fan_data,
                                     polygon_of_sections, product_data,
-                                    _on_segment)
-from fanoscope.minkowski import segment
-from fanoscope.polytope import Polygon, _frac, dot, is_integral, vsub
+                                    ray_lattice, _on_segment)
+from fanoscope.fileio import bundled_polytopes
+from fanoscope.linalg import mat_vec
+from fanoscope.minkowski import enumerate_smooth_decompositions, segment
+from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
+                                _frac, dot, is_integral, vsub)
 
 
 def b3_data():
@@ -261,3 +268,39 @@ def test_polygon_of_sections_matches_fraction_scan(poly, data):
     want = outcome(ref_polygon_of_sections, normals, coeffs)
     got = outcome(polygon_of_sections, normals, coeffs)
     assert got == want
+
+
+def ref_decomposition_regimes(p):
+    """`decomposition_regimes` as it was: one enumeration per ray."""
+    dual = p.polar_dual()
+    out = []
+    for vid, vert in enumerate(dual.vertices):
+        w_basis = ray_lattice(vert)
+        facet = facet_in_ray_coords(dual, vid, w_basis)
+        out.append(enumerate_smooth_decompositions(facet))
+    return out
+
+
+def regimes_outcome(f, p):
+    try:
+        return f(p)
+    except (DegenerationError, PolytopeError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.none(), st.integers(0, 2 ** 32)))
+def test_decomposition_regimes_match_the_per_ray_route(seed):
+    # seed None: the bundled polytopes themselves; else GL(3,Z) images
+    table = bundled_polytopes()
+    for name in sorted(k for k in table if k != "polygons"):
+        verts = table[name]["vertices"]
+        if seed is not None:
+            m = random_unimodular3(random.Random(seed))
+            verts = [tuple(mat_vec(m, list(v))) for v in verts]
+        p = LatticePolytope(verts)
+        got = regimes_outcome(decomposition_regimes, p)
+        assert got == regimes_outcome(ref_decomposition_regimes, p)
+        if isinstance(got, list):
+            # one list object per ray, so no caller can alias two rays
+            assert len({id(r) for r in got}) == len(got)

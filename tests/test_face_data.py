@@ -8,11 +8,12 @@ from itertools import combinations, product
 from math import gcd, lcm
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_unimodular3
-from fanoscope.degeneration import (method1_data, normal_fan_data,
+from fanoscope.degeneration import (DegenerationError, _coords_in,
+                                    method1_data, normal_fan_data,
                                     ray_lattice)
 from fanoscope.fileio import bundled_polytopes
 from fanoscope.invariants import InvariantError, _cell_class_data, fano_index
@@ -121,7 +122,7 @@ def test_plane_coords_matches_solve_in_span(b0, b1, x, y, off):
     if not any(c):
         return
     v = tuple(x * p + y * q + off * n for p, q, n in zip(b0, b1, c))
-    got = plane_coords((b0, b1), v)
+    got, = plane_coords((b0, b1), [v])
     ref = solve_in_span([list(b0), list(b1)], list(v))
     assert got == ref_plane_coords((b0, b1), v)
     if off:
@@ -131,6 +132,56 @@ def test_plane_coords_matches_solve_in_span(b0, b1, x, y, off):
         # an int exactly where the quotient is integral
         assert [type(t) is int for t in got] == [t.denominator == 1
                                                   for t in (x, y)]
+
+
+def ref_point_plane_coords(basis, v):
+    """`plane_coords` as it was, one point at a time: v x b1 = x*c and
+    b0 x v = y*c with c = b0 x b1."""
+    b0, b1 = basis
+    c = cross(b0, b1)
+    (v,), den = clear_denominators([v])  # integer arithmetic from here on
+    if dot(c, v) != 0:
+        return None
+    norm2 = dot(c, c) * den
+    return (ref_quotient(dot(cross(v, b1), c), norm2),
+            ref_quotient(dot(cross(b0, v), c), norm2))
+
+
+def ref_quotient(num: int, den: int):
+    q, r = divmod(num, den)
+    return Fraction(num, den) if r else q
+
+
+@st.composite
+def plane_batches(draw):
+    """(basis, points): a basis with b0 x b1 != 0 and 0-6 points
+    x*b0 + y*b1 + off*(b0 x b1), with int or Fraction x, y and off (off = 0
+    on the plane)."""
+    b0, b1 = draw(VECTORS), draw(VECTORS)
+    c = cross(b0, b1)
+    assume(any(c))
+    points = []
+    for _ in range(draw(st.integers(0, 6))):
+        coeff = draw(st.sampled_from([SMALL, RATIONALS]))
+        x, y = draw(coeff), draw(coeff)
+        off = draw(coeff) if draw(st.booleans()) else 0
+        points.append(tuple(x * p + y * q + off * n
+                            for p, q, n in zip(b0, b1, c)))
+    return (b0, b1), points
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(plane_batches())
+def test_plane_coords_matches_the_point_route(batch):
+    basis, points = batch
+    want = [ref_point_plane_coords(basis, v) for v in points]
+    got = plane_coords(basis, points)
+    assert repr(got) == repr(want)  # same values, same int/Fraction types
+    if None in want:
+        with pytest.raises(DegenerationError, match="point outside its plane"):
+            _coords_in(basis, points)
+    else:
+        assert repr(_coords_in(basis, points)) == repr(want)
 
 
 @FACE

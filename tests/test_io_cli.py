@@ -252,6 +252,37 @@ def test_cli_non_integer_decomposition_exits_2(choice, token):
         "message": f"--decomposition index {token!r} is not an integer"}
 
 
+@pytest.mark.parametrize("target, choice, token", [
+    ("v2", "a", "a"), ("diamond", "0,x", "x"), ("b1", "1.5", "1.5")])
+def test_cli_non_integer_decomposition_of_a_fixed_target_exits_2(
+        target, choice, token):
+    # fixtures (v2, b1) and product polygons (diamond) parse it too
+    code, out, err = run_cli("analyze", target, f"--decomposition={choice}")
+    assert code == 2 and out == ""
+    assert one_json_line(err) == {
+        "error": "ParseError",
+        "message": f"--decomposition index {token!r} is not an integer"}
+
+
+@pytest.mark.parametrize("command, target, choice", [
+    ("analyze", "v2", "0"), ("analyze", "diamond", "7,7"),
+    ("gamma", "b1", "0,0,0,0"), ("analyze", "hexagon", "1")])
+def test_cli_decomposition_indices_of_a_fixed_target_exit_1(
+        command, target, choice):
+    code, out, err = run_cli(command, target, f"--decomposition={choice}")
+    assert code == 1 and out == ""
+    assert one_json_line(err) == {
+        "error": "DegenerationError",
+        "message": f"{target} has no decomposition choice: --decomposition "
+                   "indices apply to a polytope only"}
+
+
+@pytest.mark.parametrize("target", ["v2", "b1", "diamond"])
+def test_cli_auto_decomposition_of_a_fixed_target_is_the_default(target):
+    assert run_cli("analyze", target, "--decomposition", "auto") == \
+        run_cli("analyze", target)
+
+
 def v2_fixture_with(tmp_path, **changes):
     doc = load_fixture("v2")
     doc.update(changes)

@@ -1,10 +1,16 @@
 import random
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations_with_replacement
 
-from conftest import random_unimodular2
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import lattice_polygons, random_unimodular2
 from fanoscope.linalg import mat_vec
 from fanoscope.minkowski import (POINT, enumerate_smooth_decompositions,
                                  minkowski_sum, segment, triangle)
-from fanoscope.polytope import Polygon
+from fanoscope.polytope import Polygon, PolytopeError
 
 HEXAGON = Polygon([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -81,3 +87,131 @@ def test_summand_face_lengths():
     assert s.face_length((0, 1)) == 1
     assert s.face_length((0, -1)) == 1
     assert s.face_length((1, 0)) == 0
+
+
+def ref_enumerate(polygon: Polygon):
+    """The enumerator as it was, copying the Counter at every step."""
+    if not polygon.is_integral:
+        raise PolytopeError("decompositions of a non-integral polygon")
+    word = Counter(polygon.edge_vector_multiset())
+    found = set()
+
+    def rec(counter, acc):
+        if not counter:
+            found.add(tuple(sorted(acc)))
+            return
+        v = min(counter)
+        rest = counter.copy()
+        rest[v] -= 1
+        if not rest[v]:
+            del rest[v]
+        neg = tuple(-x for x in v)
+        # segment {v, -v}
+        if rest.get(neg):
+            nxt = rest.copy()
+            nxt[neg] -= 1
+            if not nxt[neg]:
+                del nxt[neg]
+            rec(nxt, acc + [segment(v)])
+        # triangles {v, w, -v-w}
+        tried = set()
+        for w in list(rest):
+            third = (-v[0] - w[0], -v[1] - w[1])
+            key = frozenset((w, third))
+            if key in tried:
+                continue
+            tried.add(key)
+            if abs(v[0] * w[1] - v[1] * w[0]) != 1:
+                continue
+            nxt = rest.copy()
+            if w == third:
+                if nxt[w] < 2:
+                    continue
+                nxt[w] -= 2
+            else:
+                if not nxt.get(third):
+                    continue
+                nxt[w] -= 1
+                nxt[third] -= 1
+            for k in (w, third):
+                if k in nxt and not nxt[k]:
+                    del nxt[k]
+            rec(nxt, acc + [triangle(v, w, third)])
+
+    rec(word, [])
+    out = []
+    target = polygon.normalized()
+    for deco in sorted(found, key=lambda d: (sum(1 for s in d if s.dim == 2), d)):
+        if minkowski_sum(deco) != target:
+            raise PolytopeError("enumerated decomposition fails to re-sum")
+        out.append(deco)
+    return out
+
+
+def outcome(f, *args):
+    """The result, or the type and message of the error raised."""
+    try:
+        return f(*args)
+    except PolytopeError as err:
+        return f"{type(err).__name__}: {err}"
+
+
+SHAPES = ([(0, 0), (1, 0)], [(0, 0), (0, 1)], [(0, 0), (1, 1)],
+          [(0, 0), (1, -1)], [(0, 0), (1, 0), (0, 1)],
+          [(0, 0), (-1, 0), (0, -1)], [(0, 0), (1, 0), (1, 1)],
+          [(0, 0), (-1, 0), (-1, -1)])
+
+
+def shape_sum(shapes):
+    pts = {(0, 0)}
+    for shape in shapes:
+        pts = {(p[0] + q[0], p[1] + q[1]) for p in pts for q in shape}
+    return pts
+
+
+@st.composite
+def smooth_sums(draw):
+    """Minkowski sums of 1-4 unit segments and unimodular triangles with
+    edges in few directions, moved by one GL(2,Z) map: polygons with
+    several smooth decompositions."""
+    pts = shape_sum(draw(st.lists(st.sampled_from(SHAPES), min_size=1,
+                                  max_size=4)))
+    m = random_unimodular2(random.Random(draw(st.integers(0, 2 ** 32))))
+    try:
+        return Polygon([tuple(mat_vec(m, list(p))) for p in pts])
+    except PolytopeError:  # parallel segments only
+        assume(False)
+
+
+DILATED = st.builds(Polygon.dilate, lattice_polygons(),
+                    st.sampled_from([1, 2, 3]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(DILATED, smooth_sums()))
+def test_enumerator_matches_the_counter_copy_route(poly):
+    assert outcome(enumerate_smooth_decompositions, poly) == \
+        outcome(ref_enumerate, poly)
+
+
+def test_enumerator_matches_on_every_sum_of_four_shapes():
+    # many decompositions, reached along many orders of the boundary word
+    polys = [HEXAGON.dilate(k) for k in (1, 2, 3)]
+    for shapes in combinations_with_replacement(SHAPES, 4):
+        try:
+            polys.append(Polygon(shape_sum(shapes)))
+        except PolytopeError:  # parallel segments only
+            continue
+    several = 0
+    for poly in polys:
+        got = enumerate_smooth_decompositions(poly)
+        assert got == ref_enumerate(poly)
+        several += len(got) > 1
+    assert several >= 80
+
+
+def test_enumerator_rejects_a_non_integral_polygon():
+    poly = Polygon([(0, 0), (Fraction(1, 2), 0), (0, 1)])
+    assert outcome(enumerate_smooth_decompositions, poly) == \
+        outcome(ref_enumerate, poly) == \
+        "PolytopeError: decompositions of a non-integral polygon"
