@@ -38,23 +38,27 @@ def _emit(obj):
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def _resolve_polytope(target: str) -> LatticePolytope:
-    table = fileio.bundled_polytopes()
+def _resolve_polytope(target: str, table: dict) -> LatticePolytope:
+    """A bundled polytope by name (`table` is the parsed `polytopes.json`)
+    or one read from a file path."""
     if target in table:
         return LatticePolytope(table[target]["vertices"])
     _, _, p = fileio.parse_polytope(target)
     return p
 
 
-def _resolve_data(target: str, decomposition=None, fixture=False):
+def _resolve_data(target: str, decomposition=None, fixture=False,
+                  table=None):
     """Degeneration data from a bundled name or a file path.
 
     `decomposition` is None, 'auto', or comma-separated per-facet indices.
     A product polygon or a fixture has no decomposition choice: 'auto'
-    leaves it as it is, and indices are refused.
+    leaves it as it is, and indices are refused.  `table` is the parsed
+    `polytopes.json`, read here when not given.
     """
     indices = _decomposition_indices(decomposition)
-    table = fileio.bundled_polytopes()
+    if table is None:
+        table = fileio.bundled_polytopes()
     fixed = None
     if not fixture and target in table.get("polygons", {}):
         fixed = product_data(Polygon(table["polygons"][target]), target)
@@ -67,7 +71,7 @@ def _resolve_data(target: str, decomposition=None, fixture=False):
                 f"{target} has no decomposition choice: --decomposition "
                 "indices apply to a polytope only")
         return [fixed]
-    p = _resolve_polytope(target)
+    p = _resolve_polytope(target, table)
     name = target if target in table else os.path.basename(str(target))
     if decomposition is None:
         return [method1_data(p, None, name)]
@@ -114,7 +118,7 @@ def cmd_analyze(args):
 
 
 def cmd_decompositions(args):
-    p = _resolve_polytope(args.target)
+    p = _resolve_polytope(args.target, fileio.bundled_polytopes())
     regimes = decomposition_regimes(p)
     dual = p.polar_dual()
     out = []
@@ -243,6 +247,7 @@ def cmd_table(args):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["Name", "PALP ID", "Degree", "p", "n", "chi", "Notes"])
     failures = []
+    bundled = fileio.bundled_polytopes()
     for row in rows:
         method = row.get("method", "db")
         expected = (row["degree"], row["p"], row["n"], row["chi"])
@@ -262,7 +267,8 @@ def cmd_table(args):
                     note = "ok"
         elif method.startswith(("fixture:", "product:")):
             kind, target = method.split(":", 1)
-            rep = analyze(_resolve_data(target, fixture=kind == "fixture")[0])
+            rep = analyze(_resolve_data(target, fixture=kind == "fixture",
+                                        table=bundled)[0])
             if (rep.degree, rep.p, rep.n, rep.euler) == expected:
                 note = "ok (method 2)" if kind == "fixture" else "ok (product)"
             else:

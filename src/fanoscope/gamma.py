@@ -9,7 +9,6 @@ Betti number of the fibration as dim Gamma - 2.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .degeneration import DegenerationData, DegenerationError, _edge_name
 from .linalg import nullity
@@ -85,13 +84,14 @@ def build_system(data: DegenerationData) -> GammaSystem:
 def baseline_ok(system: GammaSystem) -> bool:
     """The 3-dimensional torus baseline alpha_sigma = <m, nu_sigma> must
     satisfy every equation (with aux = m for each triangle).  The equations
-    are linear in m, so checking the three unit vectors proves it for all m."""
-    for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        alphas = [dot(m, nu) for nu in system.nu]
-        vec = alphas + list(m) * system.triangles
-        for row in system.rows:
-            if sum(r * v for r, v in zip(row, vec)) != 0:
-                return False
+    are linear in m, so checking the three unit vectors proves it for all m.
+    Each row is checked on its nonzero entries only."""
+    vecs = [[dot(m, nu) for nu in system.nu] + list(m) * system.triangles
+            for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+    for row in system.rows:
+        support = [(j, r) for j, r in enumerate(row) if r]
+        if any(sum(r * vec[j] for j, r in support) for vec in vecs):
+            return False
     return True
 
 
@@ -142,16 +142,12 @@ def _fan_pattern(polygon):
         a, b, c = rays[(i - 1) % k], rays[i], rays[(i + 1) % k]
         if abs(b[0] * c[1] - b[1] * c[0]) != 1:
             return None
-        # a + c = -(D^2) b
-        lam = None
-        for idx in range(2):
-            if b[idx]:
-                lam = Fraction(a[idx] + c[idx], b[idx])
-        if lam is None or lam.denominator != 1:
+        # a + c = -(D^2) b; b is nonzero since |det(b, c)| = 1
+        idx = 0 if b[0] else 1
+        lam, rem = divmod(a[idx] + c[idx], b[idx])
+        if rem or a[0] + c[0] != lam * b[0] or a[1] + c[1] != lam * b[1]:
             return None
-        if a[0] + c[0] != lam * b[0] or a[1] + c[1] != lam * b[1]:
-            return None
-        pattern.append(-int(lam))
+        pattern.append(-lam)
     return tuple(pattern)
 
 

@@ -23,17 +23,6 @@ def identity(n: int) -> IntMatrix:
     return m
 
 
-def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
-    assert len(a[0]) == inner
-    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-            for i in range(rows)]
-
-
-def mat_vec(a, v):
-    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
-
-
 def det(a) -> int:
     """Determinant of a square integer matrix (fraction-free Bareiss)."""
     n = len(a)
@@ -211,12 +200,6 @@ def _resmith(s, w, v, t):
                 return
 
 
-def _reduced(ints: list[int]) -> list[int]:
-    """Divide an integer row by the gcd of its entries (zero stays zero)."""
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
-
-
 def clear_denominators(rows) -> tuple[IntMatrix, int]:
     """(d * rows, d) for the least common denominator d of all entries of
     the rational rows; the scaled rows are plain ints."""
@@ -225,45 +208,76 @@ def clear_denominators(rows) -> tuple[IntMatrix, int]:
             for row in rows], den
 
 
-def _integral(row) -> list[int]:
-    """Primitive integer row on the ray through a rational row."""
-    (ints,), _ = clear_denominators([row])
-    return _reduced(ints)
+def _sparse_row(row) -> dict[int, int]:
+    """Primitive integer row on the ray through a rational row, held as
+    {column: entry} over its nonzero entries."""
+    out = {j: x for j, x in enumerate(row) if x}
+    if any(type(x) is not int for x in out.values()):
+        (ints,), _ = clear_denominators([out.values()])
+        out = dict(zip(out, ints))
+    return _divided_by_gcd(out)
 
 
-def _echelon(a, stop=None) -> tuple[IntMatrix, list[int]]:
+def _divided_by_gcd(row: dict[int, int]) -> dict[int, int]:
+    g = gcd(*row.values())
+    return {j: x // g for j, x in row.items()} if g > 1 else row
+
+
+def _echelon(a, stop=None, lightest_first=False
+             ) -> tuple[list[dict[int, int]], list[int]]:
     """Fraction-free reduced row echelon form of a rational matrix.
 
-    Rows are kept as primitive integer vectors.  Pivots are the first
-    nonzero entries in column order (columns before `stop` only), and each
-    pivot column is cleared above and below its pivot.  Returns
-    (rows, pivot_columns); rows[i] carries the pivot in pivot_columns[i],
-    and the rows after the last pivot row are what is left of the rest.
+    Rows are kept as primitive integer vectors, each held as {column:
+    entry} over its nonzero entries, and each column knows which rows hold
+    it.  Columns are taken in ascending order (those before `stop` only),
+    or with `lightest_first` in ascending order of the number of rows that
+    hold them.  A column's pivot is the sparsest row holding it among those
+    not yet pivots, and only the rows holding the column are combined with
+    it, which clears the column above and below the pivot.  Returns (rows,
+    pivot_columns); rows[i] carries the pivot in pivot_columns[i], and the
+    rows after the last pivot row are what is left of the rest.
     """
-    m = [_integral(row) for row in a]
-    if stop is None:
-        stop = len(m[0]) if m else 0
-    pivots = []
-    for c in range(stop):
-        r = len(pivots)
-        if r == len(m):
+    rows = [_sparse_row(row) for row in a]
+    holders = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
+    cols = sorted(c for c in holders if stop is None or c < stop)
+    if lightest_first:
+        cols.sort(key=lambda c: len(holders[c]))
+    free = set(range(len(rows)))  # rows that are not pivots yet
+    pivots, pivot_rows = [], []
+    for c in cols:
+        if not free:
             break
-        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if piv is None:
+        held = holders[c]
+        cands = held & free
+        if not cands:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        prow, p = m[r], m[r][c]
-        for i, row in enumerate(m):
-            f = row[c]
-            if f and i != r:
-                m[i] = _reduced([p * x - f * y for x, y in zip(row, prow)])
+        r = min(cands, key=lambda i: (len(rows[i]), i))
+        free.discard(r)
+        prow, p = rows[r], rows[r][c]
+        for i in held - {r}:
+            row, f = rows[i], rows[i][c]
+            new = dict(row) if p == 1 else {j: p * x for j, x in row.items()}
+            for j, y in prow.items():
+                x = new.get(j, 0) - f * y
+                if x:
+                    new[j] = x
+                    holders[j].add(i)
+                else:
+                    del new[j]
+                    holders[j].discard(i)
+            rows[i] = _divided_by_gcd(new)
         pivots.append(c)
-    return m, pivots
+        pivot_rows.append(r)
+    left = [rows[i] for i in sorted(free)]
+    return [rows[r] for r in pivot_rows] + left, pivots
 
 
 def rank(a) -> int:
     """Rank of a rational matrix."""
-    return len(_echelon(a)[1])
+    return len(_echelon(a, lightest_first=True)[1])
 
 
 def kernel_basis(a) -> list[tuple[Fraction, ...]]:
@@ -281,7 +295,8 @@ def kernel_basis(a) -> list[tuple[Fraction, ...]]:
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for row, c in zip(m, pivots):
-            vec[c] = Fraction(-row[fc], row[c])
+            if fc in row:
+                vec[c] = Fraction(-row[fc], row[c])
         basis.append(tuple(vec))
     return basis
 
@@ -315,11 +330,11 @@ def solve_in_span(rows: list, target) -> list[Fraction] | None:
     aug = [[rows[i][c] for i in range(nvars)] + [target[c]]
            for c in range(ncols)]
     m, pivots = _echelon(aug, stop=nvars)
-    if any(row[-1] for row in m[len(pivots):]):
+    if any(nvars in row for row in m[len(pivots):]):
         return None
     sol = [Fraction(0)] * nvars
     for row, c in zip(m, pivots):
-        sol[c] = Fraction(row[-1], row[c])
+        sol[c] = Fraction(row.get(nvars, 0), row[c])
     # verify (free variables set to zero must actually solve the system)
     for c in range(ncols):
         if sum(sol[i] * rows[i][c] for i in range(nvars)) != target[c]:
@@ -331,10 +346,10 @@ def primitive(vec) -> tuple[int, ...]:
     """Primitive integer vector on the ray through vec (clears denominators)."""
     if not any(vec):
         raise LinalgError("zero vector has no primitive representative")
-    if all(type(x) is int for x in vec):
-        g = gcd(*vec)
-        return tuple(x // g for x in vec)
-    return tuple(_integral(vec))
+    if not all(type(x) is int for x in vec):
+        (vec,), _ = clear_denominators([vec])
+    g = gcd(*vec)
+    return tuple(x // g for x in vec)
 
 
 def lex_positive(vec) -> tuple[int, ...]:

@@ -273,10 +273,7 @@ def embed_polygon(points3):
     base = points3[0]
     dirs = [vsub(p, base) for p in points3]
     basis = plane_basis(dirs)
-    coords = plane_coords(basis, dirs)
-    if None in coords:
-        raise PolytopeError("point outside the plane")
-    return Polygon(coords), basis, _clean(base)
+    return Polygon(plane_coords(basis, dirs)), basis, _clean(base)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 
@@ -27,6 +28,17 @@ def database():
     return {i: p for i, p in ingest_database(db_path())}
 
 
+def mat_mul(a, b):
+    rows, inner, cols = len(a), len(b), len(b[0])
+    assert len(a[0]) == inner
+    return [[sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+            for i in range(rows)]
+
+
+def mat_vec(a, v):
+    return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
+
+
 def bundled(name) -> LatticePolytope:
     return LatticePolytope(bundled_polytopes()[name]["vertices"])
 
@@ -37,7 +49,7 @@ def bundled_polygon(name) -> Polygon:
 
 def random_unimodular3(rng: random.Random):
     """Random element of GL(3, Z) as a product of elementary matrices."""
-    from fanoscope.linalg import identity, mat_mul
+    from fanoscope.linalg import identity
     m = identity(3)
     for _ in range(8):
         e = identity(3)
@@ -56,8 +68,38 @@ def random_unimodular3(rng: random.Random):
     return m
 
 
+NORMAL_FAN_POLYTOPES = ("b4_intersection", "cube", "hexagon_cone",
+                        "octahedron", "p3", "q3_quadric")
+
+
+def normal_fan_routes(seed=None):
+    """Degeneration data of every bundled normal-fan route: the v2 fixture
+    and each method-1 polytope under each decomposition choice, 8 in all.
+    With a seed, the same routes on the images of the polytopes (v2's
+    included) under one seeded GL(3,Z) map."""
+    from fanoscope.degeneration import (decomposition_regimes, method1_data,
+                                        normal_fan_data)
+    from fanoscope.fileio import data_from_fixture, load_fixture
+
+    def image(name):
+        verts = bundled(name).vertices
+        if seed is not None:
+            m = random_unimodular3(random.Random(seed))
+            verts = [tuple(mat_vec(m, list(v))) for v in verts]
+        return LatticePolytope(verts)
+
+    datas = [data_from_fixture(load_fixture("v2")) if seed is None
+             else normal_fan_data(image("v2"), 6)]
+    for name in NORMAL_FAN_POLYTOPES:
+        p = image(name)
+        counts = [len(r) for r in decomposition_regimes(p)]
+        datas += [method1_data(p, choice)
+                  for choice in itertools.product(*map(range, counts))]
+    return datas
+
+
 def random_unimodular2(rng: random.Random):
-    from fanoscope.linalg import identity, mat_mul
+    from fanoscope.linalg import identity
     m = identity(2)
     for _ in range(6):
         e = identity(2)

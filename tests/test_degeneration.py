@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (bundled, bundled_polygon, lattice_polygons,
+from conftest import (bundled, bundled_polygon, lattice_polygons, mat_vec,
                       random_unimodular3)
 from fanoscope.degeneration import (DegenerationError, EmptyLinearSystem,
                                     NotCartier, NotNef, Sections,
@@ -18,7 +18,6 @@ from fanoscope.degeneration import (DegenerationError, EmptyLinearSystem,
                                     polygon_of_sections, product_data,
                                     ray_lattice, _on_segment)
 from fanoscope.fileio import bundled_polytopes
-from fanoscope.linalg import mat_vec
 from fanoscope.minkowski import enumerate_smooth_decompositions, segment
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 _frac, dot, is_integral, vsub)

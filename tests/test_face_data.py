@@ -11,15 +11,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_unimodular3
+from conftest import mat_vec, random_unimodular3
 from fanoscope.degeneration import (DegenerationError, _coords_in,
                                     method1_data, normal_fan_data,
                                     ray_lattice)
 from fanoscope.fileio import bundled_polytopes
 from fanoscope.invariants import InvariantError, _cell_class_data, fano_index
 from fanoscope.linalg import (LinalgError, clear_denominators, kernel_basis,
-                              lex_positive, mat_vec, primitive, saturate,
-                              solve_in_span)
+                              lex_positive, primitive, saturate, solve_in_span)
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 _clean, _facet_cycle, _frac, _hull3d_facets,
                                 cross, dot, gorenstein_index, is_integral,

@@ -1,19 +1,19 @@
-import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import bundled, random_unimodular3
-from fanoscope.degeneration import (decomposition_regimes, line_fan_data,
-                                    method1_data, normal_fan_data)
-from fanoscope.fileio import data_from_fixture, load_fixture
-from fanoscope.gamma import (GammaError, _annihilators, b2, barT_hypothesis,
-                             barT_sections, baseline_ok, build_system,
-                             gamma_dimension)
-from fanoscope.linalg import mat_vec, rank
-from fanoscope.polytope import LatticePolytope
+from conftest import (NORMAL_FAN_POLYTOPES, bundled, lattice_polygons,
+                      mat_vec, normal_fan_routes, random_unimodular2,
+                      random_unimodular3)
+from fanoscope.degeneration import line_fan_data, method1_data, normal_fan_data
+from fanoscope.gamma import (GammaError, _annihilators, _fan_pattern, b2,
+                             barT_hypothesis, barT_sections, baseline_ok,
+                             build_system, gamma_dimension)
+from fanoscope.linalg import rank
+from fanoscope.polytope import LatticePolytope, Polygon, dot
 
 
 def test_p3_and_cube_dimension_three():
@@ -138,33 +138,96 @@ def ref_build_system(data):
     return padded, 3 * triangles, triangles
 
 
-METHOD1 = ("b4_intersection", "cube", "hexagon_cone", "octahedron", "p3",
-           "q3_quadric")
-
-
-def every_choice(p):
-    counts = [len(r) for r in decomposition_regimes(p)]
-    return itertools.product(*map(range, counts))
-
-
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
 @given(st.one_of(st.none(), st.integers(0, 2 ** 32)))
 def test_build_system_matches_padding_routine(seed):
     # seed None: the bundled polytopes and the v2 fixture; else GL(3,Z) images
-    def image(name):
-        verts = bundled(name).vertices
-        if seed is not None:
-            m = random_unimodular3(random.Random(seed))
-            verts = [tuple(mat_vec(m, list(v))) for v in verts]
-        return LatticePolytope(verts)
-
-    datas = [data_from_fixture(load_fixture("v2")) if seed is None
-             else normal_fan_data(image("v2"), 6)]
-    for name in METHOD1:
-        p = image(name)
-        datas += [method1_data(p, choice) for choice in every_choice(p)]
+    datas = normal_fan_routes(seed)
     assert len(datas) == 8
     for data in datas:
         system = build_system(data)
         assert (system.rows, system.n_aux, system.triangles) == \
             ref_build_system(data)
+
+
+def dense_baseline_ok(system) -> bool:
+    """`baseline_ok` as it was before it read each row's nonzero entries
+    only: every row against the full vector of each unit baseline."""
+    for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        alphas = [dot(m, nu) for nu in system.nu]
+        vec = alphas + list(m) * system.triangles
+        for row in system.rows:
+            if sum(r * v for r, v in zip(row, vec)) != 0:
+                return False
+    return True
+
+
+def test_baseline_ok_matches_dense_check():
+    # every bundled normal-fan system, then ones with a drawn entry moved or
+    # annihilator negated: the sparse check must agree with the dense one
+    datas = normal_fan_routes()
+    for data in datas:
+        system = build_system(data)
+        assert baseline_ok(system) and dense_baseline_ok(system)
+
+    @settings(max_examples=60, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def corrupted(draw):
+        system = build_system(draw.draw(st.sampled_from(datas)))
+        if draw.draw(st.booleans()):
+            row = draw.draw(st.sampled_from(system.rows))
+            j = draw.draw(st.integers(0, len(row) - 1))
+            row[j] += draw.draw(st.sampled_from([-1, 1]))
+        else:
+            i = draw.draw(st.integers(0, len(system.nu) - 1))
+            system.nu[i] = tuple(-x for x in system.nu[i])
+        assert baseline_ok(system) == dense_baseline_ok(system)
+
+    corrupted()
+
+
+def fraction_fan_pattern(polygon):
+    """`_fan_pattern` as it was when it took -(D^2) as a Fraction."""
+    rays = [n for n, _ in polygon.edge_normals()]
+    k = len(rays)
+    pattern = []
+    for i in range(k):
+        a, b, c = rays[(i - 1) % k], rays[i], rays[(i + 1) % k]
+        if abs(b[0] * c[1] - b[1] * c[0]) != 1:
+            return None
+        lam = None
+        for idx in range(2):
+            if b[idx]:
+                lam = Fraction(a[idx] + c[idx], b[idx])
+        if lam is None or lam.denominator != 1:
+            return None
+        if a[0] + c[0] != lam * b[0] or a[1] + c[1] != lam * b[1]:
+            return None
+        pattern.append(-int(lam))
+    return tuple(pattern)
+
+
+@st.composite
+def fan_polygons(draw):
+    """Hirzebruch trapezoids (smooth normal fans with pattern (a, 0, -a, 0)),
+    facets of the bundled polytopes, and drawn lattice polygons (mostly
+    singular fans), each moved by a drawn GL(2,Z) map."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        w, h = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+        a = draw(st.integers(0, 3))
+        verts = [(0, 0), (w + a * h, 0), (w, h), (0, h)]
+    elif kind == 1:
+        p = bundled(draw(st.sampled_from(NORMAL_FAN_POLYTOPES + ("v2",))))
+        verts = p.facet_polygon(draw(st.sampled_from(p.facets)))[0].vertices
+    else:
+        verts = draw(lattice_polygons()).vertices
+    m = random_unimodular2(random.Random(draw(st.integers(0, 2 ** 32))))
+    return Polygon([tuple(mat_vec(m, list(v))) for v in verts])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(fan_polygons())
+def test_fan_pattern_matches_fraction_route(polygon):
+    assert _fan_pattern(polygon) == fraction_fan_pattern(polygon)

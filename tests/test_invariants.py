@@ -159,8 +159,7 @@ def test_euler_formula_mismatch_detected():
 
 def test_reports_invariant_under_lattice_automorphisms():
     import random
-    from conftest import random_unimodular3
-    from fanoscope.linalg import mat_vec
+    from conftest import mat_vec, random_unimodular3
     from fanoscope.polytope import LatticePolytope
     rng = random.Random(41)
     for name in ("p3", "cube", "octahedron", "q3_quadric", "b4_intersection"):

@@ -6,9 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fanoscope.linalg import (IntMatrix, LinalgError, det, hnf, identity,
-                              kernel_basis, lex_positive, mat_mul, primitive,
-                              rank, saturate, solve_in_span, snf)
+from conftest import mat_mul, normal_fan_routes
+from fanoscope import gamma, linalg
+from fanoscope.linalg import (IntMatrix, LinalgError, _echelon,
+                              clear_denominators, det, hnf, identity,
+                              kernel_basis, lex_positive, primitive, rank,
+                              saturate, solve_in_span, snf)
 
 # ---------------------------------------------------------------------------
 # HNF and SNF as they were when they also kept the row transform U, kept
@@ -609,3 +612,205 @@ def test_primitive_matches_denominator_route(vec):
     got = primitive(vec)
     assert got == ref_primitive(vec)
     assert all(type(x) is int for x in got)
+
+
+# ---------------------------------------------------------------------------
+# the sparse echelon core against the dense one it replaced, kept here
+# verbatim but for the names (with the helpers it called) as a reference;
+# `dense_rank`, `dense_kernel_basis` and `dense_solve_in_span` are the
+# routines that ran on it
+
+
+def dense_reduced(ints: list[int]) -> list[int]:
+    """Divide an integer row by the gcd of its entries (zero stays zero)."""
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
+def dense_integral(row) -> list[int]:
+    """Primitive integer row on the ray through a rational row."""
+    (ints,), _ = clear_denominators([row])
+    return dense_reduced(ints)
+
+
+def dense_echelon(a, stop=None) -> tuple[IntMatrix, list[int]]:
+    """Fraction-free reduced row echelon form of a rational matrix.
+
+    Rows are kept as primitive integer vectors.  Pivots are the first
+    nonzero entries in column order (columns before `stop` only), and each
+    pivot column is cleared above and below its pivot.  Returns
+    (rows, pivot_columns); rows[i] carries the pivot in pivot_columns[i],
+    and the rows after the last pivot row are what is left of the rest.
+    """
+    m = [dense_integral(row) for row in a]
+    if stop is None:
+        stop = len(m[0]) if m else 0
+    pivots = []
+    for c in range(stop):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        prow, p = m[r], m[r][c]
+        for i, row in enumerate(m):
+            f = row[c]
+            if f and i != r:
+                m[i] = dense_reduced([p * x - f * y
+                                      for x, y in zip(row, prow)])
+        pivots.append(c)
+    return m, pivots
+
+
+def dense_rank(a) -> int:
+    """Rank of a rational matrix."""
+    return len(dense_echelon(a)[1])
+
+
+def dense_kernel_basis(a) -> list[tuple[Fraction, ...]]:
+    if not a:
+        return []
+    ncols = len(a[0])
+    m, pivots = dense_echelon(a)
+    basis = []
+    for fc in (c for c in range(ncols) if c not in pivots):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, c in zip(m, pivots):
+            vec[c] = Fraction(-row[fc], row[c])
+        basis.append(tuple(vec))
+    return basis
+
+
+def dense_solve_in_span(rows: list, target) -> list[Fraction] | None:
+    if not rows:
+        return None if any(target) else []
+    ncols = len(rows[0])
+    nvars = len(rows)
+    aug = [[rows[i][c] for i in range(nvars)] + [target[c]]
+           for c in range(ncols)]
+    m, pivots = dense_echelon(aug, stop=nvars)
+    if any(row[-1] for row in m[len(pivots):]):
+        return None
+    sol = [Fraction(0)] * nvars
+    for row, c in zip(m, pivots):
+        sol[c] = Fraction(row[-1], row[c])
+    for c in range(ncols):
+        if sum(sol[i] * rows[i][c] for i in range(nvars)) != target[c]:
+            return None
+    return sol
+
+
+SPARSE_ENTRIES = st.sampled_from([0] * 8 + [1, -1, 2, -3, Fraction(1, 2),
+                                            Fraction(-2, 3)])
+
+
+@st.composite
+def sparse_matrices(draw):
+    """1-8 x 1-9 matrices, mostly zero, with int and Fraction entries mixed
+    in one row; some rows repeat or negate an earlier one."""
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 9))
+    rows = []
+    for _ in range(nrows):
+        if rows and draw(st.integers(0, 3)) == 0:
+            rows.append([draw(st.sampled_from([1, -1, 2])) * x
+                         for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append([draw(SPARSE_ENTRIES) for _ in range(ncols)])
+    return rows
+
+
+ANY_MATRIX = st.one_of(matrices(), sparse_matrices())
+
+
+def dense_row(row: dict, ncols: int) -> list[int]:
+    return [row.get(j, 0) for j in range(ncols)]
+
+
+@EXACT
+@given(ANY_MATRIX, st.data())
+def test_sparse_echelon_matches_dense(a, data):
+    ncols = len(a[0])
+    stop = data.draw(st.one_of(st.none(), st.integers(0, ncols)))
+    rows, pivots = _echelon(a, stop)
+    want_rows, want_pivots = dense_echelon(a, stop)
+    assert pivots == want_pivots
+    assert len(rows) == len(want_rows)
+    r = len(pivots)
+    got_rows = [dense_row(row, ncols) for row in rows]
+    assert all(type(x) is int and x for row in rows for x in row.values())
+    assert all(gcd(*row) == 1 for row in got_rows if any(row))
+    # the reduced echelon form is unique up to the sign of each primitive
+    # row; with a `stop`, so is its part before `stop`, up to a scale
+    head = ncols if stop is None else stop
+    for got, want, c in zip(got_rows, want_rows, pivots):
+        if stop is None:
+            assert got in (want, [-x for x in want])
+        assert [x * want[c] for x in got[:head]] == \
+            [y * got[c] for y in want[:head]]
+    # what is left of the other rows vanishes before `stop` and spans the
+    # same space as the reference's leftover rows
+    left, want_left = got_rows[r:], want_rows[r:]
+    assert not any(x for row in left for x in row[:head])
+    assert ref_rank(left) == ref_rank(want_left) == ref_rank(left + want_left)
+    assert ref_rank(got_rows) == ref_rank(a) == ref_rank(got_rows + a)
+
+
+@EXACT
+@given(ANY_MATRIX)
+def test_kernel_basis_and_rank_match_dense(a):
+    assert rank(a) == dense_rank(a)
+    assert repr(kernel_basis(a)) == repr(dense_kernel_basis(a))
+
+
+@EXACT
+@given(ANY_MATRIX, st.data())
+def test_solve_in_span_matches_dense(rows, data):
+    ncols = len(rows[0])
+    if data.draw(st.booleans()):
+        coeffs = [data.draw(SPARSE_ENTRIES) for _ in rows]
+        target = [sum(x * row[c] for x, row in zip(coeffs, rows))
+                  for c in range(ncols)]
+    else:
+        target = [data.draw(SPARSE_ENTRIES) for _ in range(ncols)]
+    assert repr(solve_in_span(rows, target)) == \
+        repr(dense_solve_in_span(rows, target))
+
+
+@EXACT
+@given(ANY_MATRIX, st.data())
+def test_rank_is_invariant_under_column_permutations(a, data):
+    perm = data.draw(st.permutations(range(len(a[0]))))
+    permuted = [[row[j] for j in perm] for row in a]
+    assert rank(permuted) == rank(a) == dense_rank(a)
+
+
+def test_echelon_of_empty_and_zero_matrices():
+    assert _echelon([]) == ([], [])
+    assert _echelon([[0, 0], [0, 0]]) == ([{}, {}], [])
+    assert rank([]) == rank([[]]) == rank([[0, 0]]) == 0
+    assert kernel_basis([[0, 0]]) == dense_kernel_basis([[0, 0]])
+
+
+@settings(max_examples=6, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.none(), st.integers(0, 2 ** 32)))
+def test_gamma_and_fast_path_nullities_match_dense(seed):
+    # seed None: the bundled normal-fan routes; else their GL(3,Z) images
+    systems = []
+
+    def recorded(rows):
+        systems.append(rows)
+        return linalg.nullity(rows)
+
+    datas = normal_fan_routes(seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(gamma, "nullity", recorded)
+        for data in datas:
+            gamma.gamma_dimension(data)
+            if gamma.barT_hypothesis(data):
+                gamma.barT_sections(data)
+    assert len(systems) > len(datas)
+    for rows in systems:
+        assert linalg.nullity(rows) == len(rows[0]) - dense_rank(rows)

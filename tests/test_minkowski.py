@@ -6,8 +6,7 @@ from itertools import combinations_with_replacement
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import lattice_polygons, random_unimodular2
-from fanoscope.linalg import mat_vec
+from conftest import lattice_polygons, mat_vec, random_unimodular2
 from fanoscope.minkowski import (POINT, enumerate_smooth_decompositions,
                                  minkowski_sum, segment, triangle)
 from fanoscope.polytope import Polygon, PolytopeError

@@ -4,8 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import bundled, lattice_polygons, random_unimodular2
-from fanoscope.linalg import mat_vec
+from conftest import bundled, lattice_polygons, mat_vec, random_unimodular2
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 convex_hull, embed_polygon, gorenstein_index,
                                 identity24, pick_area)
@@ -153,6 +152,11 @@ def test_pick_matches_shoelace_random():
 def test_pick_embedded_in_3d():
     poly, _, _ = embed_polygon([(0, 0, 0), (2, 0, 2), (0, 3, 0), (2, 3, 2)])
     assert pick_area(poly) == 12  # 2 x 3 rectangle in its own lattice
+
+
+def test_embed_polygon_refuses_points_off_one_plane():
+    with pytest.raises(PolytopeError, match="vectors do not span a plane"):
+        embed_polygon([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])
 
 
 def test_identity24():
