@@ -15,9 +15,9 @@ from .linalg import det, primitive, saturate
 from .minkowski import (Summand, enumerate_smooth_decompositions,
                         minkowski_sum, segment, triangle)
 from .polytope import (LatticePolytope, Polygon, PolytopeError, cross, dot,
-                       gorenstein_index, is_integral, lattice_length,
-                       pick_area, plane_basis, plane_coords, plane_normal,
-                       vadd, vsub, _clean, _frac)
+                       face_length, gorenstein_index, is_integral,
+                       lattice_length, pick_area, plane_basis, plane_coords,
+                       plane_normal, vadd, vsub, _clean, _frac)
 
 
 class DegenerationError(ValueError):
@@ -60,16 +60,6 @@ class Sections:
         if self.dim == 2:
             return self.polygon.vertices
         return self.points
-
-    def face_span(self, n) -> int:
-        """Lattice length of the face minimizing <., n> (0 at a vertex)."""
-        vals = [dot(n, p) for p in self.vertices()]
-        lo = min(vals)
-        face = [p for p, v in zip(self.vertices(), vals) if v == lo]
-        if len(face) == 1:
-            return 0
-        a, b = min(face), max(face)
-        return lattice_length(a, b)
 
     def support_min(self, n):
         return min(dot(n, p) for p in self.vertices())
@@ -161,7 +151,8 @@ class Slab:
     def __post_init__(self):
         normals = [n for n, _ in self.polygon.edge_normals()]
         self.sections = polygon_of_sections(normals, list(self.coeffs))
-        self.spans = tuple(self.sections.face_span(n) for n in normals)
+        verts = self.sections.vertices()
+        self.spans = tuple(face_length(verts, n) for n in normals)
         self.two_area, b_conv, i_conv = self.sections.counts()
         span_sum = sum(self.spans)
         if self.sections.dim == 2 and span_sum != b_conv:
@@ -191,9 +182,8 @@ class Slab:
 
 @dataclass
 class GeneralizedFan:
-    kind: str            # "normal" | "line"
-    direction: tuple | None = None   # minimal-cone line direction (line fans)
-    rays2d: tuple = ()               # 3-space generators of the 2-cones mod L
+    direction: tuple      # direction of the minimal cone, a line
+    rays2d: tuple         # 3-space generators of the 2-cones mod the line
 
 
 def line_fan(direction, rays2d) -> GeneralizedFan:
@@ -201,7 +191,7 @@ def line_fan(direction, rays2d) -> GeneralizedFan:
     rays = [primitive(r) for r in rays2d]
     if len(rays) < 3:
         raise DegenerationError("line fan needs a complete quotient fan")
-    return GeneralizedFan("line", d, tuple(tuple(r) for r in rays))
+    return GeneralizedFan(d, tuple(tuple(r) for r in rays))
 
 
 @dataclass
@@ -230,7 +220,6 @@ class DegenerationData:
     b2_source: str = ""
     degree_fixture: int | None = None
     boundary_components: int | None = None
-    choice: tuple = ()
     notes: dict = field(default_factory=dict)
 
     # -- node census ---------------------------------------------------------
@@ -455,7 +444,6 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
         slabs.append(Slab(_edge_name(i), poly, tuple(coeffs), tuple(roles)))
 
     ray_summands = []
-    chosen = []
     found = {}  # target polygon -> its decompositions, within this call
     for vid, vert in enumerate(dual.vertices):
         w_basis = ray_lattice(vert)
@@ -477,7 +465,6 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
                 raise DegenerationError(
                     f"decomposition index {idx} out of range for vertex {vid}")
             deco = decos[idx]
-            chosen.append(idx)
         # quotient functionals of the 2-cones at this ray
         functionals = {}
         for i, e in enumerate(dual.edges):
@@ -505,7 +492,6 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
         dual=dual,
         vertex_count=0,
         edge_values=values,
-        choice=tuple(chosen),
     )
     return data
 

@@ -214,7 +214,6 @@ def data_from_fixture(doc: dict) -> DegenerationData:
         data.degree_fixture = int(doc["degree"])
     if doc.get("boundary_components") is not None:
         data.boundary_components = int(doc["boundary_components"])
-    data.notes["expected"] = doc.get("expected", {})
     return data
 
 

@@ -164,14 +164,14 @@ def barT_hypothesis(data: DegenerationData):
     return True
 
 
-def barT_sections(data: DegenerationData) -> int:
+def barT_sections(data: DegenerationData) -> int | None:
     """Dimension of the global sections of the quotient system on the
-    one-skeleton of the polar polytope; equals dim Gamma when the facet
-    hypothesis holds."""
+    one-skeleton of the polar polytope, which equals dim Gamma under the
+    facet hypothesis; None when the hypothesis fails."""
     if data.kind != "normal_fan":
         raise GammaError("fast path needs a complete normal fan")
     if not barT_hypothesis(data):
-        raise GammaError("fast path inapplicable")
+        return None
     dual, nus = _annihilators(data)
     n_alpha = len(dual.edges)
     n_rays = len(dual.vertices)

@@ -85,24 +85,23 @@ def hnf(a: IntMatrix) -> IntMatrix:
     return h
 
 
-def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: returns (S, W, V) with S = U*A*V diagonal,
-    d1|d2|..., for unimodular U (not kept) and V, and W = V^-1.
+def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix]:
+    """Smith normal form: returns (S, W) with S = U*A*V diagonal, d1|d2|...,
+    for unimodular U and V (neither kept), and W = V^-1.
 
-    Each column move on S is made on V and, as the inverse row move, on W.
+    Each column move on S is made on W as the inverse row move.
     """
     if not a:
         raise LinalgError("snf of empty matrix")
     s = [row[:] for row in a]
     m, n = len(s), len(s[0])
-    v = identity(n)
-    w = [row[:] for row in v]
+    w = identity(n)
     for t in range(min(m, n)):
         piv = _pivot(s, t)
         if piv is None:
             break
         s[t], s[piv[0]] = s[piv[0]], s[t]
-        _swap_cols(s, w, v, t, piv[1])
+        _swap_cols(s, w, t, piv[1])
         dirty = True
         while dirty:
             dirty = False
@@ -116,9 +115,9 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             for j in range(t + 1, n):
                 if s[t][j] != 0:
                     q = s[t][j] // s[t][t]
-                    _col_op(s, w, v, j, t, q)
+                    _col_op(s, w, j, t, q)
                     if s[t][j] != 0:
-                        _swap_cols(s, w, v, t, j)
+                        _swap_cols(s, w, t, j)
                         dirty = True
         if s[t][t] < 0:
             s[t] = [-x for x in s[t]]
@@ -130,11 +129,11 @@ def snf(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
             a_, b_ = s[i][i], s[i + 1][i + 1]
             if b_ % a_ if a_ else b_:
                 # fold b into a: standard trick via one extra reduction round
-                _col_op(s, w, v, i, i + 1, -1)  # col i += col i+1
+                _col_op(s, w, i, i + 1, -1)  # col i += col i+1
                 # now redo the elimination at position i
-                _resmith(s, w, v, i)
+                _resmith(s, w, i)
                 changed = True
-    return s, w, v
+    return s, w
 
 
 def _pivot(s, t):
@@ -151,26 +150,22 @@ def _pivot(s, t):
     return piv
 
 
-def _col_op(s, w, v, j, i, q):
-    """Column j -= q * column i on S and V; row i += q * row j on W."""
+def _col_op(s, w, j, i, q):
+    """Column j -= q * column i on S; row i += q * row j on W."""
     for row in s:
-        row[j] -= q * row[i]
-    for row in v:
         row[j] -= q * row[i]
     w[i] = [x + q * y for x, y in zip(w[i], w[j])]
 
 
-def _swap_cols(s, w, v, i, j):
-    """Swap columns i and j of S and V, rows i and j of W."""
+def _swap_cols(s, w, i, j):
+    """Swap columns i and j of S, rows i and j of W."""
     if i != j:
         for row in s:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
             row[i], row[j] = row[j], row[i]
         w[i], w[j] = w[j], w[i]
 
 
-def _resmith(s, w, v, t):
+def _resmith(s, w, t):
     m, n = len(s), len(s[0])
     while True:
         piv = _pivot(s, t)
@@ -178,7 +173,7 @@ def _resmith(s, w, v, t):
             return
         if piv != (t, t):
             s[t], s[piv[0]] = s[piv[0]], s[t]
-            _swap_cols(s, w, v, t, piv[1])
+            _swap_cols(s, w, t, piv[1])
         clean = True
         for i in range(t + 1, m):
             if s[i][t] != 0:
@@ -189,7 +184,7 @@ def _resmith(s, w, v, t):
         for j in range(t + 1, n):
             if s[t][j] != 0:
                 q = s[t][j] // s[t][t]
-                _col_op(s, w, v, j, t, q)
+                _col_op(s, w, j, t, q)
                 if s[t][j] != 0:
                     clean = False
         if clean:
@@ -317,7 +312,7 @@ def saturate(basis: list) -> list[list[int]]:
     h = [r for r in hnf(rows) if any(r)]
     # rowspan_Q(H) = span of the first r rows of V^{-1}, a saturated basis
     # since V is unimodular
-    _, w, _ = snf(h)
+    _, w = snf(h)
     return w[:len(h)]
 
 

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from math import gcd
 
 from .linalg import lex_positive
-from .polytope import Polygon, PolytopeError
+from .polytope import Polygon, PolytopeError, face_length
 
 
 @dataclass(frozen=True, order=True)
@@ -60,16 +59,7 @@ class Summand:
     def face_length(self, functional) -> int:
         """Lattice length of the face minimizing the functional (0 at a
         vertex)."""
-        if self.kind == "point":
-            return 0
-        pts = self.polygon_vertices()
-        vals = [functional[0] * p[0] + functional[1] * p[1] for p in pts]
-        lo = min(vals)
-        face = [p for p, val in zip(pts, vals) if val == lo]
-        if len(face) == 1:
-            return 0
-        (x1, y1), (x2, y2) = min(face), max(face)
-        return gcd(abs(x2 - x1), abs(y2 - y1))
+        return face_length(self.polygon_vertices(), functional)
 
 
 def segment(v) -> Summand:

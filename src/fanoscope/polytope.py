@@ -8,12 +8,12 @@ canonical counterclockwise vertex order.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from math import gcd, prod
+from math import gcd
 from operator import add, mul, sub
 
-from .linalg import (clear_denominators, lex_positive, primitive, saturate,
-                     snf)
+from .linalg import clear_denominators, lex_positive, primitive, saturate
 
 Vec = tuple
 
@@ -62,6 +62,15 @@ def lattice_length(a, b) -> int:
     if not is_integral(d):
         raise PolytopeError("lattice length of a non-integral segment")
     return gcd(*map(int, d))
+
+
+def face_length(points, n) -> int:
+    """Lattice length of the face of conv(points) that minimizes <., n>;
+    0 at a vertex."""
+    vals = [dot(n, p) for p in points]
+    lo = min(vals)
+    face = [p for p, v in zip(points, vals) if v == lo]
+    return lattice_length(min(face), max(face))
 
 
 # ---------------------------------------------------------------------------
@@ -486,14 +495,21 @@ class LatticePolytope:
         poly, basis, base = embed_polygon(pts)
         return poly, basis, base
 
-    def boundary_area(self) -> int:
-        """Normalized area of the boundary: sum of facet areas in their own
-        lattices."""
+    def boundary_area(self):
+        """Normalized area of the boundary: the sum of the facet areas, each
+        in its own lattice.
+
+        Over a facet cycle, sum v_i x v_(i+1) is twice the vector area, and
+        the facet's lattice has covolume |n| for the primitive normal n, so
+        the facet's normalized area is <sum v_i x v_(i+1), n> / <n, n>.
+        Exact on rational vertices too; an int when the total is integral.
+        """
         total = 0
         for f in self.facets:
-            poly, _, _ = self.facet_polygon(f)
-            total += int(poly.two_area())
-        return total
+            vs = [self.vertices[i] for i in f.cycle]
+            s = reduce(vadd, map(cross, vs, vs[1:] + vs[:1]))
+            total += _quotient(abs(dot(s, f.normal)), dot(f.normal, f.normal))
+        return _clean((total,))[0]
 
     def edge_length(self, edge: Edge) -> int:
         a, b = (self.vertices[i] for i in sorted(edge.vertex_ids))
@@ -627,14 +643,20 @@ def gorenstein_index(face_vertices) -> int:
 
 
 def _lattice_index(rows):
-    """(rank, [saturation : lattice]) of the lattice spanned by integer rows:
-    the number and the product of their nonzero invariant factors."""
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return 0, 1
-    s, _, _ = snf(rows)
-    factors = [s[i][i] for i in range(min(len(s), len(s[0]))) if s[i][i]]
-    return len(factors), prod(factors)
+    """(rank, [saturation : lattice]) of the lattice spanned by integer rows
+    in 2- or 3-space (rows in 2-space padded with z = 0): the rank and the
+    gcd of the nonzero maximal minors, which is the product of the nonzero
+    invariant factors.  The minors are the triple products, then the
+    components of the pairwise cross products, then the entries."""
+    rows = [tuple(r) + (0,) * (3 - len(r)) for r in rows if any(r)]
+    g = gcd(*(dot(a, cross(b, c)) for a, b, c in combinations(rows, 3)))
+    if g:
+        return 3, g
+    g = gcd(*(x for a, b in combinations(rows, 2) for x in cross(a, b)))
+    if g:
+        return 2, g
+    g = gcd(*(x for r in rows for x in r))
+    return (1, g) if g else (0, 1)
 
 
 def identity24(p: LatticePolytope) -> int:

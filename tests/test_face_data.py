@@ -5,24 +5,27 @@ duals."""
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import mat_vec, random_unimodular3
+from test_linalg import ref_snf
 from fanoscope.degeneration import (DegenerationError, _coords_in,
                                     method1_data, normal_fan_data,
                                     ray_lattice)
 from fanoscope.fileio import bundled_polytopes
-from fanoscope.invariants import InvariantError, _cell_class_data, fano_index
+from fanoscope.invariants import (InvariantError, _cell_class_data, degree,
+                                  fano_index)
 from fanoscope.linalg import (LinalgError, clear_denominators, kernel_basis,
                               lex_positive, primitive, saturate, solve_in_span)
-from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                _clean, _facet_cycle, _frac, _hull3d_facets,
-                                cross, dot, gorenstein_index, is_integral,
-                                plane_coords, plane_normal, vsub)
+from fanoscope.polytope import (Facet, LatticePolytope, Polygon,
+                                PolytopeError, _clean, _facet_cycle, _frac,
+                                _hull3d_facets, _lattice_index, cross, dot,
+                                gorenstein_index, is_integral, plane_coords,
+                                plane_normal, vsub)
 
 NAMES = sorted(k for k in bundled_polytopes() if k != "polygons")
 
@@ -415,3 +418,165 @@ def test_fano_index_matches_kernel_route(seed):
             verts = [tuple(mat_vec(m, list(v))) for v in verts]
         data = build(LatticePolytope(verts))
         assert fano_index(data, known_b2=1) == ref_fano_index(data)
+
+
+# ---------------------------------------------------------------------------
+# lattice indices, cell class divisibility, boundary areas and degrees from
+# integer minors, against the Smith, embedding and dilation routes
+
+
+def ref_lattice_index(rows):
+    """The SNF route: the number and the product of the nonzero invariant
+    factors of the rows."""
+    rows = [list(r) for r in rows if any(r)]
+    if not rows:
+        return 0, 1
+    s, _, _ = ref_snf(rows)
+    factors = [s[i][i] for i in range(min(len(s), len(s[0]))) if s[i][i]]
+    return len(factors), prod(factors)
+
+
+@st.composite
+def rows_of_low_rank(draw):
+    """1-6 integer rows with 2 or 3 columns, each a small combination of 1-3
+    drawn generators, so ranks below the column count are common."""
+    ncols = draw(st.integers(2, 3))
+    entry = st.integers(-6, 6)
+    gens = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=1, max_size=3))
+    out = []
+    for _ in range(draw(st.integers(1, 6))):
+        coeffs = [draw(st.integers(-3, 3)) for _ in gens]
+        out.append([sum(c * g[j] for c, g in zip(coeffs, gens))
+                    for j in range(ncols)])
+    return out
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(rows_of_low_rank())
+def test_lattice_index_matches_smith_route(rows):
+    assert _lattice_index(rows) == ref_lattice_index(rows)
+
+
+def ref_cell_class_data(dual, facet):
+    """The SNF-V route: the gcd of the free coordinates of the first row of
+    V, with a Fraction centroid for the sign of each edge functional."""
+    rays = [facet.normal]
+    cyc = list(facet.cycle)
+    k = len(cyc)
+    interior = [Fraction(sum(dual.vertices[i][j] for i in cyc), k)
+                for j in range(3)]
+    for t in range(k):
+        a = dual.vertices[cyc[t]]
+        b = dual.vertices[cyc[(t + 1) % k]]
+        m = primitive(cross(a, b))
+        if dot(m, interior) < 0:
+            m = tuple(-x for x in m)
+        rays.append(m)
+    nrays = len(rays)
+    relations = [[rays[j][i] for j in range(nrays)] for i in range(3)]
+    s, _, v = ref_snf(relations)
+    r = sum(1 for i in range(min(len(s), nrays)) if s[i][i] != 0)
+    # class of the base divisor = image of the first basis vector; free
+    # coordinates live past the first r slots of x * V
+    y = v[0]
+    free = y[r:]
+    g = 0
+    for x in free:
+        g = gcd(g, abs(x))
+    if g == 0:
+        raise InvariantError("base divisor class is torsion in a cell")
+    return g
+
+
+def bundled_image(name, seed):
+    """A bundled polytope, or with a seed its image under one seeded GL(3,Z)
+    map."""
+    verts = bundled_polytopes()[name]["vertices"]
+    if seed is not None:
+        m = random_unimodular3(random.Random(seed))
+        verts = [tuple(mat_vec(m, list(v))) for v in verts]
+    return LatticePolytope(verts)
+
+
+SEEDS = settings(max_examples=12, deadline=None, derandomize=True,
+                 database=None)
+
+
+@SEEDS
+@given(st.one_of(st.none(), st.integers(0, 2 ** 32)))
+def test_cell_class_data_matches_smith_route(seed):
+    for name in NAMES:
+        dual = bundled_image(name, seed).polar_dual()
+        for f in dual.facets:
+            assert outcome(_cell_class_data, dual, f) == \
+                outcome(ref_cell_class_data, dual, f)
+
+
+def test_cell_class_data_raises_on_a_torsion_class():
+    # a "facet" cut down to one edge: its two edge functionals are m and -m
+    dual = bundled_image("p3", None).polar_dual()
+    f = dual.facets[0]
+    edge = Facet(f.normal, f.level, f.vertex_ids, f.cycle[:2])
+    with pytest.raises(InvariantError, match="torsion"):
+        _cell_class_data(dual, edge)
+    assert outcome(ref_cell_class_data, dual, edge) == \
+        "InvariantError: base divisor class is torsion in a cell"
+
+
+def ref_boundary_area(p):
+    """The embedding route: each facet as a Polygon in its saturated plane
+    lattice, its area truncated with int()."""
+    total = 0
+    for f in p.facets:
+        poly, _, _ = p.facet_polygon(f)
+        total += int(poly.two_area())
+    return total
+
+
+@FACE
+@given(st.one_of(polytopes(),
+                 st.lists(VECTORS, min_size=4, max_size=10)))
+def test_boundary_area_matches_embedding_route(p):
+    if not isinstance(p, LatticePolytope):  # a hull of drawn lattice points
+        try:
+            p = LatticePolytope(p)
+        except PolytopeError:
+            assume(False)
+    assume(p.is_integral)
+    assert p.boundary_area() == ref_boundary_area(p)
+
+
+def test_boundary_area_of_a_rational_polytope_is_exact():
+    # v2's polar dual has a vertex at -(1, 1, 1)/3; int() on each facet
+    # area gave 1
+    assert bundled_image("v2", None).polar_dual().boundary_area() == 2
+
+
+def ref_degree(p):
+    """The dilation route for non-reflexive P: clear the denominators of P*,
+    build the dilated hull, divide its boundary area by k^2."""
+    if not p.is_fano():
+        raise InvariantError("degree needs a Fano polytope")
+    dual = p.polar_dual()
+    if p.is_reflexive():
+        total, _, _ = dual.point_counts()
+        deg = 2 * total - 6
+        if deg != ref_boundary_area(dual):
+            raise InvariantError("degree cross-check failed")
+        return deg
+    rows, k = clear_denominators(dual.vertices)
+    scaled = LatticePolytope(rows)
+    area = ref_boundary_area(scaled)
+    if area % (k * k):
+        raise InvariantError("dilated boundary area is not divisible by k^2")
+    return area // (k * k)
+
+
+@SEEDS
+@given(st.one_of(st.none(), st.integers(0, 2 ** 32)))
+def test_degree_matches_dilation_route(seed):
+    for name in NAMES:
+        p = bundled_image(name, seed)
+        assert degree(p) == ref_degree(p)
+    assert not bundled_image("v2", seed).is_reflexive()
