@@ -11,13 +11,13 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import det, primitive, saturate
+from .linalg import clear_denominators, det, primitive, saturate
 from .minkowski import (Summand, enumerate_smooth_decompositions,
                         minkowski_sum, segment, triangle)
 from .polytope import (LatticePolytope, Polygon, PolytopeError, cross, dot,
-                       face_length, gorenstein_index, is_integral,
-                       lattice_length, pick_area, plane_basis, plane_coords,
-                       plane_normal, vadd, vsub, _clean, _frac)
+                       gorenstein_index, is_integral, lattice_length,
+                       pick_area, plane_basis, plane_coords, plane_normal,
+                       vadd, vsub, _clean, _quotient)
 
 
 class DegenerationError(ValueError):
@@ -41,28 +41,31 @@ class EmptyLinearSystem(DegenerationError):
 
 
 class Sections:
-    """Solution set {m : <m, n_i> >= -a_i}; a polygon, segment or point."""
+    """Solution set {m : <m, n_i> >= -a_i}; a polygon, segment or point.
 
-    def __init__(self, points):
+    support[i][j] is <n_i, v_j> for the given normals and the j-th of
+    `vertices()`, computed once for every check and span that reads it.
+    """
+
+    def __init__(self, points, normals=()):
         pts = sorted(set(points))
         self.points = tuple(pts)
+        self.polygon = None
+        self.dim = 1 if len(pts) >= 2 else 0
         if len(pts) >= 3:
             try:
                 self.polygon = Polygon(pts)
                 self.dim = 2
-                return
             except PolytopeError:
                 pass
-        self.polygon = None
-        self.dim = 1 if len(pts) >= 2 else 0
+        verts = self.vertices()
+        self.support = tuple(tuple(n0 * x + n1 * y for x, y in verts)
+                             for n0, n1 in normals)
 
     def vertices(self):
         if self.dim == 2:
             return self.polygon.vertices
         return self.points
-
-    def support_min(self, n):
-        return min(dot(n, p) for p in self.vertices())
 
     def two_area(self) -> int:
         if self.dim < 2:
@@ -109,17 +112,17 @@ def polygon_of_sections(normals, coeffs) -> Sections:
                            y // den if y % den == 0 else Fraction(y, den)))
     if not cands:
         raise EmptyLinearSystem("empty linear system")
-    sec = Sections(cands)
-    for n, q in zip(normals, coeffs):
-        if sec.support_min(n) != -q:
+    sec = Sections(cands, normals)
+    for n, q, vals in zip(normals, coeffs, sec.support):
+        if min(vals) != -q:
             raise NotNef(f"divisor not nef: slack on edge with normal {n}")
     # Cartier / basepoint-free: the joint minimum on each vertex cone of the
     # slab polygon must be attained at a lattice point.
+    verts = sec.vertices()
     for i in range(k):
         j = (i + 1) % k
-        tight = [p for p in sec.vertices()
-                 if dot(normals[i], p) == -coeffs[i]
-                 and dot(normals[j], p) == -coeffs[j]]
+        tight = [p for p, x, y in zip(verts, sec.support[i], sec.support[j])
+                 if x == -coeffs[i] and y == -coeffs[j]]
         if not tight:
             raise NotNef("divisor not nef: support function breaks on a "
                          "vertex cone")
@@ -152,7 +155,11 @@ class Slab:
         normals = [n for n, _ in self.polygon.edge_normals()]
         self.sections = polygon_of_sections(normals, list(self.coeffs))
         verts = self.sections.vertices()
-        self.spans = tuple(face_length(verts, n) for n in normals)
+        # the face of the sections on edge i is where <n_i, .> = -a_i, its
+        # minimum (polygon_of_sections checked that)
+        faces = ([v for v, x in zip(verts, vals) if x == -q]
+                 for vals, q in zip(self.sections.support, self.coeffs))
+        self.spans = tuple(lattice_length(min(f), max(f)) for f in faces)
         self.two_area, b_conv, i_conv = self.sections.counts()
         span_sum = sum(self.spans)
         if self.sections.dim == 2 and span_sum != b_conv:
@@ -292,14 +299,15 @@ def _coords_in(basis, points):
 
 def _two_cone(dirv, w):
     """The 2-cone spanned by the line through dirv and the ray through w:
-    (plane basis, primitive annihilator of the plane, primitive functional
-    on plane coordinates that vanishes on the line and is >= 0 on w)."""
+    (plane basis, primitive annihilator nu of the plane, a functional
+    `half` that vanishes on the line and is > 0 on w).  The cone is where
+    <nu, .> = 0 and <half, .> >= 0."""
     basis = plane_basis([dirv, w])
-    dir2, w2 = _coords_in(basis, [dirv, w])
-    side = primitive((-dir2[1], dir2[0]))
-    if dot(side, w2) < 0:
-        side = tuple(-x for x in side)
-    return basis, plane_normal(dirv, w), side
+    nu = plane_normal(dirv, w)
+    half = cross(nu, dirv)
+    if dot(half, w) < 0:
+        half = tuple(-x for x in half)
+    return basis, nu, half
 
 
 def ray_lattice(dir3):
@@ -536,6 +544,10 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
 
     edge_rule: {"meets": point, "value": a} entries; an edge of the polar
     polytope lying in a 2-cone gets the value when it contains the point.
+
+    The geometry runs on the polar polytope's vertices times their common
+    denominator (`rows`), so every test is on integers and a coordinate
+    becomes a `Fraction` only where it is not integral.
     """
     if not p.is_fano():
         raise DegenerationError("P is not a Fano polytope")
@@ -544,34 +556,37 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     dirv = fan.direction
     w_basis = ray_lattice(dirv)
     rules = [(_clean(rule["meets"]), int(rule["value"])) for rule in edge_rule]
-    edge_values = {}  # a_E: the value of the first rule whose point is on E
-    for i, e in enumerate(dual.edges):
-        ea, eb = (dual.vertices[j] for j in sorted(e.vertex_ids))
-        edge_values[i] = next((value for meets, value in rules
-                               if _on_segment(meets, ea, eb)), 0)
+    for meets, _ in rules:
+        if len(meets) != 3:
+            raise DegenerationError(f"edge rule point {meets} is not a point "
+                                    "of 3-space")
+    edge_values = _rule_values(dual, rules)
 
-    # the spine: P^dual intersected with the minimal line
-    t_hi = _exit_parameter(dual, dirv)
-    t_lo = _exit_parameter(dual, tuple(-x for x in dirv))
+    rows, den = clear_denominators(dual.vertices)
+    levels = [dot(f.normal, rows[f.cycle[0]]) for f in dual.facets]
+    # the spine: P^dual cut by the minimal line, from rho_minus to rho_plus
+    rays = (("rho_plus", dirv), ("rho_minus", tuple(-x for x in dirv)))
+    exits = [_exit_point(dual, levels, r) for _, r in rays]
+    spine = [tuple(_quotient(x * num, t_den * den) for x in r)
+             for (_, r), (num, t_den) in zip(rays, exits)]
 
     two_cones = [_two_cone(dirv, w) for w in fan.rays2d]
     slabs = []
     slab_functionals = {}
     for k, w in enumerate(fan.rays2d):
-        basis, nu, side = two_cones[k]  # side cuts out the w-halfplane
-        pts = _plane_slice(dual, nu)
-        coords = _coords_in(basis, pts)
-        clipped = _clip_halfplane(coords, side)
-        poly = Polygon(clipped)
+        basis, nu, half = two_cones[k]
+        pts, flat = _plane_slice(dual, rows, den, nu)
+        coords = _coords_in(basis, _clip_halfplane(pts, half, spine))
+        chord = set(coords[-2:])  # the spine, which the clip put last
+        poly = Polygon(coords)
         coeffs, roles = [], []
         for a, b in poly.edges():
-            a3 = _unproject(basis, a)
-            b3 = _unproject(basis, b)
-            if _along_line(a3, dirv) and _along_line(b3, dirv):
+            if {a, b} == chord:
                 coeffs.append(0)
                 roles.append(ROLE_SPINE)
                 continue
-            eidx = _containing_edge(dual, a3, b3)
+            eidx = _containing_edge(dual, flat, _unproject(basis, a),
+                                    _unproject(basis, b)) if flat else None
             coeffs.append(0 if eidx is None else edge_values[eidx])
             roles.append(ROLE_BOUNDARY)
         sname = f"S{k}"
@@ -579,16 +594,16 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
         slab_functionals[sname] = quotient_functional(w_basis, w)
 
     ray_summands = []
-    for ray_id, tpar, rdir in (("rho_plus", t_hi, dirv),
-                               ("rho_minus", t_lo, tuple(-x for x in dirv))):
-        hit = tuple(tpar * x for x in rdir)
-        tight = [f for f in dual.facets if dot(f.normal, hit) == f.level]
-        vertex_hit = None
-        for vid, v in enumerate(dual.vertices):
-            if v == hit:
-                vertex_hit = vid
+    for (ray_id, rdir), (num, t_den) in zip(rays, exits):
+        # the ray leaves through the vertex rows[i] = rdir * num / t_den ...
+        vertex_hit = next((i for i, v in enumerate(rows)
+                           if all(x * t_den == y * num
+                                  for x, y in zip(v, rdir))), None)
         if vertex_hit is None:
-            if len(tight) != 1:
+            # ... or through the one facet <n, .> = level that it meets there
+            tight = sum(1 for f, lvl in zip(dual.facets, levels)
+                        if dot(f.normal, rdir) * num == lvl * t_den)
+            if tight != 1:
                 raise DegenerationError(
                     f"{ray_id}: the ray leaves through a face of unsupported "
                     "dimension")
@@ -614,7 +629,7 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
                 ray_summands.append(RaySummand(ray_id, s.kind, hits, s))
 
     # vertices of the polar polytope in no 2-cone keep their corner
-    v_count = sum(1 for v in dual.vertices if not _along_line(v, dirv)
+    v_count = sum(1 for v in rows if not _along_line(v, dirv)
                   and _two_cone_containing(two_cones, v) is None)
 
     data = DegenerationData(
@@ -685,55 +700,73 @@ def _along_line(p, dirv) -> bool:
                for i, j in ((0, 1), (0, 2), (1, 2)))
 
 
-def _exit_parameter(poly: LatticePolytope, dirv):
-    ts = []
-    for f in poly.facets:
-        pace = dot(f.normal, dirv)
-        if pace < 0:
-            ts.append(Fraction(f.level) / pace)
-    if not ts:
+def _rule_values(poly: LatticePolytope, rules):
+    """{edge id: the value of the first (point, value) rule whose point is
+    on the edge, else 0}.  A point of poly lies on an edge exactly when it
+    lies on both facets through the edge."""
+    values = dict.fromkeys(range(len(poly.edges)), 0)
+    for meets, value in reversed(rules):  # the first rule writes last
+        gaps = [dot(f.normal, meets) - f.level for f in poly.facets]
+        if min(gaps) >= 0:
+            for i, e in enumerate(poly.edges):
+                if all(gaps[j] == 0 for j in e.facet_ids):
+                    values[i] = value
+    return values
+
+
+def _exit_point(poly: LatticePolytope, levels, r):
+    """(num, den), den > 0: the ray through r leaves poly at r * num / den,
+    in the units of `levels` (each facet's level times the common
+    denominator of the vertices)."""
+    best = None
+    for f, lvl in zip(poly.facets, levels):
+        pace = dot(f.normal, r)
+        if pace < 0 and (best is None or lvl * best[1] > best[0] * pace):
+            best = (-lvl, -pace)
+    if best is None:
         raise DegenerationError("line does not exit the polytope")
-    return min(ts)
+    return best
 
 
-def _plane_slice(poly: LatticePolytope, nu):
-    """Vertices of the section of a 3-polytope by the plane ann(nu)."""
-    pts = set()
-    for v in poly.vertices:
-        if dot(nu, v) == 0:
-            pts.add(_frac(v))
-    for e in poly.edges:
-        a, b = (poly.vertices[i] for i in sorted(e.vertex_ids))
-        ga, gb = dot(nu, a), dot(nu, b)
+def _plane_slice(poly: LatticePolytope, rows, den, nu):
+    """Vertices of the section of a 3-polytope by the plane ann(nu), and
+    the ids of the polytope's edges that lie in that plane.
+
+    rows are the polytope's vertices times den.  A vertex on the plane is
+    kept as it is; an edge [a, b] with g = <nu, .> of opposite signs at its
+    ends crosses it at (g_b a - g_a b) / (g_b - g_a), one exact quotient.
+    """
+    g = [dot(nu, v) for v in rows]
+    pts = {v for v, x in zip(poly.vertices, g) if x == 0}
+    flat = []
+    for i, e in enumerate(poly.edges):
+        ia, ib = e.vertex_ids
+        ga, gb = g[ia], g[ib]
         if ga * gb < 0:
-            t = Fraction(ga) / (ga - gb)
-            pts.add(tuple(Fraction(x) + t * (y - x) for x, y in zip(a, b)))
+            d = (gb - ga) * den
+            pts.add(tuple(_quotient(gb * x - ga * y, d)
+                          for x, y in zip(rows[ia], rows[ib])))
+        elif ga == gb == 0:
+            flat.append(i)
     if len(pts) < 3:
         raise DegenerationError("plane slice is degenerate")
-    return sorted(pts)
+    return list(pts), flat
 
 
-def _clip_halfplane(coords, side):
-    """Sutherland-Hodgman clip of a convex polygon to <., side> >= 0."""
-    poly = Polygon(coords)
-    vs = list(poly.vertices)
-    out = []
-    for i, a in enumerate(vs):
-        b = vs[(i + 1) % len(vs)]
-        da, db = dot(side, a), dot(side, b)
-        if da >= 0:
-            out.append(a)
-        if (da > 0 > db) or (da < 0 < db):
-            t = Fraction(da) / (da - db)
-            out.append(tuple(Fraction(x) + t * (y - x) for x, y in zip(a, b)))
-    if len(set(out)) < 3:
+def _clip_halfplane(points, half, chord):
+    """Points whose hull is the part of the convex polygon conv(points) on
+    <., half> >= 0, given the ends of its chord on <., half> = 0: the
+    points strictly inside the half, then the chord's two ends."""
+    out = [p for p in points if dot(half, p) > 0]
+    if not out:
         raise DegenerationError("clipped slab is degenerate")
-    return out
+    return out + list(chord)
 
 
-def _containing_edge(poly: LatticePolytope, a3, b3):
-    for i, e in enumerate(poly.edges):
-        ea, eb = (poly.vertices[j] for j in sorted(e.vertex_ids))
+def _containing_edge(poly: LatticePolytope, edge_ids, a3, b3):
+    """The first of the given edges of poly that holds both a3 and b3."""
+    for i in edge_ids:
+        ea, eb = (poly.vertices[j] for j in sorted(poly.edges[i].vertex_ids))
         if _on_segment(a3, ea, eb) and _on_segment(b3, ea, eb):
             return i
     return None
@@ -742,8 +775,8 @@ def _containing_edge(poly: LatticePolytope, a3, b3):
 def _two_cone_containing(two_cones, v):
     """Annihilator of the first of the `_two_cone` triples whose 2-cone
     holds v, or None."""
-    for basis, nu, side in two_cones:
-        if dot(nu, v) == 0 and dot(side, _coords_in(basis, [v])[0]) >= 0:
+    for _, nu, half in two_cones:
+        if dot(nu, v) == 0 and dot(half, v) >= 0:
             return nu
     return None
 

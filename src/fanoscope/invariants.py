@@ -123,7 +123,8 @@ def _cell_class_data(dual: LatticePolytope, facet):
     return rest // _lattice_index(rays)[1]
 
 
-def fano_index(data: DegenerationData, known_b2: int | None = None) -> int:
+def fano_index(data: DegenerationData, known_b2: int | None = None,
+               known_degree: int | None = None) -> int:
     """Divisibility index of the boundary class in second cohomology.
 
     One integer coordinate per maximal cell (cone over a facet of the polar
@@ -134,7 +135,8 @@ def fano_index(data: DegenerationData, known_b2: int | None = None) -> int:
     one-dimensional kernel is its line and the index is gcd(d).
     """
     if data.boundary_components is not None:
-        deg = analyze_degree(data)
+        deg = (known_degree if known_degree is not None
+               else analyze_degree(data))
         k = data.boundary_components
         if deg != k ** 3:
             raise InvariantError("cannot determine the index from boundary "
@@ -256,7 +258,7 @@ def analyze(data: DegenerationData) -> InvariantReport:
 
     idx = None
     if data.boundary_components is not None:
-        idx = fano_index(data)
+        idx = fano_index(data, known_degree=deg)
         prov["index"] = "homologous boundary components"
     elif data.kind == "normal_fan" and b2v == 1:
         idx = fano_index(data, known_b2=b2v)

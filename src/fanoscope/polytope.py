@@ -22,10 +22,6 @@ class PolytopeError(ValueError):
     pass
 
 
-def _frac(v):
-    return tuple(Fraction(x) for x in v)
-
-
 def _clean(v):
     """Exact coordinates; those with denominator 1 become ints (stable repr /
     JSON)."""

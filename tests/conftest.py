@@ -1,6 +1,7 @@
 import itertools
 import os
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume
@@ -26,6 +27,10 @@ needs_db = pytest.mark.skipif(db_path() is None,
 def database():
     from fanoscope.fileio import ingest_database
     return {i: p for i, p in ingest_database(db_path())}
+
+
+def _frac(v):
+    return tuple(Fraction(x) for x in v)
 
 
 def mat_mul(a, b):

@@ -1,8 +1,9 @@
-"""One pass of the benchmark's `sweep` and `bundled` workloads, checked by
-their own oracles (pinned decomposition counts, paper-table rows, fixture
-`expected` blocks, graph census, report hashes), so a wrong ray basis or
-decomposition list fails here and not only in the benchmark.  `table` is
-left out because it writes a CSV.
+"""One pass of each of the benchmark's workloads, checked by its own
+oracles (pinned decomposition counts, paper-table rows, fixture `expected`
+blocks, graph census, report hashes, the `table` CSV's row notes and hash),
+so a wrong ray basis, decomposition list or table row fails here and not
+only in the benchmark.  `table` writes its CSV under pytest's tmp_path, not
+where the benchmark puts it.
 
 bench/ is read only: no bytecode is written next to it, and the modules it
 puts on sys.path are removed again afterwards."""
@@ -41,3 +42,13 @@ def test_one_pass_meets_the_bench_oracles(workloads, workload, seed):
     items = workloads.build(workload, seed)
     outputs, _ = workloads.run_pass(items)
     assert workloads.audit(items, outputs) == []
+
+
+def test_table_meets_the_bench_oracle(workloads, tmp_path):
+    from fanoscope import cli
+    out_path = tmp_path / "table.csv"
+    code = cli.main(["table", "expected", "--out", str(out_path)])
+    out = {"exit": code,
+           "csv": out_path.read_text() if out_path.exists() else ""}
+    check = workloads._table_check(workloads.pinned()["table_csv_sha256"])
+    assert check(out) is None

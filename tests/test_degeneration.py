@@ -5,8 +5,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (bundled, bundled_polygon, lattice_polygons, mat_vec,
-                      random_unimodular3)
+from conftest import (_frac, bundled, bundled_polygon, lattice_polygons,
+                      mat_vec, random_unimodular3)
 from fanoscope.degeneration import (DegenerationError, EmptyLinearSystem,
                                     NotCartier, NotNef, Sections,
                                     check_compatibility,
@@ -20,7 +20,7 @@ from fanoscope.degeneration import (DegenerationError, EmptyLinearSystem,
 from fanoscope.fileio import bundled_polytopes
 from fanoscope.minkowski import enumerate_smooth_decompositions, segment
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                _frac, dot, is_integral, vsub)
+                                dot, is_integral, vsub)
 
 
 def b3_data():
@@ -117,6 +117,15 @@ def test_line_fan_needs_vertex_or_facet_exit():
     with pytest.raises(DegenerationError):
         line_fan_data(bundled("p3"), (1, 1, -1), [(1, 0, 0), (0, 1, 0),
                                                   (-1, -1, 0)], [])
+
+
+def test_line_fan_rejects_a_rule_point_off_3_space():
+    for meets in ((0, 0), (0, 0, 1, 0)):
+        with pytest.raises(DegenerationError, match="not a point of 3-space"):
+            line_fan_data(bundled("b3_cubic"), (0, 0, 1),
+                          [(1, 0, 0), (0, 1, 0), (-1, -1, 0)],
+                          [{"meets": (0, 0, 1), "value": 3},
+                           {"meets": meets, "value": 1}])
 
 
 def test_products():
@@ -232,8 +241,12 @@ def ref_polygon_of_sections(normals, coeffs):
         pts.append((int(x) if x.denominator == 1 else x,
                     int(y) if y.denominator == 1 else y))
     sec = Sections(pts)
+
+    def support_min(n):
+        return min(dot(n, p) for p in sec.vertices())
+
     for n, q in zip(normals, coeffs):
-        if sec.support_min(n) != -q:
+        if support_min(n) != -q:
             raise NotNef(f"divisor not nef: slack on edge with normal {n}")
     for i in range(k):
         j = (i + 1) % k

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import mat_vec, random_unimodular3
+from conftest import _frac, mat_vec, random_unimodular3
 from test_linalg import ref_snf
 from fanoscope.degeneration import (DegenerationError, _coords_in,
                                     method1_data, normal_fan_data,
@@ -22,7 +22,7 @@ from fanoscope.invariants import (InvariantError, _cell_class_data, degree,
 from fanoscope.linalg import (LinalgError, clear_denominators, kernel_basis,
                               lex_positive, primitive, saturate, solve_in_span)
 from fanoscope.polytope import (Facet, LatticePolytope, Polygon,
-                                PolytopeError, _clean, _facet_cycle, _frac,
+                                PolytopeError, _clean, _facet_cycle,
                                 _hull3d_facets, _lattice_index, cross, dot,
                                 gorenstein_index, is_integral, plane_coords,
                                 plane_normal, vsub)

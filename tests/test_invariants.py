@@ -1,9 +1,11 @@
 import pytest
 
 from conftest import bundled, bundled_polygon
+from fanoscope import cli, invariants
 from fanoscope.degeneration import (line_fan_data, method1_data,
                                     normal_fan_data, product_data)
-from fanoscope.fileio import data_from_fixture, load_fixture
+from fanoscope.fileio import (bundled_polytopes, data_from_fixture,
+                              list_fixtures, load_fixture)
 from fanoscope.invariants import (InvariantError, analyze, b3_from, degree,
                                   euler_number, euler_product,
                                   euler_smooth_mink, fano_index,
@@ -89,6 +91,31 @@ def test_fano_index_refuses_higher_rank():
 def test_fano_index_from_boundary_components():
     b1 = data_from_fixture(load_fixture("b1"))
     assert fano_index(b1) == 2
+
+
+def test_analyze_computes_the_degree_once(monkeypatch):
+    # fano_index reads the report's degree instead of computing it again;
+    # every bundled polytope, product polygon and fixture, each decomposition
+    table = bundled_polytopes()
+    names = (set(table) - {"polygons"} | set(table["polygons"])
+             | {f for f in list_fixtures() if "kind" in load_fixture(f)})
+    datas = [d for name in sorted(names)
+             for d in cli._resolve_data(name, "auto", table=table)]
+    assert any(d.boundary_components is not None for d in datas)
+    calls = []
+    real = invariants.degree
+
+    def counted(p):
+        calls.append(p)
+        return real(p)
+
+    monkeypatch.setattr(invariants, "degree", counted)
+    for data in datas:
+        if data.polytope is None:
+            continue
+        calls.clear()
+        analyze(data)
+        assert len(calls) == 1, data.name
 
 
 def test_analyze_p3_golden():

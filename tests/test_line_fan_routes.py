@@ -1,0 +1,431 @@
+"""The integer line-fan route against the `Fraction` route it replaced.
+
+The `ref_*` functions are the slab geometry as it was: the plane slice and
+the Sutherland-Hodgman clip in `Fraction`s, a containing-edge scan over
+every edge of the polar polytope, the `Fraction` exit parameter and its
+hit point, and slab spans from `face_length` over sections found by the
+`Fraction` candidate scan.  Every route must give the same slabs
+(polygons, coefficients, roles, sections, spans, counts), ray summands,
+edge values and vertex count, or raise the same exception with the same
+message.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (_frac, bundled, bundled_polygon, mat_vec,
+                      random_unimodular2, random_unimodular3)
+from test_degeneration import ref_polygon_of_sections
+from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
+                                    DegenerationError, NotCartier,
+                                    RaySummand,
+                                    _along_line, _containing_edge,
+                                    _coords_in, _dual_edge_length,
+                                    _on_segment, _plane_slice,
+                                    _polygon_polar, _ray_target, _rule_values,
+                                    _two_cone,
+                                    _unproject, line_fan, line_fan_data,
+                                    match_summand_slabs, product_data,
+                                    quotient_functional, ray_lattice)
+from fanoscope.fileio import (bundled_polytopes, data_from_fixture,
+                              load_fixture)
+from fanoscope.linalg import clear_denominators, primitive
+from fanoscope.minkowski import enumerate_smooth_decompositions
+from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
+                                dot, face_length, plane_basis, plane_normal,
+                                _clean)
+
+# ---------------------------------------------------------------------------
+# the Fraction route
+
+
+class RefSlab:
+    """`Slab` as it was: sections from the Fraction candidate scan, spans
+    from `face_length` on each normal."""
+
+    def __init__(self, name, polygon, coeffs, roles):
+        self.name, self.polygon = name, polygon
+        self.coeffs, self.roles = coeffs, roles
+        normals = [n for n, _ in self.polygon.edge_normals()]
+        self.sections = ref_polygon_of_sections(normals, list(self.coeffs))
+        verts = self.sections.vertices()
+        self.spans = tuple(face_length(verts, n) for n in normals)
+        self.two_area, b_conv, i_conv = self.sections.counts()
+        span_sum = sum(self.spans)
+        if self.sections.dim == 2 and span_sum != b_conv:
+            raise DegenerationError("section polygon spans do not add to its "
+                                    "boundary count")
+        self.b_count = span_sum
+        self.i_count = (self.two_area + 2 - self.b_count) // 2
+        if (self.two_area + 2 - self.b_count) % 2:
+            raise DegenerationError("odd Pick defect in slab sections")
+
+
+def ref_two_cone(dirv, w):
+    """The 2-cone spanned by the line through dirv and the ray through w:
+    (plane basis, primitive annihilator of the plane, primitive functional
+    on plane coordinates that vanishes on the line and is >= 0 on w)."""
+    basis = plane_basis([dirv, w])
+    dir2, w2 = _coords_in(basis, [dirv, w])
+    side = primitive((-dir2[1], dir2[0]))
+    if dot(side, w2) < 0:
+        side = tuple(-x for x in side)
+    return basis, plane_normal(dirv, w), side
+
+
+def ref_exit_parameter(poly: LatticePolytope, dirv):
+    ts = []
+    for f in poly.facets:
+        pace = dot(f.normal, dirv)
+        if pace < 0:
+            ts.append(Fraction(f.level) / pace)
+    if not ts:
+        raise DegenerationError("line does not exit the polytope")
+    return min(ts)
+
+
+def ref_plane_slice(poly: LatticePolytope, nu):
+    """Vertices of the section of a 3-polytope by the plane ann(nu)."""
+    pts = set()
+    for v in poly.vertices:
+        if dot(nu, v) == 0:
+            pts.add(_frac(v))
+    for e in poly.edges:
+        a, b = (poly.vertices[i] for i in sorted(e.vertex_ids))
+        ga, gb = dot(nu, a), dot(nu, b)
+        if ga * gb < 0:
+            t = Fraction(ga) / (ga - gb)
+            pts.add(tuple(Fraction(x) + t * (y - x) for x, y in zip(a, b)))
+    if len(pts) < 3:
+        raise DegenerationError("plane slice is degenerate")
+    return sorted(pts)
+
+
+def ref_clip_halfplane(coords, side):
+    """Sutherland-Hodgman clip of a convex polygon to <., side> >= 0."""
+    poly = Polygon(coords)
+    vs = list(poly.vertices)
+    out = []
+    for i, a in enumerate(vs):
+        b = vs[(i + 1) % len(vs)]
+        da, db = dot(side, a), dot(side, b)
+        if da >= 0:
+            out.append(a)
+        if (da > 0 > db) or (da < 0 < db):
+            t = Fraction(da) / (da - db)
+            out.append(tuple(Fraction(x) + t * (y - x) for x, y in zip(a, b)))
+    if len(set(out)) < 3:
+        raise DegenerationError("clipped slab is degenerate")
+    return out
+
+
+def ref_containing_edge(poly: LatticePolytope, a3, b3):
+    for i, e in enumerate(poly.edges):
+        ea, eb = (poly.vertices[j] for j in sorted(e.vertex_ids))
+        if _on_segment(a3, ea, eb) and _on_segment(b3, ea, eb):
+            return i
+    return None
+
+
+def ref_two_cone_containing(two_cones, v):
+    """Annihilator of the first of the `_two_cone` triples whose 2-cone
+    holds v, or None."""
+    for basis, nu, side in two_cones:
+        if dot(nu, v) == 0 and dot(side, _coords_in(basis, [v])[0]) >= 0:
+            return nu
+    return None
+
+
+def ref_line_fan(p: LatticePolytope, direction, rays2d, edge_rule,
+                 ray_summand_spec="auto"):
+    """`line_fan_data` as it was, up to the slabs, ray summands, edge values
+    and vertex count."""
+    if not p.is_fano():
+        raise DegenerationError("P is not a Fano polytope")
+    dual = p.polar_dual()
+    fan = line_fan(direction, rays2d)
+    dirv = fan.direction
+    w_basis = ray_lattice(dirv)
+    rules = [(_clean(rule["meets"]), int(rule["value"])) for rule in edge_rule]
+    edge_values = {}  # a_E: the value of the first rule whose point is on E
+    for i, e in enumerate(dual.edges):
+        ea, eb = (dual.vertices[j] for j in sorted(e.vertex_ids))
+        edge_values[i] = next((value for meets, value in rules
+                               if _on_segment(meets, ea, eb)), 0)
+
+    # the spine: P^dual intersected with the minimal line
+    t_hi = ref_exit_parameter(dual, dirv)
+    t_lo = ref_exit_parameter(dual, tuple(-x for x in dirv))
+
+    two_cones = [ref_two_cone(dirv, w) for w in fan.rays2d]
+    slabs = []
+    slab_functionals = {}
+    for k, w in enumerate(fan.rays2d):
+        basis, nu, side = two_cones[k]  # side cuts out the w-halfplane
+        pts = ref_plane_slice(dual, nu)
+        coords = _coords_in(basis, pts)
+        clipped = ref_clip_halfplane(coords, side)
+        poly = Polygon(clipped)
+        coeffs, roles = [], []
+        for a, b in poly.edges():
+            a3 = _unproject(basis, a)
+            b3 = _unproject(basis, b)
+            if _along_line(a3, dirv) and _along_line(b3, dirv):
+                coeffs.append(0)
+                roles.append(ROLE_SPINE)
+                continue
+            eidx = ref_containing_edge(dual, a3, b3)
+            coeffs.append(0 if eidx is None else edge_values[eidx])
+            roles.append(ROLE_BOUNDARY)
+        sname = f"S{k}"
+        slabs.append(RefSlab(sname, poly, tuple(coeffs), tuple(roles)))
+        slab_functionals[sname] = quotient_functional(w_basis, w)
+
+    ray_summands = []
+    for ray_id, tpar, rdir in (("rho_plus", t_hi, dirv),
+                               ("rho_minus", t_lo, tuple(-x for x in dirv))):
+        hit = tuple(tpar * x for x in rdir)
+        tight = [f for f in dual.facets if dot(f.normal, hit) == f.level]
+        vertex_hit = None
+        for vid, v in enumerate(dual.vertices):
+            if v == hit:
+                vertex_hit = vid
+        if vertex_hit is None:
+            if len(tight) != 1:
+                raise DegenerationError(
+                    f"{ray_id}: the ray leaves through a face of unsupported "
+                    "dimension")
+            ray_summands.append(RaySummand(ray_id, "point"))
+            continue
+        spec = ray_summand_spec
+        if isinstance(spec, dict):
+            spec = ray_summand_spec.get(ray_id, "auto")
+        if spec == "auto":
+            decos = enumerate_smooth_decompositions(
+                _ray_target(dual, vertex_hit, w_basis, ray_id))
+            if not decos:
+                raise DegenerationError("no smooth Minkowski decomposition "
+                                        f"for {ray_id}")
+            deco = decos[-1]  # prefer the triangle-rich canonical choice
+        else:
+            deco = tuple(spec)
+        for s in deco:
+            if s.kind == "point":
+                ray_summands.append(RaySummand(ray_id, "point"))
+            else:
+                hits = match_summand_slabs(s, slab_functionals)
+                ray_summands.append(RaySummand(ray_id, s.kind, hits, s))
+
+    # vertices of the polar polytope in no 2-cone keep their corner
+    v_count = sum(1 for v in dual.vertices if not _along_line(v, dirv)
+                  and ref_two_cone_containing(two_cones, v) is None)
+    return slabs, ray_summands, edge_values, v_count
+
+
+# ---------------------------------------------------------------------------
+# routes: (P, direction, rays2d, edge rule) of a line fan
+
+
+def typed(points):
+    return [tuple((x, type(x)) for x in p) for p in points]
+
+
+def summary(slabs, ray_summands, edge_values, v_count):
+    return ([(s.name, typed(s.polygon.vertices), s.coeffs, s.roles,
+              s.sections.dim, typed(s.sections.points),
+              typed(s.sections.vertices()), s.spans, s.two_area, s.b_count,
+              s.i_count) for s in slabs],
+            [(r.ray, r.kind, r.slabs, r.summand) for r in ray_summands],
+            edge_values, v_count)
+
+
+def outcome(fn, *args):
+    try:
+        return summary(*fn(*args))
+    except (DegenerationError, PolytopeError) as exc:
+        return type(exc), str(exc)
+
+
+def new_route(p, direction, rays2d, rule):
+    d = line_fan_data(p, direction, rays2d, rule)
+    return d.slabs, d.ray_summands, d.edge_values, d.vertex_count
+
+
+def product_route(q: Polygon):
+    """The line fan that `product_data` builds over the base polygon q."""
+    qdualverts = _polygon_polar(q)
+    p = LatticePolytope([(v[0], v[1], 0) for v in qdualverts]
+                        + [(0, 0, 1), (0, 0, -1)])
+    rule = [{"meets": (v[0], v[1], 0), "value": _dual_edge_length(q, v, qdualverts)}
+            for v in q.vertices]
+    return p, (0, 0, 1), [(v[0], v[1], 0) for v in q.vertices], rule
+
+
+PLANE_RAYS = [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]
+PRODUCTS = ("diamond", "hexagon", "pentagon", "triangle")
+
+
+def base_routes():
+    doc = load_fixture("b3_cubic")
+    routes = {"b3_cubic": (LatticePolytope(doc["polytope"]), doc["direction"],
+                           doc["rays2d"], doc["edge_data"])}
+    for name in PRODUCTS:
+        routes[name] = product_route(bundled_polygon(name))
+    # leaves the polar simplex through an edge: raises
+    routes["p3_edge_exit"] = (bundled("p3"), (1, 1, -1), PLANE_RAYS, [])
+    # non-reflexive P: rational vertices of the polar polytope
+    routes["b1"] = (bundled("b1"), (0, 0, 1), PLANE_RAYS, [])
+    routes["b1_not_cartier"] = (
+        bundled("b1"), (0, 0, 1), PLANE_RAYS,
+        [{"meets": (Fraction(-1, 2), Fraction(-1, 2), -1), "value": 1}])
+    routes["v2"] = (bundled("v2"), (1, 0, 0),
+                    [(0, 1, 0), (0, 0, 1), (0, -1, -1)],
+                    [{"meets": ("-1/6", "1/3", "-1/6"), "value": 1}])
+    # a ray of the quotient fan on the line: raises
+    routes["hexagon_cone_flat_ray"] = (bundled("hexagon_cone"), (1, 1, 0),
+                                       PLANE_RAYS, [])
+    # generic directions: the ray leaves through one of several facets
+    routes["octahedron_generic"] = (bundled("octahedron"), (1, 1, 2),
+                                    PLANE_RAYS,
+                                    [{"meets": (1, 1, 1), "value": 1}])
+    routes["hexagon_cone_generic"] = (
+        bundled("hexagon_cone"), (2, 1, 0),
+        [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)], [])
+    routes["v2_generic"] = (bundled("v2"), (1, 1, 2), PLANE_RAYS, [])
+    routes["b1_generic"] = (bundled("b1"), (1, 2, 0),
+                            [(1, 0, 0), (0, 0, 1), (-1, 0, -1)], [])
+    return routes
+
+
+def inverse3(m):
+    """Inverse of an integer matrix of determinant +-1, by cofactors."""
+    cof = [[m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
+            for j in range(3)] for i in range(3)]
+    det = sum(m[0][j] * cof[0][j] for j in range(3))
+    assert det in (1, -1)
+    return [[cof[j][i] * det for j in range(3)] for i in range(3)]
+
+
+def image(route, g):
+    """The route moved by g: P by g, the fan and the rule points (in the
+    space of the polar polytope) by g^-T."""
+    p, direction, rays2d, rule = route
+    gi = inverse3(g)
+    git = [[gi[j][i] for j in range(3)] for i in range(3)]
+
+    def dual_map(v):
+        return tuple(mat_vec(git, [Fraction(x) for x in v]))
+
+    return (LatticePolytope([tuple(mat_vec(g, list(v))) for v in p.vertices]),
+            dual_map(direction), [dual_map(w) for w in rays2d],
+            [{"meets": dual_map(r["meets"]), "value": r["value"]}
+             for r in rule])
+
+
+def check_route(route):
+    want = outcome(ref_line_fan, *route)
+    assert outcome(new_route, *route) == want
+    if isinstance(want[0], type):
+        return want
+    # the plane-filtered containing edge equals the full scan on every
+    # edge of every slab
+    p, direction, rays2d, _ = route
+    dual = p.polar_dual()
+    dirv = primitive(direction)
+    rows, den = clear_denominators(dual.vertices)
+    for w, slab in zip(rays2d, line_fan_data(*route).slabs):
+        basis, nu, _ = _two_cone(dirv, primitive(w))
+        _, flat = _plane_slice(dual, rows, den, nu)
+        for a, b in slab.polygon.edges():
+            a3, b3 = _unproject(basis, a), _unproject(basis, b)
+            assert _containing_edge(dual, flat, a3, b3) == \
+                ref_containing_edge(dual, a3, b3)
+    return want
+
+
+def test_bundled_line_fans_match_the_fraction_route():
+    routes = base_routes()
+    got = {name: check_route(route) for name, route in routes.items()}
+    assert got["p3_edge_exit"] == (
+        DegenerationError,
+        "rho_plus: the ray leaves through a face of unsupported dimension")
+    assert got["b1_not_cartier"] == (
+        NotCartier, "not Cartier: no integral section witness at a vertex "
+        "cone")
+    assert got["hexagon_cone_flat_ray"] == (PolytopeError,
+                                            "vectors do not span a plane")
+    for name in set(routes) - {"p3_edge_exit", "b1_not_cartier",
+                               "hexagon_cone_flat_ray"}:
+        assert not isinstance(got[name][0], type), name
+    # the fixture and product entry points build the same slabs
+    fixture = data_from_fixture(load_fixture("b3_cubic"))
+    assert summary(fixture.slabs, fixture.ray_summands, fixture.edge_values,
+                   fixture.vertex_count) == got["b3_cubic"]
+    for name in PRODUCTS:
+        d = product_data(bundled_polygon(name), name)
+        assert summary(d.slabs, d.ray_summands, d.edge_values,
+                       d.vertex_count) == got[name]
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32))
+def test_gl3_images_match_the_fraction_route(seed):
+    g = random_unimodular3(random.Random(seed))
+    for route in base_routes().values():
+        check_route(image(route, g))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32))
+def test_gl2_images_of_product_bases_match_the_fraction_route(seed):
+    h = random_unimodular2(random.Random(seed))
+    for name in PRODUCTS:
+        q = Polygon([tuple(mat_vec(h, list(v)))
+                     for v in bundled_polygon(name).vertices])
+        route = product_route(q)
+        assert not isinstance(check_route(route)[0], type)
+        d = product_data(q)
+        assert summary(d.slabs, d.ray_summands, d.edge_values,
+                       d.vertex_count) == outcome(ref_line_fan, *route)
+
+
+def ref_rule_values(dual, rules):
+    edge_values = {}  # a_E: the value of the first rule whose point is on E
+    for i, e in enumerate(dual.edges):
+        ea, eb = (dual.vertices[j] for j in sorted(e.vertex_ids))
+        edge_values[i] = next((value for meets, value in rules
+                               if _on_segment(meets, ea, eb)), 0)
+    return edge_values
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.one_of(st.none(), st.integers(0, 2 ** 32)))
+def test_rule_values_match_the_segment_scan(seed):
+    # rule points at every vertex, edge point and facet centre of each polar
+    # polytope, and just off them; values tell the rules apart, and a vertex
+    # (on several edges) comes before the edge points
+    table = bundled_polytopes()
+    for name in sorted(k for k in table if k != "polygons"):
+        verts = table[name]["vertices"]
+        if seed is not None:
+            m = random_unimodular3(random.Random(seed))
+            verts = [tuple(mat_vec(m, list(v))) for v in verts]
+        dual = LatticePolytope(verts).polar_dual()
+        vs = dual.vertices
+        pts = list(vs)
+        for e in dual.edges:
+            a, b = (vs[i] for i in sorted(e.vertex_ids))
+            pts += [tuple(Fraction(x + 2 * y, 3) for x, y in zip(a, b)),
+                    tuple(2 * y - x for x, y in zip(a, b))]
+        for f in dual.facets:
+            pts.append(tuple(Fraction(sum(c), len(f.cycle))
+                             for c in zip(*(vs[i] for i in f.cycle))))
+        pts += [tuple(x + Fraction(1, 7) for x in p) for p in pts[::3]]
+        rules = [(_clean(p), k + 1) for k, p in enumerate(pts)]
+        rng = random.Random(seed or 0)
+        for order in (rules, rules[::-1], rng.sample(rules, len(rules))):
+            assert _rule_values(dual, order) == ref_rule_values(dual, order)
