@@ -7,6 +7,7 @@ node counting is driven by the slab's polygon of sections.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
@@ -45,11 +46,16 @@ class Sections:
 
     support[i][j] is <n_i, v_j> for the given normals and the j-th of
     `vertices()`, computed once for every check and span that reads it.
+    The normals and coefficients are kept, and `graph_piece` is the memo of
+    the slab-independent part of the dual graph (built by discriminant).
     """
 
-    def __init__(self, points, normals=()):
+    def __init__(self, points, normals=(), coeffs=()):
         pts = sorted(set(points))
         self.points = tuple(pts)
+        self.normals = tuple(normals)
+        self.coeffs = tuple(coeffs)
+        self.graph_piece = None
         self.polygon = None
         self.dim = 1 if len(pts) >= 2 else 0
         if len(pts) >= 3:
@@ -112,7 +118,7 @@ def polygon_of_sections(normals, coeffs) -> Sections:
                            y // den if y % den == 0 else Fraction(y, den)))
     if not cands:
         raise EmptyLinearSystem("empty linear system")
-    sec = Sections(cands, normals)
+    sec = Sections(cands, normals, coeffs)
     for n, q, vals in zip(normals, coeffs, sec.support):
         if min(vals) != -q:
             raise NotNef(f"divisor not nef: slack on edge with normal {n}")
@@ -169,6 +175,21 @@ class Slab:
         self.i_count = (self.two_area + 2 - self.b_count) // 2
         if (self.two_area + 2 - self.b_count) % 2:
             raise DegenerationError("odd Pick defect in slab sections")
+
+    @classmethod
+    def shared(cls, built, name, polygon, coeffs, roles):
+        """A slab built once per (polygon, coeffs) key of `built`, a dict
+        that lives for one degeneration: a repeat key gets a copy of the
+        first slab with its own name and roles, which `__post_init__` does
+        not read."""
+        key = (polygon, coeffs)
+        first = built.get(key)
+        if first is None:
+            first = built[key] = cls(name, polygon, coeffs, roles)
+            return first
+        slab = copy.copy(first)
+        slab.name, slab.roles = name, roles
+        return slab
 
     @property
     def boundary_points(self) -> int:
@@ -299,15 +320,14 @@ def _coords_in(basis, points):
 
 def _two_cone(dirv, w):
     """The 2-cone spanned by the line through dirv and the ray through w:
-    (plane basis, primitive annihilator nu of the plane, a functional
-    `half` that vanishes on the line and is > 0 on w).  The cone is where
-    <nu, .> = 0 and <half, .> >= 0."""
-    basis = plane_basis([dirv, w])
+    (primitive annihilator nu of the plane, a functional `half` that
+    vanishes on the line and is > 0 on w).  The cone is where <nu, .> = 0
+    and <half, .> >= 0."""
     nu = plane_normal(dirv, w)
     half = cross(nu, dirv)
     if dot(half, w) < 0:
         half = tuple(-x for x in half)
-    return basis, nu, half
+    return nu, half
 
 
 def ray_lattice(dir3):
@@ -430,6 +450,7 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
             values[i] = edge_values.get(i, 0)
 
     slabs = []
+    built = {}  # (polygon, coeffs) -> its first slab, within this call
     for i, e in enumerate(dual.edges):
         a_id, b_id = sorted(e.vertex_ids)
         va, vb = dual.vertices[a_id], dual.vertices[b_id]
@@ -449,7 +470,8 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
             else:
                 coeffs.append(0)
                 roles.append(f"ray:{_ray_name(b_id)}")
-        slabs.append(Slab(_edge_name(i), poly, tuple(coeffs), tuple(roles)))
+        slabs.append(Slab.shared(built, _edge_name(i), poly, tuple(coeffs),
+                                 tuple(roles)))
 
     ray_summands = []
     found = {}  # target polygon -> its decompositions, within this call
@@ -570,11 +592,13 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     spine = [tuple(_quotient(x * num, t_den * den) for x in r)
              for (_, r), (num, t_den) in zip(rays, exits)]
 
+    bases = [plane_basis([dirv, w]) for w in fan.rays2d]
     two_cones = [_two_cone(dirv, w) for w in fan.rays2d]
     slabs = []
+    built = {}  # (polygon, coeffs) -> its first slab, within this call
     slab_functionals = {}
     for k, w in enumerate(fan.rays2d):
-        basis, nu, half = two_cones[k]
+        basis, (nu, half) = bases[k], two_cones[k]
         pts, flat = _plane_slice(dual, rows, den, nu)
         coords = _coords_in(basis, _clip_halfplane(pts, half, spine))
         chord = set(coords[-2:])  # the spine, which the clip put last
@@ -590,7 +614,8 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
             coeffs.append(0 if eidx is None else edge_values[eidx])
             roles.append(ROLE_BOUNDARY)
         sname = f"S{k}"
-        slabs.append(Slab(sname, poly, tuple(coeffs), tuple(roles)))
+        slabs.append(Slab.shared(built, sname, poly, tuple(coeffs),
+                                 tuple(roles)))
         slab_functionals[sname] = quotient_functional(w_basis, w)
 
     ray_summands = []
@@ -773,9 +798,9 @@ def _containing_edge(poly: LatticePolytope, edge_ids, a3, b3):
 
 
 def _two_cone_containing(two_cones, v):
-    """Annihilator of the first of the `_two_cone` triples whose 2-cone
+    """Annihilator of the first of the `_two_cone` pairs whose 2-cone
     holds v, or None."""
-    for _, nu, half in two_cones:
+    for nu, half in two_cones:
         if dot(nu, v) == 0 and dot(half, v) >= 0:
             return nu
     return None

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .degeneration import ROLE_BOUNDARY, ROLE_SPINE, DegenerationData, DegenerationError
-from .polytope import Polygon, dot, lattice_length
+from .polytope import Polygon, _quotient, dot, lattice_length
 
 
 @dataclass
@@ -106,9 +106,47 @@ class DiscriminantGraph:
         }
 
 
-def _tri_centroid(pts, t):
-    return (Fraction(sum(pts[i][0] for i in t), 3),
-            Fraction(sum(pts[i][1] for i in t), 3))
+def _graph_piece(sections):
+    """The part of a slab's dual graph that depends only on its sections,
+    built once per `Sections` and kept on it: (centroids, pairs, segments).
+
+    centroids holds one position per triangle of the maximal triangulation;
+    pairs holds the interior edges as triangle index pairs, each ordered as
+    the node names sort; segments holds (triangle index, midpoint, owner
+    edge) per unit boundary segment, the owner being the slab edge whose
+    support line holds it.  Both lists follow the sorted triangulation
+    edges.
+    """
+    if sections.graph_piece is not None:
+        return sections.graph_piece
+    tri = max_triangulation(sections.polygon)
+    pts = tri.points
+    centroids = tuple((_quotient(sum(pts[i][0] for i in t), 3),
+                       _quotient(sum(pts[i][1] for i in t), 3))
+                      for t in tri.triangles)
+    edge_tris = {}
+    for ti, t in enumerate(tri.triangles):
+        for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
+            edge_tris.setdefault((u, v) if u < v else (v, u), []).append(ti)
+    lines = [(n, -q) for n, q in zip(sections.normals, sections.coeffs)]
+    pairs, segments = [], []
+    for key, ts in sorted(edge_tris.items()):
+        if len(ts) == 2:
+            # names n<i> and n<j> of one slab sort as str(i) and str(j) do
+            i, j = ts
+            pairs.append((i, j) if str(i) < str(j) else (j, i))
+        elif len(ts) == 1:
+            a, b = (pts[i] for i in key)
+            owner_edge = next((i for i, (n, lvl) in enumerate(lines)
+                               if dot(n, a) == lvl and dot(n, b) == lvl),
+                              None)
+            if owner_edge is None:
+                raise DegenerationError("boundary segment on no support "
+                                        "line")
+            mid = (_quotient(a[0] + b[0], 2), _quotient(a[1] + b[1], 2))
+            segments.append((ts[0], mid, owner_edge))
+    sections.graph_piece = (centroids, tuple(pairs), tuple(segments))
+    return sections.graph_piece
 
 
 def dual_graph(data: DegenerationData, slab) -> tuple:
@@ -142,47 +180,22 @@ def dual_graph(data: DegenerationData, slab) -> tuple:
                 graph.edges.append((stubs[sides[0]][k], stubs[sides[1]][k]))
         return graph, stubs
 
-    tri = max_triangulation(slab.sections.polygon)
-    graph = DiscriminantGraph()
-    names = {}
-    for ti, t in enumerate(tri.triangles):
-        ident = f"{slab.name}/n{ti}"
-        names[t] = ident
-        graph.nodes.append(Node(ident, "negative", slab.name,
-                                _tri_centroid(tri.points, t)))
-    edge_tris = {}
-    for t in tri.triangles:
-        for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
-            edge_tris.setdefault((u, v) if u < v else (v, u), []).append(t)
-    edge_tris = sorted(edge_tris.items())
-    for _, ts in edge_tris:
-        if len(ts) == 2:
-            graph.edges.append(tuple(sorted((names[ts[0]], names[ts[1]]))))
-    # boundary stubs: unit segments of the section polygon boundary, mapped
-    # to the slab edge whose support line they lie on
-    normals = [n for n, _ in slab.polygon.edge_normals()]
-    stubs = {i: [] for i in range(len(normals))}
-    counter = 0
-    for key, ts in edge_tris:
-        if len(ts) != 1:
-            continue
-        t = ts[0]
-        a, b = (tri.points[i] for i in key)
-        owner_edge = None
-        for i, n in enumerate(normals):
-            lvl = -slab.coeffs[i]
-            if dot(n, a) == lvl and dot(n, b) == lvl:
-                owner_edge = i
-                break
-        if owner_edge is None:
-            raise DegenerationError("boundary segment on no support line")
-        mid = (Fraction(a[0] + b[0], 2), Fraction(a[1] + b[1], 2))
-        ident = f"{slab.name}/s{counter}"
-        counter += 1
+    centroids, pairs, segments = _graph_piece(slab.sections)
+    name = slab.name
+    names = [f"{name}/n{ti}" for ti in range(len(centroids))]
+    graph = DiscriminantGraph(
+        [Node(ident, "negative", name, pos)
+         for ident, pos in zip(names, centroids)],
+        [(names[i], names[j]) for i, j in pairs])
+    # boundary stubs: unit segments of the section polygon boundary, on the
+    # slab edge whose support line they lie on
+    stubs = {i: [] for i in range(len(slab.sections.normals))}
+    for counter, (ti, mid, owner_edge) in enumerate(segments):
+        ident = f"{name}/s{counter}"
         kind = ("boundary" if slab.roles[owner_edge] == ROLE_BOUNDARY
                 else "stub")
-        graph.nodes.append(Node(ident, kind, slab.name, mid))
-        graph.edges.append(tuple(sorted((names[t], ident))))
+        graph.nodes.append(Node(ident, kind, name, mid))
+        graph.edges.append((names[ti], ident))  # "n" sorts before "s"
         stubs[owner_edge].append(ident)
     for ids in stubs.values():
         ids.sort()

@@ -219,6 +219,7 @@ def data_from_fixture(doc: dict) -> DegenerationData:
 
 def _slab_fixture(doc, name, p):
     slabs = []
+    built = {}  # (polygon, coeffs) -> its first slab, within this fixture
     for i, spec in enumerate(doc["slabs"]):
         _require(spec, ("name", "polygon"), f"slab {i}")
         poly = Polygon(spec["polygon"])
@@ -234,7 +235,8 @@ def _slab_fixture(doc, name, p):
         roles = ["boundary"] * k
         for idx, val in spec.get("roles", {}).items():
             roles[int(idx)] = val
-        slabs.append(Slab(spec["name"], poly, tuple(coeffs), tuple(roles)))
+        slabs.append(Slab.shared(built, spec["name"], poly, tuple(coeffs),
+                                 tuple(roles)))
     summands = []
     for ray, entries in doc.get("rays", {}).items():
         for ent in entries:

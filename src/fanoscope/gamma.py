@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .degeneration import DegenerationData, DegenerationError, _edge_name
-from .linalg import nullity
-from .polytope import dot, plane_normal
+from .linalg import nullity, primitive
+from .polytope import cross, dot, plane_normal, vadd, vsub
 
 
 class GammaError(DegenerationError):
@@ -132,20 +132,28 @@ def _cyclic_variants(seq):
     return out
 
 
-def _fan_pattern(polygon):
+def _fan_pattern(cycle, normal):
     """Self-intersection sequence of the smooth complete fan normal to a
-    polygon; None when the fan is singular."""
-    rays = [n for n, _ in polygon.edge_normals()]
-    k = len(rays)
+    polygon given by its vertex cycle in 3-space and the primitive normal
+    of its plane; None when the fan is singular.
+
+    With d_i the primitive direction of edge i, the fan is smooth when each
+    d_i x d_(i+1) is +-normal (a basis of the plane's lattice), and then
+    d_(i-1) + d_(i+1) = lam d_i, with -lam the self-intersection.  The
+    sequence may come reversed, as the cycle's orientation is not fixed.
+    """
+    k = len(cycle)
+    dirs = [primitive(vsub(cycle[(i + 1) % k], cycle[i])) for i in range(k)]
+    unit = (normal, tuple(-x for x in normal))
     pattern = []
     for i in range(k):
-        a, b, c = rays[(i - 1) % k], rays[i], rays[(i + 1) % k]
-        if abs(b[0] * c[1] - b[1] * c[0]) != 1:
+        a, b, c = dirs[i - 1], dirs[i], dirs[(i + 1) % k]
+        if cross(b, c) not in unit:
             return None
-        # a + c = -(D^2) b; b is nonzero since |det(b, c)| = 1
-        idx = 0 if b[0] else 1
-        lam, rem = divmod(a[idx] + c[idx], b[idx])
-        if rem or a[0] + c[0] != lam * b[0] or a[1] + c[1] != lam * b[1]:
+        s = vadd(a, c)
+        idx = next(j for j, x in enumerate(b) if x)
+        lam, rem = divmod(s[idx], b[idx])
+        if rem or any(x != lam * y for x, y in zip(s, b)):
             return None
         pattern.append(-lam)
     return tuple(pattern)
@@ -155,8 +163,7 @@ def barT_hypothesis(data: DegenerationData):
     """Every facet of P must have normal fan among P^2, P^1xP^1, F_1, dP_7."""
     p = data.polytope
     for f in p.facets:
-        poly, _, _ = p.facet_polygon(f)
-        pat = _fan_pattern(poly)
+        pat = _fan_pattern([p.vertices[i] for i in f.cycle], f.normal)
         if pat is None:
             return False
         if not any(v in _ALLOWED_PATTERNS for v in _cyclic_variants(pat)):

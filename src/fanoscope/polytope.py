@@ -485,12 +485,6 @@ class LatticePolytope:
     def dilate(self, k):
         return LatticePolytope([tuple(k * x for x in v) for v in self.vertices])
 
-    def facet_polygon(self, facet: Facet):
-        """The facet as a Polygon in its saturated rank-2 lattice."""
-        pts = [self.vertices[i] for i in facet.cycle]
-        poly, basis, base = embed_polygon(pts)
-        return poly, basis, base
-
     def boundary_area(self):
         """Normalized area of the boundary: the sum of the facet areas, each
         in its own lattice.

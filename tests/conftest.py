@@ -8,7 +8,8 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from fanoscope.fileio import bundled_polytopes
-from fanoscope.polytope import LatticePolytope, Polygon, PolytopeError
+from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
+                                embed_polygon)
 
 
 def db_path():
@@ -42,6 +43,14 @@ def mat_mul(a, b):
 
 def mat_vec(a, v):
     return [sum(a[i][k] * v[k] for k in range(len(v))) for i in range(len(a))]
+
+
+def facet_polygon(p: LatticePolytope, facet):
+    """The facet as a Polygon in its saturated rank-2 lattice (what
+    `LatticePolytope.facet_polygon` returned)."""
+    pts = [p.vertices[i] for i in facet.cycle]
+    poly, basis, base = embed_polygon(pts)
+    return poly, basis, base
 
 
 def bundled(name) -> LatticePolytope:

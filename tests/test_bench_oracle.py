@@ -52,3 +52,33 @@ def test_table_meets_the_bench_oracle(workloads, tmp_path):
            "csv": out_path.read_text() if out_path.exists() else ""}
     check = workloads._table_check(workloads.pinned()["table_csv_sha256"])
     assert check(out) is None
+
+
+def test_bundled_passes_build_alike(workloads, monkeypatch):
+    """A second `bundled` pass builds as many slabs and triangulations as
+    the first, so nothing shared within one degeneration outlives it."""
+    from fanoscope import discriminant
+    from fanoscope.degeneration import Slab
+    counts = {"Slab": 0, "max_triangulation": 0}
+    init, triangulate = Slab.__init__, discriminant.max_triangulation
+
+    def counted_init(self, *args, **kwargs):
+        counts["Slab"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_triangulation(polygon):
+        counts["max_triangulation"] += 1
+        return triangulate(polygon)
+
+    monkeypatch.setattr(Slab, "__init__", counted_init)
+    monkeypatch.setattr(discriminant, "max_triangulation",
+                        counted_triangulation)
+    items = workloads.build("bundled", 0)
+    passes = []
+    for _ in range(2):
+        counts.update(dict.fromkeys(counts, 0))
+        outputs, _ = workloads.run_pass(items)
+        assert workloads.audit(items, outputs) == []
+        passes.append(dict(counts))
+    assert passes[0] == passes[1]
+    assert all(passes[0].values())

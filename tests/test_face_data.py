@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import _frac, mat_vec, random_unimodular3
+from conftest import _frac, facet_polygon, mat_vec, random_unimodular3
 from test_linalg import ref_snf
 from fanoscope.degeneration import (DegenerationError, _coords_in,
                                     method1_data, normal_fan_data,
@@ -529,7 +529,7 @@ def ref_boundary_area(p):
     lattice, its area truncated with int()."""
     total = 0
     for f in p.facets:
-        poly, _, _ = p.facet_polygon(f)
+        poly, _, _ = facet_polygon(p, f)
         total += int(poly.two_area())
     return total
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (NORMAL_FAN_POLYTOPES, bundled, lattice_polygons,
-                      mat_vec, normal_fan_routes, random_unimodular2,
+from conftest import (NORMAL_FAN_POLYTOPES, bundled, facet_polygon,
+                      lattice_polygons, mat_vec, normal_fan_routes, random_unimodular2,
                       random_unimodular3)
 from fanoscope.degeneration import line_fan_data, method1_data, normal_fan_data
 from fanoscope.gamma import (GammaError, _annihilators, _fan_pattern, b2,
@@ -220,7 +220,7 @@ def fan_polygons(draw):
         verts = [(0, 0), (w + a * h, 0), (w, h), (0, h)]
     elif kind == 1:
         p = bundled(draw(st.sampled_from(NORMAL_FAN_POLYTOPES + ("v2",))))
-        verts = p.facet_polygon(draw(st.sampled_from(p.facets)))[0].vertices
+        verts = facet_polygon(p, draw(st.sampled_from(p.facets)))[0].vertices
     else:
         verts = draw(lattice_polygons()).vertices
     m = random_unimodular2(random.Random(draw(st.integers(0, 2 ** 32))))
@@ -230,4 +230,5 @@ def fan_polygons(draw):
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(fan_polygons())
 def test_fan_pattern_matches_fraction_route(polygon):
-    assert _fan_pattern(polygon) == fraction_fan_pattern(polygon)
+    padded = [(x, y, 0) for x, y in polygon.vertices]
+    assert _fan_pattern(padded, (0, 0, 1)) == fraction_fan_pattern(polygon)

@@ -338,7 +338,8 @@ def check_route(route):
     dirv = primitive(direction)
     rows, den = clear_denominators(dual.vertices)
     for w, slab in zip(rays2d, line_fan_data(*route).slabs):
-        basis, nu, _ = _two_cone(dirv, primitive(w))
+        basis = plane_basis([dirv, primitive(w)])
+        nu, _ = _two_cone(dirv, primitive(w))
         _, flat = _plane_slice(dual, rows, den, nu)
         for a, b in slab.polygon.edges():
             a3, b3 = _unproject(basis, a), _unproject(basis, b)
