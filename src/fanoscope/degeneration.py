@@ -352,23 +352,44 @@ def ray_lattice(dir3):
     return [tuple(b) for b in basis]
 
 
-def facet_in_ray_coords(p_dual: LatticePolytope, vertex_id: int,
-                        w_basis) -> Polygon:
-    """Dual facet of a vertex of the polar polytope, written in W-coords and
-    translation-normalized: the lex-least point is a vertex, and it moves to
-    the origin."""
-    verts = p_dual.dual_face_vertices([vertex_id])
-    coords = _coords_in(w_basis, [vsub(v, verts[0]) for v in verts])
-    low = min(coords)
-    return Polygon([vsub(c, low) for c in coords])
+def facet_in_ray_coords(p: LatticePolytope, facet, w_basis) -> Polygon:
+    """A facet of P in the coordinates of a basis (b0, b1) of the plane
+    parallel to it, translation-normalized: the lex-least vertex moves to
+    the origin.
+
+    With c = b0 x b1, a vector d of the plane is x*b0 + y*b1 for
+    x = <d, b1 x c> / <c, c> and y = <d, c x b0> / <c, c>: two integer
+    functionals, whose differences between vertices divide exactly.  The
+    facet cycle is ccw about the inner normal n, so it is ccw in (x, y)
+    when <c, n> > 0 and is reversed otherwise; no hull is needed.
+    """
+    b0, b1 = w_basis
+    c = cross(b0, b1)
+    ex, ey = cross(b1, c), cross(c, b0)
+    norm2 = dot(c, c)
+    cycle = facet.cycle if dot(c, facet.normal) > 0 else facet.cycle[::-1]
+    raw = [(dot(ex, v), dot(ey, v)) for v in map(p.vertices.__getitem__,
+                                                  cycle)]
+    x0, y0 = min(raw)
+    return Polygon([(_quotient(x - x0, norm2), _quotient(y - y0, norm2))
+                    for x, y in raw], hull=False)
+
+
+def _dual_facet(p_dual: LatticePolytope, vertex):
+    """(P, the facet of P dual to a vertex of P*), for P the polar dual of
+    p_dual, which every P* built by `_dual_from_faces` keeps."""
+    p = p_dual.polar_dual()
+    return p, next(f for f in p.facets if f.dual == vertex)
 
 
 def _ray_target(p_dual: LatticePolytope, vertex_id: int, w_basis,
                 ray) -> Polygon:
-    """`facet_in_ray_coords` divided by the facet's Gorenstein index r;
-    raises, naming the ray, unless r divides every vertex."""
-    facet = facet_in_ray_coords(p_dual, vertex_id, w_basis)
-    r = gorenstein_index(p_dual.dual_face_vertices([vertex_id]))
+    """`facet_in_ray_coords` of the facet dual to a vertex of P*, divided
+    by the facet's Gorenstein index r; raises, naming the ray, unless r
+    divides every vertex."""
+    p, f = _dual_facet(p_dual, p_dual.vertices[vertex_id])
+    facet = facet_in_ray_coords(p, f, w_basis)
+    r = gorenstein_index([p.vertices[i] for i in f.cycle])
     if r == 1:
         return facet
     if any(x % r for v in facet.vertices for x in v):
@@ -540,16 +561,19 @@ def method1_data(p: LatticePolytope, choice=None, name="") -> DegenerationData:
 
 
 def decomposition_regimes(p: LatticePolytope):
-    """All decomposition choices per ray: list of lists of Summand tuples.
+    """All decomposition choices per ray: list of lists of Summand tuples,
+    one per vertex of P* in its order (P's facets sorted by dual vertex).
+    Read off P's facets, so P* is not built.
 
     Rays whose facets are equal in ray coordinates share one enumeration;
     each ray still gets a list of its own.
     """
-    dual = p.polar_dual()
+    if not p.origin_interior():
+        raise PolytopeError("origin is not interior")
     found = {}  # facet polygon -> its decompositions, within this call
     out = []
-    for vid, vert in enumerate(dual.vertices):
-        facet = facet_in_ray_coords(dual, vid, ray_lattice(vert))
+    for f in sorted(p.facets, key=lambda f: f.dual):
+        facet = facet_in_ray_coords(p, f, ray_lattice(f.dual))
         if facet not in found:
             found[facet] = enumerate_smooth_decompositions(facet)
         out.append(list(found[facet]))
@@ -900,10 +924,9 @@ def _sv_remainder_ok(facet: Polygon, scaled: Polygon, r: int) -> bool:
 def _d1_verdict(data, dual, ray_id, vertex, w_basis):
     summands = [s.summand for s in data.ray_summands
                 if s.ray == ray_id and s.summand is not None]
-    vid = next(i for i, v in enumerate(dual.vertices)
-               if v == vertex)
-    facet = facet_in_ray_coords(dual, vid, w_basis)
-    r = gorenstein_index(dual.dual_face_vertices([vid]))
+    p, f = _dual_facet(dual, vertex)
+    facet = facet_in_ray_coords(p, f, w_basis)
+    r = gorenstein_index([p.vertices[i] for i in f.cycle])
     total = minkowski_sum(summands) if summands else None
     if total is None or not isinstance(total, Polygon):
         return "violation: ray carries no surface summands"

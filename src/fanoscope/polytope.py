@@ -25,6 +25,9 @@ class PolytopeError(ValueError):
 def _clean(v):
     """Exact coordinates; those with denominator 1 become ints (stable repr /
     JSON)."""
+    v = tuple(v)
+    if all(type(x) is int for x in v):
+        return v
     return tuple(x if type(x) is int
                  else int(x) if Fraction(x).denominator == 1 else Fraction(x)
                  for x in v)
@@ -55,6 +58,8 @@ def cross(a, b):
 def lattice_length(a, b) -> int:
     """Number of lattice points on the integral segment [a, b] minus one."""
     d = vsub(b, a)
+    if all(type(x) is int for x in d):
+        return gcd(*d)
     if not is_integral(d):
         raise PolytopeError("lattice length of a non-integral segment")
     return gcd(*map(int, d))
@@ -650,10 +655,15 @@ def _lattice_index(rows):
 
 
 def identity24(p: LatticePolytope) -> int:
-    """Sum of l(E) * l(E*) over the edges of the polar dual."""
+    """Sum of l(E) * l(E*) over the edges E of P, read off P's face data:
+    the gcd of the difference of E's vertices times that of the dual
+    vertices of its two facets.  Both are integral on a reflexive P, and
+    P* is not built."""
     if not p.is_reflexive():
         raise PolytopeError("identity24 needs a reflexive polytope")
     total = 0
     for e in p.edges:
-        total += p.edge_length(e) * p.dual_edge_length(e)
+        a, b = (p.vertices[i] for i in e.vertex_ids)
+        f, g = (p.facets[i].dual for i in e.facet_ids)
+        total += gcd(*vsub(a, b)) * gcd(*vsub(f, g))
     return total

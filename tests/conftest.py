@@ -8,8 +8,9 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from fanoscope.fileio import bundled_polytopes
+from fanoscope.degeneration import _coords_in
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                embed_polygon)
+                                embed_polygon, vsub)
 
 
 def db_path():
@@ -51,6 +52,20 @@ def facet_polygon(p: LatticePolytope, facet):
     pts = [p.vertices[i] for i in facet.cycle]
     poly, basis, base = embed_polygon(pts)
     return poly, basis, base
+
+
+def ref_facet_in_ray_coords(p_dual: LatticePolytope, vertex_id: int,
+                            w_basis) -> Polygon:
+    """Dual facet of a vertex of the polar polytope, written in W-coords and
+    translation-normalized: the lex-least point is a vertex, and it moves to
+    the origin."""
+    # `degeneration.facet_in_ray_coords` as it was, before it read the facet
+    # cycle of P: the facet's vertices from the incidence sets of P*, mapped
+    # by `plane_coords` and hulled.
+    verts = p_dual.dual_face_vertices([vertex_id])
+    coords = _coords_in(w_basis, [vsub(v, verts[0]) for v in verts])
+    low = min(coords)
+    return Polygon([vsub(c, low) for c in coords])
 
 
 def bundled(name) -> LatticePolytope:

@@ -6,14 +6,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (_frac, bundled, bundled_polygon, lattice_polygons,
-                      mat_vec, random_unimodular3)
+                      mat_vec, random_unimodular3, ref_facet_in_ray_coords)
 from fanoscope.degeneration import (DegenerationError, EmptyLinearSystem,
                                     NotCartier, NotNef, Sections,
                                     check_compatibility,
                                     check_convexity, check_smooth_data,
                                     check_smooth_edge_data,
-                                    decomposition_regimes,
-                                    facet_in_ray_coords, line_fan_data,
+                                    decomposition_regimes, line_fan_data,
                                     method1_data, normal_fan_data,
                                     polygon_of_sections, product_data,
                                     ray_lattice, _on_segment)
@@ -288,7 +287,7 @@ def ref_decomposition_regimes(p):
     out = []
     for vid, vert in enumerate(dual.vertices):
         w_basis = ray_lattice(vert)
-        facet = facet_in_ray_coords(dual, vid, w_basis)
+        facet = ref_facet_in_ray_coords(dual, vid, w_basis)
         out.append(enumerate_smooth_decompositions(facet))
     return out
 
