@@ -12,8 +12,8 @@ from .invariants import (InvariantReport, analyze, b3_from, degree,
                          fano_index, p1c1_expected)
 from .minkowski import (Summand, enumerate_smooth_decompositions,
                         minkowski_sum)
-from .polytope import (LatticePolytope, Polygon, convex_hull,
-                       gorenstein_index, identity24, pick_area)
+from .polytope import (LatticePolytope, Polygon, gorenstein_index,
+                       identity24, pick_area)
 
 __version__ = "0.1.0"
 
@@ -22,10 +22,10 @@ __all__ = [
     "LatticePolytope", "Polygon", "Slab", "Summand", "analyze",
     "assemble_global", "b2", "b3_from", "barT_sections", "build_system",
     "check_compatibility", "check_convexity", "check_smooth_data",
-    "check_smooth_edge_data", "convex_hull", "decomposition_regimes",
-    "degree", "enumerate_smooth_decompositions", "euler_number",
-    "euler_product", "euler_smooth_mink", "fano_index", "gamma_dimension",
-    "gorenstein_index", "identity24", "line_fan_data", "max_triangulation",
-    "method1_data", "minkowski_sum", "normal_fan_data", "p1c1_expected",
-    "pick_area", "polygon_of_sections", "product_data", "render_svg",
+    "check_smooth_edge_data", "decomposition_regimes", "degree",
+    "enumerate_smooth_decompositions", "euler_number", "euler_product",
+    "euler_smooth_mink", "fano_index", "gamma_dimension", "gorenstein_index",
+    "identity24", "line_fan_data", "max_triangulation", "method1_data",
+    "minkowski_sum", "normal_fan_data", "p1c1_expected", "pick_area",
+    "polygon_of_sections", "product_data", "render_svg",
 ]

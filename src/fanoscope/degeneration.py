@@ -375,21 +375,19 @@ def facet_in_ray_coords(p: LatticePolytope, facet, w_basis) -> Polygon:
                     for x, y in raw], hull=False)
 
 
-def _dual_facet(p_dual: LatticePolytope, vertex):
-    """(P, the facet of P dual to a vertex of P*), for P the polar dual of
-    p_dual, which every P* built by `_dual_from_faces` keeps."""
-    p = p_dual.polar_dual()
-    return p, next(f for f in p.facets if f.dual == vertex)
+def _ray_facets(p: LatticePolytope):
+    """P's facets sorted by their dual vertices: P*'s vertex order, which
+    both `_dual_from_faces` and the hull give, so the facet dual to vertex
+    vid of P* is `_ray_facets(p)[vid]`."""
+    return sorted(p.facets, key=lambda f: f.dual)
 
 
-def _ray_target(p_dual: LatticePolytope, vertex_id: int, w_basis,
-                ray) -> Polygon:
-    """`facet_in_ray_coords` of the facet dual to a vertex of P*, divided
-    by the facet's Gorenstein index r; raises, naming the ray, unless r
-    divides every vertex."""
-    p, f = _dual_facet(p_dual, p_dual.vertices[vertex_id])
+def _ray_target(p: LatticePolytope, f, w_basis, ray) -> Polygon:
+    """`facet_in_ray_coords` of P's facet f divided by its Gorenstein index
+    r = -f.level (P is integral, so L = Z^3 and u is f's normal); raises,
+    naming the ray, unless r divides every vertex."""
     facet = facet_in_ray_coords(p, f, w_basis)
-    r = gorenstein_index([p.vertices[i] for i in f.cycle])
+    r = -f.level
     if r == 1:
         return facet
     if any(x % r for v in facet.vertices for x in v):
@@ -422,6 +420,15 @@ def match_summand_slabs(summand: Summand, slab_functionals: dict):
     return tuple(sorted(hits))
 
 
+def _attach(ray: str, deco, functionals) -> list:
+    """The RaySummand entries of one ray's decomposition: a point stays
+    unattached, a segment or triangle goes to the slabs that
+    `match_summand_slabs` finds among `functionals`."""
+    return [RaySummand(ray, "point") if s.kind == "point" else
+            RaySummand(ray, s.kind, match_summand_slabs(s, functionals), s)
+            for s in deco]
+
+
 # ---------------------------------------------------------------------------
 # method 1: smooth Minkowski decompositions on a normal fan
 
@@ -442,12 +449,11 @@ def _check_keys(mapping, what, part, count):
 
 
 def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
-                    name="", ray_decompositions=None) -> DegenerationData:
+                    name="") -> DegenerationData:
     """Degeneration data with the normal fan of P.
 
     edge_values: None (use l(E*)), an int (constant), or a dict keyed by the
     dual-polytope edge index.  choice: per-ray decomposition indices.
-    ray_decompositions: optional explicit {ray index: [Summand, ...]}.
     """
     if not p.is_fano():
         raise DegenerationError("P is not a Fano polytope")
@@ -496,26 +502,21 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
 
     ray_summands = []
     found = {}  # target polygon -> its decompositions, within this call
-    for vid, vert in enumerate(dual.vertices):
-        w_basis = ray_lattice(vert)
-        target = _ray_target(dual, vid, w_basis, vid)
-        if ray_decompositions and vid in ray_decompositions:
-            deco = tuple(ray_decompositions[vid])
-        else:
-            if target not in found:
-                found[target] = enumerate_smooth_decompositions(target)
-            decos = found[target]
-            if not decos:
-                raise DegenerationError(
-                    f"no smooth Minkowski decomposition for the facet dual "
-                    f"to vertex {vid}")
-            idx = 0
-            if choice is not None:
-                idx = choice[vid] if not isinstance(choice, dict) else choice.get(vid, 0)
-            if not 0 <= idx < len(decos):
-                raise DegenerationError(
-                    f"decomposition index {idx} out of range for vertex {vid}")
-            deco = decos[idx]
+    for vid, f in enumerate(_ray_facets(p)):
+        w_basis = ray_lattice(f.dual)
+        target = _ray_target(p, f, w_basis, vid)
+        if target not in found:
+            found[target] = enumerate_smooth_decompositions(target)
+        decos = found[target]
+        if not decos:
+            raise DegenerationError(
+                f"no smooth Minkowski decomposition for the facet dual "
+                f"to vertex {vid}")
+        idx = (choice.get(vid, 0) if isinstance(choice, dict)
+               else 0 if choice is None else choice[vid])
+        if not 0 <= idx < len(decos):
+            raise DegenerationError(
+                f"decomposition index {idx} out of range for vertex {vid}")
         # quotient functionals of the 2-cones at this ray
         functionals = {}
         for i, e in enumerate(dual.edges):
@@ -523,16 +524,7 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
                 other = next(x for x in e.vertex_ids if x != vid)
                 functionals[_edge_name(i)] = quotient_functional(
                     w_basis, dual.vertices[other])
-        check = minkowski_sum([s for s in deco if s.kind != "point"])
-        if isinstance(check, Polygon) and check != target:
-            raise DegenerationError("ray data does not re-sum to its facet")
-        for s in deco:
-            if s.kind == "point":
-                ray_summands.append(RaySummand(_ray_name(vid), "point"))
-                continue
-            hits = match_summand_slabs(s, functionals)
-            ray_summands.append(
-                RaySummand(_ray_name(vid), s.kind, hits, s))
+        ray_summands += _attach(_ray_name(vid), decos[idx], functionals)
 
     data = DegenerationData(
         name=name or "normal-fan data",
@@ -572,7 +564,7 @@ def decomposition_regimes(p: LatticePolytope):
         raise PolytopeError("origin is not interior")
     found = {}  # facet polygon -> its decompositions, within this call
     out = []
-    for f in sorted(p.facets, key=lambda f: f.dual):
+    for f in _ray_facets(p):
         facet = facet_in_ray_coords(p, f, ray_lattice(f.dual))
         if facet not in found:
             found[facet] = enumerate_smooth_decompositions(facet)
@@ -585,7 +577,7 @@ def decomposition_regimes(p: LatticePolytope):
 
 
 def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
-                  name="", ray_summand_spec="auto") -> DegenerationData:
+                  name="") -> DegenerationData:
     """Degeneration data whose fan has a one-dimensional minimal cone.
 
     edge_rule: {"meets": point, "value": a} entries; an edge of the polar
@@ -658,24 +650,13 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
                     "dimension")
             ray_summands.append(RaySummand(ray_id, "point"))
             continue
-        spec = ray_summand_spec
-        if isinstance(spec, dict):
-            spec = ray_summand_spec.get(ray_id, "auto")
-        if spec == "auto":
-            decos = enumerate_smooth_decompositions(
-                _ray_target(dual, vertex_hit, w_basis, ray_id))
-            if not decos:
-                raise DegenerationError("no smooth Minkowski decomposition "
-                                        f"for {ray_id}")
-            deco = decos[-1]  # prefer the triangle-rich canonical choice
-        else:
-            deco = tuple(spec)
-        for s in deco:
-            if s.kind == "point":
-                ray_summands.append(RaySummand(ray_id, "point"))
-            else:
-                hits = match_summand_slabs(s, slab_functionals)
-                ray_summands.append(RaySummand(ray_id, s.kind, hits, s))
+        decos = enumerate_smooth_decompositions(
+            _ray_target(p, _ray_facets(p)[vertex_hit], w_basis, ray_id))
+        if not decos:
+            raise DegenerationError("no smooth Minkowski decomposition "
+                                    f"for {ray_id}")
+        # prefer the triangle-rich canonical choice
+        ray_summands += _attach(ray_id, decos[-1], slab_functionals)
 
     # vertices of the polar polytope in no 2-cone keep their corner
     v_count = sum(1 for v in rows if not _along_line(v, dirv)
@@ -872,8 +853,8 @@ def check_compatibility(data: DegenerationData):
     if data.kind != "normal_fan" or data.dual is None:
         return out
     dual = data.dual
-    for vid, vert in enumerate(dual.vertices):
-        r = gorenstein_index(dual.dual_face_vertices([vid]))
+    for vid, f in enumerate(_ray_facets(data.polytope)):
+        r = -f.level
         summands = [s for s in data.ray_summands
                     if s.ray == _ray_name(vid) and s.kind != "point"]
         for i, e in enumerate(dual.edges):
@@ -921,29 +902,27 @@ def _sv_remainder_ok(facet: Polygon, scaled: Polygon, r: int) -> bool:
                              for q in extra.polygon_vertices()])
 
 
-def _d1_verdict(data, dual, ray_id, vertex, w_basis):
+def _d1_verdict(data, ray_id, f, w_basis):
     summands = [s.summand for s in data.ray_summands
                 if s.ray == ray_id and s.summand is not None]
-    p, f = _dual_facet(dual, vertex)
-    facet = facet_in_ray_coords(p, f, w_basis)
-    r = gorenstein_index([p.vertices[i] for i in f.cycle])
+    facet = facet_in_ray_coords(data.polytope, f, w_basis)
+    r = -f.level
     total = minkowski_sum(summands) if summands else None
     if total is None or not isinstance(total, Polygon):
         return "violation: ray carries no surface summands"
     scaled = Polygon([tuple(r * x for x in v) for v in total.vertices])
-    if scaled == facet:
-        return "smooth"  # S_v is a point
-    if _sv_remainder_ok(facet, scaled, r):
+    # S_v is a point, or a standard simplex
+    if scaled == facet or _sv_remainder_ok(facet, scaled, r):
         return "smooth"
     return "violation: v* != r P_L + S_v"
 
 
-def _d2_verdict(data, dual, vid, t_dir):
-    """Cayley condition at a vertex interior to a 2-cone: the dual facet is
-    two parallel segments along ann(tau) with nearly equal labels."""
-    facet_pts = dual.dual_face_vertices([vid])
-    if gorenstein_index(facet_pts) != 1:
+def _d2_verdict(data, dual, f, t_dir):
+    """Cayley condition at a vertex interior to a 2-cone: the dual facet f
+    is two parallel segments along ann(tau) with nearly equal labels."""
+    if f.level != -1:
         return "violation: cone over v* is not Gorenstein"
+    facet_pts = [data.polytope.vertices[i] for i in f.cycle]
     groups = {}
     for pt in facet_pts:
         key = tuple(pt[i] * t_dir[j] - pt[j] * t_dir[i]
@@ -993,11 +972,11 @@ def check_smooth_data(data: DegenerationData):
     if data.dual is None:
         return verdicts
     dual = data.dual
+    facets = _ray_facets(data.polytope)
     if data.kind == "normal_fan":
-        for vid, vert in enumerate(dual.vertices):
-            w_basis = ray_lattice(vert)
-            verdicts[vid] = _d1_verdict(data, dual, _ray_name(vid), vert,
-                                        w_basis)
+        for vid, f in enumerate(facets):
+            verdicts[vid] = _d1_verdict(data, _ray_name(vid), f,
+                                        ray_lattice(f.dual))
         return verdicts
     if data.kind not in ("line_fan", "product"):
         return verdicts
@@ -1007,16 +986,16 @@ def check_smooth_data(data: DegenerationData):
     dirv = fan.direction
     w_basis = ray_lattice(dirv)
     two_cones = [_two_cone(dirv, w) for w in fan.rays2d]
-    for vid, vert in enumerate(dual.vertices):
+    for vid, (vert, f) in enumerate(zip(dual.vertices, facets)):
         if _along_line(vert, dirv):
             ray_id = "rho_plus" if any(
                 a * b > 0 for a, b in zip(vert, dirv)) \
                 else "rho_minus"
-            verdicts[vid] = _d1_verdict(data, dual, ray_id, vert, w_basis)
+            verdicts[vid] = _d1_verdict(data, ray_id, f, w_basis)
             continue
         hit = _two_cone_containing(two_cones, vert)
         if hit is not None:
-            verdicts[vid] = _d2_verdict(data, dual, vid, hit)
+            verdicts[vid] = _d2_verdict(data, dual, f, hit)
         else:
             verdicts[vid] = _d3_verdict(dual, vid)
     return verdicts

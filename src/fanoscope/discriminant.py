@@ -16,9 +16,6 @@ class UnimodularTriangulation:
     points: list                      # all lattice points used
     triangles: list                   # index triples into points
 
-    def count(self):
-        return len(self.triangles)
-
 
 def max_triangulation(polygon: Polygon) -> UnimodularTriangulation:
     """Full lattice triangulation into unimodular triangles.

@@ -74,20 +74,6 @@ def _build(verts):
     return p
 
 
-def serialize_polytope(p: LatticePolytope, name="polytope", palp_id=None) -> str:
-    doc = {"name": name, "palp_id": palp_id,
-           "vertices": [list(v) for v in p.vertices]}
-    return json.dumps(doc, sort_keys=True)
-
-
-def serialize_polytope_text(p: LatticePolytope) -> str:
-    """Whitespace-matrix form, vertices in columns under a '3 k' header."""
-    cols = list(zip(*p.vertices))
-    lines = [f"3 {len(p.vertices)}"]
-    lines += [" ".join(str(x) for x in row) for row in cols]
-    return "\n".join(lines) + "\n"
-
-
 def ingest_database(path):
     """Stream (id, LatticePolytope) from the published 3D reflexive list.
 
@@ -161,6 +147,11 @@ REQUIRED_KEYS = {"normal_fan": ("polytope",),
                  "line_fan": ("polytope", "direction", "rays2d"),
                  "product": ("base_polygon",),
                  "slabs": ("slabs",)}
+# the keys some fixture kind reads, and the invariants a fixture pins
+FIXTURE_KEYS = {"kind", "name", "polytope", "edge_values", "choice",
+                "direction", "rays2d", "edge_data", "base_polygon", "slabs",
+                "rays", "vertex_count", "b2", "degree", "boundary_components",
+                "expected"}
 
 
 def _require(doc, keys, where):
@@ -188,22 +179,24 @@ def _int_keyed(doc, key):
 def data_from_fixture(doc: dict) -> DegenerationData:
     _require(doc, (), "fixture")
     kind = doc.get("kind")
+    if kind not in REQUIRED_KEYS:
+        raise ParseError(f"unknown fixture kind {kind!r}")
+    unread = set(doc) - FIXTURE_KEYS
+    if unread:
+        raise ParseError(f"fixture key {min(unread)!r} is read by no kind")
     name = doc.get("name", "fixture")
-    _require(doc, REQUIRED_KEYS.get(kind, ()), f"{kind} fixture")
+    _require(doc, REQUIRED_KEYS[kind], f"{kind} fixture")
     p = LatticePolytope(doc["polytope"]) if doc.get("polytope") else None
     if kind == "normal_fan":
         data = normal_fan_data(p, _int_keyed(doc, "edge_values"),
                                _int_keyed(doc, "choice"), name)
     elif kind == "line_fan":
         data = line_fan_data(p, doc["direction"], doc["rays2d"],
-                             doc.get("edge_data", []), name,
-                             doc.get("ray_data", "auto"))
+                             doc.get("edge_data", []), name)
     elif kind == "product":
         data = product_data(Polygon(doc["base_polygon"]), name)
-    elif kind == "slabs":
-        data = _slab_fixture(doc, name, p)
     else:
-        raise ParseError(f"unknown fixture kind {kind!r}")
+        data = _slab_fixture(doc, name, p)
     if doc.get("vertex_count") is not None:
         data.vertex_count = int(doc["vertex_count"])
     if doc.get("b2") is not None:

@@ -47,15 +47,6 @@ class Summand:
         mx, my = min(pts)
         return sorted((x - mx, y - my) for x, y in pts)
 
-    def edge_normals(self):
-        """Inner-normal rays of the summand's normal fan, primitive."""
-        if self.kind == "point":
-            return []
-        if self.kind == "segment":
-            v = self.vectors[0]
-            return [(-v[1], v[0]), (v[1], -v[0])]
-        return [(-v[1], v[0]) for v in self.vectors]
-
     def face_length(self, functional) -> int:
         """Lattice length of the face minimizing the functional (0 at a
         vertex)."""

@@ -605,16 +605,6 @@ def _edges_from_facets(facets):
     return tuple(edges)
 
 
-def convex_hull(points):
-    """Exact convex hull dispatching on the ambient rank (2 or 3)."""
-    pts = list(points)
-    if not pts:
-        raise PolytopeError("no points")
-    if len(pts[0]) == 2:
-        return Polygon(pts)
-    return LatticePolytope(pts)
-
-
 # ---------------------------------------------------------------------------
 # lattice invariants of faces
 

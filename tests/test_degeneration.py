@@ -17,7 +17,7 @@ from fanoscope.degeneration import (DegenerationError, EmptyLinearSystem,
                                     polygon_of_sections, product_data,
                                     ray_lattice, _on_segment)
 from fanoscope.fileio import bundled_polytopes
-from fanoscope.minkowski import enumerate_smooth_decompositions, segment
+from fanoscope.minkowski import enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 dot, is_integral, vsub)
 
@@ -92,15 +92,6 @@ def test_v2_normal_fan_data():
     areas = sorted(s.two_area for s in d.slabs)
     assert areas == [12, 12, 12, 36, 36, 36]
     assert check_compatibility(d) == []
-
-
-def test_bad_ray_data_is_rejected():
-    cube = bundled("cube")
-    with pytest.raises(DegenerationError):
-        # two unit segments cannot carry a full side-two square facet
-        normal_fan_data(cube, None, None, "bad",
-                        ray_decompositions={0: [segment((0, 1)),
-                                                segment((1, 0))]})
 
 
 def test_line_fan_b3():

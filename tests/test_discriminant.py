@@ -13,9 +13,10 @@ from fanoscope.polytope import Polygon, PolytopeError, pick_area, vsub
 
 def test_triangulation_counts():
     tri = Polygon([(0, 0), (1, 0), (0, 1)])
-    assert max_triangulation(tri).count() == 1
-    assert max_triangulation(tri.dilate(2)).count() == 4
-    assert max_triangulation(Polygon([(0, 0), (4, 0), (0, 1)])).count() == 4
+    assert len(max_triangulation(tri).triangles) == 1
+    assert len(max_triangulation(tri.dilate(2)).triangles) == 4
+    assert len(max_triangulation(Polygon([(0, 0), (4, 0),
+                                          (0, 1)])).triangles) == 4
 
 
 def test_triangulation_count_equals_area_random():
@@ -28,7 +29,7 @@ def test_triangulation_count_equals_area_random():
         except PolytopeError:
             continue
         tri = max_triangulation(poly)
-        assert tri.count() == pick_area(poly)
+        assert len(tri.triangles) == pick_area(poly)
         assert len(tri.points) == poly.point_counts()[0]
         done += 1
 

@@ -8,8 +8,7 @@ import pytest
 from conftest import bundled
 from fanoscope import cli
 from fanoscope.fileio import (ParseError, data_from_fixture, ingest_database,
-                              list_fixtures, load_fixture, parse_polytope,
-                              serialize_polytope, serialize_polytope_text)
+                              list_fixtures, load_fixture, parse_polytope)
 from fanoscope.polytope import LatticePolytope
 
 P3_TEXT = "3 4\n1 0 0 -1\n0 1 0 -1\n0 0 1 -1\n"
@@ -28,14 +27,12 @@ def minidb(tmp_path):
 
 
 def test_parse_json_roundtrip(tmp_path):
-    p = bundled("p3")
-    doc = serialize_polytope(p, "p3", 0)
     path = tmp_path / "p3.json"
-    path.write_text(doc)
+    path.write_text('{"name": "p3", "palp_id": 0, "vertices": '
+                    '[[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]}')
     name, palp, q = parse_polytope(str(path))
     assert (name, palp) == ("p3", 0)
-    assert q.vertices == p.vertices
-    assert serialize_polytope(q, "p3", 0) == doc
+    assert q.vertices == bundled("p3").vertices
 
 
 def test_parse_text_columns(tmp_path):
@@ -53,12 +50,15 @@ def test_parse_text_rows(tmp_path):
 
 
 def test_text_roundtrip(tmp_path):
-    for name in ("p3", "octahedron", "b3_cubic"):
-        p = bundled(name)
+    # the matrix text of each bundled polytope reads back as that polytope
+    texts = {"p3": P3_TEXT,
+             "octahedron": "3 6\n1 -1 0 0 0 0\n0 0 1 -1 0 0\n0 0 0 0 1 -1\n",
+             "b3_cubic": "3 4\n0 -1 -1 2\n0 -1 2 -1\n1 -1 -1 -1\n"}
+    for name, text in texts.items():
         path = tmp_path / f"{name}.txt"
-        path.write_text(serialize_polytope_text(p))
+        path.write_text(text)
         _, _, q = parse_polytope(str(path))
-        assert q == p
+        assert q == bundled(name)
 
 
 def test_table_manifest_with_minidb(tmp_path):
@@ -156,7 +156,8 @@ def test_cli_analyze_auto_lists_choices():
 
 def test_cli_validation_failure_exits_1(tmp_path):
     path = tmp_path / "v2.json"
-    path.write_text(serialize_polytope(bundled("v2"), "v2"))
+    path.write_text(json.dumps({"name": "v2", "vertices": [
+        list(v) for v in bundled("v2").vertices]}))
     code, _, err = run_cli("analyze", str(path))
     assert code == 1
     assert json.loads(err.strip())["error"]
@@ -212,6 +213,20 @@ def test_cli_fixture_missing_key_exits_2(tmp_path, doc, key):
     assert json.loads(lines[0]) == {
         "error": "ParseError",
         "message": f"{doc['kind']} fixture without required key {key!r}"}
+
+
+@pytest.mark.parametrize("ray_data", ["auto", {"rho_plus": []}])
+def test_cli_fixture_ray_data_exits_2(tmp_path, ray_data):
+    # line fans take each ray's summands from its facet's decompositions;
+    # the explicit `ray_data` key is refused, not read as "auto"
+    doc = dict(load_fixture("b3_cubic"), ray_data=ray_data)
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("analyze", str(path), "--fixture")
+    assert code == 2 and out == ""
+    assert one_json_line(err) == {
+        "error": "ParseError",
+        "message": "fixture key 'ray_data' is read by no kind"}
 
 
 def test_cli_verify24(tmp_path):

@@ -4,7 +4,9 @@ The `ref_*` functions are the slab geometry as it was: the plane slice and
 the Sutherland-Hodgman clip in `Fraction`s, a containing-edge scan over
 every edge of the polar polytope, the `Fraction` exit parameter and its
 hit point, and slab spans from `face_length` over sections found by the
-`Fraction` candidate scan.  Every route must give the same slabs
+`Fraction` candidate scan; `_ray_target` reaches the ray's facet by the
+hop from P* back to P that `_dual_facet` makes and reads its index with
+`gorenstein_index`.  Every route must give the same slabs
 (polygons, coefficients, roles, sections, spans, counts), ray summands,
 edge values and vertex count, or raise the same exception with the same
 message.
@@ -25,9 +27,10 @@ from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
                                     _along_line, _containing_edge,
                                     _coords_in, _dual_edge_length,
                                     _on_segment, _plane_slice,
-                                    _polygon_polar, _ray_target, _rule_values,
+                                    _polygon_polar, _rule_values,
                                     _two_cone,
-                                    _unproject, line_fan, line_fan_data,
+                                    _unproject, facet_in_ray_coords,
+                                    line_fan, line_fan_data,
                                     match_summand_slabs, product_data,
                                     quotient_functional, ray_lattice)
 from fanoscope.fileio import (bundled_polytopes, data_from_fixture,
@@ -35,8 +38,8 @@ from fanoscope.fileio import (bundled_polytopes, data_from_fixture,
 from fanoscope.linalg import clear_denominators, primitive
 from fanoscope.minkowski import enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                dot, face_length, plane_basis, plane_normal,
-                                _clean)
+                                dot, face_length, gorenstein_index,
+                                plane_basis, plane_normal, _clean)
 
 # ---------------------------------------------------------------------------
 # the Fraction route
@@ -137,6 +140,30 @@ def ref_two_cone_containing(two_cones, v):
         if dot(nu, v) == 0 and dot(side, _coords_in(basis, [v])[0]) >= 0:
             return nu
     return None
+
+
+def _dual_facet(p_dual: LatticePolytope, vertex):
+    """(P, the facet of P dual to a vertex of P*), for P the polar dual of
+    p_dual, which every P* built by `_dual_from_faces` keeps."""
+    p = p_dual.polar_dual()
+    return p, next(f for f in p.facets if f.dual == vertex)
+
+
+def _ray_target(p_dual: LatticePolytope, vertex_id: int, w_basis,
+                ray) -> Polygon:
+    """`facet_in_ray_coords` of the facet dual to a vertex of P*, divided
+    by the facet's Gorenstein index r; raises, naming the ray, unless r
+    divides every vertex."""
+    p, f = _dual_facet(p_dual, p_dual.vertices[vertex_id])
+    facet = facet_in_ray_coords(p, f, w_basis)
+    r = gorenstein_index([p.vertices[i] for i in f.cycle])
+    if r == 1:
+        return facet
+    if any(x % r for v in facet.vertices for x in v):
+        raise DegenerationError(
+            f"no smooth Minkowski decomposition: facet of ray {ray} is not "
+            f"divisible by its index {r}")
+    return Polygon([tuple(x // r for x in v) for v in facet.vertices])
 
 
 def ref_line_fan(p: LatticePolytope, direction, rays2d, edge_rule,

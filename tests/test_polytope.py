@@ -6,12 +6,12 @@ from hypothesis import given, settings
 
 from conftest import bundled, lattice_polygons, mat_vec, random_unimodular2
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                convex_hull, embed_polygon, gorenstein_index,
-                                identity24, pick_area)
+                                embed_polygon, gorenstein_index, identity24,
+                                pick_area)
 
 
 def test_hull_p3_simplex():
-    p = convex_hull([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
+    p = LatticePolytope([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
     assert len(p.vertices) == 4
     assert len(p.edges) == 6
     assert len(p.facets) == 4
@@ -19,7 +19,7 @@ def test_hull_p3_simplex():
 
 def test_hull_discards_interior():
     pts = [(x, y, z) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)]
-    p = convex_hull(pts + [(0, 0, 0)])
+    p = LatticePolytope(pts + [(0, 0, 0)])
     assert len(p.vertices) == 8
 
 
@@ -32,7 +32,7 @@ def test_hull_octahedron():
 
 def test_hull_degenerate():
     with pytest.raises(PolytopeError, match="not full-dimensional"):
-        convex_hull([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+        LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
 
 
 def test_polar_dual_p3():

@@ -1,0 +1,47 @@
+"""The package's public names: every export resolves, once, and what was
+deleted as dead API or as an unused knob stays gone."""
+
+import importlib
+import inspect
+
+import fanoscope
+from fanoscope.degeneration import line_fan_data, normal_fan_data
+
+DELETED = [("polytope", "convex_hull"),
+           ("minkowski", "Summand.edge_normals"),
+           ("discriminant", "UnimodularTriangulation.count"),
+           ("fileio", "serialize_polytope"),
+           ("fileio", "serialize_polytope_text"),
+           ("degeneration", "_dual_facet")]
+
+
+def resolves(obj, dotted):
+    for part in dotted.split("."):
+        if not hasattr(obj, part):
+            return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_export_resolves_once():
+    names = fanoscope.__all__
+    assert len(names) == len(set(names))
+    missing = [n for n in names if not hasattr(fanoscope, n)]
+    assert missing == []
+
+
+def test_deleted_names_stay_gone():
+    for module, dotted in DELETED:
+        mod = importlib.import_module(f"fanoscope.{module}")
+        assert not resolves(mod, dotted), f"{module}.{dotted}"
+        assert dotted not in fanoscope.__all__
+    # the resolver does find names that exist
+    assert resolves(importlib.import_module("fanoscope.minkowski"),
+                    "Summand.face_length")
+
+
+def test_explicit_decomposition_knobs_stay_gone():
+    assert "ray_decompositions" not in inspect.signature(
+        normal_fan_data).parameters
+    assert "ray_summand_spec" not in inspect.signature(
+        line_fan_data).parameters

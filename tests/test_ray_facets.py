@@ -1,10 +1,12 @@
 """Ray facets read off P's facet cycles, and the sweep path without P*.
 
-`facet_in_ray_coords` maps a facet cycle of P into a ray basis with two
-integer functionals; `ref_facet_in_ray_coords` (conftest) is the route it
-replaced, which intersected P*'s incidence sets, went through
-`plane_coords` and took a 2-D hull.  `decomposition_regimes` and
-`identity24` read P's face data and build no P*.
+`_ray_facets` lists P's facets in P*'s vertex order, and a facet's
+Gorenstein index is -level.  `facet_in_ray_coords` maps a facet cycle of P
+into a ray basis with two integer functionals; `ref_facet_in_ray_coords`
+(conftest) is the route it replaced, which intersected P*'s incidence
+sets, went through `plane_coords` and took a 2-D hull.
+`decomposition_regimes` and `identity24` read P's face data and build no
+P*.
 """
 
 import random
@@ -14,13 +16,13 @@ import pytest
 from conftest import (bundled, bundled_polygon, mat_vec, random_unimodular3,
                       ref_facet_in_ray_coords)
 from fanoscope import cli
-from fanoscope.degeneration import (_along_line, _dual_facet,
+from fanoscope.degeneration import (_along_line, _ray_facets,
                                     decomposition_regimes,
                                     facet_in_ray_coords, line_fan_data,
                                     product_data, ray_lattice)
 from fanoscope.fileio import bundled_polytopes
 from fanoscope.polytope import (LatticePolytope, PolytopeError, cross, dot,
-                                identity24)
+                                gorenstein_index, identity24)
 
 NAMES = sorted(k for k in bundled_polytopes() if k != "polygons")
 PRODUCTS = ("diamond", "hexagon", "pentagon", "triangle")
@@ -46,17 +48,19 @@ def same_polygon(got, want):
 
 
 def check_every_facet(p):
-    """Both routes on every facet of p, in the ray basis of its dual
-    vertex; P* is built here only for the reference route.  Returns the
-    signs of <b0 x b1, n> met, which pick the facet cycle's direction."""
+    """`_ray_facets(p)` in P*'s vertex order, and both routes on every facet
+    of p in the ray basis of its dual vertex; P* is built here only to
+    check them.  Returns the signs of <b0 x b1, n> met, which pick the
+    facet cycle's direction."""
     dual = p.polar_dual()
+    facets = _ray_facets(p)
+    assert sorted(facets, key=p.facets.index) == list(p.facets)
     signs = set()
-    for f in p.facets:
-        vid = dual.vertices.index(f.dual)
+    for vid, f in enumerate(facets):
+        assert f.dual == dual.vertices[vid]
         w_basis = ray_lattice(f.dual)
         same_polygon(facet_in_ray_coords(p, f, w_basis),
                      ref_facet_in_ray_coords(dual, vid, w_basis))
-        assert _dual_facet(dual, f.dual) == (p, f)
         signs.add(dot(cross(*w_basis), f.normal) > 0)
     return signs
 
@@ -104,7 +108,7 @@ def b3_data(m=None):
 
 
 def line_fan_rays():
-    """(P*, vertex id, ray basis) of every polar vertex on the minimal line
+    """(P, P*, vertex id, ray basis) of every polar vertex on the minimal line
     of b3_cubic's data, its seeded images and the 4 products: the facets
     that `_d1_verdict` reads.  The products have no polar vertex on their
     line."""
@@ -115,18 +119,45 @@ def line_fan_rays():
         dual, dirv = data.dual, data.notes["fan"].direction
         for vid, v in enumerate(dual.vertices):
             if _along_line(v, dirv):
-                yield dual, vid, ray_lattice(dirv)
+                yield data.polytope, dual, vid, ray_lattice(dirv)
 
 
 def test_ray_facets_match_on_line_fan_rays():
     signs = set()
-    for dual, vid, w_basis in line_fan_rays():
-        p, f = _dual_facet(dual, dual.vertices[vid])
+    for p, dual, vid, w_basis in line_fan_rays():
+        f = _ray_facets(p)[vid]
+        assert f.dual == dual.vertices[vid]
         same_polygon(facet_in_ray_coords(p, f, w_basis),
                      ref_facet_in_ray_coords(dual, vid, w_basis))
         signs.add(dot(cross(*w_basis), f.normal) > 0)
     # the ray basis is ccw about the facet's normal on some and cw on others
     assert signs == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# a facet's Gorenstein index is -level
+
+
+def integral_images(name):
+    """The bundled polytope, its seeded images of both orientations, and
+    the polar duals among them that are integral."""
+    p = bundled(name)
+    polys = [p] + [image(p, seed, flip) for seed in SEEDS
+                   for flip in (False, True)]
+    return polys + [q.polar_dual() for q in polys if q.is_reflexive()]
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_facet_gorenstein_index_is_minus_level(name):
+    # on Z^3 the primitive functional of a facet is its normal, so the
+    # index of the cone over it is the facet's lattice distance from 0
+    indices = set()
+    for q in integral_images(name):
+        for f in q.facets:
+            assert gorenstein_index([q.vertices[i] for i in f.cycle]) == \
+                -f.level
+            indices.add(-f.level)
+    assert max(indices) == {"v2": 3, "b1": 2}.get(name, 1)
 
 
 # ---------------------------------------------------------------------------
