@@ -160,7 +160,9 @@ def cmd_gamma(args):
     for d in datas:
         system = build_system(d)
         dim = gamma_dimension(d)
-        basis = kernel_basis(system.rows) if system.rows else []
+        width = system.n_alpha + system.n_aux
+        basis = kernel_basis([[row.get(j, 0) for j in range(width)]
+                              for row in system.rows])
         alphas = _reduced_basis([vec[:system.n_alpha] for vec in basis])
         out.append({
             "name": d.name,

@@ -689,7 +689,7 @@ def product_data(q: Polygon, name="") -> DegenerationData:
                         + [(0, 0, 1), (0, 0, -1)])
     rules = []
     for v in q.vertices:
-        a_v = _dual_edge_length(q, v, qdualverts)
+        a_v = _dual_edge_length(v, qdualverts)
         rules.append({"meets": (v[0], v[1], 0), "value": a_v})
     data = line_fan_data(p, (0, 0, 1), [(v[0], v[1], 0) for v in q.vertices],
                          rules, name=name or "product data")
@@ -708,7 +708,7 @@ def _polygon_polar(q: Polygon):
     return [tuple(int(x) if x.denominator == 1 else x for x in v) for v in verts]
 
 
-def _dual_edge_length(q: Polygon, v, qdualverts):
+def _dual_edge_length(v, qdualverts):
     """Length of the edge of the polar dual on which v evaluates to -1."""
     tight = [u for u in qdualverts if dot(u, v) == -1]
     if len(tight) != 2:

@@ -146,7 +146,7 @@ def _graph_piece(sections):
     return sections.graph_piece
 
 
-def dual_graph(data: DegenerationData, slab) -> tuple:
+def dual_graph(slab) -> tuple:
     """Dual-graph piece of one slab: trivalent interior vertices plus stubs
     keyed by the polygon edge they exit through.
 
@@ -210,7 +210,7 @@ def assemble_global(data: DegenerationData) -> DiscriminantGraph:
     total = DiscriminantGraph()
     slab_stubs = {}
     for slab in data.slabs:
-        piece, stubs = dual_graph(data, slab)
+        piece, stubs = dual_graph(slab)
         total.nodes.extend(piece.nodes)
         total.edges.extend(piece.edges)
         ray_pools = {}

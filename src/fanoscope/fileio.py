@@ -241,7 +241,6 @@ def _slab_fixture(doc, name, p):
     data = DegenerationData(name=name, kind="slabs", slabs=slabs,
                             ray_summands=summands, polytope=p,
                             dual=p.polar_dual() if p else None)
-    data.validate()
     return data
 
 

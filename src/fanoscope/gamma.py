@@ -21,7 +21,7 @@ class GammaError(DegenerationError):
 
 @dataclass
 class GammaSystem:
-    rows: list                 # equations over alpha_0..alpha_{k-1}, aux...
+    rows: list                 # {column: entry} over alpha_0.., aux...
     n_alpha: int
     n_aux: int                 # 3 per 2-dim summand
     triangles: int
@@ -30,7 +30,7 @@ class GammaSystem:
 
 
 def _annihilators(data: DegenerationData):
-    dual = data.polytope.polar_dual() if data.dual is None else data.dual
+    dual = data.dual
     nus = [plane_normal(*(dual.vertices[i] for i in sorted(e.vertex_ids)))
            for e in dual.edges]
     return dual, nus
@@ -48,9 +48,6 @@ def build_system(data: DegenerationData) -> GammaSystem:
     dual, nus = _annihilators(data)
     edge_index = {_edge_name(i): i for i in range(len(dual.edges))}
     n_alpha = len(dual.edges)
-    triangles = sum(rs.kind not in ("point", "segment")
-                    for rs in data.ray_summands)
-    width = n_alpha + 3 * triangles  # one auxiliary covector per triangle
     rows = []
     aux = n_alpha  # first column of the next triangle's covector
     for rs in data.ray_summands:
@@ -66,33 +63,33 @@ def build_system(data: DegenerationData) -> GammaSystem:
             else:
                 raise GammaError("segment cones are not coplanar: corrupted "
                                  "data")
-            row = [0] * width
-            row[c1] = eps
-            row[c2] = -1
-            rows.append(row)
+            rows.append({c1: eps, c2: -1})
         else:
-            for c in cones:
-                row = [0] * width
-                row[c] = -1
-                row[aux:aux + 3] = nus[c]
-                rows.append(row)
-            aux += 3
-    return GammaSystem(rows, n_alpha, 3 * triangles, triangles, nus,
+            rows.extend(_tie(c, aux, nus[c]) for c in cones)
+            aux += 3  # one auxiliary covector per triangle
+    n_aux = aux - n_alpha
+    return GammaSystem(rows, n_alpha, n_aux, n_aux // 3, nus,
                        [_edge_name(i) for i in range(n_alpha)])
+
+
+def _tie(c, aux, nu):
+    """The row -alpha_c + <m, nu> = 0 for the covector m held in columns
+    aux..aux+2."""
+    row = {c: -1}
+    for k, x in enumerate(nu):
+        if x:
+            row[aux + k] = x
+    return row
 
 
 def baseline_ok(system: GammaSystem) -> bool:
     """The 3-dimensional torus baseline alpha_sigma = <m, nu_sigma> must
     satisfy every equation (with aux = m for each triangle).  The equations
-    are linear in m, so checking the three unit vectors proves it for all m.
-    Each row is checked on its nonzero entries only."""
+    are linear in m, so checking the three unit vectors proves it for all m."""
     vecs = [[dot(m, nu) for nu in system.nu] + list(m) * system.triangles
             for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
-    for row in system.rows:
-        support = [(j, r) for j, r in enumerate(row) if r]
-        if any(sum(r * vec[j] for j, r in support) for vec in vecs):
-            return False
-    return True
+    return not any(sum(r * vec[j] for j, r in row.items())
+                   for row in system.rows for vec in vecs)
 
 
 def gamma_dimension(data: DegenerationData) -> int:
@@ -100,8 +97,7 @@ def gamma_dimension(data: DegenerationData) -> int:
     if not baseline_ok(system):
         raise GammaError("baseline missing: the torus subspace fails the "
                          "equations")
-    dim = nullity(system.rows) if system.rows else (system.n_alpha + system.n_aux)
-    out = dim - system.triangles
+    out = nullity(system.rows, system.n_alpha + system.n_aux) - system.triangles
     if out < 3:
         raise GammaError(f"dim Gamma = {out} < 3")
     return out
@@ -130,6 +126,11 @@ def _cyclic_variants(seq):
         for i in range(len(s)):
             out.add(tuple(s[i:] + s[:i]))
     return out
+
+
+# every rotation and reversal of an allowed pattern
+_ALLOWED = frozenset(v for pat in _ALLOWED_PATTERNS
+                     for v in _cyclic_variants(pat))
 
 
 def _fan_pattern(cycle, normal):
@@ -162,13 +163,8 @@ def _fan_pattern(cycle, normal):
 def barT_hypothesis(data: DegenerationData):
     """Every facet of P must have normal fan among P^2, P^1xP^1, F_1, dP_7."""
     p = data.polytope
-    for f in p.facets:
-        pat = _fan_pattern([p.vertices[i] for i in f.cycle], f.normal)
-        if pat is None:
-            return False
-        if not any(v in _ALLOWED_PATTERNS for v in _cyclic_variants(pat)):
-            return False
-    return True
+    return all(_fan_pattern([p.vertices[i] for i in f.cycle], f.normal)
+               in _ALLOWED for f in p.facets)
 
 
 def barT_sections(data: DegenerationData) -> int | None:
@@ -182,14 +178,7 @@ def barT_sections(data: DegenerationData) -> int | None:
     dual, nus = _annihilators(data)
     n_alpha = len(dual.edges)
     n_rays = len(dual.vertices)
-    width = n_alpha + 3 * n_rays
-    rows = []
-    for vid in range(n_rays):
-        for i, e in enumerate(dual.edges):
-            if vid not in e.vertex_ids:
-                continue
-            row = [0] * width
-            row[i] = -1
-            row[n_alpha + 3 * vid:n_alpha + 3 * vid + 3] = nus[i]
-            rows.append(row)
-    return nullity(rows) - n_rays
+    rows = [_tie(i, n_alpha + 3 * vid, nus[i])
+            for vid in range(n_rays)
+            for i, e in enumerate(dual.edges) if vid in e.vertex_ids]
+    return nullity(rows, n_alpha + 3 * n_rays) - n_rays

@@ -122,9 +122,9 @@ def _cell_class_data(dual: LatticePolytope, facet):
     return rest // _lattice_index(rays)[1]
 
 
-def fano_index(data: DegenerationData, known_b2: int | None = None,
-               known_degree: int | None = None) -> int:
-    """Divisibility index of the boundary class in second cohomology.
+def fano_index(data: DegenerationData, b2: int, degree: int) -> int:
+    """Divisibility index of the boundary class in second cohomology, given
+    the model's b2 and degree.
 
     One integer coordinate per maximal cell (cone over a facet of the polar
     polytope), glued along walls; returns the saturation index of the
@@ -134,30 +134,23 @@ def fano_index(data: DegenerationData, known_b2: int | None = None,
     one-dimensional kernel is its line and the index is gcd(d).
     """
     if data.boundary_components is not None:
-        deg = (known_degree if known_degree is not None
-               else analyze_degree(data))
         k = data.boundary_components
-        if deg != k ** 3:
+        if degree != k ** 3:
             raise InvariantError("cannot determine the index from boundary "
                                  "components")
         return k
     if data.kind != "normal_fan" or data.dual is None:
         raise InvariantError("not rank one: index computed only on "
                              "normal-fan data")
-    b2v = known_b2 if known_b2 is not None else gamma_b2(data)
-    if b2v != 1:
+    if b2 != 1:
         raise InvariantError("not rank one")
     dual = data.dual
     d_values = [_cell_class_data(dual, f) for f in dual.facets]
-    nf = len(dual.facets)
     rows = []
     for e in dual.edges:
         f1, f2 = sorted(e.facet_ids)
-        row = [0] * nf
-        row[f1] = d_values[f2]
-        row[f2] = -d_values[f1]
-        rows.append(row)
-    if nullity(rows) != 1:
+        rows.append({f1: d_values[f2], f2: -d_values[f1]})
+    if nullity(rows, len(dual.facets)) != 1:
         raise InvariantError("not rank one")
     return gcd(*d_values)
 
@@ -257,10 +250,10 @@ def analyze(data: DegenerationData) -> InvariantReport:
 
     idx = None
     if data.boundary_components is not None:
-        idx = fano_index(data, known_degree=deg)
+        idx = fano_index(data, b2v, deg)
         prov["index"] = "homologous boundary components"
     elif data.kind == "normal_fan" and b2v == 1:
-        idx = fano_index(data, known_b2=b2v)
+        idx = fano_index(data, b2v, deg)
         prov["index"] = "H^2 gluing kernel"
 
     return InvariantReport(

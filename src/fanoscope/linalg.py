@@ -1,7 +1,8 @@
 """Exact integer and rational linear algebra.
 
 Everything in this package runs on plain Python ints and fractions.Fraction;
-no floating point is used anywhere.  Matrices are lists of row lists.
+no floating point is used anywhere.  Matrices are lists of row lists;
+`rank` and `nullity` also take each row as {column: entry}.
 """
 
 from __future__ import annotations
@@ -204,9 +205,11 @@ def clear_denominators(rows) -> tuple[IntMatrix, int]:
 
 
 def _sparse_row(row) -> dict[int, int]:
-    """Primitive integer row on the ray through a rational row, held as
-    {column: entry} over its nonzero entries."""
-    out = {j: x for j, x in enumerate(row) if x}
+    """Primitive integer row on the ray through a rational row, given as a
+    list or as {column: entry}, held as {column: entry} over its nonzero
+    entries."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    out = {j: x for j, x in items if x}
     if any(type(x) is not int for x in out.values()):
         (ints,), _ = clear_denominators([out.values()])
         out = dict(zip(out, ints))
@@ -296,10 +299,9 @@ def kernel_basis(a) -> list[tuple[Fraction, ...]]:
     return basis
 
 
-def nullity(a) -> int:
-    if not a:
-        return 0
-    return len(a[0]) - rank(a)
+def nullity(a, ncols: int) -> int:
+    """Dimension of the null space of the rows `a` in `ncols` unknowns."""
+    return ncols - rank(a)
 
 
 def saturate(basis: list) -> list[list[int]]:

@@ -127,6 +127,11 @@ def normal_fan_routes(seed=None):
     return datas
 
 
+def densify(rows, ncols):
+    """{column: entry} rows written out as full-width lists."""
+    return [[row.get(j, 0) for j in range(ncols)] for row in rows]
+
+
 def random_unimodular2(rng: random.Random):
     from fanoscope.linalg import identity
     m = identity(2)

@@ -36,7 +36,7 @@ def test_triangulation_count_equals_area_random():
 
 def test_p3_slab_graph():
     data = method1_data(bundled("p3"))
-    piece, stubs = dual_graph(data, data.slabs[0])
+    piece, stubs = dual_graph(data.slabs[0])
     negatives = [v for v in piece.nodes if v.kind == "negative"]
     assert len(negatives) == 4
     # four boundary stubs on the far edge, one on each ray edge

@@ -417,7 +417,8 @@ def test_fano_index_matches_kernel_route(seed):
             m = random_unimodular3(random.Random(seed))
             verts = [tuple(mat_vec(m, list(v))) for v in verts]
         data = build(LatticePolytope(verts))
-        assert fano_index(data, known_b2=1) == ref_fano_index(data)
+        assert fano_index(data, 1, degree(data.polytope)) == \
+            ref_fano_index(data)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fanoscope.degeneration import (line_fan_data, method1_data,
                                     normal_fan_data, product_data)
 from fanoscope.fileio import (bundled_polytopes, data_from_fixture,
                               list_fixtures, load_fixture)
+from fanoscope.gamma import b2
 from fanoscope.invariants import (InvariantError, analyze, b3_from, degree,
                                   euler_number, euler_product,
                                   euler_smooth_mink, fano_index,
@@ -76,21 +77,28 @@ def test_p1c1():
     assert p1c1_expected(2) == -46
 
 
+def index_of(data):
+    """fano_index given the b2 and degree that `analyze` hands it."""
+    return fano_index(data, b2(data), degree(data.polytope))
+
+
 def test_fano_index_oracles():
-    assert fano_index(method1_data(bundled("p3"))) == 4
-    assert fano_index(method1_data(bundled("q3_quadric"))) == 3
-    assert fano_index(method1_data(bundled("cube"))) == 1
-    assert fano_index(normal_fan_data(bundled("v2"), 6)) == 1
+    assert index_of(method1_data(bundled("p3"))) == 4
+    assert index_of(method1_data(bundled("q3_quadric"))) == 3
+    assert index_of(method1_data(bundled("cube"))) == 1
+    assert index_of(normal_fan_data(bundled("v2"), 6)) == 1
 
 
 def test_fano_index_refuses_higher_rank():
     with pytest.raises(InvariantError, match="not rank one"):
-        fano_index(method1_data(bundled("octahedron")))
+        index_of(method1_data(bundled("octahedron")))
 
 
 def test_fano_index_from_boundary_components():
     b1 = data_from_fixture(load_fixture("b1"))
-    assert fano_index(b1) == 2
+    assert fano_index(b1, 1, 8) == 2
+    with pytest.raises(InvariantError, match="boundary components"):
+        fano_index(b1, 1, 27)
 
 
 def test_analyze_computes_the_degree_once(monkeypatch):

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import bundled
 from fanoscope import cli
+from fanoscope.degeneration import DegenerationData
 from fanoscope.fileio import (ParseError, data_from_fixture, ingest_database,
                               list_fixtures, load_fixture, parse_polytope)
 from fanoscope.polytope import LatticePolytope
@@ -304,6 +305,27 @@ def v2_fixture_with(tmp_path, **changes):
     path = tmp_path / "v2_variant.json"
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+def test_cli_slab_fixture_with_mismatched_ray_spans_exits_1(tmp_path,
+                                                         monkeypatch):
+    # P112a's two ray edges swapped: the total ray span still matches 3p,
+    # but R1 meets a span-2 edge with 4 attachments; `analyze` validates the
+    # fixture, once
+    doc = load_fixture("mm2_2")
+    doc["slabs"][1]["roles"] = {"0": "ray:R3", "2": "ray:R1"}
+    path = tmp_path / "mm2_2_swapped.json"
+    path.write_text(json.dumps(doc))
+    calls = []
+    real = DegenerationData.validate
+    monkeypatch.setattr(DegenerationData, "validate",
+                        lambda self: calls.append(self) or real(self))
+    code, out, err = run_cli("analyze", str(path), "--fixture")
+    assert code == 1 and out == ""
+    assert one_json_line(err) == {
+        "error": "DegenerationError",
+        "message": "slab P112a: edge span 2 != 4 attachments for ray:R1"}
+    assert len(calls) == 1
 
 
 def test_cli_fixture_edge_values_object_matches_int(tmp_path):

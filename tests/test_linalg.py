@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mat_mul, normal_fan_routes
+from conftest import densify, mat_mul, normal_fan_routes
 from fanoscope import gamma, linalg
 from fanoscope.linalg import (IntMatrix, LinalgError, _echelon,
                               clear_denominators, det, hnf, identity,
@@ -796,15 +796,31 @@ def test_echelon_of_empty_and_zero_matrices():
     assert kernel_basis([[0, 0]]) == dense_kernel_basis([[0, 0]])
 
 
+@EXACT
+@given(ANY_MATRIX, st.data())
+def test_rank_and_nullity_of_dict_rows_match_dense(a, data):
+    # the same rows as {column: entry}, with or without their zero entries,
+    # and in more unknowns than the rows mention; the empty row list too
+    keep_zeros = data.draw(st.booleans())
+    rows = [{j: x for j, x in enumerate(row) if x or keep_zeros} for row in a]
+    assert rank(rows) == rank(a) == dense_rank(a)
+    ncols = len(a[0]) + data.draw(st.integers(0, 3))
+    assert linalg.nullity(rows, ncols) == linalg.nullity(a, ncols) == \
+        ncols - dense_rank(a)
+    head = a[:data.draw(st.integers(0, len(a)))]
+    assert linalg.nullity(head, ncols) == ncols - dense_rank(head)
+    assert linalg.nullity([], ncols) == ncols
+
+
 @settings(max_examples=6, deadline=None, derandomize=True, database=None)
 @given(st.one_of(st.none(), st.integers(0, 2 ** 32)))
 def test_gamma_and_fast_path_nullities_match_dense(seed):
     # seed None: the bundled normal-fan routes; else their GL(3,Z) images
     systems = []
 
-    def recorded(rows):
-        systems.append(rows)
-        return linalg.nullity(rows)
+    def recorded(rows, ncols):
+        systems.append((rows, ncols))
+        return linalg.nullity(rows, ncols)
 
     datas = normal_fan_routes(seed)
     with pytest.MonkeyPatch.context() as mp:
@@ -814,5 +830,6 @@ def test_gamma_and_fast_path_nullities_match_dense(seed):
             if gamma.barT_hypothesis(data):
                 gamma.barT_sections(data)
     assert len(systems) > len(datas)
-    for rows in systems:
-        assert linalg.nullity(rows) == len(rows[0]) - dense_rank(rows)
+    for rows, ncols in systems:
+        assert linalg.nullity(rows, ncols) == \
+            ncols - dense_rank(densify(rows, ncols))

@@ -286,7 +286,7 @@ def product_route(q: Polygon):
     qdualverts = _polygon_polar(q)
     p = LatticePolytope([(v[0], v[1], 0) for v in qdualverts]
                         + [(0, 0, 1), (0, 0, -1)])
-    rule = [{"meets": (v[0], v[1], 0), "value": _dual_edge_length(q, v, qdualverts)}
+    rule = [{"meets": (v[0], v[1], 0), "value": _dual_edge_length(v, qdualverts)}
             for v in q.vertices]
     return p, (0, 0, 1), [(v[0], v[1], 0) for v in q.vertices], rule
 

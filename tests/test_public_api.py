@@ -6,6 +6,9 @@ import inspect
 
 import fanoscope
 from fanoscope.degeneration import line_fan_data, normal_fan_data
+from fanoscope.discriminant import dual_graph
+from fanoscope.invariants import fano_index
+from fanoscope.linalg import nullity
 
 DELETED = [("polytope", "convex_hull"),
            ("minkowski", "Summand.edge_normals"),
@@ -45,3 +48,15 @@ def test_explicit_decomposition_knobs_stay_gone():
         normal_fan_data).parameters
     assert "ray_summand_spec" not in inspect.signature(
         line_fan_data).parameters
+
+
+def test_unused_parameters_stay_gone():
+    # dual_graph reads the slab alone; fano_index is handed b2 and the
+    # degree; nullity is told its number of unknowns
+    assert list(inspect.signature(dual_graph).parameters) == ["slab"]
+    index_params = inspect.signature(fano_index).parameters
+    assert not {"known_b2", "known_degree"} & set(index_params)
+    assert all(p.default is inspect.Parameter.empty
+               for p in index_params.values())
+    ncols = inspect.signature(nullity).parameters["ncols"]
+    assert ncols.default is inspect.Parameter.empty

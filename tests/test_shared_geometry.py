@@ -52,7 +52,7 @@ def _tri_centroid(pts, t):
             Fraction(sum(pts[i][1] for i in t), 3))
 
 
-def ref_dual_graph(data: DegenerationData, slab) -> tuple:
+def ref_dual_graph(slab) -> tuple:
     if slab.sections.dim < 2:
         graph = DiscriminantGraph()
         # degenerate sections: a_v parallel strands from side to side
@@ -133,7 +133,7 @@ def ref_assemble_global(data: DegenerationData) -> DiscriminantGraph:
     total = DiscriminantGraph()
     slab_stubs = {}
     for slab in data.slabs:
-        piece, stubs = ref_dual_graph(data, slab)
+        piece, stubs = ref_dual_graph(slab)
         total.nodes.extend(piece.nodes)
         total.edges.extend(piece.edges)
         ray_pools = {}
@@ -324,8 +324,8 @@ def test_graph_pieces_match_the_per_slab_route(seed):
     for build in builders(seed):
         data = build()
         for slab in data.slabs:
-            assert graph_outcome(dual_graph, data, slab) == \
-                graph_outcome(ref_dual_graph, data, slab)
+            assert graph_outcome(dual_graph, slab) == \
+                graph_outcome(ref_dual_graph, slab)
         want = graph_outcome(ref_assemble_global, data)
         assert graph_outcome(assemble_global, data) == want
         assert graph_outcome(assemble_global, data) == want  # memo kept
