@@ -73,17 +73,15 @@ def _resolve_data(target: str, decomposition=None, fixture=False,
         return [fixed]
     p = _resolve_polytope(target, table)
     name = target if target in table else os.path.basename(str(target))
-    if decomposition is None:
-        return [method1_data(p, None, name)]
-    if decomposition == "auto":
+    if decomposition == "auto" and p.is_reflexive():
         counts = [len(r) for r in decomposition_regimes(p)]
-        if all(c == 1 for c in counts):
-            return [method1_data(p, None, name)]
         total = math.prod(counts)
         if total > 512:
             raise DegenerationError(f"{total} decomposition choices; pick one")
-        return [method1_data(p, ch, f"{name}[{','.join(map(str, ch))}]")
-                for ch in itertools.product(*map(range, counts))]
+        if total > 1:
+            return [method1_data(p, ch, f"{name}[{','.join(map(str, ch))}]")
+                    for ch in itertools.product(*map(range, counts))]
+    # one choice or none: the plain route, which raises what P lacks
     return [method1_data(p, indices, name)]
 
 

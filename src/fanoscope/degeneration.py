@@ -16,7 +16,7 @@ from .linalg import clear_denominators, det, primitive, saturate
 from .minkowski import (Summand, enumerate_smooth_decompositions,
                         minkowski_sum, segment, triangle)
 from .polytope import (LatticePolytope, Polygon, PolytopeError, cross, dot,
-                       gorenstein_index, is_integral, lattice_length,
+                       is_integral, lattice_length,
                        pick_area, plane_basis, plane_coords, plane_normal,
                        vadd, vsub, _clean, _quotient)
 
@@ -501,13 +501,7 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
                                  tuple(roles)))
 
     ray_summands = []
-    found = {}  # target polygon -> its decompositions, within this call
-    for vid, f in enumerate(_ray_facets(p)):
-        w_basis = ray_lattice(f.dual)
-        target = _ray_target(p, f, w_basis, vid)
-        if target not in found:
-            found[target] = enumerate_smooth_decompositions(target)
-        decos = found[target]
+    for vid, (w_basis, decos) in enumerate(_ray_decompositions(p)):
         if not decos:
             raise DegenerationError(
                 f"no smooth Minkowski decomposition for the facet dual "
@@ -541,35 +535,44 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
 
 def method1_data(p: LatticePolytope, choice=None, name="") -> DegenerationData:
     """Construction from smooth Minkowski decompositions: Sigma the normal
-    fan, a_E = l(E*), J the chosen facet decompositions."""
+    fan, a_E = l(E*), J the chosen facet decompositions.
+
+    Method 1 assumes r(E*) = 1 on every edge E* of P, and reflexivity
+    proves it.  E* lies on a facet of P at level -1.  That facet's normal
+    restricts to an integral functional on the saturated lattice of the
+    cone over E*, constant on E*; it takes the value -1 there, so it is
+    primitive, and r(E*) = |-1| = 1.  `tests/test_ray_facets.py` asserts
+    this on every bundled reflexive polytope and its GL(3,Z) images.
+    """
     if not p.is_reflexive():
         raise DegenerationError("method 1 needs a reflexive polytope")
-    dual = p.polar_dual()
-    for e in dual.edges:
-        r = gorenstein_index(dual.dual_face_vertices(sorted(e.vertex_ids)))
-        if r != 1:
-            raise DegenerationError("method 1 assumes r(E*) = 1 on dual edges")
     return normal_fan_data(p, None, choice, name or "method-1 data")
+
+
+def _ray_decompositions(p: LatticePolytope):
+    """For each ray, in P*'s vertex order (`_ray_facets(p)`): its
+    `ray_lattice` basis and the smooth Minkowski decompositions of its
+    facet divided by r (`_ray_target`, which raises where r does not
+    divide).  Rays with equal targets share one enumeration, within this
+    call."""
+    found = {}  # target polygon -> its decompositions
+    for vid, f in enumerate(_ray_facets(p)):
+        w_basis = ray_lattice(f.dual)
+        target = _ray_target(p, f, w_basis, vid)
+        if target not in found:
+            found[target] = enumerate_smooth_decompositions(target)
+        yield w_basis, found[target]
 
 
 def decomposition_regimes(p: LatticePolytope):
     """All decomposition choices per ray: list of lists of Summand tuples,
-    one per vertex of P* in its order (P's facets sorted by dual vertex).
-    Read off P's facets, so P* is not built.
-
-    Rays whose facets are equal in ray coordinates share one enumeration;
-    each ray still gets a list of its own.
+    one per vertex of P* in its order, indexed as `normal_fan_data`'s
+    `choice`.  Read off P's facets, so P* is not built; each ray gets a
+    list of its own.
     """
     if not p.origin_interior():
         raise PolytopeError("origin is not interior")
-    found = {}  # facet polygon -> its decompositions, within this call
-    out = []
-    for f in _ray_facets(p):
-        facet = facet_in_ray_coords(p, f, ray_lattice(f.dual))
-        if facet not in found:
-            found[facet] = enumerate_smooth_decompositions(facet)
-        out.append(list(found[facet]))
-    return out
+    return [list(decos) for _, decos in _ray_decompositions(p)]
 
 
 # ---------------------------------------------------------------------------

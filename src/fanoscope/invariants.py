@@ -9,7 +9,7 @@ from math import gcd
 
 from .degeneration import DegenerationData, DegenerationError
 from .gamma import b2 as gamma_b2, barT_sections
-from .linalg import nullity, primitive
+from .linalg import primitive
 from .polytope import LatticePolytope, _lattice_index, cross, dot
 
 
@@ -126,12 +126,17 @@ def fano_index(data: DegenerationData, b2: int, degree: int) -> int:
     """Divisibility index of the boundary class in second cohomology, given
     the model's b2 and degree.
 
-    One integer coordinate per maximal cell (cone over a facet of the polar
-    polytope), glued along walls; returns the saturation index of the
-    boundary tuple in the kernel.  Only valid for rank-one data.
+    One integer coordinate x_f per maximal cell (cone over a facet f of
+    the polar polytope), glued along walls; returns the saturation index
+    of the boundary tuple d in the kernel.  Only valid for rank-one data.
 
-    The boundary tuple d solves every gluing row by construction, so a
-    one-dimensional kernel is its line and the index is gcd(d).
+    The kernel is the line through d, so the index is gcd(d).  Each wall's
+    gluing row, d_g x_f - d_f x_g = 0, equates x_f / d_f across its two
+    cells, and every d_f >= 1 (`_cell_class_data` divides a gcd of minors
+    by the gcd of a superset of them).  The facet graph of a 3-polytope is
+    connected, so x / d is constant: nullity 1, and no row is built.
+    `tests/test_invariants.py` builds the rows and asserts it on every
+    bundled Fano polytope and its GL(3,Z) images.
     """
     if data.boundary_components is not None:
         k = data.boundary_components
@@ -144,15 +149,7 @@ def fano_index(data: DegenerationData, b2: int, degree: int) -> int:
                              "normal-fan data")
     if b2 != 1:
         raise InvariantError("not rank one")
-    dual = data.dual
-    d_values = [_cell_class_data(dual, f) for f in dual.facets]
-    rows = []
-    for e in dual.edges:
-        f1, f2 = sorted(e.facet_ids)
-        rows.append({f1: d_values[f2], f2: -d_values[f1]})
-    if nullity(rows, len(dual.facets)) != 1:
-        raise InvariantError("not rank one")
-    return gcd(*d_values)
+    return gcd(*(_cell_class_data(data.dual, f) for f in data.dual.facets))
 
 
 def analyze_degree(data: DegenerationData) -> int:

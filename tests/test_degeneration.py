@@ -5,8 +5,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (_frac, bundled, bundled_polygon, lattice_polygons,
-                      mat_vec, random_unimodular3, ref_facet_in_ray_coords)
+from conftest import (NORMAL_FAN_POLYTOPES, _frac, bundled, bundled_polygon,
+                      lattice_polygons, mat_vec, random_unimodular3,
+                      ref_facet_in_ray_coords)
 from fanoscope.degeneration import (DegenerationError, EmptyLinearSystem,
                                     NotCartier, NotNef, Sections,
                                     check_compatibility,
@@ -19,7 +20,7 @@ from fanoscope.degeneration import (DegenerationError, EmptyLinearSystem,
 from fanoscope.fileio import bundled_polytopes
 from fanoscope.minkowski import enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                dot, is_integral, vsub)
+                                dot, gorenstein_index, is_integral, vsub)
 
 
 def b3_data():
@@ -273,13 +274,21 @@ def test_polygon_of_sections_matches_fraction_scan(poly, data):
 
 
 def ref_decomposition_regimes(p):
-    """`decomposition_regimes` as it was: one enumeration per ray."""
+    """`decomposition_regimes` through P*: one enumeration per ray, of the
+    facet read off P*'s incidence sets and divided by the Gorenstein index
+    that `gorenstein_index` computes."""
     dual = p.polar_dual()
     out = []
     for vid, vert in enumerate(dual.vertices):
         w_basis = ray_lattice(vert)
         facet = ref_facet_in_ray_coords(dual, vid, w_basis)
-        out.append(enumerate_smooth_decompositions(facet))
+        r = gorenstein_index(dual.dual_face_vertices([vid]))
+        if any(x % r for v in facet.vertices for x in v):
+            raise DegenerationError(
+                f"no smooth Minkowski decomposition: facet of ray {vid} is "
+                f"not divisible by its index {r}")
+        target = Polygon([tuple(x // r for x in v) for v in facet.vertices])
+        out.append(enumerate_smooth_decompositions(target))
     return out
 
 
@@ -306,3 +315,29 @@ def test_decomposition_regimes_match_the_per_ray_route(seed):
         if isinstance(got, list):
             # one list object per ray, so no caller can alias two rays
             assert len({id(r) for r in got}) == len(got)
+
+
+def attached(data, vid):
+    """(kind, summand) of each entry that `normal_fan_data` gives ray v{vid}."""
+    return [(s.kind, s.summand) for s in data.ray_summands
+            if s.ray == f"v{vid}"]
+
+
+@pytest.mark.parametrize("seed", [None, 5, 11])
+def test_decomposition_regimes_index_the_normal_fan_choices(seed):
+    # `decompositions` and `--decomposition i,j,...` read the same lists:
+    # index c of ray vid is what `normal_fan_data` attaches for choice c,
+    # on v2 (r = 3) too, where the undivided facet would list other ones
+    routes = [(name, None) for name in NORMAL_FAN_POLYTOPES] + [("v2", 6)]
+    for name, edge_values in routes:
+        p = bundled(name)
+        if seed is not None:
+            m = random_unimodular3(random.Random(seed))
+            p = LatticePolytope([tuple(mat_vec(m, list(v)))
+                                 for v in p.vertices])
+        for vid, decos in enumerate(decomposition_regimes(p)):
+            assert decos
+            for c, deco in enumerate(decos):
+                data = normal_fan_data(p, edge_values, {vid: c})
+                assert attached(data, vid) == [
+                    (s.kind, None if s.kind == "point" else s) for s in deco]

@@ -7,10 +7,11 @@ from fanoscope.degeneration import (line_fan_data, method1_data,
 from fanoscope.fileio import (bundled_polytopes, data_from_fixture,
                               list_fixtures, load_fixture)
 from fanoscope.gamma import b2
-from fanoscope.invariants import (InvariantError, analyze, b3_from, degree,
-                                  euler_number, euler_product,
-                                  euler_smooth_mink, fano_index,
-                                  p1c1_expected)
+from fanoscope.invariants import (InvariantError, _cell_class_data, analyze,
+                                  b3_from, degree, euler_number,
+                                  euler_product, euler_smooth_mink,
+                                  fano_index, p1c1_expected)
+from fanoscope.linalg import nullity
 
 
 def all_bundled_data():
@@ -92,6 +93,26 @@ def test_fano_index_oracles():
 def test_fano_index_refuses_higher_rank():
     with pytest.raises(InvariantError, match="not rank one"):
         index_of(method1_data(bundled("octahedron")))
+
+
+def test_gluing_kernel_is_the_line_through_d():
+    # what `fano_index` relies on without building the rows: each wall
+    # equates x_f / d_f on its two cells, every d_f >= 1 and the facet
+    # graph is connected, so the kernel is the line through d
+    from test_ray_facets import NAMES, SEEDS, image
+    systems = 0
+    for name in NAMES:
+        base = bundled(name)
+        for q in [base] + [image(base, seed, flip) for seed in SEEDS
+                           for flip in (False, True)]:
+            dual = q.polar_dual()
+            d = [_cell_class_data(dual, f) for f in dual.facets]
+            rows = [{f: d[g], g: -d[f]}
+                    for f, g in (sorted(e.facet_ids) for e in dual.edges)]
+            assert min(d) >= 1
+            assert nullity(rows, len(d)) == 1
+            systems += 1
+    assert systems == len(NAMES) * (1 + 2 * len(SEEDS))
 
 
 def test_fano_index_from_boundary_components():

@@ -8,7 +8,8 @@ import pytest
 from conftest import bundled
 from fanoscope import cli
 from fanoscope.degeneration import DegenerationData
-from fanoscope.fileio import (ParseError, data_from_fixture, ingest_database,
+from fanoscope.fileio import (ParseError, bundled_polytopes,
+                              data_from_fixture, ingest_database,
                               list_fixtures, load_fixture, parse_polytope)
 from fanoscope.polytope import LatticePolytope
 
@@ -297,6 +298,29 @@ def test_cli_decomposition_indices_of_a_fixed_target_exit_1(
 def test_cli_auto_decomposition_of_a_fixed_target_is_the_default(target):
     assert run_cli("analyze", target, "--decomposition", "auto") == \
         run_cli("analyze", target)
+
+
+@pytest.mark.parametrize("command", ["analyze", "gamma"])
+@pytest.mark.parametrize("name, message", [
+    ("mm2_5", "no smooth Minkowski decomposition for the facet dual to "
+              "vertex 1"),
+    ("b1", "method 1 needs a reflexive polytope")], ids=["mm2_5", "b1"])
+def test_cli_auto_without_a_choice_fails_as_the_plain_command(
+        tmp_path, command, name, message):
+    # read from files, since the bundled names resolve to fixtures
+    verts = bundled_polytopes()[name]["vertices"]
+    if name == "mm2_5":  # PALP text: a 3 x n header, one row per coordinate
+        path = tmp_path / f"{name}.txt"
+        path.write_text(f"3 {len(verts)}\n" + "".join(
+            " ".join(map(str, row)) + "\n" for row in zip(*verts)))
+    else:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({"vertices": verts}))
+    plain = run_cli(command, str(path))
+    assert plain[:2] == (1, "")
+    assert one_json_line(plain[2]) == {"error": "DegenerationError",
+                                       "message": message}
+    assert run_cli(command, str(path), "--decomposition", "auto") == plain
 
 
 def v2_fixture_with(tmp_path, **changes):

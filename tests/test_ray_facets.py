@@ -16,8 +16,8 @@ import pytest
 from conftest import (bundled, bundled_polygon, mat_vec, random_unimodular3,
                       ref_facet_in_ray_coords)
 from fanoscope import cli
-from fanoscope.degeneration import (_along_line, _ray_facets,
-                                    decomposition_regimes,
+from fanoscope.degeneration import (DegenerationError, _along_line,
+                                    _ray_facets, decomposition_regimes,
                                     facet_in_ray_coords, line_fan_data,
                                     product_data, ray_lattice)
 from fanoscope.fileio import bundled_polytopes
@@ -160,6 +160,19 @@ def test_facet_gorenstein_index_is_minus_level(name):
     assert max(indices) == {"v2": 3, "b1": 2}.get(name, 1)
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_reflexive_edges_have_gorenstein_index_one(name):
+    # what `method1_data` relies on without checking: an edge of a
+    # reflexive P lies on a facet at level -1, whose normal restricts to a
+    # primitive functional on the edge's saturated lattice
+    reflexive = [q for q in integral_images(name) if q.is_reflexive()]
+    assert bool(reflexive) == bundled(name).is_reflexive()
+    for q in reflexive:
+        for e in q.edges:
+            assert gorenstein_index([q.vertices[i]
+                                     for i in e.vertex_ids]) == 1
+
+
 # ---------------------------------------------------------------------------
 # no P* on the sweep path
 
@@ -167,7 +180,14 @@ def test_facet_gorenstein_index_is_minus_level(name):
 @pytest.mark.parametrize("name", NAMES)
 def test_sweep_path_builds_no_polar_dual(name):
     p = bundled(name)
-    decomposition_regimes(p)
+    if name == "b1":
+        # a facet at level -2 whose vertices 2 does not divide
+        with pytest.raises(DegenerationError, match="^no smooth Minkowski "
+                           "decomposition: facet of ray 0 is not divisible "
+                           "by its index 2$"):
+            decomposition_regimes(p)
+    else:
+        decomposition_regimes(p)
     if p.is_reflexive():
         identity24(p)
     assert p._dual is None
