@@ -184,9 +184,6 @@ class Polygon:
         v0 = self.vertices[0]
         return self.translate(tuple(-x for x in v0)) if any(v0) else self
 
-    def dilate(self, k):
-        return Polygon([tuple(k * x for x in v) for v in self.vertices], hull=False)
-
     def edge_vector_multiset(self):
         """ccw boundary word: each edge contributes length copies of its
         primitive direction; the multiset sums to zero."""
@@ -363,9 +360,6 @@ class LatticePolytope:
     def __repr__(self):
         return f"LatticePolytope({list(self.vertices)})"
 
-    def __eq__(self, other):
-        return isinstance(other, LatticePolytope) and self.vertices == other.vertices
-
     # -- basic predicates ---------------------------------------------------
 
     @property
@@ -486,9 +480,6 @@ class LatticePolytope:
             if all(dot(f.normal, p) > f.level for f in self.facets):
                 interior += 1
         return total, interior, total - interior
-
-    def dilate(self, k):
-        return LatticePolytope([tuple(k * x for x in v) for v in self.vertices])
 
     def boundary_area(self):
         """Normalized area of the boundary: the sum of the facet areas, each

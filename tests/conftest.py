@@ -54,6 +54,21 @@ def facet_polygon(p: LatticePolytope, facet):
     return poly, basis, base
 
 
+def dilate_polygon(poly: Polygon, k) -> Polygon:
+    """k * poly, as `Polygon.dilate` returned it."""
+    return Polygon([tuple(k * x for x in v) for v in poly.vertices], hull=False)
+
+
+def dilate_polytope(p: LatticePolytope, k) -> LatticePolytope:
+    """k * P, as `LatticePolytope.dilate` returned it."""
+    return LatticePolytope([tuple(k * x for x in v) for v in p.vertices])
+
+
+def same_polytope(p, q) -> bool:
+    """`LatticePolytope.__eq__` as it was: the same sorted vertex tuple."""
+    return isinstance(q, LatticePolytope) and p.vertices == q.vertices
+
+
 def ref_facet_in_ray_coords(p_dual: LatticePolytope, vertex_id: int,
                             w_basis) -> Polygon:
     """Dual facet of a vertex of the polar polytope, written in W-coords and

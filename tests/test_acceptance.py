@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from conftest import bundled, bundled_polygon, database, db_path, needs_db
+from conftest import (bundled, bundled_polygon, database, db_path,
+                      dilate_polytope, needs_db)
 from fanoscope.degeneration import (DegenerationError, decomposition_regimes,
                                     method1_data, product_data)
 from fanoscope.fileio import data_from_fixture, expected_rows, load_fixture
@@ -62,7 +63,7 @@ def test_criterion_04_v2_fixture():
     rep = analyze(data_from_fixture(load_fixture("v2")))
     assert (rep.p, rep.n, rep.euler) == (20, 144, -100)
     assert rep.degree == 2
-    dual3 = bundled("v2").polar_dual().dilate(3)
+    dual3 = dilate_polytope(bundled("v2").polar_dual(), 3)
     assert dual3.is_integral
     assert dual3.point_counts()[2] == 11
     verdict(4, "V2: p=20, n=144, chi=-100, degree 2 with 11 boundary points "

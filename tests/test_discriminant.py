@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import assume, given, settings
 
-from conftest import bundled, bundled_polygon, lattice_polygons
+from conftest import (bundled, bundled_polygon, dilate_polygon,
+                      lattice_polygons)
 from fanoscope.degeneration import (DegenerationError, line_fan_data, method1_data,
                                     normal_fan_data, product_data)
 from fanoscope.discriminant import (assemble_global, dual_graph, export_json,
@@ -14,7 +15,7 @@ from fanoscope.polytope import Polygon, PolytopeError, pick_area, vsub
 def test_triangulation_counts():
     tri = Polygon([(0, 0), (1, 0), (0, 1)])
     assert len(max_triangulation(tri).triangles) == 1
-    assert len(max_triangulation(tri.dilate(2)).triangles) == 4
+    assert len(max_triangulation(dilate_polygon(tri, 2)).triangles) == 4
     assert len(max_triangulation(Polygon([(0, 0), (4, 0),
                                           (0, 1)])).triangles) == 4
 

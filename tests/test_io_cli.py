@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import bundled
+from conftest import bundled, same_polytope
 from fanoscope import cli
 from fanoscope.degeneration import DegenerationData
 from fanoscope.fileio import (ParseError, bundled_polytopes,
@@ -41,14 +41,14 @@ def test_parse_text_columns(tmp_path):
     path = tmp_path / "p3.txt"
     path.write_text(P3_TEXT)
     _, _, q = parse_polytope(str(path))
-    assert q == bundled("p3")
+    assert same_polytope(q, bundled("p3"))
 
 
 def test_parse_text_rows(tmp_path):
     path = tmp_path / "rows.txt"
     path.write_text("4 3\n1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n")
     _, _, q = parse_polytope(str(path))
-    assert q == bundled("p3")
+    assert same_polytope(q, bundled("p3"))
 
 
 def test_text_roundtrip(tmp_path):
@@ -60,7 +60,7 @@ def test_text_roundtrip(tmp_path):
         path = tmp_path / f"{name}.txt"
         path.write_text(text)
         _, _, q = parse_polytope(str(path))
-        assert q == bundled(name)
+        assert same_polytope(q, bundled(name))
 
 
 def test_table_manifest_with_minidb(tmp_path):
@@ -105,8 +105,8 @@ def test_ingest_database(tmp_path):
     with pytest.warns(UserWarning, match="expected 4319"):
         entries = list(ingest_database(path))
     assert [i for i, _ in entries] == [0, 1, 2]
-    assert entries[0][1] == bundled("p3")
-    assert entries[1][1] == bundled("cube")
+    assert same_polytope(entries[0][1], bundled("p3"))
+    assert same_polytope(entries[1][1], bundled("cube"))
 
 
 def test_fixture_inventory():
@@ -463,3 +463,40 @@ def test_parse_rejects_non_fano(tmp_path):
         {"vertices": [[1, 1, 1], [2, 1, 1], [1, 2, 1], [1, 1, 2]]}))
     with pytest.raises(PolytopeError, match="Fano"):
         parse_polytope(str(shifted))
+
+
+SLAB_OUT_OF_ORDER = {"kind": "slabs",
+                     "slabs": [{"name": "S0",
+                                "polygon": [[0, 1], [0, 0], [1, 0]]}]}
+
+
+@pytest.mark.parametrize("command, file, text, message", [
+    ("analyze", "bad.json", '{"vertices": [[1, 0, 0],',
+     "bad JSON polytope: "),
+    ("analyze", "nameless.json", '{"name": "p3"}',
+     "polytope JSON without vertices"),
+    ("analyze", "one_number.txt", "3\n1 0 0 -1\n0 1 0 -1\n0 0 1 -1\n",
+     "matrix header must be 'rows cols'"),
+    ("analyze", "square.txt", "2 2\n1 0\n0 1\n", "neither dimension is 3"),
+    ("fixture", "bad_fixture.json", '{"kind": "slabs", "slabs": [',
+     "bad fixture JSON: "),
+    ("fixture", "list_fixture.json", "[1, 2]",
+     "fixture must be a JSON object"),
+    ("fixture", "slab_order.json", json.dumps(SLAB_OUT_OF_ORDER),
+     "slab S0: polygon must be listed in canonical ccw order starting at "
+     "the lex-least vertex; canonical is [[0, 0], [1, 0], [0, 1]]"),
+    ("verify24", "ragged.txt", "3 4\n1 0 0 -1\n0 1 0\n0 0 1 -1\n",
+     "database block 0 is ragged")])
+def test_cli_malformed_input_exits_2(tmp_path, command, file, text, message):
+    path = tmp_path / file
+    path.write_text(text)
+    argv = {"analyze": ("analyze", str(path)),
+            "fixture": ("analyze", str(path), "--fixture"),
+            "verify24": ("verify24", "--db", str(path))}[command]
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    doc = one_json_line(err)
+    assert doc["error"] == "ParseError"
+    # a JSON error message goes on with the decoder's own words
+    assert doc["message"] == message or (
+        message.endswith(": ") and doc["message"].startswith(message))

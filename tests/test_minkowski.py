@@ -6,7 +6,8 @@ from itertools import combinations_with_replacement
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import lattice_polygons, mat_vec, random_unimodular2
+from conftest import (dilate_polygon, lattice_polygons, mat_vec,
+                      random_unimodular2)
 from fanoscope.minkowski import (POINT, enumerate_smooth_decompositions,
                                  minkowski_sum, segment, triangle)
 from fanoscope.polytope import Polygon, PolytopeError
@@ -21,7 +22,7 @@ def test_edge_vector_multisets():
         [(1, 0), (0, 1), (-1, 0), (0, -1)])
     assert HEXAGON.edge_vector_multiset() == sorted(
         [(0, 1), (-1, 0), (-1, -1), (0, -1), (1, 0), (1, 1)])
-    two = TRIANGLE.dilate(2)
+    two = dilate_polygon(TRIANGLE, 2)
     assert two.edge_vector_multiset() == sorted(
         [(1, 0), (1, 0), (-1, 1), (-1, 1), (0, -1), (0, -1)])
 
@@ -44,7 +45,7 @@ def test_square_and_triangle_unique():
 
 
 def test_side_two_square_is_four_segments():
-    decos = enumerate_smooth_decompositions(SQUARE.dilate(2))
+    decos = enumerate_smooth_decompositions(dilate_polygon(SQUARE, 2))
     assert len(decos) == 1
     assert [s.kind for s in decos[0]] == ["segment"] * 4
 
@@ -52,7 +53,7 @@ def test_side_two_square_is_four_segments():
 def test_minkowski_sum_examples():
     assert minkowski_sum([segment((1, 0)), segment((0, 1))]) == SQUARE
     t = triangle((1, 0), (-1, 1), (0, -1))
-    assert minkowski_sum([t] * 6) == TRIANGLE.dilate(6)
+    assert minkowski_sum([t] * 6) == dilate_polygon(TRIANGLE, 6)
     for deco in enumerate_smooth_decompositions(HEXAGON):
         assert minkowski_sum(deco) == HEXAGON.normalized()
 
@@ -69,7 +70,8 @@ def test_no_decomposition():
 
 def test_count_invariant_under_gl2():
     rng = random.Random(17)
-    for poly in (HEXAGON, SQUARE.dilate(2), TRIANGLE.dilate(3)):
+    for poly in (HEXAGON, dilate_polygon(SQUARE, 2),
+                 dilate_polygon(TRIANGLE, 3)):
         base = len(enumerate_smooth_decompositions(poly))
         for _ in range(6):
             m = random_unimodular2(rng)
@@ -181,7 +183,7 @@ def smooth_sums(draw):
         assume(False)
 
 
-DILATED = st.builds(Polygon.dilate, lattice_polygons(),
+DILATED = st.builds(dilate_polygon, lattice_polygons(),
                     st.sampled_from([1, 2, 3]))
 
 
@@ -194,7 +196,7 @@ def test_enumerator_matches_the_counter_copy_route(poly):
 
 def test_enumerator_matches_on_every_sum_of_four_shapes():
     # many decompositions, reached along many orders of the boundary word
-    polys = [HEXAGON.dilate(k) for k in (1, 2, 3)]
+    polys = [dilate_polygon(HEXAGON, k) for k in (1, 2, 3)]
     for shapes in combinations_with_replacement(SHAPES, 4):
         try:
             polys.append(Polygon(shape_sum(shapes)))

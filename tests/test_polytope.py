@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from conftest import bundled, lattice_polygons, mat_vec, random_unimodular2
+from conftest import (bundled, dilate_polygon, dilate_polytope,
+                      lattice_polygons, mat_vec, random_unimodular2)
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 embed_polygon, gorenstein_index, identity24,
                                 pick_area)
@@ -97,7 +98,7 @@ def test_lattice_point_counts():
     assert d.point_counts() == (35, 1, 34)
     d3 = bundled("b3_cubic").polar_dual()
     assert d3.point_counts()[0] == 15
-    v2dual3 = bundled("v2").polar_dual().dilate(3)
+    v2dual3 = dilate_polytope(bundled("v2").polar_dual(), 3)
     assert v2dual3.point_counts()[2] == 11
     assert v2dual3.boundary_area() == 18
 
@@ -128,7 +129,7 @@ def test_reflexive_facets_have_index_one():
 def test_pick_examples():
     tri = Polygon([(0, 0), (1, 0), (0, 1)])
     assert pick_area(tri) == 1
-    big = tri.dilate(3)
+    big = dilate_polygon(tri, 3)
     assert pick_area(big) == 9
     assert big.point_counts() == (10, 1, 9)
     slab = Polygon([(0, 0), (6, 0), (0, 2)])

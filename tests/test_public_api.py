@@ -15,7 +15,11 @@ DELETED = [("polytope", "convex_hull"),
            ("discriminant", "UnimodularTriangulation.count"),
            ("fileio", "serialize_polytope"),
            ("fileio", "serialize_polytope_text"),
-           ("degeneration", "_dual_facet")]
+           ("degeneration", "_dual_facet"),
+           ("degeneration", "_d1_verdict"),
+           ("degeneration", "_sv_remainder_ok"),
+           ("polytope", "Polygon.dilate"),
+           ("polytope", "LatticePolytope.dilate")]
 
 
 def resolves(obj, dotted):
@@ -41,6 +45,10 @@ def test_deleted_names_stay_gone():
     # the resolver does find names that exist
     assert resolves(importlib.import_module("fanoscope.minkowski"),
                     "Summand.face_length")
+    # LatticePolytope compares by identity again; Polygon keeps its __eq__
+    polytope = importlib.import_module("fanoscope.polytope")
+    assert polytope.LatticePolytope.__eq__ is object.__eq__
+    assert polytope.Polygon.__eq__ is not object.__eq__
 
 
 def test_explicit_decomposition_knobs_stay_gone():

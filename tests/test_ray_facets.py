@@ -9,20 +9,25 @@ sets, went through `plane_coords` and took a 2-D hull.
 P*.
 """
 
+import itertools
+import json
 import random
 
 import pytest
 
-from conftest import (bundled, bundled_polygon, mat_vec, random_unimodular3,
-                      ref_facet_in_ray_coords)
+from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon, mat_vec,
+                      random_unimodular3, ref_facet_in_ray_coords)
 from fanoscope import cli
 from fanoscope.degeneration import (DegenerationError, _along_line,
-                                    _ray_facets, decomposition_regimes,
+                                    _ray_facets, check_smooth_data,
+                                    decomposition_regimes,
                                     facet_in_ray_coords, line_fan_data,
+                                    method1_data, normal_fan_data,
                                     product_data, ray_lattice)
 from fanoscope.fileio import bundled_polytopes
-from fanoscope.polytope import (LatticePolytope, PolytopeError, cross, dot,
-                                gorenstein_index, identity24)
+from fanoscope.minkowski import minkowski_sum
+from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
+                                cross, dot, gorenstein_index, identity24)
 
 NAMES = sorted(k for k in bundled_polytopes() if k != "polygons")
 PRODUCTS = ("diamond", "hexagon", "pentagon", "triangle")
@@ -89,12 +94,10 @@ def test_ray_facets_match_on_gl3z_images(name):
     assert signs == {True, False}
 
 
-def b3_data(m=None):
-    """The b3_cubic line-fan data, or its image with P* moved by the map m:
-    P moves by the inverse transpose, the fan and the edge rule (which
-    live with P*) by m."""
-    p = bundled("b3_cubic")
-    line, rays = (0, 0, 1), [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]
+def moved_line_fan(p, line, rays, rule, m=None, name=""):
+    """`line_fan_data(p, line, rays, rule)`, or its image with P* moved by
+    the map m: P moves by the inverse transpose, the fan and the edge
+    rule's points (which live with P*) by m."""
     if m is not None:
         r0, r1, r2 = map(tuple, m)
         sign = dot(r0, cross(r1, r2))  # +-1
@@ -103,15 +106,33 @@ def b3_data(m=None):
         p = LatticePolytope([tuple(mat_vec(inv_t, list(v)))
                              for v in p.vertices])
         line, *rays = (tuple(mat_vec(m, list(v))) for v in [line] + rays)
-    return line_fan_data(p, line, rays, [{"meets": line, "value": 3}],
-                         name="B3")
+        rule = [dict(r, meets=tuple(mat_vec(m, list(r["meets"]))))
+                for r in rule]
+    return line_fan_data(p, line, rays, rule, name=name)
+
+
+def b3_data(m=None):
+    """The b3_cubic line-fan data, or its image under m."""
+    return moved_line_fan(bundled("b3_cubic"), (0, 0, 1),
+                          [(1, 0, 0), (0, 1, 0), (-1, -1, 0)],
+                          [{"meets": (0, 0, 1), "value": 3}], m, "B3")
+
+
+def product_image(name, m):
+    """The line fan of `product_data` on a bundled polygon, moved by m."""
+    q = bundled_polygon(name)
+    data = product_data(q, name)
+    rays = [(x, y, 0) for x, y in q.vertices]
+    rule = [{"meets": r, "value": a}
+            for r, a in zip(rays, data.notes["a_values"])]
+    return moved_line_fan(data.polytope, (0, 0, 1), rays, rule, m, name)
 
 
 def line_fan_rays():
     """(P, P*, vertex id, ray basis) of every polar vertex on the minimal line
     of b3_cubic's data, its seeded images and the 4 products: the facets
-    that `_d1_verdict` reads.  The products have no polar vertex on their
-    line."""
+    whose ray summands `check_smooth_data` takes as smooth.  The products
+    have no polar vertex on their line."""
     datas = [b3_data()] + [b3_data(image_map(seed, flip)) for seed in SEEDS
                            for flip in (False, True)]
     datas += [product_data(bundled_polygon(n), n) for n in PRODUCTS]
@@ -132,6 +153,77 @@ def test_ray_facets_match_on_line_fan_rays():
         signs.add(dot(cross(*w_basis), f.normal) > 0)
     # the ray basis is ccw about the facet's normal on some and cw on others
     assert signs == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# a ray vertex is smooth by construction
+
+
+def ref_d1_verdict(data, ray, f, w_basis):
+    """The D1 check that the proof in `check_smooth_data` makes unneeded: r
+    times the Minkowski sum of the ray's summands against the facet v*."""
+    summands = [s.summand for s in data.ray_summands
+                if s.ray == ray and s.summand is not None]
+    total = minkowski_sum(summands) if summands else None
+    if not isinstance(total, Polygon):
+        return "violation: ray carries no surface summands"
+    r = -f.level
+    scaled = Polygon([tuple(r * x for x in v) for v in total.vertices])
+    if scaled == facet_in_ray_coords(data.polytope, f, w_basis):
+        return "smooth"
+    return "violation: v* != r P_L + S_v"
+
+
+def d1_vertices(data):
+    """(vertex id, ray name, facet of P, ray basis) of every polar vertex
+    on a ray of the data's fan: every vertex of a normal fan, and a line
+    fan's vertices on its minimal line."""
+    facets = _ray_facets(data.polytope)
+    if data.kind == "normal_fan":
+        for vid, f in enumerate(facets):
+            yield vid, f"v{vid}", f, ray_lattice(f.dual)
+        return
+    dirv = data.notes["fan"].direction
+    for vid, (v, f) in enumerate(zip(data.dual.vertices, facets)):
+        if _along_line(v, dirv):
+            ray = "rho_plus" if dot(v, dirv) > 0 else "rho_minus"
+            yield vid, ray, f, ray_lattice(dirv)
+
+
+def ray_datas(name, seed=None, flip=False):
+    """The data of a bundled target, or of its seeded image: every method-1
+    choice, v2's normal fan with a_E = 6, or the line fan of b3_cubic or
+    a product."""
+    m = None if seed is None else image_map(seed, flip)
+    if name == "b3_cubic":
+        return [b3_data(m)]
+    if name in PRODUCTS:
+        return [product_image(name, m)]
+    p = bundled(name) if m is None else image(bundled(name), seed, flip)
+    if name == "v2":
+        return [normal_fan_data(p, 6)]
+    counts = [len(r) for r in decomposition_regimes(p)]
+    return [method1_data(p, choice)
+            for choice in itertools.product(*map(range, counts))]
+
+
+@pytest.mark.parametrize("name", NORMAL_FAN_POLYTOPES
+                         + ("v2", "b3_cubic") + PRODUCTS)
+def test_ray_summands_resum_to_their_facet(name):
+    # what `check_smooth_data` relies on without checking: r times the sum
+    # of a ray's summands is its facet, so S_v is a point and D1 is smooth
+    indices = set()
+    for seed, flip in [(None, False)] + [(seed, flip) for seed in SEEDS
+                                         for flip in (False, True)]:
+        for data in ray_datas(name, seed, flip):
+            verdicts = check_smooth_data(data)
+            for vid, ray, f, w_basis in d1_vertices(data):
+                assert ref_d1_verdict(data, ray, f, w_basis) == "smooth"
+                assert verdicts[vid] == "smooth"
+                indices.add(-f.level)
+    # the products have no polar vertex on their line
+    assert indices == ({1, 3} if name == "v2" else
+                       set() if name in PRODUCTS else {1})
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +283,25 @@ def test_sweep_path_builds_no_polar_dual(name):
     if p.is_reflexive():
         identity24(p)
     assert p._dual is None
+
+
+@pytest.mark.parametrize("name", ["cube", "v2", "octahedron", "mm2_5"])
+def test_decompositions_command_builds_no_polar_dual(name, monkeypatch,
+                                                      capsys):
+    builds = []
+    polar_dual = LatticePolytope.polar_dual
+
+    def counted(self):
+        if self._dual is None:
+            builds.append(self)
+        return polar_dual(self)
+    monkeypatch.setattr(LatticePolytope, "polar_dual", counted)
+    assert cli.main(["decompositions", name]) == 0
+    assert builds == []
+    # each entry's dual vertex is still P*'s vertex of that index
+    dual = polar_dual(bundled(name))
+    assert [e["dual_vertex"] for e in json.loads(capsys.readouterr().out)] \
+        == [[str(x) for x in v] for v in dual.vertices]
 
 
 ON_FACET = [(1, 0, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)]

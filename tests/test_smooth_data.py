@@ -1,0 +1,139 @@
+"""Every verdict of `check_smooth_data`, reached by a pinned input.
+
+A polar vertex on a ray of the fan (D1) is smooth by construction: the proof
+is in `check_smooth_data`'s docstring and `tests/test_ray_facets.py` asserts
+it.  The vertices inside a 2-cone (D2, the Cayley condition) and the corners
+(D3) are reached here by line fans on `polytopes.json` entries, each with
+its whole verdict dict pinned.  `test_every_verdict_is_reached` reads the
+verdict literals out of the source, so a branch that no pinned input
+reaches fails at once.
+"""
+
+import ast
+import inspect
+
+import pytest
+
+from conftest import bundled
+from fanoscope import degeneration
+from fanoscope.degeneration import check_smooth_data, line_fan_data
+from fanoscope.polytope import LatticePolytope, PolytopeError
+
+SMOOTH = "smooth"
+CORNER = "corner"
+NOT_GORENSTEIN = "violation: cone over v* is not Gorenstein"
+NOT_CAYLEY = "violation: v* is not a Cayley sum of two segments"
+NEITHER = "violation: neither label equals its dual length"
+NOT_SIMPLICIAL = "violation: cone over v* is not simplicial"
+NOT_SMOOTH = "violation: cone over v* is not smooth"
+LABEL_GAP_3 = "violation: |a(F1*) - a(F2*)| = 3 > 1"
+
+# id -> ((polytope, line, rays2d, edge rule), verdicts).  The first three
+# quotient fans are not complete: two of p3's and cube's rays are one ray
+# mod the line, and b1's leave a half-plane empty.  `line_fan` takes them
+# all, so the D3 verdicts are pinned on complete fans as well.
+P2_FAN = [(0, -1, -1), (0, 0, 1), (0, 1, 0)]  # P^2's fan mod (1, 0, 0)
+PINNED = {
+    "p3_corner": (("p3", (-1, -1, -1), [(-1, -1, 0), (-1, -1, 1),
+                                        (-1, 0, -1)],
+                   [{"meets": (-1, -1, -1), "value": 1}]),
+                  {0: SMOOTH, 1: SMOOTH, 2: SMOOTH, 3: CORNER}),
+    "b1_not_smooth": (("b1", (-1, 5, -1), [(-1, -1, -1), (-1, -1, 0),
+                                           (0, 0, 1)], []),
+                      {0: NOT_SMOOTH, 1: NOT_CAYLEY, 2: NOT_SMOOTH,
+                       3: NOT_SMOOTH}),
+    "cube_not_simplicial": (("cube", (-1, -1, -1), [(-1, -1, 0), (-1, -1, 1),
+                                                    (-1, 0, -1)], []),
+                            {0: NOT_SIMPLICIAL, 1: NOT_SIMPLICIAL,
+                             2: NOT_SIMPLICIAL, 3: NOT_CAYLEY, 4: NOT_CAYLEY,
+                             5: NOT_SIMPLICIAL}),
+    "p3_corner_complete": (("p3", (-1, 0, 0), P2_FAN, []),
+                           {0: SMOOTH, 1: CORNER, 2: CORNER, 3: SMOOTH}),
+    "q3_not_simplicial_complete": (("q3_quadric", (-1, 0, 0), P2_FAN, []),
+                                   {0: NOT_SIMPLICIAL, 1: CORNER, 2: CORNER,
+                                    3: CORNER, 4: CORNER}),
+    "b1_not_smooth_complete": (("b1", (-1, 1, -1), [(0, -1, 0), (0, 0, 1),
+                                                    (1, 0, 0)], []),
+                               {0: NOT_SMOOTH, 1: NOT_CAYLEY, 2: NOT_SMOOTH,
+                                3: NOT_SMOOTH}),
+    # v2's facet dual to vertex 0 is at level -3
+    "v2_not_gorenstein": (("v2", (-1, 0, 0), P2_FAN, []),
+                          {0: NOT_GORENSTEIN, 1: SMOOTH, 2: SMOOTH,
+                           3: SMOOTH}),
+    # no edge rule, so every label is 0 below a positive dual length
+    "mm2_5_neither_label": (("mm2_5", (-1, 0, 0), P2_FAN, []),
+                            {0: SMOOTH, 1: NOT_SIMPLICIAL, 2: NOT_SIMPLICIAL,
+                             3: NEITHER, 4: SMOOTH, 5: SMOOTH, 6: SMOOTH}),
+    # a Cayley segment dual to an edge of P* with a rational end
+    "v2_rational_dual_edge": (("v2", (-1, -1, -1), [(0, 0, 1), (0, 1, 0),
+                                                    (1, 0, 0)], []),
+                              {0: SMOOTH, 1: SMOOTH, 2: SMOOTH, 3: SMOOTH}),
+    # the cubic model's d = 2 vertices break the Cayley label bound
+    "b3_label_gap": (("b3_cubic", (0, 0, 1), [(1, 0, 0), (0, 1, 0),
+                                              (-1, -1, 0)],
+                      [{"meets": (0, 0, 1), "value": 3}]),
+                     {0: LABEL_GAP_3, 1: SMOOTH, 2: LABEL_GAP_3,
+                      3: LABEL_GAP_3}),
+}
+
+
+def pinned_data(key):
+    (name, line, rays, rule), _ = PINNED[key]
+    return line_fan_data(bundled(name), line, rays, rule, name=key)
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_pinned_line_fan_verdicts(key):
+    assert check_smooth_data(pinned_data(key)) == PINNED[key][1]
+
+
+def test_rational_dual_edge_falls_back_to_length_zero(monkeypatch):
+    # `_d2_verdict` reads the dual length of a Cayley segment as 0 when the
+    # edge of P* it is dual to has a rational end, which `edge_length`
+    # refuses
+    data = pinned_data("v2_rational_dual_edge")
+    refused = []
+    edge_length = LatticePolytope.edge_length
+
+    def counted(self, edge):
+        try:
+            return edge_length(self, edge)
+        except PolytopeError:
+            refused.append(edge)
+            raise
+    monkeypatch.setattr(LatticePolytope, "edge_length", counted)
+    check_smooth_data(data)
+    assert refused
+
+
+def verdict_literals():
+    """The verdicts `check_smooth_data`, `_d2_verdict` and `_d3_verdict`
+    return or store, as written in the source: a string literal as it is,
+    an f-string as its literal head."""
+    out = set()
+    for fn in (degeneration.check_smooth_data, degeneration._d2_verdict,
+               degeneration._d3_verdict):
+        tree = ast.parse(inspect.getsource(fn))
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.Return) or (
+                    isinstance(node, ast.Assign)
+                    and isinstance(node.targets[0], ast.Subscript))):
+                continue
+            # a verdict may be a call's argument, as in dict.fromkeys(ids, v)
+            for v in [node.value] + list(getattr(node.value, "args", ())):
+                if isinstance(v, ast.Constant) and isinstance(v.value, str):
+                    out.add(v.value)
+                elif isinstance(v, ast.JoinedStr):
+                    out.add(v.values[0].value + "{")
+    return out
+
+
+def test_every_verdict_is_reached():
+    literals = verdict_literals()
+    assert {SMOOTH, CORNER, NOT_SMOOTH, "violation: |a(F1*) - a(F2*)| = {"} \
+        <= literals
+    reached = {v for _, verdicts in PINNED.values() for v in verdicts.values()}
+    for literal in literals:
+        head, brace, _ = literal.partition("{")
+        assert any(v == literal or (brace and v.startswith(head))
+                   for v in reached), literal
