@@ -43,10 +43,9 @@ class EmptyLinearSystem(DegenerationError):
 class Sections:
     """Solution set {m : <m, n_i> >= -a_i}; a polygon, segment or point.
 
-    support[i][j] is <n_i, v_j> for the given normals and the j-th of
-    `vertices()`, computed once for every check and span that reads it.
-    The normals and coefficients are kept, and `graph_piece` is the memo of
-    the slab-independent part of the dual graph (built by discriminant).
+    The normals, coefficients and face `spans` (set by
+    `polygon_of_sections`) are kept, and `graph_piece` is the memo of the
+    slab-independent part of the dual graph (built by discriminant).
     """
 
     def __init__(self, points, normals=(), coeffs=()):
@@ -54,6 +53,7 @@ class Sections:
         self.points = tuple(pts)
         self.normals = tuple(normals)
         self.coeffs = tuple(coeffs)
+        self.spans = ()
         self.graph_piece = None
         self.polygon = None
         self.dim = 1 if len(pts) >= 2 else 0
@@ -63,9 +63,6 @@ class Sections:
                 self.dim = 2
             except PolytopeError:
                 pass
-        verts = self.vertices()
-        self.support = tuple(tuple(n0 * x + n1 * y for x, y in verts)
-                             for n0, n1 in normals)
 
     def vertices(self):
         if self.dim == 2:
@@ -77,25 +74,22 @@ class Sections:
             return 0
         return pick_area(self.polygon)
 
-    def counts(self):
-        """(two_area, b, i) with the degenerate-slab convention b = both-sided
-        boundary length and i solved from Pick."""
-        two_a = self.two_area()
-        if self.dim == 2:
-            _, i, b = self.polygon.point_counts()
-            return two_a, b, i
-        if self.dim == 1:
-            ell = lattice_length(self.points[0], self.points[-1])
-            return 0, 2 * ell, 1 - ell
-        return 0, 0, 1
-
 
 def polygon_of_sections(normals, coeffs) -> Sections:
-    """Exact half-plane intersection of <m, n_i> >= -a_i with nef / Cartier /
-    basepoint-freeness checks.
+    """Exact half-plane intersection S of <m, n_i> >= -a_i, checked nef and
+    Cartier in one pass over its vertices; `spans[i]` is the lattice length
+    of S's face on <., n_i> = -a_i.
 
     normals: ccw-ordered primitive inner normals of the slab polygon.
     coeffs:  divisor coefficients per edge (same order).
+
+    Nef (no edge has slack) makes every corner m_i of the consecutive edge
+    lines i and i + 1 a point of S, and these corners are all its vertices:
+    each edge of S lies on an edge line, so the cone of n_i and n_(i+1) lies
+    in the normal cone of one vertex of S, which is then on both lines.  So
+    vertex cone i's tight set is {m_i}, and Cartier is "every vertex is
+    integral".  The spans are read after that test, so a rational face
+    raises `NotCartier`.
     """
     k = len(normals)
     cuts = [(n0, n1, -q) for (n0, n1), q in zip(normals, coeffs)]
@@ -118,22 +112,17 @@ def polygon_of_sections(normals, coeffs) -> Sections:
     if not cands:
         raise EmptyLinearSystem("empty linear system")
     sec = Sections(cands, normals, coeffs)
-    for n, q, vals in zip(normals, coeffs, sec.support):
+    verts = sec.vertices()
+    faces = []
+    for n, q in zip(normals, coeffs):
+        vals = [n[0] * x + n[1] * y for x, y in verts]
         if min(vals) != -q:
             raise NotNef(f"divisor not nef: slack on edge with normal {n}")
-    # Cartier / basepoint-free: the joint minimum on each vertex cone of the
-    # slab polygon must be attained at a lattice point.
-    verts = sec.vertices()
-    for i in range(k):
-        j = (i + 1) % k
-        tight = [p for p, x, y in zip(verts, sec.support[i], sec.support[j])
-                 if x == -coeffs[i] and y == -coeffs[j]]
-        if not tight:
-            raise NotNef("divisor not nef: support function breaks on a "
+        faces.append([v for v, x in zip(verts, vals) if x == -q])
+    if not all(map(is_integral, verts)):
+        raise NotCartier("not Cartier: no integral section witness at a "
                          "vertex cone")
-        if not any(is_integral(p) for p in tight):
-            raise NotCartier("not Cartier: no integral section witness at a "
-                             "vertex cone")
+    sec.spans = tuple(lattice_length(min(f), max(f)) for f in faces)
     return sec
 
 
@@ -146,6 +135,13 @@ ROLE_SPINE = "spine"
 
 @dataclass
 class Slab:
+    """A slab polygon with a coefficient and a role per edge.  Its sections
+    S give 2A = `two_area`, b = `b_count`, the sum of S's face spans, and
+    i = `i_count` = (2A + 2 - b) / 2.  A polygon S has its edges on distinct
+    edge lines and spans 0 elsewhere, so the spans sum to Pick's b.  A
+    segment of length l is the face of two opposite edge lines and an end
+    of the rest, so b = 2l and 2A + 2 - b = 2 - 2l is even; a point has b = 0.
+    """
     name: str
     polygon: Polygon
     coeffs: tuple
@@ -159,21 +155,10 @@ class Slab:
     def __post_init__(self):
         normals = [n for n, _ in self.polygon.edge_normals()]
         self.sections = polygon_of_sections(normals, list(self.coeffs))
-        verts = self.sections.vertices()
-        # the face of the sections on edge i is where <n_i, .> = -a_i, its
-        # minimum (polygon_of_sections checked that)
-        faces = ([v for v, x in zip(verts, vals) if x == -q]
-                 for vals, q in zip(self.sections.support, self.coeffs))
-        self.spans = tuple(lattice_length(min(f), max(f)) for f in faces)
-        self.two_area, b_conv, i_conv = self.sections.counts()
-        span_sum = sum(self.spans)
-        if self.sections.dim == 2 and span_sum != b_conv:
-            raise DegenerationError("section polygon spans do not add to its "
-                                    "boundary count")
-        self.b_count = span_sum
+        self.spans = self.sections.spans
+        self.two_area = self.sections.two_area()
+        self.b_count = sum(self.spans)
         self.i_count = (self.two_area + 2 - self.b_count) // 2
-        if (self.two_area + 2 - self.b_count) % 2:
-            raise DegenerationError("odd Pick defect in slab sections")
 
     @classmethod
     def shared(cls, built, name, polygon, coeffs, roles):
@@ -214,9 +199,17 @@ class GeneralizedFan:
 
 
 def line_fan(direction, rays2d) -> GeneralizedFan:
+    """The fan whose minimal cone is the line through `direction`.  Mod the
+    line its `rays2d` must make a complete fan: none on the line, no two
+    equal, not all in one closed half-plane (every angular gap < pi).  Ray r
+    is d x r mod the line, and r to s turns about d as det(d, r, s)."""
     d = primitive(direction)
     rays = [primitive(r) for r in rays2d]
-    if len(rays) < 3:
+    images = [cross(d, r) for r in rays]
+    turns = [[dot(d, cross(r, s)) for s in rays] for r in rays]
+    if (len(rays) < 3 or not all(map(any, images))
+            or len(set(map(primitive, images))) < len(rays)
+            or any(min(t) >= 0 or max(t) <= 0 for t in turns)):
         raise DegenerationError("line fan needs a complete quotient fan")
     return GeneralizedFan(d, tuple(tuple(r) for r in rays))
 

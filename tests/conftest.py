@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from fanoscope.fileio import bundled_polytopes
+from fanoscope.fileio import bundled_polytopes, load_fixture
 from fanoscope.degeneration import _coords_in
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 embed_polygon, vsub)
@@ -89,6 +89,29 @@ def bundled(name) -> LatticePolytope:
 
 def bundled_polygon(name) -> Polygon:
     return Polygon(bundled_polytopes()["polygons"][name])
+
+
+def malformed_slab_fixtures():
+    """id -> (mm2_2's slab fixture with one fault, the message with which
+    `DegenerationData.validate` refuses it), one per raise of `validate`.
+    mm2_2 has 12 triangles, and its ray edges span 36 = 3p."""
+    messages = {
+        "endpoints": "ray-side endpoints do not match 3p + 2d (36 != 33)",
+        "edge_span": "slab P112a: edge span 2 != 4 attachments for ray:R1",
+        "spine": "slab P2: spine span 4 != 0 attachments",
+        "unattached": "slab P2: unattached ray edges {'ray:R5': 4}"}
+    docs = {key: load_fixture("mm2_2") for key in messages}
+    # one R1 triangle fewer, so 3p = 33 below the same spans
+    docs["endpoints"]["rays"]["R1"][0]["count"] = 3
+    # P112a's two ray edges swapped: the total still matches 3p, but R1
+    # meets a span-2 edge with 4 attachments
+    docs["edge_span"]["slabs"][1]["roles"] = {"0": "ray:R3", "2": "ray:R1"}
+    # R2's triangles leave P2, whose R2 edge becomes a spine, or the edge
+    # of a ray with no summands
+    for key, role in (("spine", "spine"), ("unattached", "ray:R5")):
+        docs[key]["rays"]["R2"][0]["slabs"] = ["P112b", "SQb"]
+        docs[key]["slabs"][0]["roles"]["2"] = role
+    return {key: (docs[key], messages[key]) for key in messages}
 
 
 def random_unimodular3(rng: random.Random):

@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 from conftest import (NORMAL_FAN_POLYTOPES, _frac, bundled, bundled_polygon,
                       lattice_polygons, mat_vec, random_unimodular3,
                       ref_facet_in_ray_coords)
-from fanoscope.degeneration import (DegenerationError, EmptyLinearSystem,
-                                    NotCartier, NotNef, Sections,
+from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationError,
+                                    EmptyLinearSystem, NotCartier, NotNef,
+                                    Sections, Slab,
                                     check_compatibility,
                                     check_convexity, check_smooth_data,
                                     check_smooth_edge_data,
@@ -29,19 +30,28 @@ def b3_data():
                          [{"meets": (0, 0, 1), "value": 3}], name="B3")
 
 
+def slab_counts(vertices, coeffs):
+    """(2A, b, i) of the sections of a slab with boundary edges."""
+    slab = Slab("s", Polygon(vertices), coeffs, (ROLE_BOUNDARY,) * len(coeffs))
+    return slab.two_area, slab.b_count, slab.i_count
+
+
 def test_sections_cubic_slab():
     # coefficient 3 on the far edge of a P^2-shaped slab gives 3x the
     # standard triangle with one interior and nine boundary points
     sec = polygon_of_sections([(0, 1), (-1, -1), (1, 0)], [0, 3, 0])
     assert sec.dim == 2
-    assert sec.counts() == (9, 9, 1)
+    assert sec.spans == (3, 3, 3)
+    assert slab_counts([(0, 0), (1, 0), (0, 1)], (0, 3, 0)) == (9, 9, 1)
 
 
 def test_sections_v2_slabs():
     big = polygon_of_sections([(0, 1), (-1, -1), (1, 0)], [0, 6, 0])
-    assert big.counts() == (36, 18, 10)
+    assert big.spans == (6, 6, 6)
+    assert slab_counts([(0, 0), (1, 0), (0, 1)], (0, 6, 0)) == (36, 18, 10)
     skew = polygon_of_sections([(0, 1), (-1, -3), (1, 0)], [0, 6, 0])
-    assert skew.counts() == (12, 10, 2)
+    assert skew.spans == (6, 2, 2)
+    assert slab_counts([(0, 0), (3, 0), (0, 1)], (0, 6, 0)) == (12, 10, 2)
     assert sorted(skew.vertices()) == [(0, 0), (0, 2), (6, 0)]
 
 

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from conftest import bundled, same_polytope
+from conftest import bundled, malformed_slab_fixtures, same_polytope
 from fanoscope import cli
 from fanoscope.degeneration import DegenerationData
 from fanoscope.fileio import (ParseError, bundled_polytopes,
@@ -331,25 +331,30 @@ def v2_fixture_with(tmp_path, **changes):
     return str(path)
 
 
+def run_malformed_slab_fixture(tmp_path, key):
+    doc, message = malformed_slab_fixtures()[key]
+    path = tmp_path / f"mm2_2_{key}.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("analyze", str(path), "--fixture")
+    assert code == 1 and out == ""
+    assert one_json_line(err) == {"error": "DegenerationError",
+                                  "message": message}
+
+
 def test_cli_slab_fixture_with_mismatched_ray_spans_exits_1(tmp_path,
                                                          monkeypatch):
-    # P112a's two ray edges swapped: the total ray span still matches 3p,
-    # but R1 meets a span-2 edge with 4 attachments; `analyze` validates the
-    # fixture, once
-    doc = load_fixture("mm2_2")
-    doc["slabs"][1]["roles"] = {"0": "ray:R3", "2": "ray:R1"}
-    path = tmp_path / "mm2_2_swapped.json"
-    path.write_text(json.dumps(doc))
+    # `analyze` validates the fixture, once
     calls = []
     real = DegenerationData.validate
     monkeypatch.setattr(DegenerationData, "validate",
                         lambda self: calls.append(self) or real(self))
-    code, out, err = run_cli("analyze", str(path), "--fixture")
-    assert code == 1 and out == ""
-    assert one_json_line(err) == {
-        "error": "DegenerationError",
-        "message": "slab P112a: edge span 2 != 4 attachments for ray:R1"}
+    run_malformed_slab_fixture(tmp_path, "edge_span")
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("key", ["endpoints", "spine", "unattached"])
+def test_cli_malformed_slab_fixture_exits_1(tmp_path, key):
+    run_malformed_slab_fixture(tmp_path, key)
 
 
 def test_cli_fixture_edge_values_object_matches_int(tmp_path):

@@ -39,7 +39,8 @@ from fanoscope.linalg import clear_denominators, primitive
 from fanoscope.minkowski import enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 dot, face_length, gorenstein_index,
-                                plane_basis, plane_normal, _clean)
+                                lattice_length, plane_basis, plane_normal,
+                                _clean)
 
 # ---------------------------------------------------------------------------
 # the Fraction route
@@ -47,7 +48,8 @@ from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
 
 class RefSlab:
     """`Slab` as it was: sections from the Fraction candidate scan, spans
-    from `face_length` on each normal."""
+    from `face_length` on each normal, and (2A, b, i) from `counts`, the
+    `Sections.counts` that the sections' spans replaced."""
 
     def __init__(self, name, polygon, coeffs, roles):
         self.name, self.polygon = name, polygon
@@ -56,7 +58,7 @@ class RefSlab:
         self.sections = ref_polygon_of_sections(normals, list(self.coeffs))
         verts = self.sections.vertices()
         self.spans = tuple(face_length(verts, n) for n in normals)
-        self.two_area, b_conv, i_conv = self.sections.counts()
+        self.two_area, b_conv, i_conv = self.counts(self.sections)
         span_sum = sum(self.spans)
         if self.sections.dim == 2 and span_sum != b_conv:
             raise DegenerationError("section polygon spans do not add to its "
@@ -65,6 +67,19 @@ class RefSlab:
         self.i_count = (self.two_area + 2 - self.b_count) // 2
         if (self.two_area + 2 - self.b_count) % 2:
             raise DegenerationError("odd Pick defect in slab sections")
+
+    @staticmethod
+    def counts(sec):
+        """(two_area, b, i) with the degenerate-slab convention b = both-sided
+        boundary length and i solved from Pick."""
+        two_a = sec.two_area()
+        if sec.dim == 2:
+            _, i, b = sec.polygon.point_counts()
+            return two_a, b, i
+        if sec.dim == 1:
+            ell = lattice_length(sec.points[0], sec.points[-1])
+            return 0, 2 * ell, 1 - ell
+        return 0, 0, 1
 
 
 def ref_two_cone(dirv, w):
@@ -320,6 +335,11 @@ def base_routes():
                                     [{"meets": (1, 1, 1), "value": 1}])
     routes["hexagon_cone_generic"] = (
         bundled("hexagon_cone"), (2, 1, 0),
+        [(1, 0, 0), (0, 0, 1), (-1, 0, 0), (0, 0, -1)], [])
+    # e1 and -e2 are one ray mod (2, 1, 0), and all four lie on one line
+    # there: raises
+    routes["hexagon_cone_collinear_rays"] = (
+        bundled("hexagon_cone"), (2, 1, 0),
         [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0)], [])
     routes["v2_generic"] = (bundled("v2"), (1, 1, 2), PLANE_RAYS, [])
     routes["b1_generic"] = (bundled("b1"), (1, 2, 0),
@@ -384,10 +404,11 @@ def test_bundled_line_fans_match_the_fraction_route():
     assert got["b1_not_cartier"] == (
         NotCartier, "not Cartier: no integral section witness at a vertex "
         "cone")
-    assert got["hexagon_cone_flat_ray"] == (PolytopeError,
-                                            "vectors do not span a plane")
-    for name in set(routes) - {"p3_edge_exit", "b1_not_cartier",
-                               "hexagon_cone_flat_ray"}:
+    incomplete = {"hexagon_cone_flat_ray", "hexagon_cone_collinear_rays"}
+    for name in incomplete:
+        assert got[name] == (DegenerationError,
+                             "line fan needs a complete quotient fan")
+    for name in set(routes) - {"p3_edge_exit", "b1_not_cartier"} - incomplete:
         assert not isinstance(got[name][0], type), name
     # the fixture and product entry points build the same slabs
     fixture = data_from_fixture(load_fixture("b3_cubic"))

@@ -19,7 +19,9 @@ DELETED = [("polytope", "convex_hull"),
            ("degeneration", "_d1_verdict"),
            ("degeneration", "_sv_remainder_ok"),
            ("polytope", "Polygon.dilate"),
-           ("polytope", "LatticePolytope.dilate")]
+           ("polytope", "LatticePolytope.dilate"),
+           ("degeneration", "Sections.counts"),
+           ("degeneration", "Sections.support")]
 
 
 def resolves(obj, dotted):

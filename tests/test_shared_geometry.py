@@ -244,7 +244,7 @@ def builders(seed=None):
 def slab_view(s):
     sec = s.sections
     return (s.name, s.polygon.vertices, s.coeffs, s.roles, sec.dim,
-            tuple(sec.vertices()), sec.points, sec.support, s.spans,
+            tuple(sec.vertices()), sec.points, s.spans,
             s.two_area, s.b_count, s.i_count)
 
 

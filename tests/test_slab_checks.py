@@ -1,0 +1,137 @@
+"""The slab layer's checks: the ones a theorem retired, kept as references,
+and every raise that is left, reached by a pinned input.
+
+`polygon_of_sections` reads nef, Cartier and the face spans off the vertices
+of the sections in one pass, and `Slab` takes b from the spans with no check
+of its own; the proofs are in their docstrings.  `RefSlab` still runs the
+old vertex-cone loop (in `ref_polygon_of_sections`), `Sections.counts` and
+both of `Slab`'s raises, and must agree with the new code on random lattice
+polygons and on every slab of every bundled route.  The raise audit reads
+the raises of `polygon_of_sections`, `Slab` and `DegenerationData.validate`
+out of the source, so a raise that no pinned input reaches fails at once.
+"""
+
+import ast
+import inspect
+import random
+import textwrap
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import (lattice_polygons, malformed_slab_fixtures,
+                      random_unimodular3)
+from test_line_fan_routes import RefSlab, base_routes, image
+from test_shared_geometry import SEEDS, builders
+from fanoscope import degeneration
+from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationError,
+                                    EmptyLinearSystem, NotCartier, NotNef,
+                                    Slab, line_fan_data, polygon_of_sections)
+from fanoscope.polytope import PolytopeError
+
+# the messages of the checks that no input can fire
+RETIRED = {"divisor not nef: support function breaks on a vertex cone",
+           "section polygon spans do not add to its boundary count",
+           "odd Pick defect in slab sections"}
+
+
+def slab_outcome(cls, name, polygon, coeffs, roles):
+    """(exception type, message), or the slab's sections and counts; for
+    `RefSlab`, also that `counts` gives the slab's (2A, b, i)."""
+    try:
+        slab = cls(name, polygon, coeffs, roles)
+    except DegenerationError as exc:
+        assert str(exc) not in RETIRED
+        return type(exc), str(exc)
+    sec = slab.sections
+    if cls is RefSlab:
+        assert RefSlab.counts(sec) == (slab.two_area, slab.b_count,
+                                       slab.i_count)
+    return (sec.dim, tuple(sec.vertices()), slab.spans, slab.two_area,
+            slab.b_count, slab.i_count)
+
+
+def check_slab(name, polygon, coeffs, roles):
+    want = slab_outcome(RefSlab, name, polygon, coeffs, roles)
+    assert slab_outcome(Slab, name, polygon, coeffs, roles) == want
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(lattice_polygons(span=3), st.data())
+def test_slab_matches_the_retired_checks(poly, data):
+    k = len(poly.vertices)
+    coeffs = data.draw(st.lists(st.integers(-3, 6), min_size=k, max_size=k))
+    check_slab("s", poly, tuple(coeffs), (ROLE_BOUNDARY,) * k)
+
+
+def bundled_slabs(seed):
+    """Every slab of the bundled degenerations (`builders`) and of the
+    line-fan routes that build, all moved by the seeded GL(3,Z) map."""
+    out = [s for build in builders(seed) for s in build().slabs]
+    g = None if seed is None else random_unimodular3(random.Random(seed))
+    for route in base_routes().values():
+        try:
+            out += line_fan_data(*(route if g is None
+                                   else image(route, g))).slabs
+        except (DegenerationError, PolytopeError):
+            pass
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_bundled_slabs_match_the_retired_checks(seed):
+    for s in bundled_slabs(seed):
+        check_slab(s.name, s.polygon, s.coeffs, s.roles)
+
+
+# ---------------------------------------------------------------------------
+# every raise left in the slab layer, reached
+
+
+# id -> (normals, coefficients, exception type, message); the raises of
+# `DegenerationData.validate` are reached by `malformed_slab_fixtures`,
+# which `tests/test_io_cli.py` runs through the CLI
+PINNED = {
+    "empty": ([(0, 1), (-1, -1), (1, 0)], [0, -1, 0],
+              EmptyLinearSystem, "empty linear system"),
+    "slack": ([(0, 1), (-1, -1), (-1, 0), (1, 0)], [0, 2, 3, 0],
+              NotNef, "divisor not nef: slack on edge with normal (-1, 0)"),
+    "not_cartier": ([(0, 1), (-1, -2), (1, 0)], [0, 1, 0], NotCartier,
+                    "not Cartier: no integral section witness at a vertex "
+                    "cone"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_pinned_sections_raise(key):
+    normals, coeffs, cls, message = PINNED[key]
+    with pytest.raises(cls) as info:
+        polygon_of_sections(normals, coeffs)
+    assert type(info.value) is cls and str(info.value) == message
+
+
+def raise_heads(obj):
+    """The message of every `raise` in obj's source, as written: a string
+    literal as it is, an f-string up to its first field."""
+    out = []
+    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(obj)))):
+        if isinstance(node, ast.Raise):
+            arg = node.exc.args[0]
+            if isinstance(arg, ast.Constant):
+                out.append(arg.value)
+            else:
+                out.append(arg.values[0].value)
+    return out
+
+
+def test_every_raise_is_reached():
+    heads = {obj: raise_heads(obj)
+             for obj in (degeneration.polygon_of_sections, degeneration.Slab,
+                         degeneration.DegenerationData.validate)}
+    assert len(heads[degeneration.polygon_of_sections]) == 3
+    assert heads[degeneration.Slab] == []
+    reached = [entry[-1] for entry in PINNED.values()] + [
+        message for _, message in malformed_slab_fixtures().values()]
+    for head in sum(heads.values(), []):
+        assert any(m.startswith(head) for m in reached), head

@@ -3,8 +3,9 @@
 A polar vertex on a ray of the fan (D1) is smooth by construction: the proof
 is in `check_smooth_data`'s docstring and `tests/test_ray_facets.py` asserts
 it.  The vertices inside a 2-cone (D2, the Cayley condition) and the corners
-(D3) are reached here by line fans on `polytopes.json` entries, each with
-its whole verdict dict pinned.  `test_every_verdict_is_reached` reads the
+(D3) are reached here by complete line fans on `polytopes.json` entries,
+each with its whole verdict dict pinned; the incomplete ones that `line_fan`
+refuses are pinned as such.  `test_every_verdict_is_reached` reads the
 verdict literals out of the source, so a branch that no pinned input
 reaches fails at once.
 """
@@ -16,7 +17,8 @@ import pytest
 
 from conftest import bundled
 from fanoscope import degeneration
-from fanoscope.degeneration import check_smooth_data, line_fan_data
+from fanoscope.degeneration import (DegenerationError, check_smooth_data,
+                                    line_fan_data)
 from fanoscope.polytope import LatticePolytope, PolytopeError
 
 SMOOTH = "smooth"
@@ -28,25 +30,10 @@ NOT_SIMPLICIAL = "violation: cone over v* is not simplicial"
 NOT_SMOOTH = "violation: cone over v* is not smooth"
 LABEL_GAP_3 = "violation: |a(F1*) - a(F2*)| = 3 > 1"
 
-# id -> ((polytope, line, rays2d, edge rule), verdicts).  The first three
-# quotient fans are not complete: two of p3's and cube's rays are one ray
-# mod the line, and b1's leave a half-plane empty.  `line_fan` takes them
-# all, so the D3 verdicts are pinned on complete fans as well.
+# id -> ((polytope, line, rays2d, edge rule), verdicts).  Every quotient
+# fan here is complete; `INCOMPLETE` holds the fans that `line_fan` refuses.
 P2_FAN = [(0, -1, -1), (0, 0, 1), (0, 1, 0)]  # P^2's fan mod (1, 0, 0)
 PINNED = {
-    "p3_corner": (("p3", (-1, -1, -1), [(-1, -1, 0), (-1, -1, 1),
-                                        (-1, 0, -1)],
-                   [{"meets": (-1, -1, -1), "value": 1}]),
-                  {0: SMOOTH, 1: SMOOTH, 2: SMOOTH, 3: CORNER}),
-    "b1_not_smooth": (("b1", (-1, 5, -1), [(-1, -1, -1), (-1, -1, 0),
-                                           (0, 0, 1)], []),
-                      {0: NOT_SMOOTH, 1: NOT_CAYLEY, 2: NOT_SMOOTH,
-                       3: NOT_SMOOTH}),
-    "cube_not_simplicial": (("cube", (-1, -1, -1), [(-1, -1, 0), (-1, -1, 1),
-                                                    (-1, 0, -1)], []),
-                            {0: NOT_SIMPLICIAL, 1: NOT_SIMPLICIAL,
-                             2: NOT_SIMPLICIAL, 3: NOT_CAYLEY, 4: NOT_CAYLEY,
-                             5: NOT_SIMPLICIAL}),
     "p3_corner_complete": (("p3", (-1, 0, 0), P2_FAN, []),
                            {0: SMOOTH, 1: CORNER, 2: CORNER, 3: SMOOTH}),
     "q3_not_simplicial_complete": (("q3_quadric", (-1, 0, 0), P2_FAN, []),
@@ -77,6 +64,20 @@ PINNED = {
 }
 
 
+# id -> (polytope, line, rays2d): two of p3's and cube's rays are one ray
+# mod the line, and b1's leave a half-plane empty; the last adds a second
+# ray through (0, 1, 0) mod the line to a complete fan
+INCOMPLETE = {
+    "p3_corner": ("p3", (-1, -1, -1), [(-1, -1, 0), (-1, -1, 1),
+                                       (-1, 0, -1)]),
+    "b1_not_smooth": ("b1", (-1, 5, -1), [(-1, -1, -1), (-1, -1, 0),
+                                          (0, 0, 1)]),
+    "cube_not_simplicial": ("cube", (-1, -1, -1), [(-1, -1, 0), (-1, -1, 1),
+                                                   (-1, 0, -1)]),
+    "p3_one_ray_twice": ("p3", (-1, 0, 0), P2_FAN + [(-1, 1, 0)]),
+}
+
+
 def pinned_data(key):
     (name, line, rays, rule), _ = PINNED[key]
     return line_fan_data(bundled(name), line, rays, rule, name=key)
@@ -85,6 +86,14 @@ def pinned_data(key):
 @pytest.mark.parametrize("key", sorted(PINNED))
 def test_pinned_line_fan_verdicts(key):
     assert check_smooth_data(pinned_data(key)) == PINNED[key][1]
+
+
+@pytest.mark.parametrize("key", sorted(INCOMPLETE))
+def test_incomplete_quotient_fan_is_refused(key):
+    name, line, rays = INCOMPLETE[key]
+    with pytest.raises(DegenerationError,
+                       match="^line fan needs a complete quotient fan$"):
+        line_fan_data(bundled(name), line, rays, [], name=key)
 
 
 def test_rational_dual_edge_falls_back_to_length_zero(monkeypatch):
