@@ -12,10 +12,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
-from .linalg import clear_denominators, det, primitive, saturate
+from .linalg import (clear_denominators, det, lex_positive, primitive,
+                     saturate)
 from .minkowski import Summand, enumerate_smooth_decompositions
 from .polytope import (LatticePolytope, Polygon, PolytopeError, cross, dot,
-                       is_integral, lattice_length,
+                       face_length, is_integral, lattice_length,
                        pick_area, plane_basis, plane_coords, plane_normal,
                        vsub, _clean, _quotient)
 
@@ -90,8 +91,17 @@ def polygon_of_sections(normals, coeffs) -> Sections:
     vertex cone i's tight set is {m_i}, and Cartier is "every vertex is
     integral".  The spans are read after that test, so a rational face
     raises `NotCartier`.
+
+    That proof needs the order, so it is checked in O(k): each normal turns
+    strictly left into the next, and the normals wind once, i.e. they cross
+    from the lower half-plane (y < 0, or y = 0 < -x) to the upper one once.
     """
     k = len(normals)
+    lower = [y < 0 or y == 0 > x for x, y in normals]
+    if (any(a * d - b * c <= 0 for (a, b), (c, d) in
+            ((normals[i - 1], normals[i]) for i in range(k)))
+            or sum(lower[i - 1] and not lower[i] for i in range(k)) != 1):
+        raise DegenerationError("edge normals are not in ccw order")
     cuts = [(n0, n1, -q) for (n0, n1), q in zip(normals, coeffs)]
     cands = set()
     for i in range(k):
@@ -324,7 +334,9 @@ def _two_cone(dirv, w):
 
 def ray_lattice(dir3):
     """Basis of W = ann(primitive direction) in the opposite lattice, plus
-    the W-coordinate map; deterministic."""
+    the W-coordinate map; deterministic.  Directions u and -u give the same
+    kernel rows (each entry is d or -d u_c / u_p, even in u), so the same
+    basis: `_ray_decompositions` computes it once per line."""
     u = primitive(dir3)
     # The kernel of the row u has one vector e_c - (u_c / u_p) e_p per free
     # column c, p the first nonzero column; scaled by the least common
@@ -401,10 +413,9 @@ def match_summand_slabs(summand: Summand, slab_functionals: dict):
     slab_functionals: slab name -> primitive functional on W.
     Raises when a summand edge direction matches no slab.
     """
-    hits = []
-    for name, f in slab_functionals.items():
-        if summand.face_length(f) >= 1:
-            hits.append(name)
+    verts = summand.polygon_vertices()
+    hits = [name for name, f in slab_functionals.items()
+            if face_length(verts, f) >= 1]
     need = {"point": 0, "segment": 2, "triangle": 3}[summand.kind]
     if len(hits) != need:
         raise DegenerationError(
@@ -545,11 +556,15 @@ def _ray_decompositions(p: LatticePolytope):
     """For each ray, in P*'s vertex order (`_ray_facets(p)`): its
     `ray_lattice` basis and the smooth Minkowski decompositions of its
     facet divided by r (`_ray_target`, which raises where r does not
-    divide).  Rays with equal targets share one enumeration, within this
-    call."""
+    divide).  Within this call, rays with equal targets share one
+    enumeration and opposite facets one `ray_lattice` basis."""
     found = {}  # target polygon -> its decompositions
+    lattices = {}  # facet normal up to sign -> its ray_lattice basis
     for vid, f in enumerate(_ray_facets(p)):
-        w_basis = ray_lattice(f.dual)
+        line = lex_positive(f.normal)
+        if line not in lattices:
+            lattices[line] = ray_lattice(f.dual)
+        w_basis = lattices[line]
         target = _ray_target(p, f, w_basis, vid)
         if target not in found:
             found[target] = enumerate_smooth_decompositions(target)
@@ -894,7 +909,8 @@ def _d2_verdict(data, dual, f, t_dir):
             lens.append(dual.edge_length(dual.edges[eidx])
                         if eidx is not None else 0)
         except PolytopeError:
-            lens.append(0)
+            return (f"violation: edge {eidx} of P* has a rational end, so "
+                    f"its Cayley segment has no dual length")
     if abs(a_vals[0] - a_vals[1]) > 1:
         return (f"violation: |a(F1*) - a(F2*)| = "
                 f"{abs(a_vals[0] - a_vals[1])} > 1")

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .linalg import lex_positive
-from .polytope import Polygon, PolytopeError, face_length
+from .polytope import Polygon, PolytopeError
 
 
 @dataclass(frozen=True, order=True)
@@ -47,11 +47,6 @@ class Summand:
         mx, my = min(pts)
         return sorted((x - mx, y - my) for x, y in pts)
 
-    def face_length(self, functional) -> int:
-        """Lattice length of the face minimizing the functional (0 at a
-        vertex)."""
-        return face_length(self.polygon_vertices(), functional)
-
 
 def segment(v) -> Summand:
     return Summand("segment", (lex_positive(v),))
@@ -72,11 +67,12 @@ POINT = Summand("point", ())
 
 def minkowski_sum(summands):
     """Minkowski sum of summands as a translation-normalized polygon or, when
-    degenerate, the sorted vertex list of the sum."""
+    degenerate, the sorted vertex list of the sum.  Each summand's vertex
+    list is read once and added to every point accumulated so far."""
     pts = [(0, 0)]
     for s in summands:
-        pts = sorted({(x + u, y + w)
-                      for x, y in pts for u, w in s.polygon_vertices()})
+        verts = s.polygon_vertices()
+        pts = sorted({(x + u, y + w) for x, y in pts for u, w in verts})
     mx, my = min(pts)
     pts = [(x - mx, y - my) for x, y in pts]
     try:

@@ -509,7 +509,8 @@ class LatticePolytope:
 def _hull3d_facets(pts, ipts):
     """(primitive inner normal, level, member indices) of every facet of the
     hull of pts; ipts are the same points scaled to integers, on which
-    every candidate plane is tested."""
+    every candidate plane is tested.  A plane is dropped at its first point
+    on the far side and kept only after every point has been tested."""
     n = len(pts)
     if n < 4:
         raise PolytopeError("not full-dimensional")
@@ -530,15 +531,17 @@ def _hull3d_facets(pts, ipts):
         if (a, b, c, lvl) in planes:
             continue
         planes.add((a, b, c, lvl))
-        vals = [a * x + b * y + c * z for x, y, z in ipts]
-        if min(vals) == lvl:
-            nrm = (a, b, c)
-        elif max(vals) == lvl:
-            nrm = (-a, -b, -c)
+        side = 0  # <., (a, b, c)> - lvl at the first point off the plane
+        for x, y, z in ipts:
+            v = a * x + b * y + c * z - lvl
+            if side * v < 0:
+                break
+            side = side or v
         else:
-            continue
-        seen[nrm] = (dot(nrm, pts[i]),
-                     [m for m, v in enumerate(vals) if v == lvl])
+            nrm = (a, b, c) if side >= 0 else (-a, -b, -c)
+            seen[nrm] = (dot(nrm, pts[i]),
+                         [m for m, (x, y, z) in enumerate(ipts)
+                          if a * x + b * y + c * z == lvl])
     facets = [(nrm, c, members) for nrm, (c, members) in seen.items()]
     if len(facets) < 4:
         raise PolytopeError("not full-dimensional")
@@ -586,14 +589,14 @@ def _facet_cycle(points, ids, normal):
 def _edges_from_facets(facets):
     """Edges from consecutive vertices of the facet cycles; each edge lies
     on exactly two facets."""
-    on = {}
+    on = {}  # sorted vertex id pair -> the facets on that edge
     for fi, f in enumerate(facets):
         cyc = f.cycle
         for t, u in enumerate(cyc):
-            on.setdefault(frozenset((u, cyc[t - 1])), []).append(fi)
-    edges = [Edge(key, frozenset(fs)) for key, fs in on.items()]
-    edges.sort(key=lambda e: sorted(e.vertex_ids))
-    return tuple(edges)
+            w = cyc[t - 1]
+            on.setdefault((u, w) if u < w else (w, u), []).append(fi)
+    return tuple(Edge(frozenset(key), frozenset(fs))
+                 for key, fs in sorted(on.items()))
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@ import itertools
 import os
 import random
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import assume
@@ -10,7 +12,7 @@ from hypothesis import strategies as st
 from fanoscope.fileio import bundled_polytopes, load_fixture
 from fanoscope.degeneration import _coords_in
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                embed_polygon, vsub)
+                                dot, embed_polygon, vsub)
 
 
 def db_path():
@@ -204,3 +206,60 @@ def lattice_polygons(draw, span=5):
         return Polygon([(x + tx, y + ty) for x, y in pts])
     except PolytopeError:
         assume(False)
+
+
+def ref_hull3d_facets(pts, ipts):
+    """`polytope._hull3d_facets` as it was, with every value of every
+    candidate plane computed: (primitive inner normal, level, member
+    indices) of every facet of the hull of pts; ipts are the same points
+    scaled to integers, on which every candidate plane is tested."""
+    n = len(pts)
+    if n < 4:
+        raise PolytopeError("not full-dimensional")
+    seen = {}
+    planes = set()  # every plane tested so far, in one orientation
+    for i, j, k in combinations(range(n), 3):
+        (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = ipts[i], ipts[j], ipts[k]
+        ux, uy, uz = x1 - x0, y1 - y0, z1 - z0
+        vx, vy, vz = x2 - x0, y2 - y0, z2 - z0
+        a, b, c = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+        g = gcd(a, b, c)
+        if g == 0:
+            continue
+        if a < 0 or (a == 0 and (b < 0 or (b == 0 and c < 0))):
+            g = -g  # the lex-larger of the two orientations
+        a, b, c = a // g, b // g, c // g
+        lvl = a * x0 + b * y0 + c * z0
+        if (a, b, c, lvl) in planes:
+            continue
+        planes.add((a, b, c, lvl))
+        vals = [a * x + b * y + c * z for x, y, z in ipts]
+        if min(vals) == lvl:
+            nrm = (a, b, c)
+        elif max(vals) == lvl:
+            nrm = (-a, -b, -c)
+        else:
+            continue
+        seen[nrm] = (dot(nrm, pts[i]),
+                     [m for m, v in enumerate(vals) if v == lvl])
+    facets = [(nrm, c, members) for nrm, (c, members) in seen.items()]
+    if len(facets) < 4:
+        raise PolytopeError("not full-dimensional")
+    return facets
+
+
+def ref_minkowski_sum(summands):
+    """`minkowski.minkowski_sum` as it was, reading a summand's vertices
+    once per accumulated point: the Minkowski sum of summands as a
+    translation-normalized polygon or, when degenerate, the sorted vertex
+    list of the sum."""
+    pts = [(0, 0)]
+    for s in summands:
+        pts = sorted({(x + u, y + w)
+                      for x, y in pts for u, w in s.polygon_vertices()})
+    mx, my = min(pts)
+    pts = [(x - mx, y - my) for x, y in pts]
+    try:
+        return Polygon(pts)
+    except PolytopeError:
+        return sorted(set(pts))

@@ -59,7 +59,7 @@ def test_sections_errors():
     with pytest.raises(EmptyLinearSystem):
         polygon_of_sections([(0, 1), (-1, -1), (1, 0)], [0, -1, 0])
     with pytest.raises(NotNef):
-        polygon_of_sections([(0, 1), (-1, -1), (-1, 0), (1, 0)], [0, 2, 3, 0])
+        polygon_of_sections([(0, 1), (-1, 0), (-1, -1), (1, 0)], [0, 3, 2, 0])
     with pytest.raises(NotCartier):
         polygon_of_sections([(0, 1), (-1, -2), (1, 0)], [0, 1, 0])
 

@@ -235,7 +235,7 @@ def test_polar_dual_from_faces_keeps_rational_duals():
             v for v in sorted(p.vertices, key=primitive)]
 
 
-def ref_hull3d_facets(pts):
+def generic_hull3d_facets(pts):
     """The triple scan with generic vector helpers, before integer
     inlining."""
     seen = {}
@@ -275,7 +275,7 @@ def test_hull_facets_match_generic_triple_scan(p, den):
     pts = sorted({_clean(tuple(Fraction(x, den) for x in v))
                   for v in list(p.vertices) + extra})
     got = _hull3d_facets(pts, clear_denominators(pts)[0])
-    assert sorted(got) == sorted(ref_hull3d_facets(pts))
+    assert sorted(got) == sorted(generic_hull3d_facets(pts))
 
 
 def ref_ray_lattice(dir3):

@@ -10,7 +10,7 @@ from conftest import (dilate_polygon, lattice_polygons, mat_vec,
                       random_unimodular2)
 from fanoscope.minkowski import (POINT, enumerate_smooth_decompositions,
                                  minkowski_sum, segment, triangle)
-from fanoscope.polytope import Polygon, PolytopeError
+from fanoscope.polytope import Polygon, PolytopeError, face_length
 
 HEXAGON = Polygon([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
@@ -80,13 +80,13 @@ def test_count_invariant_under_gl2():
 
 
 def test_summand_face_lengths():
-    t = triangle((1, 0), (-1, 1), (0, -1))
-    assert t.face_length((0, 1)) == 1
-    assert t.face_length((1, 2)) == 0  # generic functional hits a vertex
-    s = segment((1, 0))
-    assert s.face_length((0, 1)) == 1
-    assert s.face_length((0, -1)) == 1
-    assert s.face_length((1, 0)) == 0
+    t = triangle((1, 0), (-1, 1), (0, -1)).polygon_vertices()
+    assert face_length(t, (0, 1)) == 1
+    assert face_length(t, (1, 2)) == 0  # generic functional hits a vertex
+    s = segment((1, 0)).polygon_vertices()
+    assert face_length(s, (0, 1)) == 1
+    assert face_length(s, (0, -1)) == 1
+    assert face_length(s, (1, 0)) == 0
 
 
 def ref_enumerate(polygon: Polygon):

@@ -21,7 +21,8 @@ DELETED = [("polytope", "convex_hull"),
            ("polytope", "Polygon.dilate"),
            ("polytope", "LatticePolytope.dilate"),
            ("degeneration", "Sections.counts"),
-           ("degeneration", "Sections.support")]
+           ("degeneration", "Sections.support"),
+           ("minkowski", "Summand.face_length")]
 
 
 def resolves(obj, dotted):
@@ -46,7 +47,7 @@ def test_deleted_names_stay_gone():
         assert dotted not in fanoscope.__all__
     # the resolver does find names that exist
     assert resolves(importlib.import_module("fanoscope.minkowski"),
-                    "Summand.face_length")
+                    "Summand.polygon_vertices")
     # LatticePolytope compares by identity again; Polygon keeps its __eq__
     polytope = importlib.import_module("fanoscope.polytope")
     assert polytope.LatticePolytope.__eq__ is object.__eq__

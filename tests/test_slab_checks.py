@@ -95,8 +95,15 @@ def test_bundled_slabs_match_the_retired_checks(seed):
 PINNED = {
     "empty": ([(0, 1), (-1, -1), (1, 0)], [0, -1, 0],
               EmptyLinearSystem, "empty linear system"),
-    "slack": ([(0, 1), (-1, -1), (-1, 0), (1, 0)], [0, 2, 3, 0],
+    "slack": ([(0, 1), (-1, 0), (-1, -1), (1, 0)], [0, 3, 2, 0],
               NotNef, "divisor not nef: slack on edge with normal (-1, 0)"),
+    # the normals of the slack case with two of them swapped
+    "not_ccw": ([(0, 1), (-1, -1), (-1, 0), (1, 0)], [0, 2, 3, 0],
+                DegenerationError, "edge normals are not in ccw order"),
+    # every turn is to the left, but a pentagram's normals wind twice
+    "winds_twice": ([(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+                    [0, 0, 0, 0, 0], DegenerationError,
+                    "edge normals are not in ccw order"),
     "not_cartier": ([(0, 1), (-1, -2), (1, 0)], [0, 1, 0], NotCartier,
                     "not Cartier: no integral section witness at a vertex "
                     "cone"),
@@ -129,7 +136,7 @@ def test_every_raise_is_reached():
     heads = {obj: raise_heads(obj)
              for obj in (degeneration.polygon_of_sections, degeneration.Slab,
                          degeneration.DegenerationData.validate)}
-    assert len(heads[degeneration.polygon_of_sections]) == 3
+    assert len(heads[degeneration.polygon_of_sections]) == 4
     assert heads[degeneration.Slab] == []
     reached = [entry[-1] for entry in PINNED.values()] + [
         message for _, message in malformed_slab_fixtures().values()]

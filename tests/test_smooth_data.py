@@ -30,6 +30,12 @@ NOT_SIMPLICIAL = "violation: cone over v* is not simplicial"
 NOT_SMOOTH = "violation: cone over v* is not smooth"
 LABEL_GAP_3 = "violation: |a(F1*) - a(F2*)| = 3 > 1"
 
+
+def rational_end(eidx):
+    return (f"violation: edge {eidx} of P* has a rational end, so its "
+            f"Cayley segment has no dual length")
+
+
 # id -> ((polytope, line, rays2d, edge rule), verdicts).  Every quotient
 # fan here is complete; `INCOMPLETE` holds the fans that `line_fan` refuses.
 P2_FAN = [(0, -1, -1), (0, 0, 1), (0, 1, 0)]  # P^2's fan mod (1, 0, 0)
@@ -51,10 +57,12 @@ PINNED = {
     "mm2_5_neither_label": (("mm2_5", (-1, 0, 0), P2_FAN, []),
                             {0: SMOOTH, 1: NOT_SIMPLICIAL, 2: NOT_SIMPLICIAL,
                              3: NEITHER, 4: SMOOTH, 5: SMOOTH, 6: SMOOTH}),
-    # a Cayley segment dual to an edge of P* with a rational end
+    # a Cayley segment dual to an edge of P* with a rational end, which has
+    # no lattice length to hold the label against
     "v2_rational_dual_edge": (("v2", (-1, -1, -1), [(0, 0, 1), (0, 1, 0),
                                                     (1, 0, 0)], []),
-                              {0: SMOOTH, 1: SMOOTH, 2: SMOOTH, 3: SMOOTH}),
+                              {0: SMOOTH, 1: rational_end(0),
+                               2: rational_end(1), 3: rational_end(2)}),
     # the cubic model's d = 2 vertices break the Cayley label bound
     "b3_label_gap": (("b3_cubic", (0, 0, 1), [(1, 0, 0), (0, 1, 0),
                                               (-1, -1, 0)],
@@ -96,10 +104,9 @@ def test_incomplete_quotient_fan_is_refused(key):
         line_fan_data(bundled(name), line, rays, [], name=key)
 
 
-def test_rational_dual_edge_falls_back_to_length_zero(monkeypatch):
-    # `_d2_verdict` reads the dual length of a Cayley segment as 0 when the
-    # edge of P* it is dual to has a rational end, which `edge_length`
-    # refuses
+def test_rational_dual_edge_verdict_names_the_refused_edge(monkeypatch):
+    # `_d2_verdict` gives a Cayley segment dual to an edge of P* with a
+    # rational end, which `edge_length` refuses, a verdict naming that edge
     data = pinned_data("v2_rational_dual_edge")
     refused = []
     edge_length = LatticePolytope.edge_length
@@ -108,11 +115,13 @@ def test_rational_dual_edge_falls_back_to_length_zero(monkeypatch):
         try:
             return edge_length(self, edge)
         except PolytopeError:
-            refused.append(edge)
+            refused.append(data.dual.edges.index(edge))
             raise
     monkeypatch.setattr(LatticePolytope, "edge_length", counted)
-    check_smooth_data(data)
+    verdicts = check_smooth_data(data)
     assert refused
+    assert sorted(v for v in verdicts.values() if v != SMOOTH) == \
+        sorted(map(rational_end, refused))
 
 
 def verdict_literals():
