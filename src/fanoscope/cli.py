@@ -101,11 +101,16 @@ def _decomposition_indices(decomposition):
 
 
 def _looks_like_fixture(target: str) -> bool:
+    """A JSON file holding an object with a "kind" key is a fixture; any
+    other file, unreadable JSON included, is left to `parse_polytope`."""
     if not str(target).endswith(".json") or not os.path.exists(target):
         return False
     with open(target) as fh:
-        head = fh.read(512)
-    return '"kind"' in head
+        try:
+            doc = json.load(fh)
+        except json.JSONDecodeError:
+            return False
+    return isinstance(doc, dict) and "kind" in doc
 
 
 def cmd_analyze(args):

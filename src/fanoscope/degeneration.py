@@ -18,7 +18,7 @@ from .minkowski import Summand, enumerate_smooth_decompositions
 from .polytope import (LatticePolytope, Polygon, PolytopeError, cross, dot,
                        face_length, is_integral, lattice_length,
                        pick_area, plane_basis, plane_coords, plane_normal,
-                       vsub, _clean, _quotient)
+                       _clean, _quotient)
 
 
 class DegenerationError(ValueError):
@@ -336,7 +336,9 @@ def ray_lattice(dir3):
     """Basis of W = ann(primitive direction) in the opposite lattice, plus
     the W-coordinate map; deterministic.  Directions u and -u give the same
     kernel rows (each entry is d or -d u_c / u_p, even in u), so the same
-    basis: `_ray_decompositions` computes it once per line."""
+    basis: `_ray_decompositions` computes it once per line.  The two rows
+    put d != 0 in different free columns, so they are independent and the
+    basis has two vectors."""
     u = primitive(dir3)
     # The kernel of the row u has one vector e_c - (u_c / u_p) e_p per free
     # column c, p the first nonzero column; scaled by the least common
@@ -350,10 +352,7 @@ def ray_lattice(dir3):
         row[c] = d
         row[p] = -u[c] * d // u[p]
         rows.append(row)
-    basis = saturate(rows)
-    if len(basis) != 2:
-        raise DegenerationError("direction annihilator is not a plane")
-    return [tuple(b) for b in basis]
+    return [tuple(b) for b in saturate(rows)]
 
 
 def facet_in_ray_coords(p: LatticePolytope, facet, w_basis) -> Polygon:
@@ -719,20 +718,15 @@ def _polygon_polar(q: Polygon):
 
 
 def _dual_edge_length(v, qdualverts):
-    """Length of the edge of the polar dual on which v evaluates to -1."""
+    """Length of the edge of the polar dual on which v evaluates to -1.
+    The origin is interior to Q, so <u_e, .> >= -1 on Q for the polar vertex
+    u_e of each edge e, with equality exactly on e's line; v lies on the
+    lines of its two edges only, so two u are tight."""
     tight = [u for u in qdualverts if dot(u, v) == -1]
-    if len(tight) != 2:
-        raise DegenerationError("base polygon vertex without a dual edge")
     return lattice_length(tight[0], tight[1])
 
 
 # -- small geometric helpers -------------------------------------------------
-
-
-def _on_segment(p, a, b) -> bool:
-    """p lies on the segment [a, b], a != b."""
-    pa, ab = vsub(p, a), vsub(b, a)
-    return not any(cross(pa, ab)) and 0 <= dot(pa, ab) <= dot(ab, ab)
 
 
 def _along_line(p, dirv) -> bool:
@@ -757,14 +751,16 @@ def _rule_values(poly: LatticePolytope, rules):
 def _exit_point(poly: LatticePolytope, levels, r):
     """(num, den), den > 0: the ray through r leaves poly at r * num / den,
     in the units of `levels` (each facet's level times the common
-    denominator of the vertices)."""
+    denominator of the vertices).
+
+    poly is P* for a Fano P, so it is bounded and has the origin inside:
+    the ray through r != 0 leaves it, through a facet with <n, r> < 0.
+    """
     best = None
     for f, lvl in zip(poly.facets, levels):
         pace = dot(f.normal, r)
         if pace < 0 and (best is None or lvl * best[1] > best[0] * pace):
             best = (-lvl, -pace)
-    if best is None:
-        raise DegenerationError("line does not exit the polytope")
     return best
 
 
@@ -775,6 +771,8 @@ def _plane_slice(poly: LatticePolytope, rows, den, nu):
     rows are the polytope's vertices times den.  A vertex on the plane is
     kept as it is; an edge [a, b] with g = <nu, .> of opposite signs at its
     ends crosses it at (g_b a - g_a b) / (g_b - g_a), one exact quotient.
+    The plane passes through the origin, interior to poly (= P* for a Fano
+    P), so the section is a polygon and these are at least 3 points.
     """
     g = [dot(nu, v) for v in rows]
     pts = {v for v, x in zip(poly.vertices, g) if x == 0}
@@ -788,26 +786,26 @@ def _plane_slice(poly: LatticePolytope, rows, den, nu):
                           for x, y in zip(rows[ia], rows[ib])))
         elif ga == gb == 0:
             flat.append(i)
-    if len(pts) < 3:
-        raise DegenerationError("plane slice is degenerate")
     return list(pts), flat
 
 
 def _clip_halfplane(points, half, chord):
     """Points whose hull is the part of the convex polygon conv(points) on
     <., half> >= 0, given the ends of its chord on <., half> = 0: the
-    points strictly inside the half, then the chord's two ends."""
-    out = [p for p in points if dot(half, p) > 0]
-    if not out:
-        raise DegenerationError("clipped slab is degenerate")
-    return out + list(chord)
+    points strictly inside the half, then the chord's two ends.  The
+    polygon is a `_plane_slice`, with the origin in its relative interior,
+    and `half` is not zero on its plane (it is > 0 on the 2-cone's ray), so
+    it is > 0 at some vertex: the first part is never empty."""
+    return [p for p in points if dot(half, p) > 0] + list(chord)
 
 
 def _containing_edge(poly: LatticePolytope, edge_ids, a3, b3):
-    """The first of the given edges of poly that holds both a3 and b3."""
+    """The first of the given edges of poly that holds both a3 and b3,
+    points of poly: as in `_rule_values`, a point of poly lies on an edge
+    exactly when it lies on both facets through the edge."""
     for i in edge_ids:
-        ea, eb = (poly.vertices[j] for j in sorted(poly.edges[i].vertex_ids))
-        if _on_segment(a3, ea, eb) and _on_segment(b3, ea, eb):
+        if all(dot(f.normal, x) == f.level for x in (a3, b3)
+               for f in map(poly.facets.__getitem__, poly.edges[i].facet_ids)):
             return i
     return None
 

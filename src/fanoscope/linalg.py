@@ -221,17 +221,17 @@ def _divided_by_gcd(row: dict[int, int]) -> dict[int, int]:
     return {j: x // g for j, x in row.items()} if g > 1 else row
 
 
-def _echelon(a, stop=None, lightest_first=False
+def _echelon(a, lightest_first=False
              ) -> tuple[list[dict[int, int]], list[int]]:
     """Fraction-free reduced row echelon form of a rational matrix.
 
     Rows are kept as primitive integer vectors, each held as {column:
     entry} over its nonzero entries, and each column knows which rows hold
-    it.  Columns are taken in ascending order (those before `stop` only),
-    or with `lightest_first` in ascending order of the number of rows that
-    hold them.  A column's pivot is the sparsest row holding it among those
-    not yet pivots, and only the rows holding the column are combined with
-    it, which clears the column above and below the pivot.  Returns (rows,
+    it.  Columns are taken in ascending order, or with `lightest_first` in
+    ascending order of the number of rows that hold them.  A column's pivot
+    is the sparsest row holding it among those not yet pivots, and only the
+    rows holding the column are combined with it, which clears the column
+    above and below the pivot.  Returns (rows,
     pivot_columns); rows[i] carries the pivot in pivot_columns[i], and the
     rows after the last pivot row are what is left of the rest.
     """
@@ -240,7 +240,7 @@ def _echelon(a, stop=None, lightest_first=False
     for i, row in enumerate(rows):
         for j in row:
             holders.setdefault(j, set()).add(i)
-    cols = sorted(c for c in holders if stop is None or c < stop)
+    cols = sorted(holders)
     if lightest_first:
         cols.sort(key=lambda c: len(holders[c]))
     free = set(range(len(rows)))  # rows that are not pivots yet
@@ -326,8 +326,10 @@ def solve_in_span(rows: list, target) -> list[Fraction] | None:
     nvars = len(rows)
     aug = [[rows[i][c] for i in range(nvars)] + [target[c]]
            for c in range(ncols)]
-    m, pivots = _echelon(aug, stop=nvars)
-    if any(nvars in row for row in m[len(pivots):]):
+    # the target column is read last, when a row with no pivot holds it
+    # alone: it is a pivot exactly when the target is outside the span
+    m, pivots = _echelon(aug)
+    if nvars in pivots:
         return None
     sol = [Fraction(0)] * nvars
     for row, c in zip(m, pivots):

@@ -473,14 +473,6 @@ class LatticePolytope:
                         pts.append(p)
         return pts
 
-    def point_counts(self):
-        total = interior = 0
-        for p in self.lattice_points():
-            total += 1
-            if all(dot(f.normal, p) > f.level for f in self.facets):
-                interior += 1
-        return total, interior, total - interior
-
     def boundary_area(self):
         """Normalized area of the boundary: the sum of the facet areas, each
         in its own lattice.

@@ -1,6 +1,9 @@
+import ast
+import inspect
 import itertools
 import os
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
@@ -12,7 +15,7 @@ from hypothesis import strategies as st
 from fanoscope.fileio import bundled_polytopes, load_fixture
 from fanoscope.degeneration import _coords_in
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                dot, embed_polygon, vsub)
+                                cross, dot, embed_polygon, vsub)
 
 
 def db_path():
@@ -83,6 +86,57 @@ def ref_facet_in_ray_coords(p_dual: LatticePolytope, vertex_id: int,
     coords = _coords_in(w_basis, [vsub(v, verts[0]) for v in verts])
     low = min(coords)
     return Polygon([vsub(c, low) for c in coords])
+
+
+def on_segment(p, a, b) -> bool:
+    """p lies on the segment [a, b], a != b (`degeneration._on_segment` as
+    it was)."""
+    pa, ab = vsub(p, a), vsub(b, a)
+    return not any(cross(pa, ab)) and 0 <= dot(pa, ab) <= dot(ab, ab)
+
+
+def point_counts(p: LatticePolytope):
+    """(total, interior, boundary) lattice points of p, as
+    `LatticePolytope.point_counts` returned them."""
+    total = interior = 0
+    for x in p.lattice_points():
+        total += 1
+        if all(dot(f.normal, x) > f.level for f in p.facets):
+            interior += 1
+    return total, interior, total - interior
+
+
+def raise_lines(module):
+    """The line of every `raise` statement in module's source."""
+    tree = ast.parse(inspect.getsource(module))
+    return {node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Raise)}
+
+
+def executed_lines(fn, modules):
+    """Call fn under a `sys.settrace` tracer that follows only the frames
+    of `modules`; returns (what fn raised, or None; the {(module name,
+    line)} that ran)."""
+    files = {m.__file__: m.__name__ for m in modules}
+    ran = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            ran.add((files[frame.f_code.co_filename], frame.f_lineno))
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code.co_filename in files else None
+
+    old = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn()
+    except Exception as exc:  # returned for the caller to check
+        return exc, ran
+    finally:
+        sys.settrace(old)
+    return None, ran
 
 
 def bundled(name) -> LatticePolytope:

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from conftest import (bundled, bundled_polygon, database, db_path,
-                      dilate_polytope, needs_db)
+                      dilate_polytope, needs_db, point_counts)
 from fanoscope.degeneration import (DegenerationError, decomposition_regimes,
                                     method1_data, product_data)
 from fanoscope.fileio import data_from_fixture, expected_rows, load_fixture
@@ -53,7 +53,7 @@ def test_criterion_03_cubic_example():
     e_node = (data.p_count - data.n_count + data.boundary_count
               + data.vertex_count)
     assert e_slab == e_node == -6 == euler_number(data)
-    assert bundled("b3_cubic").polar_dual().point_counts()[0] == 15
+    assert point_counts(bundled("b3_cubic").polar_dual())[0] == 15
     assert degree(bundled("b3_cubic")) == 24
     verdict(3, "cubic example: p=3, n=27, 18 boundary points, both Euler "
                "formulas -6, degree 24")
@@ -65,7 +65,7 @@ def test_criterion_04_v2_fixture():
     assert rep.degree == 2
     dual3 = dilate_polytope(bundled("v2").polar_dual(), 3)
     assert dual3.is_integral
-    assert dual3.point_counts()[2] == 11
+    assert point_counts(dual3)[2] == 11
     verdict(4, "V2: p=20, n=144, chi=-100, degree 2 with 11 boundary points "
                "on the tripled polar")
 

@@ -2,10 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (NORMAL_FAN_POLYTOPES, _frac, bundled, bundled_polygon,
+from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon,
                       lattice_polygons, mat_vec, random_unimodular3,
                       ref_facet_in_ray_coords)
 from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationError,
@@ -17,11 +17,11 @@ from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationError,
                                     decomposition_regimes, line_fan_data,
                                     method1_data, normal_fan_data,
                                     polygon_of_sections, product_data,
-                                    ray_lattice, _on_segment)
+                                    ray_lattice)
 from fanoscope.fileio import bundled_polytopes
 from fanoscope.minkowski import enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                dot, gorenstein_index, is_integral, vsub)
+                                dot, gorenstein_index, is_integral)
 
 
 def b3_data():
@@ -188,37 +188,6 @@ def test_smooth_data_vertex_classification():
     prod = product_data(bundled_polygon("diamond"))
     assert all(v.startswith("violation")
                for v in check_smooth_data(prod).values())
-
-
-def ref_on_segment(p, a, b) -> bool:
-    """The Fraction-division test that `_on_segment` replaced."""
-    pa, ab = vsub(p, a), vsub(b, a)
-    crossz = [pa[i] * ab[j] - pa[j] * ab[i] for i, j in ((0, 1), (0, 2), (1, 2))]
-    if any(crossz):
-        return False
-    t = None
-    for i in range(3):
-        if ab[i]:
-            t = Fraction(pa[i]) / Fraction(ab[i])
-            break
-    if t is None:
-        return _frac(p) == _frac(a)
-    return 0 <= t <= 1
-
-
-COORD = st.one_of(st.integers(-6, 6),
-                  st.fractions(-6, 6, max_denominator=6))
-VEC = st.tuples(COORD, COORD, COORD)
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(VEC, VEC, VEC,
-       st.one_of(st.integers(-1, 2), st.fractions(-1, 2, max_denominator=8)))
-def test_on_segment_matches_fraction_route(a, b, off, t):
-    assume(a != b)
-    on_line = tuple(x + t * (y - x) for x, y in zip(a, b))
-    for p in (on_line, off, a, b):
-        assert _on_segment(p, a, b) == ref_on_segment(p, a, b)
 
 
 def ref_polygon_of_sections(normals, coeffs):

@@ -154,6 +154,10 @@ def test_max_triangulation_matches_two_scan_insertion(poly):
     assume(poly.point_counts()[0] <= 40)
     tri = max_triangulation(poly)
     assert (tri.points, tri.triangles) == ref_max_triangulation(poly)
+    # every lattice point is a vertex, so Pick makes each triangle unimodular
+    for t in tri.triangles:
+        (ax, ay), (bx, by), (cx, cy) = (tri.points[i] for i in t)
+        assert abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) == 1
 
 
 class _StrayPoint(Polygon):

@@ -357,6 +357,39 @@ def test_cli_malformed_slab_fixture_exits_1(tmp_path, key):
     run_malformed_slab_fixture(tmp_path, key)
 
 
+def test_cli_malformed_slab_fixture_discriminant_exits_1(tmp_path):
+    # `discriminant` does not validate: the stub pools are left over
+    doc, _ = malformed_slab_fixtures()["endpoints"]
+    path = tmp_path / "mm2_2_endpoints.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("discriminant", str(path), "--fixture",
+                             "--svg", str(tmp_path / "svg"))
+    assert code == 1 and out == ""
+    assert one_json_line(err) == {
+        "error": "DegenerationError",
+        "message": "compatibility violated: unconsumed stubs ['P2/s8', "
+                   "'P112a/s7', 'SQa/s8']"}
+
+
+def test_cli_fixture_is_told_by_its_kind_key(tmp_path):
+    # "kind" 600 characters into the file: still a fixture
+    doc = load_fixture("b1")
+    doc["b2"]["source"] = "x" * 600
+    path = tmp_path / "b1_long_source.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("analyze", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["provenance"]["b2"] == "source: " + "x" * 600
+    # a polytope named "kind" has no "kind" key: still a polytope
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps({"name": "kind",
+                                "vertices": bundled("p3").vertices}))
+    code, out, err = run_cli("analyze", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {**json.loads(run_cli("analyze", "p3")[1]),
+                               "name": "kind.json"}
+
+
 def test_cli_fixture_edge_values_object_matches_int(tmp_path):
     doc = load_fixture("v2")
     dual = LatticePolytope(doc["polytope"]).polar_dual()

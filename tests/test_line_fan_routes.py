@@ -18,7 +18,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (_frac, bundled, bundled_polygon, mat_vec,
+from conftest import (_frac, bundled, bundled_polygon, mat_vec, on_segment,
                       random_unimodular2, random_unimodular3)
 from test_degeneration import ref_polygon_of_sections
 from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
@@ -26,7 +26,7 @@ from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
                                     RaySummand,
                                     _along_line, _containing_edge,
                                     _coords_in, _dual_edge_length,
-                                    _on_segment, _plane_slice,
+                                    _plane_slice,
                                     _polygon_polar, _rule_values,
                                     _two_cone,
                                     _unproject, facet_in_ray_coords,
@@ -143,7 +143,7 @@ def ref_clip_halfplane(coords, side):
 def ref_containing_edge(poly: LatticePolytope, a3, b3):
     for i, e in enumerate(poly.edges):
         ea, eb = (poly.vertices[j] for j in sorted(e.vertex_ids))
-        if _on_segment(a3, ea, eb) and _on_segment(b3, ea, eb):
+        if on_segment(a3, ea, eb) and on_segment(b3, ea, eb):
             return i
     return None
 
@@ -196,7 +196,7 @@ def ref_line_fan(p: LatticePolytope, direction, rays2d, edge_rule,
     for i, e in enumerate(dual.edges):
         ea, eb = (dual.vertices[j] for j in sorted(e.vertex_ids))
         edge_values[i] = next((value for meets, value in rules
-                               if _on_segment(meets, ea, eb)), 0)
+                               if on_segment(meets, ea, eb)), 0)
 
     # the spine: P^dual intersected with the minimal line
     t_hi = ref_exit_parameter(dual, dirv)
@@ -447,7 +447,7 @@ def ref_rule_values(dual, rules):
     for i, e in enumerate(dual.edges):
         ea, eb = (dual.vertices[j] for j in sorted(e.vertex_ids))
         edge_values[i] = next((value for meets, value in rules
-                               if _on_segment(meets, ea, eb)), 0)
+                               if on_segment(meets, ea, eb)), 0)
     return edge_values
 
 

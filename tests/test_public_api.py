@@ -22,7 +22,9 @@ DELETED = [("polytope", "convex_hull"),
            ("polytope", "LatticePolytope.dilate"),
            ("degeneration", "Sections.counts"),
            ("degeneration", "Sections.support"),
-           ("minkowski", "Summand.face_length")]
+           ("minkowski", "Summand.face_length"),
+           ("polytope", "LatticePolytope.point_counts"),
+           ("degeneration", "_on_segment")]
 
 
 def resolves(obj, dotted):

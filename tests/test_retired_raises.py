@@ -1,0 +1,182 @@
+"""The theorems behind the checks that no input can fire, asserted on the
+bundled data and its seeded GL(3,Z) and GL(2,Z) images.
+
+Each check is gone from its routine, whose docstring holds the proof:
+`ray_lattice`'s plane, `_dual_edge_length`'s two tight polar vertices,
+`_exit_point`, `_plane_slice` and `_clip_halfplane` on a line fan,
+`build_system`'s coplanar segment cones, `gamma_dimension`'s lower bound 3,
+and `_graph_piece` and `dual_graph`'s boundary segments.  The unimodular
+triangles of `max_triangulation` are asserted in `tests/test_discriminant.py`.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from conftest import (bundled, bundled_polygon, mat_vec, normal_fan_routes,
+                      random_unimodular2)
+from test_shared_geometry import SEEDS, image
+from test_slab_checks import bundled_slabs
+from fanoscope.degeneration import (DegenerationError, _clip_halfplane,
+                                    _coords_in, _exit_point, _plane_slice,
+                                    _polygon_polar, _two_cone, line_fan,
+                                    ray_lattice)
+from fanoscope.discriminant import _graph_piece, dual_graph
+from fanoscope.fileio import bundled_polytopes
+from fanoscope.gamma import build_system, gamma_dimension
+from fanoscope.linalg import clear_denominators, primitive, rank
+from fanoscope.polytope import Polygon, _quotient, cross, dot, plane_basis
+
+NAMES = sorted(k for k in bundled_polytopes() if k != "polygons")
+
+
+def neg(v):
+    return tuple(-x for x in v)
+
+
+def fano_images(seed):
+    return [p for p in (image(bundled(name), seed) for name in NAMES)
+            if p.is_fano()]
+
+
+# ---------------------------------------------------------------------------
+# ray_lattice: two independent kernel rows, so a plane
+
+
+def assert_plane_basis(u, basis):
+    """basis is a lattice basis of ann(u): two vectors that kill u, whose
+    cross product is +-primitive(u)."""
+    assert len(basis) == 2 and not any(dot(b, u) for b in basis)
+    assert cross(*basis) in (primitive(u), neg(primitive(u)))
+
+
+def test_ray_lattice_is_a_plane_on_a_box():
+    for u in product(range(-3, 4), repeat=3):
+        if any(u):
+            assert_plane_basis(u, ray_lattice(u))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_ray_lattice_is_a_plane_on_facet_normals(seed):
+    for p in fano_images(seed):
+        for f in p.facets:
+            assert_plane_basis(f.dual, ray_lattice(f.dual))
+
+
+# ---------------------------------------------------------------------------
+# _dual_edge_length: a vertex of a reflexive polygon is on two edge lines
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_two_polar_vertices_are_tight_at_each_vertex(seed):
+    for name in bundled_polytopes()["polygons"]:
+        q = bundled_polygon(name)
+        if seed is not None:
+            m = random_unimodular2(random.Random(seed))
+            q = Polygon([tuple(mat_vec(m, list(v))) for v in q.vertices])
+        for poly in (q, Polygon(_polygon_polar(q))):
+            polar = _polygon_polar(poly)
+            for v in poly.vertices:
+                assert sum(dot(u, v) == -1 for u in polar) == 2
+
+
+# ---------------------------------------------------------------------------
+# a line fan's exit points, plane slices and clipped slabs
+
+
+def complete_fans(p, rng, count=20):
+    """(direction, rays) of `count` line fans that `line_fan` accepts: the
+    line through a vertex of P* or a small random vector, rays from
+    {-1, 0, 1}^3."""
+    box = [v for v in product((-1, 0, 1), repeat=3) if any(v)]
+    lines = [primitive(v) for v in p.polar_dual().vertices]
+    lines += [(0, 0, 1), (1, 0, 0)]
+    fans = []
+    while len(fans) < count:
+        d = (rng.choice(lines) if rng.random() < 0.5 else
+             rng.choice(box + [(1, 2, 0), (2, -1, 1), (0, 1, -2)]))
+        try:
+            fan = line_fan(d, rng.sample(box, rng.randint(3, 5)))
+        except DegenerationError:
+            continue
+        fans.append((fan.direction, fan.rays2d))
+    return fans
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_line_fan_cuts_are_never_degenerate(seed):
+    rng = random.Random(f"line fans {seed}")  # a str seed is reproducible
+    for p in fano_images(seed):
+        dual = p.polar_dual()
+        rows, den = clear_denominators(dual.vertices)
+        levels = [dot(f.normal, rows[f.cycle[0]]) for f in dual.facets]
+        for d, rays in complete_fans(p, rng):
+            spine = []
+            for r in (d, neg(d)):
+                # P* is bounded with the origin inside: the ray leaves it
+                num, t_den = _exit_point(dual, levels, r)
+                assert num > 0 and t_den > 0
+                end = tuple(_quotient(x * num, t_den * den) for x in r)
+                assert min(dot(f.normal, end) - f.level
+                           for f in dual.facets) == 0
+                spine.append(end)
+            for w in rays:
+                nu, half = _two_cone(d, w)
+                # a plane through the origin cuts P* in a polygon, which
+                # holds the spine
+                pts, _ = _plane_slice(dual, rows, den, nu)
+                basis = plane_basis([d, w])
+                cut = Polygon(_coords_in(basis, pts))
+                assert all(dot(n, x) >= c for x in _coords_in(basis, spine)
+                           for n, c in cut.edge_normals())
+                # half is not zero on the plane, so it is > 0 at a vertex
+                clipped = _clip_halfplane(pts, half, spine)
+                assert any(dot(half, x) > 0 for x in clipped)
+
+
+# ---------------------------------------------------------------------------
+# Gamma: coplanar segment cones and 3 + triangles independent solutions
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_gamma_segments_are_coplanar_and_dimension_is_at_least_3(seed):
+    for data in normal_fan_routes(seed):
+        system = build_system(data)
+        nus, index = system.nu, {s: i for i, s in
+                                 enumerate(system.cone_names)}
+        solutions = [[dot(m, nu) for nu in nus] + list(m) * system.triangles
+                     for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        for rs in data.ray_summands:
+            if rs.kind == "segment":
+                c1, c2 = (index[s] for s in rs.slabs)
+                assert nus[c1] == nus[c2]
+        # each triangle's covector v_a: its three cones' planes hold v_a
+        triangles = [rs for rs in data.ray_summands if rs.kind == "triangle"]
+        for t, rs in enumerate(triangles):
+            vec = [0] * (system.n_alpha + system.n_aux)
+            start = system.n_alpha + 3 * t
+            vec[start:start + 3] = data.dual.vertices[int(rs.ray[1:])]
+            solutions.append(vec)
+        assert len(solutions) == 3 + system.triangles
+        assert not any(sum(x * vec[j] for j, x in row.items())
+                       for row in system.rows for vec in solutions)
+        assert rank(solutions) == len(solutions)
+        assert gamma_dimension(data) >= 3
+
+
+# ---------------------------------------------------------------------------
+# the discriminant graph's boundary segments
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_boundary_segments_lie_on_their_edge_lines(seed):
+    for slab in bundled_slabs(seed):
+        sec = slab.sections
+        if sec.dim < 2:
+            continue
+        for _, mid, owner in _graph_piece(sec)[2]:
+            assert dot(sec.normals[owner], mid) == -sec.coeffs[owner]
+        _, stubs = dual_graph(slab)
+        assert ({i: len(ids) for i, ids in stubs.items() if ids}
+                == {i: s for i, s in enumerate(slab.spans) if s})

@@ -6,25 +6,19 @@ of the sections in one pass, and `Slab` takes b from the spans with no check
 of its own; the proofs are in their docstrings.  `RefSlab` still runs the
 old vertex-cone loop (in `ref_polygon_of_sections`), `Sections.counts` and
 both of `Slab`'s raises, and must agree with the new code on random lattice
-polygons and on every slab of every bundled route.  The raise audit reads
-the raises of `polygon_of_sections`, `Slab` and `DegenerationData.validate`
-out of the source, so a raise that no pinned input reaches fails at once.
+polygons and on every slab of every bundled route.  `tests/test_raise_audit.py`
+runs `PINNED` with every other pin of the package's raises.
 """
 
-import ast
-import inspect
 import random
-import textwrap
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (lattice_polygons, malformed_slab_fixtures,
-                      random_unimodular3)
+from conftest import lattice_polygons, random_unimodular3
 from test_line_fan_routes import RefSlab, base_routes, image
 from test_shared_geometry import SEEDS, builders
-from fanoscope import degeneration
 from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationError,
                                     EmptyLinearSystem, NotCartier, NotNef,
                                     Slab, line_fan_data, polygon_of_sections)
@@ -89,9 +83,7 @@ def test_bundled_slabs_match_the_retired_checks(seed):
 # every raise left in the slab layer, reached
 
 
-# id -> (normals, coefficients, exception type, message); the raises of
-# `DegenerationData.validate` are reached by `malformed_slab_fixtures`,
-# which `tests/test_io_cli.py` runs through the CLI
+# id -> (normals, coefficients, exception type, message)
 PINNED = {
     "empty": ([(0, 1), (-1, -1), (1, 0)], [0, -1, 0],
               EmptyLinearSystem, "empty linear system"),
@@ -116,29 +108,3 @@ def test_pinned_sections_raise(key):
     with pytest.raises(cls) as info:
         polygon_of_sections(normals, coeffs)
     assert type(info.value) is cls and str(info.value) == message
-
-
-def raise_heads(obj):
-    """The message of every `raise` in obj's source, as written: a string
-    literal as it is, an f-string up to its first field."""
-    out = []
-    for node in ast.walk(ast.parse(textwrap.dedent(inspect.getsource(obj)))):
-        if isinstance(node, ast.Raise):
-            arg = node.exc.args[0]
-            if isinstance(arg, ast.Constant):
-                out.append(arg.value)
-            else:
-                out.append(arg.values[0].value)
-    return out
-
-
-def test_every_raise_is_reached():
-    heads = {obj: raise_heads(obj)
-             for obj in (degeneration.polygon_of_sections, degeneration.Slab,
-                         degeneration.DegenerationData.validate)}
-    assert len(heads[degeneration.polygon_of_sections]) == 4
-    assert heads[degeneration.Slab] == []
-    reached = [entry[-1] for entry in PINNED.values()] + [
-        message for _, message in malformed_slab_fixtures().values()]
-    for head in sum(heads.values(), []):
-        assert any(m.startswith(head) for m in reached), head
