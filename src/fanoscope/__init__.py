@@ -10,8 +10,7 @@ from .gamma import b2, barT_sections, build_system, gamma_dimension
 from .invariants import (InvariantReport, analyze, b3_from, degree,
                          euler_number, euler_product, euler_smooth_mink,
                          fano_index, p1c1_expected)
-from .minkowski import (Summand, enumerate_smooth_decompositions,
-                        minkowski_sum)
+from .minkowski import Summand, enumerate_smooth_decompositions
 from .polytope import (LatticePolytope, Polygon, gorenstein_index,
                        identity24, pick_area)
 
@@ -26,6 +25,6 @@ __all__ = [
     "enumerate_smooth_decompositions", "euler_number", "euler_product",
     "euler_smooth_mink", "fano_index", "gamma_dimension", "gorenstein_index",
     "identity24", "line_fan_data", "max_triangulation", "method1_data",
-    "minkowski_sum", "normal_fan_data", "p1c1_expected", "pick_area",
-    "polygon_of_sections", "product_data", "render_svg",
+    "normal_fan_data", "p1c1_expected", "pick_area", "polygon_of_sections",
+    "product_data", "render_svg",
 ]

@@ -313,13 +313,6 @@ class DegenerationData:
 # geometric construction helpers
 
 
-def _coords_in(basis, points):
-    coords = plane_coords(basis, points)
-    if None in coords:
-        raise DegenerationError("point outside its plane")
-    return coords
-
-
 def _two_cone(dirv, w):
     """The 2-cone spanned by the line through dirv and the ray through w:
     (primitive annihilator nu of the plane, a functional `half` that
@@ -483,9 +476,9 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
     for i, e in enumerate(dual.edges):
         a_id, b_id = sorted(e.vertex_ids)
         va, vb = dual.vertices[a_id], dual.vertices[b_id]
-        basis = plane_basis([va, vb])
+        basis = plane_basis([va, vb])  # spans va and vb
         origin = (0, 0)
-        ca, cb = _coords_in(basis, [va, vb])
+        ca, cb = plane_coords(basis, [va, vb])
         poly = Polygon([origin, ca, cb])
         coeffs, roles = [], []
         for x, y in poly.edges():
@@ -594,7 +587,10 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
 
     The geometry runs on the polar polytope's vertices times their common
     denominator (`rows`), so every test is on integers and a coordinate
-    becomes a `Fraction` only where it is not integral.
+    becomes a `Fraction` only where it is not integral.  A slab's points
+    all lie in its 2-cone's plane <nu, .> = 0, which its basis spans: the
+    slice's points satisfy it (`_plane_slice`), and so do the spine's ends,
+    which lie on the line.  So `plane_coords` maps each of them.
     """
     if not p.is_fano():
         raise DegenerationError("P is not a Fano polytope")
@@ -625,7 +621,7 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     for k, w in enumerate(fan.rays2d):
         basis, (nu, half) = bases[k], two_cones[k]
         pts, flat = _plane_slice(dual, rows, den, nu)
-        coords = _coords_in(basis, _clip_halfplane(pts, half, spine))
+        coords = plane_coords(basis, _clip_halfplane(pts, half, spine))
         chord = set(coords[-2:])  # the spine, which the clip put last
         poly = Polygon(coords)
         coeffs, roles = [], []
@@ -940,12 +936,13 @@ def check_smooth_data(data: DegenerationData):
     is where the ray rho+- through it leaves P* (the origin is interior,
     so the ray meets the boundary once), so `line_fan_data` finds it as
     that ray's `vertex_hit` and takes the last of them, in the line's
-    basis.  The enumerator raises unless each decomposition re-sums to T,
-    so r P_L = r T = v*, and T is a polygon, so P_L holds a segment or a
-    triangle.  `_ray_target` raises where r does not divide v*, so no data
-    with a nontrivial S_v is built.  `tests/test_ray_facets.py` re-sums
-    every ray on the bundled polytopes, b3_cubic, the products and their
-    GL(3,Z) images.
+    basis.  Each decomposition sums to T up to translation, since its
+    summands partition T's edge word (the proof is in the enumerator's
+    docstring), so r P_L = r T = v*, and T is a polygon, so P_L holds a
+    segment or a triangle.  `_ray_target` raises where r does not divide
+    v*, so no data with a nontrivial S_v is built.
+    `tests/test_ray_facets.py` re-sums every ray on the bundled polytopes,
+    b3_cubic, the products and their GL(3,Z) images.
     """
     verdicts = {}
     if data.dual is None:

@@ -25,7 +25,10 @@ def max_triangulation(polygon: Polygon) -> UnimodularTriangulation:
     triangles that hold the point: a zero side puts it on that edge, and
     both triangles along the edge are split, else the one triangle is.
     Every lattice point becomes a vertex, so each triangle holds no lattice
-    point but its corners, and Pick's theorem makes it unimodular.
+    point but its corners, and Pick's theorem makes it unimodular.  Each
+    point finds a host: the fan covers the polygon, and a split replaces
+    its hosts by triangles with the same union (the new vertex is on their
+    boundary or inside), so the triangles cover the polygon throughout.
     """
     pts = polygon.lattice_points()
     verts = list(polygon.vertices)
@@ -47,9 +50,6 @@ def max_triangulation(polygon: Polygon) -> UnimodularTriangulation:
                  (ax - cx) * (py - cy) - (ay - cy) * (px - cx))
             if min(s) >= 0 or max(s) <= 0:
                 hosts.append((t, s))
-        if not hosts:
-            raise DegenerationError(f"lattice point {(px, py)} lies in no "
-                                    "triangle of the triangulation")
         t, s = hosts[0]
         if 0 in s:
             side = s.index(0)

@@ -101,8 +101,11 @@ def _cell_class_data(dual: LatticePolytope, facet):
 
     The cell's rays are the facet normal followed by one functional per
     facet edge.  The base divisor (the first ray) is divisible by
-    d3(rays[1:]) / d3(rays), d3 the gcd of the 3x3 minors; it is torsion
-    when the other rays have rank < 3.
+    d3(rays[1:]) / d3(rays), d3 the gcd of the 3x3 minors.  It is never
+    torsion, which needs the other rays to have rank < 3: they are the
+    inner normals of the cone over the facet, which is strictly convex
+    (the origin is interior to the polar polytope, so off the facet) and
+    3-dimensional, so its dual cone, which they span, is 3-dimensional.
     """
     rays = [facet.normal]
     cyc = list(facet.cycle)
@@ -116,10 +119,7 @@ def _cell_class_data(dual: LatticePolytope, facet):
         if dot(m, interior) < 0:
             m = tuple(-x for x in m)
         rays.append(m)
-    rank, rest = _lattice_index(rays[1:])
-    if rank < 3:
-        raise InvariantError("base divisor class is torsion in a cell")
-    return rest // _lattice_index(rays)[1]
+    return _lattice_index(rays[1:])[1] // _lattice_index(rays)[1]
 
 
 def fano_index(data: DegenerationData, b2: int, degree: int) -> int:

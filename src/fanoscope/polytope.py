@@ -175,15 +175,6 @@ class Polygon:
         """(total, interior, boundary) lattice point counts."""
         return self._lattice_scan()[1]
 
-    def translate(self, t):
-        return Polygon([vadd(v, t) for v in self.vertices], hull=False)
-
-    def normalized(self):
-        """Translate so the lex-least vertex (the first) sits at the origin;
-        a polygon already there is returned as it is."""
-        v0 = self.vertices[0]
-        return self.translate(tuple(-x for x in v0)) if any(v0) else self
-
     def edge_vector_multiset(self):
         """ccw boundary word: each edge contributes length copies of its
         primitive direction; the multiset sums to zero."""
@@ -399,7 +390,18 @@ class LatticePolytope:
         primitive(v) whose cycle is the ring of P's facets around v, and
         every edge of P an edge of P* with its vertex and facet ids
         swapped.  Ids follow the hull's order: vertices sorted, facets
-        sorted by normal, edges by their vertex ids."""
+        sorted by normal, edges by their vertex ids.
+
+        The walk around v closes over its whole ring with no check.  Each
+        edge of P lies on exactly two facets (`_edges_from_facets`), so in
+        the ring of v every facet has exactly two neighbours: the facets
+        across its two edges through v.  The facets and edges of P at v are
+        the edges and vertices of one convex polygon, the vertex figure of P
+        at v, so the ring is that polygon's one cycle, and the walk from any
+        facet returns to it after visiting them all.
+        `tests/test_retired_raises.py` checks every ring of the bundled
+        polytopes, their GL(3,Z) images and random polytopes.
+        """
         order = sorted(range(len(self.facets)),
                        key=lambda fi: self.facets[fi].dual)
         vertices = tuple(self.facets[fi].dual for fi in order)
@@ -423,13 +425,10 @@ class LatticePolytope:
                    normal) < 0:
                 nxt = other
             cycle = [start]
-            while nxt != start and len(cycle) < len(ring):
+            for _ in range(len(ring) - 1):
                 cycle.append(nxt)
                 x, y = ring[nxt]
                 nxt = y if x == cycle[-2] else x
-            if nxt != start or len(cycle) != len(ring):
-                raise PolytopeError("facets around a vertex do not close "
-                                    "into a ring")
             facets.append(Facet(normal, dot(normal, a), frozenset(cycle),
                                 tuple(cycle)))
         by_normal = sorted(range(len(facets)), key=lambda v: facets[v].normal)

@@ -13,9 +13,9 @@ from hypothesis import assume
 from hypothesis import strategies as st
 
 from fanoscope.fileio import bundled_polytopes, load_fixture
-from fanoscope.degeneration import _coords_in
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                cross, dot, embed_polygon, vsub)
+                                cross, dot, embed_polygon, plane_coords,
+                                vsub)
 
 
 def db_path():
@@ -83,7 +83,7 @@ def ref_facet_in_ray_coords(p_dual: LatticePolytope, vertex_id: int,
     # cycle of P: the facet's vertices from the incidence sets of P*, mapped
     # by `plane_coords` and hulled.
     verts = p_dual.dual_face_vertices([vertex_id])
-    coords = _coords_in(w_basis, [vsub(v, verts[0]) for v in verts])
+    coords = plane_coords(w_basis, [vsub(v, verts[0]) for v in verts])
     low = min(coords)
     return Polygon([vsub(c, low) for c in coords])
 
@@ -300,6 +300,13 @@ def ref_hull3d_facets(pts, ipts):
     if len(facets) < 4:
         raise PolytopeError("not full-dimensional")
     return facets
+
+
+def normalized(poly: Polygon) -> Polygon:
+    """poly moved so that its lex-least vertex sits at the origin
+    (`Polygon.normalized` as it was)."""
+    v0 = poly.vertices[0]
+    return Polygon([vsub(v, v0) for v in poly.vertices], hull=False)
 
 
 def ref_minkowski_sum(summands):

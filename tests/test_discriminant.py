@@ -1,11 +1,10 @@
 import random
 
-import pytest
 from hypothesis import assume, given, settings
 
 from conftest import (bundled, bundled_polygon, dilate_polygon,
                       lattice_polygons)
-from fanoscope.degeneration import (DegenerationError, line_fan_data, method1_data,
+from fanoscope.degeneration import (line_fan_data, method1_data,
                                     normal_fan_data, product_data)
 from fanoscope.discriminant import (assemble_global, dual_graph, export_json,
                                     max_triangulation, render_svg)
@@ -160,11 +159,3 @@ def test_max_triangulation_matches_two_scan_insertion(poly):
         assert abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) == 1
 
 
-class _StrayPoint(Polygon):
-    def lattice_points(self):
-        return super().lattice_points() + [(10, 10)]
-
-
-def test_point_in_no_triangle_is_named():
-    with pytest.raises(DegenerationError, match=r"\(10, 10\) lies in no"):
-        max_triangulation(_StrayPoint([(0, 0), (2, 0), (0, 2)]))

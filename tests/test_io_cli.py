@@ -516,6 +516,10 @@ SLAB_OUT_OF_ORDER = {"kind": "slabs",
     ("analyze", "one_number.txt", "3\n1 0 0 -1\n0 1 0 -1\n0 0 1 -1\n",
      "matrix header must be 'rows cols'"),
     ("analyze", "square.txt", "2 2\n1 0\n0 1\n", "neither dimension is 3"),
+    ("analyze", "letters.txt", "a b\n1 2 3",
+     "bad matrix polytope: invalid literal for int() with base 10: 'a'"),
+    ("analyze", "flat.json", '{"vertices": [[1, 0], [0, 1], [-1, -1]]}',
+     "expected 3-space points"),
     ("fixture", "bad_fixture.json", '{"kind": "slabs", "slabs": [',
      "bad fixture JSON: "),
     ("fixture", "list_fixture.json", "[1, 2]",

@@ -25,7 +25,7 @@ from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
                                     DegenerationError, NotCartier,
                                     RaySummand,
                                     _along_line, _containing_edge,
-                                    _coords_in, _dual_edge_length,
+                                    _dual_edge_length,
                                     _plane_slice,
                                     _polygon_polar, _rule_values,
                                     _two_cone,
@@ -39,8 +39,8 @@ from fanoscope.linalg import clear_denominators, primitive
 from fanoscope.minkowski import enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 dot, face_length, gorenstein_index,
-                                lattice_length, plane_basis, plane_normal,
-                                _clean)
+                                lattice_length, plane_basis, plane_coords,
+                                plane_normal, _clean)
 
 # ---------------------------------------------------------------------------
 # the Fraction route
@@ -87,7 +87,7 @@ def ref_two_cone(dirv, w):
     (plane basis, primitive annihilator of the plane, primitive functional
     on plane coordinates that vanishes on the line and is >= 0 on w)."""
     basis = plane_basis([dirv, w])
-    dir2, w2 = _coords_in(basis, [dirv, w])
+    dir2, w2 = plane_coords(basis, [dirv, w])
     side = primitive((-dir2[1], dir2[0]))
     if dot(side, w2) < 0:
         side = tuple(-x for x in side)
@@ -152,7 +152,7 @@ def ref_two_cone_containing(two_cones, v):
     """Annihilator of the first of the `_two_cone` triples whose 2-cone
     holds v, or None."""
     for basis, nu, side in two_cones:
-        if dot(nu, v) == 0 and dot(side, _coords_in(basis, [v])[0]) >= 0:
+        if dot(nu, v) == 0 and dot(side, plane_coords(basis, [v])[0]) >= 0:
             return nu
     return None
 
@@ -208,7 +208,7 @@ def ref_line_fan(p: LatticePolytope, direction, rays2d, edge_rule,
     for k, w in enumerate(fan.rays2d):
         basis, nu, side = two_cones[k]  # side cuts out the w-halfplane
         pts = ref_plane_slice(dual, nu)
-        coords = _coords_in(basis, pts)
+        coords = plane_coords(basis, pts)
         clipped = ref_clip_halfplane(coords, side)
         poly = Polygon(clipped)
         coeffs, roles = [], []

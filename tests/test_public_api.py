@@ -24,7 +24,11 @@ DELETED = [("polytope", "convex_hull"),
            ("degeneration", "Sections.support"),
            ("minkowski", "Summand.face_length"),
            ("polytope", "LatticePolytope.point_counts"),
-           ("degeneration", "_on_segment")]
+           ("degeneration", "_on_segment"),
+           ("minkowski", "minkowski_sum"),
+           ("polytope", "Polygon.normalized"),
+           ("polytope", "Polygon.translate"),
+           ("degeneration", "_coords_in")]
 
 
 def resolves(obj, dotted):

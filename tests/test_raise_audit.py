@@ -1,47 +1,83 @@
-"""Every `raise` left in `degeneration`, `gamma`, `invariants` and
-`discriminant`, executed by a named pin.
+"""Every `raise` left in the package, executed by a named pin.
 
 A pin is an input that reaches one raise through the package's entry points
-(the builders' arguments, a fixture document, a polytope), or, for an aim-3
-cross-check, a run that breaks one of its two derivations with
-`monkeypatch`.  Each pin runs once under `executed_lines`, a tracer that
-follows only these four files; it must raise its exact class and message,
-and the audit fails unless every raise line of the four files ran under
-some pin.  The checks that no input can fire are gone, with their proofs in
-the routines' docstrings and their theorems asserted in
-`tests/test_retired_raises.py`.
+(the CLI and its files, fixture documents, the builders' and the public
+routines' arguments), or, for an aim-3 cross-check, a run that breaks one
+of its two derivations with `monkeypatch`.  Each pin runs once under
+`executed_lines`, a tracer that follows only the package's own files; it
+must raise its exact class and message, and the audit fails unless every
+raise line of every module ran under some pin.  `MODULES` is read off the
+package, so a new module is audited with no edit here.  The checks that no
+input can fire are gone, with their proofs in the routines' docstrings and
+their theorems asserted in `tests/test_retired_raises.py`.
 """
 
+import importlib
+import json
+import os
+import pkgutil
+import tempfile
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
+import fanoscope
 from conftest import (bundled, bundled_polygon, executed_lines,
                       malformed_slab_fixtures, raise_lines)
-from test_discriminant import _StrayPoint
-from test_slab_checks import PINNED
-from fanoscope import degeneration, discriminant, gamma, invariants
+from fanoscope import cli, invariants
+from fanoscope.cli import _resolve_data, build_parser
 from fanoscope.degeneration import (DegenerationData, DegenerationError,
-                                    RaySummand, _coords_in,
-                                    decomposition_regimes, line_fan_data,
-                                    method1_data, normal_fan_data,
-                                    polygon_of_sections, product_data)
-from fanoscope.discriminant import assemble_global, max_triangulation
-from fanoscope.fileio import data_from_fixture, load_fixture
+                                    EmptyLinearSystem, NotCartier, NotNef,
+                                    RaySummand, decomposition_regimes,
+                                    line_fan_data, method1_data,
+                                    normal_fan_data, polygon_of_sections,
+                                    product_data)
+from fanoscope.discriminant import assemble_global
+from fanoscope.fileio import (ParseError, data_from_fixture, ingest_database,
+                              load_fixture, parse_polytope)
 from fanoscope.gamma import (GammaError, barT_sections, build_system,
                              gamma_dimension)
-from fanoscope.invariants import (InvariantError, _cell_class_data, analyze,
-                                  analyze_degree, b3_from, degree,
-                                  euler_number, euler_product,
-                                  euler_smooth_mink, fano_index)
-from fanoscope.polytope import Facet, LatticePolytope, Polygon, PolytopeError
+from fanoscope.invariants import (InvariantError, analyze, analyze_degree,
+                                  b3_from, degree, euler_number,
+                                  euler_product, euler_smooth_mink,
+                                  fano_index)
+from fanoscope.linalg import (LinalgError, hnf, lex_positive, primitive,
+                              saturate, snf)
+from fanoscope.minkowski import Summand, enumerate_smooth_decompositions
+from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
+                                _facet_cycle, gorenstein_index, identity24,
+                                lattice_length, pick_area, plane_basis)
 
-MODULES = (degeneration, gamma, invariants, discriminant)
+MODULES = tuple(importlib.import_module(f"fanoscope.{m.name}")
+                for m in pkgutil.iter_modules(fanoscope.__path__))
 
 # a vertex that is not primitive
 NOT_FANO = [(2, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+# the origin on the facet z = 0
+ORIGIN_ON_FACET = [(1, 0, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)]
 RAYS = [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]
+HALF = [(0, 0), (Fraction(1, 2), 0), (0, 1)]
+UNIT = [(0, 0), (1, 0), (0, 1)]
+P3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
+
+# id -> (normals, coefficients, exception type, message)
+SECTIONS = {
+    "empty": ([(0, 1), (-1, -1), (1, 0)], [0, -1, 0],
+              EmptyLinearSystem, "empty linear system"),
+    "slack": ([(0, 1), (-1, 0), (-1, -1), (1, 0)], [0, 3, 2, 0],
+              NotNef, "divisor not nef: slack on edge with normal (-1, 0)"),
+    # the normals of the slack case with two of them swapped
+    "not_ccw": ([(0, 1), (-1, -1), (-1, 0), (1, 0)], [0, 2, 3, 0],
+                DegenerationError, "edge normals are not in ccw order"),
+    # every turn is to the left, but a pentagram's normals wind twice
+    "winds_twice": ([(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+                    [0, 0, 0, 0, 0], DegenerationError,
+                    "edge normals are not in ccw order"),
+    "not_cartier": ([(0, 1), (-1, -2), (1, 0)], [0, 1, 0], NotCartier,
+                    "not Cartier: no integral section witness at a vertex "
+                    "cone"),
+}
 
 
 def broken(target, name, fn, run):
@@ -52,6 +88,26 @@ def broken(target, name, fn, run):
             mp.setattr(target, name, fn(real))
             run()
     return call
+
+
+def plus(k):
+    """For `broken`: the original plus k."""
+    return lambda real: lambda *args: real(*args) + k
+
+
+def in_file(read, name, text):
+    """read(path) of a file `name` holding text, in a scratch directory."""
+    def call():
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, name)
+            with open(path, "w") as fh:
+                fh.write(text)
+            read(path)
+    return call
+
+
+def database(text):
+    return in_file(lambda path: list(ingest_database(path)), "db.txt", text)
 
 
 def fixture_data(name, drop=None):
@@ -92,18 +148,9 @@ def moved_segment():
     gamma_dimension(data)
 
 
-def torsion_cell():
-    """A "facet" of P3* cut down to one edge: its two edge functionals are
-    m and -m."""
-    dual = bundled("p3").polar_dual()
-    f = dual.facets[0]
-    _cell_class_data(dual, Facet(f.normal, f.level, f.vertex_ids,
-                                 f.cycle[:2]))
-
-
-def plus(k):
-    """For `broken`: the original plus k."""
-    return lambda real: lambda *args: real(*args) + k
+def level_zero_dual_vertex():
+    p = LatticePolytope(ORIGIN_ON_FACET)
+    p.dual_vertex(next(f for f in p.facets if f.level == 0))
 
 
 def validate_pins():
@@ -115,7 +162,7 @@ def validate_pins():
 def sections_pins():
     return {f"degeneration.polygon_of_sections: {key}":
             (partial(polygon_of_sections, normals, coeffs), cls, message)
-            for key, (normals, coeffs, cls, message) in PINNED.items()}
+            for key, (normals, coeffs, cls, message) in SECTIONS.items()}
 
 
 # name -> (call, exception class, message)
@@ -125,9 +172,6 @@ PINS = {
     "degeneration.line_fan: two rays": (
         lambda: line_fan_data(bundled("p3"), (0, 0, 1), RAYS[:2], []),
         DegenerationError, "line fan needs a complete quotient fan"),
-    "degeneration._coords_in: off the plane": (
-        lambda: _coords_in(((1, 0, 0), (0, 1, 0)), [(0, 0, 1)]),
-        DegenerationError, "point outside its plane"),
     "degeneration._ray_target: b1's index-2 facet": (
         lambda: decomposition_regimes(bundled("b1")), DegenerationError,
         "no smooth Minkowski decomposition: facet of ray 0 is not divisible "
@@ -226,9 +270,6 @@ PINS = {
     "invariants.b3_from: odd": (
         lambda: b3_from(5, 1), InvariantError,
         "inconsistent invariants: b3 = -1"),
-    "invariants._cell_class_data: torsion": (
-        torsion_cell, InvariantError,
-        "base divisor class is torsion in a cell"),
     "invariants.fano_index: b1 with degree 27": (
         lambda: fano_index(fixture_data("b1"), 1, 27), InvariantError,
         "cannot determine the index from boundary components"),
@@ -253,10 +294,6 @@ PINS = {
         broken(invariants, "barT_sections", plus(1),
                lambda: analyze(method1_data(bundled("p3")))),
         InvariantError, "fast-path b2 disagrees with the limit"),
-    "discriminant.max_triangulation: a stray point": (
-        lambda: max_triangulation(_StrayPoint([(0, 0), (2, 0), (0, 2)])),
-        DegenerationError,
-        "lattice point (10, 10) lies in no triangle of the triangulation"),
     "discriminant.assemble_global: mm2_2 edge span": (
         lambda: assemble_global(malformed("edge_span")), DegenerationError,
         "compatibility violated: missing stub for R1 in P112a"),
@@ -269,6 +306,161 @@ PINS = {
                lambda real: property(lambda self: real.fget(self) + 1),
                lambda: assemble_global(method1_data(bundled("p3")))),
         DegenerationError, "graph census disagrees with slab arithmetic"),
+    "polytope.lattice_length: a half step": (
+        lambda: lattice_length((0, 0), (Fraction(1, 2), 0)), PolytopeError,
+        "lattice length of a non-integral segment"),
+    "polytope.Polygon: two points": (
+        lambda: Polygon([(0, 0), (1, 0)]), PolytopeError,
+        "not full-dimensional"),
+    "polytope.Polygon.lattice_points: a rational vertex": (
+        lambda: Polygon(HALF).lattice_points(), PolytopeError,
+        "lattice points of a non-integral polygon"),
+    "polytope._hull2d: three points on a line": (
+        lambda: Polygon([(0, 0), (1, 0), (2, 0)]), PolytopeError,
+        "not full-dimensional"),
+    "polytope.pick_area: a rational vertex": (
+        lambda: pick_area(Polygon(HALF)), PolytopeError,
+        "Pick's theorem needs an integral polygon"),
+    "polytope.pick_area: shoelace broken": (
+        broken(Polygon, "two_area", plus(2),
+               lambda: pick_area(Polygon(UNIT))),
+        PolytopeError, "Pick / shoelace mismatch"),
+    "polytope.plane_basis: one line": (
+        lambda: plane_basis([(1, 0, 0), (2, 0, 0)]), PolytopeError,
+        "vectors do not span a plane"),
+    "polytope.LatticePolytope: points of the plane": (
+        lambda: LatticePolytope([(1, 0), (0, 1), (-1, -1)]), PolytopeError,
+        "expected 3-space points"),
+    "polytope.LatticePolytope.dual_vertex: a level-0 facet": (
+        level_zero_dual_vertex, PolytopeError,
+        "facet through the origin has no dual vertex"),
+    "polytope.LatticePolytope.polar_dual: origin on a facet": (
+        lambda: LatticePolytope(ORIGIN_ON_FACET).polar_dual(), PolytopeError,
+        "origin is not interior"),
+    "polytope.LatticePolytope.dual_face_vertices: no vertex": (
+        lambda: bundled("p3").dual_face_vertices([]), PolytopeError,
+        "not a proper face"),
+    "polytope.LatticePolytope.lattice_points: a rational vertex": (
+        lambda: LatticePolytope([(Fraction(1, 2), 0, 0)] + P3[1:])
+        .lattice_points(), PolytopeError,
+        "lattice points of a non-integral polytope"),
+    "polytope._hull3d_facets: three points": (
+        lambda: LatticePolytope(P3[:3]), PolytopeError,
+        "not full-dimensional"),
+    "polytope._hull3d_facets: four points on a plane": (
+        lambda: LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0),
+                                 (1, 1, 0)]),
+        PolytopeError, "not full-dimensional"),
+    "polytope._facet_cycle: a point inside the square": (
+        lambda: _facet_cycle([(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0),
+                              (1, 1, 0)], range(5), (0, 0, 1)),
+        PolytopeError, "facet vertices do not close into a convex cycle"),
+    "polytope.gorenstein_index: a rational vertex": (
+        lambda: gorenstein_index([(Fraction(1, 2), 0, 1)]), PolytopeError,
+        "Gorenstein index needs integral vertices"),
+    "polytope.gorenstein_index: a face through the origin": (
+        lambda: gorenstein_index([(1, 0, 0), (-1, 0, 0)]), PolytopeError,
+        "cone over the face is not strictly convex"),
+    "polytope.identity24: v2": (
+        lambda: identity24(bundled("v2")), PolytopeError,
+        "identity24 needs a reflexive polytope"),
+    "linalg.hnf: no rows": (
+        lambda: hnf([]), LinalgError, "hnf of empty matrix"),
+    "linalg.snf: no rows": (
+        lambda: snf([]), LinalgError, "snf of empty matrix"),
+    "linalg.saturate: a rational row": (
+        lambda: saturate([[Fraction(1, 2), 0]]), LinalgError,
+        "saturate needs integer rows"),
+    "linalg.primitive: zero": (
+        lambda: primitive((0, 0, 0)), LinalgError,
+        "zero vector has no primitive representative"),
+    "linalg.lex_positive: zero": (
+        lambda: lex_positive((0, 0, 0)), LinalgError, "zero vector"),
+    "minkowski.Summand: a disk": (
+        lambda: Summand("disk", ()), ValueError,
+        "unknown summand kind 'disk'"),
+    "minkowski.enumerate_smooth_decompositions: a rational vertex": (
+        lambda: enumerate_smooth_decompositions(Polygon(HALF)), PolytopeError,
+        "decompositions of a non-integral polygon"),
+    "fileio.parse_polytope: cut-off JSON": (
+        lambda: parse_polytope('{"vertices": [[1, 0, 0],'), ParseError,
+        "bad JSON polytope: Expecting value: line 1 column 25 (char 24)"),
+    "fileio.parse_polytope: JSON without vertices": (
+        lambda: parse_polytope('{"name": "p3"}'), ParseError,
+        "polytope JSON without vertices"),
+    "fileio.parse_polytope: letters in the header": (
+        lambda: parse_polytope("a b\n1 2 3"), ParseError,
+        "bad matrix polytope: invalid literal for int() with base 10: 'a'"),
+    "fileio.parse_polytope: one number in the header": (
+        lambda: parse_polytope("3\n1 0 0 -1\n0 1 0 -1\n0 0 1 -1"),
+        ParseError, "matrix header must be 'rows cols'"),
+    "fileio.parse_polytope: one row of three": (
+        lambda: parse_polytope("3 4\n1 0 0 -1"), ParseError,
+        "matrix body does not match header 3x4"),
+    "fileio._orient: a square matrix of 2": (
+        lambda: parse_polytope("2 2\n1 0\n0 1"), ParseError,
+        "neither dimension is 3"),
+    "fileio._build: points of the plane": (
+        lambda: parse_polytope('{"vertices": [[1, 0], [0, 1], [-1, -1]]}'),
+        ParseError, "expected 3-space points"),
+    "fileio._build: not Fano": (
+        lambda: parse_polytope(json.dumps({"vertices": NOT_FANO})),
+        PolytopeError, "not a Fano polytope: vertices must be primitive "
+        "with the origin strictly interior"),
+    "fileio.ingest_database: a cut-off block": (
+        database("3 4\n1 0 0 -1\n0 1 0 -1\n"), ParseError,
+        "database block 0 is truncated"),
+    "fileio.ingest_database: a letter": (
+        database("3 4\n1 0 x -1\n0 1 0 -1\n0 0 1 -1\n"), ParseError,
+        "database block 0: invalid literal for int() with base 10: 'x'"),
+    "fileio.ingest_database: a short row": (
+        database("3 4\n1 0 0 -1\n0 1 0\n0 0 1 -1\n"), ParseError,
+        "database block 0 is ragged"),
+    "fileio.load_fixture: cut-off JSON": (
+        in_file(load_fixture, "bad.json", '{"kind": "slabs", "slabs": ['),
+        ParseError, "bad fixture JSON: Expecting value: line 1 column 29 "
+        "(char 28)"),
+    "fileio._require: a list": (
+        lambda: data_from_fixture([1, 2]), ParseError,
+        "fixture must be a JSON object"),
+    "fileio._require: a product without its polygon": (
+        lambda: data_from_fixture({"kind": "product"}), ParseError,
+        "product fixture without required key 'base_polygon'"),
+    "fileio._int_keyed: a letter key": (
+        lambda: data_from_fixture({"kind": "normal_fan", "polytope": P3,
+                                   "edge_values": {"a": 1}}),
+        ParseError, "edge_values key 'a' is not an integer"),
+    "fileio.data_from_fixture: unknown kind": (
+        lambda: data_from_fixture({"kind": "torus"}), ParseError,
+        "unknown fixture kind 'torus'"),
+    "fileio.data_from_fixture: a key no kind reads": (
+        lambda: data_from_fixture({"kind": "product", "base_polygon": UNIT,
+                                   "colour": "red"}),
+        ParseError, "fixture key 'colour' is read by no kind"),
+    "fileio._slab_fixture: a polygon out of order": (
+        lambda: data_from_fixture({"kind": "slabs", "slabs": [
+            {"name": "S0", "polygon": [[0, 1], [0, 0], [1, 0]]}]}),
+        ParseError, "slab S0: polygon must be listed in canonical ccw order "
+        "starting at the lex-least vertex; canonical is [[0, 0], [1, 0], "
+        "[0, 1]]"),
+    "cli._resolve_data: indices for a product": (
+        lambda: _resolve_data("diamond", "0"), DegenerationError,
+        "diamond has no decomposition choice: --decomposition indices apply "
+        "to a polytope only"),
+    # no polytope at hand has so many: no bundled or sweep polytope has
+    # more than 4 choices, nor any of 11,991 reflexive hulls of random
+    # points of {-2, ..., 2}^3 or their polar duals
+    "cli._resolve_data: ten rays of two choices": (
+        broken(cli, "decomposition_regimes",
+               lambda real: lambda p: [[(), ()]] * 10,
+               lambda: _resolve_data("p3", "auto")),
+        DegenerationError, "1024 decomposition choices; pick one"),
+    "cli._decomposition_indices: a letter": (
+        lambda: _resolve_data("p3", "0,x"), ParseError,
+        "--decomposition index 'x' is not an integer"),
+    "cli._Parser.error: no command": (
+        lambda: build_parser().parse_args([]), ParseError,
+        "the following arguments are required: command"),
 }
 
 
@@ -280,6 +472,14 @@ def runs():
 
 def raise_sites():
     return {(m.__name__, line) for m in MODULES for line in raise_lines(m)}
+
+
+def test_modules_hold_the_whole_package():
+    # a module added later joins the audit with no edit here
+    assert {m.__name__ for m in MODULES} >= {
+        f"fanoscope.{name}" for name in
+        ("cli", "degeneration", "discriminant", "fileio", "gamma",
+         "invariants", "linalg", "minkowski", "polytope")}
 
 
 @pytest.mark.parametrize("key", sorted(PINS))

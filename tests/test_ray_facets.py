@@ -16,7 +16,8 @@ import random
 import pytest
 
 from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon, mat_vec,
-                      random_unimodular3, ref_facet_in_ray_coords)
+                      random_unimodular3, ref_facet_in_ray_coords,
+                      ref_minkowski_sum)
 from fanoscope import cli
 from fanoscope.degeneration import (DegenerationError, _along_line,
                                     _ray_facets, check_smooth_data,
@@ -25,7 +26,6 @@ from fanoscope.degeneration import (DegenerationError, _along_line,
                                     method1_data, normal_fan_data,
                                     product_data, ray_lattice)
 from fanoscope.fileio import bundled_polytopes
-from fanoscope.minkowski import minkowski_sum
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 cross, dot, gorenstein_index, identity24)
 
@@ -164,7 +164,7 @@ def ref_d1_verdict(data, ray, f, w_basis):
     times the Minkowski sum of the ray's summands against the facet v*."""
     summands = [s.summand for s in data.ray_summands
                 if s.ray == ray and s.summand is not None]
-    total = minkowski_sum(summands) if summands else None
+    total = ref_minkowski_sum(summands) if summands else None
     if not isinstance(total, Polygon):
         return "violation: ray carries no surface summands"
     r = -f.level

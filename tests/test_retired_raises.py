@@ -1,32 +1,48 @@
 """The theorems behind the checks that no input can fire, asserted on the
-bundled data and its seeded GL(3,Z) and GL(2,Z) images.
+bundled data, its seeded GL(3,Z) and GL(2,Z) images, and random polygons
+and polytopes.
 
 Each check is gone from its routine, whose docstring holds the proof:
 `ray_lattice`'s plane, `_dual_edge_length`'s two tight polar vertices,
 `_exit_point`, `_plane_slice` and `_clip_halfplane` on a line fan,
 `build_system`'s coplanar segment cones, `gamma_dimension`'s lower bound 3,
-and `_graph_piece` and `dual_graph`'s boundary segments.  The unimodular
-triangles of `max_triangulation` are asserted in `tests/test_discriminant.py`.
+`_graph_piece` and `dual_graph`'s boundary segments, the re-sum of every
+smooth decomposition (`enumerate_smooth_decompositions`), the plane of
+every point that `normal_fan_data` and `line_fan_data` map to plane
+coordinates, the host triangle of every point in `max_triangulation`, the
+rank of a cell's edge functionals (`_cell_class_data`) and the ring of
+facets around a vertex (`_dual_from_faces`).  The unimodular triangles of
+`max_triangulation` are also asserted in `tests/test_discriminant.py`.
 """
 
 import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import (bundled, bundled_polygon, mat_vec, normal_fan_routes,
-                      random_unimodular2)
+from conftest import (bundled, bundled_polygon, lattice_polygons, mat_vec,
+                      normal_fan_routes, normalized, random_unimodular2,
+                      ref_minkowski_sum)
+from test_face_data import polytopes
+from test_minkowski import DILATED, smooth_sums
 from test_shared_geometry import SEEDS, image
 from test_slab_checks import bundled_slabs
+from fanoscope import degeneration, invariants
 from fanoscope.degeneration import (DegenerationError, _clip_halfplane,
-                                    _coords_in, _exit_point, _plane_slice,
-                                    _polygon_polar, _two_cone, line_fan,
-                                    ray_lattice)
-from fanoscope.discriminant import _graph_piece, dual_graph
+                                    _exit_point, _plane_slice,
+                                    _polygon_polar, _two_cone,
+                                    decomposition_regimes, line_fan,
+                                    line_fan_data, ray_lattice)
+from fanoscope.discriminant import _graph_piece, dual_graph, max_triangulation
 from fanoscope.fileio import bundled_polytopes
 from fanoscope.gamma import build_system, gamma_dimension
+from fanoscope.invariants import _cell_class_data
 from fanoscope.linalg import clear_denominators, primitive, rank
-from fanoscope.polytope import Polygon, _quotient, cross, dot, plane_basis
+from fanoscope.minkowski import enumerate_smooth_decompositions
+from fanoscope.polytope import (Polygon, PolytopeError, _quotient, cross, dot,
+                                plane_basis, plane_coords)
 
 NAMES = sorted(k for k in bundled_polytopes() if k != "polygons")
 
@@ -127,8 +143,8 @@ def test_line_fan_cuts_are_never_degenerate(seed):
                 # holds the spine
                 pts, _ = _plane_slice(dual, rows, den, nu)
                 basis = plane_basis([d, w])
-                cut = Polygon(_coords_in(basis, pts))
-                assert all(dot(n, x) >= c for x in _coords_in(basis, spine)
+                cut = Polygon(plane_coords(basis, pts))
+                assert all(dot(n, x) >= c for x in plane_coords(basis, spine)
                            for n, c in cut.edge_normals())
                 # half is not zero on the plane, so it is > 0 at a vertex
                 clipped = _clip_halfplane(pts, half, spine)
@@ -180,3 +196,158 @@ def test_boundary_segments_lie_on_their_edge_lines(seed):
         _, stubs = dual_graph(slab)
         assert ({i: len(ids) for i, ids in stubs.items() if ids}
                 == {i: s for i, s in enumerate(slab.spans) if s})
+
+
+# ---------------------------------------------------------------------------
+# enumerate_smooth_decompositions: a partition of the edge word re-sums
+
+
+def assert_resums(poly, decos):
+    """Every decomposition sums to poly, moved to the origin."""
+    target = normalized(poly)
+    for deco in decos:
+        assert ref_minkowski_sum(deco) == target
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(DILATED, smooth_sums()))
+def test_every_decomposition_resums_on_random_polygons(poly):
+    assert_resums(poly, enumerate_smooth_decompositions(poly))
+
+
+@pytest.fixture
+def enumerated(monkeypatch):
+    """Every (polygon, its decompositions) that `degeneration` enumerates."""
+    seen = []
+
+    def spy(poly):
+        decos = enumerate_smooth_decompositions(poly)
+        seen.append((poly, decos))
+        return decos
+
+    monkeypatch.setattr(degeneration, "enumerate_smooth_decompositions", spy)
+    return seen
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_every_decomposition_resums_on_bundled_facets(enumerated, seed):
+    # each facet/r of every bundled polytope, and the line fans' rho+-
+    for name in NAMES:
+        try:
+            decomposition_regimes(image(bundled(name), seed))
+        except DegenerationError:
+            assert name == "b1"  # a facet not divisible by its index
+    bundled_slabs(seed)
+    assert len(enumerated) >= 50
+    assert sum(len(decos) > 1 for _, decos in enumerated) >= 5
+    for poly, decos in enumerated:
+        assert_resums(poly, decos)
+
+
+# ---------------------------------------------------------------------------
+# normal_fan_data and line_fan_data: every point lies in its basis's plane
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_fan_points_lie_in_their_planes(monkeypatch, seed):
+    batches = []
+
+    def spy(basis, points):
+        coords = plane_coords(basis, points)
+        batches.append(coords)
+        return coords
+
+    monkeypatch.setattr(degeneration, "plane_coords", spy)
+    bundled_slabs(seed)
+    rng = random.Random(f"fan planes {seed}")
+    for p in fano_images(seed):
+        for d, rays in complete_fans(p, rng, count=4):
+            try:
+                line_fan_data(p, d, rays, [])
+            except (DegenerationError, PolytopeError):
+                pass  # refused later, as at an undecomposable exit vertex
+    assert len(batches) > 300
+    assert not any(None in coords for coords in batches)
+
+
+# ---------------------------------------------------------------------------
+# max_triangulation: the triangles cover the polygon throughout
+
+
+def assert_tiles(poly):
+    """Unimodular triangles on every lattice point, of total area 2A."""
+    tri = max_triangulation(poly)
+    areas = []
+    for t in tri.triangles:
+        (ax, ay), (bx, by), (cx, cy) = (tri.points[i] for i in t)
+        areas.append(abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)))
+    assert set(areas) == {1} and sum(areas) == poly.two_area()
+    assert {i for t in tri.triangles for i in t} == set(range(len(tri.points)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(lattice_polygons(span=3))
+def test_triangles_cover_random_polygons(poly):
+    assert_tiles(poly)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_triangles_cover_every_section_polygon(seed):
+    polys = {s.sections.polygon for s in bundled_slabs(seed)
+             if s.sections.dim == 2}
+    assert len(polys) >= 10
+    for poly in polys:
+        assert_tiles(poly)
+
+
+# ---------------------------------------------------------------------------
+# _cell_class_data: the edge functionals of a cell have rank 3
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cell_edge_functionals_have_rank_3(monkeypatch, seed):
+    ranks = []
+    real = invariants._lattice_index
+
+    def spy(rows):
+        out = real(rows)
+        ranks.append(out[0])
+        return out
+
+    monkeypatch.setattr(invariants, "_lattice_index", spy)
+    for p in fano_images(seed):
+        dual = p.polar_dual()
+        for f in dual.facets:
+            _cell_class_data(dual, f)
+    assert len(ranks) > 100 and set(ranks) == {3}
+
+
+# ---------------------------------------------------------------------------
+# _dual_from_faces: the facets around a vertex close into one ring
+
+
+def assert_rings(p):
+    """Each facet of P*'s cycle runs once over the vertices on its plane,
+    each step along an edge of P*."""
+    d = p.polar_dual()
+    edges = {e.vertex_ids for e in d.edges}
+    for f in d.facets:
+        on = {i for i, x in enumerate(d.vertices)
+              if dot(f.normal, x) == f.level}
+        assert len(f.cycle) == len(on) and set(f.cycle) == on
+        steps = zip(f.cycle, f.cycle[1:] + f.cycle[:1])
+        assert all(frozenset(step) in edges for step in steps)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_dual_facet_rings_close_on_bundled_polytopes(seed):
+    for name in NAMES:
+        p = image(bundled(name), seed)
+        if p.origin_interior():
+            assert_rings(p)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(polytopes())
+def test_dual_facet_rings_close_on_random_polytopes(p):
+    assert_rings(p)

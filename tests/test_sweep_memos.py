@@ -1,13 +1,13 @@
 """The sweep path's ray pass: one `ray_lattice` basis per facet line, one
-vertex list per summand in `minkowski_sum` and `match_summand_slabs`, and
-hull planes dropped at their first point on the far side.
+vertex list per summand in `match_summand_slabs`, and hull planes dropped
+at their first point on the far side.
 
 `_ray_decompositions` shares a basis between opposite facets because
 `ray_lattice(u) == ray_lattice(-u)`; that is checked here on every
 primitive direction of a box and on the facets of seeded GL(3,Z) images.
-`ref_hull3d_facets` and `ref_minkowski_sum` (conftest) are the routines as
-they were.  The count guards fail if the memo or the hoist stops saving
-calls, or if the memo outlives one call.
+`ref_hull3d_facets` (conftest) is the routine as it was.  The count guards
+fail if the memo or the hoist stops saving calls, or if the memo outlives
+one call.
 """
 
 import random
@@ -17,16 +17,14 @@ from math import gcd
 
 import pytest
 
-from conftest import (bundled, mat_vec, random_unimodular2,
-                      random_unimodular3, ref_hull3d_facets,
-                      ref_minkowski_sum)
+from conftest import (bundled, mat_vec, random_unimodular3,
+                      ref_hull3d_facets)
 from fanoscope import degeneration
 from fanoscope.degeneration import (DegenerationError, decomposition_regimes,
                                     method1_data, ray_lattice)
 from fanoscope.fileio import bundled_polytopes
 from fanoscope.linalg import clear_denominators, lex_positive
-from fanoscope.minkowski import (POINT, Summand, minkowski_sum, segment,
-                                 triangle)
+from fanoscope.minkowski import Summand
 from fanoscope.polytope import LatticePolytope, PolytopeError, _hull3d_facets
 
 NAMES = sorted(k for k in bundled_polytopes() if k != "polygons")
@@ -125,47 +123,6 @@ def test_flat_input_is_not_full_dimensional():
 
 
 # ---------------------------------------------------------------------------
-# minkowski_sum
-
-
-def random_summand(rng, direction=None):
-    kind = rng.randrange(3) if direction is None else rng.randrange(2)
-    if kind == 0:
-        return POINT
-    if kind == 1:
-        if direction is not None:
-            return segment(direction)
-        while True:
-            v = (rng.randint(-3, 3), rng.randint(-3, 3))
-            if gcd(*v) == 1:
-                return segment(v)
-    m = random_unimodular2(rng)
-    v1, v2 = (m[0][0], m[1][0]), (m[0][1], m[1][1])
-    return triangle(v1, v2, (-v1[0] - v2[0], -v1[1] - v2[1]))
-
-
-def same_sum(summands):
-    got, want = minkowski_sum(summands), ref_minkowski_sum(summands)
-    assert type(got) is type(want) and repr(got) == repr(want)
-
-
-def test_minkowski_sum_matches_the_reference():
-    rng = random.Random(19)
-    for _ in range(300):
-        same_sum([random_summand(rng) for _ in range(rng.randint(0, 6))])
-
-
-def test_minkowski_sum_of_parallel_summands_matches_the_reference():
-    rng = random.Random(23)
-    for _ in range(100):
-        d = rng.choice([(1, 0), (0, 1), (1, 1), (2, -1), (1, -3)])
-        summands = [random_summand(rng, d) for _ in range(rng.randint(0, 6))]
-        same_sum(summands)
-        if any(s.kind == "segment" for s in summands):
-            assert isinstance(minkowski_sum(summands), list)
-
-
-# ---------------------------------------------------------------------------
 # count guards
 
 
@@ -222,11 +179,6 @@ def test_one_vertex_list_per_summand(calls, name):
         except DegenerationError:
             assert name == "b1"
             continue
-        for decos in regimes:
-            for deco in decos:
-                calls["vertices"] = 0
-                minkowski_sum(deco)
-                assert calls["vertices"] == len(deco)
         if p.is_reflexive() and all(regimes):
             calls["per_match"].clear()
             method1_data(p)
