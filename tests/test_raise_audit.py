@@ -25,10 +25,10 @@ import pytest
 import fanoscope
 from conftest import (bundled, bundled_polygon, executed_lines,
                       malformed_slab_fixtures, raise_lines)
+from test_slab_checks import PINNED
 from fanoscope import cli, invariants
 from fanoscope.cli import _resolve_data, build_parser
 from fanoscope.degeneration import (DegenerationData, DegenerationError,
-                                    EmptyLinearSystem, NotCartier, NotNef,
                                     RaySummand, decomposition_regimes,
                                     line_fan_data, method1_data,
                                     normal_fan_data, polygon_of_sections,
@@ -60,24 +60,6 @@ RAYS = [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]
 HALF = [(0, 0), (Fraction(1, 2), 0), (0, 1)]
 UNIT = [(0, 0), (1, 0), (0, 1)]
 P3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
-
-# id -> (normals, coefficients, exception type, message)
-SECTIONS = {
-    "empty": ([(0, 1), (-1, -1), (1, 0)], [0, -1, 0],
-              EmptyLinearSystem, "empty linear system"),
-    "slack": ([(0, 1), (-1, 0), (-1, -1), (1, 0)], [0, 3, 2, 0],
-              NotNef, "divisor not nef: slack on edge with normal (-1, 0)"),
-    # the normals of the slack case with two of them swapped
-    "not_ccw": ([(0, 1), (-1, -1), (-1, 0), (1, 0)], [0, 2, 3, 0],
-                DegenerationError, "edge normals are not in ccw order"),
-    # every turn is to the left, but a pentagram's normals wind twice
-    "winds_twice": ([(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
-                    [0, 0, 0, 0, 0], DegenerationError,
-                    "edge normals are not in ccw order"),
-    "not_cartier": ([(0, 1), (-1, -2), (1, 0)], [0, 1, 0], NotCartier,
-                    "not Cartier: no integral section witness at a vertex "
-                    "cone"),
-}
 
 
 def broken(target, name, fn, run):
@@ -162,7 +144,7 @@ def validate_pins():
 def sections_pins():
     return {f"degeneration.polygon_of_sections: {key}":
             (partial(polygon_of_sections, normals, coeffs), cls, message)
-            for key, (normals, coeffs, cls, message) in SECTIONS.items()}
+            for key, (normals, coeffs, cls, message) in PINNED.items()}
 
 
 # name -> (call, exception class, message)
