@@ -18,7 +18,7 @@ from .minkowski import Summand, enumerate_smooth_decompositions
 from .polytope import (LatticePolytope, Polygon, PolytopeError, cross, dot,
                        face_length, is_integral, lattice_length,
                        pick_area, plane_basis, plane_coords, plane_normal,
-                       _clean, _quotient)
+                       vsub, _clean, _quotient)
 
 
 class DegenerationError(ValueError):
@@ -348,29 +348,6 @@ def ray_lattice(dir3):
     return [tuple(b) for b in saturate(rows)]
 
 
-def facet_in_ray_coords(p: LatticePolytope, facet, w_basis) -> Polygon:
-    """A facet of P in the coordinates of a basis (b0, b1) of the plane
-    parallel to it, translation-normalized: the lex-least vertex moves to
-    the origin.
-
-    With c = b0 x b1, a vector d of the plane is x*b0 + y*b1 for
-    x = <d, b1 x c> / <c, c> and y = <d, c x b0> / <c, c>: two integer
-    functionals, whose differences between vertices divide exactly.  The
-    facet cycle is ccw about the inner normal n, so it is ccw in (x, y)
-    when <c, n> > 0 and is reversed otherwise; no hull is needed.
-    """
-    b0, b1 = w_basis
-    c = cross(b0, b1)
-    ex, ey = cross(b1, c), cross(c, b0)
-    norm2 = dot(c, c)
-    cycle = facet.cycle if dot(c, facet.normal) > 0 else facet.cycle[::-1]
-    raw = [(dot(ex, v), dot(ey, v)) for v in map(p.vertices.__getitem__,
-                                                  cycle)]
-    x0, y0 = min(raw)
-    return Polygon([(_quotient(x - x0, norm2), _quotient(y - y0, norm2))
-                    for x, y in raw], hull=False)
-
-
 def _ray_facets(p: LatticePolytope):
     """P's facets sorted by their dual vertices: P*'s vertex order, which
     both `_dual_from_faces` and the hull give, so the facet dual to vertex
@@ -378,19 +355,39 @@ def _ray_facets(p: LatticePolytope):
     return sorted(p.facets, key=lambda f: f.dual)
 
 
-def _ray_target(p: LatticePolytope, f, w_basis, ray) -> Polygon:
-    """`facet_in_ray_coords` of P's facet f divided by its Gorenstein index
-    r = -f.level (P is integral, so L = Z^3 and u is f's normal); raises,
-    naming the ray, unless r divides every vertex."""
-    facet = facet_in_ray_coords(p, f, w_basis)
+def _ray_word(p: LatticePolytope, f, w_basis, ray):
+    """The edge word of P's facet f divided by its Gorenstein index
+    r = -f.level (P is integral, so L = Z^3 and u is f's normal), in the
+    coordinates of a basis (b0, b1) of the plane parallel to it.
+
+    With c = b0 x b1, a vector d of the plane is x*b0 + y*b1 for
+    x = <d, b1 x c> / <c, c> and y = <d, c x b0> / <c, c>, so each edge
+    b - a of the facet cycle is read by two integer functionals and
+    divided by <c, c> r.  The cycle is ccw about the inner normal n, so it
+    is ccw in (x, y) when <c, n> > 0 and is reversed otherwise.  The
+    vertices of the facet moved to the origin are the partial sums of its
+    edges, so r divides them all exactly when it divides every edge; where
+    it does not, this raises, naming the ray.
+    """
+    b0, b1 = w_basis
+    c = cross(b0, b1)
+    ex, ey = cross(b1, c), cross(c, b0)
     r = -f.level
-    if r == 1:
-        return facet
-    if any(x % r for v in facet.vertices for x in v):
-        raise DegenerationError(
-            f"no smooth Minkowski decomposition: facet of ray {ray} is not "
-            f"divisible by its index {r}")
-    return Polygon([tuple(x // r for x in v) for v in facet.vertices])
+    den = dot(c, c) * r
+    cycle = f.cycle if dot(c, f.normal) > 0 else f.cycle[::-1]
+    vs = [p.vertices[i] for i in cycle]
+    word = []
+    for a, b in zip(vs, vs[1:] + vs[:1]):
+        d = vsub(b, a)
+        x, y = dot(ex, d), dot(ey, d)
+        if x % den or y % den:
+            raise DegenerationError(
+                f"no smooth Minkowski decomposition: facet of ray {ray} is "
+                f"not divisible by its index {r}")
+        x, y = x // den, y // den
+        g = gcd(x, y)
+        word += [(x // g, y // g)] * g
+    return tuple(sorted(word))
 
 
 def quotient_functional(w_basis, m_point):
@@ -547,27 +544,27 @@ def method1_data(p: LatticePolytope, choice=None, name="") -> DegenerationData:
 def _ray_decompositions(p: LatticePolytope):
     """For each ray, in P*'s vertex order (`_ray_facets(p)`): its
     `ray_lattice` basis and the smooth Minkowski decompositions of its
-    facet divided by r (`_ray_target`, which raises where r does not
-    divide).  Within this call, rays with equal targets share one
-    enumeration and opposite facets one `ray_lattice` basis."""
-    found = {}  # target polygon -> its decompositions
+    facet divided by r, read off its edge word (`_ray_word`, which raises
+    where r does not divide).  Within this call, rays with equal words
+    share one enumeration and opposite facets one `ray_lattice` basis."""
+    found = {}  # edge word -> its decompositions
     lattices = {}  # facet normal up to sign -> its ray_lattice basis
     for vid, f in enumerate(_ray_facets(p)):
         line = lex_positive(f.normal)
         if line not in lattices:
             lattices[line] = ray_lattice(f.dual)
         w_basis = lattices[line]
-        target = _ray_target(p, f, w_basis, vid)
-        if target not in found:
-            found[target] = enumerate_smooth_decompositions(target)
-        yield w_basis, found[target]
+        word = _ray_word(p, f, w_basis, vid)
+        if word not in found:
+            found[word] = enumerate_smooth_decompositions(word)
+        yield w_basis, found[word]
 
 
 def decomposition_regimes(p: LatticePolytope):
     """All decomposition choices per ray: list of lists of Summand tuples,
     one per vertex of P* in its order, indexed as `normal_fan_data`'s
-    `choice`.  Read off P's facets, so P* is not built; each ray gets a
-    list of its own.
+    `choice`.  Read off the edge words of P's facets, so neither P* nor a
+    facet polygon is built; each ray gets a list of its own.
     """
     if not p.origin_interior():
         raise PolytopeError("origin is not interior")
@@ -656,7 +653,7 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
             ray_summands.append(RaySummand(ray_id, "point"))
             continue
         decos = enumerate_smooth_decompositions(
-            _ray_target(p, _ray_facets(p)[vertex_hit], w_basis, ray_id))
+            _ray_word(p, _ray_facets(p)[vertex_hit], w_basis, ray_id))
         if not decos:
             raise DegenerationError("no smooth Minkowski decomposition "
                                     f"for {ray_id}")
@@ -892,10 +889,11 @@ def _d2_verdict(data, dual, f, t_dir):
             a_vals.append(0)
             lens.append(0)
             continue
-        # the segment is the dual face of an edge of the polar polytope
+        # the segment is the dual face of an edge of the polar polytope: the
+        # vertices of P dual to the edge's two facets
         eidx = None
         for i, e in enumerate(dual.edges):
-            if set(dual.dual_face_vertices(sorted(e.vertex_ids))) == set(g):
+            if {dual.facets[j].dual for j in e.facet_ids} == set(g):
                 eidx = i
                 break
         a_vals.append(data.edge_values.get(eidx, 0) if eidx is not None else 0)
@@ -913,8 +911,8 @@ def _d2_verdict(data, dual, f, t_dir):
     return "smooth"
 
 
-def _d3_verdict(dual, vid):
-    facet_pts = dual.dual_face_vertices([vid])
+def _d3_verdict(p, f):
+    facet_pts = [p.vertices[i] for i in f.cycle]
     if len(facet_pts) != 3:
         return "violation: cone over v* is not simplicial"
     if abs(det([list(map(int, p)) for p in facet_pts])) != 1:
@@ -929,17 +927,17 @@ def check_smooth_data(data: DegenerationData):
     A vertex v on a ray of the fan (D1) needs v* = r P_L + S_v, with S_v a
     point or a standard simplex, and every data built here meets it with
     S_v a point, so D1 is "smooth" by construction.  The summands P_L of
-    the ray come from `enumerate_smooth_decompositions(T)`, where T is
-    `_ray_target`: v*'s facet f of P in the ray's `ray_lattice` basis,
-    divided by r = -f.level.  `normal_fan_data` takes one of them for each
-    ray (a vertex of P*).  On a line fan a polar vertex on the minimal line
-    is where the ray rho+- through it leaves P* (the origin is interior,
-    so the ray meets the boundary once), so `line_fan_data` finds it as
-    that ray's `vertex_hit` and takes the last of them, in the line's
-    basis.  Each decomposition sums to T up to translation, since its
+    the ray come from `enumerate_smooth_decompositions` on `_ray_word`,
+    the edge word of T: v*'s facet f of P in the ray's `ray_lattice`
+    basis, divided by r = -f.level.  `normal_fan_data` takes one of them
+    for each ray (a vertex of P*).  On a line fan a polar vertex on the
+    minimal line is where the ray rho+- through it leaves P* (the origin
+    is interior, so the ray meets the boundary once), so `line_fan_data`
+    finds it as that ray's `vertex_hit` and takes the last of them, in the
+    line's basis.  Each decomposition sums to T up to translation, since its
     summands partition T's edge word (the proof is in the enumerator's
     docstring), so r P_L = r T = v*, and T is a polygon, so P_L holds a
-    segment or a triangle.  `_ray_target` raises where r does not divide
+    segment or a triangle.  `_ray_word` raises where r does not divide
     v*, so no data with a nontrivial S_v is built.
     `tests/test_ray_facets.py` re-sums every ray on the bundled polytopes,
     b3_cubic, the products and their GL(3,Z) images.
@@ -966,5 +964,5 @@ def check_smooth_data(data: DegenerationData):
         if hit is not None:
             verdicts[vid] = _d2_verdict(data, dual, f, hit)
         else:
-            verdicts[vid] = _d3_verdict(dual, vid)
+            verdicts[vid] = _d3_verdict(data.polytope, f)
     return verdicts

@@ -3,7 +3,9 @@
 A decomposition is smooth when every summand is a standard simplex: a point,
 a primitive segment, or a triangle of normalized area one.  Summands are
 encoded by their ccw edge-vector multisets and enumerated by exhaustive
-backtracking over the polygon's boundary word.
+backtracking over the polygon's boundary word: `Polygon.edge_vector_multiset`
+reads it off a polygon, and `degeneration._ray_word` off a facet of a
+3-polytope with no polygon built.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .linalg import lex_positive
-from .polytope import Polygon, PolytopeError
+from .polytope import PolytopeError, is_integral
 
 
 @dataclass(frozen=True, order=True)
@@ -21,16 +23,20 @@ class Summand:
     vectors: tuple            # () | (v,) | (v1, v2, v3) with v1+v2+v3 = 0
 
     def __post_init__(self):
+        vs = self.vectors
         if self.kind == "point":
-            assert self.vectors == ()
+            ok = vs == ()
         elif self.kind == "segment":
-            assert len(self.vectors) == 1
+            ok = len(vs) == 1
         elif self.kind == "triangle":
-            v1, v2, v3 = self.vectors
-            assert tuple(map(sum, zip(v1, v2, v3))) == (0, 0)
-            assert abs(v1[0] * v2[1] - v1[1] * v2[0]) == 1
+            ok = (len(vs) == 3
+                  and tuple(map(sum, zip(*vs))) == (0, 0)
+                  and abs(vs[0][0] * vs[1][1] - vs[0][1] * vs[1][0]) == 1)
         else:
             raise ValueError(f"unknown summand kind {self.kind!r}")
+        if not ok:
+            raise ValueError(f"vectors {vs!r} do not make a {self.kind} "
+                             "summand")
 
     @property
     def dim(self):
@@ -65,9 +71,10 @@ def triangle(v1, v2, v3) -> Summand:
 POINT = Summand("point", ())
 
 
-def enumerate_smooth_decompositions(polygon: Polygon):
-    """All partitions of the boundary word into segments {v,-v} and unimodular
-    zero-sum triples, deduplicated as multisets of summands.
+def enumerate_smooth_decompositions(word):
+    """All partitions of a convex polygon's boundary word (the sequence of
+    its primitive edge vectors, in any order) into segments {v,-v} and
+    unimodular zero-sum triples, deduplicated as multisets of summands.
 
     Returns a sorted list of tuples of Summands; empty when no smooth
     decomposition exists.
@@ -83,13 +90,14 @@ def enumerate_smooth_decompositions(polygon: Polygon):
     sum's edge with inner normal u is as long as the summands' edges with
     inner normal u together.  The summands found here partition the
     polygon's word, so their sum has the polygon's word and is a translate
-    of it.  `tests/test_retired_raises.py` re-sums every decomposition of
+    of it.  So the word is all the enumerator reads, and no polygon is
+    built.  `tests/test_retired_raises.py` re-sums every decomposition of
     random lattice polygons and of every bundled facet/r.
     """
-    if not polygon.is_integral:
-        raise PolytopeError("decompositions of a non-integral polygon")
-    count = Counter(polygon.edge_vector_multiset())
+    count = Counter(word)
     letters = sorted(count)
+    if not all(map(is_integral, letters)):
+        raise PolytopeError("decompositions of a non-integral word")
     found = set()
     acc = []
 

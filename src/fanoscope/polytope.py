@@ -81,12 +81,8 @@ def face_length(points, n) -> int:
 class Polygon:
     """Convex lattice polygon with canonical ccw vertex order."""
 
-    def __init__(self, points, hull=True):
-        pts = [_clean(p) for p in points]
-        if hull:
-            verts = _hull2d(pts)
-        else:
-            verts = pts
+    def __init__(self, points):
+        verts = _hull2d([_clean(p) for p in points])
         if len(verts) < 3:
             raise PolytopeError("not full-dimensional")
         # rotate so the lex-least vertex comes first
@@ -176,8 +172,9 @@ class Polygon:
         return self._lattice_scan()[1]
 
     def edge_vector_multiset(self):
-        """ccw boundary word: each edge contributes length copies of its
-        primitive direction; the multiset sums to zero."""
+        """Boundary word, sorted: each edge contributes its lattice length
+        of copies of its primitive direction; the multiset sums to zero
+        and is what `enumerate_smooth_decompositions` takes."""
         out = []
         for a, b in self.edges():
             length = lattice_length(a, b)
@@ -309,8 +306,8 @@ class Edge:
 class LatticePolytope:
     """Full-dimensional polytope in rank 3 with exact face data.
 
-    The face data (facets with their cycles and dual vertices, edges, the
-    vertex -> facets incidence) is built once here; the polar dual is read
+    The face data (facets with their cycles and dual vertices, edges with
+    their vertex and facet ids) is built once here; the polar dual is read
     off it on the first call to `polar_dual` and kept.
     """
 
@@ -340,11 +337,6 @@ class LatticePolytope:
         self.vertices = vertices
         self.facets = facets
         self.edges = edges
-        at = [[] for _ in vertices]
-        for fi, f in enumerate(facets):
-            for vid in f.vertex_ids:
-                at[vid].append(fi)
-        self._facets_at = {vid: frozenset(fs) for vid, fs in enumerate(at)}
         self._dual = None
         self._fano = None
 
@@ -445,17 +437,6 @@ class LatticePolytope:
         dual._dual = self
         return dual
 
-    def dual_face_vertices(self, vertex_ids):
-        """Vertices (in the dual) of the face dual to the face spanned by the
-        given vertex ids: the dual vertices of all facets containing it."""
-        common = None
-        for vid in vertex_ids:
-            fs = self._facets_at.get(vid, frozenset())
-            common = fs if common is None else (common & fs)
-        if not common:
-            raise PolytopeError("not a proper face")
-        return [self.dual_vertex(self.facets[fi]) for fi in sorted(common)]
-
     # -- counting -----------------------------------------------------------
 
     def lattice_points(self):
@@ -543,9 +524,19 @@ def _facet_cycle(points, ids, normal):
     """Order facet vertex ids cyclically, ccw about the inner normal.
 
     The successor of a is the vertex b with every other facet vertex c on
-    its left: <(b - a) x (c - a), normal> >= 0.  One tournament pass keeps
-    the rightmost candidate, then every other vertex is checked against
-    it.  The walk starts at the lowest id and must close over all of them.
+    its left: <(b - a) x (c - a), normal> > 0.  One tournament pass finds
+    it, keeping the rightmost candidate.
+
+    The walk from the lowest id closes over all of them with no check.
+    `LatticePolytope.__init__` passes the points on at least 3 facet
+    planes: exactly the vertices of the facet, which are in strictly
+    convex position.  Seen from a vertex a, the other vertices then lie in
+    an angle below pi with no two on one ray from a, so "c is right of
+    a -> b" orders them strictly and the tournament finds the one that is
+    right of no other, a's ccw neighbour on the facet polygon.  So the
+    successors run once around that polygon.  `tests/test_retired_raises.py`
+    checks every facet cycle of the bundled polytopes, their GL(3,Z)
+    images and random polytopes.
     """
     ids = sorted(ids)
     n0, n1, n2 = normal
@@ -564,16 +555,10 @@ def _facet_cycle(points, ids, normal):
             if w0 * x + w1 * y + w2 * z < 0:
                 b = q
                 w0, w1, w2 = n1 * z - n2 * y, n2 * x - n0 * z, n0 * y - n1 * x
-        if all(w0 * x + w1 * y + w2 * z >= 0 for q, x, y, z in rest if q != b):
-            succ[a] = b
+        succ[a] = b
     cycle = [ids[0]]
     for _ in ids[1:]:
-        nxt = succ.get(cycle[-1])
-        if nxt is None or nxt in cycle:
-            break
-        cycle.append(nxt)
-    if len(cycle) != len(ids) or succ.get(cycle[-1]) != cycle[0]:
-        raise PolytopeError("facet vertices do not close into a convex cycle")
+        cycle.append(succ[cycle[-1]])
     return tuple(cycle)
 
 

@@ -5,6 +5,7 @@ import os
 import random
 import sys
 from fractions import Fraction
+from functools import cmp_to_key
 from itertools import combinations
 from math import gcd
 
@@ -12,10 +13,11 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from fanoscope.degeneration import DegenerationError
 from fanoscope.fileio import bundled_polytopes, load_fixture
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                cross, dot, embed_polygon, plane_coords,
-                                vsub)
+                                _quotient, cross, dot, embed_polygon,
+                                plane_coords, vadd, vsub)
 
 
 def db_path():
@@ -61,7 +63,7 @@ def facet_polygon(p: LatticePolytope, facet):
 
 def dilate_polygon(poly: Polygon, k) -> Polygon:
     """k * poly, as `Polygon.dilate` returned it."""
-    return Polygon([tuple(k * x for x in v) for v in poly.vertices], hull=False)
+    return Polygon([tuple(k * x for x in v) for v in poly.vertices])
 
 
 def dilate_polytope(p: LatticePolytope, k) -> LatticePolytope:
@@ -82,10 +84,66 @@ def ref_facet_in_ray_coords(p_dual: LatticePolytope, vertex_id: int,
     # `degeneration.facet_in_ray_coords` as it was, before it read the facet
     # cycle of P: the facet's vertices from the incidence sets of P*, mapped
     # by `plane_coords` and hulled.
-    verts = p_dual.dual_face_vertices([vertex_id])
+    verts = dual_face_vertices(p_dual, [vertex_id])
     coords = plane_coords(w_basis, [vsub(v, verts[0]) for v in verts])
     low = min(coords)
     return Polygon([vsub(c, low) for c in coords])
+
+
+def dual_face_vertices(p: LatticePolytope, vertex_ids):
+    """The dual vertices of the facets of p through all the given vertex
+    ids, in facet order (`LatticePolytope.dual_face_vertices` as it was,
+    for a proper face): the vertices of the face dual to theirs."""
+    return [p.dual_vertex(f) for f in p.facets
+            if all(vid in f.vertex_ids for vid in vertex_ids)]
+
+
+def ref_cycle_in_ray_coords(p: LatticePolytope, facet, w_basis) -> Polygon:
+    """`degeneration.facet_in_ray_coords` as it was, before the ray pass
+    read the edge word: a facet of P in the coordinates of a basis (b0, b1)
+    of the plane parallel to it, translation-normalized, the facet cycle
+    reversed when <b0 x b1, n> < 0.  It passed `hull=False`; the hull of a
+    convex cycle is the same polygon."""
+    b0, b1 = w_basis
+    c = cross(b0, b1)
+    ex, ey = cross(b1, c), cross(c, b0)
+    norm2 = dot(c, c)
+    cycle = facet.cycle if dot(c, facet.normal) > 0 else facet.cycle[::-1]
+    raw = [(dot(ex, v), dot(ey, v)) for v in map(p.vertices.__getitem__,
+                                                  cycle)]
+    x0, y0 = min(raw)
+    return Polygon([(_quotient(x - x0, norm2), _quotient(y - y0, norm2))
+                    for x, y in raw])
+
+
+def ref_ray_target(p: LatticePolytope, f, w_basis, ray) -> Polygon:
+    """`degeneration._ray_target` as it was: `ref_cycle_in_ray_coords` of
+    P's facet f divided by r = -f.level; raises, naming the ray, unless r
+    divides every vertex.  Its edge word is what `_ray_word` gives."""
+    facet = ref_cycle_in_ray_coords(p, f, w_basis)
+    r = -f.level
+    if r == 1:
+        return facet
+    if any(x % r for v in facet.vertices for x in v):
+        raise DegenerationError(
+            f"no smooth Minkowski decomposition: facet of ray {ray} is not "
+            f"divisible by its index {r}")
+    return Polygon([tuple(x // r for x in v) for v in facet.vertices])
+
+
+def word_polygon(word) -> Polygon:
+    """The convex polygon whose boundary word is `word`: its letters in
+    ccw angular order, summed from the origin."""
+    def half(v):  # 0 on angles in [0, pi), 1 on [pi, 2 pi)
+        return 0 if v[1] > 0 or (v[1] == 0 and v[0] > 0) else 1
+
+    def ccw(u, v):
+        return half(u) - half(v) or u[1] * v[0] - u[0] * v[1]
+
+    pts = [(0, 0)]
+    for v in sorted(word, key=cmp_to_key(ccw)):
+        pts.append(vadd(pts[-1], v))
+    return Polygon(pts)
 
 
 def on_segment(p, a, b) -> bool:
@@ -306,7 +364,7 @@ def normalized(poly: Polygon) -> Polygon:
     """poly moved so that its lex-least vertex sits at the origin
     (`Polygon.normalized` as it was)."""
     v0 = poly.vertices[0]
-    return Polygon([vsub(v, v0) for v in poly.vertices], hull=False)
+    return Polygon([vsub(v, v0) for v in poly.vertices])
 
 
 def ref_minkowski_sum(summands):

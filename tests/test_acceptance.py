@@ -79,9 +79,11 @@ def test_criterion_05_b1_fixture():
 
 def test_criterion_06_decomposition_counts():
     hexagon = Polygon([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
-    assert len(enumerate_smooth_decompositions(hexagon)) == 2
+    assert len(enumerate_smooth_decompositions(
+        hexagon.edge_vector_multiset())) == 2
     square = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
-    assert len(enumerate_smooth_decompositions(square)) == 1
+    assert len(enumerate_smooth_decompositions(
+        square.edge_vector_multiset())) == 1
     verdict(6, "hexagon has exactly 2 smooth decompositions, unit square 1")
 
 

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon,
-                      lattice_polygons, mat_vec, random_unimodular3,
-                      ref_facet_in_ray_coords)
+                      dual_face_vertices, lattice_polygons, mat_vec,
+                      random_unimodular3, ref_facet_in_ray_coords)
 from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationError,
                                     EmptyLinearSystem, NotCartier, NotNef,
                                     Sections, Slab,
@@ -261,13 +261,14 @@ def ref_decomposition_regimes(p):
     for vid, vert in enumerate(dual.vertices):
         w_basis = ray_lattice(vert)
         facet = ref_facet_in_ray_coords(dual, vid, w_basis)
-        r = gorenstein_index(dual.dual_face_vertices([vid]))
+        r = gorenstein_index(dual_face_vertices(dual, [vid]))
         if any(x % r for v in facet.vertices for x in v):
             raise DegenerationError(
                 f"no smooth Minkowski decomposition: facet of ray {vid} is "
                 f"not divisible by its index {r}")
         target = Polygon([tuple(x // r for x in v) for v in facet.vertices])
-        out.append(enumerate_smooth_decompositions(target))
+        out.append(enumerate_smooth_decompositions(
+            target.edge_vector_multiset()))
     return out
 
 

@@ -7,7 +7,6 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm, prod
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +21,7 @@ from fanoscope.invariants import (InvariantError, _cell_class_data, degree,
 from fanoscope.linalg import (LinalgError, clear_denominators, kernel_basis,
                               lex_positive, primitive, saturate, solve_in_span)
 from fanoscope.polytope import (LatticePolytope, Polygon,
-                                PolytopeError, _clean, _facet_cycle,
+                                PolytopeError, _clean,
                                 _hull3d_facets, _lattice_index, cross, dot,
                                 gorenstein_index, is_integral, plane_coords,
                                 plane_normal, vsub)
@@ -90,13 +89,6 @@ def test_facet_cycle_matches_embedding_route(p):
         old = ref_facet_cycle([p.vertices[i] for i in ids], ids, f.normal)
         assert f.cycle in rotations(old)
         assert f.cycle[0] == ids[0]
-
-
-def test_facet_cycle_rejects_points_off_the_convex_cycle():
-    square = [(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0), (1, 1, 0)]
-    assert _facet_cycle(square, range(4), (0, 0, 1)) == (0, 1, 2, 3)
-    with pytest.raises(PolytopeError, match="cycle"):
-        _facet_cycle(square, range(5), (0, 0, 1))
 
 
 def ref_plane_coords(basis, v):
@@ -183,18 +175,6 @@ def test_plane_coords_matches_the_point_route(batch):
 
 @FACE
 @given(polytopes())
-def test_dual_face_vertices_match_facet_scan(p):
-    faces = ([[vid] for vid in range(len(p.vertices))]
-             + [sorted(e.vertex_ids) for e in p.edges]
-             + [sorted(f.vertex_ids) for f in p.facets])
-    for face in faces:
-        scan = [p.dual_vertex(f) for f in p.facets
-                if all(vid in f.vertex_ids for vid in face)]
-        assert p.dual_face_vertices(face) == scan
-
-
-@FACE
-@given(polytopes())
 def test_polar_dual_is_built_once_and_is_an_involution(p):
     d = p.polar_dual()
     assert d is p.polar_dual()
@@ -206,8 +186,7 @@ def face_fields(p):
     return (p.vertices,
             [(f.normal, f.level, f.vertex_ids, f.cycle, f.dual)
              for f in p.facets],
-            [(e.vertex_ids, e.facet_ids) for e in p.edges],
-            p._facets_at)
+            [(e.vertex_ids, e.facet_ids) for e in p.edges])
 
 
 @FACE

@@ -5,11 +5,12 @@ the Sutherland-Hodgman clip in `Fraction`s, a containing-edge scan over
 every edge of the polar polytope, the `Fraction` exit parameter and its
 hit point, and slab spans from `face_length` over sections found by the
 `Fraction` candidate scan; `_ray_target` reaches the ray's facet by the
-hop from P* back to P that `_dual_facet` makes and reads its index with
-`gorenstein_index`.  Every route must give the same slabs
-(polygons, coefficients, roles, sections, spans, counts), ray summands,
-edge values and vertex count, or raise the same exception with the same
-message.
+hop from P* back to P that `_dual_facet` makes, builds it as a `Polygon`
+(`ref_cycle_in_ray_coords`) and reads its index with `gorenstein_index`,
+and the enumerator reads that polygon's word divided by the index.  Every
+route must give the same slabs (polygons, coefficients, roles, sections,
+spans, counts), ray summands, edge values and vertex count, or raise the
+same exception with the same message.
 """
 
 import random
@@ -19,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (_frac, bundled, bundled_polygon, mat_vec, on_segment,
-                      random_unimodular2, random_unimodular3)
+                      random_unimodular2, random_unimodular3,
+                      ref_cycle_in_ray_coords)
 from test_degeneration import ref_polygon_of_sections
 from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
                                     DegenerationError, NotCartier,
@@ -29,8 +31,7 @@ from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
                                     _plane_slice,
                                     _polygon_polar, _rule_values,
                                     _two_cone,
-                                    _unproject, facet_in_ray_coords,
-                                    line_fan, line_fan_data,
+                                    _unproject, line_fan, line_fan_data,
                                     match_summand_slabs, product_data,
                                     quotient_functional, ray_lattice)
 from fanoscope.fileio import (bundled_polytopes, data_from_fixture,
@@ -166,11 +167,11 @@ def _dual_facet(p_dual: LatticePolytope, vertex):
 
 def _ray_target(p_dual: LatticePolytope, vertex_id: int, w_basis,
                 ray) -> Polygon:
-    """`facet_in_ray_coords` of the facet dual to a vertex of P*, divided
-    by the facet's Gorenstein index r; raises, naming the ray, unless r
-    divides every vertex."""
+    """`ref_cycle_in_ray_coords` of the facet dual to a vertex of P*,
+    divided by the facet's Gorenstein index r; raises, naming the ray,
+    unless r divides every vertex."""
     p, f = _dual_facet(p_dual, p_dual.vertices[vertex_id])
-    facet = facet_in_ray_coords(p, f, w_basis)
+    facet = ref_cycle_in_ray_coords(p, f, w_basis)
     r = gorenstein_index([p.vertices[i] for i in f.cycle])
     if r == 1:
         return facet
@@ -247,7 +248,8 @@ def ref_line_fan(p: LatticePolytope, direction, rays2d, edge_rule,
             spec = ray_summand_spec.get(ray_id, "auto")
         if spec == "auto":
             decos = enumerate_smooth_decompositions(
-                _ray_target(dual, vertex_hit, w_basis, ray_id))
+                _ray_target(dual, vertex_hit, w_basis, ray_id)
+                .edge_vector_multiset())
             if not decos:
                 raise DegenerationError("no smooth Minkowski decomposition "
                                         f"for {ray_id}")

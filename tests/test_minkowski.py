@@ -17,6 +17,11 @@ SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
 TRIANGLE = Polygon([(0, 0), (1, 0), (0, 1)])
 
 
+def decompose(poly):
+    """The smooth decompositions of a polygon, read off its edge word."""
+    return enumerate_smooth_decompositions(poly.edge_vector_multiset())
+
+
 def test_edge_vector_multisets():
     assert SQUARE.edge_vector_multiset() == sorted(
         [(1, 0), (0, 1), (-1, 0), (0, -1)])
@@ -28,7 +33,7 @@ def test_edge_vector_multisets():
 
 
 def test_hexagon_has_exactly_two():
-    decos = enumerate_smooth_decompositions(HEXAGON)
+    decos = decompose(HEXAGON)
     assert len(decos) == 2
     by_triangles = {sum(1 for s in d if s.kind == "triangle"): d for d in decos}
     assert set(by_triangles) == {0, 2}
@@ -39,13 +44,13 @@ def test_hexagon_has_exactly_two():
 
 
 def test_square_and_triangle_unique():
-    assert len(enumerate_smooth_decompositions(SQUARE)) == 1
-    decos = enumerate_smooth_decompositions(TRIANGLE)
+    assert len(decompose(SQUARE)) == 1
+    decos = decompose(TRIANGLE)
     assert len(decos) == 1 and decos[0][0].kind == "triangle"
 
 
 def test_side_two_square_is_four_segments():
-    decos = enumerate_smooth_decompositions(dilate_polygon(SQUARE, 2))
+    decos = decompose(dilate_polygon(SQUARE, 2))
     assert len(decos) == 1
     assert [s.kind for s in decos[0]] == ["segment"] * 4
 
@@ -54,7 +59,7 @@ def test_minkowski_sum_examples():
     assert ref_minkowski_sum([segment((1, 0)), segment((0, 1))]) == SQUARE
     t = triangle((1, 0), (-1, 1), (0, -1))
     assert ref_minkowski_sum([t] * 6) == dilate_polygon(TRIANGLE, 6)
-    for deco in enumerate_smooth_decompositions(HEXAGON):
+    for deco in decompose(HEXAGON):
         assert ref_minkowski_sum(deco) == normalized(HEXAGON)
 
 
@@ -65,18 +70,18 @@ def test_point_summand_is_identity():
 
 def test_no_decomposition():
     poly = Polygon([(0, 0), (2, 1), (1, 2)])  # area-3 empty triangle
-    assert enumerate_smooth_decompositions(poly) == []
+    assert decompose(poly) == []
 
 
 def test_count_invariant_under_gl2():
     rng = random.Random(17)
     for poly in (HEXAGON, dilate_polygon(SQUARE, 2),
                  dilate_polygon(TRIANGLE, 3)):
-        base = len(enumerate_smooth_decompositions(poly))
+        base = len(decompose(poly))
         for _ in range(6):
             m = random_unimodular2(rng)
             im = Polygon([tuple(mat_vec(m, list(v))) for v in poly.vertices])
-            assert len(enumerate_smooth_decompositions(im)) == base
+            assert len(decompose(im)) == base
 
 
 def test_summand_face_lengths():
@@ -190,8 +195,7 @@ DILATED = st.builds(dilate_polygon, lattice_polygons(),
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.one_of(DILATED, smooth_sums()))
 def test_enumerator_matches_the_counter_copy_route(poly):
-    assert outcome(enumerate_smooth_decompositions, poly) == \
-        outcome(ref_enumerate, poly)
+    assert outcome(decompose, poly) == outcome(ref_enumerate, poly)
 
 
 def test_enumerator_matches_on_every_sum_of_four_shapes():
@@ -204,14 +208,18 @@ def test_enumerator_matches_on_every_sum_of_four_shapes():
             continue
     several = 0
     for poly in polys:
-        got = enumerate_smooth_decompositions(poly)
+        got = decompose(poly)
         assert got == ref_enumerate(poly)
         several += len(got) > 1
     assert several >= 80
 
 
 def test_enumerator_rejects_a_non_integral_polygon():
+    # the polygon's word has no lattice lengths; its edge vectors are
+    # refused as a non-integral word
     poly = Polygon([(0, 0), (Fraction(1, 2), 0), (0, 1)])
-    assert outcome(enumerate_smooth_decompositions, poly) == \
-        outcome(ref_enumerate, poly) == \
+    assert outcome(ref_enumerate, poly) == \
         "PolytopeError: decompositions of a non-integral polygon"
+    edges = [tuple(b - a for a, b in zip(*edge)) for edge in poly.edges()]
+    assert outcome(enumerate_smooth_decompositions, edges) == \
+        "PolytopeError: decompositions of a non-integral word"

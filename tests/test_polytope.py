@@ -76,16 +76,6 @@ def test_involution_on_reflexives():
             sorted(p.vertices)
 
 
-def test_dual_face_dimensions():
-    p = bundled("p3")
-    # vertex -> facet (3 dual vertices), edge -> edge (2), facet -> vertex (1)
-    assert len(p.dual_face_vertices([0])) == 3
-    e = p.edges[0]
-    assert len(p.dual_face_vertices(sorted(e.vertex_ids))) == 2
-    f = p.facets[0]
-    assert len(p.dual_face_vertices(sorted(f.vertex_ids))) == 1
-
-
 def test_dual_edge_of_p3_has_length_four():
     p = bundled("p3")
     e1 = p.vertices.index((0, 1, 0))

@@ -9,6 +9,7 @@ from fanoscope.degeneration import line_fan_data, normal_fan_data
 from fanoscope.discriminant import dual_graph
 from fanoscope.invariants import fano_index
 from fanoscope.linalg import nullity
+from fanoscope.polytope import LatticePolytope, Polygon
 
 DELETED = [("polytope", "convex_hull"),
            ("minkowski", "Summand.edge_normals"),
@@ -28,7 +29,10 @@ DELETED = [("polytope", "convex_hull"),
            ("minkowski", "minkowski_sum"),
            ("polytope", "Polygon.normalized"),
            ("polytope", "Polygon.translate"),
-           ("degeneration", "_coords_in")]
+           ("degeneration", "_coords_in"),
+           ("polytope", "LatticePolytope.dual_face_vertices"),
+           ("degeneration", "facet_in_ray_coords"),
+           ("degeneration", "_ray_target")]
 
 
 def resolves(obj, dotted):
@@ -77,3 +81,12 @@ def test_unused_parameters_stay_gone():
                for p in index_params.values())
     ncols = inspect.signature(nullity).parameters["ncols"]
     assert ncols.default is inspect.Parameter.empty
+    # a polygon is always the hull of its points
+    assert list(inspect.signature(Polygon).parameters) == ["points"]
+
+
+def test_vertex_facet_incidence_stays_gone():
+    # the incidence that `dual_face_vertices` read, built for every P and P*
+    p = LatticePolytope([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
+    assert not hasattr(p, "_facets_at")
+    assert not hasattr(p.polar_dual(), "_facets_at")

@@ -7,12 +7,16 @@ of its two derivations with `monkeypatch`.  Each pin runs once under
 `executed_lines`, a tracer that follows only the package's own files; it
 must raise its exact class and message, and the audit fails unless every
 raise line of every module ran under some pin.  `MODULES` is read off the
-package, so a new module is audited with no edit here.  The checks that no
-input can fire are gone, with their proofs in the routines' docstrings and
-their theorems asserted in `tests/test_retired_raises.py`.
+package, so a new module is audited with no edit here.  No module may
+hold an `assert` statement: `python -O` strips them, so a check must be a
+raise with a pin.  The checks that no input can fire are gone, with their
+proofs in the routines' docstrings and their theorems asserted in
+`tests/test_retired_raises.py`.
 """
 
+import ast
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -46,8 +50,8 @@ from fanoscope.linalg import (LinalgError, hnf, lex_positive, primitive,
                               saturate, snf)
 from fanoscope.minkowski import Summand, enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                _facet_cycle, gorenstein_index, identity24,
-                                lattice_length, pick_area, plane_basis)
+                                gorenstein_index, identity24, lattice_length,
+                                pick_area, plane_basis)
 
 MODULES = tuple(importlib.import_module(f"fanoscope.{m.name}")
                 for m in pkgutil.iter_modules(fanoscope.__path__))
@@ -154,7 +158,7 @@ PINS = {
     "degeneration.line_fan: two rays": (
         lambda: line_fan_data(bundled("p3"), (0, 0, 1), RAYS[:2], []),
         DegenerationError, "line fan needs a complete quotient fan"),
-    "degeneration._ray_target: b1's index-2 facet": (
+    "degeneration._ray_word: b1's index-2 facet": (
         lambda: decomposition_regimes(bundled("b1")), DegenerationError,
         "no smooth Minkowski decomposition: facet of ray 0 is not divisible "
         "by its index 2"),
@@ -319,9 +323,6 @@ PINS = {
     "polytope.LatticePolytope.polar_dual: origin on a facet": (
         lambda: LatticePolytope(ORIGIN_ON_FACET).polar_dual(), PolytopeError,
         "origin is not interior"),
-    "polytope.LatticePolytope.dual_face_vertices: no vertex": (
-        lambda: bundled("p3").dual_face_vertices([]), PolytopeError,
-        "not a proper face"),
     "polytope.LatticePolytope.lattice_points: a rational vertex": (
         lambda: LatticePolytope([(Fraction(1, 2), 0, 0)] + P3[1:])
         .lattice_points(), PolytopeError,
@@ -333,10 +334,6 @@ PINS = {
         lambda: LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 1, 0),
                                  (1, 1, 0)]),
         PolytopeError, "not full-dimensional"),
-    "polytope._facet_cycle: a point inside the square": (
-        lambda: _facet_cycle([(0, 0, 0), (2, 0, 0), (2, 2, 0), (0, 2, 0),
-                              (1, 1, 0)], range(5), (0, 0, 1)),
-        PolytopeError, "facet vertices do not close into a convex cycle"),
     "polytope.gorenstein_index: a rational vertex": (
         lambda: gorenstein_index([(Fraction(1, 2), 0, 1)]), PolytopeError,
         "Gorenstein index needs integral vertices"),
@@ -361,9 +358,25 @@ PINS = {
     "minkowski.Summand: a disk": (
         lambda: Summand("disk", ()), ValueError,
         "unknown summand kind 'disk'"),
-    "minkowski.enumerate_smooth_decompositions: a rational vertex": (
-        lambda: enumerate_smooth_decompositions(Polygon(HALF)), PolytopeError,
-        "decompositions of a non-integral polygon"),
+    "minkowski.Summand: a point with a vector": (
+        lambda: Summand("point", ((1, 0),)), ValueError,
+        "vectors ((1, 0),) do not make a point summand"),
+    "minkowski.Summand: a segment of two vectors": (
+        lambda: Summand("segment", ((1, 0), (0, 1))), ValueError,
+        "vectors ((1, 0), (0, 1)) do not make a segment summand"),
+    "minkowski.Summand: a triangle of two vectors": (
+        lambda: Summand("triangle", ((1, 0), (-1, 0))), ValueError,
+        "vectors ((1, 0), (-1, 0)) do not make a triangle summand"),
+    "minkowski.Summand: a triangle that does not close": (
+        lambda: Summand("triangle", ((1, 0), (0, 1), (0, -1))), ValueError,
+        "vectors ((1, 0), (0, 1), (0, -1)) do not make a triangle summand"),
+    "minkowski.Summand: a triangle of area 2": (
+        lambda: Summand("triangle", ((2, 0), (0, 1), (-2, -1))), ValueError,
+        "vectors ((2, 0), (0, 1), (-2, -1)) do not make a triangle summand"),
+    "minkowski.enumerate_smooth_decompositions: a half step": (
+        lambda: enumerate_smooth_decompositions(
+            [(Fraction(1, 2), 0), (Fraction(-1, 2), 1), (0, -1)]),
+        PolytopeError, "decompositions of a non-integral word"),
     "fileio.parse_polytope: cut-off JSON": (
         lambda: parse_polytope('{"vertices": [[1, 0, 0],'), ParseError,
         "bad JSON polytope: Expecting value: line 1 column 25 (char 24)"),
@@ -454,6 +467,14 @@ def runs():
 
 def raise_sites():
     return {(m.__name__, line) for m in MODULES for line in raise_lines(m)}
+
+
+def test_no_module_holds_an_assert():
+    # `python -O` strips asserts, and the audit reads raises only
+    found = [(m.__name__, node.lineno) for m in MODULES
+             for node in ast.walk(ast.parse(inspect.getsource(m)))
+             if isinstance(node, ast.Assert)]
+    assert found == []
 
 
 def test_modules_hold_the_whole_package():

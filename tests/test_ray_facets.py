@@ -1,12 +1,15 @@
-"""Ray facets read off P's facet cycles, and the sweep path without P*.
+"""Ray words read off P's facet cycles, and the sweep path without P* or
+a polygon.
 
 `_ray_facets` lists P's facets in P*'s vertex order, and a facet's
-Gorenstein index is -level.  `facet_in_ray_coords` maps a facet cycle of P
-into a ray basis with two integer functionals; `ref_facet_in_ray_coords`
-(conftest) is the route it replaced, which intersected P*'s incidence
-sets, went through `plane_coords` and took a 2-D hull.
-`decomposition_regimes` and `identity24` read P's face data and build no
-P*.
+Gorenstein index is -level.  `_ray_word` reads the edge word of a facet of
+P, divided by r, in a ray basis with two integer functionals.  It is
+checked against the route it replaced, `ref_ray_target` (conftest), which
+built the facet as a `Polygon` (`ref_cycle_in_ray_coords`), then a second
+one divided by r, and read its word; and that route against the one before
+it, `ref_facet_in_ray_coords`, which intersected P*'s incidence sets, went
+through `plane_coords` and took a 2-D hull.  `decomposition_regimes` and
+`identity24` read P's face data and build no P* and no `Polygon`.
 """
 
 import itertools
@@ -16,13 +19,13 @@ import random
 import pytest
 
 from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon, mat_vec,
-                      random_unimodular3, ref_facet_in_ray_coords,
-                      ref_minkowski_sum)
+                      random_unimodular3, ref_cycle_in_ray_coords,
+                      ref_facet_in_ray_coords, ref_minkowski_sum,
+                      ref_ray_target)
 from fanoscope import cli
 from fanoscope.degeneration import (DegenerationError, _along_line,
-                                    _ray_facets, check_smooth_data,
-                                    decomposition_regimes,
-                                    facet_in_ray_coords, line_fan_data,
+                                    _ray_facets, _ray_word, check_smooth_data,
+                                    decomposition_regimes, line_fan_data,
                                     method1_data, normal_fan_data,
                                     product_data, ray_lattice)
 from fanoscope.fileio import bundled_polytopes
@@ -52,10 +55,38 @@ def same_polygon(got, want):
     assert repr(got) == repr(want)
 
 
+def word_outcome(fn, *args):
+    """The word fn gives, as a tuple, or the type and message of its
+    error."""
+    try:
+        return tuple(fn(*args))
+    except (DegenerationError, PolytopeError) as err:
+        return f"{type(err).__name__}: {err}"
+
+
+def ref_word(p, f, w_basis, ray):
+    return ref_ray_target(p, f, w_basis, ray).edge_vector_multiset()
+
+
+def check_word(p, f, w_basis, ray):
+    """`_ray_word` against the edge word of `ref_ray_target`.  On a P with
+    rational vertices (a polar dual; no builder passes one) a facet at
+    level -1 that is not integral in the ray basis gave a rational polygon,
+    whose word has no lattice lengths; `_ray_word` refuses it as not
+    divisible by its index 1."""
+    got = word_outcome(_ray_word, p, f, w_basis, ray)
+    want = word_outcome(ref_word, p, f, w_basis, ray)
+    if want == "PolytopeError: lattice length of a non-integral segment":
+        assert not p.is_integral and f.level == -1
+        want = ("DegenerationError: no smooth Minkowski decomposition: "
+                f"facet of ray {ray} is not divisible by its index 1")
+    assert got == want
+
+
 def check_every_facet(p):
-    """`_ray_facets(p)` in P*'s vertex order, and both routes on every facet
-    of p in the ray basis of its dual vertex; P* is built here only to
-    check them.  Returns the signs of <b0 x b1, n> met, which pick the
+    """`_ray_facets(p)` in P*'s vertex order, and all three routes on every
+    facet of p in the ray basis of its dual vertex; P* is built here only
+    to check them.  Returns the signs of <b0 x b1, n> met, which pick the
     facet cycle's direction."""
     dual = p.polar_dual()
     facets = _ray_facets(p)
@@ -64,8 +95,9 @@ def check_every_facet(p):
     for vid, f in enumerate(facets):
         assert f.dual == dual.vertices[vid]
         w_basis = ray_lattice(f.dual)
-        same_polygon(facet_in_ray_coords(p, f, w_basis),
+        same_polygon(ref_cycle_in_ray_coords(p, f, w_basis),
                      ref_facet_in_ray_coords(dual, vid, w_basis))
+        check_word(p, f, w_basis, vid)
         signs.add(dot(cross(*w_basis), f.normal) > 0)
     return signs
 
@@ -148,8 +180,9 @@ def test_ray_facets_match_on_line_fan_rays():
     for p, dual, vid, w_basis in line_fan_rays():
         f = _ray_facets(p)[vid]
         assert f.dual == dual.vertices[vid]
-        same_polygon(facet_in_ray_coords(p, f, w_basis),
+        same_polygon(ref_cycle_in_ray_coords(p, f, w_basis),
                      ref_facet_in_ray_coords(dual, vid, w_basis))
+        check_word(p, f, w_basis, vid)
         signs.add(dot(cross(*w_basis), f.normal) > 0)
     # the ray basis is ccw about the facet's normal on some and cw on others
     assert signs == {True, False}
@@ -169,7 +202,7 @@ def ref_d1_verdict(data, ray, f, w_basis):
         return "violation: ray carries no surface summands"
     r = -f.level
     scaled = Polygon([tuple(r * x for x in v) for v in total.vertices])
-    if scaled == facet_in_ray_coords(data.polytope, f, w_basis):
+    if scaled == ref_cycle_in_ray_coords(data.polytope, f, w_basis):
         return "smooth"
     return "violation: v* != r P_L + S_v"
 
@@ -283,6 +316,24 @@ def test_sweep_path_builds_no_polar_dual(name):
     if p.is_reflexive():
         identity24(p)
     assert p._dual is None
+
+
+def test_sweep_path_builds_no_polygon(monkeypatch):
+    # each ray's facet is decomposed from its edge word alone
+    built = []
+    init = Polygon.__init__
+
+    def counted(self, points):
+        built.append(points)
+        init(self, points)
+    reflexive = [bundled(name) for name in NAMES
+                 if bundled(name).is_reflexive()]
+    polys = reflexive + [image(p, seed, flip) for p in reflexive
+                         for seed in SEEDS for flip in (False, True)]
+    monkeypatch.setattr(Polygon, "__init__", counted)
+    regimes = [decomposition_regimes(p) for p in polys]
+    assert built == []
+    assert sum(len(r) for r in regimes) > 1000
 
 
 @pytest.mark.parametrize("name", ["cube", "v2", "octahedron", "mm2_5"])

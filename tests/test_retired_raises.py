@@ -10,8 +10,9 @@ Each check is gone from its routine, whose docstring holds the proof:
 smooth decomposition (`enumerate_smooth_decompositions`), the plane of
 every point that `normal_fan_data` and `line_fan_data` map to plane
 coordinates, the host triangle of every point in `max_triangulation`, the
-rank of a cell's edge functionals (`_cell_class_data`) and the ring of
-facets around a vertex (`_dual_from_faces`).  The unimodular triangles of
+rank of a cell's edge functionals (`_cell_class_data`), the ring of
+facets around a vertex (`_dual_from_faces`) and the cycle of a facet's
+vertices (`_facet_cycle`).  The unimodular triangles of
 `max_triangulation` are also asserted in `tests/test_discriminant.py`.
 """
 
@@ -24,9 +25,9 @@ from hypothesis import strategies as st
 
 from conftest import (bundled, bundled_polygon, lattice_polygons, mat_vec,
                       normal_fan_routes, normalized, random_unimodular2,
-                      ref_minkowski_sum)
+                      ref_minkowski_sum, word_polygon)
 from test_face_data import polytopes
-from test_minkowski import DILATED, smooth_sums
+from test_minkowski import DILATED, decompose, smooth_sums
 from test_shared_geometry import SEEDS, image
 from test_slab_checks import bundled_slabs
 from fanoscope import degeneration, invariants
@@ -41,8 +42,9 @@ from fanoscope.gamma import build_system, gamma_dimension
 from fanoscope.invariants import _cell_class_data
 from fanoscope.linalg import clear_denominators, primitive, rank
 from fanoscope.minkowski import enumerate_smooth_decompositions
-from fanoscope.polytope import (Polygon, PolytopeError, _quotient, cross, dot,
-                                plane_basis, plane_coords)
+from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
+                                _quotient, cross, dot, plane_basis,
+                                plane_coords, vsub)
 
 NAMES = sorted(k for k in bundled_polytopes() if k != "polygons")
 
@@ -212,17 +214,18 @@ def assert_resums(poly, decos):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.one_of(DILATED, smooth_sums()))
 def test_every_decomposition_resums_on_random_polygons(poly):
-    assert_resums(poly, enumerate_smooth_decompositions(poly))
+    assert_resums(poly, decompose(poly))
 
 
 @pytest.fixture
 def enumerated(monkeypatch):
-    """Every (polygon, its decompositions) that `degeneration` enumerates."""
+    """Every (polygon, its decompositions) that `degeneration` enumerates,
+    the polygon rebuilt from the edge word that it passes."""
     seen = []
 
-    def spy(poly):
-        decos = enumerate_smooth_decompositions(poly)
-        seen.append((poly, decos))
+    def spy(word):
+        decos = enumerate_smooth_decompositions(word)
+        seen.append((word_polygon(word), decos))
         return decos
 
     monkeypatch.setattr(degeneration, "enumerate_smooth_decompositions", spy)
@@ -351,3 +354,50 @@ def test_dual_facet_rings_close_on_bundled_polytopes(seed):
 @given(polytopes())
 def test_dual_facet_rings_close_on_random_polytopes(p):
     assert_rings(p)
+
+
+# ---------------------------------------------------------------------------
+# _facet_cycle: the vertices of a facet close into one ccw cycle
+
+
+def assert_facet_cycles(p):
+    """Each facet cycle runs once over the vertices on the facet's plane,
+    from the lowest id, ccw about the inner normal: every other vertex of
+    the facet lies strictly left of each step."""
+    for f in p.facets:
+        on = {i for i, x in enumerate(p.vertices)
+              if dot(f.normal, x) == f.level}
+        assert len(f.cycle) == len(on) and set(f.cycle) == on
+        assert f.cycle[0] == min(on)
+        vs = [p.vertices[i] for i in f.cycle]
+        for a, b in zip(vs, vs[1:] + vs[:1]):
+            assert all(dot(cross(vsub(b, a), vsub(c, a)), f.normal) > 0
+                       for c in vs if c not in (a, b))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_facet_cycles_close_on_bundled_polytopes(seed):
+    for name in NAMES:
+        p = image(bundled(name), seed)
+        assert_facet_cycles(p)
+        if p.origin_interior():
+            # P* hulled, not read off P's faces: rational vertices too
+            assert_facet_cycles(LatticePolytope(p.polar_dual().vertices))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(polytopes())
+def test_facet_cycles_close_on_images(p):
+    assert_facet_cycles(p)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(*[st.integers(-3, 3)] * 3), min_size=4,
+                max_size=14))
+def test_facet_cycles_close_on_random_polytopes(points):
+    # hulls of random points, with points inside and on faces and edges
+    try:
+        p = LatticePolytope(points)
+    except PolytopeError:  # flat
+        return
+    assert_facet_cycles(p)
