@@ -18,8 +18,8 @@ import sys
 from fractions import Fraction
 
 from . import fileio
-from .degeneration import (DegenerationError, _ray_facets,
-                           decomposition_regimes, method1_data, product_data)
+from .degeneration import (DegenerationError, decomposition_regimes,
+                           method1_data, product_data)
 from .discriminant import assemble_global, export_json, render_svg
 from .fileio import ParseError
 from .gamma import GammaError, build_system, gamma_dimension
@@ -123,14 +123,13 @@ def cmd_analyze(args):
 def cmd_decompositions(args):
     p = _resolve_polytope(args.target, fileio.bundled_polytopes())
     regimes = decomposition_regimes(p)
-    facets = _ray_facets(p)
     out = []
     for vid, decos in enumerate(regimes):
         if args.facet is not None and args.facet != vid:
             continue
         entry = {
             "facet_of_P_dual_to_dual_vertex": vid,
-            "dual_vertex": [str(x) for x in facets[vid].dual],
+            "dual_vertex": [str(x) for x in p.facets[vid].dual],
             "count": len(decos),
             "decompositions": [
                 [{"kind": s.kind, "vectors": [list(v) for v in s.vectors]}

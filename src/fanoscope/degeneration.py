@@ -348,13 +348,6 @@ def ray_lattice(dir3):
     return [tuple(b) for b in saturate(rows)]
 
 
-def _ray_facets(p: LatticePolytope):
-    """P's facets sorted by their dual vertices: P*'s vertex order, which
-    both `_dual_from_faces` and the hull give, so the facet dual to vertex
-    vid of P* is `_ray_facets(p)[vid]`."""
-    return sorted(p.facets, key=lambda f: f.dual)
-
-
 def _ray_word(p: LatticePolytope, f, w_basis, ray):
     """The edge word of P's facet f divided by its Gorenstein index
     r = -f.level (P is integral, so L = Z^3 and u is f's normal), in the
@@ -542,14 +535,15 @@ def method1_data(p: LatticePolytope, choice=None, name="") -> DegenerationData:
 
 
 def _ray_decompositions(p: LatticePolytope):
-    """For each ray, in P*'s vertex order (`_ray_facets(p)`): its
-    `ray_lattice` basis and the smooth Minkowski decompositions of its
-    facet divided by r, read off its edge word (`_ray_word`, which raises
-    where r does not divide).  Within this call, rays with equal words
-    share one enumeration and opposite facets one `ray_lattice` basis."""
+    """For each ray, in P*'s vertex order, which is the order of P's
+    facets (`LatticePolytope`): its `ray_lattice` basis and the smooth
+    Minkowski decompositions of its facet divided by r, read off its edge
+    word (`_ray_word`, which raises where r does not divide).  Within this
+    call, rays with equal words share one enumeration and opposite facets
+    one `ray_lattice` basis."""
     found = {}  # edge word -> its decompositions
     lattices = {}  # facet normal up to sign -> its ray_lattice basis
-    for vid, f in enumerate(_ray_facets(p)):
+    for vid, f in enumerate(p.facets):
         line = lex_positive(f.normal)
         if line not in lattices:
             lattices[line] = ray_lattice(f.dual)
@@ -562,10 +556,13 @@ def _ray_decompositions(p: LatticePolytope):
 
 def decomposition_regimes(p: LatticePolytope):
     """All decomposition choices per ray: list of lists of Summand tuples,
-    one per vertex of P* in its order, indexed as `normal_fan_data`'s
-    `choice`.  Read off the edge words of P's facets, so neither P* nor a
-    facet polygon is built; each ray gets a list of its own.
+    one per vertex of P* in its order (facet i of P is dual to vertex i of
+    P*), indexed as `normal_fan_data`'s `choice`.  Read off the edge words
+    of P's facets, so neither P* nor a facet polygon is built; each ray
+    gets a list of its own.  `_ray_word` reads an integral P.
     """
+    if not p.is_integral:
+        raise PolytopeError("decompositions need an integral polytope")
     if not p.origin_interior():
         raise PolytopeError("origin is not interior")
     return [list(decos) for _, decos in _ray_decompositions(p)]
@@ -653,7 +650,7 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
             ray_summands.append(RaySummand(ray_id, "point"))
             continue
         decos = enumerate_smooth_decompositions(
-            _ray_word(p, _ray_facets(p)[vertex_hit], w_basis, ray_id))
+            _ray_word(p, p.facets[vertex_hit], w_basis, ray_id))
         if not decos:
             raise DegenerationError("no smooth Minkowski decomposition "
                                     f"for {ray_id}")
@@ -696,7 +693,6 @@ def product_data(q: Polygon, name="") -> DegenerationData:
     data = line_fan_data(p, (0, 0, 1), [(v[0], v[1], 0) for v in q.vertices],
                          rules, name=name or "product data")
     data.kind = "product"
-    data.notes["base_degree"] = 12 - sum(r["value"] for r in rules)
     data.notes["a_values"] = [r["value"] for r in rules]
     return data
 
@@ -854,7 +850,7 @@ def check_compatibility(data: DegenerationData):
     if data.kind != "normal_fan" or data.dual is None:
         return out
     dual = data.dual
-    for vid, f in enumerate(_ray_facets(data.polytope)):
+    for vid, f in enumerate(data.polytope.facets):
         r = -f.level
         summands = [s for s in data.ray_summands
                     if s.ray == _ray_name(vid) and s.kind != "point"]
@@ -875,12 +871,12 @@ def _d2_verdict(data, dual, f, t_dir):
     is two parallel segments along ann(tau) with nearly equal labels."""
     if f.level != -1:
         return "violation: cone over v* is not Gorenstein"
-    facet_pts = [data.polytope.vertices[i] for i in f.cycle]
     groups = {}
-    for pt in facet_pts:
+    for vid in f.cycle:
+        pt = data.polytope.vertices[vid]
         key = tuple(pt[i] * t_dir[j] - pt[j] * t_dir[i]
                     for i, j in ((0, 1), (0, 2), (1, 2)))
-        groups.setdefault(key, []).append(pt)
+        groups.setdefault(key, []).append(vid)
     if len(groups) != 2 or any(len(g) > 2 for g in groups.values()):
         return "violation: v* is not a Cayley sum of two segments"
     a_vals, lens = [], []
@@ -889,13 +885,10 @@ def _d2_verdict(data, dual, f, t_dir):
             a_vals.append(0)
             lens.append(0)
             continue
-        # the segment is the dual face of an edge of the polar polytope: the
-        # vertices of P dual to the edge's two facets
-        eidx = None
-        for i, e in enumerate(dual.edges):
-            if {dual.facets[j].dual for j in e.facet_ids} == set(g):
-                eidx = i
-                break
+        # the segment is the dual face of an edge of the polar polytope:
+        # the edge on the two facets of P* dual to its vertices
+        eidx = next((i for i, e in enumerate(dual.edges)
+                     if e.facet_ids == frozenset(g)), None)
         a_vals.append(data.edge_values.get(eidx, 0) if eidx is not None else 0)
         try:
             lens.append(dual.edge_length(dual.edges[eidx])
@@ -955,8 +948,8 @@ def check_smooth_data(data: DegenerationData):
         return verdicts
     dirv = fan.direction
     two_cones = [_two_cone(dirv, w) for w in fan.rays2d]
-    facets = _ray_facets(data.polytope)
-    for vid, (vert, f) in enumerate(zip(dual.vertices, facets)):
+    for vid, (vert, f) in enumerate(zip(dual.vertices,
+                                        data.polytope.facets)):
         if _along_line(vert, dirv):
             verdicts[vid] = "smooth"
             continue

@@ -237,7 +237,7 @@ def analyze(data: DegenerationData) -> InvariantReport:
                 raise InvariantError("fast-path b2 disagrees with the limit")
             prov["b2"] += " (fast path agrees)"
     elif data.kind == "product":
-        b2v = 11 - data.notes["base_degree"]
+        b2v = sum(data.notes["a_values"]) - 1
         prov["b2"] = "product closed form"
     elif data.b2_fixture is not None:
         b2v = data.b2_fixture

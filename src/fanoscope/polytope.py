@@ -309,6 +309,12 @@ class LatticePolytope:
     The face data (facets with their cycles and dual vertices, edges with
     their vertex and facet ids) is built once here; the polar dual is read
     off it on the first call to `polar_dual` and kept.
+
+    Ids follow polar duality.  Vertices are sorted.  Facets are sorted by
+    their dual vertex, and the facets at level 0, which have none, come
+    last, sorted by normal.  So facet i of P is dual to vertex i of P*,
+    and facet j of P* to vertex j of P.  Edges are sorted by their vertex
+    ids.
     """
 
     def __init__(self, points):
@@ -329,7 +335,7 @@ class LatticePolytope:
             ids = frozenset(reindex[m] for m in members if m in reindex)
             facets.append(Facet(normal, level, ids,
                                 _facet_cycle(ivertices, ids, normal)))
-        facets.sort(key=lambda f: f.normal)
+        facets.sort(key=lambda f: (f.dual is None, f.dual or f.normal))
         self._set_faces(tuple(pts[i] for i in vertex_ids), tuple(facets),
                         _edges_from_facets(facets))
 
@@ -377,12 +383,14 @@ class LatticePolytope:
         return self._dual
 
     def _dual_from_faces(self) -> "LatticePolytope":
-        """P* read off the face lattice of P, with no hull: facet f of P
-        gives the vertex f.dual, vertex v of P the facet with normal
-        primitive(v) whose cycle is the ring of P's facets around v, and
-        every edge of P an edge of P* with its vertex and facet ids
-        swapped.  Ids follow the hull's order: vertices sorted, facets
-        sorted by normal, edges by their vertex ids.
+        """P* read off the face lattice of P, with no hull, in the ids of
+        P: facet i of P gives vertex i of P*, f.dual; vertex v of P gives
+        facet v of P*, with normal primitive(v) and as cycle the ring of P's
+        facets around v; and every edge of P is an edge of P* with its
+        vertex and facet ids swapped, sorted by its new vertex ids.  These
+        are the ids the hull gives (the class docstring): P's facets are
+        sorted by dual vertex, and P's vertices are sorted and are the duals
+        of P*'s facets.
 
         The walk around v closes over its whole ring with no check.  Each
         edge of P lies on exactly two facets (`_edges_from_facets`), so in
@@ -394,15 +402,10 @@ class LatticePolytope:
         `tests/test_retired_raises.py` checks every ring of the bundled
         polytopes, their GL(3,Z) images and random polytopes.
         """
-        order = sorted(range(len(self.facets)),
-                       key=lambda fi: self.facets[fi].dual)
-        vertices = tuple(self.facets[fi].dual for fi in order)
-        vid = [0] * len(order)  # facet of P -> vertex of P*
-        for new, fi in enumerate(order):
-            vid[fi] = new
+        vertices = tuple(f.dual for f in self.facets)
         rings = [{} for _ in self.vertices]  # adjacent facets around v
         for e in self.edges:
-            f, g = (vid[fi] for fi in e.facet_ids)
+            f, g = e.facet_ids
             for v in e.vertex_ids:
                 rings[v].setdefault(f, []).append(g)
                 rings[v].setdefault(g, []).append(f)
@@ -423,17 +426,10 @@ class LatticePolytope:
                 nxt = y if x == cycle[-2] else x
             facets.append(Facet(normal, dot(normal, a), frozenset(cycle),
                                 tuple(cycle)))
-        by_normal = sorted(range(len(facets)), key=lambda v: facets[v].normal)
-        fid = [0] * len(facets)  # vertex of P -> facet of P*
-        for new, v in enumerate(by_normal):
-            fid[v] = new
-        edges = sorted((Edge(frozenset(vid[fi] for fi in e.facet_ids),
-                             frozenset(fid[v] for v in e.vertex_ids))
-                        for e in self.edges),
+        edges = sorted((Edge(e.facet_ids, e.vertex_ids) for e in self.edges),
                        key=lambda e: sorted(e.vertex_ids))
         dual = LatticePolytope.__new__(LatticePolytope)
-        dual._set_faces(vertices, tuple(facets[v] for v in by_normal),
-                        tuple(edges))
+        dual._set_faces(vertices, tuple(facets), tuple(edges))
         dual._dual = self
         return dual
 

@@ -135,7 +135,7 @@ def test_products():
         d = product_data(bundled_polygon(name), name)
         assert (d.p_count, d.n_count) == (0, 0)
         assert d.boundary_count == boundary
-        assert d.notes["base_degree"] == base
+        assert 12 - sum(d.notes["a_values"]) == base
         assert d.vertex_count == 0
 
 

@@ -32,7 +32,8 @@ DELETED = [("polytope", "convex_hull"),
            ("degeneration", "_coords_in"),
            ("polytope", "LatticePolytope.dual_face_vertices"),
            ("degeneration", "facet_in_ray_coords"),
-           ("degeneration", "_ray_target")]
+           ("degeneration", "_ray_target"),
+           ("degeneration", "_ray_facets")]
 
 
 def resolves(obj, dotted):

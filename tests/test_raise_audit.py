@@ -23,16 +23,17 @@ import pkgutil
 import tempfile
 from fractions import Fraction
 from functools import partial
+from itertools import product
 
 import pytest
 
 import fanoscope
 from conftest import (bundled, bundled_polygon, executed_lines,
                       malformed_slab_fixtures, raise_lines)
-from test_slab_checks import PINNED
 from fanoscope import cli, invariants
 from fanoscope.cli import _resolve_data, build_parser
 from fanoscope.degeneration import (DegenerationData, DegenerationError,
+                                    EmptyLinearSystem, NotCartier, NotNef,
                                     RaySummand, decomposition_regimes,
                                     line_fan_data, method1_data,
                                     normal_fan_data, polygon_of_sections,
@@ -63,6 +64,8 @@ ORIGIN_ON_FACET = [(1, 0, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)]
 RAYS = [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]
 HALF = [(0, 0), (Fraction(1, 2), 0), (0, 1)]
 UNIT = [(0, 0), (1, 0), (0, 1)]
+# the cube with its vertices halved: the origin inside, r = 1/2 on each facet
+HALF_CUBE = list(product((Fraction(-1, 2), Fraction(1, 2)), repeat=3))
 P3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
 
 
@@ -145,16 +148,31 @@ def validate_pins():
             for key, (_, message) in malformed_slab_fixtures().items()}
 
 
-def sections_pins():
-    return {f"degeneration.polygon_of_sections: {key}":
-            (partial(polygon_of_sections, normals, coeffs), cls, message)
-            for key, (normals, coeffs, cls, message) in PINNED.items()}
+def sections(normals, coeffs):
+    return partial(polygon_of_sections, normals, coeffs)
 
 
 # name -> (call, exception class, message)
 PINS = {
-    **sections_pins(),
     **validate_pins(),
+    "degeneration.polygon_of_sections: empty": (
+        sections([(0, 1), (-1, -1), (1, 0)], [0, -1, 0]),
+        EmptyLinearSystem, "empty linear system"),
+    "degeneration.polygon_of_sections: slack": (
+        sections([(0, 1), (-1, 0), (-1, -1), (1, 0)], [0, 3, 2, 0]),
+        NotNef, "divisor not nef: slack on edge with normal (-1, 0)"),
+    # the normals of the slack case with two of them swapped
+    "degeneration.polygon_of_sections: not_ccw": (
+        sections([(0, 1), (-1, -1), (-1, 0), (1, 0)], [0, 2, 3, 0]),
+        DegenerationError, "edge normals are not in ccw order"),
+    # every turn is to the left, but a pentagram's normals wind twice
+    "degeneration.polygon_of_sections: winds_twice": (
+        sections([(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
+                 [0, 0, 0, 0, 0]),
+        DegenerationError, "edge normals are not in ccw order"),
+    "degeneration.polygon_of_sections: not_cartier": (
+        sections([(0, 1), (-1, -2), (1, 0)], [0, 1, 0]), NotCartier,
+        "not Cartier: no integral section witness at a vertex cone"),
     "degeneration.line_fan: two rays": (
         lambda: line_fan_data(bundled("p3"), (0, 0, 1), RAYS[:2], []),
         DegenerationError, "line fan needs a complete quotient fan"),
@@ -189,6 +207,9 @@ PINS = {
     "degeneration.method1_data: v2": (
         lambda: method1_data(bundled("v2")), DegenerationError,
         "method 1 needs a reflexive polytope"),
+    "degeneration.decomposition_regimes: the cube halved": (
+        lambda: decomposition_regimes(LatticePolytope(HALF_CUBE)),
+        PolytopeError, "decompositions need an integral polytope"),
     "degeneration.decomposition_regimes: origin on a facet": (
         lambda: decomposition_regimes(LatticePolytope(
             [(1, 0, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)])),

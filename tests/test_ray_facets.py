@@ -1,8 +1,8 @@
 """Ray words read off P's facet cycles, and the sweep path without P* or
 a polygon.
 
-`_ray_facets` lists P's facets in P*'s vertex order, and a facet's
-Gorenstein index is -level.  `_ray_word` reads the edge word of a facet of
+P lists its facets in P*'s vertex order (`tests/test_facet_order.py`),
+and a facet's Gorenstein index is -level.  `_ray_word` reads the edge word of a facet of
 P, divided by r, in a ray basis with two integer functionals.  It is
 checked against the route it replaced, `ref_ray_target` (conftest), which
 built the facet as a `Polygon` (`ref_cycle_in_ray_coords`), then a second
@@ -15,6 +15,7 @@ through `plane_coords` and took a 2-D hull.  `decomposition_regimes` and
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -24,7 +25,7 @@ from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon, mat_vec,
                       ref_ray_target)
 from fanoscope import cli
 from fanoscope.degeneration import (DegenerationError, _along_line,
-                                    _ray_facets, _ray_word, check_smooth_data,
+                                    _ray_word, check_smooth_data,
                                     decomposition_regimes, line_fan_data,
                                     method1_data, normal_fan_data,
                                     product_data, ray_lattice)
@@ -84,15 +85,13 @@ def check_word(p, f, w_basis, ray):
 
 
 def check_every_facet(p):
-    """`_ray_facets(p)` in P*'s vertex order, and all three routes on every
-    facet of p in the ray basis of its dual vertex; P* is built here only
-    to check them.  Returns the signs of <b0 x b1, n> met, which pick the
+    """P's facets in P*'s vertex order, and all three routes on every facet
+    of p in the ray basis of its dual vertex; P* is built here only to
+    check them.  Returns the signs of <b0 x b1, n> met, which pick the
     facet cycle's direction."""
     dual = p.polar_dual()
-    facets = _ray_facets(p)
-    assert sorted(facets, key=p.facets.index) == list(p.facets)
     signs = set()
-    for vid, f in enumerate(facets):
+    for vid, f in enumerate(p.facets):
         assert f.dual == dual.vertices[vid]
         w_basis = ray_lattice(f.dual)
         same_polygon(ref_cycle_in_ray_coords(p, f, w_basis),
@@ -178,7 +177,7 @@ def line_fan_rays():
 def test_ray_facets_match_on_line_fan_rays():
     signs = set()
     for p, dual, vid, w_basis in line_fan_rays():
-        f = _ray_facets(p)[vid]
+        f = p.facets[vid]
         assert f.dual == dual.vertices[vid]
         same_polygon(ref_cycle_in_ray_coords(p, f, w_basis),
                      ref_facet_in_ray_coords(dual, vid, w_basis))
@@ -211,7 +210,7 @@ def d1_vertices(data):
     """(vertex id, ray name, facet of P, ray basis) of every polar vertex
     on a ray of the data's fan: every vertex of a normal fan, and a line
     fan's vertices on its minimal line."""
-    facets = _ray_facets(data.polytope)
+    facets = data.polytope.facets
     if data.kind == "normal_fan":
         for vid, f in enumerate(facets):
             yield vid, f"v{vid}", f, ray_lattice(f.dual)
@@ -364,6 +363,17 @@ def test_origin_on_a_facet_raises_as_before():
         decomposition_regimes(p)
     with pytest.raises(PolytopeError, match="^origin is not interior$"):
         p.polar_dual()
+
+
+def test_rational_vertices_raise_before_any_ray():
+    # the cube with its vertices halved has the origin inside and r = 1/2
+    # on every facet, which `_ray_word` cannot read
+    half = (Fraction(-1, 2), Fraction(1, 2))
+    half_cube = LatticePolytope(list(itertools.product(half, repeat=3)))
+    assert half_cube.origin_interior()
+    with pytest.raises(PolytopeError, match="^decompositions need an "
+                       "integral polytope$"):
+        decomposition_regimes(half_cube)
 
 
 def test_origin_on_a_facet_cli_line(tmp_path, capsys):

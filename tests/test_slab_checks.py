@@ -1,13 +1,12 @@
-"""The slab layer's checks: the ones a theorem retired, kept as references,
-and every raise that is left, reached by a pinned input.
+"""The slab layer's checks that a theorem retired, kept as references.
 
 `polygon_of_sections` reads nef, Cartier and the face spans off the vertices
 of the sections in one pass, and `Slab` takes b from the spans with no check
 of its own; the proofs are in their docstrings.  `RefSlab` still runs the
 old vertex-cone loop (in `ref_polygon_of_sections`), `Sections.counts` and
 both of `Slab`'s raises, and must agree with the new code on random lattice
-polygons and on every slab of every bundled route.  `tests/test_raise_audit.py`
-runs `PINNED` with every other pin of the package's raises.
+polygons and on every slab of every bundled route.  The raises that are
+left are pinned in `tests/test_raise_audit.py`.
 """
 
 import random
@@ -19,9 +18,8 @@ from hypothesis import strategies as st
 from conftest import lattice_polygons, random_unimodular3
 from test_line_fan_routes import RefSlab, base_routes, image
 from test_shared_geometry import SEEDS, builders
-from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationError,
-                                    EmptyLinearSystem, NotCartier, NotNef,
-                                    Slab, line_fan_data, polygon_of_sections)
+from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationError, Slab,
+                                    line_fan_data)
 from fanoscope.polytope import PolytopeError
 
 # the messages of the checks that no input can fire
@@ -77,34 +75,3 @@ def bundled_slabs(seed):
 def test_bundled_slabs_match_the_retired_checks(seed):
     for s in bundled_slabs(seed):
         check_slab(s.name, s.polygon, s.coeffs, s.roles)
-
-
-# ---------------------------------------------------------------------------
-# every raise left in the slab layer, reached
-
-
-# id -> (normals, coefficients, exception type, message)
-PINNED = {
-    "empty": ([(0, 1), (-1, -1), (1, 0)], [0, -1, 0],
-              EmptyLinearSystem, "empty linear system"),
-    "slack": ([(0, 1), (-1, 0), (-1, -1), (1, 0)], [0, 3, 2, 0],
-              NotNef, "divisor not nef: slack on edge with normal (-1, 0)"),
-    # the normals of the slack case with two of them swapped
-    "not_ccw": ([(0, 1), (-1, -1), (-1, 0), (1, 0)], [0, 2, 3, 0],
-                DegenerationError, "edge normals are not in ccw order"),
-    # every turn is to the left, but a pentagram's normals wind twice
-    "winds_twice": ([(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
-                    [0, 0, 0, 0, 0], DegenerationError,
-                    "edge normals are not in ccw order"),
-    "not_cartier": ([(0, 1), (-1, -2), (1, 0)], [0, 1, 0], NotCartier,
-                    "not Cartier: no integral section witness at a vertex "
-                    "cone"),
-}
-
-
-@pytest.mark.parametrize("key", sorted(PINNED))
-def test_pinned_sections_raise(key):
-    normals, coeffs, cls, message = PINNED[key]
-    with pytest.raises(cls) as info:
-        polygon_of_sections(normals, coeffs)
-    assert type(info.value) is cls and str(info.value) == message
