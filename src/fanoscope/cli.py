@@ -123,20 +123,20 @@ def cmd_analyze(args):
 def cmd_decompositions(args):
     p = _resolve_polytope(args.target, fileio.bundled_polytopes())
     regimes = decomposition_regimes(p)
-    out = []
-    for vid, decos in enumerate(regimes):
-        if args.facet is not None and args.facet != vid:
-            continue
-        entry = {
-            "facet_of_P_dual_to_dual_vertex": vid,
-            "dual_vertex": [str(x) for x in p.facets[vid].dual],
-            "count": len(decos),
-            "decompositions": [
-                [{"kind": s.kind, "vectors": [list(v) for v in s.vectors]}
-                 for s in deco] for deco in decos],
-        }
-        out.append(entry)
-    _emit(out)
+    vids = range(len(regimes))
+    if args.facet is not None:
+        if args.facet not in vids:
+            raise DegenerationError(
+                f"--facet {args.facet} names no facet 0..{len(regimes) - 1}")
+        vids = [args.facet]
+    _emit([{
+        "facet_of_P_dual_to_dual_vertex": vid,
+        "dual_vertex": [str(x) for x in p.facets[vid].dual],
+        "count": len(regimes[vid]),
+        "decompositions": [
+            [{"kind": s.kind, "vectors": [list(v) for v in s.vectors]}
+             for s in deco] for deco in regimes[vid]],
+    } for vid in vids])
     return 0
 
 
@@ -360,7 +360,8 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ParseError, OSError, json.JSONDecodeError) as exc:
+    except (ParseError, OSError, json.JSONDecodeError,
+            UnicodeDecodeError) as exc:  # a file that is not UTF-8 text
         return _fail(type(exc).__name__, str(exc), 2)
     except (DegenerationError, InvariantError, GammaError, PolytopeError,
             ValueError) as exc:

@@ -18,7 +18,7 @@ from .minkowski import Summand, enumerate_smooth_decompositions
 from .polytope import (LatticePolytope, Polygon, PolytopeError, cross, dot,
                        face_length, is_integral, lattice_length,
                        pick_area, plane_basis, plane_coords, plane_normal,
-                       vsub, _clean, _quotient)
+                       _clean, _quotient)
 
 
 class DegenerationError(ValueError):
@@ -355,24 +355,28 @@ def _ray_word(p: LatticePolytope, f, w_basis, ray):
 
     With c = b0 x b1, a vector d of the plane is x*b0 + y*b1 for
     x = <d, b1 x c> / <c, c> and y = <d, c x b0> / <c, c>, so each edge
-    b - a of the facet cycle is read by two integer functionals and
-    divided by <c, c> r.  The cycle is ccw about the inner normal n, so it
-    is ccw in (x, y) when <c, n> > 0 and is reversed otherwise.  The
-    vertices of the facet moved to the origin are the partial sums of its
-    edges, so r divides them all exactly when it divides every edge; where
-    it does not, this raises, naming the ray.
+    b - a of the facet cycle is read by two integer functionals (the
+    difference of their values at b and a) and divided by <c, c> r.  The
+    cycle is ccw about the inner normal n, so it is ccw in (x, y) when
+    <c, n> > 0 and is reversed otherwise.  The vertices of the facet moved
+    to the origin are the partial sums of its edges, so r divides them all
+    exactly when it divides every edge; where it does not, this raises,
+    naming the ray.
     """
-    b0, b1 = w_basis
-    c = cross(b0, b1)
-    ex, ey = cross(b1, c), cross(c, b0)
+    (p0, p1, p2), (q0, q1, q2) = w_basis
+    c0, c1, c2 = p1 * q2 - p2 * q1, p2 * q0 - p0 * q2, p0 * q1 - p1 * q0
+    x0, x1, x2 = q1 * c2 - q2 * c1, q2 * c0 - q0 * c2, q0 * c1 - q1 * c0
+    y0, y1, y2 = c1 * p2 - c2 * p1, c2 * p0 - c0 * p2, c0 * p1 - c1 * p0
     r = -f.level
-    den = dot(c, c) * r
-    cycle = f.cycle if dot(c, f.normal) > 0 else f.cycle[::-1]
-    vs = [p.vertices[i] for i in cycle]
+    den = (c0 * c0 + c1 * c1 + c2 * c2) * r
+    n0, n1, n2 = f.normal
+    cycle = f.cycle if c0 * n0 + c1 * n1 + c2 * n2 > 0 else f.cycle[::-1]
+    pts = [(x0 * u + x1 * v + x2 * w, y0 * u + y1 * v + y2 * w)
+           for u, v, w in (p.vertices[i] for i in cycle)]
     word = []
-    for a, b in zip(vs, vs[1:] + vs[:1]):
-        d = vsub(b, a)
-        x, y = dot(ex, d), dot(ey, d)
+    xa, ya = pts[-1]
+    for xb, yb in pts:
+        x, y = xb - xa, yb - ya
         if x % den or y % den:
             raise DegenerationError(
                 f"no smooth Minkowski decomposition: facet of ray {ray} is "
@@ -380,6 +384,7 @@ def _ray_word(p: LatticePolytope, f, w_basis, ray):
         x, y = x // den, y // den
         g = gcd(x, y)
         word += [(x // g, y // g)] * g
+        xa, ya = xb, yb
     return tuple(sorted(word))
 
 

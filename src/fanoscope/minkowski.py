@@ -10,10 +10,8 @@ reads it off a polygon, and `degeneration._ray_word` off a facet of a
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
-from .linalg import lex_positive
 from .polytope import PolytopeError, is_integral
 
 
@@ -54,23 +52,6 @@ class Summand:
         return sorted((x - mx, y - my) for x, y in pts)
 
 
-def segment(v) -> Summand:
-    return Summand("segment", (lex_positive(v),))
-
-
-def triangle(v1, v2, v3) -> Summand:
-    """Canonical triangle summand: ccw edge cycle rotated to lex-min start."""
-    vs = [tuple(v1), tuple(v2), tuple(v3)]
-    d = vs[0][0] * vs[1][1] - vs[0][1] * vs[1][0]
-    if d < 0:
-        vs = [vs[0], vs[2], vs[1]]  # reorder the same vectors into a ccw cycle
-    k = min(range(3), key=lambda i: vs[i])
-    return Summand("triangle", tuple(vs[k:] + vs[:k]))
-
-
-POINT = Summand("point", ())
-
-
 def enumerate_smooth_decompositions(word):
     """All partitions of a convex polygon's boundary word (the sequence of
     its primitive edge vectors, in any order) into segments {v,-v} and
@@ -94,49 +75,60 @@ def enumerate_smooth_decompositions(word):
     built.  `tests/test_retired_raises.py` re-sums every decomposition of
     random lattice polygons and of every bundled facet/r.
     """
-    count = Counter(word)
+    count = {}
+    for v in word:
+        count[v] = count.get(v, 0) + 1
     letters = sorted(count)
-    if not all(map(is_integral, letters)):
+    if not is_integral(sum(letters, ())):
         raise PolytopeError("decompositions of a non-integral word")
-    found = set()
+    found = set()  # sorted tuples of (kind, vectors) summand keys
     acc = []
 
-    def take(summand, used, left):
+    def take(summand, used, left, i):
         # remove the summand's other edge vectors, recurse, put them back
         for k in used:
             count[k] -= 1
         acc.append(summand)
-        rec(left)
+        rec(left, i)
         acc.pop()
         for k in used:
             count[k] += 1
 
-    def rec(left):
+    def rec(left, i):
+        # the letters before letters[i] are used up
         if not left:
             found.add(tuple(sorted(acc)))
             return
-        v = next(k for k in letters if count[k])
+        while not count[letters[i]]:
+            i += 1
+        v = letters[i]
         count[v] -= 1
-        neg = (-v[0], -v[1])
-        # segment {v, -v}
+        a, b = v
+        neg = (-a, -b)
+        # segment {v, -v}, keyed by its lex-positive vector
         if count.get(neg):
-            take(segment(v), (neg,), left - 2)
-        # triangles {v, w, -v-w}
-        tried = set()
+            take(("segment", (max(v, neg),)), (neg,), left - 2, i)
+        # triangles {v, w, -v-w}, each met once as the w < third of its
+        # pair; a unimodular one has three distinct vectors
         for w in letters:
             if not count[w]:
                 continue
-            third = (-v[0] - w[0], -v[1] - w[1])
-            key = frozenset((w, third))
-            if key in tried:
+            third = (-a - w[0], -b - w[1])
+            if third < w or not count.get(third):
                 continue
-            tried.add(key)
-            if abs(v[0] * w[1] - v[1] * w[0]) != 1:
+            turn = a * w[1] - b * w[0]
+            if turn != 1 and turn != -1:
                 continue
-            if count.get(third, 0) < (2 if w == third else 1):
-                continue
-            take(triangle(v, w, third), (w, third), left - 3)
+            # the ccw edge cycle, rotated to its lex-least start
+            cyc = (v, w, third) if turn > 0 else (v, third, w)
+            k = cyc.index(min(cyc))
+            take(("triangle", cyc[k:] + cyc[:k]), (w, third), left - 3, i)
         count[v] += 1
 
-    rec(sum(count.values()))
-    return sorted(found, key=lambda d: (sum(1 for s in d if s.dim == 2), d))
+    rec(sum(count.values()), 0)
+    # one validated Summand per distinct key; keys sort as Summands do.  A
+    # word of n letters cut into s segments and t triangles has 2s + 3t = n,
+    # so fewer summands is more triangles
+    summands = {s: Summand(*s) for s in {s for deco in found for s in deco}}
+    return [tuple(summands[s] for s in deco)
+            for deco in sorted(found, key=lambda d: (-len(d), d))]

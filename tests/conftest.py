@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 
 from fanoscope.degeneration import DegenerationError
 from fanoscope.fileio import bundled_polytopes, load_fixture
+from fanoscope.linalg import lex_positive
+from fanoscope.minkowski import Summand
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 _quotient, cross, dot, embed_polygon,
                                 plane_coords, vadd, vsub)
@@ -382,3 +384,21 @@ def ref_minkowski_sum(summands):
         return Polygon(pts)
     except PolytopeError:
         return sorted(set(pts))
+
+
+# `minkowski.segment` and `minkowski.triangle` as they were: the enumerator
+# now keys its summands by plain (kind, vectors) tuples
+
+
+def segment(v) -> Summand:
+    return Summand("segment", (lex_positive(v),))
+
+
+def triangle(v1, v2, v3) -> Summand:
+    """Canonical triangle summand: ccw edge cycle rotated to lex-min start."""
+    vs = [tuple(v1), tuple(v2), tuple(v3)]
+    d = vs[0][0] * vs[1][1] - vs[0][1] * vs[1][0]
+    if d < 0:
+        vs = [vs[0], vs[2], vs[1]]  # reorder the same vectors into a ccw cycle
+    k = min(range(3), key=lambda i: vs[i])
+    return Summand("triangle", tuple(vs[k:] + vs[:k]))

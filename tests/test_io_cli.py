@@ -542,3 +542,44 @@ def test_cli_malformed_input_exits_2(tmp_path, command, file, text, message):
     # a JSON error message goes on with the decoder's own words
     assert doc["message"] == message or (
         message.endswith(": ") and doc["message"].startswith(message))
+
+
+@pytest.mark.parametrize("command, file", [
+    ("analyze", "latin1.json"),
+    ("fixture", "latin1.json"),
+    ("decompositions", "latin1.txt"),
+    ("verify24", "latin1.txt"),
+    ("table", "latin1.json")])
+def test_cli_non_utf8_input_exits_2(tmp_path, command, file):
+    # a byte that starts no UTF-8 sequence, inside otherwise valid input
+    path = tmp_path / file
+    path.write_bytes(b'{"name": "caf\xe9", "vertices": []}\n')
+    argv = {"analyze": ("analyze", str(path)),
+            "fixture": ("analyze", str(path), "--fixture"),
+            "decompositions": ("decompositions", str(path)),
+            "verify24": ("verify24", "--db", str(path)),
+            "table": ("table", str(path))}[command]
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert one_json_line(err)["error"] == "UnicodeDecodeError"
+
+
+@pytest.mark.parametrize("target", ["p3", "cube"])
+def test_cli_decompositions_facet_is_its_entry(target):
+    code, out, _ = run_cli("decompositions", target)
+    assert code == 0
+    listing = json.loads(out)
+    for k, entry in enumerate(listing):
+        code, out, _ = run_cli("decompositions", target, f"--facet={k}")
+        assert code == 0 and json.loads(out) == [entry]
+
+
+@pytest.mark.parametrize("target, facet, last", [
+    ("p3", -1, 3), ("p3", 4, 3), ("cube", -1, 5), ("cube", 6, 5),
+    ("cube", 99, 5)])
+def test_cli_decompositions_facet_out_of_range_exits_1(target, facet, last):
+    code, out, err = run_cli("decompositions", target, f"--facet={facet}")
+    assert code == 1 and out == ""
+    assert one_json_line(err) == {
+        "error": "DegenerationError",
+        "message": f"--facet {facet} names no facet 0..{last}"}

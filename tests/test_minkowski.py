@@ -7,9 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (dilate_polygon, lattice_polygons, mat_vec, normalized,
-                      random_unimodular2, ref_minkowski_sum)
-from fanoscope.minkowski import (POINT, enumerate_smooth_decompositions,
-                                 segment, triangle)
+                      random_unimodular2, ref_minkowski_sum, segment, triangle)
+from fanoscope.minkowski import Summand, enumerate_smooth_decompositions
 from fanoscope.polytope import Polygon, PolytopeError, face_length
 
 HEXAGON = Polygon([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
@@ -65,7 +64,8 @@ def test_minkowski_sum_examples():
 
 def test_point_summand_is_identity():
     t = triangle((1, 0), (-1, 1), (0, -1))
-    assert ref_minkowski_sum([t, POINT]) == ref_minkowski_sum([t])
+    point = Summand("point", ())
+    assert ref_minkowski_sum([t, point]) == ref_minkowski_sum([t])
 
 
 def test_no_decomposition():

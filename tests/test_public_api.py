@@ -33,7 +33,10 @@ DELETED = [("polytope", "convex_hull"),
            ("polytope", "LatticePolytope.dual_face_vertices"),
            ("degeneration", "facet_in_ray_coords"),
            ("degeneration", "_ray_target"),
-           ("degeneration", "_ray_facets")]
+           ("degeneration", "_ray_facets"),
+           ("minkowski", "POINT"),
+           ("minkowski", "segment"),
+           ("minkowski", "triangle")]
 
 
 def resolves(obj, dotted):

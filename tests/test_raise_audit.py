@@ -474,6 +474,10 @@ PINS = {
     "cli._decomposition_indices: a letter": (
         lambda: _resolve_data("p3", "0,x"), ParseError,
         "--decomposition index 'x' is not an integer"),
+    "cli.cmd_decompositions: a facet past the last": (
+        lambda: cli.cmd_decompositions(build_parser().parse_args(
+            ["decompositions", "p3", "--facet", "4"])),
+        DegenerationError, "--facet 4 names no facet 0..3"),
     "cli._Parser.error: no command": (
         lambda: build_parser().parse_args([]), ParseError,
         "the following arguments are required: command"),

@@ -7,7 +7,8 @@ at their first point on the far side.
 primitive direction of a box and on the facets of seeded GL(3,Z) images.
 `ref_hull3d_facets` (conftest) is the routine as it was.  The count guards
 fail if the memo or the hoist stops saving calls, or if the memo outlives
-one call.
+one call; another fails if the enumerator builds more than one `Summand`
+per distinct summand of its result.
 """
 
 import random
@@ -24,7 +25,7 @@ from fanoscope.degeneration import (DegenerationError, decomposition_regimes,
                                     method1_data, ray_lattice)
 from fanoscope.fileio import bundled_polytopes
 from fanoscope.linalg import clear_denominators, lex_positive
-from fanoscope.minkowski import Summand
+from fanoscope.minkowski import Summand, enumerate_smooth_decompositions
 from fanoscope.polytope import LatticePolytope, PolytopeError, _hull3d_facets
 
 NAMES = sorted(k for k in bundled_polytopes() if k != "polygons")
@@ -184,3 +185,35 @@ def test_one_vertex_list_per_summand(calls, name):
             method1_data(p)
             assert calls["per_match"]
             assert set(calls["per_match"]) == {1}
+
+
+def ray_words():
+    """Every distinct ray word of the bundled reflexive polytopes and their
+    seeded GL(3,Z) images."""
+    words = set()
+    for name in NAMES:
+        for p in images(name):
+            if p.is_reflexive():
+                words.update(degeneration._ray_word(p, f, ray_lattice(f.dual),
+                                                    vid)
+                             for vid, f in enumerate(p.facets))
+    return sorted(words)
+
+
+def test_one_summand_built_per_distinct_summand(monkeypatch):
+    # the enumerator keys its summands by (kind, vectors) and validates
+    # each distinct one once, when it builds the result
+    built = [0]
+    post_init = Summand.__post_init__
+
+    def counted(self):
+        built[0] += 1
+        post_init(self)
+
+    monkeypatch.setattr(Summand, "__post_init__", counted)
+    words = ray_words()
+    assert len(words) > 20
+    for word in words:
+        built[0] = 0
+        decos = enumerate_smooth_decompositions(word)
+        assert built[0] <= len({s for deco in decos for s in deco}), word
