@@ -19,7 +19,7 @@ from fractions import Fraction
 
 from . import fileio
 from .degeneration import (DegenerationError, decomposition_regimes,
-                           method1_data, product_data)
+                           facet_regime, method1_data, product_data)
 from .discriminant import assemble_global, export_json, render_svg
 from .fileio import ParseError
 from .gamma import GammaError, build_system, gamma_dimension
@@ -122,21 +122,21 @@ def cmd_analyze(args):
 
 def cmd_decompositions(args):
     p = _resolve_polytope(args.target, fileio.bundled_polytopes())
-    regimes = decomposition_regimes(p)
-    vids = range(len(regimes))
-    if args.facet is not None:
-        if args.facet not in vids:
-            raise DegenerationError(
-                f"--facet {args.facet} names no facet 0..{len(regimes) - 1}")
-        vids = [args.facet]
+    if args.facet is None:
+        regimes = list(enumerate(decomposition_regimes(p)))
+    elif 0 <= args.facet < len(p.facets):
+        regimes = [(args.facet, facet_regime(p, args.facet))]
+    else:
+        raise DegenerationError(
+            f"--facet {args.facet} names no facet 0..{len(p.facets) - 1}")
     _emit([{
         "facet_of_P_dual_to_dual_vertex": vid,
         "dual_vertex": [str(x) for x in p.facets[vid].dual],
-        "count": len(regimes[vid]),
+        "count": len(decos),
         "decompositions": [
             [{"kind": s.kind, "vectors": [list(v) for v in s.vectors]}
-             for s in deco] for deco in regimes[vid]],
-    } for vid in vids])
+             for s in deco] for deco in decos],
+    } for vid, decos in regimes])
     return 0
 
 

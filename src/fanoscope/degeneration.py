@@ -47,6 +47,8 @@ class Sections:
     The normals, coefficients and face `spans` (set by
     `polygon_of_sections`) are kept, and `graph_piece` is the memo of the
     slab-independent part of the dual graph (built by discriminant).
+    `points` are corners of S, each the one point of S on two non-parallel
+    edge lines, so they are vertices and three or more make a polygon.
     """
 
     def __init__(self, points, normals=(), coeffs=()):
@@ -56,14 +58,8 @@ class Sections:
         self.coeffs = tuple(coeffs)
         self.spans = ()
         self.graph_piece = None
-        self.polygon = None
-        self.dim = 1 if len(pts) >= 2 else 0
-        if len(pts) >= 3:
-            try:
-                self.polygon = Polygon(pts)
-                self.dim = 2
-            except PolytopeError:
-                pass
+        self.polygon = Polygon(pts) if len(pts) >= 3 else None
+        self.dim = min(len(pts), 3) - 1
 
     def vertices(self):
         if self.dim == 2:
@@ -403,7 +399,7 @@ def match_summand_slabs(summand: Summand, slab_functionals: dict):
     verts = summand.polygon_vertices()
     hits = [name for name, f in slab_functionals.items()
             if face_length(verts, f) >= 1]
-    need = {"point": 0, "segment": 2, "triangle": 3}[summand.kind]
+    need = {"segment": 2, "triangle": 3}[summand.kind]
     if len(hits) != need:
         raise DegenerationError(
             f"unmatched summand direction: {summand} met {hits}")
@@ -411,11 +407,10 @@ def match_summand_slabs(summand: Summand, slab_functionals: dict):
 
 
 def _attach(ray: str, deco, functionals) -> list:
-    """The RaySummand entries of one ray's decomposition: a point stays
-    unattached, a segment or triangle goes to the slabs that
-    `match_summand_slabs` finds among `functionals`."""
-    return [RaySummand(ray, "point") if s.kind == "point" else
-            RaySummand(ray, s.kind, match_summand_slabs(s, functionals), s)
+    """The RaySummand entries of one ray's decomposition: each segment or
+    triangle goes to the slabs that `match_summand_slabs` finds among
+    `functionals`."""
+    return [RaySummand(ray, s.kind, match_summand_slabs(s, functionals), s)
             for s in deco]
 
 
@@ -566,11 +561,26 @@ def decomposition_regimes(p: LatticePolytope):
     of P's facets, so neither P* nor a facet polygon is built; each ray
     gets a list of its own.  `_ray_word` reads an integral P.
     """
+    _check_decomposable(p)
+    return [list(decos) for _, decos in _ray_decompositions(p)]
+
+
+def facet_regime(p: LatticePolytope, vid: int):
+    """Entry vid of `decomposition_regimes(p)`, read off P's facet vid
+    alone, so another facet's refusal does not refuse it.  Opposite rays
+    share one `ray_lattice` basis, so facet vid's own is the one that
+    `_ray_decompositions` uses."""
+    _check_decomposable(p)
+    f = p.facets[vid]
+    return enumerate_smooth_decompositions(
+        _ray_word(p, f, ray_lattice(f.dual), vid))
+
+
+def _check_decomposable(p: LatticePolytope):
     if not p.is_integral:
         raise PolytopeError("decompositions need an integral polytope")
     if not p.origin_interior():
         raise PolytopeError("origin is not interior")
-    return [list(decos) for _, decos in _ray_decompositions(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -731,14 +741,17 @@ def _along_line(p, dirv) -> bool:
 def _rule_values(poly: LatticePolytope, rules):
     """{edge id: the value of the first (point, value) rule whose point is
     on the edge, else 0}.  A point of poly lies on an edge exactly when it
-    lies on both facets through the edge."""
+    lies on both facets through the edge; a rule whose point is on no edge
+    labels nothing and is refused."""
     values = dict.fromkeys(range(len(poly.edges)), 0)
     for meets, value in reversed(rules):  # the first rule writes last
         gaps = [dot(f.normal, meets) - f.level for f in poly.facets]
-        if min(gaps) >= 0:
-            for i, e in enumerate(poly.edges):
-                if all(gaps[j] == 0 for j in e.facet_ids):
-                    values[i] = value
+        hits = [i for i, e in enumerate(poly.edges)
+                if all(gaps[j] == 0 for j in e.facet_ids)]
+        if min(gaps) < 0 or not hits:
+            raise DegenerationError(f"edge rule point {meets} lies on no "
+                                    "edge of the polar polytope")
+        values.update(dict.fromkeys(hits, value))
     return values
 
 
@@ -857,8 +870,7 @@ def check_compatibility(data: DegenerationData):
     dual = data.dual
     for vid, f in enumerate(data.polytope.facets):
         r = -f.level
-        summands = [s for s in data.ray_summands
-                    if s.ray == _ray_name(vid) and s.kind != "point"]
+        summands = [s for s in data.ray_summands if s.ray == _ray_name(vid)]
         for i, e in enumerate(dual.edges):
             if vid not in e.vertex_ids:
                 continue
@@ -873,7 +885,9 @@ def check_compatibility(data: DegenerationData):
 
 def _d2_verdict(data, dual, f, t_dir):
     """Cayley condition at a vertex interior to a 2-cone: the dual facet f
-    is two parallel segments along ann(tau) with nearly equal labels."""
+    is two parallel segments along ann(tau) with nearly equal labels.  A
+    two-vertex group is an edge of f (a triangle, or a quadrilateral whose
+    diagonals cross, so are not parallel), so P* has its dual edge."""
     if f.level != -1:
         return "violation: cone over v* is not Gorenstein"
     groups = {}
@@ -892,12 +906,11 @@ def _d2_verdict(data, dual, f, t_dir):
             continue
         # the segment is the dual face of an edge of the polar polytope:
         # the edge on the two facets of P* dual to its vertices
-        eidx = next((i for i, e in enumerate(dual.edges)
-                     if e.facet_ids == frozenset(g)), None)
-        a_vals.append(data.edge_values.get(eidx, 0) if eidx is not None else 0)
+        eidx = next(i for i, e in enumerate(dual.edges)
+                    if e.facet_ids == frozenset(g))
+        a_vals.append(data.edge_values.get(eidx, 0))
         try:
-            lens.append(dual.edge_length(dual.edges[eidx])
-                        if eidx is not None else 0)
+            lens.append(dual.edge_length(dual.edges[eidx]))
         except PolytopeError:
             return (f"violation: edge {eidx} of P* has a rational end, so "
                     f"its Cayley segment has no dual length")
@@ -938,7 +951,8 @@ def check_smooth_data(data: DegenerationData):
     segment or a triangle.  `_ray_word` raises where r does not divide
     v*, so no data with a nontrivial S_v is built.
     `tests/test_ray_facets.py` re-sums every ray on the bundled polytopes,
-    b3_cubic, the products and their GL(3,Z) images.
+    b3_cubic, the products and their GL(3,Z) images.  `line_fan_data`
+    builds all line-fan and product data and stores its `notes["fan"]`.
     """
     verdicts = {}
     if data.dual is None:
@@ -948,9 +962,7 @@ def check_smooth_data(data: DegenerationData):
         return dict.fromkeys(range(len(dual.vertices)), "smooth")
     if data.kind not in ("line_fan", "product"):
         return verdicts
-    fan = data.notes.get("fan")
-    if fan is None:
-        return verdicts
+    fan = data.notes["fan"]
     dirv = fan.direction
     two_cones = [_two_cone(dirv, w) for w in fan.rays2d]
     for vid, (vert, f) in enumerate(zip(dual.vertices,

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .degeneration import ROLE_BOUNDARY, ROLE_SPINE, DegenerationData, DegenerationError
-from .polytope import Polygon, _quotient, dot, lattice_length
+from .polytope import Polygon, _quotient, dot
 
 
 @dataclass
@@ -31,13 +31,10 @@ def max_triangulation(polygon: Polygon) -> UnimodularTriangulation:
     boundary or inside), so the triangles cover the polygon throughout.
     """
     pts = polygon.lattice_points()
-    verts = list(polygon.vertices)
-    v0 = min(verts)
-    k = verts.index(v0)
-    ordered = verts[k:] + verts[:k]
+    verts = polygon.vertices  # lex-least first (`Polygon`)
     idx = {p: i for i, p in enumerate(pts)}
-    tris = [(idx[v0], idx[ordered[t]], idx[ordered[t + 1]])
-            for t in range(1, len(ordered) - 1)]
+    tris = [(idx[verts[0]], idx[verts[t]], idx[verts[t + 1]])
+            for t in range(1, len(verts) - 1)]
     used = {i for t in tris for i in t}
     for pi, (px, py) in enumerate(pts):
         if pi in used:
@@ -147,15 +144,12 @@ def dual_graph(slab) -> tuple:
     Returns (graph, stubs) where stubs maps a slab edge index to the ordered
     list of stub node ids on that edge.  On a polygon S the edge lines are
     distinct and two of them share no segment, so line i owns exactly the
-    span_i unit segments of S's face on it: edge i gets span_i stubs.
+    span_i unit segments of S's face on it: edge i gets span_i stubs.  A
+    point S has no side of positive span, a segment S two of its length.
     """
     if slab.sections.dim < 2:
         graph = DiscriminantGraph()
         # degenerate sections: a_v parallel strands from side to side
-        ell = 0
-        if slab.sections.dim == 1:
-            a, b = slab.sections.points[0], slab.sections.points[-1]
-            ell = lattice_length(a, b)
         stubs = {}
         sides = [i for i, s in enumerate(slab.spans) if s > 0]
         for i in sides:
@@ -168,9 +162,7 @@ def dual_graph(slab) -> tuple:
                 ids.append(ident)
             stubs[i] = ids
         # connect strand k across the two sides
-        if len(sides) == 2 and ell:
-            for k in range(ell):
-                graph.edges.append((stubs[sides[0]][k], stubs[sides[1]][k]))
+        graph.edges.extend(zip(*(stubs[i] for i in sides)))
         return graph, stubs
 
     centroids, pairs, segments = _graph_piece(slab.sections)

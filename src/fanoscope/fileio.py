@@ -198,16 +198,42 @@ def data_from_fixture(doc: dict) -> DegenerationData:
     else:
         data = _slab_fixture(doc, name, p)
     if doc.get("vertex_count") is not None:
-        data.vertex_count = int(doc["vertex_count"])
+        data.vertex_count = _typed(doc["vertex_count"], int,
+                                   "fixture vertex_count")
     if doc.get("b2") is not None:
         _require(doc["b2"], ("value",), "fixture b2 block")
-        data.b2_fixture = int(doc["b2"]["value"])
+        data.b2_fixture = _typed(doc["b2"]["value"], int, "fixture b2 value")
         data.b2_source = doc["b2"].get("source", "fixture")
     if doc.get("degree") is not None:
-        data.degree_fixture = int(doc["degree"])
+        data.degree_fixture = _typed(doc["degree"], int, "fixture degree")
     if doc.get("boundary_components") is not None:
-        data.boundary_components = int(doc["boundary_components"])
+        data.boundary_components = _typed(doc["boundary_components"], int,
+                                          "fixture boundary_components")
     return data
+
+
+JSON_TYPES = {dict: "object", list: "list", int: "integer", str: "string"}
+
+
+def _typed(value, cls, where):
+    """value, refused unless it is the JSON type that cls names (an
+    integer is an int, not a bool)."""
+    if type(value) is not cls:
+        raise ParseError(f"{where} must be a JSON {JSON_TYPES[cls]}, not "
+                         f"{value!r}")
+    return value
+
+
+def _per_edge(spec, key, where, k, default):
+    """A slab's k per-edge values: default, but where spec[key], an object
+    keyed by edge index, gives one."""
+    out = [default] * k
+    for idx, val in _typed(spec.get(key, {}), dict, f"{where}: {key}").items():
+        if idx not in map(str, range(k)):
+            raise ParseError(f"{where}: {key} key {idx!r} names no edge "
+                             f"0..{k - 1}")
+        out[int(idx)] = val
+    return out
 
 
 def _slab_fixture(doc, name, p):
@@ -221,23 +247,23 @@ def _slab_fixture(doc, name, p):
                 f"slab {spec['name']}: polygon must be listed in canonical "
                 f"ccw order starting at the lex-least vertex; canonical is "
                 f"{[list(v) for v in poly.vertices]}")
-        k = len(poly.vertices)
-        coeffs = [0] * k
-        for idx, val in spec.get("coeffs", {}).items():
-            coeffs[int(idx)] = int(val)
-        roles = ["boundary"] * k
-        for idx, val in spec.get("roles", {}).items():
-            roles[int(idx)] = val
+        k, where = len(poly.vertices), f"slab {spec['name']}"
+        coeffs = [_typed(c, int, f"{where}: coeff")
+                  for c in _per_edge(spec, "coeffs", where, k, 0)]
+        roles = [_typed(r, str, f"{where}: role")
+                 for r in _per_edge(spec, "roles", where, k, "boundary")]
         slabs.append(Slab.shared(built, spec["name"], poly, tuple(coeffs),
                                  tuple(roles)))
     summands = []
-    for ray, entries in doc.get("rays", {}).items():
-        for ent in entries:
+    rays = _typed(doc.get("rays", {}), dict, "slab fixture rays")
+    for ray, entries in rays.items():
+        for ent in _typed(entries, list, f"ray {ray}"):
             _require(ent, ("kind",), f"ray {ray} entry")
-            cnt = int(ent.get("count", 1))
+            cnt = _typed(ent.get("count", 1), int, f"ray {ray} entry count")
+            on = tuple(_typed(ent.get("slabs", []), list,
+                              f"ray {ray} entry slabs"))
             for _ in range(cnt):
-                summands.append(RaySummand(ray, ent["kind"],
-                                           tuple(ent.get("slabs", ()))))
+                summands.append(RaySummand(ray, ent["kind"], on))
     data = DegenerationData(name=name, kind="slabs", slabs=slabs,
                             ray_summands=summands, polytope=p,
                             dual=p.polar_dual() if p else None)

@@ -56,8 +56,6 @@ def build_system(data: DegenerationData) -> GammaSystem:
     rows = []
     aux = n_alpha  # first column of the next triangle's covector
     for rs in data.ray_summands:
-        if rs.kind == "point":
-            continue
         cones = [edge_index[s] for s in rs.slabs]
         if rs.kind == "segment":
             c1, c2 = cones

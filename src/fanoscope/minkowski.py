@@ -1,7 +1,7 @@
 """Smooth Minkowski decompositions of lattice polygons.
 
-A decomposition is smooth when every summand is a standard simplex: a point,
-a primitive segment, or a triangle of normalized area one.  Summands are
+A decomposition is smooth when every summand is a standard simplex: a
+primitive segment or a triangle of normalized area one.  Summands are
 encoded by their ccw edge-vector multisets and enumerated by exhaustive
 backtracking over the polygon's boundary word: `Polygon.edge_vector_multiset`
 reads it off a polygon, and `degeneration._ray_word` off a facet of a
@@ -17,14 +17,12 @@ from .polytope import PolytopeError, is_integral
 
 @dataclass(frozen=True, order=True)
 class Summand:
-    kind: str                 # "point" | "segment" | "triangle"
-    vectors: tuple            # () | (v,) | (v1, v2, v3) with v1+v2+v3 = 0
+    kind: str                 # "segment" | "triangle"
+    vectors: tuple            # (v,) | (v1, v2, v3) with v1+v2+v3 = 0
 
     def __post_init__(self):
         vs = self.vectors
-        if self.kind == "point":
-            ok = vs == ()
-        elif self.kind == "segment":
+        if self.kind == "segment":
             ok = len(vs) == 1
         elif self.kind == "triangle":
             ok = (len(vs) == 3
@@ -36,14 +34,8 @@ class Summand:
             raise ValueError(f"vectors {vs!r} do not make a {self.kind} "
                              "summand")
 
-    @property
-    def dim(self):
-        return {"point": 0, "segment": 1, "triangle": 2}[self.kind]
-
     def polygon_vertices(self):
         """Vertices of the summand, translated so lex-min sits at 0."""
-        if self.kind == "point":
-            return [(0, 0)]
         if self.kind == "segment":
             return sorted([(0, 0), self.vectors[0]])
         (a, b), (c, d), _ = self.vectors
@@ -73,7 +65,9 @@ def enumerate_smooth_decompositions(word):
     polygon's word, so their sum has the polygon's word and is a translate
     of it.  So the word is all the enumerator reads, and no polygon is
     built.  `tests/test_retired_raises.py` re-sums every decomposition of
-    random lattice polygons and of every bundled facet/r.
+    random lattice polygons and of every bundled facet/r.  Each summand
+    takes two or three letters, so none is a point, and every ray summand
+    attached from here lies on slabs.
     """
     count = {}
     for v in word:

@@ -88,7 +88,6 @@ class Polygon:
         # rotate so the lex-least vertex comes first
         k = min(range(len(verts)), key=lambda i: verts[i])
         self.vertices = tuple(verts[k:] + verts[:k])
-        self._normals = None   # memo of edge_normals()
         self._scan = None      # memo of (lattice points, point counts)
 
     def __eq__(self, other):
@@ -110,14 +109,12 @@ class Polygon:
 
     def edge_normals(self):
         """Primitive inner normal and support level per ccw edge."""
-        if self._normals is None:
-            out = []
-            for a, b in self.edges():
-                d = vsub(b, a)
-                n = primitive((-d[1], d[0]))  # inner for ccw orientation
-                out.append((n, dot(n, a)))
-            self._normals = tuple(out)
-        return self._normals
+        out = []
+        for a, b in self.edges():
+            d = vsub(b, a)
+            n = primitive((-d[1], d[0]))  # inner for ccw orientation
+            out.append((n, dot(n, a)))
+        return tuple(out)
 
     def two_area(self):
         """Normalized area (twice the Euclidean area), exact."""
@@ -133,6 +130,8 @@ class Polygon:
         Column x meets the polygon in the y range cut out by the edge
         inequalities n0*x + n1*y >= c, each an exact ceil/floor division;
         interior points satisfy them strictly.  Points come in (x, y) order.
+        A vertical edge (n1 = 0) is x >= min x or x <= max x, so r <= 0 on
+        every scanned column: it only strips its own column's interior.
         """
         if self._scan is None:
             if not self.is_integral:
@@ -154,8 +153,6 @@ class Polygon:
                     elif n1 < 0:
                         hi = min(hi, r // n1)
                         ihi = min(ihi, -(-r // n1) - 1)
-                    elif r > 0:
-                        lo, hi = 1, 0
                     elif r == 0:
                         ilo, ihi = 1, 0
                 pts.extend((x, y) for y in range(lo, hi + 1))

@@ -230,6 +230,56 @@ def malformed_slab_fixtures():
     return {key: (docs[key], messages[key]) for key in messages}
 
 
+def unparsable_slab_fixtures():
+    """id -> (mm2_2's slab fixture with one value of the wrong shape, the
+    message of the `ParseError` that refuses it, naming the slab or ray and
+    the key).  mm2_2's first slab, P2, is a triangle."""
+    def slab(**kw):
+        return lambda d: d["slabs"][0].update(kw)
+
+    def edge(key, idx, value):
+        return lambda d: d["slabs"][0][key].update({idx: value})
+
+    def entry(**kw):
+        return lambda d: d["rays"]["R1"][0].update(kw)
+
+    changes = {
+        "coeffs_index": (edge("coeffs", "3", 1),
+                         "slab P2: coeffs key '3' names no edge 0..2"),
+        "roles_index": (edge("roles", "7", "spine"),
+                        "slab P2: roles key '7' names no edge 0..2"),
+        "coeffs_list": (slab(coeffs=[0, 4, 0]), "slab P2: coeffs must be "
+                        "a JSON object, not [0, 4, 0]"),
+        "roles_list": (slab(roles=["ray:R1"]), "slab P2: roles must be a "
+                       "JSON object, not ['ray:R1']"),
+        "role_number": (edge("roles", "0", 5),
+                        "slab P2: role must be a JSON string, not 5"),
+        "coeffs_value": (edge("coeffs", "1", "4"),
+                         "slab P2: coeff must be a JSON integer, not '4'"),
+        "rays_list": (lambda d: d.update(rays=[]),
+                      "slab fixture rays must be a JSON object, not []"),
+        "entries_object": (lambda d: d["rays"].update(R1={"kind": "point"}),
+                           "ray R1 must be a JSON list, not {'kind': "
+                           "'point'}"),
+        "slabs_number": (entry(slabs=3),
+                         "ray R1 entry slabs must be a JSON list, not 3"),
+        "count_fraction": (entry(count=1.5), "ray R1 entry count must be "
+                           "a JSON integer, not 1.5"),
+        "count_text": (entry(count="four"), "ray R1 entry count must be a "
+                       "JSON integer, not 'four'"),
+        "vertex_count": (lambda d: d.update(vertex_count="x"),
+                         "fixture vertex_count must be a JSON integer, "
+                         "not 'x'"),
+        "b2_value": (lambda d: d["b2"].update(value="two"),
+                     "fixture b2 value must be a JSON integer, not 'two'")}
+    out = {}
+    for key, (change, message) in changes.items():
+        doc = load_fixture("mm2_2")
+        change(doc)
+        out[key] = (doc, message)
+    return out
+
+
 def random_unimodular3(rng: random.Random):
     """Random element of GL(3, Z) as a product of elementary matrices."""
     from fanoscope.linalg import identity

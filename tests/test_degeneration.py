@@ -18,7 +18,7 @@ from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationError,
                                     method1_data, normal_fan_data,
                                     polygon_of_sections, product_data,
                                     ray_lattice)
-from fanoscope.fileio import bundled_polytopes
+from fanoscope.fileio import bundled_polytopes, data_from_fixture, load_fixture
 from fanoscope.minkowski import enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 dot, gorenstein_index, is_integral)
@@ -142,6 +142,24 @@ def test_products():
 def test_product_rejects_non_reflexive_base():
     with pytest.raises(DegenerationError, match="reflexive"):
         product_data(Polygon([(1, 0), (0, 1), (-1, -3)]))
+
+
+def test_compatibility_names_each_broken_ray_and_slab():
+    # every label 0 where a/r = 1 is needed: p3's 4 rays meet 3 slabs each
+    out = check_compatibility(normal_fan_data(bundled("p3"), 0))
+    assert len(out) == 12
+    assert out[0] == "ray v0, slab E0: degree 1 != a/r = 0/1"
+
+
+@pytest.mark.parametrize("name", ["mm2_2", "b1"])
+def test_checks_do_not_apply_to_slab_fixtures(name):
+    # mm2_2 has no polytope and b1 has one; neither has a fan to check
+    data = data_from_fixture(load_fixture(name))
+    assert (data.dual is None) == (name == "mm2_2")
+    assert check_convexity(data) == []
+    assert check_smooth_edge_data(data) == []
+    assert check_compatibility(data) == []
+    assert check_smooth_data(data) == {}
 
 
 def test_edge_data_bounds_checked():

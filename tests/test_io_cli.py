@@ -5,8 +5,9 @@ import sys
 
 import pytest
 
-from conftest import bundled, malformed_slab_fixtures, same_polytope
-from fanoscope import cli
+from conftest import (bundled, malformed_slab_fixtures, same_polytope,
+                      unparsable_slab_fixtures)
+from fanoscope import cli, degeneration
 from fanoscope.degeneration import DegenerationData
 from fanoscope.fileio import (ParseError, bundled_polytopes,
                               data_from_fixture, ingest_database,
@@ -528,7 +529,9 @@ SLAB_OUT_OF_ORDER = {"kind": "slabs",
      "slab S0: polygon must be listed in canonical ccw order starting at "
      "the lex-least vertex; canonical is [[0, 0], [1, 0], [0, 1]]"),
     ("verify24", "ragged.txt", "3 4\n1 0 0 -1\n0 1 0\n0 0 1 -1\n",
-     "database block 0 is ragged")])
+     "database block 0 is ragged"),
+    *[("analyze", f"mm2_2_{key}.json", json.dumps(doc), message)
+      for key, (doc, message) in unparsable_slab_fixtures().items()]])
 def test_cli_malformed_input_exits_2(tmp_path, command, file, text, message):
     path = tmp_path / file
     path.write_text(text)
@@ -583,3 +586,48 @@ def test_cli_decompositions_facet_out_of_range_exits_1(target, facet, last):
     assert one_json_line(err) == {
         "error": "DegenerationError",
         "message": f"--facet {facet} names no facet 0..{last}"}
+
+
+def test_cli_edge_rule_on_no_edge_exits_1(tmp_path):
+    doc = load_fixture("b3_cubic")
+    doc["edge_data"].append({"meets": [50, 50, 50], "value": 7})
+    path = tmp_path / "b3_far_rule.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("analyze", str(path))
+    assert code == 1 and out == ""
+    assert one_json_line(err) == {
+        "error": "DegenerationError",
+        "message": "edge rule point (50, 50, 50) lies on no edge of the "
+                   "polar polytope"}
+
+
+def test_cli_product_fixture(tmp_path):
+    path = tmp_path / "hexagon_product.json"
+    path.write_text(json.dumps({
+        "kind": "product",
+        "base_polygon": bundled_polytopes()["polygons"]["hexagon"]}))
+    code, out, err = run_cli("analyze", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["degree"], report["euler"], report["b2"]) == (36, 12, 5)
+
+
+def test_cli_decompositions_facet_ignores_other_facets():
+    # facet 0 of b1 is refused, and with it the whole listing, but facet 1
+    # has an 18-letter word with one decomposition
+    assert run_cli("decompositions", "b1")[0] == 1
+    code, out, err = run_cli("decompositions", "b1", "--facet=1")
+    assert (code, err) == (0, "")
+    [entry] = json.loads(out)
+    assert entry["facet_of_P_dual_to_dual_vertex"] == 1
+    assert entry["count"] == 1
+
+
+def test_cli_decompositions_facet_enumerates_it_alone(monkeypatch):
+    words = []
+    real = degeneration.enumerate_smooth_decompositions
+    monkeypatch.setattr(degeneration, "enumerate_smooth_decompositions",
+                        lambda word: words.append(word) or real(word))
+    code, out, _ = run_cli("decompositions", "hexagon_cone", "--facet=0")
+    assert code == 0 and len(json.loads(out)) == 1
+    assert len(words) == 1

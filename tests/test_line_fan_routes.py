@@ -16,6 +16,7 @@ same exception with the same message.
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -444,10 +445,14 @@ def test_gl2_images_of_product_bases_match_the_fraction_route(seed):
                        d.vertex_count) == outcome(ref_line_fan, *route)
 
 
+def edge_ends(dual):
+    return [tuple(dual.vertices[j] for j in sorted(e.vertex_ids))
+            for e in dual.edges]
+
+
 def ref_rule_values(dual, rules):
     edge_values = {}  # a_E: the value of the first rule whose point is on E
-    for i, e in enumerate(dual.edges):
-        ea, eb = (dual.vertices[j] for j in sorted(e.vertex_ids))
+    for i, (ea, eb) in enumerate(edge_ends(dual)):
         edge_values[i] = next((value for meets, value in rules
                                if on_segment(meets, ea, eb)), 0)
     return edge_values
@@ -458,7 +463,8 @@ def ref_rule_values(dual, rules):
 def test_rule_values_match_the_segment_scan(seed):
     # rule points at every vertex, edge point and facet centre of each polar
     # polytope, and just off them; values tell the rules apart, and a vertex
-    # (on several edges) comes before the edge points
+    # (on several edges) comes before the edge points.  A rule whose point
+    # is on no edge is refused
     table = bundled_polytopes()
     for name in sorted(k for k in table if k != "polygons"):
         verts = table[name]["vertices"]
@@ -477,6 +483,13 @@ def test_rule_values_match_the_segment_scan(seed):
                              for c in zip(*(vs[i] for i in f.cycle))))
         pts += [tuple(x + Fraction(1, 7) for x in p) for p in pts[::3]]
         rules = [(_clean(p), k + 1) for k, p in enumerate(pts)]
+        labels = [any(on_segment(p, *ends) for ends in edge_ends(dual))
+                  for p, _ in rules]
+        for (p, value), label in zip(rules, labels):
+            if not label:
+                with pytest.raises(DegenerationError, match="on no edge"):
+                    _rule_values(dual, [(p, value)])
+        rules = [r for r, label in zip(rules, labels) if label]
         rng = random.Random(seed or 0)
         for order in (rules, rules[::-1], rng.sample(rules, len(rules))):
             assert _rule_values(dual, order) == ref_rule_values(dual, order)

@@ -36,7 +36,8 @@ DELETED = [("polytope", "convex_hull"),
            ("degeneration", "_ray_facets"),
            ("minkowski", "POINT"),
            ("minkowski", "segment"),
-           ("minkowski", "triangle")]
+           ("minkowski", "triangle"),
+           ("minkowski", "Summand.dim")]
 
 
 def resolves(obj, dotted):

@@ -1,4 +1,5 @@
-"""Every `raise` left in the package, executed by a named pin.
+"""Every `raise`, `except` handler and `continue` left in the package,
+executed by a named pin.
 
 A pin is an input that reaches one raise through the package's entry points
 (the CLI and its files, fixture documents, the builders' and the public
@@ -6,39 +7,56 @@ routines' arguments), or, for an aim-3 cross-check, a run that breaks one
 of its two derivations with `monkeypatch`.  Each pin runs once under
 `executed_lines`, a tracer that follows only the package's own files; it
 must raise its exact class and message, and the audit fails unless every
-raise line of every module ran under some pin.  `MODULES` is read off the
-package, so a new module is audited with no edit here.  No module may
-hold an `assert` statement: `python -O` strips them, so a check must be a
-raise with a pin.  The checks that no input can fire are gone, with their
-proofs in the routines' docstrings and their theorems asserted in
+raise line of every module ran under some pin.
+
+The fallbacks, each `continue` and the first statement of each `except`
+handler, are audited the same way, by the pins of `PINS` and `REACHES`.
+A reach pin runs a fallback and returns: it must return its pinned
+result.  A fallback counts as run only under a pin named for the routine
+that holds it (the top-level function or `Class.method` before the
+colon), since most fallbacks also run on the way to other routines'
+raises; and each reach pin must be the one pin of its routine that runs
+some fallback, so dropping it fails the audit.
+
+`MODULES` is read off the package, so a new module is audited with no
+edit here.  No module may hold an `assert` statement: `python -O` strips
+them, so a check must be a raise with a pin.  A tracer sees lines, so no
+audited statement may share its line with another.  The checks and
+fallbacks that no input can fire are gone, with their proofs in the
+routines' docstrings and their theorems asserted in
 `tests/test_retired_raises.py`.
 """
 
 import ast
+import contextlib
 import importlib
+import io
 import inspect
 import json
 import os
 import pkgutil
 import tempfile
+from collections import Counter
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from itertools import product
 
 import pytest
 
 import fanoscope
 from conftest import (bundled, bundled_polygon, executed_lines,
-                      malformed_slab_fixtures, raise_lines)
+                      malformed_slab_fixtures, raise_lines,
+                      unparsable_slab_fixtures)
 from fanoscope import cli, invariants
 from fanoscope.cli import _resolve_data, build_parser
 from fanoscope.degeneration import (DegenerationData, DegenerationError,
                                     EmptyLinearSystem, NotCartier, NotNef,
-                                    RaySummand, decomposition_regimes,
+                                    RaySummand, check_compatibility,
+                                    check_smooth_data, decomposition_regimes,
                                     line_fan_data, method1_data,
                                     normal_fan_data, polygon_of_sections,
                                     product_data)
-from fanoscope.discriminant import assemble_global
+from fanoscope.discriminant import assemble_global, max_triangulation
 from fanoscope.fileio import (ParseError, data_from_fixture, ingest_database,
                               load_fixture, parse_polytope)
 from fanoscope.gamma import (GammaError, barT_sections, build_system,
@@ -48,7 +66,7 @@ from fanoscope.invariants import (InvariantError, analyze, analyze_degree,
                                   euler_product, euler_smooth_mink,
                                   fano_index)
 from fanoscope.linalg import (LinalgError, hnf, lex_positive, primitive,
-                              saturate, snf)
+                              rank, saturate, snf)
 from fanoscope.minkowski import Summand, enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 gorenstein_index, identity24, lattice_length,
@@ -91,7 +109,7 @@ def in_file(read, name, text):
             path = os.path.join(tmp, name)
             with open(path, "w") as fh:
                 fh.write(text)
-            read(path)
+            return read(path)
     return call
 
 
@@ -148,6 +166,39 @@ def validate_pins():
             for key, (_, message) in malformed_slab_fixtures().items()}
 
 
+def cli_error(*argv):
+    """cli.main(argv)'s exit code and its one JSON error line."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, json.loads(err.getvalue())
+
+
+def database_ids(text):
+    with pytest.warns(UserWarning, match="database has 1 entries"):
+        return [ident for ident, _ in database(text)()]
+
+
+def fixture_in_working_directory():
+    """`load_fixture` of a bare file name that no bundled fixture has."""
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp)
+        with open("mine.json", "w") as fh:
+            fh.write('{"kind": "slabs"}')
+        return load_fixture("mine.json")
+
+
+def line_fan_verdicts(name, line, rays, rule):
+    return check_smooth_data(line_fan_data(bundled(name), line, rays, rule))
+
+
+def unparsable_pins():
+    return {f"fileio.data_from_fixture: {key}": (
+        partial(data_from_fixture, doc), ParseError, message)
+        for key, (doc, message) in unparsable_slab_fixtures().items()}
+
+
 def sections(normals, coeffs):
     return partial(polygon_of_sections, normals, coeffs)
 
@@ -155,6 +206,7 @@ def sections(normals, coeffs):
 # name -> (call, exception class, message)
 PINS = {
     **validate_pins(),
+    **unparsable_pins(),
     "degeneration.polygon_of_sections: empty": (
         sections([(0, 1), (-1, -1), (1, 0)], [0, -1, 0]),
         EmptyLinearSystem, "empty linear system"),
@@ -223,6 +275,12 @@ PINS = {
                               [{"meets": (0, 0), "value": 1}]),
         DegenerationError,
         "edge rule point (0, 0) is not a point of 3-space"),
+    "degeneration._rule_values: a rule point outside P*": (
+        lambda: line_fan_data(bundled("b3_cubic"), (0, 0, 1), RAYS,
+                              [{"meets": (0, 0, 1), "value": 3},
+                               {"meets": (50, 50, 50), "value": 7}]),
+        DegenerationError, "edge rule point (50, 50, 50) lies on no edge of "
+        "the polar polytope"),
     "degeneration.line_fan_data: exit through an edge": (
         lambda: line_fan_data(bundled("p3"), (1, 1, -1), RAYS, []),
         DegenerationError, "rho_plus: the ray leaves through a face of "
@@ -379,9 +437,6 @@ PINS = {
     "minkowski.Summand: a disk": (
         lambda: Summand("disk", ()), ValueError,
         "unknown summand kind 'disk'"),
-    "minkowski.Summand: a point with a vector": (
-        lambda: Summand("point", ((1, 0),)), ValueError,
-        "vectors ((1, 0),) do not make a point summand"),
     "minkowski.Summand: a segment of two vectors": (
         lambda: Summand("segment", ((1, 0), (0, 1))), ValueError,
         "vectors ((1, 0), (0, 1)) do not make a segment summand"),
@@ -483,15 +538,127 @@ PINS = {
         "the following arguments are required: command"),
 }
 
+P2_FAN = [(0, -1, -1), (0, 0, 1), (0, 1, 0)]  # P^2's fan mod (1, 0, 0)
+RATIONAL_END = ("violation: edge {} of P* has a rational end, so its Cayley "
+                "segment has no dual length")
+# the triangle (0, 0), (2, 1), (1, 2), of area 3
+AREA_3_WORD = [(2, 1), (-1, 1), (-1, -2)]
+
+# name -> (call, its result)
+REACHES = {
+    "cli._looks_like_fixture: cut-off JSON": (
+        in_file(cli._looks_like_fixture, "bad.json", '{"kind": '), False),
+    "cli.main: a letter for an index": (
+        lambda: cli_error("analyze", "p3", "--decomposition", "0,x"),
+        (2, {"error": "ParseError",
+             "message": "--decomposition index 'x' is not an integer"})),
+    "cli.main: b1's index-2 facet": (
+        lambda: cli_error("decompositions", "b1"),
+        (1, {"error": "DegenerationError",
+             "message": "no smooth Minkowski decomposition: facet of ray 0 "
+                        "is not divisible by its index 2"})),
+    # both rays rho+- leave P* through a facet
+    "degeneration.line_fan_data: p3 mod (-1, 0, 0)": (
+        lambda: [s.kind for s in line_fan_data(bundled("p3"), (-1, 0, 0),
+                                               P2_FAN, []).ray_summands],
+        ["point", "point"]),
+    "degeneration.check_compatibility: p3 with every label 0": (
+        lambda: check_compatibility(normal_fan_data(bundled("p3"), 0))[:2],
+        ["ray v0, slab E0: degree 1 != a/r = 0/1",
+         "ray v0, slab E1: degree 1 != a/r = 0/1"]),
+    # v2's facets dual to vertices 1-3 are Cayley triangles, each with one
+    # segment dual to an edge of P* with a rational end
+    "degeneration._d2_verdict: v2's rational dual edges": (
+        lambda: line_fan_verdicts("v2", (-1, -1, -1),
+                                  [(0, 0, 1), (0, 1, 0), (1, 0, 0)], []),
+        {0: "smooth", 1: RATIONAL_END.format(0), 2: RATIONAL_END.format(1),
+         3: RATIONAL_END.format(2)}),
+    # b3_cubic's polar vertex 1 lies on the line
+    "degeneration.check_smooth_data: b3_cubic's line fan": (
+        lambda: line_fan_verdicts("b3_cubic", (0, 0, 1), RAYS,
+                                  [{"meets": (0, 0, 1), "value": 3}]),
+        {0: "violation: |a(F1*) - a(F2*)| = 3 > 1", 1: "smooth",
+         2: "violation: |a(F1*) - a(F2*)| = 3 > 1",
+         3: "violation: |a(F1*) - a(F2*)| = 3 > 1"}),
+    "discriminant.max_triangulation: the unit square": (
+        lambda: max_triangulation(Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]))
+        .triangles, [(0, 2, 3), (0, 3, 1)]),
+    # b1's rho_minus is a point summand, on no slab
+    "discriminant.assemble_global: b1's point ray": (
+        lambda: assemble_global(fixture_data("b1")).census(), (6, 66, 22)),
+    "fileio.ingest_database: a title line and an end line": (
+        lambda: database_ids("reflexive 3-polytopes\n3 4 p3\n1 0 0 -1\n"
+                             "0 1 0 -1\n0 0 1 -1\nend\n"), [0]),
+    "fileio.load_fixture: a file in the working directory": (
+        fixture_in_working_directory, {"kind": "slabs"}),
+    # the zero row is never a pivot, so the third column has none
+    "linalg._echelon: a zero row": (
+        lambda: rank([[1, 0, 1], [0, 1, 1], [0, 0, 0]]), 2),
+    # no letter pairs off: -v is never in the word and no turn is unimodular
+    "minkowski.enumerate_smooth_decompositions: the area-3 triangle": (
+        lambda: enumerate_smooth_decompositions(AREA_3_WORD), []),
+    # the centre is on a line with each pair of opposite vertices
+    "polytope._hull3d_facets: the octahedron and its centre": (
+        lambda: len(LatticePolytope(list(bundled("octahedron").vertices)
+                                    + [(0, 0, 0)]).facets), 8),
+}
+
+
+def run(call):
+    """(what call raised, or None; the lines it ran; what it returned)."""
+    out = []
+    exc, ran = executed_lines(lambda: out.append(call()), MODULES)
+    return exc, ran, out[0] if out else None
+
 
 @pytest.fixture(scope="module")
 def runs():
-    return {key: executed_lines(call, MODULES)
-            for key, (call, _, _) in PINS.items()}
+    return {key: run(call) for key, (call, *_) in {**PINS, **REACHES}.items()}
 
 
 def raise_sites():
     return {(m.__name__, line) for m in MODULES for line in raise_lines(m)}
+
+
+def routine(key):
+    """The routine a pin is named for: its name up to the colon."""
+    return key.partition(":")[0]
+
+
+@cache
+def fallback_sites():
+    """{(module name, line): routine} for each `continue` statement and the
+    first statement of each `except` handler in the package; the routine is
+    the top-level function or `Class.method` that holds it, named as pins
+    are (the module alone for one outside every routine)."""
+    out = {}
+    for m in MODULES:
+        short = m.__name__.rpartition(".")[2]
+        tree = ast.parse(inspect.getsource(m))
+        routines = []
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                routines.append((node, node.name))
+            elif isinstance(node, ast.ClassDef):
+                routines += [(f, f"{node.name}.{f.name}") for f in node.body
+                             if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Continue):
+                line = node.lineno
+            elif isinstance(node, ast.ExceptHandler):
+                line = node.body[0].lineno
+            else:
+                continue
+            out[(m.__name__, line)] = next(
+                (f"{short}.{name}" for f, name in routines
+                 if f.lineno <= line <= f.end_lineno), short)
+    return out
+
+
+def named_runs(runs, name):
+    """The lines run under the pins named for routine `name`."""
+    return set().union(*(ran for key, (_, ran, _) in runs.items()
+                         if routine(key) == name))
 
 
 def test_no_module_holds_an_assert():
@@ -510,14 +677,42 @@ def test_modules_hold_the_whole_package():
          "invariants", "linalg", "minkowski", "polytope")}
 
 
+def test_audited_lines_hold_one_statement():
+    # `if x: continue` would run its line whether or not it continued, and
+    # `except E: pass` its line whenever an exception is matched against it
+    for m in MODULES:
+        tree = ast.parse(inspect.getsource(m))
+        starts = Counter(node.lineno for node in ast.walk(tree)
+                         if isinstance(node, (ast.stmt, ast.ExceptHandler)))
+        lines = raise_lines(m) | {line for (name, line) in fallback_sites()
+                                  if name == m.__name__}
+        assert sorted(line for line in lines if starts[line] > 1) == []
+
+
 @pytest.mark.parametrize("key", sorted(PINS))
 def test_pin_raises_its_exact_error(runs, key):
     _, cls, message = PINS[key]
-    exc, ran = runs[key]
+    exc, ran, _ = runs[key]
     assert type(exc) is cls and str(exc) == message
     assert ran & raise_sites()
 
 
 def test_every_raise_line_runs_under_a_pin(runs):
-    ran = set().union(*(lines for _, lines in runs.values()))
+    ran = set().union(*(lines for _, lines, _ in runs.values()))
     assert sorted(raise_sites() - ran) == []
+
+
+@pytest.mark.parametrize("key", sorted(REACHES))
+def test_reach_pin_returns_its_result(runs, key):
+    exc, ran, result = runs[key]
+    assert exc is None and result == REACHES[key][1]
+    # it runs a fallback of its routine that no other pin of it runs
+    others = named_runs({k: v for k, v in runs.items() if k != key},
+                        routine(key))
+    assert {site for site, name in fallback_sites().items()
+            if name == routine(key) and site in ran} - others
+
+
+def test_every_fallback_runs_under_a_pin_of_its_routine(runs):
+    assert sorted(site for site, name in fallback_sites().items()
+                  if site not in named_runs(runs, name)) == []

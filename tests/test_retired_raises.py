@@ -14,6 +14,14 @@ rank of a cell's edge functionals (`_cell_class_data`), the ring of
 facets around a vertex (`_dual_from_faces`) and the cycle of a facet's
 vertices (`_facet_cycle`).  The unimodular triangles of
 `max_triangulation` are also asserted in `tests/test_discriminant.py`.
+
+The fallbacks that no input reaches are gone the same way: `Sections`'
+corners always make a polygon, the enumerator yields no point summand
+(`build_system`, `Summand`, `_attach`), a vertical edge never empties a
+column of `Polygon._lattice_scan`, each Cayley segment of `_d2_verdict`
+has its dual edge, a degenerate section of `dual_graph` has no side or two
+of its length, and `check_smooth_data` finds every line fan's
+`notes["fan"]`.
 """
 
 import random
@@ -31,20 +39,22 @@ from test_minkowski import DILATED, decompose, smooth_sums
 from test_shared_geometry import SEEDS, image
 from test_slab_checks import bundled_slabs
 from fanoscope import degeneration, invariants
-from fanoscope.degeneration import (DegenerationError, _clip_halfplane,
+from fanoscope.degeneration import (DegenerationError, GeneralizedFan,
+                                    _along_line, _clip_halfplane,
                                     _exit_point, _plane_slice,
                                     _polygon_polar, _two_cone,
+                                    _two_cone_containing, check_smooth_data,
                                     decomposition_regimes, line_fan,
-                                    line_fan_data, ray_lattice)
+                                    line_fan_data, product_data, ray_lattice)
 from fanoscope.discriminant import _graph_piece, dual_graph, max_triangulation
-from fanoscope.fileio import bundled_polytopes
+from fanoscope.fileio import bundled_polytopes, data_from_fixture, load_fixture
 from fanoscope.gamma import build_system, gamma_dimension
 from fanoscope.invariants import _cell_class_data
 from fanoscope.linalg import clear_denominators, primitive, rank
 from fanoscope.minkowski import enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                _quotient, cross, dot, plane_basis,
-                                plane_coords, vsub)
+                                _quotient, cross, dot, lattice_length,
+                                plane_basis, plane_coords, vsub)
 
 NAMES = sorted(k for k in bundled_polytopes() if k != "polygons")
 
@@ -401,3 +411,201 @@ def test_facet_cycles_close_on_random_polytopes(points):
     except PolytopeError:  # flat
         return
     assert_facet_cycles(p)
+
+
+# ---------------------------------------------------------------------------
+# Sections: the points handed in are vertices of S, so three make a polygon
+
+
+@st.composite
+def section_systems(draw):
+    """(normals, coeffs): the ccw edge normals of a drawn polygon with
+    coefficients drawn for them."""
+    normals = [n for n, _ in draw(lattice_polygons(span=3)).edge_normals()]
+    coeffs = draw(st.lists(st.integers(-2, 4), min_size=len(normals),
+                           max_size=len(normals)))
+    return normals, coeffs
+
+
+def assert_points_are_vertices(sec):
+    assert sec.dim == min(len(sec.points), 3) - 1
+    if sec.dim == 2:
+        assert sorted(sec.polygon.vertices) == list(sec.points)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(section_systems())
+def test_section_corners_are_vertices_on_drawn_systems(system):
+    handed = []
+
+    class Spy(degeneration.Sections):
+        def __init__(self, points, *args):
+            handed.append(points)
+            super().__init__(points, *args)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(degeneration, "Sections", Spy)
+        try:
+            degeneration.polygon_of_sections(*system)
+        except DegenerationError:  # empty, not nef or not Cartier
+            pass
+    for points in handed:
+        assert_points_are_vertices(degeneration.Sections(points))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_section_corners_are_vertices_on_bundled_slabs(seed):
+    for slab in bundled_slabs(seed):
+        assert_points_are_vertices(slab.sections)
+
+
+# ---------------------------------------------------------------------------
+# the enumerator yields no point summand, so every ray summand of a normal
+# fan lies on slabs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.one_of(DILATED, smooth_sums()))
+def test_no_decomposition_of_a_random_polygon_holds_a_point(poly):
+    for deco in enumerate_smooth_decompositions(poly.edge_vector_multiset()):
+        assert {s.kind for s in deco} <= {"segment", "triangle"}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_normal_fan_ray_summands_lie_on_slabs(seed):
+    for data in normal_fan_routes(seed):
+        for rs in data.ray_summands:
+            assert rs.kind == rs.summand.kind in ("segment", "triangle")
+            assert len(rs.slabs) == {"segment": 2, "triangle": 3}[rs.kind]
+
+
+# ---------------------------------------------------------------------------
+# Polygon._lattice_scan: a vertical edge never empties a scanned column
+
+
+def brute_points(poly):
+    """(lattice points, interior count) of poly, by testing every point of
+    its bounding box against its edge inequalities."""
+    xs, ys = zip(*poly.vertices)
+    pts, interior = [], 0
+    for x in range(min(xs), max(xs) + 1):
+        for y in range(min(ys), max(ys) + 1):
+            gaps = [n[0] * x + n[1] * y - c for n, c in poly.edge_normals()]
+            if min(gaps) >= 0:
+                pts.append((x, y))
+                interior += min(gaps) > 0
+    return pts, interior
+
+
+def assert_scan(poly):
+    xs = [v[0] for v in poly.vertices]
+    for (n0, n1), c in poly.edge_normals():
+        if n1 == 0:
+            assert all(c - n0 * x <= 0 for x in range(min(xs), max(xs) + 1))
+    pts, interior = brute_points(poly)
+    assert poly.lattice_points() == pts
+    assert poly.point_counts() == (len(pts), interior, len(pts) - interior)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(lattice_polygons(span=3))
+def test_scan_matches_the_bounding_box_on_random_polygons(poly):
+    assert_scan(poly)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_scan_matches_the_bounding_box_on_section_polygons(seed):
+    slabs = bundled_slabs(seed)
+    polys = {s.sections.polygon for s in slabs if s.sections.dim == 2}
+    polys |= {s.polygon for s in slabs if s.polygon.is_integral}
+    assert any(n1 == 0 for poly in polys for (_, n1), _ in poly.edge_normals())
+    for poly in polys:
+        assert_scan(poly)
+
+
+# ---------------------------------------------------------------------------
+# line fans: each keeps its fan, and each Cayley segment has a dual edge
+
+
+def line_fan_datas(seed):
+    """Degeneration data of the line fans of `complete_fans` on the Fano
+    images that build, with the products and the b3_cubic fixture."""
+    rng = random.Random(f"line fan data {seed}")
+    out = []
+    for p in fano_images(seed):
+        for d, rays in complete_fans(p, rng):
+            try:
+                out.append(line_fan_data(p, d, rays, []))
+            except DegenerationError:  # an exit that no decomposition fits
+                pass
+    for name in bundled_polytopes()["polygons"]:
+        q = bundled_polygon(name)
+        if seed is not None:
+            m = random_unimodular2(random.Random(seed))
+            q = Polygon([tuple(mat_vec(m, list(v))) for v in q.vertices])
+        out.append(product_data(q))
+    if seed is None:
+        out.append(data_from_fixture(load_fixture("b3_cubic")))
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_line_fan_data_keeps_its_fan(seed):
+    datas = line_fan_datas(seed)
+    assert len(datas) >= 40
+    for data in datas:
+        fan = data.notes["fan"]
+        assert data.kind in ("line_fan", "product")
+        assert isinstance(fan, GeneralizedFan)
+        assert check_smooth_data(data).keys() == set(range(
+            len(data.dual.vertices)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cayley_segments_are_edges_dual_to_edges_of_the_polar(seed):
+    segments = 0
+    for data in line_fan_datas(seed):
+        p, dual, fan = data.polytope, data.dual, data.notes["fan"]
+        dual_edges = {e.facet_ids for e in dual.edges}
+        two_cones = [_two_cone(fan.direction, w) for w in fan.rays2d]
+        for vert, f in zip(dual.vertices, p.facets):
+            t_dir = _two_cone_containing(two_cones, vert)
+            if t_dir is None or _along_line(vert, fan.direction):
+                continue
+            groups = {}
+            for vid in f.cycle:
+                groups.setdefault(cross(p.vertices[vid], t_dir),
+                                  []).append(vid)
+            if len(groups) != 2 or any(len(g) > 2 for g in groups.values()):
+                continue
+            k = len(f.cycle)
+            for g in groups.values():
+                if len(g) == 2:
+                    i, j = sorted(map(f.cycle.index, g))
+                    assert j - i in (1, k - 1)  # an edge of the facet
+                    assert frozenset(g) in dual_edges
+                    segments += 1
+        check_smooth_data(data)
+    assert segments >= 10
+
+
+# ---------------------------------------------------------------------------
+# dual_graph: a degenerate section has no side, or two of its length
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_degenerate_sections_have_two_sides_of_their_length(seed):
+    found = 0
+    for slab in bundled_slabs(seed):
+        sec = slab.sections
+        if sec.dim == 2:
+            continue
+        sides = [s for s in slab.spans if s]
+        if sec.dim == 0:
+            assert sides == []
+        else:
+            ell = lattice_length(sec.points[0], sec.points[-1])
+            assert ell > 0 and sides == [ell, ell]
+        graph, _ = dual_graph(slab)
+        assert len(graph.edges) == sum(sides) // 2
+        found += 1
+    assert found >= 18
