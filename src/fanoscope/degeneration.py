@@ -10,10 +10,9 @@ from __future__ import annotations
 import copy
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
-from .linalg import (clear_denominators, det, lex_positive, primitive,
-                     saturate)
+from .linalg import clear_denominators, det, lex_positive, primitive
 from .minkowski import Summand, enumerate_smooth_decompositions
 from .polytope import (LatticePolytope, Polygon, PolytopeError, cross, dot,
                        face_length, is_integral, lattice_length,
@@ -322,26 +321,20 @@ def _two_cone(dirv, w):
 
 
 def ray_lattice(dir3):
-    """Basis of W = ann(primitive direction) in the opposite lattice, plus
-    the W-coordinate map; deterministic.  Directions u and -u give the same
-    kernel rows (each entry is d or -d u_c / u_p, even in u), so the same
-    basis: `_ray_decompositions` computes it once per line.  The two rows
-    put d != 0 in different free columns, so they are independent and the
-    basis has two vectors."""
-    u = primitive(dir3)
-    # The kernel of the row u has one vector e_c - (u_c / u_p) e_p per free
-    # column c, p the first nonzero column; scaled by the least common
-    # denominator d of the u_c / u_p, it is d e_c - (d u_c / u_p) e_p.
-    p = next(i for i, x in enumerate(u) if x)
-    free = [c for c in range(len(u)) if c != p]
-    d = lcm(*(abs(u[p]) // gcd(u[c], u[p]) for c in free))
-    rows = []
-    for c in free:
-        row = [0] * len(u)
-        row[c] = d
-        row[p] = -u[c] * d // u[p]
-        rows.append(row)
-    return [tuple(b) for b in saturate(rows)]
+    """Basis (b0, b1) of W = ann(u) in the opposite lattice, u = (a, b, c)
+    the lex-positive primitive direction of dir3, so -dir3 gets the same
+    one.  With g = gcd(a, b) = a x + b y, it is (b/g, -a/g, 0) and
+    (c x, c y, -g), or e1, e2 when a = b = 0: both annihilate u, and
+    b0 x b1 = u is primitive, so they span all of W."""
+    a, b, c = lex_positive(primitive(dir3))
+    if a == b == 0:
+        return [(1, 0, 0), (0, 1, 0)]
+    # extended Euclid: g = a x + b y and r = a s + b t, down to r = 0
+    g, x, y, (r, s, t) = a, 1, 0, ((b, 0, 1) if b > 0 else (-b, 0, -1))
+    while r:
+        q = g // r
+        g, x, y, r, s, t = r, s, t, g - q * r, x - q * s, y - q * t
+    return [(b // g, -a // g, 0), (c * x, c * y, -g)]
 
 
 def _ray_word(p: LatticePolytope, f, w_basis, ray):
@@ -534,20 +527,17 @@ def method1_data(p: LatticePolytope, choice=None, name="") -> DegenerationData:
     return normal_fan_data(p, None, choice, name or "method-1 data")
 
 
-def _ray_decompositions(p: LatticePolytope):
+def _ray_decompositions(p: LatticePolytope, vids=None):
     """For each ray, in P*'s vertex order, which is the order of P's
-    facets (`LatticePolytope`): its `ray_lattice` basis and the smooth
-    Minkowski decompositions of its facet divided by r, read off its edge
-    word (`_ray_word`, which raises where r does not divide).  Within this
-    call, rays with equal words share one enumeration and opposite facets
-    one `ray_lattice` basis."""
+    facets (`LatticePolytope`), or for the rays vids: its `ray_lattice`
+    basis and the smooth Minkowski decompositions of its facet divided by
+    r, read off its edge word (`_ray_word`, which raises where r does not
+    divide).  Within this call, rays with equal words share one
+    enumeration."""
     found = {}  # edge word -> its decompositions
-    lattices = {}  # facet normal up to sign -> its ray_lattice basis
-    for vid, f in enumerate(p.facets):
-        line = lex_positive(f.normal)
-        if line not in lattices:
-            lattices[line] = ray_lattice(f.dual)
-        w_basis = lattices[line]
+    for vid in range(len(p.facets)) if vids is None else vids:
+        f = p.facets[vid]
+        w_basis = ray_lattice(f.normal)
         word = _ray_word(p, f, w_basis, vid)
         if word not in found:
             found[word] = enumerate_smooth_decompositions(word)
@@ -567,13 +557,9 @@ def decomposition_regimes(p: LatticePolytope):
 
 def facet_regime(p: LatticePolytope, vid: int):
     """Entry vid of `decomposition_regimes(p)`, read off P's facet vid
-    alone, so another facet's refusal does not refuse it.  Opposite rays
-    share one `ray_lattice` basis, so facet vid's own is the one that
-    `_ray_decompositions` uses."""
+    alone, so another facet's refusal does not refuse it."""
     _check_decomposable(p)
-    f = p.facets[vid]
-    return enumerate_smooth_decompositions(
-        _ray_word(p, f, ray_lattice(f.dual), vid))
+    return next(_ray_decompositions(p, [vid]))[1]
 
 
 def _check_decomposable(p: LatticePolytope):

@@ -255,6 +255,7 @@ def _slab_fixture(doc, name, p):
         slabs.append(Slab.shared(built, spec["name"], poly, tuple(coeffs),
                                  tuple(roles)))
     summands = []
+    names = [slab.name for slab in slabs]
     rays = _typed(doc.get("rays", {}), dict, "slab fixture rays")
     for ray, entries in rays.items():
         for ent in _typed(entries, list, f"ray {ray}"):
@@ -262,8 +263,18 @@ def _slab_fixture(doc, name, p):
             cnt = _typed(ent.get("count", 1), int, f"ray {ray} entry count")
             on = tuple(_typed(ent.get("slabs", []), list,
                               f"ray {ray} entry slabs"))
+            kind = ent["kind"]
+            if kind not in ("point", "segment", "triangle"):
+                raise ParseError(f"ray {ray} entry kind must be point, "
+                                 f"segment or triangle, not {kind!r}")
+            need = {"point": 0, "segment": 2, "triangle": 3}[kind]
+            if len(on) != need or any(s not in names or on.count(s) > 1
+                                      for s in on):
+                raise ParseError(f"ray {ray} entry slabs must be {need} "
+                                 f"distinct slabs of the fixture for a "
+                                 f"{kind}, not {list(on)}")
             for _ in range(cnt):
-                summands.append(RaySummand(ray, ent["kind"], on))
+                summands.append(RaySummand(ray, kind, on))
     data = DegenerationData(name=name, kind="slabs", slabs=slabs,
                             ray_summands=summands, polytope=p,
                             dual=p.polar_dual() if p else None)

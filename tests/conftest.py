@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from fanoscope.degeneration import DegenerationError
 from fanoscope.fileio import bundled_polytopes, load_fixture
-from fanoscope.linalg import lex_positive
+from fanoscope.linalg import kernel_basis, lex_positive, primitive, saturate
 from fanoscope.minkowski import Summand
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 _quotient, cross, dot, embed_polygon,
@@ -222,10 +222,10 @@ def malformed_slab_fixtures():
     # P112a's two ray edges swapped: the total still matches 3p, but R1
     # meets a span-2 edge with 4 attachments
     docs["edge_span"]["slabs"][1]["roles"] = {"0": "ray:R3", "2": "ray:R1"}
-    # R2's triangles leave P2, whose R2 edge becomes a spine, or the edge
-    # of a ray with no summands
+    # R2's triangles leave P2 for F1, and P2's R2 edge becomes a spine, or
+    # the edge of a ray with no summands
     for key, role in (("spine", "spine"), ("unattached", "ray:R5")):
-        docs[key]["rays"]["R2"][0]["slabs"] = ["P112b", "SQb"]
+        docs[key]["rays"]["R2"][0]["slabs"] = ["P112b", "SQb", "F1"]
         docs[key]["slabs"][0]["roles"]["2"] = role
     return {key: (docs[key], messages[key]) for key in messages}
 
@@ -267,6 +267,24 @@ def unparsable_slab_fixtures():
                            "a JSON integer, not 1.5"),
         "count_text": (entry(count="four"), "ray R1 entry count must be a "
                        "JSON integer, not 'four'"),
+        "entry_kind": (entry(kind="disk"), "ray R1 entry kind must be "
+                       "point, segment or triangle, not 'disk'"),
+        "entry_unknown_slab": (entry(slabs=["NOPE", "P2", "SQa"]),
+                               "ray R1 entry slabs must be 3 distinct slabs "
+                               "of the fixture for a triangle, not "
+                               "['NOPE', 'P2', 'SQa']"),
+        "entry_segment_on_three": (entry(kind="segment"),
+                                   "ray R1 entry slabs must be 2 distinct "
+                                   "slabs of the fixture for a segment, not "
+                                   "['P2', 'P112a', 'SQa']"),
+        "entry_point_on_slabs": (entry(kind="point"),
+                                 "ray R1 entry slabs must be 0 distinct "
+                                 "slabs of the fixture for a point, not "
+                                 "['P2', 'P112a', 'SQa']"),
+        "entry_repeated_slab": (entry(slabs=["P2", "P2", "SQa"]),
+                                "ray R1 entry slabs must be 3 distinct "
+                                "slabs of the fixture for a triangle, not "
+                                "['P2', 'P2', 'SQa']"),
         "vertex_count": (lambda d: d.update(vertex_count="x"),
                          "fixture vertex_count must be a JSON integer, "
                          "not 'x'"),
@@ -278,6 +296,20 @@ def unparsable_slab_fixtures():
         change(doc)
         out[key] = (doc, message)
     return out
+
+
+# the kernel-rows route that `ray_lattice` took before its closed form,
+# the reference basis of the ray-order property test
+def ref_ray_lattice(dir3):
+    u = primitive(dir3)
+    ker = kernel_basis([list(u)])
+    denom = 1
+    for v in ker:
+        for x in v:
+            denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
+    rows = [[int(Fraction(x) * denom) for x in v] for v in ker]
+    basis = saturate(rows)
+    return [tuple(b) for b in basis]
 
 
 def random_unimodular3(rng: random.Random):

@@ -251,22 +251,25 @@ def test_hull_facets_match_generic_triple_scan(p, den):
     assert sorted(got) == sorted(generic_hull3d_facets(pts))
 
 
-def ref_ray_lattice(dir3):
-    u = primitive(dir3)
-    ker = kernel_basis([list(u)])
-    denom = 1
-    for v in ker:
-        for x in v:
-            denom = denom * Fraction(x).denominator // gcd(denom, Fraction(x).denominator)
-    rows = [[int(Fraction(x) * denom) for x in v] for v in ker]
-    basis = saturate(rows)
-    return [tuple(b) for b in basis]
+def assert_annihilator_basis(u, basis):
+    """basis is two integer vectors that annihilate u, with cross product
+    the lex-positive primitive u."""
+    assert len(basis) == 2
+    assert all(len(b) == 3 and all(type(x) is int for x in b) for b in basis)
+    assert not any(dot(b, u) for b in basis)
+    assert cross(*basis) == lex_positive(primitive(u))
 
 
-def test_ray_lattice_matches_kernel_route():
-    for v in product(range(-4, 5), repeat=3):
-        if any(v):
-            assert ray_lattice(v) == ref_ray_lattice(v)
+def test_ray_lattice_is_the_closed_form_basis_of_the_annihilator():
+    for u in product(range(-5, 6), repeat=3):
+        if any(u):
+            assert_annihilator_basis(u, ray_lattice(u))
+    for name in NAMES:
+        for seed in (None, 1, 2, 3):
+            for f in bundled_image(name, seed).facets:
+                assert_annihilator_basis(f.normal, ray_lattice(f.normal))
+                if f.dual is not None:
+                    assert_annihilator_basis(f.dual, ray_lattice(f.dual))
 
 
 def outcome(fn, *args):

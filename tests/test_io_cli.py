@@ -530,13 +530,16 @@ SLAB_OUT_OF_ORDER = {"kind": "slabs",
      "the lex-least vertex; canonical is [[0, 0], [1, 0], [0, 1]]"),
     ("verify24", "ragged.txt", "3 4\n1 0 0 -1\n0 1 0\n0 0 1 -1\n",
      "database block 0 is ragged"),
-    *[("analyze", f"mm2_2_{key}.json", json.dumps(doc), message)
+    *[(command, f"mm2_2_{key}.json", json.dumps(doc), message)
+      for command in ("analyze", "discriminant")
       for key, (doc, message) in unparsable_slab_fixtures().items()]])
 def test_cli_malformed_input_exits_2(tmp_path, command, file, text, message):
     path = tmp_path / file
     path.write_text(text)
     argv = {"analyze": ("analyze", str(path)),
             "fixture": ("analyze", str(path), "--fixture"),
+            "discriminant": ("discriminant", str(path), "--svg",
+                             str(tmp_path / "svg")),
             "verify24": ("verify24", "--db", str(path))}[command]
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""

@@ -237,7 +237,7 @@ PINS = {
                               [(-1, -1, 0), (-1, 0, -1), (1, -1, 0)], []),
         DegenerationError,
         "unmatched summand direction: Summand(kind='triangle', "
-        "vectors=((-1, 1), (0, -1), (1, 0))) met ['S0', 'S1']"),
+        "vectors=((-1, 0), (0, -1), (1, 1))) met ['S0', 'S1']"),
     "degeneration._check_keys: choice off the dual": (
         lambda: normal_fan_data(bundled("p3"), None, {9: 0}),
         DegenerationError,

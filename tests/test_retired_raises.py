@@ -69,7 +69,7 @@ def fano_images(seed):
 
 
 # ---------------------------------------------------------------------------
-# ray_lattice: two independent kernel rows, so a plane
+# ray_lattice: two vectors of the plane ann(u), with cross product +-u
 
 
 def assert_plane_basis(u, basis):

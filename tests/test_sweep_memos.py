@@ -1,46 +1,61 @@
-"""The sweep path's ray pass: one `ray_lattice` basis per facet line, one
-vertex list per summand in `match_summand_slabs`, and hull planes dropped
-at their first point on the far side.
+"""The sweep path's ray pass: one closed-form `ray_lattice` basis per
+facet, one vertex list per summand in `match_summand_slabs`, and hull
+planes dropped at their first point on the far side.
 
-`_ray_decompositions` shares a basis between opposite facets because
-`ray_lattice(u) == ray_lattice(-u)`; that is checked here on every
-primitive direction of a box and on the facets of seeded GL(3,Z) images.
-`ref_hull3d_facets` (conftest) is the routine as it was.  The count guards
-fail if the memo or the hoist stops saving calls, or if the memo outlives
-one call; another fails if the enumerator builds more than one `Summand`
+`ray_lattice(u) == ray_lattice(-u)` is checked here on every primitive
+direction of a box and on the facets of seeded GL(3,Z) images.  A spy
+fails if the ray pass or `identity24` reaches the Smith or Hermite forms.
+Two property tests pin what a `--decomposition` index names: each ray's
+list, read in 3-space, is the list under the kernel-rows basis
+`ref_ray_lattice` (conftest) on the bundled polytopes, the `sweep` bases
+and their images, and decompositions of one length, which none of those
+has, are in the order of their summands in `ray_lattice`'s coordinates.
+`ref_hull3d_facets` (conftest) is the routine as it was.  A count guard
+fails if `match_summand_slabs` builds more than one vertex list per
+summand; another fails if the enumerator builds more than one `Summand`
 per distinct summand of its result.
 """
 
+import json
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from math import gcd
+from pathlib import Path
 
 import pytest
 
 from conftest import (bundled, mat_vec, random_unimodular3,
-                      ref_hull3d_facets)
-from fanoscope import degeneration
+                      ref_hull3d_facets, ref_ray_lattice)
+from fanoscope import degeneration, linalg
 from fanoscope.degeneration import (DegenerationError, decomposition_regimes,
-                                    method1_data, ray_lattice)
+                                    facet_regime, method1_data, ray_lattice)
 from fanoscope.fileio import bundled_polytopes
 from fanoscope.linalg import clear_denominators, lex_positive
 from fanoscope.minkowski import Summand, enumerate_smooth_decompositions
-from fanoscope.polytope import LatticePolytope, PolytopeError, _hull3d_facets
+from fanoscope.polytope import (LatticePolytope, PolytopeError,
+                                _hull3d_facets, identity24)
 
 NAMES = sorted(k for k in bundled_polytopes() if k != "polygons")
 SEEDS = (None, 1, 2, 3)
+# the 20 reflexive bases of the benchmark's `sweep` corpus, read only
+SWEEP_BASES = Path(__file__).resolve().parents[1] / "bench" / "expected.json"
 
 
-def images(name):
-    """The bundled polytope and its images under the seeded GL(3,Z) maps."""
-    p = bundled(name)
+def seeded_images(p, seeds):
+    """p and its images under the GL(3,Z) maps of the given seeds."""
     out = [p]
-    for seed in SEEDS[1:]:
+    for seed in seeds:
         m = random_unimodular3(random.Random(seed))
         out.append(LatticePolytope([tuple(mat_vec(m, list(v)))
                                     for v in p.vertices]))
     return out
+
+
+def images(name):
+    """The bundled polytope and its images under the seeded GL(3,Z) maps."""
+    return seeded_images(bundled(name), SEEDS[1:])
 
 
 def neg(v):
@@ -64,6 +79,81 @@ def test_ray_lattice_is_even_on_facet_normals(name):
             want = ray_lattice(f.dual)
             assert ray_lattice(neg(f.dual)) == want
             assert ray_lattice(f.normal) == ray_lattice(neg(f.normal)) == want
+
+
+# ---------------------------------------------------------------------------
+# what a --decomposition index names
+
+
+def in_space(basis, deco):
+    """A decomposition read in 3-space through its ray's basis: each
+    segment as its vector up to sign, each triangle as the set of its edge
+    vectors up to sign."""
+    def lift(v):
+        return lex_positive(tuple(v[0] * a + v[1] * b
+                                  for a, b in zip(*basis)))
+    return sorted((s.kind, tuple(sorted(map(lift, s.vectors))))
+                  for s in deco)
+
+
+def ref_regime(p, vid):
+    """Facet vid's kernel-rows basis and its decompositions read in it."""
+    f = p.facets[vid]
+    basis = ref_ray_lattice(f.normal)
+    return basis, enumerate_smooth_decompositions(
+        degeneration._ray_word(p, f, basis, vid))
+
+
+def test_decomposition_order_matches_the_kernel_route():
+    # on the bundled polytopes, the `sweep` bases and 14 seeded GL(3,Z)
+    # images of each, every ray's list read in 3-space is the list under
+    # the kernel-rows basis, entry by entry, so a --decomposition index
+    # names what it named before the closed form.  No ray there has two
+    # decompositions of one length, so the order is the length order
+    bases = [bundled(name) for name in NAMES] + [
+        LatticePolytope(doc["vertices"]) for doc in
+        json.loads(SWEEP_BASES.read_text())["sweep_bases"].values()]
+    multi = 0
+    for p in [q for b in bases for q in seeded_images(b, range(1, 15))]:
+        try:
+            regimes = decomposition_regimes(p)
+        except DegenerationError:
+            assert not p.is_reflexive()  # b1: a facet not divisible by r
+            continue
+        for vid, decos in enumerate(regimes):
+            ref_basis, ref = ref_regime(p, vid)
+            basis = ray_lattice(p.facets[vid].normal)
+            assert [in_space(basis, d) for d in decos] == \
+                [in_space(ref_basis, d) for d in ref], (p.vertices, vid)
+            multi += len(decos) > 1
+    assert multi >= 50
+
+
+# a centrally symmetric octagon with two smooth decompositions into four
+# summands; the prism over it has it as two facets
+OCTAGON = ((-2, -2), (-1, -2), (1, -1), (2, 0), (2, 2), (1, 2), (-1, 1),
+           (-2, 0))
+
+
+def test_tied_decompositions_are_in_ray_coordinate_order():
+    # decompositions of one length are ordered by their summands in the
+    # coordinates of the ray's `ray_lattice` basis; their set per length is
+    # the kernel route's.  The prism's sides are not divisible by their
+    # index, so its octagons are read one facet at a time
+    prism = LatticePolytope([(x, y, z) for x, y in OCTAGON for z in (-1, 1)])
+    ties = 0
+    for p in seeded_images(prism, range(1, 15)):
+        for vid, f in enumerate(p.facets):
+            if -f.level != 1:
+                continue
+            decos = facet_regime(p, vid)
+            assert decos == sorted(decos, key=lambda d: (-len(d), d))
+            ref_basis, ref = ref_regime(p, vid)
+            basis = ray_lattice(f.normal)
+            assert sorted((len(d), in_space(basis, d)) for d in decos) == \
+                sorted((len(d), in_space(ref_basis, d)) for d in ref)
+            ties += any(len(a) == len(b) for a, b in zip(decos, decos[1:]))
+    assert ties == 30  # both octagons of the prism and of its 14 images
 
 
 # ---------------------------------------------------------------------------
@@ -128,16 +218,48 @@ def test_flat_input_is_not_full_dimensional():
 
 
 @pytest.fixture
-def calls(monkeypatch):
-    """Counts of `degeneration.saturate` and `Summand.polygon_vertices`
-    calls, and of `polygon_vertices` calls per `match_summand_slabs`."""
-    counts = {"saturate": 0, "vertices": 0, "per_match": []}
-    saturate, vertices = degeneration.saturate, Summand.polygon_vertices
-    match = degeneration.match_summand_slabs
+def smith_calls(monkeypatch):
+    """The names of the `linalg.saturate`, `hnf` and `snf` calls made,
+    under whatever name a package module binds them to."""
+    made = []
+    for name in ("saturate", "hnf", "snf"):
+        real = getattr(linalg, name)
 
-    def counted_saturate(rows):
-        counts["saturate"] += 1
-        return saturate(rows)
+        def spy(*args, real=real, name=name):
+            made.append(name)
+            return real(*args)
+
+        for module in list(sys.modules.values()):
+            if (getattr(module, "__name__", "").startswith("fanoscope")
+                    and getattr(module, name, None) is real):
+                monkeypatch.setattr(module, name, spy)
+    return made
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_ray_pass_reaches_no_smith_form(smith_calls, name):
+    for p in images(name):
+        try:
+            decomposition_regimes(p)
+        except DegenerationError:
+            assert name == "b1"
+        for vid in range(len(p.facets)):
+            try:
+                facet_regime(p, vid)
+            except DegenerationError:
+                assert name == "b1"
+        if p.is_reflexive():
+            identity24(p)
+    assert smith_calls == []
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of `Summand.polygon_vertices` calls, and of `polygon_vertices`
+    calls per `match_summand_slabs`."""
+    counts = {"vertices": 0, "per_match": []}
+    vertices = Summand.polygon_vertices
+    match = degeneration.match_summand_slabs
 
     def counted_vertices(self):
         counts["vertices"] += 1
@@ -149,27 +271,9 @@ def calls(monkeypatch):
         counts["per_match"].append(counts["vertices"] - before)
         return out
 
-    monkeypatch.setattr(degeneration, "saturate", counted_saturate)
     monkeypatch.setattr(Summand, "polygon_vertices", counted_vertices)
     monkeypatch.setattr(degeneration, "match_summand_slabs", counted_match)
     return counts
-
-
-@pytest.mark.parametrize("name", NAMES)
-def test_one_saturate_per_facet_line(calls, name):
-    for p in images(name):
-        lines = {lex_positive(f.normal) for f in p.facets}
-        # twice, so that a memo outliving one call would show
-        for _ in range(2):
-            calls["saturate"] = 0
-            try:
-                decomposition_regimes(p)
-            except DegenerationError:
-                # b1: a facet not divisible by its index stops the pass
-                assert name == "b1"
-                assert 0 < calls["saturate"] <= len(lines)
-                continue
-            assert calls["saturate"] == len(lines)
 
 
 @pytest.mark.parametrize("name", NAMES)
