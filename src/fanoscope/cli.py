@@ -18,8 +18,9 @@ import sys
 from fractions import Fraction
 
 from . import fileio
-from .degeneration import (DegenerationError, decomposition_regimes,
-                           facet_regime, method1_data, product_data)
+from .degeneration import (DegenerationData, DegenerationError,
+                           decomposition_regimes, facet_regime, method1_data,
+                           product_data)
 from .discriminant import assemble_global, export_json, render_svg
 from .fileio import ParseError
 from .gamma import GammaError, build_system, gamma_dimension
@@ -38,41 +39,22 @@ def _emit(obj):
     sys.stdout.write(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def _resolve_polytope(target: str, table: dict) -> LatticePolytope:
-    """A bundled polytope by name (`table` is the parsed `polytopes.json`)
-    or one read from a file path."""
-    if target in table:
-        return LatticePolytope(table[target]["vertices"])
-    _, _, p = fileio.parse_polytope(target)
-    return p
-
-
-def _resolve_data(target: str, decomposition=None, fixture=False,
-                  table=None):
-    """Degeneration data from a bundled name or a file path.
+def _resolve_data(target: str, decomposition=None):
+    """Degeneration data of what `fileio.read_target` finds for target.
 
     `decomposition` is None, 'auto', or comma-separated per-facet indices.
     A product polygon or a fixture has no decomposition choice: 'auto'
-    leaves it as it is, and indices are refused.  `table` is the parsed
-    `polytopes.json`, read here when not given.
+    leaves it as it is, and indices are refused.
     """
     indices = _decomposition_indices(decomposition)
-    if table is None:
-        table = fileio.bundled_polytopes()
-    fixed = None
-    if not fixture and target in table.get("polygons", {}):
-        fixed = product_data(Polygon(table["polygons"][target]), target)
-    elif (fixture or target in fileio.list_fixtures()
-          or _looks_like_fixture(target)):
-        fixed = fileio.data_from_fixture(fileio.load_fixture(target))
-    if fixed is not None:
+    found = fileio.read_target(target)
+    if isinstance(found, DegenerationData):
         if indices is not None:
             raise DegenerationError(
                 f"{target} has no decomposition choice: --decomposition "
                 "indices apply to a polytope only")
-        return [fixed]
-    p = _resolve_polytope(target, table)
-    name = target if target in table else os.path.basename(str(target))
+        return [found]
+    name, p = found
     if decomposition == "auto" and p.is_reflexive():
         counts = [len(r) for r in decomposition_regimes(p)]
         total = math.prod(counts)
@@ -100,28 +82,15 @@ def _decomposition_indices(decomposition):
     return tuple(idx)
 
 
-def _looks_like_fixture(target: str) -> bool:
-    """A JSON file holding an object with a "kind" key is a fixture; any
-    other file, unreadable JSON included, is left to `parse_polytope`."""
-    if not str(target).endswith(".json") or not os.path.exists(target):
-        return False
-    with open(target) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError:
-            return False
-    return isinstance(doc, dict) and "kind" in doc
-
-
 def cmd_analyze(args):
-    datas = _resolve_data(args.target, args.decomposition, args.fixture)
+    datas = _resolve_data(args.target, args.decomposition)
     reports = [analyze(d).to_dict() for d in datas]
     _emit(reports[0] if len(reports) == 1 else reports)
     return 0
 
 
 def cmd_decompositions(args):
-    p = _resolve_polytope(args.target, fileio.bundled_polytopes())
+    p = fileio.read_polytope(args.target)
     if args.facet is None:
         regimes = list(enumerate(decomposition_regimes(p)))
     elif 0 <= args.facet < len(p.facets):
@@ -195,7 +164,7 @@ def _reduced_basis(vectors):
 
 
 def cmd_discriminant(args):
-    datas = _resolve_data(args.target, args.decomposition, args.fixture)
+    datas = _resolve_data(args.target, args.decomposition)
     os.makedirs(args.svg, exist_ok=True)
     written = []
     for d in datas:
@@ -234,16 +203,12 @@ def _match_db_row(row, p: LatticePolytope):
 
 
 def cmd_table(args):
-    if args.manifest == "expected":
-        rows = fileio.expected_rows()
-    else:
-        with open(args.manifest) as fh:
-            rows = json.load(fh)["rows"]
+    rows = fileio.read_manifest(args.manifest)
     db_path = args.db or os.environ.get("FANOSCOPE_DB")
     db = {}
     if db_path:
         wanted = {r["palp"] for r in rows
-                  if r.get("method") == "db" and r.get("palp") is not None}
+                  if r.get("method", "db") == "db" and r["palp"] is not None}
         for i, p in fileio.ingest_database(db_path):
             if i in wanted:
                 db[i] = p
@@ -251,7 +216,7 @@ def cmd_table(args):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["Name", "PALP ID", "Degree", "p", "n", "chi", "Notes"])
     failures = []
-    bundled = fileio.bundled_polytopes()
+    polygons = fileio.bundled_polytopes()["polygons"]
     for row in rows:
         method = row.get("method", "db")
         expected = (row["degree"], row["p"], row["n"], row["chi"])
@@ -271,8 +236,10 @@ def cmd_table(args):
                     note = "ok"
         elif method.startswith(("fixture:", "product:")):
             kind, target = method.split(":", 1)
-            rep = analyze(_resolve_data(target, fixture=kind == "fixture",
-                                        table=bundled)[0])
+            rep = analyze(
+                fileio.data_from_fixture(fileio.load_fixture(target))
+                if kind == "fixture"
+                else product_data(Polygon(polygons[target]), target))
             if (rep.degree, rep.p, rep.n, rep.euler) == expected:
                 note = "ok (method 2)" if kind == "fixture" else "ok (product)"
             else:
@@ -320,8 +287,6 @@ def build_parser():
     a.add_argument("target")
     a.add_argument("--decomposition", default=None,
                    help="'auto', or comma-separated per-facet indices")
-    a.add_argument("--fixture", action="store_true",
-                   help="treat target as a degeneration fixture file")
     a.set_defaults(func=cmd_analyze)
 
     d = sub.add_parser("decompositions", help="smooth Minkowski "
@@ -345,7 +310,6 @@ def build_parser():
     s.add_argument("target")
     s.add_argument("--svg", required=True, help="output directory")
     s.add_argument("--decomposition", default=None)
-    s.add_argument("--fixture", action="store_true")
     s.set_defaults(func=cmd_discriminant)
 
     t = sub.add_parser("table", help="reproduce the expected-invariants table")

@@ -1,8 +1,10 @@
-"""Polytope files, the reflexive-polytope database, and bundled fixtures."""
+"""The input layer: command-line targets, polytope files, table manifests,
+the reflexive-polytope database, and bundled fixtures."""
 
 from __future__ import annotations
 
 import json
+import os
 import warnings
 from importlib import resources
 
@@ -22,24 +24,67 @@ def _fixture_dir():
     return resources.files("fanoscope") / "fixtures"
 
 
-def parse_polytope(path_or_text, name=None):
-    """Read a polytope from JSON {"name", "palp_id", "vertices"} or from a
-    whitespace matrix with an "r c" header.  Returns (name, palp_id, P)."""
-    text = path_or_text
-    if "\n" not in str(path_or_text) and not str(path_or_text).lstrip().startswith("{"):
-        with open(path_or_text) as fh:
-            text = fh.read()
-    text = text.strip()
-    if text.startswith("{"):
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad JSON polytope: {exc}") from exc
-        verts = doc.get("vertices")
-        if not verts:
+def read_target(target):
+    """What a command-line target names, tried in a fixed order: a bundled
+    product polygon, a bundled fixture, a bundled polytope.  Anything else
+    is a file, read and parsed once, and its content says what it is: a
+    JSON object with a "kind" key is a fixture, any other content a
+    polytope.  Returns the degeneration data of a polygon or a fixture,
+    whose decomposition is fixed, and (name, P) for a polytope."""
+    table = bundled_polytopes()
+    polygons = table.pop("polygons")
+    if target in polygons:
+        return product_data(Polygon(polygons[target]), target)
+    if target in list_fixtures():
+        return data_from_fixture(load_fixture(target))
+    if target in table:
+        return target, LatticePolytope(table[target]["vertices"])
+    with open(target) as fh:
+        text = fh.read()
+    doc = _json(text)
+    if isinstance(doc, dict) and "kind" in doc:
+        return data_from_fixture(doc)
+    return os.path.basename(target), _polytope(doc, text)[2]
+
+
+def read_polytope(target) -> LatticePolytope:
+    """The last two steps of `read_target`: a bundled polytope by name, or
+    the polytope a file holds (so a polygon or fixture name is a path)."""
+    table = bundled_polytopes()
+    del table["polygons"]
+    if target in table:
+        return LatticePolytope(table[target]["vertices"])
+    with open(target) as fh:
+        return parse_polytope(fh.read())[2]
+
+
+def parse_polytope(text):
+    """Read a polytope from JSON text {"name", "palp_id", "vertices"} or
+    from a whitespace matrix with an "r c" header.  Returns (name, palp_id,
+    P)."""
+    return _polytope(_json(text), text)
+
+
+def _json(text):
+    """The JSON document of text that opens with { or [; None for any
+    other text, which is a matrix."""
+    if not text.lstrip().startswith(("{", "[")):
+        return None
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad JSON polytope: {exc}") from exc
+
+
+def _polytope(doc, text):
+    """`parse_polytope` of a JSON document, or of matrix text when doc is
+    None."""
+    if doc is not None:
+        _require(doc, (), "polytope JSON")
+        if not doc.get("vertices"):
             raise ParseError("polytope JSON without vertices")
-        return (doc.get("name", name or "polytope"), doc.get("palp_id"),
-                _build(verts))
+        return (doc.get("name", "polytope"), doc.get("palp_id"),
+                _build(doc["vertices"], "polytope vertices"))
     lines = [ln for ln in text.splitlines() if ln.strip()]
     try:
         header = [int(x) for x in lines[0].split()[:2]]
@@ -51,8 +96,7 @@ def parse_polytope(path_or_text, name=None):
     r, c = header
     if len(rows) != r or any(len(row) != c for row in rows):
         raise ParseError(f"matrix body does not match header {r}x{c}")
-    verts = _orient(rows, r, c)
-    return (name or "polytope", None, _build(verts))
+    return "polytope", None, _build(_orient(rows, r, c), "matrix polytope")
 
 
 def _orient(rows, r, c):
@@ -63,11 +107,13 @@ def _orient(rows, r, c):
     raise ParseError("neither dimension is 3")
 
 
-def _build(verts):
+def _build(verts, where):
+    """The Fano polytope of verts, a list of 3-integer lists; a hull that
+    fails is a ParseError that names where."""
     try:
-        p = LatticePolytope(verts)
+        p = LatticePolytope(_points(verts, 3, where))
     except PolytopeError as exc:
-        raise ParseError(str(exc)) from exc
+        raise ParseError(f"{where}: {exc}") from exc
     if not p.is_fano():
         raise PolytopeError("not a Fano polytope: vertices must be primitive "
                             "with the origin strictly interior")
@@ -114,24 +160,9 @@ def ingest_database(path):
 # fixtures
 
 
-def load_fixture(name_or_path) -> dict:
-    text = None
-    name = str(name_or_path)
-    if name.endswith(".json") and "/" in name:
-        with open(name) as fh:
-            text = fh.read()
-    else:
-        base = name[:-5] if name.endswith(".json") else name
-        res = _fixture_dir() / f"{base}.json"
-        try:
-            text = res.read_text()
-        except FileNotFoundError:
-            with open(name_or_path) as fh:
-                text = fh.read()
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad fixture JSON: {exc}") from exc
+def load_fixture(name) -> dict:
+    """The JSON document of a bundled fixture, by name."""
+    return json.loads((_fixture_dir() / f"{name}.json").read_text())
 
 
 def list_fixtures():
@@ -162,39 +193,29 @@ def _require(doc, keys, where):
             raise ParseError(f"{where} without required key {key!r}")
 
 
-def _int_keyed(doc, key):
-    """doc[key], with the string keys of a JSON object read as indices."""
-    value = doc.get(key)
-    if not isinstance(value, dict):
-        return value
-    out = {}
-    for k, v in value.items():
-        try:
-            out[int(k)] = v
-        except ValueError:
-            raise ParseError(f"{key} key {k!r} is not an integer") from None
-    return out
-
-
 def data_from_fixture(doc: dict) -> DegenerationData:
     _require(doc, (), "fixture")
     kind = doc.get("kind")
-    if kind not in REQUIRED_KEYS:
+    if type(kind) is not str or kind not in REQUIRED_KEYS:
         raise ParseError(f"unknown fixture kind {kind!r}")
     unread = set(doc) - FIXTURE_KEYS
     if unread:
         raise ParseError(f"fixture key {min(unread)!r} is read by no kind")
-    name = doc.get("name", "fixture")
+    name = _typed(doc.get("name", "fixture"), str, "fixture name")
     _require(doc, REQUIRED_KEYS[kind], f"{kind} fixture")
-    p = LatticePolytope(doc["polytope"]) if doc.get("polytope") else None
+    p = None
+    if "polytope" in doc:
+        p = _build(doc["polytope"], "fixture polytope")
     if kind == "normal_fan":
-        data = normal_fan_data(p, _int_keyed(doc, "edge_values"),
-                               _int_keyed(doc, "choice"), name)
+        data = normal_fan_data(p, _values(doc, "edge_values", int),
+                               _values(doc, "choice", list), name)
     elif kind == "line_fan":
-        data = line_fan_data(p, doc["direction"], doc["rays2d"],
-                             doc.get("edge_data", []), name)
+        data = line_fan_data(p, _vector(doc["direction"], 3, "direction"),
+                             _points(doc["rays2d"], 3, "rays2d"),
+                             _rules(doc.get("edge_data", [])), name)
     elif kind == "product":
-        data = product_data(Polygon(doc["base_polygon"]), name)
+        data = product_data(Polygon(_points(doc["base_polygon"], 2,
+                                            "base_polygon")), name)
     else:
         data = _slab_fixture(doc, name, p)
     if doc.get("vertex_count") is not None:
@@ -224,36 +245,84 @@ def _typed(value, cls, where):
     return value
 
 
-def _per_edge(spec, key, where, k, default):
-    """A slab's k per-edge values: default, but where spec[key], an object
-    keyed by edge index, gives one."""
-    out = [default] * k
-    for idx, val in _typed(spec.get(key, {}), dict, f"{where}: {key}").items():
-        if idx not in map(str, range(k)):
-            raise ParseError(f"{where}: {key} key {idx!r} names no edge "
-                             f"0..{k - 1}")
-        out[int(idx)] = val
+def _vector(value, n, where, kinds=(int,)):
+    """value, refused unless it is a list of n JSON integers, or of n
+    numbers of the given kinds."""
+    if type(value) is not list or len(value) != n or any(
+            type(x) not in kinds for x in value):
+        what = "integers" if kinds == (int,) else "numbers"
+        raise ParseError(f"{where} must be a list of {n} {what}, not "
+                         f"{value!r}")
+    return value
+
+
+def _points(value, n, where):
+    """value, refused unless it is a list of n-integer lists."""
+    for point in _typed(value, list, where):
+        _vector(point, n, f"{where} entry")
+    return value
+
+
+def _rules(value):
+    """A line fan's edge_data: a list of {"meets": 3 numbers, "value": an
+    integer}."""
+    for i, rule in enumerate(_typed(value, list, "edge_data")):
+        _require(rule, ("meets", "value"), f"edge_data entry {i}")
+        _vector(rule["meets"], 3, f"edge_data entry {i} meets", (int, float))
+        _typed(rule["value"], int, f"edge_data entry {i} value")
+    return value
+
+
+def _values(doc, key, cls):
+    """doc[key] as `normal_fan_data` takes it: None when absent, a JSON
+    value of type cls (a list of integers for a list), or an object of
+    integers keyed by index."""
+    value = doc.get(key)
+    if type(value) is dict:
+        return _per_edge(value, key, int)
+    if value is not None and (type(value) is not cls or cls is list and any(
+            type(x) is not int for x in value)):
+        raise ParseError(f"{key} must be a JSON {JSON_TYPES[cls]} or object "
+                         f"of integers, not {value!r}")
+    return value
+
+
+def _per_edge(value, where, cls, k=None):
+    """A JSON object keyed by index, read as {index: value} with each value
+    of JSON type cls; given k, each key must name one of k edges."""
+    out = {}
+    for key, val in _typed(value, dict, where).items():
+        try:
+            idx = int(key)
+        except ValueError:
+            raise ParseError(f"{where} key {key!r} is not an "
+                             "integer") from None
+        if k is not None and not 0 <= idx < k:
+            raise ParseError(f"{where} key {key!r} names no edge 0..{k - 1}")
+        out[idx] = _typed(val, cls, f"{where}[{key!r}]")
     return out
 
 
 def _slab_fixture(doc, name, p):
     slabs = []
     built = {}  # (polygon, coeffs) -> its first slab, within this fixture
-    for i, spec in enumerate(doc["slabs"]):
+    specs = _typed(doc["slabs"], list, "slab fixture slabs")
+    for i, spec in enumerate(specs):
         _require(spec, ("name", "polygon"), f"slab {i}")
-        poly = Polygon(spec["polygon"])
-        if [list(v) for v in poly.vertices] != [list(v) for v in spec["polygon"]]:
+        where = f"slab {_typed(spec['name'], str, f'slab {i} name')}"
+        poly = Polygon(_points(spec["polygon"], 2, f"{where}: polygon"))
+        if [list(v) for v in poly.vertices] != spec["polygon"]:
             raise ParseError(
-                f"slab {spec['name']}: polygon must be listed in canonical "
-                f"ccw order starting at the lex-least vertex; canonical is "
+                f"{where}: polygon must be listed in canonical ccw order "
+                f"starting at the lex-least vertex; canonical is "
                 f"{[list(v) for v in poly.vertices]}")
-        k, where = len(poly.vertices), f"slab {spec['name']}"
-        coeffs = [_typed(c, int, f"{where}: coeff")
-                  for c in _per_edge(spec, "coeffs", where, k, 0)]
-        roles = [_typed(r, str, f"{where}: role")
-                 for r in _per_edge(spec, "roles", where, k, "boundary")]
-        slabs.append(Slab.shared(built, spec["name"], poly, tuple(coeffs),
-                                 tuple(roles)))
+        k = len(poly.vertices)
+        coeffs = _per_edge(spec.get("coeffs", {}), f"{where}: coeffs", int, k)
+        roles = _per_edge(spec.get("roles", {}), f"{where}: roles", str, k)
+        slabs.append(Slab.shared(
+            built, spec["name"], poly,
+            tuple(coeffs.get(j, 0) for j in range(k)),
+            tuple(roles.get(j, "boundary") for j in range(k))))
     summands = []
     names = [slab.name for slab in slabs]
     rays = _typed(doc.get("rays", {}), dict, "slab fixture rays")
@@ -289,3 +358,34 @@ def expected_rows():
 
 def bundled_polytopes() -> dict:
     return json.loads((_fixture_dir() / "polytopes.json").read_text())
+
+
+# the keys every table manifest row holds, with their JSON types
+ROW_KEYS = {"name": str, "degree": int, "p": int, "n": int, "chi": int}
+
+
+def read_manifest(target):
+    """The rows of a table manifest: the bundled table for "expected", else
+    a JSON file {"rows": [...]}.  A row holds ROW_KEYS and a "palp" id (an
+    integer or null), and may hold a string "method"; a "fixture:<name>" or
+    "product:<name>" method names a bundled fixture or polygon."""
+    if target == "expected":
+        return expected_rows()
+    with open(target) as fh:
+        doc = json.load(fh)
+    _require(doc, ("rows",), "manifest")
+    names = {"fixture": list_fixtures(),
+             "product": bundled_polytopes()["polygons"]}
+    for i, row in enumerate(_typed(doc["rows"], list, "manifest rows")):
+        where = f"manifest row {i}"
+        _require(row, (*ROW_KEYS, "palp"), where)
+        for key, cls in ROW_KEYS.items():
+            _typed(row[key], cls, f"{where} {key}")
+        if row["palp"] is not None:
+            _typed(row["palp"], int, f"{where} palp")
+        kind, colon, name = _typed(row.get("method", "db"), str,
+                                   f"{where} method").partition(":")
+        if colon and kind in names and name not in names[kind]:
+            raise ParseError(f"{where} method names no bundled {kind} "
+                             f"{name!r}")
+    return doc["rows"]

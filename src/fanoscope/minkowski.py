@@ -3,9 +3,9 @@
 A decomposition is smooth when every summand is a standard simplex: a
 primitive segment or a triangle of normalized area one.  Summands are
 encoded by their ccw edge-vector multisets and enumerated by exhaustive
-backtracking over the polygon's boundary word: `Polygon.edge_vector_multiset`
-reads it off a polygon, and `degeneration._ray_word` off a facet of a
-3-polytope with no polygon built.
+backtracking over the polygon's boundary word, each edge giving its lattice
+length of copies of its primitive direction: `degeneration._ray_word` reads
+it off a facet of a 3-polytope with no polygon built.
 """
 
 from __future__ import annotations

@@ -168,16 +168,6 @@ class Polygon:
         """(total, interior, boundary) lattice point counts."""
         return self._lattice_scan()[1]
 
-    def edge_vector_multiset(self):
-        """Boundary word, sorted: each edge contributes its lattice length
-        of copies of its primitive direction; the multiset sums to zero
-        and is what `enumerate_smooth_decompositions` takes."""
-        out = []
-        for a, b in self.edges():
-            length = lattice_length(a, b)
-            out.extend([tuple(x // length for x in vsub(b, a))] * length)
-        return sorted(out)
-
 
 def _hull2d(points):
     pts = sorted(set(points))

@@ -19,7 +19,7 @@ from fanoscope.linalg import kernel_basis, lex_positive, primitive, saturate
 from fanoscope.minkowski import Summand
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 _quotient, cross, dot, embed_polygon,
-                                plane_coords, vadd, vsub)
+                                lattice_length, plane_coords, vadd, vsub)
 
 
 def db_path():
@@ -253,9 +253,10 @@ def unparsable_slab_fixtures():
         "roles_list": (slab(roles=["ray:R1"]), "slab P2: roles must be a "
                        "JSON object, not ['ray:R1']"),
         "role_number": (edge("roles", "0", 5),
-                        "slab P2: role must be a JSON string, not 5"),
+                        "slab P2: roles['0'] must be a JSON string, not 5"),
         "coeffs_value": (edge("coeffs", "1", "4"),
-                         "slab P2: coeff must be a JSON integer, not '4'"),
+                         "slab P2: coeffs['1'] must be a JSON integer, not "
+                         "'4'"),
         "rays_list": (lambda d: d.update(rays=[]),
                       "slab fixture rays must be a JSON object, not []"),
         "entries_object": (lambda d: d["rays"].update(R1={"kind": "point"}),
@@ -296,6 +297,124 @@ def unparsable_slab_fixtures():
         change(doc)
         out[key] = (doc, message)
     return out
+
+
+def mistyped_fixtures():
+    """id -> (a bundled fixture with one value of the wrong JSON type, the
+    message of the `ParseError` that refuses it, naming the key)."""
+    values = "edge_values must be a JSON integer or object of integers, not "
+    choices = "choice must be a JSON list or object of integers, not "
+    changes = {
+        "edge_values_list": ("v2", {"edge_values": [6, 6, 6]},
+                             values + "[6, 6, 6]"),
+        "edge_values_text": ("v2", {"edge_values": "6"},
+                             values + "'6'"),
+        "edge_values_fraction": ("v2", {"edge_values": 6.5},
+                                 values + "6.5"),
+        "edge_values_true": ("v2", {"edge_values": True},
+                             values + "True"),
+        "edge_value_text": ("v2", {"edge_values": {"0": "6"}},
+                            "edge_values['0'] must be a JSON integer, not "
+                            "'6'"),
+        "choice_number": ("v2", {"choice": 5}, choices + "5"),
+        "choice_text": ("v2", {"choice": "0000"}, choices + "'0000'"),
+        "choice_entry_text": ("v2", {"choice": ["0", 0, 0, 0]},
+                              choices + "['0', 0, 0, 0]"),
+        "choice_value_text": ("v2", {"choice": {"0": "1"}},
+                              "choice['0'] must be a JSON integer, not '1'"),
+        "polytope_empty": ("v2", {"polytope": []},
+                           "fixture polytope: expected 3-space points"),
+        "polytope_point": ("v2", {"polytope": [[1, 0, 0], 5]},
+                           "fixture polytope entry must be a list of 3 "
+                           "integers, not 5"),
+        "kind_list": ("mm2_2", {"kind": ["slabs"]},
+                      "unknown fixture kind ['slabs']"),
+        "name_number": ("mm2_2", {"name": 5},
+                        "fixture name must be a JSON string, not 5"),
+        "slabs_object": ("mm2_2", {"slabs": {}},
+                         "slab fixture slabs must be a JSON list, not {}"),
+        "slab_name_list": ("mm2_2", {"slabs": [{"name": [],
+                                                 "polygon": [[0, 0], [1, 0],
+                                                             [0, 1]]}]},
+                           "slab 0 name must be a JSON string, not []"),
+        "slab_polygon_text": ("mm2_2", {"slabs": [{"name": "S",
+                                                    "polygon": "abc"}]},
+                              "slab S: polygon must be a JSON list, not "
+                              "'abc'"),
+        "direction_letter": ("b3_cubic", {"direction": "z"},
+                             "direction must be a list of 3 integers, not "
+                             "'z'"),
+        "direction_plane": ("b3_cubic", {"direction": [0, 1]},
+                            "direction must be a list of 3 integers, not "
+                            "[0, 1]"),
+        "rays2d_number": ("b3_cubic", {"rays2d": 3},
+                          "rays2d must be a JSON list, not 3"),
+        "edge_data_object": ("b3_cubic",
+                             {"edge_data": {"meets": [0, 0, 1], "value": 3}},
+                             "edge_data must be a JSON list, not {'meets': "
+                             "[0, 0, 1], 'value': 3}"),
+        "edge_data_without_meets": ("b3_cubic", {"edge_data": [{"value": 3}]},
+                                    "edge_data entry 0 without required key "
+                                    "'meets'"),
+        "meets_true": ("b3_cubic", {"edge_data": [{"meets": [0, 0, True],
+                                                    "value": 3}]},
+                       "edge_data entry 0 meets must be a list of 3 "
+                       "numbers, not [0, 0, True]"),
+        "edge_data_value": ("b3_cubic", {"edge_data": [{"meets": [0, 0, 1],
+                                                         "value": "3"}]},
+                            "edge_data entry 0 value must be a JSON integer, "
+                            "not '3'")}
+    out = {}
+    for key, (name, change, message) in changes.items():
+        out[key] = ({**load_fixture(name), **change}, message)
+    out["base_polygon_3d"] = (
+        {"kind": "product", "base_polygon": [[1, 0, 0], [0, 1, 0]]},
+        "base_polygon entry must be a list of 2 integers, not [1, 0, 0]")
+    return out
+
+
+# id -> (the text of a polytope file, the message of the `ParseError` that
+# refuses it, naming the key)
+MISTYPED_POLYTOPES = {
+    "vertices_number": ('{"vertices": 5}',
+                        "polytope vertices must be a JSON list, not 5"),
+    "vertices_text": ('{"vertices": "abc"}',
+                      "polytope vertices must be a JSON list, not 'abc'"),
+    "vertices_nested": ('{"vertices": [[[1]]]}', "polytope vertices entry "
+                        "must be a list of 3 integers, not [[1]]"),
+    "json_list": ("[1, 2]", "polytope JSON must be a JSON object")}
+
+P3_ROW = {"name": "P3", "palp": 0, "degree": 64, "p": 4, "n": 24, "chi": 4,
+          "method": "db"}
+
+
+def mistyped_manifests():
+    """id -> (a table manifest with one fault, the message of the
+    `ParseError` that refuses it, naming the key and the row)."""
+    def row(**kw):
+        return {"rows": [P3_ROW, {k: v for k, v in {**P3_ROW, **kw}.items()
+                                  if v is not None}]}
+
+    return {
+        "list": ([P3_ROW], "manifest must be a JSON object"),
+        "no_rows": ({"row": [P3_ROW]}, "manifest without required key "
+                    "'rows'"),
+        "rows_object": ({"rows": P3_ROW}, "manifest rows must be a JSON "
+                        f"list, not {P3_ROW!r}"),
+        "row_text": ({"rows": ["P3"]},
+                     "manifest row 0 must be a JSON object"),
+        "no_degree": (row(degree=None), "manifest row 1 without required "
+                      "key 'degree'"),
+        "degree_text": (row(degree="64"), "manifest row 1 degree must be a "
+                        "JSON integer, not '64'"),
+        "palp_text": (row(palp="0"), "manifest row 1 palp must be a JSON "
+                      "integer, not '0'"),
+        "method_list": (row(method=["db"]), "manifest row 1 method must be "
+                        "a JSON string, not ['db']"),
+        "unknown_polygon": (row(method="product:circle"), "manifest row 1 "
+                            "method names no bundled product 'circle'"),
+        "unknown_fixture": (row(method="fixture:p3"), "manifest row 1 "
+                            "method names no bundled fixture 'p3'")}
 
 
 # the kernel-rows route that `ray_lattice` took before its closed form,
@@ -442,6 +561,18 @@ def ref_hull3d_facets(pts, ipts):
     if len(facets) < 4:
         raise PolytopeError("not full-dimensional")
     return facets
+
+
+def edge_vector_multiset(poly: Polygon):
+    """Boundary word, sorted: each edge contributes its lattice length
+    of copies of its primitive direction; the multiset sums to zero
+    and is what `enumerate_smooth_decompositions` takes
+    (`Polygon.edge_vector_multiset` as it was)."""
+    out = []
+    for a, b in poly.edges():
+        length = lattice_length(a, b)
+        out.extend([tuple(x // length for x in vsub(b, a))] * length)
+    return sorted(out)
 
 
 def normalized(poly: Polygon) -> Polygon:

@@ -9,7 +9,8 @@ import time
 import pytest
 
 from conftest import (bundled, bundled_polygon, database, db_path,
-                      dilate_polytope, needs_db, point_counts)
+                      dilate_polytope, edge_vector_multiset, needs_db,
+                      point_counts)
 from fanoscope.degeneration import (DegenerationError, decomposition_regimes,
                                     method1_data, product_data)
 from fanoscope.fileio import data_from_fixture, expected_rows, load_fixture
@@ -80,10 +81,10 @@ def test_criterion_05_b1_fixture():
 def test_criterion_06_decomposition_counts():
     hexagon = Polygon([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
     assert len(enumerate_smooth_decompositions(
-        hexagon.edge_vector_multiset())) == 2
+        edge_vector_multiset(hexagon))) == 2
     square = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert len(enumerate_smooth_decompositions(
-        square.edge_vector_multiset())) == 1
+        edge_vector_multiset(square))) == 1
     verdict(6, "hexagon has exactly 2 smooth decompositions, unit square 1")
 
 

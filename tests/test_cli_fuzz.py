@@ -1,0 +1,114 @@
+"""A derandomized fuzz of the command line's input layer.
+
+The inputs are every bundled fixture, every bundled polytope written as a
+JSON file, and a table manifest of four bundled rows (one per method).  Each
+key is dropped, and each value down to depth 2 is replaced by each of
+`JUNK`; a manifest's rows get the same.  Every in-process `cli.main` run
+must either exit 0 with a report, or exit 1 or 2 with an empty stdout and
+exactly one JSON error line on stderr: never a traceback.
+"""
+
+import contextlib
+import io
+import json
+
+from fanoscope import cli
+from fanoscope.fileio import (bundled_polytopes, expected_rows, list_fixtures,
+                              load_fixture)
+
+JUNK = ("x", [], {}, True, None, 1.5, [["x"]])
+# a db row, a fixture row, a product row and one stated only
+MANIFEST_ROWS = ("P3", "MM2-2", "MM8-1", "MM9-1")
+
+
+def children(value):
+    if isinstance(value, dict):
+        return list(value)
+    return range(len(value)) if isinstance(value, list) else []
+
+
+def mutants(doc):
+    """(label, doc changed once): each key of doc, or of a value of doc that
+    is an object, dropped, and each value of doc, or of a value of doc that
+    is an object or a list, replaced by each of JUNK."""
+    out = []
+    for key, value in doc.items():
+        out.append((f"drop {key}", {k: v for k, v in doc.items() if k != key}))
+        out += [(f"{key} = {junk!r}", {**doc, key: junk}) for junk in JUNK]
+        for sub in children(value):
+            if isinstance(value, dict):
+                dropped = {k: v for k, v in value.items() if k != sub}
+                out.append((f"drop {key}.{sub}", {**doc, key: dropped}))
+            for junk in JUNK:
+                changed = value.copy()
+                changed[sub] = junk
+                out.append((f"{key}.{sub} = {junk!r}", {**doc, key: changed}))
+    return out
+
+
+def manifest_mutants():
+    by_name = {row["name"]: row for row in expected_rows()}
+    rows = [by_name[name] for name in MANIFEST_ROWS]
+    out = mutants({"rows": rows})
+    for i, row in enumerate(rows):
+        out += [(f"rows.{i}: {label}",
+                 {"rows": rows[:i] + [changed] + rows[i + 1:]})
+                for label, changed in mutants(row)]
+    return out
+
+
+def inputs():
+    """(command, label, doc) for every fuzzed run."""
+    out = []
+    for name in list_fixtures():
+        doc = load_fixture(name)
+        if "kind" in doc:
+            out += [("analyze", f"{name}: {label}", changed)
+                    for label, changed in mutants(doc)]
+    table = bundled_polytopes()
+    for name in sorted(set(table) - {"polygons"}):
+        doc = {"name": name, **table[name]}
+        out += [("analyze", f"{name}: {label}", changed)
+                for label, changed in mutants(doc)]
+    out += [("table", f"manifest: {label}", changed)
+            for label, changed in manifest_mutants()]
+    return out
+
+
+def verdict(argv):
+    """None when cli.main(argv) reports or refuses cleanly, else what it
+    did wrong."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except Exception as exc:  # the fault this test looks for, reported
+            return f"{type(exc).__name__}: {exc}"
+    if code == 0:
+        return None if out.getvalue() and not err.getvalue() else \
+            "exit 0 without a report"
+    lines = err.getvalue().splitlines()
+    if code not in (1, 2) or out.getvalue() or len(lines) != 1:
+        return f"exit {code} with {len(lines)} stderr lines"
+    if set(json.loads(lines[0])) != {"error", "message"}:
+        return f"stderr line {lines[0]}"
+    return None
+
+
+def test_every_malformed_input_exits_cleanly(tmp_path, monkeypatch):
+    monkeypatch.delenv("FANOSCOPE_DB", raising=False)
+    path = tmp_path / "target.json"
+    cases = inputs()
+    assert len(cases) > 2500  # 2,841 runs
+    faults = []
+    for command, label, doc in cases:
+        path.write_text(json.dumps(doc))
+        fault = verdict([command, str(path)])
+        if fault:
+            faults.append(f"{label}: {fault}")
+    assert faults == []
+
+
+def test_the_fuzz_sees_a_traceback(monkeypatch):
+    monkeypatch.setattr(cli, "cmd_analyze", lambda args: {}["x"])
+    assert verdict(["analyze", "p3"]) == "KeyError: 'x'"

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon,
-                      dual_face_vertices, lattice_polygons, mat_vec,
+                      dual_face_vertices, edge_vector_multiset,
+                      lattice_polygons, mat_vec,
                       random_unimodular3, ref_facet_in_ray_coords)
 from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationError,
                                     EmptyLinearSystem, NotCartier, NotNef,
@@ -286,7 +287,7 @@ def ref_decomposition_regimes(p):
                 f"not divisible by its index {r}")
         target = Polygon([tuple(x // r for x in v) for v in facet.vertices])
         out.append(enumerate_smooth_decompositions(
-            target.edge_vector_multiset()))
+            edge_vector_multiset(target)))
     return out
 
 

@@ -129,7 +129,7 @@ def test_analyze_computes_the_degree_once(monkeypatch):
     names = (set(table) - {"polygons"} | set(table["polygons"])
              | {f for f in list_fixtures() if "kind" in load_fixture(f)})
     datas = [d for name in sorted(names)
-             for d in cli._resolve_data(name, "auto", table=table)]
+             for d in cli._resolve_data(name, "auto")]
     assert any(d.boundary_components is not None for d in datas)
     calls = []
     real = invariants.degree

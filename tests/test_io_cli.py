@@ -1,3 +1,4 @@
+import builtins
 import json
 import os
 import subprocess
@@ -5,7 +6,8 @@ import sys
 
 import pytest
 
-from conftest import (bundled, malformed_slab_fixtures, same_polytope,
+from conftest import (MISTYPED_POLYTOPES, bundled, malformed_slab_fixtures,
+                      mistyped_fixtures, mistyped_manifests, same_polytope,
                       unparsable_slab_fixtures)
 from fanoscope import cli, degeneration
 from fanoscope.degeneration import DegenerationData
@@ -15,6 +17,7 @@ from fanoscope.fileio import (ParseError, bundled_polytopes,
 from fanoscope.polytope import LatticePolytope
 
 P3_TEXT = "3 4\n1 0 0 -1\n0 1 0 -1\n0 0 1 -1\n"
+P3_VERTICES = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
 
 
 def minidb(tmp_path):
@@ -33,7 +36,7 @@ def test_parse_json_roundtrip(tmp_path):
     path = tmp_path / "p3.json"
     path.write_text('{"name": "p3", "palp_id": 0, "vertices": '
                     '[[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]}')
-    name, palp, q = parse_polytope(str(path))
+    name, palp, q = parse_polytope(path.read_text())
     assert (name, palp) == ("p3", 0)
     assert q.vertices == bundled("p3").vertices
 
@@ -41,14 +44,14 @@ def test_parse_json_roundtrip(tmp_path):
 def test_parse_text_columns(tmp_path):
     path = tmp_path / "p3.txt"
     path.write_text(P3_TEXT)
-    _, _, q = parse_polytope(str(path))
+    _, _, q = parse_polytope(path.read_text())
     assert same_polytope(q, bundled("p3"))
 
 
 def test_parse_text_rows(tmp_path):
     path = tmp_path / "rows.txt"
     path.write_text("4 3\n1 0 0\n0 1 0\n0 0 1\n-1 -1 -1\n")
-    _, _, q = parse_polytope(str(path))
+    _, _, q = parse_polytope(path.read_text())
     assert same_polytope(q, bundled("p3"))
 
 
@@ -60,7 +63,7 @@ def test_text_roundtrip(tmp_path):
     for name, text in texts.items():
         path = tmp_path / f"{name}.txt"
         path.write_text(text)
-        _, _, q = parse_polytope(str(path))
+        _, _, q = parse_polytope(path.read_text())
         assert same_polytope(q, bundled(name))
 
 
@@ -89,16 +92,27 @@ def test_table_manifest_with_minidb(tmp_path):
     assert "P3" in err
 
 
+def test_table_manifest_row_without_method_is_a_db_row(tmp_path):
+    path = minidb(tmp_path)
+    manifest = tmp_path / "rows.json"
+    row = {"name": "P3", "palp": 0, "degree": 64, "p": 4, "n": 24, "chi": 4}
+    manifest.write_text(json.dumps({"rows": [row]}))
+    with pytest.warns(UserWarning, match="expected 4319"):
+        code, out, err = run_cli("table", str(manifest), "--db", path)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "P3,0,64,4,24,4,ok"
+
+
 def test_parse_errors(tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("3 4\n1 0 0\n")
     with pytest.raises(ParseError):
-        parse_polytope(str(bad))
+        parse_polytope(bad.read_text())
     flat = tmp_path / "flat.json"
     flat.write_text(json.dumps({"vertices": [[0, 0, 0], [1, 0, 0],
                                              [0, 1, 0], [1, 1, 0]]}))
     with pytest.raises(ParseError, match="full-dimensional"):
-        parse_polytope(str(flat))
+        parse_polytope(flat.read_text())
 
 
 def test_ingest_database(tmp_path):
@@ -209,7 +223,7 @@ LINE_FAN_WITHOUT_DIRECTION = {
 def test_cli_fixture_missing_key_exits_2(tmp_path, doc, key):
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli("analyze", str(path), "--fixture")
+    code, out, err = run_cli("analyze", str(path))
     assert code == 2 and out == ""
     lines = err.splitlines()
     assert len(lines) == 1
@@ -225,7 +239,7 @@ def test_cli_fixture_ray_data_exits_2(tmp_path, ray_data):
     doc = dict(load_fixture("b3_cubic"), ray_data=ray_data)
     path = tmp_path / "fixture.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli("analyze", str(path), "--fixture")
+    code, out, err = run_cli("analyze", str(path))
     assert code == 2 and out == ""
     assert one_json_line(err) == {
         "error": "ParseError",
@@ -336,7 +350,7 @@ def run_malformed_slab_fixture(tmp_path, key):
     doc, message = malformed_slab_fixtures()[key]
     path = tmp_path / f"mm2_2_{key}.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli("analyze", str(path), "--fixture")
+    code, out, err = run_cli("analyze", str(path))
     assert code == 1 and out == ""
     assert one_json_line(err) == {"error": "DegenerationError",
                                   "message": message}
@@ -363,7 +377,7 @@ def test_cli_malformed_slab_fixture_discriminant_exits_1(tmp_path):
     doc, _ = malformed_slab_fixtures()["endpoints"]
     path = tmp_path / "mm2_2_endpoints.json"
     path.write_text(json.dumps(doc))
-    code, out, err = run_cli("discriminant", str(path), "--fixture",
+    code, out, err = run_cli("discriminant", str(path),
                              "--svg", str(tmp_path / "svg"))
     assert code == 1 and out == ""
     assert one_json_line(err) == {
@@ -398,7 +412,7 @@ def test_cli_fixture_edge_values_object_matches_int(tmp_path):
         tmp_path,
         edge_values={str(i): doc["edge_values"] for i in range(len(dual.edges))},
         choice={str(i): 0 for i in range(len(dual.vertices))})
-    code, out, err = run_cli("analyze", path, "--fixture")
+    code, out, err = run_cli("analyze", path)
     assert (code, err) == (0, "")
     assert out == run_cli("analyze", "v2")[1]
 
@@ -406,7 +420,7 @@ def test_cli_fixture_edge_values_object_matches_int(tmp_path):
 @pytest.mark.parametrize("key", ["edge_values", "choice"])
 def test_cli_fixture_non_integer_key_exits_2(tmp_path, key):
     path = v2_fixture_with(tmp_path, **{key: {"0": 6, "x": 6}})
-    code, out, err = run_cli("analyze", path, "--fixture")
+    code, out, err = run_cli("analyze", path)
     assert code == 2 and out == ""
     assert one_json_line(err) == {"error": "ParseError",
                                   "message": f"{key} key 'x' is not an integer"}
@@ -417,7 +431,7 @@ def test_cli_fixture_choice_key_off_the_dual_exits_1(tmp_path):
     path.write_text(json.dumps({"kind": "normal_fan", "name": "P3",
                                 "polytope": bundled("p3").vertices,
                                 "choice": {"9": 0}}))
-    code, out, err = run_cli("analyze", str(path), "--fixture")
+    code, out, err = run_cli("analyze", str(path))
     assert code == 1 and out == ""
     assert one_json_line(err) == {
         "error": "DegenerationError",
@@ -428,7 +442,7 @@ def test_cli_fixture_edge_values_key_off_the_dual_exits_1(tmp_path):
     doc = load_fixture("v2")
     values = {str(i): doc["edge_values"] for i in range(6)}
     path = v2_fixture_with(tmp_path, edge_values={**values, "99": 7})
-    code, out, err = run_cli("analyze", path, "--fixture")
+    code, out, err = run_cli("analyze", path)
     assert code == 1 and out == ""
     assert one_json_line(err) == {
         "error": "DegenerationError",
@@ -486,13 +500,11 @@ def test_cli_analyze_fixture_file(tmp_path):
     src = _fixture_dir() / "mm3_2.json"
     dst = tmp_path / "local_fixture.json"
     dst.write_text(src.read_text())
-    code, out, _ = run_cli("analyze", str(dst), "--fixture")
+    # its "kind" key makes the file a fixture
+    code, out, _ = run_cli("analyze", str(dst))
     assert code == 0
     doc = json.loads(out)
     assert (doc["p"], doc["n"], doc["euler"]) == (2, 20, 2)
-    # auto-detection without the flag also works for fixture-shaped JSON
-    code2, out2, _ = run_cli("analyze", str(dst))
-    assert code2 == 0 and json.loads(out2)["euler"] == 2
 
 
 def test_parse_rejects_non_fano(tmp_path):
@@ -501,7 +513,7 @@ def test_parse_rejects_non_fano(tmp_path):
     shifted.write_text(json.dumps(
         {"vertices": [[1, 1, 1], [2, 1, 1], [1, 2, 1], [1, 1, 2]]}))
     with pytest.raises(PolytopeError, match="Fano"):
-        parse_polytope(str(shifted))
+        parse_polytope(shifted.read_text())
 
 
 SLAB_OUT_OF_ORDER = {"kind": "slabs",
@@ -520,11 +532,13 @@ SLAB_OUT_OF_ORDER = {"kind": "slabs",
     ("analyze", "letters.txt", "a b\n1 2 3",
      "bad matrix polytope: invalid literal for int() with base 10: 'a'"),
     ("analyze", "flat.json", '{"vertices": [[1, 0], [0, 1], [-1, -1]]}',
-     "expected 3-space points"),
+     "polytope vertices entry must be a list of 3 integers, not [1, 0]"),
+    # a file that is not JSON through to its end says nothing of its kind,
+    # and JSON that is not an object holding "kind" is a polytope
     ("fixture", "bad_fixture.json", '{"kind": "slabs", "slabs": [',
-     "bad fixture JSON: "),
+     "bad JSON polytope: "),
     ("fixture", "list_fixture.json", "[1, 2]",
-     "fixture must be a JSON object"),
+     "polytope JSON must be a JSON object"),
     ("fixture", "slab_order.json", json.dumps(SLAB_OUT_OF_ORDER),
      "slab S0: polygon must be listed in canonical ccw order starting at "
      "the lex-least vertex; canonical is [[0, 0], [1, 0], [0, 1]]"),
@@ -532,15 +546,23 @@ SLAB_OUT_OF_ORDER = {"kind": "slabs",
      "database block 0 is ragged"),
     *[(command, f"mm2_2_{key}.json", json.dumps(doc), message)
       for command in ("analyze", "discriminant")
-      for key, (doc, message) in unparsable_slab_fixtures().items()]])
+      for key, (doc, message) in unparsable_slab_fixtures().items()],
+    *[("fixture", f"{key}.json", json.dumps(doc), message)
+      for key, (doc, message) in mistyped_fixtures().items()],
+    *[("analyze", f"{key}.json", text, message)
+      for key, (text, message) in MISTYPED_POLYTOPES.items()],
+    *[("table", f"{key}.json", json.dumps(doc), message)
+      for key, (doc, message) in mistyped_manifests().items()]])
 def test_cli_malformed_input_exits_2(tmp_path, command, file, text, message):
     path = tmp_path / file
     path.write_text(text)
+    # "fixture" is a file that holds, or was meant to hold, a fixture
     argv = {"analyze": ("analyze", str(path)),
-            "fixture": ("analyze", str(path), "--fixture"),
+            "fixture": ("analyze", str(path)),
             "discriminant": ("discriminant", str(path), "--svg",
                              str(tmp_path / "svg")),
-            "verify24": ("verify24", "--db", str(path))}[command]
+            "verify24": ("verify24", "--db", str(path)),
+            "table": ("table", str(path))}[command]
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
     doc = one_json_line(err)
@@ -559,9 +581,10 @@ def test_cli_malformed_input_exits_2(tmp_path, command, file, text, message):
 def test_cli_non_utf8_input_exits_2(tmp_path, command, file):
     # a byte that starts no UTF-8 sequence, inside otherwise valid input
     path = tmp_path / file
-    path.write_bytes(b'{"name": "caf\xe9", "vertices": []}\n')
+    key = b'"kind": "slabs"' if command == "fixture" else b'"vertices": []'
+    path.write_bytes(b'{"name": "caf\xe9", ' + key + b'}\n')
     argv = {"analyze": ("analyze", str(path)),
-            "fixture": ("analyze", str(path), "--fixture"),
+            "fixture": ("analyze", str(path)),
             "decompositions": ("decompositions", str(path)),
             "verify24": ("verify24", "--db", str(path)),
             "table": ("table", str(path))}[command]
@@ -634,3 +657,48 @@ def test_cli_decompositions_facet_enumerates_it_alone(monkeypatch):
     code, out, _ = run_cli("decompositions", "hexagon_cone", "--facet=0")
     assert code == 0 and len(json.loads(out)) == 1
     assert len(words) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "decompositions"])
+def test_cli_polygons_is_no_polytope_name(command):
+    # "polygons" is the key of polytopes.json that holds the product
+    # polygons, not a polytope: it is a path like any other unknown name
+    code, out, err = run_cli(command, "polygons")
+    assert code == 2 and out == ""
+    assert one_json_line(err) == {
+        "error": "FileNotFoundError",
+        "message": "[Errno 2] No such file or directory: 'polygons'"}
+
+
+def test_a_file_is_read_before_a_bundled_name_of_its_stem(tmp_path,
+                                                          monkeypatch):
+    # "mm2_2.json" names no bundled target, so it is the file in the working
+    # directory, even though its stem is a bundled fixture
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "mm2_2.json").write_text(json.dumps(
+        dict(load_fixture("mm2_2"), name="my MM2-2")))
+    code, out, err = run_cli("analyze", "mm2_2.json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {**json.loads(run_cli("analyze", "mm2_2")[1]),
+                               "name": "my MM2-2"}
+
+
+@pytest.mark.parametrize("command, file", [
+    (command, file) for command in ("analyze", "gamma", "discriminant",
+                                    "decompositions")
+    for file in ("fixture.json", "polytope.json", "polytope.txt")
+    if command != "decompositions" or file != "fixture.json"])
+def test_cli_opens_its_target_once(tmp_path, monkeypatch, command, file):
+    path = tmp_path / file
+    path.write_text({"fixture.json": json.dumps(load_fixture("v2")),
+                     "polytope.json": json.dumps({"vertices": P3_VERTICES}),
+                     "polytope.txt": P3_TEXT}[file])
+    opened = []
+    real = builtins.open
+    monkeypatch.setattr(builtins, "open", lambda file, *args, **kw:
+                        opened.append(file) or real(file, *args, **kw))
+    extra = ("--svg", str(tmp_path / "svg")) if command == "discriminant" \
+        else ()
+    code, out, err = run_cli(command, str(path), *extra)
+    assert (code, err) == (0, "")
+    assert opened.count(str(path)) == 1

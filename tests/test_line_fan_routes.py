@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (_frac, bundled, bundled_polygon, mat_vec, on_segment,
+from conftest import (_frac, bundled, bundled_polygon, edge_vector_multiset,
+                      mat_vec, on_segment,
                       random_unimodular2, random_unimodular3,
                       ref_cycle_in_ray_coords)
 from test_degeneration import ref_polygon_of_sections
@@ -248,9 +249,8 @@ def ref_line_fan(p: LatticePolytope, direction, rays2d, edge_rule,
         if isinstance(spec, dict):
             spec = ray_summand_spec.get(ray_id, "auto")
         if spec == "auto":
-            decos = enumerate_smooth_decompositions(
-                _ray_target(dual, vertex_hit, w_basis, ray_id)
-                .edge_vector_multiset())
+            decos = enumerate_smooth_decompositions(edge_vector_multiset(
+                _ray_target(dual, vertex_hit, w_basis, ray_id)))
             if not decos:
                 raise DegenerationError("no smooth Minkowski decomposition "
                                         f"for {ray_id}")

@@ -37,7 +37,8 @@ DELETED = [("polytope", "convex_hull"),
            ("minkowski", "POINT"),
            ("minkowski", "segment"),
            ("minkowski", "triangle"),
-           ("minkowski", "Summand.dim")]
+           ("minkowski", "Summand.dim"),
+           ("polytope", "Polygon.edge_vector_multiset")]
 
 
 def resolves(obj, dotted):

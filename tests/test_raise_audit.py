@@ -44,8 +44,9 @@ from itertools import product
 import pytest
 
 import fanoscope
-from conftest import (bundled, bundled_polygon, executed_lines,
-                      malformed_slab_fixtures, raise_lines,
+from conftest import (MISTYPED_POLYTOPES, bundled, bundled_polygon,
+                      executed_lines, malformed_slab_fixtures,
+                      mistyped_fixtures, mistyped_manifests, raise_lines,
                       unparsable_slab_fixtures)
 from fanoscope import cli, invariants
 from fanoscope.cli import _resolve_data, build_parser
@@ -58,7 +59,8 @@ from fanoscope.degeneration import (DegenerationData, DegenerationError,
                                     product_data)
 from fanoscope.discriminant import assemble_global, max_triangulation
 from fanoscope.fileio import (ParseError, data_from_fixture, ingest_database,
-                              load_fixture, parse_polytope)
+                              load_fixture, parse_polytope, read_manifest,
+                              read_target)
 from fanoscope.gamma import (GammaError, barT_sections, build_system,
                              gamma_dimension)
 from fanoscope.invariants import (InvariantError, analyze, analyze_degree,
@@ -77,6 +79,8 @@ MODULES = tuple(importlib.import_module(f"fanoscope.{m.name}")
 
 # a vertex that is not primitive
 NOT_FANO = [(2, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)]
+# four points of the plane z = 0
+FLAT = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)]
 # the origin on the facet z = 0
 ORIGIN_ON_FACET = [(1, 0, 0), (-1, 1, 0), (-1, -1, 0), (0, 0, 1)]
 RAYS = [(1, 0, 0), (0, 1, 0), (-1, -1, 0)]
@@ -179,16 +183,6 @@ def database_ids(text):
         return [ident for ident, _ in database(text)()]
 
 
-def fixture_in_working_directory():
-    """`load_fixture` of a bare file name that no bundled fixture has."""
-    with tempfile.TemporaryDirectory() as tmp, \
-            pytest.MonkeyPatch.context() as mp:
-        mp.chdir(tmp)
-        with open("mine.json", "w") as fh:
-            fh.write('{"kind": "slabs"}')
-        return load_fixture("mine.json")
-
-
 def line_fan_verdicts(name, line, rays, rule):
     return check_smooth_data(line_fan_data(bundled(name), line, rays, rule))
 
@@ -199,6 +193,20 @@ def unparsable_pins():
         for key, (doc, message) in unparsable_slab_fixtures().items()}
 
 
+def mistyped_pins():
+    """The pins of the values that `fileio` refuses for their JSON type."""
+    pins = {f"fileio.data_from_fixture: {key}": (
+        partial(data_from_fixture, doc), ParseError, message)
+        for key, (doc, message) in mistyped_fixtures().items()}
+    pins.update({f"fileio.parse_polytope: {key}": (
+        partial(parse_polytope, text), ParseError, message)
+        for key, (text, message) in MISTYPED_POLYTOPES.items()})
+    pins.update({f"fileio.read_manifest: {key}": (
+        in_file(read_manifest, "rows.json", json.dumps(doc)), ParseError,
+        message) for key, (doc, message) in mistyped_manifests().items()})
+    return pins
+
+
 def sections(normals, coeffs):
     return partial(polygon_of_sections, normals, coeffs)
 
@@ -207,6 +215,7 @@ def sections(normals, coeffs):
 PINS = {
     **validate_pins(),
     **unparsable_pins(),
+    **mistyped_pins(),
     "degeneration.polygon_of_sections: empty": (
         sections([(0, 1), (-1, -1), (1, 0)], [0, -1, 0]),
         EmptyLinearSystem, "empty linear system"),
@@ -468,12 +477,15 @@ PINS = {
     "fileio.parse_polytope: one row of three": (
         lambda: parse_polytope("3 4\n1 0 0 -1"), ParseError,
         "matrix body does not match header 3x4"),
+    "fileio._polytope: no text": (
+        lambda: parse_polytope(""), ParseError,
+        "bad matrix polytope: list index out of range"),
     "fileio._orient: a square matrix of 2": (
         lambda: parse_polytope("2 2\n1 0\n0 1"), ParseError,
         "neither dimension is 3"),
     "fileio._build: points of the plane": (
-        lambda: parse_polytope('{"vertices": [[1, 0], [0, 1], [-1, -1]]}'),
-        ParseError, "expected 3-space points"),
+        lambda: parse_polytope(json.dumps({"vertices": FLAT})), ParseError,
+        "polytope vertices: not full-dimensional"),
     "fileio._build: not Fano": (
         lambda: parse_polytope(json.dumps({"vertices": NOT_FANO})),
         PolytopeError, "not a Fano polytope: vertices must be primitive "
@@ -487,9 +499,9 @@ PINS = {
     "fileio.ingest_database: a short row": (
         database("3 4\n1 0 0 -1\n0 1 0\n0 0 1 -1\n"), ParseError,
         "database block 0 is ragged"),
-    "fileio.load_fixture: cut-off JSON": (
-        in_file(load_fixture, "bad.json", '{"kind": "slabs", "slabs": ['),
-        ParseError, "bad fixture JSON: Expecting value: line 1 column 29 "
+    "fileio._json: a cut-off fixture": (
+        in_file(read_target, "bad.json", '{"kind": "slabs", "slabs": ['),
+        ParseError, "bad JSON polytope: Expecting value: line 1 column 29 "
         "(char 28)"),
     "fileio._require: a list": (
         lambda: data_from_fixture([1, 2]), ParseError,
@@ -497,7 +509,7 @@ PINS = {
     "fileio._require: a product without its polygon": (
         lambda: data_from_fixture({"kind": "product"}), ParseError,
         "product fixture without required key 'base_polygon'"),
-    "fileio._int_keyed: a letter key": (
+    "fileio._per_edge: a letter key": (
         lambda: data_from_fixture({"kind": "normal_fan", "polytope": P3,
                                    "edge_values": {"a": 1}}),
         ParseError, "edge_values key 'a' is not an integer"),
@@ -546,8 +558,6 @@ AREA_3_WORD = [(2, 1), (-1, 1), (-1, -2)]
 
 # name -> (call, its result)
 REACHES = {
-    "cli._looks_like_fixture: cut-off JSON": (
-        in_file(cli._looks_like_fixture, "bad.json", '{"kind": '), False),
     "cli.main: a letter for an index": (
         lambda: cli_error("analyze", "p3", "--decomposition", "0,x"),
         (2, {"error": "ParseError",
@@ -589,8 +599,6 @@ REACHES = {
     "fileio.ingest_database: a title line and an end line": (
         lambda: database_ids("reflexive 3-polytopes\n3 4 p3\n1 0 0 -1\n"
                              "0 1 0 -1\n0 0 1 -1\nend\n"), [0]),
-    "fileio.load_fixture: a file in the working directory": (
-        fixture_in_working_directory, {"kind": "slabs"}),
     # the zero row is never a pivot, so the third column has none
     "linalg._echelon: a zero row": (
         lambda: rank([[1, 0, 1], [0, 1, 1], [0, 0, 0]]), 2),

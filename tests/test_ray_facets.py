@@ -19,10 +19,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon, mat_vec,
-                      random_unimodular3, ref_cycle_in_ray_coords,
-                      ref_facet_in_ray_coords, ref_minkowski_sum,
-                      ref_ray_target)
+from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon,
+                      edge_vector_multiset, mat_vec, random_unimodular3,
+                      ref_cycle_in_ray_coords, ref_facet_in_ray_coords,
+                      ref_minkowski_sum, ref_ray_target)
 from fanoscope import cli
 from fanoscope.degeneration import (DegenerationError, _along_line,
                                     _ray_word, check_smooth_data,
@@ -66,7 +66,7 @@ def word_outcome(fn, *args):
 
 
 def ref_word(p, f, w_basis, ray):
-    return ref_ray_target(p, f, w_basis, ray).edge_vector_multiset()
+    return edge_vector_multiset(ref_ray_target(p, f, w_basis, ray))
 
 
 def check_word(p, f, w_basis, ray):

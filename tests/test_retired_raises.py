@@ -31,7 +31,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bundled, bundled_polygon, lattice_polygons, mat_vec,
+from conftest import (bundled, bundled_polygon, edge_vector_multiset,
+                      lattice_polygons, mat_vec,
                       normal_fan_routes, normalized, random_unimodular2,
                       ref_minkowski_sum, word_polygon)
 from test_face_data import polytopes
@@ -466,7 +467,7 @@ def test_section_corners_are_vertices_on_bundled_slabs(seed):
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(st.one_of(DILATED, smooth_sums()))
 def test_no_decomposition_of_a_random_polygon_holds_a_point(poly):
-    for deco in enumerate_smooth_decompositions(poly.edge_vector_multiset()):
+    for deco in enumerate_smooth_decompositions(edge_vector_multiset(poly)):
         assert {s.kind for s in deco} <= {"segment", "triangle"}
 
 
