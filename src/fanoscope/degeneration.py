@@ -15,9 +15,8 @@ from math import gcd
 from .linalg import clear_denominators, det, lex_positive, primitive
 from .minkowski import Summand, enumerate_smooth_decompositions
 from .polytope import (LatticePolytope, Polygon, PolytopeError, cross, dot,
-                       face_length, is_integral, lattice_length,
-                       pick_area, plane_basis, plane_coords, plane_normal,
-                       _clean, _quotient)
+                       is_integral, lattice_length, pick_area, plane_basis,
+                       plane_coords, plane_normal, _clean, _quotient)
 
 
 class DegenerationError(ValueError):
@@ -90,6 +89,13 @@ def polygon_of_sections(normals, coeffs) -> Sections:
     That proof needs the order, so it is checked in O(k): each normal turns
     strictly left into the next, and the normals wind once, i.e. they cross
     from the lower half-plane (y < 0, or y = 0 < -x) to the upper one once.
+
+    Every test runs on local integers: a corner in homogeneous coordinates
+    (x : y : den), and S's vertices as integer rows over their common
+    denominator D, so the slack test compares <n, row> with -a D, Cartier
+    is D = 1, and a span is the gcd of its face's two ends, as S is a
+    polygon, segment or point whose vertices are its corners, at most two
+    on one line.
     """
     k = len(normals)
     lower = [y < 0 or y == 0 > x for x, y in normals]
@@ -101,33 +107,41 @@ def polygon_of_sections(normals, coeffs) -> Sections:
     cands = set()
     for i in range(k):
         a, b = normals[i]
+        qi = coeffs[i]
         for j in range(i + 1, k):
             c, d = normals[j]
             den = a * d - b * c
             if den == 0:
                 continue
             # the corner of edges i and j in homogeneous coordinates (x:y:den)
-            x = -coeffs[i] * d + coeffs[j] * b
-            y = -coeffs[j] * a + coeffs[i] * c
+            qj = coeffs[j]
+            x = qj * b - qi * d
+            y = qi * c - qj * a
             if den < 0:
                 x, y, den = -x, -y, -den
-            if all(n0 * x + n1 * y >= lvl * den for n0, n1, lvl in cuts):
+            for n0, n1, lvl in cuts:
+                if n0 * x + n1 * y < lvl * den:
+                    break
+            else:
                 cands.add((x // den if x % den == 0 else Fraction(x, den),
                            y // den if y % den == 0 else Fraction(y, den)))
     if not cands:
         raise EmptyLinearSystem("empty linear system")
     sec = Sections(cands, normals, coeffs)
-    verts = sec.vertices()
+    rows, den = clear_denominators(sec.vertices())
     faces = []
     for n, q in zip(normals, coeffs):
-        vals = [n[0] * x + n[1] * y for x, y in verts]
-        if min(vals) != -q:
+        n0, n1 = n
+        vals = [n0 * x + n1 * y for x, y in rows]
+        lo = min(vals)
+        if lo != -q * den:
             raise NotNef(f"divisor not nef: slack on edge with normal {n}")
-        faces.append([v for v, x in zip(verts, vals) if x == -q])
-    if not all(map(is_integral, verts)):
+        faces.append([r for r, v in zip(rows, vals) if v == lo])
+    if den != 1:
         raise NotCartier("not Cartier: no integral section witness at a "
                          "vertex cone")
-    sec.spans = tuple(lattice_length(min(f), max(f)) for f in faces)
+    sec.spans = tuple(gcd(xb - xa, yb - ya)
+                      for (xa, ya), (xb, yb) in ((f[0], f[-1]) for f in faces))
     return sec
 
 
@@ -388,10 +402,21 @@ def match_summand_slabs(summand: Summand, slab_functionals: dict):
 
     slab_functionals: slab name -> primitive functional on W.
     Raises when a summand edge direction matches no slab.
+
+    The face of the summand on which f is least is an edge, of lattice
+    length >= 1, exactly when f takes its least value at two or more of
+    the summand's vertices, which are distinct lattice points.  The
+    vertices are 0 and the partial sums of its first two edge vectors (a
+    segment has one; a triangle's third closes its cycle), so the values
+    are read off <f, v> for those vectors.
     """
-    verts = summand.polygon_vertices()
-    hits = [name for name, f in slab_functionals.items()
-            if face_length(verts, f) >= 1]
+    hits = []
+    for name, (f0, f1) in slab_functionals.items():
+        vals = [0]
+        for x, y in summand.vectors[:2]:
+            vals.append(vals[-1] + f0 * x + f1 * y)
+        if vals.count(min(vals)) > 1:
+            hits.append(name)
     need = {"segment": 2, "triangle": 3}[summand.kind]
     if len(hits) != need:
         raise DegenerationError(
@@ -456,6 +481,7 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
 
     slabs = []
     built = {}  # (polygon, coeffs) -> its first slab, within this call
+    rows = dual.vertex_rows[0]
     for i, e in enumerate(dual.edges):
         a_id, b_id = sorted(e.vertex_ids)
         va, vb = dual.vertices[a_id], dual.vertices[b_id]
@@ -489,13 +515,14 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
         if not 0 <= idx < len(decos):
             raise DegenerationError(
                 f"decomposition index {idx} out of range for vertex {vid}")
-        # quotient functionals of the 2-cones at this ray
+        # quotient functionals of the 2-cones at this ray, read off the
+        # vertex rows, which lie on the rays of P*'s vertices
         functionals = {}
         for i, e in enumerate(dual.edges):
             if vid in e.vertex_ids:
                 other = next(x for x in e.vertex_ids if x != vid)
                 functionals[_edge_name(i)] = quotient_functional(
-                    w_basis, dual.vertices[other])
+                    w_basis, rows[other])
         ray_summands += _attach(_ray_name(vid), decos[idx], functionals)
 
     data = DegenerationData(
@@ -532,16 +559,52 @@ def _ray_decompositions(p: LatticePolytope, vids=None):
     facets (`LatticePolytope`), or for the rays vids: its `ray_lattice`
     basis and the smooth Minkowski decompositions of its facet divided by
     r, read off its edge word (`_ray_word`, which raises where r does not
-    divide).  Within this call, rays with equal words share one
-    enumeration."""
-    found = {}  # edge word -> its decompositions
+    divide), in `_space_order` where two have one length.  Within this
+    call, rays with equal words share one enumeration and its tie flag."""
+    found = {}  # edge word -> its decompositions, and whether they tie
     for vid in range(len(p.facets)) if vids is None else vids:
         f = p.facets[vid]
         w_basis = ray_lattice(f.normal)
         word = _ray_word(p, f, w_basis, vid)
         if word not in found:
-            found[word] = enumerate_smooth_decompositions(word)
-        yield w_basis, found[word]
+            decos = enumerate_smooth_decompositions(word)
+            found[word] = decos, _tied(decos)
+        decos, tied = found[word]
+        yield w_basis, _space_order(decos, w_basis) if tied else decos
+
+
+def _tied(decos) -> bool:
+    """Whether two of the decompositions, which come sorted by their
+    number of summands, have the same number (most lists hold one)."""
+    return len(decos) > 1 and any(len(a) == len(b)
+                                  for a, b in zip(decos, decos[1:]))
+
+
+def _space_order(decos, basis):
+    """The decompositions of a ray's facet, given in the coordinates of
+    the basis (b0, b1) of its plane, sorted by their number of summands
+    and then by their summands read in 3-space.
+
+    The enumerator orders decompositions of one length by their summands
+    in ray coordinates, which depend on the basis; this order does not.
+    Summand T lifts to the polygon of points x*b0 + y*b1 for (x, y) in T,
+    the same summand of the facet divided by r in 3-space whatever the
+    basis, so its lifted vertices, moved to put the lex-least at the
+    origin, are a key of T up to translation.  A decomposition is the
+    multiset of its summands, so the sorted keys tell any two apart.
+    """
+    (p0, p1, p2), (q0, q1, q2) = basis
+
+    def key(deco):
+        out = []
+        for s in deco:
+            pts = [(x * p0 + y * q0, x * p1 + y * q1, x * p2 + y * q2)
+                   for x, y in s.polygon_vertices()]
+            m0, m1, m2 = min(pts)
+            out.append(sorted((a - m0, b - m1, c - m2) for a, b, c in pts))
+        return -len(deco), sorted(out)
+
+    return sorted(decos, key=key)
 
 
 def decomposition_regimes(p: LatticePolytope):
@@ -600,7 +663,7 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
                                     "of 3-space")
     edge_values = _rule_values(dual, rules)
 
-    rows, den = clear_denominators(dual.vertices)
+    rows, den = dual.vertex_rows
     levels = [dot(f.normal, rows[f.cycle[0]]) for f in dual.facets]
     # the spine: P^dual cut by the minimal line, from rho_minus to rho_plus
     rays = (("rho_plus", dirv), ("rho_minus", tuple(-x for x in dirv)))
@@ -655,6 +718,8 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
         if not decos:
             raise DegenerationError("no smooth Minkowski decomposition "
                                     f"for {ray_id}")
+        if _tied(decos):
+            decos = _space_order(decos, w_basis)
         # prefer the triangle-rich canonical choice
         ray_summands += _attach(ray_id, decos[-1], slab_functionals)
 

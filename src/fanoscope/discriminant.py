@@ -260,16 +260,17 @@ def render_svg(data: DegenerationData, graph: DiscriminantGraph | None = None) -
     height = max(heights) + 80 if heights else 200
     width = x_cursor + pad
 
-    def place(node):
-        if node.kind == "positive":
-            i = sum(1 for v in graph.nodes[:graph.nodes.index(node)]
-                    if v.kind == "positive")
-            return 40.0 + 30.0 * i, height - 30.0
-        ox, oy = offsets.get(node.slab, (pad, pad))
-        return (ox + float(node.pos[0]) * scale,
-                oy + float(node.pos[1]) * scale)
-
-    pos = {v.ident: place(v) for v in graph.nodes}
+    # positive nodes go left to right in their order in the graph
+    pos = {}
+    strip = 0
+    for v in graph.nodes:
+        if v.kind == "positive":
+            pos[v.ident] = 40.0 + 30.0 * strip, height - 30.0
+            strip += 1
+        else:
+            ox, oy = offsets.get(v.slab, (pad, pad))
+            pos[v.ident] = (ox + float(v.pos[0]) * scale,
+                            oy + float(v.pos[1]) * scale)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
              f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">']
     for a, b in sorted(graph.edges):

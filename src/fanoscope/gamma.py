@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .degeneration import DegenerationData, DegenerationError, _edge_name
 from .linalg import nullity, primitive
-from .polytope import cross, dot, plane_normal, vadd, vsub
+from .polytope import cross, dot, vadd, vsub
 
 
 class GammaError(DegenerationError):
@@ -30,10 +30,10 @@ class GammaSystem:
 
 
 def _annihilators(data: DegenerationData):
-    dual = data.dual
-    nus = [plane_normal(*(dual.vertices[i] for i in sorted(e.vertex_ids)))
-           for e in dual.edges]
-    return dual, nus
+    """P* and the annihilator of each of its edges' planes, which P* keeps
+    (`LatticePolytope.edge_annihilators`), so `build_system` and
+    `barT_sections` share one list."""
+    return data.dual, data.dual.edge_annihilators()
 
 
 def build_system(data: DegenerationData) -> GammaSystem:
@@ -45,6 +45,7 @@ def build_system(data: DegenerationData) -> GammaSystem:
     A segment of ray v_a runs along some s in W = ann(v_a), and each cone it
     is matched to, over the dual edge [v_a, v_b], has <v_b, s> = 0, so both
     cone planes are s^perp and `plane_normal` gives both the same nu.
+    The system holds its own list of the nu, which P* keeps as a tuple.
     `baseline_ok` fails on a row whose cones do not share a nu.
     """
     if data.kind != "normal_fan":
@@ -64,7 +65,7 @@ def build_system(data: DegenerationData) -> GammaSystem:
             rows.extend(_tie(c, aux, nus[c]) for c in cones)
             aux += 3  # one auxiliary covector per triangle
     n_aux = aux - n_alpha
-    return GammaSystem(rows, n_alpha, n_aux, n_aux // 3, nus,
+    return GammaSystem(rows, n_alpha, n_aux, n_aux // 3, list(nus),
                        [_edge_name(i) for i in range(n_alpha)])
 
 

@@ -106,15 +106,18 @@ def _cell_class_data(dual: LatticePolytope, facet):
     inner normals of the cone over the facet, which is strictly convex
     (the origin is interior to the polar polytope, so off the facet) and
     3-dimensional, so its dual cone, which they span, is 3-dimensional.
+    The vertices are read as the polar polytope's vertex rows, which are
+    them times d > 0: the same primitive cross products and signs.
     """
+    rows = dual.vertex_rows[0]
     rays = [facet.normal]
     cyc = list(facet.cycle)
     k = len(cyc)
-    # k times the centroid: only the sign of <m, .> is read
-    interior = tuple(map(sum, zip(*(dual.vertices[i] for i in cyc))))
+    # k d times the centroid: only the sign of <m, .> is read
+    interior = tuple(map(sum, zip(*(rows[i] for i in cyc))))
     for t in range(k):
-        a = dual.vertices[cyc[t]]
-        b = dual.vertices[cyc[(t + 1) % k]]
+        a = rows[cyc[t]]
+        b = rows[cyc[(t + 1) % k]]
         m = primitive(cross(a, b))
         if dot(m, interior) < 0:
             m = tuple(-x for x in m)

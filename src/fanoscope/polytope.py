@@ -2,15 +2,17 @@
 
 Coordinates are exact (int / Fraction).  3-polytopes carry their facet
 normals, facet vertex cycles and edge list; 2-polygons are stored with a
-canonical counterclockwise vertex order.
+canonical counterclockwise vertex order.  Kernels that read a possibly
+rational vertex list read it as integer rows over one common denominator
+(`clear_denominators`, `LatticePolytope.vertex_rows`), so their arithmetic
+is on ints and a `Fraction` appears only in a result that is not integral.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from itertools import combinations
-from math import gcd
+from math import gcd, lcm
 from operator import add, mul, sub
 
 from .linalg import clear_denominators, lex_positive, primitive, saturate
@@ -65,15 +67,6 @@ def lattice_length(a, b) -> int:
     return gcd(*map(int, d))
 
 
-def face_length(points, n) -> int:
-    """Lattice length of the face of conv(points) that minimizes <., n>;
-    0 at a vertex."""
-    vals = [dot(n, p) for p in points]
-    lo = min(vals)
-    face = [p for p, v in zip(points, vals) if v == lo]
-    return lattice_length(min(face), max(face))
-
-
 # ---------------------------------------------------------------------------
 # polygons
 
@@ -108,12 +101,19 @@ class Polygon:
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
     def edge_normals(self):
-        """Primitive inner normal and support level per ccw edge."""
+        """Primitive inner normal and support level per ccw edge.
+
+        Read off the vertices as integer rows R over their common
+        denominator d: edge b - a is (R_b - R_a) / d, so its inner normal
+        (-dy, dx) is that of the rows divided by their gcd, and the level
+        <n, a> is <n, R_a> / d, one exact quotient."""
+        rows, d = clear_denominators(self.vertices)
         out = []
-        for a, b in self.edges():
-            d = vsub(b, a)
-            n = primitive((-d[1], d[0]))  # inner for ccw orientation
-            out.append((n, dot(n, a)))
+        for (xa, ya), (xb, yb) in zip(rows, rows[1:] + rows[:1]):
+            n0, n1 = ya - yb, xb - xa  # inner for ccw orientation
+            g = gcd(n0, n1)
+            n0, n1 = n0 // g, n1 // g
+            out.append(((n0, n1), _quotient(n0 * xa + n1 * ya, d)))
         return tuple(out)
 
     def two_area(self):
@@ -295,7 +295,9 @@ class LatticePolytope:
 
     The face data (facets with their cycles and dual vertices, edges with
     their vertex and facet ids) is built once here; the polar dual is read
-    off it on the first call to `polar_dual` and kept.
+    off it on the first call to `polar_dual` and kept, and so are the
+    vertices as integer rows (`vertex_rows`) and the edge annihilators
+    (`edge_annihilators`), on first use.
 
     Ids follow polar duality.  Vertices are sorted.  Facets are sorted by
     their dual vertex, and the facets at level 0, which have none, come
@@ -303,6 +305,10 @@ class LatticePolytope:
     and facet j of P* to vertex j of P.  Edges are sorted by their vertex
     ids.
     """
+
+    # memos read on first use; None here, so a construction stores nothing
+    _rows = None
+    _annihilators = None
 
     def __init__(self, points):
         pts = sorted({_clean(p) for p in points})
@@ -354,6 +360,28 @@ class LatticePolytope:
     def is_reflexive(self) -> bool:
         return self.is_fano() and all(f.level == -1 for f in self.facets)
 
+    @property
+    def vertex_rows(self):
+        """(rows, d): the vertices times their least common denominator d,
+        as tuples of ints, in vertex order; d = 1 on an integral polytope.
+        Computed on first use; a polar dual gets them from the facets of
+        its P (`_facet_rows`)."""
+        if self._rows is None:
+            rows, d = clear_denominators(self.vertices)
+            self._rows = tuple(map(tuple, rows)), d
+        return self._rows
+
+    def edge_annihilators(self):
+        """The primitive lex-positive annihilator of the plane through the
+        origin and each edge, in edge order, computed once from the vertex
+        rows (the rows of an edge span the same plane as its vertices)."""
+        if self._annihilators is None:
+            rows = self.vertex_rows[0]
+            self._annihilators = tuple(
+                plane_normal(*(rows[i] for i in e.vertex_ids))
+                for e in self.edges)
+        return self._annihilators
+
     # -- duality ------------------------------------------------------------
 
     def dual_vertex(self, facet: Facet):
@@ -377,7 +405,8 @@ class LatticePolytope:
         vertex and facet ids swapped, sorted by its new vertex ids.  These
         are the ids the hull gives (the class docstring): P's facets are
         sorted by dual vertex, and P's vertices are sorted and are the duals
-        of P*'s facets.
+        of P*'s facets.  P*'s vertex rows come from P's facets
+        (`_facet_rows`), and the orientation and levels are read off them.
 
         The walk around v closes over its whole ring with no check.  Each
         edge of P lies on exactly two facets (`_edges_from_facets`), so in
@@ -390,6 +419,7 @@ class LatticePolytope:
         polytopes, their GL(3,Z) images and random polytopes.
         """
         vertices = tuple(f.dual for f in self.facets)
+        rows, d = _facet_rows(self.facets)
         rings = [{} for _ in self.vertices]  # adjacent facets around v
         for e in self.edges:
             f, g = e.facet_ids
@@ -401,9 +431,10 @@ class LatticePolytope:
             normal = primitive(self.vertices[v])
             start = min(ring)
             nxt, other = ring[start]
-            # ccw about the normal: the other neighbour is on the left
-            a = vertices[start]
-            if dot(cross(vsub(vertices[nxt], a), vsub(vertices[other], a)),
+            # ccw about the normal: the other neighbour is on the left; the
+            # rows are the vertices times d > 0, so the sign is the same
+            a = rows[start]
+            if dot(cross(vsub(rows[nxt], a), vsub(rows[other], a)),
                    normal) < 0:
                 nxt = other
             cycle = [start]
@@ -411,29 +442,43 @@ class LatticePolytope:
                 cycle.append(nxt)
                 x, y = ring[nxt]
                 nxt = y if x == cycle[-2] else x
-            facets.append(Facet(normal, dot(normal, a), frozenset(cycle),
-                                tuple(cycle)))
+            facets.append(Facet(normal, _quotient(dot(normal, a), d),
+                                frozenset(cycle), tuple(cycle)))
         edges = sorted((Edge(e.facet_ids, e.vertex_ids) for e in self.edges),
                        key=lambda e: sorted(e.vertex_ids))
         dual = LatticePolytope.__new__(LatticePolytope)
         dual._set_faces(vertices, tuple(facets), tuple(edges))
         dual._dual = self
+        dual._rows = rows, d
         return dual
 
     # -- counting -----------------------------------------------------------
 
     def lattice_points(self):
+        """The lattice points in (x, y, z) order, one (x, y) column of the
+        bounding box at a time: the column meets P in the z range cut out
+        by the facet inequalities n0*x + n1*y + n2*z >= c, each an exact
+        ceil/floor division, as in `Polygon._lattice_scan`.  A facet with
+        n2 = 0 keeps the whole column or empties it."""
         if not self.is_integral:
             raise PolytopeError("lattice points of a non-integral polytope")
-        lo = [min(v[i] for v in self.vertices) for i in range(3)]
-        hi = [max(v[i] for v in self.vertices) for i in range(3)]
+        (x0, x1), (y0, y1), (z0, z1) = ((min(c), max(c))
+                                        for c in zip(*self.vertices))
+        cuts = [(*f.normal, f.level) for f in self.facets]
         pts = []
-        for x in range(lo[0], hi[0] + 1):
-            for y in range(lo[1], hi[1] + 1):
-                for z in range(lo[2], hi[2] + 1):
-                    p = (x, y, z)
-                    if all(dot(f.normal, p) >= f.level for f in self.facets):
-                        pts.append(p)
+        for x in range(x0, x1 + 1):
+            for y in range(y0, y1 + 1):
+                lo, hi = z0, z1
+                for n0, n1, n2, c in cuts:
+                    r = c - n0 * x - n1 * y  # need n2*z >= r
+                    if n2 > 0:
+                        lo = max(lo, -(-r // n2))
+                    elif n2 < 0:
+                        hi = min(hi, r // n2)
+                    elif r > 0:
+                        hi = lo - 1
+                        break
+                pts.extend((x, y, z) for z in range(lo, hi + 1))
         return pts
 
     def boundary_area(self):
@@ -443,13 +488,22 @@ class LatticePolytope:
         Over a facet cycle, sum v_i x v_(i+1) is twice the vector area, and
         the facet's lattice has covolume |n| for the primitive normal n, so
         the facet's normalized area is <sum v_i x v_(i+1), n> / <n, n>.
+        It is read off the vertex rows, the vertices times d, so the sum is
+        d^2 times as large: one exact quotient per facet, over <n, n> d^2.
         Exact on rational vertices too; an int when the total is integral.
         """
+        rows, d = self.vertex_rows
         total = 0
         for f in self.facets:
-            vs = [self.vertices[i] for i in f.cycle]
-            s = reduce(vadd, map(cross, vs, vs[1:] + vs[:1]))
-            total += _quotient(abs(dot(s, f.normal)), dot(f.normal, f.normal))
+            n0, n1, n2 = f.normal
+            s = 0  # <sum a x b, n> over the edges a -> b of the cycle
+            ax, ay, az = rows[f.cycle[-1]]
+            for i in f.cycle:
+                bx, by, bz = rows[i]
+                s += (n0 * (ay * bz - az * by) + n1 * (az * bx - ax * bz)
+                      + n2 * (ax * by - ay * bx))
+                ax, ay, az = bx, by, bz
+            total += _quotient(abs(s), (n0 * n0 + n1 * n1 + n2 * n2) * d * d)
         return _clean((total,))[0]
 
     def edge_length(self, edge: Edge) -> int:
@@ -459,6 +513,19 @@ class LatticePolytope:
     def dual_edge_length(self, edge: Edge) -> int:
         f1, f2 = (self.facets[i] for i in sorted(edge.facet_ids))
         return lattice_length(self.dual_vertex(f1), self.dual_vertex(f2))
+
+
+def _facet_rows(facets):
+    """(rows, d): the polar dual's vertices n / (-c), one per facet with
+    primitive normal n and level c < 0, times their least common
+    denominator d, as tuples of ints.  With -c = p/q in lowest terms,
+    n / (-c) = n q / p, and n is primitive, so its least denominator is p
+    and d is the lcm of the p: the `clear_denominators` pair of the dual
+    vertices, with no `Fraction` built."""
+    ratios = [(-f.level).as_integer_ratio() for f in facets]
+    d = lcm(*(p for p, _ in ratios))
+    return tuple(tuple(x * (q * (d // p)) for x in f.normal)
+                 for f, (p, q) in zip(facets, ratios)), d
 
 
 def _hull3d_facets(pts, ipts):

@@ -5,7 +5,7 @@ import os
 import random
 import sys
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, reduce
 from itertools import combinations
 from math import gcd
 
@@ -13,13 +13,16 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from fanoscope.degeneration import DegenerationError
+from fanoscope.degeneration import (DegenerationError, EmptyLinearSystem,
+                                    NotCartier, NotNef, Sections)
 from fanoscope.fileio import bundled_polytopes, load_fixture
 from fanoscope.linalg import kernel_basis, lex_positive, primitive, saturate
 from fanoscope.minkowski import Summand
-from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
+from fanoscope.polytope import (Edge, Facet, LatticePolytope, Polygon,
+                                PolytopeError, _clean, _lattice_index,
                                 _quotient, cross, dot, embed_polygon,
-                                lattice_length, plane_coords, vadd, vsub)
+                                is_integral, lattice_length, plane_coords,
+                                plane_normal, vadd, vsub)
 
 
 def db_path():
@@ -615,3 +618,176 @@ def triangle(v1, v2, v3) -> Summand:
         vs = [vs[0], vs[2], vs[1]]  # reorder the same vectors into a ccw cycle
     k = min(range(3), key=lambda i: vs[i])
     return Summand("triangle", tuple(vs[k:] + vs[:k]))
+
+
+# ---------------------------------------------------------------------------
+# the kernels as they were before they read integer rows, the references of
+# `tests/test_integer_rows.py`: each body is the routine's own, verbatim,
+# with `self` the polygon or polytope passed in
+
+
+def face_length(points, n) -> int:
+    """Lattice length of the face of conv(points) that minimizes <., n>;
+    0 at a vertex (`polytope.face_length` as it was)."""
+    vals = [dot(n, p) for p in points]
+    lo = min(vals)
+    face = [p for p, v in zip(points, vals) if v == lo]
+    return lattice_length(min(face), max(face))
+
+
+def ref_edge_normals(self):
+    """`Polygon.edge_normals` as it was: one `primitive` and one `dot` per
+    edge, on the (possibly rational) vertices."""
+    out = []
+    for a, b in self.edges():
+        d = vsub(b, a)
+        n = primitive((-d[1], d[0]))  # inner for ccw orientation
+        out.append((n, dot(n, a)))
+    return tuple(out)
+
+
+def ref_lattice_points(self):
+    """`LatticePolytope.lattice_points` as it was: every point of the
+    bounding box tested against every facet."""
+    if not self.is_integral:
+        raise PolytopeError("lattice points of a non-integral polytope")
+    lo = [min(v[i] for v in self.vertices) for i in range(3)]
+    hi = [max(v[i] for v in self.vertices) for i in range(3)]
+    pts = []
+    for x in range(lo[0], hi[0] + 1):
+        for y in range(lo[1], hi[1] + 1):
+            for z in range(lo[2], hi[2] + 1):
+                p = (x, y, z)
+                if all(dot(f.normal, p) >= f.level for f in self.facets):
+                    pts.append(p)
+    return pts
+
+
+def ref_boundary_area(self):
+    """`LatticePolytope.boundary_area` as it was, on the (possibly
+    rational) vertices."""
+    total = 0
+    for f in self.facets:
+        vs = [self.vertices[i] for i in f.cycle]
+        s = reduce(vadd, map(cross, vs, vs[1:] + vs[:1]))
+        total += _quotient(abs(dot(s, f.normal)), dot(f.normal, f.normal))
+    return _clean((total,))[0]
+
+
+def ref_dual_from_faces(self) -> LatticePolytope:
+    """`LatticePolytope._dual_from_faces` as it was: orientation signs and
+    levels read off the dual's (possibly rational) vertices."""
+    vertices = tuple(f.dual for f in self.facets)
+    rings = [{} for _ in self.vertices]  # adjacent facets around v
+    for e in self.edges:
+        f, g = e.facet_ids
+        for v in e.vertex_ids:
+            rings[v].setdefault(f, []).append(g)
+            rings[v].setdefault(g, []).append(f)
+    facets = []
+    for v, ring in enumerate(rings):
+        normal = primitive(self.vertices[v])
+        start = min(ring)
+        nxt, other = ring[start]
+        # ccw about the normal: the other neighbour is on the left
+        a = vertices[start]
+        if dot(cross(vsub(vertices[nxt], a), vsub(vertices[other], a)),
+               normal) < 0:
+            nxt = other
+        cycle = [start]
+        for _ in range(len(ring) - 1):
+            cycle.append(nxt)
+            x, y = ring[nxt]
+            nxt = y if x == cycle[-2] else x
+        facets.append(Facet(normal, dot(normal, a), frozenset(cycle),
+                            tuple(cycle)))
+    edges = sorted((Edge(e.facet_ids, e.vertex_ids) for e in self.edges),
+                   key=lambda e: sorted(e.vertex_ids))
+    dual = LatticePolytope.__new__(LatticePolytope)
+    dual._set_faces(vertices, tuple(facets), tuple(edges))
+    dual._dual = self
+    return dual
+
+
+def ref_annihilators(data):
+    """`gamma._annihilators` as it was, built anew on each call from the
+    dual's (possibly rational) vertices."""
+    dual = data.dual
+    nus = [plane_normal(*(dual.vertices[i] for i in sorted(e.vertex_ids)))
+           for e in dual.edges]
+    return dual, nus
+
+
+def ref_cell_class_data(dual: LatticePolytope, facet):
+    """`invariants._cell_class_data` as it was, on the dual's (possibly
+    rational) vertices."""
+    rays = [facet.normal]
+    cyc = list(facet.cycle)
+    k = len(cyc)
+    # k times the centroid: only the sign of <m, .> is read
+    interior = tuple(map(sum, zip(*(dual.vertices[i] for i in cyc))))
+    for t in range(k):
+        a = dual.vertices[cyc[t]]
+        b = dual.vertices[cyc[(t + 1) % k]]
+        m = primitive(cross(a, b))
+        if dot(m, interior) < 0:
+            m = tuple(-x for x in m)
+        rays.append(m)
+    return _lattice_index(rays[1:])[1] // _lattice_index(rays)[1]
+
+
+def ref_sections_one_pass(normals, coeffs) -> Sections:
+    """`degeneration.polygon_of_sections` as it was: the corner test as an
+    `all`, the slack test on the (possibly rational) vertices, Cartier as
+    `is_integral` per vertex and each span a `lattice_length`."""
+    k = len(normals)
+    lower = [y < 0 or y == 0 > x for x, y in normals]
+    if (any(a * d - b * c <= 0 for (a, b), (c, d) in
+            ((normals[i - 1], normals[i]) for i in range(k)))
+            or sum(lower[i - 1] and not lower[i] for i in range(k)) != 1):
+        raise DegenerationError("edge normals are not in ccw order")
+    cuts = [(n0, n1, -q) for (n0, n1), q in zip(normals, coeffs)]
+    cands = set()
+    for i in range(k):
+        a, b = normals[i]
+        for j in range(i + 1, k):
+            c, d = normals[j]
+            den = a * d - b * c
+            if den == 0:
+                continue
+            # the corner of edges i and j in homogeneous coordinates (x:y:den)
+            x = -coeffs[i] * d + coeffs[j] * b
+            y = -coeffs[j] * a + coeffs[i] * c
+            if den < 0:
+                x, y, den = -x, -y, -den
+            if all(n0 * x + n1 * y >= lvl * den for n0, n1, lvl in cuts):
+                cands.add((x // den if x % den == 0 else Fraction(x, den),
+                           y // den if y % den == 0 else Fraction(y, den)))
+    if not cands:
+        raise EmptyLinearSystem("empty linear system")
+    sec = Sections(cands, normals, coeffs)
+    verts = sec.vertices()
+    faces = []
+    for n, q in zip(normals, coeffs):
+        vals = [n[0] * x + n[1] * y for x, y in verts]
+        if min(vals) != -q:
+            raise NotNef(f"divisor not nef: slack on edge with normal {n}")
+        faces.append([v for v, x in zip(verts, vals) if x == -q])
+    if not all(map(is_integral, verts)):
+        raise NotCartier("not Cartier: no integral section witness at a "
+                         "vertex cone")
+    sec.spans = tuple(lattice_length(min(f), max(f)) for f in faces)
+    return sec
+
+
+def ref_match_summand_slabs(summand: Summand, slab_functionals: dict):
+    """`degeneration.match_summand_slabs` as it was: the summand's vertex
+    list and one `face_length` per functional."""
+    verts = summand.polygon_vertices()
+    hits = [name for name, f in slab_functionals.items()
+            if face_length(verts, f) >= 1]
+    need = {"segment": 2, "triangle": 3}[summand.kind]
+    if len(hits) != need:
+        raise DegenerationError(
+            f"unmatched summand direction: {summand} met {hits}")
+    return tuple(sorted(hits))

@@ -56,10 +56,13 @@ def test_table_meets_the_bench_oracle(workloads, tmp_path):
 
 def test_bundled_passes_build_alike(workloads, monkeypatch):
     """A second `bundled` pass builds as many slabs and triangulations as
-    the first, so nothing shared within one degeneration outlives it."""
-    from fanoscope import discriminant
+    the first, and computes P*'s vertex rows and edge annihilators as many
+    times, so nothing shared within one degeneration or kept on one P*
+    outlives it."""
+    from fanoscope import discriminant, polytope
     from fanoscope.degeneration import Slab
-    counts = {"Slab": 0, "max_triangulation": 0}
+    counts = {"Slab": 0, "max_triangulation": 0, "_facet_rows": 0,
+              "plane_normal": 0}
     init, triangulate = Slab.__init__, discriminant.max_triangulation
 
     def counted_init(self, *args, **kwargs):
@@ -70,9 +73,20 @@ def test_bundled_passes_build_alike(workloads, monkeypatch):
         counts["max_triangulation"] += 1
         return triangulate(polygon)
 
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def spy(*args):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(module, name, spy)
+
     monkeypatch.setattr(Slab, "__init__", counted_init)
     monkeypatch.setattr(discriminant, "max_triangulation",
                         counted_triangulation)
+    # P*'s rows, and one annihilator per edge of P* (`edge_annihilators`)
+    counted(polytope, "_facet_rows")
+    counted(polytope, "plane_normal")
     items = workloads.build("bundled", 0)
     passes = []
     for _ in range(2):

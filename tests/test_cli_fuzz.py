@@ -3,9 +3,13 @@
 The inputs are every bundled fixture, every bundled polytope written as a
 JSON file, and a table manifest of four bundled rows (one per method).  Each
 key is dropped, and each value down to depth 2 is replaced by each of
-`JUNK`; a manifest's rows get the same.  Every in-process `cli.main` run
-must either exit 0 with a report, or exit 1 or 2 with an empty stdout and
-exactly one JSON error line on stderr: never a traceback.
+`JUNK`; a manifest's rows get the same.  Each run is `analyze`, or `table`
+for a manifest.  Every fixture's mutants are also drawn with
+`discriminant --svg`, and a slab fixture's entries at depth 3 (each key of
+`slabs[i]` and of `rays.<R>[i]`) get the same drop and replacements under
+`analyze`.  Every in-process `cli.main` run must either exit 0 with a
+report, or exit 1 or 2 with an empty stdout and exactly one JSON error line
+on stderr: never a traceback.
 """
 
 import contextlib
@@ -43,6 +47,27 @@ def mutants(doc):
                 changed = value.copy()
                 changed[sub] = junk
                 out.append((f"{key}.{sub} = {junk!r}", {**doc, key: changed}))
+    return out
+
+
+def entry_mutants(doc):
+    """(label, doc changed once) for a slab fixture: each key of each entry
+    of its `slabs` list and of its ray lists dropped, or its value replaced
+    by each of JUNK."""
+    out = []
+    lists = [("slabs", lambda d: d["slabs"])]
+    lists += [(f"rays.{ray}", lambda d, ray=ray: d["rays"][ray])
+              for ray in doc["rays"]]
+    for where, entries in lists:
+        for i, entry in enumerate(entries(doc)):
+            changes = [(f"drop {key}", {k: v for k, v in entry.items()
+                                        if k != key}) for key in entry]
+            changes += [(f"{key} = {junk!r}", {**entry, key: junk})
+                        for key in entry for junk in JUNK]
+            for label, changed in changes:
+                new = json.loads(json.dumps(doc))
+                entries(new)[i] = changed
+                out.append((f"{where}[{i}]: {label}", new))
     return out
 
 
@@ -107,6 +132,39 @@ def test_every_malformed_input_exits_cleanly(tmp_path, monkeypatch):
         if fault:
             faults.append(f"{label}: {fault}")
     assert faults == []
+
+
+def run_all(cases, argv, tmp_path):
+    """The faults of `verdict` over (label, doc) cases, each written to
+    one file whose path `argv` turns into the command line."""
+    path = tmp_path / "target.json"
+    faults = []
+    for label, doc in cases:
+        path.write_text(json.dumps(doc))
+        fault = verdict(argv(str(path)))
+        if fault:
+            faults.append(f"{label}: {fault}")
+    return faults
+
+
+def test_every_fixture_mutant_is_drawn_or_refused(tmp_path, monkeypatch):
+    monkeypatch.delenv("FANOSCOPE_DB", raising=False)
+    svg = str(tmp_path / "svg")
+    cases = [(f"{name}: {label}", changed) for name in list_fixtures()
+             if "kind" in (doc := load_fixture(name))
+             for label, changed in mutants(doc)]
+    assert len(cases) == 1862
+    assert run_all(cases, lambda path: ["discriminant", path, "--svg", svg],
+                   tmp_path) == []
+
+
+def test_every_slab_entry_mutant_exits_cleanly(tmp_path, monkeypatch):
+    monkeypatch.delenv("FANOSCOPE_DB", raising=False)
+    cases = [(f"{name}: {label}", changed) for name in list_fixtures()
+             if (doc := load_fixture(name)).get("kind") == "slabs"
+             for label, changed in entry_mutants(doc)]
+    assert len(cases) == 1368
+    assert run_all(cases, lambda path: ["analyze", path], tmp_path) == []
 
 
 def test_the_fuzz_sees_a_traceback(monkeypatch):

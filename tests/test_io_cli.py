@@ -386,6 +386,20 @@ def test_cli_malformed_slab_fixture_discriminant_exits_1(tmp_path):
                    "'P112a/s7', 'SQa/s8']"}
 
 
+def test_cli_discriminant_refuses_a_ray_on_an_unknown_slab(tmp_path):
+    # mm2_2 with rays.R1[0].slabs = ["NOPE", "P2", "SQa"]: the reader
+    # refuses it before any slab is glued or any drawing is written (it
+    # was a KeyError traceback from `assemble_global`)
+    doc, message = unparsable_slab_fixtures()["entry_unknown_slab"]
+    path = tmp_path / "mm2_2_unknown_slab.json"
+    path.write_text(json.dumps(doc))
+    outdir = tmp_path / "svg"
+    code, out, err = run_cli("discriminant", str(path), "--svg", str(outdir))
+    assert code == 2 and out == ""
+    assert one_json_line(err) == {"error": "ParseError", "message": message}
+    assert not outdir.exists()
+
+
 def test_cli_fixture_is_told_by_its_kind_key(tmp_path):
     # "kind" 600 characters into the file: still a fixture
     doc = load_fixture("b1")

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (_frac, bundled, bundled_polygon, edge_vector_multiset,
-                      mat_vec, on_segment,
+                      face_length, mat_vec, on_segment,
                       random_unimodular2, random_unimodular3,
                       ref_cycle_in_ray_coords)
 from test_degeneration import ref_polygon_of_sections
@@ -41,9 +41,9 @@ from fanoscope.fileio import (bundled_polytopes, data_from_fixture,
 from fanoscope.linalg import clear_denominators, primitive
 from fanoscope.minkowski import enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                dot, face_length, gorenstein_index,
-                                lattice_length, plane_basis, plane_coords,
-                                plane_normal, _clean)
+                                dot, gorenstein_index, lattice_length,
+                                plane_basis, plane_coords, plane_normal,
+                                _clean)
 
 # ---------------------------------------------------------------------------
 # the Fraction route

@@ -6,11 +6,12 @@ from itertools import combinations_with_replacement
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (dilate_polygon, edge_vector_multiset, lattice_polygons,
-                      mat_vec, normalized, random_unimodular2,
-                      ref_minkowski_sum, segment, triangle)
+from conftest import (dilate_polygon, edge_vector_multiset, face_length,
+                      lattice_polygons, mat_vec, normalized,
+                      random_unimodular2, ref_minkowski_sum, segment,
+                      triangle)
 from fanoscope.minkowski import enumerate_smooth_decompositions
-from fanoscope.polytope import Polygon, PolytopeError, face_length
+from fanoscope.polytope import Polygon, PolytopeError
 
 HEXAGON = Polygon([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)])
 SQUARE = Polygon([(0, 0), (1, 0), (1, 1), (0, 1)])

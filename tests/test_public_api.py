@@ -38,7 +38,8 @@ DELETED = [("polytope", "convex_hull"),
            ("minkowski", "segment"),
            ("minkowski", "triangle"),
            ("minkowski", "Summand.dim"),
-           ("polytope", "Polygon.edge_vector_multiset")]
+           ("polytope", "Polygon.edge_vector_multiset"),
+           ("polytope", "face_length")]
 
 
 def resolves(obj, dotted):

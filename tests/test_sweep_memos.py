@@ -1,6 +1,6 @@
 """The sweep path's ray pass: one closed-form `ray_lattice` basis per
-facet, one vertex list per summand in `match_summand_slabs`, and hull
-planes dropped at their first point on the far side.
+facet, no vertex list in `match_summand_slabs`, and hull planes dropped at
+their first point on the far side.
 
 `ray_lattice(u) == ray_lattice(-u)` is checked here on every primitive
 direction of a box and on the facets of seeded GL(3,Z) images.  A spy
@@ -8,12 +8,13 @@ fails if the ray pass or `identity24` reaches the Smith or Hermite forms.
 Two property tests pin what a `--decomposition` index names: each ray's
 list, read in 3-space, is the list under the kernel-rows basis
 `ref_ray_lattice` (conftest) on the bundled polytopes, the `sweep` bases
-and their images, and decompositions of one length, which none of those
-has, are in the order of their summands in `ray_lattice`'s coordinates.
+and their images; decompositions of one length, which none of those has
+but the octagon prism's facets do, are in the order of their summands read
+in 3-space, the same under either basis and under any other.
 `ref_hull3d_facets` (conftest) is the routine as it was.  A count guard
-fails if `match_summand_slabs` builds more than one vertex list per
-summand; another fails if the enumerator builds more than one `Summand`
-per distinct summand of its result.
+fails if `match_summand_slabs` builds a vertex list; another fails if the
+enumerator builds more than one `Summand` per distinct summand of its
+result.
 """
 
 import json
@@ -26,11 +27,12 @@ from pathlib import Path
 
 import pytest
 
-from conftest import (bundled, mat_vec, random_unimodular3,
-                      ref_hull3d_facets, ref_ray_lattice)
+from conftest import (bundled, mat_vec, random_unimodular2,
+                      random_unimodular3, ref_hull3d_facets, ref_ray_lattice)
 from fanoscope import degeneration, linalg
 from fanoscope.degeneration import (DegenerationError, decomposition_regimes,
-                                    facet_regime, method1_data, ray_lattice)
+                                    facet_regime, line_fan_data, method1_data,
+                                    ray_lattice)
 from fanoscope.fileio import bundled_polytopes
 from fanoscope.linalg import clear_denominators, lex_positive
 from fanoscope.minkowski import Summand, enumerate_smooth_decompositions
@@ -135,25 +137,107 @@ OCTAGON = ((-2, -2), (-1, -2), (1, -1), (2, 0), (2, 2), (1, 2), (-1, 1),
            (-2, 0))
 
 
-def test_tied_decompositions_are_in_ray_coordinate_order():
-    # decompositions of one length are ordered by their summands in the
-    # coordinates of the ray's `ray_lattice` basis; their set per length is
-    # the kernel route's.  The prism's sides are not divisible by their
-    # index, so its octagons are read one facet at a time
+def octagon_facets():
+    """(P, facet id) of both octagons of the prism and of its 14 seeded
+    GL(3,Z) images.  The prism's sides are not divisible by their index,
+    so its octagons are read one facet at a time."""
     prism = LatticePolytope([(x, y, z) for x, y in OCTAGON for z in (-1, 1)])
-    ties = 0
-    for p in seeded_images(prism, range(1, 15)):
-        for vid, f in enumerate(p.facets):
-            if -f.level != 1:
-                continue
-            decos = facet_regime(p, vid)
-            assert decos == sorted(decos, key=lambda d: (-len(d), d))
-            ref_basis, ref = ref_regime(p, vid)
-            basis = ray_lattice(f.normal)
-            assert sorted((len(d), in_space(basis, d)) for d in decos) == \
-                sorted((len(d), in_space(ref_basis, d)) for d in ref)
-            ties += any(len(a) == len(b) for a, b in zip(decos, decos[1:]))
-    assert ties == 30  # both octagons of the prism and of its 14 images
+    return [(p, vid) for p in seeded_images(prism, range(1, 15))
+            for vid, f in enumerate(p.facets) if -f.level == 1]
+
+
+def test_tied_decompositions_are_in_space_order(monkeypatch):
+    # each index names the same decomposition read in 3-space whether the
+    # ray's basis is the closed form or the kernel-rows one, which the
+    # enumerator's order, in ray coordinates, does not do on 6 facets
+    closed, kernel, swapped = [], [], 0
+    for p, vid in octagon_facets():
+        basis = ray_lattice(p.facets[vid].normal)
+        decos = facet_regime(p, vid)
+        assert degeneration._tied(decos)
+        closed.append([in_space(basis, d) for d in decos])
+        # the enumerator's lists under the two bases
+        raw = enumerate_smooth_decompositions(
+            degeneration._ray_word(p, p.facets[vid], basis, vid))
+        ref_basis, ref = ref_regime(p, vid)
+        swapped += ([in_space(basis, d) for d in raw]
+                    != [in_space(ref_basis, d) for d in ref])
+    monkeypatch.setattr(degeneration, "ray_lattice", ref_ray_lattice)
+    for p, vid in octagon_facets():
+        basis = ref_ray_lattice(p.facets[vid].normal)
+        kernel.append([in_space(basis, d) for d in facet_regime(p, vid)])
+    assert len(closed) == 30  # both octagons of the prism and its images
+    assert kernel == closed
+    assert swapped == 6
+
+
+def test_space_order_is_free_of_the_basis():
+    # under any basis of the facet's plane, GL(2,Z) images of the closed
+    # form's with either orientation, a tied list is the same in 3-space
+    rng = random.Random(28)
+    for p, vid in octagon_facets():
+        f = p.facets[vid]
+        b0, b1 = ray_lattice(f.normal)
+        want = [in_space((b0, b1), d) for d in facet_regime(p, vid)]
+        for _ in range(4):
+            (a, b), (c, d) = random_unimodular2(rng)
+            basis = (tuple(a * x + b * y for x, y in zip(b0, b1)),
+                     tuple(c * x + d * y for x, y in zip(b0, b1)))
+            decos = enumerate_smooth_decompositions(
+                degeneration._ray_word(p, f, basis, vid))
+            assert degeneration._tied(decos)
+            ordered = degeneration._space_order(decos, basis)
+            assert [in_space(basis, d) for d in ordered] == want
+            assert [len(d) for d in ordered] == sorted(map(len, decos),
+                                                       reverse=True)
+
+
+def test_space_order_puts_more_summands_first():
+    # two segments before one triangle, though the triangle's lifted
+    # vertices sort first
+    two = (Summand("segment", ((1, 0),)), Summand("segment", ((1, 1),)))
+    one = (Summand("triangle", ((1, 0), (-1, 1), (0, -1))),)
+    basis = ((1, 0, 0), (0, 1, 0))
+    assert degeneration._space_order([one, two], basis) == [two, one]
+
+
+def octagon_line_fan():
+    """The octagon prism's line fan along its axis, with one ray per edge
+    of the octagon, on the edge's inner normal: both rays leave P* at a
+    vertex dual to an octagon, whose decompositions tie."""
+    prism = LatticePolytope([(x, y, z) for x, y in OCTAGON for z in (-1, 1)])
+    rays = []
+    for (ax, ay), (bx, by) in zip(OCTAGON, OCTAGON[1:] + OCTAGON[:1]):
+        g = gcd(bx - ax, by - ay)
+        rays.append(((ay - by) // g, (bx - ax) // g, 0))
+    return prism, rays
+
+
+def test_line_fan_takes_one_tied_decomposition_under_any_basis(monkeypatch):
+    # the last entry of each ray's list, read in 3-space, is the same
+    # whatever basis of the line's plane the ray pass is handed
+    prism, rays = octagon_line_fan()
+
+    def chosen(data, basis):
+        # a decomposition's summands come in ray-coordinate order
+        return sorted((rs.ray, rs.slabs, in_space(basis, [rs.summand]))
+                      for rs in data.ray_summands)
+
+    real = degeneration.ray_lattice
+    want = chosen(line_fan_data(prism, (0, 0, 1), rays, []),
+                  real((0, 0, 1)))
+    rng = random.Random(29)
+    for _ in range(8):
+        a = random_unimodular2(rng)
+
+        def turned(u, a=a):
+            b0, b1 = real(u)
+            return [tuple(r * x + s * y for x, y in zip(b0, b1))
+                    for r, s in a]
+
+        monkeypatch.setattr(degeneration, "ray_lattice", turned)
+        data = line_fan_data(prism, (0, 0, 1), rays, [])
+        assert chosen(data, turned((0, 0, 1))) == want
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +340,7 @@ def test_ray_pass_reaches_no_smith_form(smith_calls, name):
 @pytest.fixture
 def calls(monkeypatch):
     """Counts of `Summand.polygon_vertices` calls, and of `polygon_vertices`
-    calls per `match_summand_slabs`."""
+    calls per `match_summand_slabs`, which reads the summand's vectors."""
     counts = {"vertices": 0, "per_match": []}
     vertices = Summand.polygon_vertices
     match = degeneration.match_summand_slabs
@@ -277,7 +361,7 @@ def calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_one_vertex_list_per_summand(calls, name):
+def test_no_vertex_list_per_summand(calls, name):
     for p in images(name):
         try:
             regimes = decomposition_regimes(p)
@@ -288,7 +372,7 @@ def test_one_vertex_list_per_summand(calls, name):
             calls["per_match"].clear()
             method1_data(p)
             assert calls["per_match"]
-            assert set(calls["per_match"]) == {1}
+            assert set(calls["per_match"]) == {0}
 
 
 def ray_words():
