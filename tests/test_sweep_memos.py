@@ -11,10 +11,11 @@ list, read in 3-space, is the list under the kernel-rows basis
 and their images; decompositions of one length, which none of those has
 but the octagon prism's facets do, are in the order of their summands read
 in 3-space, the same under either basis and under any other.
-`ref_hull3d_facets` (conftest) is the routine as it was.  A count guard
-fails if `match_summand_slabs` builds a vertex list; another fails if the
-enumerator builds more than one `Summand` per distinct summand of its
-result.
+The enumerator's own order of such ties, in ray coordinates, is pinned
+too.  `ref_hull3d_facets` (conftest) is the routine as it was.  A count
+guard fails if method1_data builds more than one vertex list per summand
+or `match_summand_slabs` builds any; another fails if the enumerator
+builds more than one `Summand` per distinct summand of its result.
 """
 
 import json
@@ -144,6 +145,26 @@ def octagon_facets():
     prism = LatticePolytope([(x, y, z) for x, y in OCTAGON for z in (-1, 1)])
     return [(p, vid) for p in seeded_images(prism, range(1, 15))
             for vid, f in enumerate(p.facets) if -f.level == 1]
+
+
+def test_tied_decompositions_are_in_ray_coordinate_order():
+    # the enumerator orders decompositions of one length by their summands
+    # in the coordinates of the ray's `ray_lattice` basis, and its set per
+    # length is the kernel route's; `_space_order` then reorders the ties
+    ties = 0
+    for p, vid in octagon_facets():
+        f = p.facets[vid]
+        basis = ray_lattice(f.normal)
+        decos = enumerate_smooth_decompositions(
+            degeneration._ray_word(p, f, basis, vid))
+        assert decos == sorted(decos, key=lambda d: (-len(d), d))
+        ref_basis, ref = ref_regime(p, vid)
+        assert sorted((len(d), in_space(basis, d)) for d in decos) == \
+            sorted((len(d), in_space(ref_basis, d)) for d in ref)
+        assert sorted(facet_regime(p, vid), key=lambda d: (-len(d), d)) \
+            == decos
+        ties += degeneration._tied(decos)
+    assert ties == 30  # both octagons of the prism and of its 14 images
 
 
 def test_tied_decompositions_are_in_space_order(monkeypatch):
@@ -361,7 +382,9 @@ def calls(monkeypatch):
 
 
 @pytest.mark.parametrize("name", NAMES)
-def test_no_vertex_list_per_summand(calls, name):
+def test_one_vertex_list_per_summand(calls, name):
+    # at most one vertex list per summand over the whole of method1_data,
+    # and none of them in `match_summand_slabs`
     for p in images(name):
         try:
             regimes = decomposition_regimes(p)
@@ -370,9 +393,11 @@ def test_no_vertex_list_per_summand(calls, name):
             continue
         if p.is_reflexive() and all(regimes):
             calls["per_match"].clear()
+            calls["vertices"] = 0
             method1_data(p)
             assert calls["per_match"]
             assert set(calls["per_match"]) == {0}
+            assert calls["vertices"] <= len(calls["per_match"])
 
 
 def ray_words():
