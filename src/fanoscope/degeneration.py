@@ -15,8 +15,8 @@ from math import gcd
 from .linalg import clear_denominators, det, lex_positive, primitive
 from .minkowski import Summand, enumerate_smooth_decompositions
 from .polytope import (LatticePolytope, Polygon, PolytopeError, cross, dot,
-                       is_integral, lattice_length, pick_area, plane_basis,
-                       plane_coords, plane_normal, _clean, _quotient)
+                       lattice_length, pick_area, plane_basis, plane_coords,
+                       plane_normal, _clean, _quotient)
 
 
 class DegenerationError(ValueError):
@@ -469,21 +469,18 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
             f"0..{len(dual.vertices) - 1} of the polar dual")
     if isinstance(edge_values, dict):
         _check_keys(edge_values, "edge_values", "edge", len(dual.edges))
+    # one pass over P*'s edges: labels, slabs, and (edge, other end) by end
     values = {}
-    for i, e in enumerate(dual.edges):
-        ell_dual = dual.dual_edge_length(e)
-        if edge_values is None:
-            values[i] = ell_dual
-        elif isinstance(edge_values, int):
-            values[i] = edge_values
-        else:
-            values[i] = edge_values.get(i, 0)
-
     slabs = []
     built = {}  # (polygon, coeffs) -> its first slab, within this call
-    rows = dual.vertex_rows[0]
+    ends = [[] for _ in dual.vertices]
     for i, e in enumerate(dual.edges):
         a_id, b_id = sorted(e.vertex_ids)
+        ends[a_id].append((i, b_id))
+        ends[b_id].append((i, a_id))
+        values[i] = (dual.dual_edge_length(e) if edge_values is None
+                     else edge_values if isinstance(edge_values, int)
+                     else edge_values.get(i, 0))
         va, vb = dual.vertices[a_id], dual.vertices[b_id]
         basis = plane_basis([va, vb])  # spans va and vb
         origin = (0, 0)
@@ -504,6 +501,7 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
         slabs.append(Slab.shared(built, _edge_name(i), poly, tuple(coeffs),
                                  tuple(roles)))
 
+    rows = dual.vertex_rows[0]
     ray_summands = []
     for vid, (w_basis, decos) in enumerate(_ray_decompositions(p)):
         if not decos:
@@ -517,12 +515,8 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
                 f"decomposition index {idx} out of range for vertex {vid}")
         # quotient functionals of the 2-cones at this ray, read off the
         # vertex rows, which lie on the rays of P*'s vertices
-        functionals = {}
-        for i, e in enumerate(dual.edges):
-            if vid in e.vertex_ids:
-                other = next(x for x in e.vertex_ids if x != vid)
-                functionals[_edge_name(i)] = quotient_functional(
-                    w_basis, rows[other])
+        functionals = {_edge_name(i): quotient_functional(w_basis, rows[other])
+                       for i, other in ends[vid]}
         ray_summands += _attach(_ray_name(vid), decos[idx], functionals)
 
     data = DegenerationData(
@@ -648,7 +642,8 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     becomes a `Fraction` only where it is not integral.  A slab's points
     all lie in its 2-cone's plane <nu, .> = 0, which its basis spans: the
     slice's points satisfy it (`_plane_slice`), and so do the spine's ends,
-    which lie on the line.  So `plane_coords` maps each of them.
+    which lie on the line.  So `plane_coords` maps each of them one to one,
+    and a slab vertex's point of 3-space is looked up by its coordinates.
     """
     if not p.is_fano():
         raise DegenerationError("P is not a Fano polytope")
@@ -678,9 +673,11 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     slab_functionals = {}
     for k, w in enumerate(fan.rays2d):
         basis, (nu, half) = bases[k], two_cones[k]
-        pts, flat = _plane_slice(dual, rows, den, nu)
-        coords = plane_coords(basis, _clip_halfplane(pts, half, spine))
-        chord = set(coords[-2:])  # the spine, which the clip put last
+        pts, flat = _plane_slice(dual, rows, den, nu, half)
+        pts += spine
+        coords = plane_coords(basis, pts)
+        space = dict(zip(coords, pts))
+        chord = set(coords[-2:])
         poly = Polygon(coords)
         coeffs, roles = [], []
         for a, b in poly.edges():
@@ -688,8 +685,8 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
                 coeffs.append(0)
                 roles.append(ROLE_SPINE)
                 continue
-            eidx = _containing_edge(dual, flat, _unproject(basis, a),
-                                    _unproject(basis, b)) if flat else None
+            eidx = (_containing_edge(dual, flat, space[a], space[b])
+                    if flat else None)
             coeffs.append(0 if eidx is None else edge_values[eidx])
             roles.append(ROLE_BOUNDARY)
         sname = f"S{k}"
@@ -743,42 +740,29 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
 
 def product_data(q: Polygon, name="") -> DegenerationData:
     """Product construction from a reflexive base polygon Q: the polar
-    polytope is Q x [-1, 1], vertical edges labeled l(v*)."""
+    polytope is Q x [-1, 1], vertical edges labeled l(v*), both read off
+    Q's edges (n, c): the polar vertex n / -c is integral exactly when
+    c = -1, as n is primitive, and vertex i of Q lies on the lines of edges
+    i - 1 and i alone, so l(v*) is the lattice length of [n_(i-1), n_i].
+    """
     if not q.is_integral:
         raise DegenerationError("base polygon must be integral")
-    qdualverts = _polygon_polar(q)
-    if not all(is_integral(v) for v in qdualverts):
+    edges = q.edge_normals()
+    if any(c >= 0 for _, c in edges):
+        raise DegenerationError("origin not interior to the base polygon")
+    if any(c != -1 for _, c in edges):
         raise DegenerationError("base polygon must be reflexive "
                                 "(r(v*) = 1 everywhere)")
-    p = LatticePolytope([(v[0], v[1], 0) for v in qdualverts]
+    normals = [n for n, _ in edges]
+    p = LatticePolytope([(x, y, 0) for x, y in normals]
                         + [(0, 0, 1), (0, 0, -1)])
-    rules = []
-    for v in q.vertices:
-        a_v = _dual_edge_length(v, qdualverts)
-        rules.append({"meets": (v[0], v[1], 0), "value": a_v})
-    data = line_fan_data(p, (0, 0, 1), [(v[0], v[1], 0) for v in q.vertices],
+    rules = [{"meets": (x, y, 0), "value": lattice_length(normals[i - 1], n)}
+             for i, ((x, y), n) in enumerate(zip(q.vertices, normals))]
+    data = line_fan_data(p, (0, 0, 1), [(x, y, 0) for x, y in q.vertices],
                          rules, name=name or "product data")
     data.kind = "product"
     data.notes["a_values"] = [r["value"] for r in rules]
     return data
-
-
-def _polygon_polar(q: Polygon):
-    verts = []
-    for n, c in q.edge_normals():
-        if c >= 0:
-            raise DegenerationError("origin not interior to the base polygon")
-        verts.append(tuple(Fraction(x, -c) for x in n))
-    return [tuple(int(x) if x.denominator == 1 else x for x in v) for v in verts]
-
-
-def _dual_edge_length(v, qdualverts):
-    """Length of the edge of the polar dual on which v evaluates to -1.
-    The origin is interior to Q, so <u_e, .> >= -1 on Q for the polar vertex
-    u_e of each edge e, with equality exactly on e's line; v lies on the
-    lines of its two edges only, so two u are tight."""
-    tight = [u for u in qdualverts if dot(u, v) == -1]
-    return lattice_length(tight[0], tight[1])
 
 
 # -- small geometric helpers -------------------------------------------------
@@ -822,39 +806,33 @@ def _exit_point(poly: LatticePolytope, levels, r):
     return best
 
 
-def _plane_slice(poly: LatticePolytope, rows, den, nu):
-    """Vertices of the section of a 3-polytope by the plane ann(nu), and
-    the ids of the polytope's edges that lie in that plane.
+def _plane_slice(poly: LatticePolytope, rows, den, nu, half):
+    """The vertices of the section of a 3-polytope by the plane ann(nu) at
+    which <half, .> > 0, and the ids of the polytope's edges in the plane.
 
     rows are the polytope's vertices times den.  A vertex on the plane is
     kept as it is; an edge [a, b] with g = <nu, .> of opposite signs at its
-    ends crosses it at (g_b a - g_a b) / (g_b - g_a), one exact quotient.
-    The plane passes through the origin, interior to poly (= P* for a Fano
-    P), so the section is a polygon and these are at least 3 points.
+    ends crosses it at (g_b a - g_a b) / (g_b - g_a), one exact quotient,
+    built only where <half, g_b a - g_a b> (g_b - g_a) > 0.  The plane
+    passes through the origin, interior to poly (= P* for a Fano P), so
+    the section is a polygon around the origin, and `half`, which is > 0 on
+    the 2-cone's ray, is > 0 at one of its vertices: never none.
     """
     g = [dot(nu, v) for v in rows]
-    pts = {v for v, x in zip(poly.vertices, g) if x == 0}
+    pts = [v for v, r, x in zip(poly.vertices, rows, g)
+           if x == 0 and dot(half, r) > 0]
     flat = []
     for i, e in enumerate(poly.edges):
         ia, ib = e.vertex_ids
         ga, gb = g[ia], g[ib]
         if ga * gb < 0:
-            d = (gb - ga) * den
-            pts.add(tuple(_quotient(gb * x - ga * y, d)
-                          for x, y in zip(rows[ia], rows[ib])))
+            num = [gb * x - ga * y for x, y in zip(rows[ia], rows[ib])]
+            if dot(half, num) * (gb - ga) > 0:
+                d = (gb - ga) * den
+                pts.append(tuple(_quotient(x, d) for x in num))
         elif ga == gb == 0:
             flat.append(i)
-    return list(pts), flat
-
-
-def _clip_halfplane(points, half, chord):
-    """Points whose hull is the part of the convex polygon conv(points) on
-    <., half> >= 0, given the ends of its chord on <., half> = 0: the
-    points strictly inside the half, then the chord's two ends.  The
-    polygon is a `_plane_slice`, with the origin in its relative interior,
-    and `half` is not zero on its plane (it is > 0 on the 2-cone's ray), so
-    it is > 0 at some vertex: the first part is never empty."""
-    return [p for p in points if dot(half, p) > 0] + list(chord)
+    return pts, flat
 
 
 def _containing_edge(poly: LatticePolytope, edge_ids, a3, b3):
@@ -875,11 +853,6 @@ def _two_cone_containing(two_cones, v):
         if dot(nu, v) == 0 and dot(half, v) >= 0:
             return nu
     return None
-
-
-def _unproject(basis, coord2):
-    return tuple(coord2[0] * b0 + coord2[1] * b1
-                 for b0, b1 in zip(basis[0], basis[1]))
 
 
 # ---------------------------------------------------------------------------

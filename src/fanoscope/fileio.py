@@ -19,9 +19,7 @@ class ParseError(ValueError):
 
 EXPECTED_DB_SIZE = 4319
 
-
-def _fixture_dir():
-    return resources.files("fanoscope") / "fixtures"
+FIXTURE_DIR = resources.files("fanoscope") / "fixtures"
 
 
 def read_target(target):
@@ -162,12 +160,12 @@ def ingest_database(path):
 
 def load_fixture(name) -> dict:
     """The JSON document of a bundled fixture, by name."""
-    return json.loads((_fixture_dir() / f"{name}.json").read_text())
+    return json.loads((FIXTURE_DIR / f"{name}.json").read_text())
 
 
 def list_fixtures():
     out = []
-    for entry in _fixture_dir().iterdir():
+    for entry in FIXTURE_DIR.iterdir():
         if entry.name.endswith(".json"):
             out.append(entry.name[:-5])
     return sorted(out)
@@ -352,12 +350,12 @@ def _slab_fixture(doc, name, p):
 
 def expected_rows():
     """The bundled table of expected invariants for the 105 families."""
-    doc = json.loads((_fixture_dir() / "expected_invariants.json").read_text())
+    doc = json.loads((FIXTURE_DIR / "expected_invariants.json").read_text())
     return doc["rows"]
 
 
 def bundled_polytopes() -> dict:
-    return json.loads((_fixture_dir() / "polytopes.json").read_text())
+    return json.loads((FIXTURE_DIR / "polytopes.json").read_text())
 
 
 # the keys every table manifest row holds, with their JSON types

@@ -29,13 +29,6 @@ class GammaSystem:
     cone_names: list
 
 
-def _annihilators(data: DegenerationData):
-    """P* and the annihilator of each of its edges' planes, which P* keeps
-    (`LatticePolytope.edge_annihilators`), so `build_system` and
-    `barT_sections` share one list."""
-    return data.dual, data.dual.edge_annihilators()
-
-
 def build_system(data: DegenerationData) -> GammaSystem:
     """Linear system whose solutions are the limit elements.
 
@@ -51,7 +44,8 @@ def build_system(data: DegenerationData) -> GammaSystem:
     if data.kind != "normal_fan":
         raise GammaError("the Betti formula needs a complete normal fan "
                          "(0-dimensional minimal cone)")
-    dual, nus = _annihilators(data)
+    dual = data.dual
+    nus = dual.edge_annihilators()
     edge_index = {_edge_name(i): i for i in range(len(dual.edges))}
     n_alpha = len(dual.edges)
     rows = []
@@ -174,10 +168,11 @@ def barT_sections(data: DegenerationData) -> int | None:
         raise GammaError("fast path needs a complete normal fan")
     if not barT_hypothesis(data):
         return None
-    dual, nus = _annihilators(data)
+    dual = data.dual
+    nus = dual.edge_annihilators()
     n_alpha = len(dual.edges)
     n_rays = len(dual.vertices)
+    # one tie per end of each edge; the row order does not change the nullity
     rows = [_tie(i, n_alpha + 3 * vid, nus[i])
-            for vid in range(n_rays)
-            for i, e in enumerate(dual.edges) if vid in e.vertex_ids]
+            for i, e in enumerate(dual.edges) for vid in e.vertex_ids]
     return nullity(rows, n_alpha + 3 * n_rays) - n_rays

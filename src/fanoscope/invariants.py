@@ -10,7 +10,7 @@ from math import gcd
 from .degeneration import DegenerationData, DegenerationError
 from .gamma import b2 as gamma_b2, barT_sections
 from .linalg import primitive
-from .polytope import LatticePolytope, _lattice_index, cross, dot
+from .polytope import LatticePolytope, _lattice_index, cross
 
 
 class InvariantError(DegenerationError):
@@ -100,28 +100,21 @@ def _cell_class_data(dual: LatticePolytope, facet):
     polar polytope, measured in the free part of the cell's class group.
 
     The cell's rays are the facet normal followed by one functional per
-    facet edge.  The base divisor (the first ray) is divisible by
+    facet edge, primitive(a x b) for edge [a, b] up to sign: negating a row
+    negates every minor that holds it, and `_lattice_index` reads only gcds
+    of minors.  The base divisor (the first ray) is divisible by
     d3(rays[1:]) / d3(rays), d3 the gcd of the 3x3 minors.  It is never
     torsion, which needs the other rays to have rank < 3: they are the
     inner normals of the cone over the facet, which is strictly convex
     (the origin is interior to the polar polytope, so off the facet) and
     3-dimensional, so its dual cone, which they span, is 3-dimensional.
     The vertices are read as the polar polytope's vertex rows, which are
-    them times d > 0: the same primitive cross products and signs.
+    them times d > 0: the same primitive cross products.
     """
     rows = dual.vertex_rows[0]
-    rays = [facet.normal]
-    cyc = list(facet.cycle)
-    k = len(cyc)
-    # k d times the centroid: only the sign of <m, .> is read
-    interior = tuple(map(sum, zip(*(rows[i] for i in cyc))))
-    for t in range(k):
-        a = rows[cyc[t]]
-        b = rows[cyc[(t + 1) % k]]
-        m = primitive(cross(a, b))
-        if dot(m, interior) < 0:
-            m = tuple(-x for x in m)
-        rays.append(m)
+    cyc = facet.cycle
+    rays = [facet.normal] + [primitive(cross(rows[a], rows[b]))
+                             for a, b in zip(cyc, cyc[1:] + cyc[:1])]
     return _lattice_index(rays[1:])[1] // _lattice_index(rays)[1]
 
 

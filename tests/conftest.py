@@ -791,3 +791,83 @@ def ref_match_summand_slabs(summand: Summand, slab_functionals: dict):
         raise DegenerationError(
             f"unmatched summand direction: {summand} met {hits}")
     return tuple(sorted(hits))
+
+
+def polygon_polar(q: Polygon):
+    """`degeneration._polygon_polar` as it was: the polar vertices n / -c
+    of Q's edges (n, c), built as `Fraction`s."""
+    verts = []
+    for n, c in q.edge_normals():
+        if c >= 0:
+            raise DegenerationError("origin not interior to the base polygon")
+        verts.append(tuple(Fraction(x, -c) for x in n))
+    return [tuple(int(x) if x.denominator == 1 else x for x in v) for v in verts]
+
+
+def dual_edge_length(v, qdualverts):
+    """`degeneration._dual_edge_length` as it was.  Length of the edge of
+    the polar dual on which v evaluates to -1.  The origin is interior to
+    Q, so <u_e, .> >= -1 on Q for the polar vertex u_e of each edge e, with
+    equality exactly on e's line; v lies on the lines of its two edges
+    only, so two u are tight."""
+    tight = [u for u in qdualverts if dot(u, v) == -1]
+    return lattice_length(tight[0], tight[1])
+
+
+def ref_product_rules(q: Polygon):
+    """`degeneration.product_data` as it was, up to the line fan it builds:
+    (P, [(point, value)] of its edge rule), or the refusal, in the old
+    order (integral, then origin interior, then reflexive)."""
+    if not q.is_integral:
+        raise DegenerationError("base polygon must be integral")
+    qdualverts = polygon_polar(q)
+    if not all(is_integral(v) for v in qdualverts):
+        raise DegenerationError("base polygon must be reflexive "
+                                "(r(v*) = 1 everywhere)")
+    p = LatticePolytope([(v[0], v[1], 0) for v in qdualverts]
+                        + [(0, 0, 1), (0, 0, -1)])
+    return p, [((v[0], v[1], 0), dual_edge_length(v, qdualverts))
+               for v in q.vertices]
+
+
+def whole_plane_slice(poly: LatticePolytope, rows, den, nu):
+    """`degeneration._plane_slice` as it was, before it took the 2-cone's
+    half: vertices of the section of a 3-polytope by the plane ann(nu),
+    and the ids of the polytope's edges that lie in that plane.
+
+    rows are the polytope's vertices times den.  A vertex on the plane is
+    kept as it is; an edge [a, b] with g = <nu, .> of opposite signs at its
+    ends crosses it at (g_b a - g_a b) / (g_b - g_a), one exact quotient.
+    The plane passes through the origin, interior to poly (= P* for a Fano
+    P), so the section is a polygon and these are at least 3 points.
+    """
+    g = [dot(nu, v) for v in rows]
+    pts = {v for v, x in zip(poly.vertices, g) if x == 0}
+    flat = []
+    for i, e in enumerate(poly.edges):
+        ia, ib = e.vertex_ids
+        ga, gb = g[ia], g[ib]
+        if ga * gb < 0:
+            d = (gb - ga) * den
+            pts.add(tuple(_quotient(gb * x - ga * y, d)
+                          for x, y in zip(rows[ia], rows[ib])))
+        elif ga == gb == 0:
+            flat.append(i)
+    return list(pts), flat
+
+
+def clip_halfplane(points, half, chord):
+    """`degeneration._clip_halfplane` as it was.  Points whose hull is the
+    part of the convex polygon conv(points) on <., half> >= 0, given the
+    ends of its chord on <., half> = 0: the points strictly inside the
+    half, then the chord's two ends.  The polygon is a `_plane_slice`,
+    with the origin in its relative interior, and `half` is not zero on
+    its plane (it is > 0 on the 2-cone's ray), so it is > 0 at some
+    vertex: the first part is never empty."""
+    return [p for p in points if dot(half, p) > 0] + list(chord)
+
+
+def unproject(basis, coord2):
+    """`degeneration._unproject` as it was: the point x*b0 + y*b1."""
+    return tuple(coord2[0] * b0 + coord2[1] * b1
+                 for b0, b1 in zip(basis[0], basis[1]))

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from conftest import (NORMAL_FAN_POLYTOPES, bundled, densify, facet_polygon,
                       lattice_polygons, mat_vec, normal_fan_routes, random_unimodular2,
-                      random_unimodular3)
+                      random_unimodular3, ref_annihilators)
 from fanoscope.degeneration import line_fan_data, method1_data, normal_fan_data
-from fanoscope.gamma import (_ALLOWED, GammaError, _annihilators,
+from fanoscope.gamma import (_ALLOWED, GammaError,
                              _fan_pattern, b2, barT_hypothesis, barT_sections, baseline_ok,
                              build_system, gamma_dimension)
 from fanoscope.linalg import rank
@@ -91,7 +91,7 @@ def test_dimension_invariant_under_gl3():
 def ref_build_system(data):
     """The short-rows-then-pad routine that `build_system` replaced; returns
     (rows, n_aux, triangles)."""
-    dual, nus = _annihilators(data)
+    dual, nus = ref_annihilators(data)
     edge_index = {f"E{i}": i for i in range(len(dual.edges))}
     n_alpha = len(dual.edges)
     rows = []

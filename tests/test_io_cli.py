@@ -510,8 +510,8 @@ def test_cli_entrypoint_subprocess():
 
 
 def test_cli_analyze_fixture_file(tmp_path):
-    from fanoscope.fileio import _fixture_dir
-    src = _fixture_dir() / "mm3_2.json"
+    from fanoscope.fileio import FIXTURE_DIR
+    src = FIXTURE_DIR / "mm3_2.json"
     dst = tmp_path / "local_fixture.json"
     dst.write_text(src.read_text())
     # its "kind" key makes the file a fixture

@@ -14,36 +14,36 @@ same exception with the same message.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (_frac, bundled, bundled_polygon, edge_vector_multiset,
-                      face_length, mat_vec, on_segment,
-                      random_unimodular2, random_unimodular3,
-                      ref_cycle_in_ray_coords)
+from conftest import (_frac, bundled, bundled_polygon, clip_halfplane,
+                      edge_vector_multiset, face_length, lattice_polygons,
+                      mat_vec, on_segment, random_unimodular2,
+                      random_unimodular3, ref_cycle_in_ray_coords,
+                      ref_product_rules, unproject, whole_plane_slice)
 from test_degeneration import ref_polygon_of_sections
 from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
                                     DegenerationError, NotCartier,
                                     RaySummand,
                                     _along_line, _containing_edge,
-                                    _dual_edge_length,
-                                    _plane_slice,
-                                    _polygon_polar, _rule_values,
-                                    _two_cone,
-                                    _unproject, line_fan, line_fan_data,
+                                    _exit_point, _plane_slice, _rule_values,
+                                    _two_cone, line_fan, line_fan_data,
                                     match_summand_slabs, product_data,
                                     quotient_functional, ray_lattice)
 from fanoscope.fileio import (bundled_polytopes, data_from_fixture,
                               load_fixture)
+from fanoscope.invariants import analyze
 from fanoscope.linalg import clear_denominators, primitive
 from fanoscope.minkowski import enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 dot, gorenstein_index, lattice_length,
                                 plane_basis, plane_coords, plane_normal,
-                                _clean)
+                                _clean, _quotient)
 
 # ---------------------------------------------------------------------------
 # the Fraction route
@@ -216,8 +216,8 @@ def ref_line_fan(p: LatticePolytope, direction, rays2d, edge_rule,
         poly = Polygon(clipped)
         coeffs, roles = [], []
         for a, b in poly.edges():
-            a3 = _unproject(basis, a)
-            b3 = _unproject(basis, b)
+            a3 = unproject(basis, a)
+            b3 = unproject(basis, b)
             if _along_line(a3, dirv) and _along_line(b3, dirv):
                 coeffs.append(0)
                 roles.append(ROLE_SPINE)
@@ -300,12 +300,10 @@ def new_route(p, direction, rays2d, rule):
 
 
 def product_route(q: Polygon):
-    """The line fan that `product_data` builds over the base polygon q."""
-    qdualverts = _polygon_polar(q)
-    p = LatticePolytope([(v[0], v[1], 0) for v in qdualverts]
-                        + [(0, 0, 1), (0, 0, -1)])
-    rule = [{"meets": (v[0], v[1], 0), "value": _dual_edge_length(v, qdualverts)}
-            for v in q.vertices]
+    """The line fan that `product_data` builds over the base polygon q, by
+    the `Fraction` polar of q (`ref_product_rules`)."""
+    p, rules = ref_product_rules(q)
+    rule = [{"meets": meets, "value": value} for meets, value in rules]
     return p, (0, 0, 1), [(v[0], v[1], 0) for v in q.vertices], rule
 
 
@@ -390,9 +388,9 @@ def check_route(route):
     for w, slab in zip(rays2d, line_fan_data(*route).slabs):
         basis = plane_basis([dirv, primitive(w)])
         nu, _ = _two_cone(dirv, primitive(w))
-        _, flat = _plane_slice(dual, rows, den, nu)
+        _, flat = whole_plane_slice(dual, rows, den, nu)
         for a, b in slab.polygon.edges():
-            a3, b3 = _unproject(basis, a), _unproject(basis, b)
+            a3, b3 = unproject(basis, a), unproject(basis, b)
             assert _containing_edge(dual, flat, a3, b3) == \
                 ref_containing_edge(dual, a3, b3)
     return want
@@ -493,3 +491,112 @@ def test_rule_values_match_the_segment_scan(seed):
         rng = random.Random(seed or 0)
         for order in (rules, rules[::-1], rng.sample(rules, len(rules))):
             assert _rule_values(dual, order) == ref_rule_values(dual, order)
+
+
+# ---------------------------------------------------------------------------
+# products read off Q's edge normals, and the slice cut to the 2-cone
+
+
+def product_outcome(q: Polygon):
+    """(P, edge values, a_values) of `product_data` over q, or its refusal."""
+    try:
+        d = product_data(q)
+    except (DegenerationError, PolytopeError) as exc:
+        return type(exc), str(exc)
+    return d.polytope.vertices, d.edge_values, d.notes["a_values"]
+
+
+def ref_product_outcome(q: Polygon):
+    """The same by the `Fraction` polar of q and its tight-vertex search."""
+    try:
+        p, rules = ref_product_rules(q)
+        d = line_fan_data(p, (0, 0, 1), [(x, y, 0) for x, y in q.vertices],
+                          [{"meets": m, "value": v} for m, v in rules])
+    except (DegenerationError, PolytopeError) as exc:
+        return type(exc), str(exc)
+    return p.vertices, d.edge_values, [v for _, v in rules]
+
+
+def test_products_match_the_polar_route_on_bundled_bases_and_images():
+    for seed in (None, 3, 17, 29, 41):
+        for name in PRODUCTS:
+            q = bundled_polygon(name)
+            if seed is not None:
+                h = random_unimodular2(random.Random(seed))
+                q = Polygon([tuple(mat_vec(h, list(v))) for v in q.vertices])
+            want = ref_product_outcome(q)
+            assert not isinstance(want[0], type), (name, seed)
+            assert product_outcome(q) == want
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_products_match_the_polar_route_on_drawn_polygons(data):
+    # a drawn polygon, mostly in a 3 x 3 box (reflexive whenever the origin
+    # is interior), moved to put a drawn lattice point of it at the origin,
+    # an interior one where it has one, and maybe shrunk by 2 or 3
+    # (rational vertices): each refusal comes in the same order and words
+    q = data.draw(lattice_polygons(span=data.draw(st.sampled_from((1, 1, 2)))))
+    pts, edges = q.lattice_points(), q.edge_normals()
+    inner = [v for v in pts if all(dot(n, v) > c for n, c in edges)]
+    ox, oy = data.draw(st.sampled_from(inner or pts))
+    k = data.draw(st.sampled_from((1, 1, 1, 2, 3)))
+    q = Polygon([(Fraction(x - ox, k), Fraction(y - oy, k))
+                 for x, y in q.vertices])
+    assert product_outcome(q) == ref_product_outcome(q)
+
+
+def slice_routes(seed):
+    """(name, P*, its spine, each 2-cone's (nu, half)) of every line fan of
+    `base_routes` that `line_fan` accepts, moved by a seeded GL(3,Z) map
+    unless the seed is None."""
+    routes = base_routes()
+    if seed is not None:
+        g = random_unimodular3(random.Random(seed))
+        routes = {name: image(route, g) for name, route in routes.items()}
+    for name, (p, direction, rays2d, _) in routes.items():
+        try:
+            fan = line_fan(direction, rays2d)
+        except DegenerationError:
+            continue
+        dual = p.polar_dual()
+        rows, den = dual.vertex_rows
+        levels = [dot(f.normal, rows[f.cycle[0]]) for f in dual.facets]
+        spine = []
+        for r in (fan.direction, tuple(-x for x in fan.direction)):
+            num, t_den = _exit_point(dual, levels, r)
+            spine.append(tuple(_quotient(x * num, t_den * den) for x in r))
+        yield name, dual, spine, [_two_cone(fan.direction, w)
+                                  for w in fan.rays2d]
+
+
+@pytest.mark.parametrize("seed", [None, 5, 23, 71])
+def test_slice_inside_the_two_cone_matches_slice_then_clip(seed):
+    # as multisets: no slice point is the spine's end, and none comes twice
+    ends_on_vertices = 0
+    for name, dual, spine, cones in slice_routes(seed):
+        rows, den = dual.vertex_rows
+        ends_on_vertices += sum(e in dual.vertices for e in spine)
+        for nu, half in cones:
+            whole, flat = whole_plane_slice(dual, rows, den, nu)
+            pts, got_flat = _plane_slice(dual, rows, den, nu, half)
+            assert Counter(pts + spine) == \
+                Counter(clip_halfplane(whole, half, spine)), name
+            assert got_flat == flat
+    assert ends_on_vertices  # a spine that leaves P* through a vertex
+
+
+def test_products_and_b3_cubic_build_no_fraction(monkeypatch):
+    built = []
+    new = Fraction.__new__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    for name in PRODUCTS:
+        analyze(product_data(bundled_polygon(name), name))
+    analyze(data_from_fixture(load_fixture("b3_cubic")))
+    monkeypatch.undo()
+    assert built == []

@@ -1,8 +1,11 @@
 """The package's public names: every export resolves, once, and what was
-deleted as dead API or as an unused knob stays gone."""
+deleted as dead API or as an unused knob stays gone; no private routine
+and no imported name of the package is left unused."""
 
+import ast
 import importlib
 import inspect
+import pathlib
 
 import fanoscope
 from fanoscope.degeneration import line_fan_data, normal_fan_data
@@ -39,7 +42,13 @@ DELETED = [("polytope", "convex_hull"),
            ("minkowski", "triangle"),
            ("minkowski", "Summand.dim"),
            ("polytope", "Polygon.edge_vector_multiset"),
-           ("polytope", "face_length")]
+           ("polytope", "face_length"),
+           ("degeneration", "_polygon_polar"),
+           ("degeneration", "_dual_edge_length"),
+           ("degeneration", "_clip_halfplane"),
+           ("degeneration", "_unproject"),
+           ("gamma", "_annihilators"),
+           ("fileio", "_fixture_dir")]
 
 
 def resolves(obj, dotted):
@@ -97,3 +106,48 @@ def test_vertex_facet_incidence_stays_gone():
     p = LatticePolytope([(1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)])
     assert not hasattr(p, "_facets_at")
     assert not hasattr(p.polar_dual(), "_facets_at")
+
+
+SOURCES = {path.stem: ast.parse(path.read_text())
+           for path in pathlib.Path(fanoscope.__file__).parent.glob("*.py")}
+
+
+def used_names(tree):
+    """Every name that a tree reads: each `Name` and attribute, and the
+    strings of a module's `__all__`, which exports them."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "__all__"
+                      for t in node.targets)):
+            out.update(ast.literal_eval(node.value))
+    return out
+
+
+def test_every_private_routine_is_referenced():
+    used = set().union(*map(used_names, SOURCES.values()))
+    unused = [f"{module}.{node.name}"
+              for module, tree in sorted(SOURCES.items())
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name.startswith("_") and not node.name.startswith("__")
+              and node.name not in used]
+    assert unused == []
+
+
+def test_every_imported_name_is_used():
+    unused = []
+    for module, tree in sorted(SOURCES.items()):
+        used = used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{module}: {alias.name}" for alias in node.names
+                           if (alias.asname or alias.name.split(".")[0])
+                           not in used]
+    assert unused == []

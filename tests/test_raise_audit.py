@@ -306,7 +306,7 @@ PINS = {
         lambda: product_data(Polygon([(1, 0), (0, 1), (-1, -3)])),
         DegenerationError,
         "base polygon must be reflexive (r(v*) = 1 everywhere)"),
-    "degeneration._polygon_polar: origin outside": (
+    "degeneration.product_data: origin outside": (
         lambda: product_data(Polygon([(1, 0), (2, 0), (1, 1)])),
         DegenerationError, "origin not interior to the base polygon"),
     "gamma.build_system: a product": (

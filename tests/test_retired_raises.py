@@ -3,8 +3,8 @@ bundled data, its seeded GL(3,Z) and GL(2,Z) images, and random polygons
 and polytopes.
 
 Each check is gone from its routine, whose docstring holds the proof:
-`ray_lattice`'s plane, `_dual_edge_length`'s two tight polar vertices,
-`_exit_point`, `_plane_slice` and `_clip_halfplane` on a line fan,
+`ray_lattice`'s plane, `product_data`'s two edge lines at each vertex,
+`_exit_point` and `_plane_slice`'s non-empty half on a line fan,
 `build_system`'s coplanar segment cones, `gamma_dimension`'s lower bound 3,
 `_graph_piece` and `dual_graph`'s boundary segments, the re-sum of every
 smooth decomposition (`enumerate_smooth_decompositions`), the plane of
@@ -33,17 +33,17 @@ from hypothesis import strategies as st
 
 from conftest import (bundled, bundled_polygon, edge_vector_multiset,
                       lattice_polygons, mat_vec,
-                      normal_fan_routes, normalized, random_unimodular2,
-                      ref_minkowski_sum, word_polygon)
+                      normal_fan_routes, normalized, polygon_polar,
+                      random_unimodular2, ref_minkowski_sum,
+                      whole_plane_slice, word_polygon)
 from test_face_data import polytopes
 from test_minkowski import DILATED, decompose, smooth_sums
 from test_shared_geometry import SEEDS, image
 from test_slab_checks import bundled_slabs
 from fanoscope import degeneration, invariants
 from fanoscope.degeneration import (DegenerationError, GeneralizedFan,
-                                    _along_line, _clip_halfplane,
-                                    _exit_point, _plane_slice,
-                                    _polygon_polar, _two_cone,
+                                    _along_line, _exit_point, _plane_slice,
+                                    _two_cone,
                                     _two_cone_containing, check_smooth_data,
                                     decomposition_regimes, line_fan,
                                     line_fan_data, product_data, ray_lattice)
@@ -94,7 +94,8 @@ def test_ray_lattice_is_a_plane_on_facet_normals(seed):
 
 
 # ---------------------------------------------------------------------------
-# _dual_edge_length: a vertex of a reflexive polygon is on two edge lines
+# product_data: vertex i of a reflexive polygon is on the lines of edges
+# i - 1 and i alone, so two polar vertices are tight at it
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -104,9 +105,13 @@ def test_two_polar_vertices_are_tight_at_each_vertex(seed):
         if seed is not None:
             m = random_unimodular2(random.Random(seed))
             q = Polygon([tuple(mat_vec(m, list(v))) for v in q.vertices])
-        for poly in (q, Polygon(_polygon_polar(q))):
-            polar = _polygon_polar(poly)
-            for v in poly.vertices:
+        for poly in (q, Polygon(polygon_polar(q))):
+            edges = poly.edge_normals()
+            k = len(edges)
+            polar = polygon_polar(poly)
+            for i, v in enumerate(poly.vertices):
+                assert [j for j, (n, c) in enumerate(edges)
+                        if dot(n, v) == c] == sorted({(i - 1) % k, i})
                 assert sum(dot(u, v) == -1 for u in polar) == 2
 
 
@@ -154,14 +159,15 @@ def test_line_fan_cuts_are_never_degenerate(seed):
                 nu, half = _two_cone(d, w)
                 # a plane through the origin cuts P* in a polygon, which
                 # holds the spine
-                pts, _ = _plane_slice(dual, rows, den, nu)
+                pts, _ = whole_plane_slice(dual, rows, den, nu)
                 basis = plane_basis([d, w])
                 cut = Polygon(plane_coords(basis, pts))
                 assert all(dot(n, x) >= c for x in plane_coords(basis, spine)
                            for n, c in cut.edge_normals())
                 # half is not zero on the plane, so it is > 0 at a vertex
-                clipped = _clip_halfplane(pts, half, spine)
-                assert any(dot(half, x) > 0 for x in clipped)
+                inside, _ = _plane_slice(dual, rows, den, nu, half)
+                assert inside
+                assert all(dot(half, x) > 0 for x in inside)
 
 
 # ---------------------------------------------------------------------------
