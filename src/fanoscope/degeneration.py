@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .linalg import clear_denominators, det, lex_positive, primitive
 from .minkowski import Summand, enumerate_smooth_decompositions
@@ -83,19 +82,19 @@ def polygon_of_sections(normals, coeffs) -> Sections:
     each edge of S lies on an edge line, so the cone of n_i and n_(i+1) lies
     in the normal cone of one vertex of S, which is then on both lines.  So
     vertex cone i's tight set is {m_i}, and Cartier is "every vertex is
-    integral".  The spans are read after that test, so a rational face
-    raises `NotCartier`.
+    integral".  Both are decided on the corners, which are S's vertices
+    (`Sections`), so S is built after them, from integer points.
 
     That proof needs the order, so it is checked in O(k): each normal turns
     strictly left into the next, and the normals wind once, i.e. they cross
     from the lower half-plane (y < 0, or y = 0 < -x) to the upper one once.
 
-    Every test runs on local integers: a corner in homogeneous coordinates
-    (x : y : den), and S's vertices as integer rows over their common
-    denominator D, so the slack test compares <n, row> with -a D, Cartier
-    is D = 1, and a span is the gcd of its face's two ends, as S is a
-    polygon, segment or point whose vertices are its corners, at most two
-    on one line.
+    Every test runs on local integers: a corner as a reduced triple
+    (x, y, den), den > 0, whose den is its least denominator, and S's
+    vertices as integer rows over D = lcm(dens), so the slack test compares
+    <n, row> with -a D, Cartier is D = 1, and a span is the gcd of its
+    face's two ends, as S is a polygon, segment or point whose vertices are
+    its corners, at most two on one line.
     """
     k = len(normals)
     lower = [y < 0 or y == 0 > x for x, y in normals]
@@ -104,7 +103,7 @@ def polygon_of_sections(normals, coeffs) -> Sections:
             or sum(lower[i - 1] and not lower[i] for i in range(k)) != 1):
         raise DegenerationError("edge normals are not in ccw order")
     cuts = [(n0, n1, -q) for (n0, n1), q in zip(normals, coeffs)]
-    cands = set()
+    corners = set()
     for i in range(k):
         a, b = normals[i]
         qi = coeffs[i]
@@ -123,23 +122,24 @@ def polygon_of_sections(normals, coeffs) -> Sections:
                 if n0 * x + n1 * y < lvl * den:
                     break
             else:
-                cands.add((x // den if x % den == 0 else Fraction(x, den),
-                           y // den if y % den == 0 else Fraction(y, den)))
-    if not cands:
+                g = gcd(x, y, den)
+                corners.add((x // g, y // g, den // g))
+    if not corners:
         raise EmptyLinearSystem("empty linear system")
-    sec = Sections(cands, normals, coeffs)
-    rows, den = clear_denominators(sec.vertices())
+    big = lcm(*(d for _, _, d in corners))
+    rows = [(x * (big // d), y * (big // d)) for x, y, d in corners]
     faces = []
     for n, q in zip(normals, coeffs):
         n0, n1 = n
         vals = [n0 * x + n1 * y for x, y in rows]
         lo = min(vals)
-        if lo != -q * den:
+        if lo != -q * big:
             raise NotNef(f"divisor not nef: slack on edge with normal {n}")
         faces.append([r for r, v in zip(rows, vals) if v == lo])
-    if den != 1:
+    if big != 1:
         raise NotCartier("not Cartier: no integral section witness at a "
                          "vertex cone")
+    sec = Sections(rows, normals, coeffs)
     sec.spans = tuple(gcd(xb - xa, yb - ya)
                       for (xa, ya), (xb, yb) in ((f[0], f[-1]) for f in faces))
     return sec
@@ -284,13 +284,12 @@ class DegenerationData:
         return sum(s.boundary_points for s in self.slabs)
 
     def validate(self):
-        """Run the structural cross-checks; raises DegenerationError."""
-        total_ray = sum(sum(s.ray_spans().values()) for s in self.slabs)
-        if total_ray != 3 * self.p_count + 2 * self.d_count:
-            raise DegenerationError(
-                "ray-side endpoints do not match 3p + 2d "
-                f"({total_ray} != {3 * self.p_count + 2 * self.d_count})")
-        # per-slab per-ray attachment counts
+        """Run the structural cross-checks slab by slab; raises
+        DegenerationError naming the slab and its ray or spine.  A slab
+        passing them has ray and spine spans summing to the summands that
+        name it; slab names are unique (`fileio` refuses a repeat) and a
+        summand names 3, 2 or 0 distinct slabs as it is a triangle, segment
+        or point, so the ray-side endpoints total 3p + 2d with no check."""
         for slab in self.slabs:
             expect = {}
             for rs in self.ray_summands:
@@ -474,6 +473,7 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
     slabs = []
     built = {}  # (polygon, coeffs) -> its first slab, within this call
     ends = [[] for _ in dual.vertices]
+    rows = dual.vertex_rows[0]
     for i, e in enumerate(dual.edges):
         a_id, b_id = sorted(e.vertex_ids)
         ends[a_id].append((i, b_id))
@@ -481,11 +481,10 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
         values[i] = (dual.dual_edge_length(e) if edge_values is None
                      else edge_values if isinstance(edge_values, int)
                      else edge_values.get(i, 0))
-        va, vb = dual.vertices[a_id], dual.vertices[b_id]
-        basis = plane_basis([va, vb])  # spans va and vb
-        origin = (0, 0)
-        ca, cb = plane_coords(basis, [va, vb])
-        poly = Polygon([origin, ca, cb])
+        # P*'s rows lie in the saturated plane lattice: int coordinates
+        basis = plane_basis([dual.vertices[a_id], dual.vertices[b_id]])
+        ca, cb = plane_coords(basis, [rows[a_id], rows[b_id]])
+        poly = Polygon([(0, 0), ca, cb])
         coeffs, roles = [], []
         for x, y in poly.edges():
             pair = {x, y}
@@ -501,7 +500,6 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
         slabs.append(Slab.shared(built, _edge_name(i), poly, tuple(coeffs),
                                  tuple(roles)))
 
-    rows = dual.vertex_rows[0]
     ray_summands = []
     for vid, (w_basis, decos) in enumerate(_ray_decompositions(p)):
         if not decos:
@@ -642,8 +640,9 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     becomes a `Fraction` only where it is not integral.  A slab's points
     all lie in its 2-cone's plane <nu, .> = 0, which its basis spans: the
     slice's points satisfy it (`_plane_slice`), and so do the spine's ends,
-    which lie on the line.  So `plane_coords` maps each of them one to one,
-    and a slab vertex's point of 3-space is looked up by its coordinates.
+    which lie on the line.  So `plane_coords` maps them, scaled by their
+    common denominator, one to one to int coordinates (scaling keeps the
+    edge normals), and a slab vertex's 3-space point is found by them.
     """
     if not p.is_fano():
         raise DegenerationError("P is not a Fano polytope")
@@ -675,7 +674,7 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
         basis, (nu, half) = bases[k], two_cones[k]
         pts, flat = _plane_slice(dual, rows, den, nu, half)
         pts += spine
-        coords = plane_coords(basis, pts)
+        coords = plane_coords(basis, clear_denominators(pts)[0])
         space = dict(zip(coords, pts))
         chord = set(coords[-2:])
         poly = Polygon(coords)
@@ -745,8 +744,6 @@ def product_data(q: Polygon, name="") -> DegenerationData:
     c = -1, as n is primitive, and vertex i of Q lies on the lines of edges
     i - 1 and i alone, so l(v*) is the lattice length of [n_(i-1), n_i].
     """
-    if not q.is_integral:
-        raise DegenerationError("base polygon must be integral")
     edges = q.edge_normals()
     if any(c >= 0 for _, c in edges):
         raise DegenerationError("origin not interior to the base polygon")
@@ -901,7 +898,7 @@ def check_compatibility(data: DegenerationData):
             sname = _edge_name(i)
             got = sum(1 for s in summands if sname in s.slabs)
             a = data.edge_values.get(i, 0)
-            if Fraction(a, r) != got:
+            if a != got * r:
                 out.append(f"ray v{vid}, slab {sname}: degree {got} != "
                            f"a/r = {a}/{r}")
     return out

@@ -4,7 +4,6 @@ polygons, their dual trivalent graphs, global assembly and SVG export."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .degeneration import ROLE_BOUNDARY, ROLE_SPINE, DegenerationData, DegenerationError
 from .polytope import Polygon, _quotient, dot
@@ -250,8 +249,7 @@ def render_svg(data: DegenerationData, graph: DiscriminantGraph | None = None) -
     x_cursor = pad
     heights = []
     for slab in data.slabs:
-        xs = [Fraction(p[0]) for p in slab.sections.vertices()]
-        ys = [Fraction(p[1]) for p in slab.sections.vertices()]
+        xs, ys = zip(*slab.sections.vertices())
         w = float(max(xs) - min(xs)) * scale + 2 * pad
         offsets[slab.name] = (x_cursor - float(min(xs)) * scale,
                               pad - float(min(ys)) * scale)

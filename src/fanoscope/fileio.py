@@ -308,6 +308,8 @@ def _slab_fixture(doc, name, p):
     for i, spec in enumerate(specs):
         _require(spec, ("name", "polygon"), f"slab {i}")
         where = f"slab {_typed(spec['name'], str, f'slab {i} name')}"
+        if any(slab.name == spec["name"] for slab in slabs):
+            raise ParseError(f"{where}: the name of an earlier slab")
         poly = Polygon(_points(spec["polygon"], 2, f"{where}: polygon"))
         if [list(v) for v in poly.vertices] != spec["polygon"]:
             raise ParseError(

@@ -1,11 +1,11 @@
 """Lattice polytopes in ranks 2 and 3: hulls, face data, duality, counting.
 
-Coordinates are exact (int / Fraction).  3-polytopes carry their facet
-normals, facet vertex cycles and edge list; 2-polygons are stored with a
-canonical counterclockwise vertex order.  Kernels that read a possibly
-rational vertex list read it as integer rows over one common denominator
-(`clear_denominators`, `LatticePolytope.vertex_rows`), so their arithmetic
-is on ints and a `Fraction` appears only in a result that is not integral.
+3-space coordinates are exact (int / Fraction): 3-polytopes carry their
+facet normals, facet vertex cycles and edge list, and a kernel that reads
+a possibly rational vertex list reads it as integer rows over one common
+denominator (`clear_denominators`, `LatticePolytope.vertex_rows`).
+2-polygons are lattice polygons: int coordinates, in a canonical
+counterclockwise vertex order.
 """
 
 from __future__ import annotations
@@ -75,12 +75,13 @@ class Polygon:
     """Convex lattice polygon with canonical ccw vertex order."""
 
     def __init__(self, points):
-        verts = _hull2d([_clean(p) for p in points])
+        pts = [tuple(p) for p in points]
+        if any(type(x) is not int for p in pts for x in p):
+            raise PolytopeError("polygon coordinates must be ints")
+        verts = _hull2d(pts)
         if len(verts) < 3:
             raise PolytopeError("not full-dimensional")
-        # rotate so the lex-least vertex comes first
-        k = min(range(len(verts)), key=lambda i: verts[i])
-        self.vertices = tuple(verts[k:] + verts[:k])
+        self.vertices = tuple(verts)  # lex-least first, as `_hull2d` gives
         self._scan = None      # memo of (lattice points, point counts)
 
     def __eq__(self, other):
@@ -92,37 +93,28 @@ class Polygon:
     def __repr__(self):
         return f"Polygon({list(self.vertices)})"
 
-    @property
-    def is_integral(self):
-        return all(is_integral(v) for v in self.vertices)
-
     def edges(self):
         vs = self.vertices
         return [(vs[i], vs[(i + 1) % len(vs)]) for i in range(len(vs))]
 
     def edge_normals(self):
-        """Primitive inner normal and support level per ccw edge.
-
-        Read off the vertices as integer rows R over their common
-        denominator d: edge b - a is (R_b - R_a) / d, so its inner normal
-        (-dy, dx) is that of the rows divided by their gcd, and the level
-        <n, a> is <n, R_a> / d, one exact quotient."""
-        rows, d = clear_denominators(self.vertices)
+        """Primitive inner normal n and support level <n, a> per ccw edge
+        [a, b]: the turned edge (-dy, dx) divided by its gcd."""
+        vs = self.vertices
         out = []
-        for (xa, ya), (xb, yb) in zip(rows, rows[1:] + rows[:1]):
+        for (xa, ya), (xb, yb) in zip(vs, vs[1:] + vs[:1]):
             n0, n1 = ya - yb, xb - xa  # inner for ccw orientation
             g = gcd(n0, n1)
             n0, n1 = n0 // g, n1 // g
-            out.append(((n0, n1), _quotient(n0 * xa + n1 * ya, d)))
+            out.append(((n0, n1), n0 * xa + n1 * ya))
         return tuple(out)
 
     def two_area(self):
         """Normalized area (twice the Euclidean area), exact."""
         vs = self.vertices
-        s = sum(vs[i][0] * vs[(i + 1) % len(vs)][1]
-                - vs[(i + 1) % len(vs)][0] * vs[i][1]
-                for i in range(len(vs)))
-        return _clean((s,))[0]
+        return sum(vs[i][0] * vs[(i + 1) % len(vs)][1]
+                   - vs[(i + 1) % len(vs)][0] * vs[i][1]
+                   for i in range(len(vs)))
 
     def _lattice_scan(self):
         """(points, (total, interior, boundary)) from one scanline pass.
@@ -134,8 +126,6 @@ class Polygon:
         every scanned column: it only strips its own column's interior.
         """
         if self._scan is None:
-            if not self.is_integral:
-                raise PolytopeError("lattice points of a non-integral polygon")
             xs = [v[0] for v in self.vertices]
             ys = [v[1] for v in self.vertices]
             normals = self.edge_normals()
@@ -198,8 +188,6 @@ def _hull2d(points):
 def pick_area(polygon: Polygon) -> int:
     """Normalized area 2A via Pick's theorem (2A = 2i + b - 2), cross-checked
     against the shoelace sum."""
-    if not polygon.is_integral:
-        raise PolytopeError("Pick's theorem needs an integral polygon")
     _, i, b = polygon.point_counts()
     by_pick = 2 * i + b - 2
     if by_pick != polygon.two_area():

@@ -1,4 +1,5 @@
 import ast
+import copy
 import inspect
 import itertools
 import os
@@ -13,13 +14,14 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from fanoscope.degeneration import (DegenerationError, EmptyLinearSystem,
-                                    NotCartier, NotNef, Sections)
+from fanoscope.degeneration import (ROLE_SPINE, DegenerationError,
+                                    EmptyLinearSystem, NotCartier, NotNef,
+                                    Sections)
 from fanoscope.fileio import bundled_polytopes, load_fixture
 from fanoscope.linalg import kernel_basis, lex_positive, primitive, saturate
 from fanoscope.minkowski import Summand
 from fanoscope.polytope import (Edge, Facet, LatticePolytope, Polygon,
-                                PolytopeError, _clean, _lattice_index,
+                                PolytopeError, _clean, _hull2d, _lattice_index,
                                 _quotient, cross, dot, embed_polygon,
                                 is_integral, lattice_length, plane_coords,
                                 plane_normal, vadd, vsub)
@@ -82,17 +84,18 @@ def same_polytope(p, q) -> bool:
 
 
 def ref_facet_in_ray_coords(p_dual: LatticePolytope, vertex_id: int,
-                            w_basis) -> Polygon:
+                            w_basis):
     """Dual facet of a vertex of the polar polytope, written in W-coords and
     translation-normalized: the lex-least point is a vertex, and it moves to
-    the origin."""
+    the origin.  Its vertex cycle (`ref_vertices`), rational on some polar
+    duals."""
     # `degeneration.facet_in_ray_coords` as it was, before it read the facet
     # cycle of P: the facet's vertices from the incidence sets of P*, mapped
     # by `plane_coords` and hulled.
     verts = dual_face_vertices(p_dual, [vertex_id])
     coords = plane_coords(w_basis, [vsub(v, verts[0]) for v in verts])
     low = min(coords)
-    return Polygon([vsub(c, low) for c in coords])
+    return ref_vertices([vsub(c, low) for c in coords])
 
 
 def dual_face_vertices(p: LatticePolytope, vertex_ids):
@@ -103,12 +106,13 @@ def dual_face_vertices(p: LatticePolytope, vertex_ids):
             if all(vid in f.vertex_ids for vid in vertex_ids)]
 
 
-def ref_cycle_in_ray_coords(p: LatticePolytope, facet, w_basis) -> Polygon:
+def ref_cycle_in_ray_coords(p: LatticePolytope, facet, w_basis):
     """`degeneration.facet_in_ray_coords` as it was, before the ray pass
     read the edge word: a facet of P in the coordinates of a basis (b0, b1)
     of the plane parallel to it, translation-normalized, the facet cycle
     reversed when <b0 x b1, n> < 0.  It passed `hull=False`; the hull of a
-    convex cycle is the same polygon."""
+    convex cycle is the same polygon, given here as its vertex cycle
+    (`ref_vertices`), rational on some polar duals."""
     b0, b1 = w_basis
     c = cross(b0, b1)
     ex, ey = cross(b1, c), cross(c, b0)
@@ -117,23 +121,24 @@ def ref_cycle_in_ray_coords(p: LatticePolytope, facet, w_basis) -> Polygon:
     raw = [(dot(ex, v), dot(ey, v)) for v in map(p.vertices.__getitem__,
                                                   cycle)]
     x0, y0 = min(raw)
-    return Polygon([(_quotient(x - x0, norm2), _quotient(y - y0, norm2))
-                    for x, y in raw])
+    return ref_vertices([(_quotient(x - x0, norm2), _quotient(y - y0, norm2))
+                         for x, y in raw])
 
 
-def ref_ray_target(p: LatticePolytope, f, w_basis, ray) -> Polygon:
+def ref_ray_target(p: LatticePolytope, f, w_basis, ray):
     """`degeneration._ray_target` as it was: `ref_cycle_in_ray_coords` of
     P's facet f divided by r = -f.level; raises, naming the ray, unless r
-    divides every vertex.  Its edge word is what `_ray_word` gives."""
+    divides every vertex.  Its edge word is what `_ray_word` gives.  A
+    vertex cycle, as `ref_cycle_in_ray_coords` gives it."""
     facet = ref_cycle_in_ray_coords(p, f, w_basis)
     r = -f.level
     if r == 1:
         return facet
-    if any(x % r for v in facet.vertices for x in v):
+    if any(x % r for v in facet for x in v):
         raise DegenerationError(
             f"no smooth Minkowski decomposition: facet of ray {ray} is not "
             f"divisible by its index {r}")
-    return Polygon([tuple(x // r for x in v) for v in facet.vertices])
+    return ref_vertices([tuple(x // r for x in v) for v in facet])
 
 
 def word_polygon(word) -> Polygon:
@@ -212,10 +217,12 @@ def bundled_polygon(name) -> Polygon:
 
 def malformed_slab_fixtures():
     """id -> (mm2_2's slab fixture with one fault, the message with which
-    `DegenerationData.validate` refuses it), one per raise of `validate`.
-    mm2_2 has 12 triangles, and its ray edges span 36 = 3p."""
+    `DegenerationData.validate` refuses it), one per raise of `validate`,
+    and "endpoints", whose ray edges no longer sum to 3p + 2d, which the
+    per-slab checks refuse at the slab that lost an attachment.  mm2_2 has
+    12 triangles, and its ray edges span 36 = 3p."""
     messages = {
-        "endpoints": "ray-side endpoints do not match 3p + 2d (36 != 33)",
+        "endpoints": "slab P2: edge span 4 != 3 attachments for ray:R1",
         "edge_span": "slab P112a: edge span 2 != 4 attachments for ray:R1",
         "spine": "slab P2: spine span 4 != 0 attachments",
         "unattached": "slab P2: unattached ray edges {'ray:R5': 4}"}
@@ -293,7 +300,10 @@ def unparsable_slab_fixtures():
                          "fixture vertex_count must be a JSON integer, "
                          "not 'x'"),
         "b2_value": (lambda d: d["b2"].update(value="two"),
-                     "fixture b2 value must be a JSON integer, not 'two'")}
+                     "fixture b2 value must be a JSON integer, not 'two'"),
+        "slab_name_repeated": (lambda d: d["slabs"].append(
+                                   copy.deepcopy(d["slabs"][5])),
+                               "slab F1: the name of an earlier slab")}
     out = {}
     for key, (change, message) in changes.items():
         doc = load_fixture("mm2_2")
@@ -635,11 +645,12 @@ def face_length(points, n) -> int:
     return lattice_length(min(face), max(face))
 
 
-def ref_edge_normals(self):
+def ref_edge_normals(vertices):
     """`Polygon.edge_normals` as it was: one `primitive` and one `dot` per
-    edge, on the (possibly rational) vertices."""
+    edge, on a ccw vertex cycle, possibly rational (a `Polygon`'s vertices
+    or `ref_vertices`)."""
     out = []
-    for a, b in self.edges():
+    for a, b in zip(vertices, vertices[1:] + vertices[:1]):
         d = vsub(b, a)
         n = primitive((-d[1], d[0]))  # inner for ccw orientation
         out.append((n, dot(n, a)))
@@ -736,10 +747,21 @@ def ref_cell_class_data(dual: LatticePolytope, facet):
     return _lattice_index(rays[1:])[1] // _lattice_index(rays)[1]
 
 
+def ref_vertices(points):
+    """The vertices of conv(points), rational or not, as `Sections` and
+    `Polygon` gave them when they took rational points: the sorted points,
+    or for 3 or more the hull, ccw from the lex-least vertex, each with its
+    integral coordinates as ints."""
+    pts = sorted({_clean(p) for p in points})
+    return tuple(_hull2d(pts) if len(pts) >= 3 else pts)
+
+
 def ref_sections_one_pass(normals, coeffs) -> Sections:
     """`degeneration.polygon_of_sections` as it was: the corner test as an
     `all`, the slack test on the (possibly rational) vertices, Cartier as
-    `is_integral` per vertex and each span a `lattice_length`."""
+    `is_integral` per vertex and each span a `lattice_length`.  The
+    vertices of rational corners are `ref_vertices`, and `Sections` is
+    built once they are integral."""
     k = len(normals)
     lower = [y < 0 or y == 0 > x for x, y in normals]
     if (any(a * d - b * c <= 0 for (a, b), (c, d) in
@@ -765,8 +787,7 @@ def ref_sections_one_pass(normals, coeffs) -> Sections:
                            y // den if y % den == 0 else Fraction(y, den)))
     if not cands:
         raise EmptyLinearSystem("empty linear system")
-    sec = Sections(cands, normals, coeffs)
-    verts = sec.vertices()
+    verts = ref_vertices(cands)
     faces = []
     for n, q in zip(normals, coeffs):
         vals = [n[0] * x + n[1] * y for x, y in verts]
@@ -776,8 +797,45 @@ def ref_sections_one_pass(normals, coeffs) -> Sections:
     if not all(map(is_integral, verts)):
         raise NotCartier("not Cartier: no integral section witness at a "
                          "vertex cone")
+    sec = Sections(cands, normals, coeffs)
     sec.spans = tuple(lattice_length(min(f), max(f)) for f in faces)
     return sec
+
+
+def ref_validate(self):
+    """`DegenerationData.validate` as it was, verbatim, with `self` the data:
+    the global ray-endpoint sum 3p + 2d, then the per-slab checks."""
+    total_ray = sum(sum(s.ray_spans().values()) for s in self.slabs)
+    if total_ray != 3 * self.p_count + 2 * self.d_count:
+        raise DegenerationError(
+            "ray-side endpoints do not match 3p + 2d "
+            f"({total_ray} != {3 * self.p_count + 2 * self.d_count})")
+    # per-slab per-ray attachment counts
+    for slab in self.slabs:
+        expect = {}
+        for rs in self.ray_summands:
+            if slab.name in rs.slabs:
+                key = f"ray:{rs.ray}"
+                expect[key] = expect.get(key, 0) + 1
+        got = slab.ray_spans()
+        spine = got.pop(ROLE_SPINE, 0)
+        for key, cnt in expect.items():
+            if key in got:
+                if got[key] != cnt:
+                    raise DegenerationError(
+                        f"slab {slab.name}: edge span {got[key]} != "
+                        f"{cnt} attachments for {key}")
+                del got[key]
+                expect[key] = 0
+        spine_expect = sum(v for v in expect.values())
+        if spine != spine_expect:
+            raise DegenerationError(
+                f"slab {slab.name}: spine span {spine} != "
+                f"{spine_expect} attachments")
+        if any(got.values()):
+            raise DegenerationError(
+                f"slab {slab.name}: unattached ray edges {got}")
+    return True
 
 
 def ref_match_summand_slabs(summand: Summand, slab_functionals: dict):
@@ -817,9 +875,8 @@ def dual_edge_length(v, qdualverts):
 def ref_product_rules(q: Polygon):
     """`degeneration.product_data` as it was, up to the line fan it builds:
     (P, [(point, value)] of its edge rule), or the refusal, in the old
-    order (integral, then origin interior, then reflexive)."""
-    if not q.is_integral:
-        raise DegenerationError("base polygon must be integral")
+    order (origin interior, then reflexive).  Its first refusal, a base
+    polygon that is not integral, is `Polygon`'s own now."""
     qdualverts = polygon_polar(q)
     if not all(is_integral(v) for v in qdualverts):
         raise DegenerationError("base polygon must be reflexive "

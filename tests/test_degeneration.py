@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon,
                       dual_face_vertices, edge_vector_multiset,
                       lattice_polygons, mat_vec,
-                      random_unimodular3, ref_facet_in_ray_coords)
+                      random_unimodular3, ref_facet_in_ray_coords,
+                      ref_vertices)
 from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationError,
                                     EmptyLinearSystem, NotCartier, NotNef,
                                     Sections, Slab,
@@ -229,17 +230,17 @@ def ref_polygon_of_sections(normals, coeffs):
     for (x, y) in cands:
         pts.append((int(x) if x.denominator == 1 else x,
                     int(y) if y.denominator == 1 else y))
-    sec = Sections(pts)
+    verts = ref_vertices(pts)
 
     def support_min(n):
-        return min(dot(n, p) for p in sec.vertices())
+        return min(dot(n, p) for p in verts)
 
     for n, q in zip(normals, coeffs):
         if support_min(n) != -q:
             raise NotNef(f"divisor not nef: slack on edge with normal {n}")
     for i in range(k):
         j = (i + 1) % k
-        tight = [p for p in sec.vertices()
+        tight = [p for p in verts
                  if dot(normals[i], p) == -coeffs[i]
                  and dot(normals[j], p) == -coeffs[j]]
         if not tight:
@@ -248,7 +249,7 @@ def ref_polygon_of_sections(normals, coeffs):
         if not any(is_integral(p) for p in tight):
             raise NotCartier("not Cartier: no integral section witness at a "
                              "vertex cone")
-    return sec
+    return Sections(pts)
 
 
 def outcome(fn, *args):
@@ -281,11 +282,11 @@ def ref_decomposition_regimes(p):
         w_basis = ray_lattice(vert)
         facet = ref_facet_in_ray_coords(dual, vid, w_basis)
         r = gorenstein_index(dual_face_vertices(dual, [vid]))
-        if any(x % r for v in facet.vertices for x in v):
+        if any(x % r for v in facet for x in v):
             raise DegenerationError(
                 f"no smooth Minkowski decomposition: facet of ray {vid} is "
                 f"not divisible by its index {r}")
-        target = Polygon([tuple(x // r for x in v) for v in facet.vertices])
+        target = Polygon([tuple(x // r for x in v) for v in facet])
         out.append(enumerate_smooth_decompositions(
             edge_vector_multiset(target)))
     return out

@@ -33,6 +33,9 @@ FACE = settings(max_examples=40, deadline=None, derandomize=True,
 
 
 def ref_embed_polygon(points3):
+    """(the polygon of the points' coordinates in a saturated basis of
+    their plane, times their common denominator d, the basis, the base
+    point, d): scaled to be a lattice polygon, with the same vertex order."""
     pts = [_frac(p) for p in points3]
     base = pts[0]
     dirs = [vsub(p, base) for p in pts[1:]]
@@ -50,15 +53,17 @@ def ref_embed_polygon(points3):
         if sol is None:
             raise PolytopeError("point outside the plane")
         coords.append(tuple(sol))
-    return Polygon(coords), [tuple(b) for b in basis], _clean(base)
+    rows, d = clear_denominators(coords)
+    return (Polygon(map(tuple, rows)), [tuple(b) for b in basis],
+            _clean(base), d)
 
 
 def ref_facet_cycle(verts, ids, normal):
-    poly, basis, base = ref_embed_polygon(verts)
+    poly, basis, base, d = ref_embed_polygon(verts)
     lookup = {}
     for vid, v in zip(ids, verts):
         sol = solve_in_span(basis, list(vsub(_frac(v), _frac(base))))
-        lookup[tuple(sol)] = vid
+        lookup[tuple(x * d for x in sol)] = vid
     cycle = [lookup[_frac(v)] for v in poly.vertices]
     b0, b1 = basis
     if dot(cross(b0, b1), normal) < 0:

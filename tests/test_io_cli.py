@@ -400,6 +400,25 @@ def test_cli_discriminant_refuses_a_ray_on_an_unknown_slab(tmp_path):
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "discriminant"])
+def test_cli_refuses_two_slabs_with_one_name(tmp_path, command):
+    # mm2_2 with a copy of its F1 slab appended: `discriminant --svg` drew
+    # a graph whose node ids repeat (72 negative and 24 boundary nodes
+    # against MM2-2's 68 and 22), and `analyze` refused it only through
+    # the global ray-endpoint sum; the reader now refuses the second F1
+    doc, message = unparsable_slab_fixtures()["slab_name_repeated"]
+    path = tmp_path / "mm2_2_two_f1.json"
+    path.write_text(json.dumps(doc))
+    outdir = tmp_path / "svg"
+    argv = {"analyze": ("analyze", str(path)),
+            "discriminant": ("discriminant", str(path), "--svg",
+                             str(outdir))}[command]
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert one_json_line(err) == {"error": "ParseError", "message": message}
+    assert not outdir.exists()
+
+
 def test_cli_fixture_is_told_by_its_kind_key(tmp_path):
     # "kind" 600 characters into the file: still a fixture
     doc = load_fixture("b1")

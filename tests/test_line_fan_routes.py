@@ -7,8 +7,11 @@ hit point, and slab spans from `face_length` over sections found by the
 `Fraction` candidate scan; `_ray_target` reaches the ray's facet by the
 hop from P* back to P that `_dual_facet` makes, builds it as a `Polygon`
 (`ref_cycle_in_ray_coords`) and reads its index with `gorenstein_index`,
-and the enumerator reads that polygon's word divided by the index.  Every
-route must give the same slabs (polygons, coefficients, roles, sections,
+and the enumerator reads that polygon's word divided by the index.  The
+old slab polygons had rational vertices; they are kept here as vertex
+cycles (`ref_vertices`) with normals from `ref_edge_normals`, and each new
+slab polygon must be its old one times a positive integer.  Every route
+must give the same slabs (edge normals, coefficients, roles, sections,
 spans, counts), ray summands, edge values and vertex count, or raise the
 same exception with the same message.
 """
@@ -25,7 +28,8 @@ from conftest import (_frac, bundled, bundled_polygon, clip_halfplane,
                       edge_vector_multiset, face_length, lattice_polygons,
                       mat_vec, on_segment, random_unimodular2,
                       random_unimodular3, ref_cycle_in_ray_coords,
-                      ref_product_rules, unproject, whole_plane_slice)
+                      ref_edge_normals, ref_product_rules, ref_vertices,
+                      unproject, whole_plane_slice)
 from test_degeneration import ref_polygon_of_sections
 from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
                                     DegenerationError, NotCartier,
@@ -52,12 +56,14 @@ from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
 class RefSlab:
     """`Slab` as it was: sections from the Fraction candidate scan, spans
     from `face_length` on each normal, and (2A, b, i) from `counts`, the
-    `Sections.counts` that the sections' spans replaced."""
+    `Sections.counts` that the sections' spans replaced.  Its polygon is
+    the ccw vertex cycle `vertices`, rational or not."""
 
-    def __init__(self, name, polygon, coeffs, roles):
-        self.name, self.polygon = name, polygon
+    def __init__(self, name, vertices, coeffs, roles):
+        self.name, self.vertices = name, vertices
         self.coeffs, self.roles = coeffs, roles
-        normals = [n for n, _ in self.polygon.edge_normals()]
+        normals = [n for n, _ in ref_edge_normals(vertices)]
+        self.normals = normals
         self.sections = ref_polygon_of_sections(normals, list(self.coeffs))
         verts = self.sections.vertices()
         self.spans = tuple(face_length(verts, n) for n in normals)
@@ -127,8 +133,7 @@ def ref_plane_slice(poly: LatticePolytope, nu):
 
 def ref_clip_halfplane(coords, side):
     """Sutherland-Hodgman clip of a convex polygon to <., side> >= 0."""
-    poly = Polygon(coords)
-    vs = list(poly.vertices)
+    vs = list(ref_vertices(coords))
     out = []
     for i, a in enumerate(vs):
         b = vs[(i + 1) % len(vs)]
@@ -175,13 +180,11 @@ def _ray_target(p_dual: LatticePolytope, vertex_id: int, w_basis,
     p, f = _dual_facet(p_dual, p_dual.vertices[vertex_id])
     facet = ref_cycle_in_ray_coords(p, f, w_basis)
     r = gorenstein_index([p.vertices[i] for i in f.cycle])
-    if r == 1:
-        return facet
-    if any(x % r for v in facet.vertices for x in v):
+    if any(x % r for v in facet for x in v):
         raise DegenerationError(
             f"no smooth Minkowski decomposition: facet of ray {ray} is not "
             f"divisible by its index {r}")
-    return Polygon([tuple(x // r for x in v) for v in facet.vertices])
+    return Polygon([tuple(x // r for x in v) for v in facet])
 
 
 def ref_line_fan(p: LatticePolytope, direction, rays2d, edge_rule,
@@ -212,10 +215,9 @@ def ref_line_fan(p: LatticePolytope, direction, rays2d, edge_rule,
         basis, nu, side = two_cones[k]  # side cuts out the w-halfplane
         pts = ref_plane_slice(dual, nu)
         coords = plane_coords(basis, pts)
-        clipped = ref_clip_halfplane(coords, side)
-        poly = Polygon(clipped)
+        verts = ref_vertices(ref_clip_halfplane(coords, side))
         coeffs, roles = [], []
-        for a, b in poly.edges():
+        for a, b in zip(verts, verts[1:] + verts[:1]):
             a3 = unproject(basis, a)
             b3 = unproject(basis, b)
             if _along_line(a3, dirv) and _along_line(b3, dirv):
@@ -226,7 +228,7 @@ def ref_line_fan(p: LatticePolytope, direction, rays2d, edge_rule,
             coeffs.append(0 if eidx is None else edge_values[eidx])
             roles.append(ROLE_BOUNDARY)
         sname = f"S{k}"
-        slabs.append(RefSlab(sname, poly, tuple(coeffs), tuple(roles)))
+        slabs.append(RefSlab(sname, verts, tuple(coeffs), tuple(roles)))
         slab_functionals[sname] = quotient_functional(w_basis, w)
 
     ray_summands = []
@@ -278,8 +280,16 @@ def typed(points):
     return [tuple((x, type(x)) for x in p) for p in points]
 
 
+def normals(slab):
+    """A `Slab`'s edge normals, off its lattice polygon, or a `RefSlab`'s,
+    off its vertex cycle."""
+    if isinstance(slab, RefSlab):
+        return slab.normals
+    return [n for n, _ in slab.polygon.edge_normals()]
+
+
 def summary(slabs, ray_summands, edge_values, v_count):
-    return ([(s.name, typed(s.polygon.vertices), s.coeffs, s.roles,
+    return ([(s.name, normals(s), s.coeffs, s.roles,
               s.sections.dim, typed(s.sections.points),
               typed(s.sections.vertices()), s.spans, s.two_area, s.b_count,
               s.i_count) for s in slabs],
@@ -379,17 +389,26 @@ def check_route(route):
     assert outcome(new_route, *route) == want
     if isinstance(want[0], type):
         return want
-    # the plane-filtered containing edge equals the full scan on every
-    # edge of every slab
+    # each slab polygon is the old one times a positive integer, and the
+    # plane-filtered containing edge equals the full scan on every edge of
+    # every slab
     p, direction, rays2d, _ = route
     dual = p.polar_dual()
     dirv = primitive(direction)
     rows, den = clear_denominators(dual.vertices)
-    for w, slab in zip(rays2d, line_fan_data(*route).slabs):
+    olds = ref_line_fan(*route)[0]
+    for w, slab, old in zip(rays2d, line_fan_data(*route).slabs, olds):
+        scale = next(Fraction(x) / y for v, u in
+                     zip(slab.polygon.vertices, old.vertices)
+                     for x, y in zip(v, u) if y)
+        assert scale > 0 and scale.denominator == 1
+        assert slab.polygon.vertices == tuple(tuple(scale * x for x in u)
+                                              for u in old.vertices)
         basis = plane_basis([dirv, primitive(w)])
         nu, _ = _two_cone(dirv, primitive(w))
         _, flat = whole_plane_slice(dual, rows, den, nu)
-        for a, b in slab.polygon.edges():
+        verts = old.vertices
+        for a, b in zip(verts, verts[1:] + verts[:1]):
             a3, b3 = unproject(basis, a), unproject(basis, b)
             assert _containing_edge(dual, flat, a3, b3) == \
                 ref_containing_edge(dual, a3, b3)
@@ -534,15 +553,21 @@ def test_products_match_the_polar_route_on_bundled_bases_and_images():
 def test_products_match_the_polar_route_on_drawn_polygons(data):
     # a drawn polygon, mostly in a 3 x 3 box (reflexive whenever the origin
     # is interior), moved to put a drawn lattice point of it at the origin,
-    # an interior one where it has one, and maybe shrunk by 2 or 3
-    # (rational vertices): each refusal comes in the same order and words
+    # an interior one where it has one, and maybe shrunk by 2 or 3: each
+    # refusal comes in the same order and words, and rational vertices are
+    # refused by `Polygon`, before any product is built
     q = data.draw(lattice_polygons(span=data.draw(st.sampled_from((1, 1, 2)))))
     pts, edges = q.lattice_points(), q.edge_normals()
     inner = [v for v in pts if all(dot(n, v) > c for n, c in edges)]
     ox, oy = data.draw(st.sampled_from(inner or pts))
     k = data.draw(st.sampled_from((1, 1, 1, 2, 3)))
-    q = Polygon([(Fraction(x - ox, k), Fraction(y - oy, k))
-                 for x, y in q.vertices])
+    moved = [(x - ox, y - oy) for x, y in q.vertices]
+    if any(x % k for v in moved for x in v):
+        with pytest.raises(PolytopeError,
+                           match="^polygon coordinates must be ints$"):
+            Polygon([tuple(Fraction(x, k) for x in v) for v in moved])
+        return
+    q = Polygon([(x // k, y // k) for x, y in moved])
     assert product_outcome(q) == ref_product_outcome(q)
 
 

@@ -91,9 +91,8 @@ def test_summand_face_lengths():
 
 
 def ref_enumerate(polygon: Polygon):
-    """The enumerator as it was, copying the Counter at every step."""
-    if not polygon.is_integral:
-        raise PolytopeError("decompositions of a non-integral polygon")
+    """The enumerator as it was, copying the Counter at every step.  Its
+    refusal of a non-integral polygon is `Polygon`'s own now."""
     word = Counter(edge_vector_multiset(polygon))
     found = set()
 
@@ -211,11 +210,12 @@ def test_enumerator_matches_on_every_sum_of_four_shapes():
 
 
 def test_enumerator_rejects_a_non_integral_polygon():
-    # the polygon's word has no lattice lengths; its edge vectors are
-    # refused as a non-integral word
-    poly = Polygon([(0, 0), (Fraction(1, 2), 0), (0, 1)])
-    assert outcome(ref_enumerate, poly) == \
-        "PolytopeError: decompositions of a non-integral polygon"
-    edges = [tuple(b - a for a, b in zip(*edge)) for edge in poly.edges()]
+    # the polygon is refused as it is built; its word has no lattice
+    # lengths, and its edge vectors are refused as a non-integral word
+    verts = [(0, 0), (Fraction(1, 2), 0), (0, 1)]
+    assert outcome(Polygon, verts) == \
+        "PolytopeError: polygon coordinates must be ints"
+    edges = [tuple(b - a for a, b in zip(u, v))
+             for u, v in zip(verts, verts[1:] + verts[:1])]
     assert outcome(enumerate_smooth_decompositions, edges) == \
         "PolytopeError: decompositions of a non-integral word"

@@ -48,7 +48,8 @@ DELETED = [("polytope", "convex_hull"),
            ("degeneration", "_clip_halfplane"),
            ("degeneration", "_unproject"),
            ("gamma", "_annihilators"),
-           ("fileio", "_fixture_dir")]
+           ("fileio", "_fixture_dir"),
+           ("polytope", "Polygon.is_integral")]
 
 
 def resolves(obj, dotted):

@@ -165,9 +165,12 @@ def level_zero_dual_vertex():
 
 
 def validate_pins():
+    """One pin per raise of `validate`: "endpoints" reaches the edge span
+    raise that "edge_span" pins already."""
     return {f"degeneration.validate: {key}": (partial(analyze_malformed, key),
                                               DegenerationError, message)
-            for key, (_, message) in malformed_slab_fixtures().items()}
+            for key, (_, message) in malformed_slab_fixtures().items()
+            if key != "endpoints"}
 
 
 def cli_error(*argv):
@@ -298,10 +301,6 @@ PINS = {
         lambda: line_fan_data(bundled("b1"), (0, 2, -1),
                               [(-1, -1, -1), (-1, -1, 0), (1, 0, 1)], []),
         DegenerationError, "no smooth Minkowski decomposition for rho_plus"),
-    "degeneration.product_data: a rational vertex": (
-        lambda: product_data(Polygon([(-1, -1), (1, 0),
-                                      (Fraction(-1, 2), 1)])),
-        DegenerationError, "base polygon must be integral"),
     "degeneration.product_data: not reflexive": (
         lambda: product_data(Polygon([(1, 0), (0, 1), (-1, -3)])),
         DegenerationError,
@@ -386,15 +385,12 @@ PINS = {
     "polytope.Polygon: two points": (
         lambda: Polygon([(0, 0), (1, 0)]), PolytopeError,
         "not full-dimensional"),
-    "polytope.Polygon.lattice_points: a rational vertex": (
-        lambda: Polygon(HALF).lattice_points(), PolytopeError,
-        "lattice points of a non-integral polygon"),
+    "polytope.Polygon: a rational vertex": (
+        lambda: Polygon(HALF), PolytopeError,
+        "polygon coordinates must be ints"),
     "polytope._hull2d: three points on a line": (
         lambda: Polygon([(0, 0), (1, 0), (2, 0)]), PolytopeError,
         "not full-dimensional"),
-    "polytope.pick_area: a rational vertex": (
-        lambda: pick_area(Polygon(HALF)), PolytopeError,
-        "Pick's theorem needs an integral polygon"),
     "polytope.pick_area: shoelace broken": (
         broken(Polygon, "two_area", plus(2),
                lambda: pick_area(Polygon(UNIT))),

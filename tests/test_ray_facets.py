@@ -52,7 +52,8 @@ def image(p, seed, flip=False):
 
 
 def same_polygon(got, want):
-    # equal vertices in the same order, with the same int/Fraction types
+    # equal vertex cycles in the same order, with the same int/Fraction
+    # types
     assert repr(got) == repr(want)
 
 
@@ -66,18 +67,18 @@ def word_outcome(fn, *args):
 
 
 def ref_word(p, f, w_basis, ray):
-    return edge_vector_multiset(ref_ray_target(p, f, w_basis, ray))
+    return edge_vector_multiset(Polygon(ref_ray_target(p, f, w_basis, ray)))
 
 
 def check_word(p, f, w_basis, ray):
     """`_ray_word` against the edge word of `ref_ray_target`.  On a P with
     rational vertices (a polar dual; no builder passes one) a facet at
-    level -1 that is not integral in the ray basis gave a rational polygon,
-    whose word has no lattice lengths; `_ray_word` refuses it as not
-    divisible by its index 1."""
+    level -1 that is not integral in the ray basis is a rational vertex
+    cycle, which `Polygon` refuses (its word has no lattice lengths);
+    `_ray_word` refuses it as not divisible by its index 1."""
     got = word_outcome(_ray_word, p, f, w_basis, ray)
     want = word_outcome(ref_word, p, f, w_basis, ray)
-    if want == "PolytopeError: lattice length of a non-integral segment":
+    if want == "PolytopeError: polygon coordinates must be ints":
         assert not p.is_integral and f.level == -1
         want = ("DegenerationError: no smooth Minkowski decomposition: "
                 f"facet of ray {ray} is not divisible by its index 1")
@@ -201,7 +202,7 @@ def ref_d1_verdict(data, ray, f, w_basis):
         return "violation: ray carries no surface summands"
     r = -f.level
     scaled = Polygon([tuple(r * x for x in v) for v in total.vertices])
-    if scaled == ref_cycle_in_ray_coords(data.polytope, f, w_basis):
+    if scaled.vertices == ref_cycle_in_ray_coords(data.polytope, f, w_basis):
         return "smooth"
     return "violation: v* != r P_L + S_v"
 

@@ -11,8 +11,9 @@ smooth decomposition (`enumerate_smooth_decompositions`), the plane of
 every point that `normal_fan_data` and `line_fan_data` map to plane
 coordinates, the host triangle of every point in `max_triangulation`, the
 rank of a cell's edge functionals (`_cell_class_data`), the ring of
-facets around a vertex (`_dual_from_faces`) and the cycle of a facet's
-vertices (`_facet_cycle`).  The unimodular triangles of
+facets around a vertex (`_dual_from_faces`), the cycle of a facet's
+vertices (`_facet_cycle`) and the ray-endpoint sum 3p + 2d that the
+per-slab checks of `DegenerationData.validate` imply.  The unimodular triangles of
 `max_triangulation` are also asserted in `tests/test_discriminant.py`.
 
 The fallbacks that no input reaches are gone the same way: `Sections`'
@@ -24,6 +25,7 @@ of its length, and `check_smooth_data` finds every line fan's
 `notes["fan"]`.
 """
 
+import copy
 import random
 from itertools import product
 
@@ -31,24 +33,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bundled, bundled_polygon, edge_vector_multiset,
-                      lattice_polygons, mat_vec,
-                      normal_fan_routes, normalized, polygon_polar,
-                      random_unimodular2, ref_minkowski_sum,
-                      whole_plane_slice, word_polygon)
+from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon,
+                      edge_vector_multiset, lattice_polygons,
+                      malformed_slab_fixtures, mat_vec, normal_fan_routes,
+                      normalized, polygon_polar, random_unimodular2,
+                      ref_minkowski_sum, ref_validate, whole_plane_slice,
+                      word_polygon)
 from test_face_data import polytopes
 from test_minkowski import DILATED, decompose, smooth_sums
 from test_shared_geometry import SEEDS, image
 from test_slab_checks import bundled_slabs
 from fanoscope import degeneration, invariants
-from fanoscope.degeneration import (DegenerationError, GeneralizedFan,
+from fanoscope.degeneration import (DegenerationData, DegenerationError,
+                                    GeneralizedFan, RaySummand,
                                     _along_line, _exit_point, _plane_slice,
                                     _two_cone,
                                     _two_cone_containing, check_smooth_data,
                                     decomposition_regimes, line_fan,
-                                    line_fan_data, product_data, ray_lattice)
+                                    line_fan_data, method1_data, product_data,
+                                    ray_lattice)
 from fanoscope.discriminant import _graph_piece, dual_graph, max_triangulation
-from fanoscope.fileio import bundled_polytopes, data_from_fixture, load_fixture
+from fanoscope.fileio import (ParseError, bundled_polytopes, data_from_fixture,
+                              list_fixtures, load_fixture)
 from fanoscope.gamma import build_system, gamma_dimension
 from fanoscope.invariants import _cell_class_data
 from fanoscope.linalg import clear_denominators, primitive, rank
@@ -158,11 +164,13 @@ def test_line_fan_cuts_are_never_degenerate(seed):
             for w in rays:
                 nu, half = _two_cone(d, w)
                 # a plane through the origin cuts P* in a polygon, which
-                # holds the spine
+                # holds the spine; both scaled by one common denominator
                 pts, _ = whole_plane_slice(dual, rows, den, nu)
                 basis = plane_basis([d, w])
-                cut = Polygon(plane_coords(basis, pts))
-                assert all(dot(n, x) >= c for x in plane_coords(basis, spine)
+                scaled, _ = clear_denominators(pts + spine)
+                cut = Polygon(plane_coords(basis, scaled[:len(pts)]))
+                assert all(dot(n, x) >= c
+                           for x in plane_coords(basis, scaled[len(pts):])
                            for n, c in cut.edge_normals())
                 # half is not zero on the plane, so it is > 0 at a vertex
                 inside, _ = _plane_slice(dual, rows, den, nu, half)
@@ -523,7 +531,7 @@ def test_scan_matches_the_bounding_box_on_random_polygons(poly):
 def test_scan_matches_the_bounding_box_on_section_polygons(seed):
     slabs = bundled_slabs(seed)
     polys = {s.sections.polygon for s in slabs if s.sections.dim == 2}
-    polys |= {s.polygon for s in slabs if s.polygon.is_integral}
+    polys |= {s.polygon for s in slabs}
     assert any(n1 == 0 for poly in polys for (_, n1), _ in poly.edge_normals())
     for poly in polys:
         assert_scan(poly)
@@ -616,3 +624,99 @@ def test_degenerate_sections_have_two_sides_of_their_length(seed):
         assert len(graph.edges) == sum(sides) // 2
         found += 1
     assert found >= 18
+
+
+# ---------------------------------------------------------------------------
+# validate: the per-slab checks imply the ray-endpoint sum 3p + 2d
+
+
+KIND_SLABS = {"point": 0, "segment": 2, "triangle": 3}
+
+
+def refusal(check, data):
+    try:
+        check(data)
+    except DegenerationError as exc:
+        return str(exc)
+    return None
+
+
+def perturbed_fixture(doc, rng):
+    """A slab fixture with one to three of its counts, roles or ray entries'
+    slab lists redrawn, each list of the size its drawn kind needs."""
+    doc = copy.deepcopy(doc)
+    names = [s["name"] for s in doc["slabs"]]
+    entries = [e for ents in doc["rays"].values() for e in ents]
+    roles = ["boundary", "spine", "ray:R9"] + [f"ray:{r}" for r in doc["rays"]]
+    for _ in range(rng.randint(1, 3)):
+        what = rng.randrange(3) if entries else 1
+        if what == 0:
+            rng.choice(entries)["count"] = rng.randint(0, 4)
+        elif what == 1:
+            slab = rng.choice(doc["slabs"])
+            slab.setdefault("roles", {})[str(rng.randrange(
+                len(slab["polygon"])))] = rng.choice(roles)
+        else:
+            entry = rng.choice(entries)
+            entry["kind"] = rng.choice(sorted(KIND_SLABS))
+            entry["slabs"] = rng.sample(names, KIND_SLABS[entry["kind"]])
+    return data_from_fixture(doc)
+
+
+def perturbed_method1(p, rng):
+    """Method-1 data with one to three summands repeated or dropped, slab
+    roles redrawn, or summands moved to other distinct slabs, each list of
+    the size its drawn kind needs."""
+    data = method1_data(p)
+    names = [s.name for s in data.slabs]
+    rays = sorted({s.ray for s in data.ray_summands})
+    roles = ["boundary", "spine", "ray:v99"] + [f"ray:{r}" for r in rays]
+    for _ in range(rng.randint(1, 3)):
+        what = rng.randrange(3)
+        i = rng.randrange(len(data.ray_summands))
+        if what == 0 and rng.randrange(2):
+            data.ray_summands.append(copy.copy(data.ray_summands[i]))
+        elif what == 0:
+            del data.ray_summands[i]
+        elif what == 1:
+            slab = rng.choice(data.slabs)
+            new = list(slab.roles)
+            new[rng.randrange(len(new))] = rng.choice(roles)
+            slab.roles = tuple(new)
+        else:
+            kind = rng.choice(sorted(KIND_SLABS))
+            data.ray_summands[i] = RaySummand(
+                data.ray_summands[i].ray, kind,
+                tuple(rng.sample(names, KIND_SLABS[kind])))
+    return data
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_per_slab_checks_refuse_what_the_endpoint_sum_refused(seed):
+    # slab names are unique and each summand names its kind's number of
+    # distinct slabs of the data, as every builder and `fileio` ensure;
+    # within that, `validate` refuses exactly what the old one did, with
+    # the old message wherever the old sum passed
+    rng = random.Random(f"validate {seed}")
+    datas = [data_from_fixture(doc)
+             for doc, _ in malformed_slab_fixtures().values()]
+    for name in list_fixtures():
+        doc = load_fixture(name)
+        for _ in range(25 if doc.get("kind") == "slabs" else 0):
+            try:
+                datas.append(perturbed_fixture(doc, rng))
+            except ParseError:
+                pass
+    for name in NORMAL_FAN_POLYTOPES:
+        p = bundled(name)
+        datas += [perturbed_method1(p, rng) for _ in range(6)]
+    sums = 0
+    for data in datas:
+        old, new = refusal(ref_validate, data), refusal(
+            DegenerationData.validate, data)
+        assert (old is None) == (new is None), (data.name, old)
+        if old is not None and old.startswith("ray-side endpoints"):
+            sums += 1
+        else:
+            assert new == old
+    assert sums >= 10

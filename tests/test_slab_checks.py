@@ -45,7 +45,7 @@ def slab_outcome(cls, name, polygon, coeffs, roles):
 
 
 def check_slab(name, polygon, coeffs, roles):
-    want = slab_outcome(RefSlab, name, polygon, coeffs, roles)
+    want = slab_outcome(RefSlab, name, polygon.vertices, coeffs, roles)
     assert slab_outcome(Slab, name, polygon, coeffs, roles) == want
 
 
