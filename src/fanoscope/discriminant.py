@@ -3,10 +3,12 @@ polygons, their dual trivalent graphs, global assembly and SVG export."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
+from math import gcd
 
 from .degeneration import ROLE_BOUNDARY, ROLE_SPINE, DegenerationData, DegenerationError
-from .polytope import Polygon, _quotient, dot
+from .polytope import Polygon
 
 
 @dataclass
@@ -28,53 +30,57 @@ def max_triangulation(polygon: Polygon) -> UnimodularTriangulation:
     point finds a host: the fan covers the polygon, and a split replaces
     its hosts by triangles with the same union (the new vertex is on their
     boundary or inside), so the triangles cover the polygon throughout.
+    The triangles are kept by index triple with their corners, and the
+    result is sorted, so the order in which they were found is irrelevant.
     """
     pts = polygon.lattice_points()
     verts = polygon.vertices  # lex-least first (`Polygon`)
     idx = {p: i for i, p in enumerate(pts)}
-    tris = [(idx[verts[0]], idx[verts[t]], idx[verts[t + 1]])
-            for t in range(1, len(verts) - 1)]
+    fan = ((idx[verts[0]], idx[verts[k]], idx[verts[k + 1]])
+           for k in range(1, len(verts) - 1))
+    # index triple -> its corners' coordinates, in the triple's order
+    tris = {t: (*pts[t[0]], *pts[t[1]], *pts[t[2]]) for t in fan}
     used = {i for t in tris for i in t}
     for pi, (px, py) in enumerate(pts):
         if pi in used:
             continue
         hosts = []
-        for t in tris:
-            (ax, ay), (bx, by), (cx, cy) = pts[t[0]], pts[t[1]], pts[t[2]]
-            s = ((bx - ax) * (py - ay) - (by - ay) * (px - ax),
-                 (cx - bx) * (py - by) - (cy - by) * (px - bx),
-                 (ax - cx) * (py - cy) - (ay - cy) * (px - cx))
-            if min(s) >= 0 or max(s) <= 0:
-                hosts.append((t, s))
+        for t, (ax, ay, bx, by, cx, cy) in tris.items():
+            s1 = (bx - ax) * (py - ay) - (by - ay) * (px - ax)
+            s2 = (cx - bx) * (py - by) - (cy - by) * (px - bx)
+            s3 = (ax - cx) * (py - cy) - (ay - cy) * (px - cx)
+            if s1 >= 0 <= s2 and s3 >= 0 or s1 <= 0 >= s2 and s3 <= 0:
+                hosts.append((t, (s1, s2, s3)))
         t, s = hosts[0]
         if 0 in s:
             side = s.index(0)
             a, b = t[side], t[(side + 1) % 3]
             new = []
             for host, _ in hosts:
-                c = next(x for x in host if x not in (a, b))
+                c = sum(host) - a - b  # the corner off the edge
                 new += [tuple(sorted((a, pi, c))), tuple(sorted((pi, b, c)))]
         else:
             a, b, c = t
             new = [tuple(sorted((a, b, pi))), tuple(sorted((b, c, pi))),
                    tuple(sorted((a, c, pi)))]
-        gone = {host for host, _ in hosts}
-        tris = [t for t in tris if t not in gone] + new
+        for host, _ in hosts:
+            del tris[host]
+        for t in new:
+            tris[t] = (*pts[t[0]], *pts[t[1]], *pts[t[2]])
         used.add(pi)
-    tris.sort()
-    return UnimodularTriangulation(polygon, pts, tris)
+    return UnimodularTriangulation(polygon, pts, sorted(tris))
 
 
 # ---------------------------------------------------------------------------
 # graphs
 
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     ident: str
-    kind: str       # "negative" | "positive" | "boundary"
+    kind: str       # "negative" | "positive" | "boundary" | "stub"
     slab: str
-    pos: tuple
+    pos: tuple      # ints, in sixths of a lattice unit
 
 
 @dataclass
@@ -83,15 +89,18 @@ class DiscriminantGraph:
     edges: list = field(default_factory=list)
 
     def census(self):
-        p = sum(1 for v in self.nodes if v.kind == "positive")
-        n = sum(1 for v in self.nodes if v.kind == "negative")
-        b = sum(1 for v in self.nodes if v.kind == "boundary")
-        return p, n, b
+        kinds = Counter(v.kind for v in self.nodes)
+        return kinds["positive"], kinds["negative"], kinds["boundary"]
 
     def to_dict(self):
+        """Positions print as `str(Fraction(x, 6))`, each distinct x once."""
+        text = {}
+        for x in {x for v in self.nodes for x in v.pos}:
+            g = gcd(x, 6)
+            text[x] = str(x // g) if g == 6 else f"{x // g}/{6 // g}"
         return {
             "nodes": [{"id": v.ident, "kind": v.kind, "slab": v.slab,
-                       "pos": [str(x) for x in v.pos]} for v in self.nodes],
+                       "pos": [text[x] for x in v.pos]} for v in self.nodes],
             "edges": sorted(self.edges),
         }
 
@@ -100,7 +109,8 @@ def _graph_piece(sections):
     """The part of a slab's dual graph that depends only on its sections,
     built once per `Sections` and kept on it: (centroids, pairs, segments).
 
-    centroids holds one position per triangle of the maximal triangulation;
+    Positions are ints in sixths.  centroids holds one position per
+    triangle of the maximal triangulation, twice the sum of its corners;
     pairs holds the interior edges as triangle index pairs, each ordered as
     the node names sort; segments holds (triangle index, midpoint, owner
     edge) per unit boundary segment, the owner being the slab edge whose
@@ -112,14 +122,14 @@ def _graph_piece(sections):
         return sections.graph_piece
     tri = max_triangulation(sections.polygon)
     pts = tri.points
-    centroids = tuple((_quotient(sum(pts[i][0] for i in t), 3),
-                       _quotient(sum(pts[i][1] for i in t), 3))
-                      for t in tri.triangles)
+    centroids = tuple((2 * (pts[a][0] + pts[b][0] + pts[c][0]),
+                       2 * (pts[a][1] + pts[b][1] + pts[c][1]))
+                      for a, b, c in tri.triangles)
     edge_tris = {}
     for ti, t in enumerate(tri.triangles):
         for u, v in ((t[0], t[1]), (t[1], t[2]), (t[2], t[0])):
             edge_tris.setdefault((u, v) if u < v else (v, u), []).append(ti)
-    lines = [(n, -q) for n, q in zip(sections.normals, sections.coeffs)]
+    lines = [(*n, -q) for n, q in zip(sections.normals, sections.coeffs)]
     pairs, segments = [], []
     for key, ts in sorted(edge_tris.items()):
         if len(ts) == 2:
@@ -127,10 +137,10 @@ def _graph_piece(sections):
             i, j = ts
             pairs.append((i, j) if str(i) < str(j) else (j, i))
         elif len(ts) == 1:
-            a, b = (pts[i] for i in key)
-            owner_edge = next(i for i, (n, lvl) in enumerate(lines)
-                              if dot(n, a) == lvl and dot(n, b) == lvl)
-            mid = (_quotient(a[0] + b[0], 2), _quotient(a[1] + b[1], 2))
+            (ax, ay), (bx, by) = pts[key[0]], pts[key[1]]
+            owner_edge = next(i for i, (n0, n1, lvl) in enumerate(lines)
+                              if n0 * ax + n1 * ay == lvl == n0 * bx + n1 * by)
+            mid = (3 * (ax + bx), 3 * (ay + by))
             segments.append((ts[0], mid, owner_edge))
     sections.graph_piece = (centroids, tuple(pairs), tuple(segments))
     return sections.graph_piece
@@ -157,7 +167,7 @@ def dual_graph(slab) -> tuple:
                 ident = f"{slab.name}/stub{i}.{k}"
                 graph.nodes.append(Node(ident, "boundary" if
                                         slab.roles[i] == ROLE_BOUNDARY else
-                                        "stub", slab.name, (k, i)))
+                                        "stub", slab.name, (6 * k, 6 * i)))
                 ids.append(ident)
             stubs[i] = ids
         # connect strand k across the two sides
@@ -206,7 +216,7 @@ def assemble_global(data: DegenerationData) -> DiscriminantGraph:
             continue
         mine = []
         for sname in rs.slabs:
-            pools = slab_stubs[sname]
+            pools = slab_stubs.get(sname, {})
             pool = pools.get(f"ray:{rs.ray}") or pools.get(ROLE_SPINE)
             if not pool:
                 raise DegenerationError("compatibility violated: missing "
@@ -267,8 +277,8 @@ def render_svg(data: DegenerationData, graph: DiscriminantGraph | None = None) -
             strip += 1
         else:
             ox, oy = offsets.get(v.slab, (pad, pad))
-            pos[v.ident] = (ox + float(v.pos[0]) * scale,
-                            oy + float(v.pos[1]) * scale)
+            pos[v.ident] = (ox + v.pos[0] / 6 * scale,
+                            oy + v.pos[1] / 6 * scale)
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
              f'height="{height:.0f}" viewBox="0 0 {width:.0f} {height:.0f}">']
     for a, b in sorted(graph.edges):

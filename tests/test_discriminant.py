@@ -1,12 +1,20 @@
 import random
+import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
+import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (bundled, bundled_polygon, dilate_polygon,
-                      lattice_polygons)
-from fanoscope.degeneration import (line_fan_data, method1_data,
+                      lattice_polygons, mat_vec, random_unimodular2)
+from test_shared_geometry import builders
+from fanoscope.degeneration import (DegenerationError, RaySummand,
+                                    line_fan_data, method1_data,
                                     normal_fan_data, product_data)
-from fanoscope.discriminant import (assemble_global, dual_graph, export_json,
+from fanoscope.discriminant import (DiscriminantGraph, Node, assemble_global,
+                                    dual_graph, export_json,
                                     max_triangulation, render_svg)
 from fanoscope.polytope import Polygon, PolytopeError, pick_area, vsub
 
@@ -159,3 +167,94 @@ def test_max_triangulation_matches_two_scan_insertion(poly):
         assert abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax)) == 1
 
 
+def section_polygons():
+    """The distinct section polygons of every bundled degeneration
+    (`builders`), those of the `bundled` bench workload among them."""
+    return list(dict.fromkeys(s.sections.polygon for build in builders()
+                              for s in build().slabs if s.sections.dim == 2))
+
+
+@pytest.mark.parametrize("seed", (None, 5, 23))
+def test_max_triangulation_matches_two_scan_insertion_on_sections(seed):
+    polys = section_polygons()
+    assert max(poly.point_counts()[0] for poly in polys) >= 28
+    rng = random.Random(seed)
+    for poly in polys:
+        if seed is not None:  # a GL(2,Z) image, translated
+            g = random_unimodular2(rng)
+            tx, ty = rng.randrange(-9, 10), rng.randrange(-9, 10)
+            poly = Polygon([(x + tx, y + ty) for x, y in
+                            (mat_vec(g, list(v)) for v in poly.vertices)])
+        tri = max_triangulation(poly)
+        assert (tri.points, tri.triangles) == ref_max_triangulation(poly)
+
+
+# ---------------------------------------------------------------------------
+# node positions: ints in sixths of a lattice unit
+
+
+def test_discriminant_builds_no_fraction(monkeypatch):
+    """Assembly, export and drawing build no `Fraction` from a
+    `discriminant` frame, on every bundled degeneration that assembles
+    (24: the 23 targets of the `bundled` bench workload among them)."""
+    datas = [build() for build in builders()]
+    real = Fraction.__new__
+    built = []
+
+    def spy(cls, *args, **kwargs):
+        f = sys._getframe(1)
+        while f and f.f_globals.get("__name__") != "fanoscope.discriminant":
+            f = f.f_back
+        if f:
+            built.append(f.f_code.co_name)
+        return real(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", spy)
+    drawn = 0
+    for data in datas:
+        try:
+            graph = assemble_global(data)
+        except DegenerationError:
+            continue  # labels that break compatibility, refused as before
+        export_json(graph)
+        render_svg(data, graph)
+        drawn += 1
+    assert drawn >= 23 and built == []
+
+
+SIXTHS = st.one_of(st.integers(-10 ** 6, 10 ** 6),
+                   *(st.integers(-10 ** 6, 10 ** 6).map(k.__mul__)
+                     for k in (2, 3, 6)),
+                   st.integers(2 ** 60, 2 ** 100),
+                   st.integers(-2 ** 100, -2 ** 60))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(SIXTHS, SIXTHS)
+def test_positions_print_as_fractions_of_six(x, y):
+    graph = DiscriminantGraph([Node("n", "negative", "S", (x, y)),
+                               Node("m", "stub", "S", (y, 0))])
+    assert export_json(graph)["nodes"][0]["pos"] == [str(Fraction(x, 6)),
+                                                     str(Fraction(y, 6))]
+    assert export_json(graph)["nodes"][1]["pos"] == [str(Fraction(y, 6)),
+                                                     "0"]
+    assert x / 6 == float(Fraction(x, 6))
+    # a node of no drawn slab sits at the (40, 40) pad, 36 units per unit
+    cx, cy = (40 + float(Fraction(z, 6)) * 36 for z in (x, y))
+    circle = render_svg(SimpleNamespace(slabs=[]), graph).split("\n")[1]
+    assert circle.startswith(f'<circle cx="{cx:.1f}" cy="{cy:.1f}"')
+
+
+# ---------------------------------------------------------------------------
+# ray summands on slabs the data does not have
+
+
+@pytest.mark.parametrize("kind, slabs", [("triangle", ("X", "Y", "Z")),
+                                         ("segment", ("X", "Y"))])
+def test_summand_on_an_unknown_slab_is_refused(kind, slabs):
+    data = method1_data(bundled("p3"))
+    data.ray_summands.append(RaySummand("v0", kind, slabs))
+    data.validate()  # validate does not look the slabs up
+    with pytest.raises(DegenerationError) as err:
+        assemble_global(data)
+    assert str(err.value) == "compatibility violated: missing stub for v0 in X"

@@ -218,8 +218,8 @@ def test_boundary_segments_lie_on_their_edge_lines(seed):
         sec = slab.sections
         if sec.dim < 2:
             continue
-        for _, mid, owner in _graph_piece(sec)[2]:
-            assert dot(sec.normals[owner], mid) == -sec.coeffs[owner]
+        for _, mid, owner in _graph_piece(sec)[2]:  # mid in sixths
+            assert dot(sec.normals[owner], mid) == -6 * sec.coeffs[owner]
         _, stubs = dual_graph(slab)
         assert ({i: len(ids) for i, ids in stubs.items() if ids}
                 == {i: s for i, s in enumerate(slab.spans) if s})
