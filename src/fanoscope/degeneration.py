@@ -8,7 +8,7 @@ node counting is driven by the slab's polygon of sections.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd, lcm
 
 from .linalg import clear_denominators, det, lex_positive, primitive
@@ -152,7 +152,7 @@ ROLE_BOUNDARY = "boundary"
 ROLE_SPINE = "spine"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Slab:
     """A slab polygon with a coefficient and a role per edge.  Its sections
     S give 2A = `two_area`, b = `b_count`, the sum of S's face spans, and
@@ -173,11 +173,11 @@ class Slab:
 
     def __post_init__(self):
         normals = [n for n, _ in self.polygon.edge_normals()]
-        self.sections = polygon_of_sections(normals, list(self.coeffs))
-        self.spans = self.sections.spans
-        self.two_area = self.sections.two_area()
-        self.b_count = sum(self.spans)
-        self.i_count = (self.two_area + 2 - self.b_count) // 2
+        sec = polygon_of_sections(normals, list(self.coeffs))
+        two_area, b = sec.two_area(), sum(sec.spans)
+        # frozen: the derived fields are set once, here
+        vars(self).update(sections=sec, spans=sec.spans, two_area=two_area,
+                          b_count=b, i_count=(two_area + 2 - b) // 2)
 
     @classmethod
     def shared(cls, built, name, polygon, coeffs, roles):
@@ -191,7 +191,7 @@ class Slab:
             first = built[key] = cls(name, polygon, coeffs, roles)
             return first
         slab = copy.copy(first)
-        slab.name, slab.roles = name, roles
+        vars(slab).update(name=name, roles=roles)
         return slab
 
     @property
@@ -233,7 +233,11 @@ def line_fan(direction, rays2d) -> GeneralizedFan:
     return GeneralizedFan(d, tuple(tuple(r) for r in rays))
 
 
-@dataclass
+# how many slabs a ray summand of each kind names
+SUMMAND_SLABS = {"point": 0, "segment": 2, "triangle": 3}
+
+
+@dataclass(frozen=True)
 class RaySummand:
     ray: str
     kind: str                     # point | segment | triangle
@@ -245,12 +249,15 @@ class RaySummand:
 # degeneration data
 
 
-@dataclass
+@dataclass(frozen=True)
 class DegenerationData:
+    """Slabs and ray summands, checked once, when built (`validate`), and
+    frozen after that: a changed copy comes from `dataclasses.replace`,
+    which checks it again."""
     name: str
     kind: str                          # normal_fan | line_fan | product | slabs
-    slabs: list
-    ray_summands: list                 # RaySummand entries (points included)
+    slabs: tuple
+    ray_summands: tuple                # RaySummand entries (points included)
     polytope: LatticePolytope | None = None
     dual: LatticePolytope | None = None
     vertex_count: int = 0
@@ -260,6 +267,11 @@ class DegenerationData:
     degree_fixture: int | None = None
     boundary_components: int | None = None
     notes: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        vars(self).update(slabs=tuple(self.slabs),
+                          ray_summands=tuple(self.ray_summands))
+        self.validate()
 
     # -- node census ---------------------------------------------------------
 
@@ -284,33 +296,60 @@ class DegenerationData:
         return sum(s.boundary_points for s in self.slabs)
 
     def validate(self):
-        """Run the structural cross-checks slab by slab; raises
-        DegenerationError naming the slab and its ray or spine.  A slab
-        passing them has ray and spine spans summing to the summands that
-        name it; slab names are unique (`fileio` refuses a repeat) and a
-        summand names 3, 2 or 0 distinct slabs as it is a triangle, segment
-        or point, so the ray-side endpoints total 3p + 2d with no check."""
+        """The check that construction runs; raises DegenerationError naming
+        the slab, edge or summand at fault.  Slab names are distinct, each
+        edge's role is boundary, spine or `ray:<r>`, each summand is a
+        point, segment or triangle on 0, 2 or 3 distinct slabs of the data,
+        and each slab's ray and spine spans equal the summands of each ray
+        that name it, counted in one pass.  So the ray-side spans total
+        3p + 2d, and `assemble_global` uses up its stub pools exactly."""
+        counts = {}  # slab name -> {ray role: summands that name the slab}
         for slab in self.slabs:
-            expect = {}
-            for rs in self.ray_summands:
-                if slab.name in rs.slabs:
-                    key = f"ray:{rs.ray}"
-                    expect[key] = expect.get(key, 0) + 1
+            if slab.name in counts:
+                raise DegenerationError(f"slab {slab.name}: the name of an "
+                                        "earlier slab")
+            if len(slab.roles) != len(slab.spans):
+                raise DegenerationError(f"slab {slab.name}: {len(slab.roles)} "
+                                        f"roles for {len(slab.spans)} edges")
+            for i, role in enumerate(slab.roles):
+                if role not in (ROLE_BOUNDARY, ROLE_SPINE) and not (
+                        isinstance(role, str) and role[:4] == "ray:" != role):
+                    raise DegenerationError(
+                        f"slab {slab.name}: edge {i} has role {role!r}, not "
+                        "boundary, spine or ray:<r>")
+            counts[slab.name] = {}
+        for i, rs in enumerate(self.ray_summands):
+            need = (SUMMAND_SLABS.get(rs.kind) if isinstance(rs.kind, str)
+                    else None)
+            if need is None:
+                raise DegenerationError(
+                    f"ray summand {i} ({rs.ray}): kind must be point, segment "
+                    f"or triangle, not {rs.kind!r}")
+            if len(rs.slabs) != need or len(set(rs.slabs) & counts.keys()
+                                            ) != need:
+                raise DegenerationError(
+                    f"ray summand {i} ({rs.ray}, {rs.kind}): slabs must be "
+                    f"{need} distinct slabs of the data, not {list(rs.slabs)}")
+            key = f"ray:{rs.ray}"
+            for name in rs.slabs:
+                counts[name][key] = counts[name].get(key, 0) + 1
+        for slab in self.slabs:
+            want = counts[slab.name]
             got = slab.ray_spans()
             spine = got.pop(ROLE_SPINE, 0)
-            for key, cnt in expect.items():
-                if key in got:
-                    if got[key] != cnt:
-                        raise DegenerationError(
-                            f"slab {slab.name}: edge span {got[key]} != "
-                            f"{cnt} attachments for {key}")
-                    del got[key]
-                    expect[key] = 0
-            spine_expect = sum(v for v in expect.values())
-            if spine != spine_expect:
+            spine_want = 0  # the attachments of rays with no edge here
+            for key, cnt in want.items():
+                span = got.pop(key, None)
+                if span is None:
+                    spine_want += cnt
+                elif span != cnt:
+                    raise DegenerationError(
+                        f"slab {slab.name}: edge span {span} != "
+                        f"{cnt} attachments for {key}")
+            if spine != spine_want:
                 raise DegenerationError(
                     f"slab {slab.name}: spine span {spine} != "
-                    f"{spine_expect} attachments")
+                    f"{spine_want} attachments")
             if any(got.values()):
                 raise DegenerationError(
                     f"slab {slab.name}: unattached ray edges {got}")
@@ -517,7 +556,7 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
                        for i, other in ends[vid]}
         ray_summands += _attach(_ray_name(vid), decos[idx], functionals)
 
-    data = DegenerationData(
+    return DegenerationData(
         name=name or "normal-fan data",
         kind="normal_fan",
         slabs=slabs,
@@ -527,7 +566,6 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
         vertex_count=0,
         edge_values=values,
     )
-    return data
 
 
 def method1_data(p: LatticePolytope, choice=None, name="") -> DegenerationData:
@@ -723,7 +761,7 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     v_count = sum(1 for v in rows if not _along_line(v, dirv)
                   and _two_cone_containing(two_cones, v) is None)
 
-    data = DegenerationData(
+    return DegenerationData(
         name=name or "line-fan data",
         kind="line_fan",
         slabs=slabs,
@@ -732,9 +770,8 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
         dual=dual,
         vertex_count=v_count,
         edge_values=edge_values,
+        notes={"fan": fan},
     )
-    data.notes["fan"] = fan
-    return data
 
 
 def product_data(q: Polygon, name="") -> DegenerationData:
@@ -757,9 +794,8 @@ def product_data(q: Polygon, name="") -> DegenerationData:
              for i, ((x, y), n) in enumerate(zip(q.vertices, normals))]
     data = line_fan_data(p, (0, 0, 1), [(x, y, 0) for x, y in q.vertices],
                          rules, name=name or "product data")
-    data.kind = "product"
-    data.notes["a_values"] = [r["value"] for r in rules]
-    return data
+    return replace(data, kind="product", notes={
+        **data.notes, "a_values": [r["value"] for r in rules]})
 
 
 # -- small geometric helpers -------------------------------------------------
@@ -853,55 +889,7 @@ def _two_cone_containing(two_cones, v):
 
 
 # ---------------------------------------------------------------------------
-# validity checks on degeneration data
-
-
-def check_convexity(data: DegenerationData):
-    """a_E must sit in [0, l(E*)] on every labeled dual edge."""
-    out = []
-    if data.kind != "normal_fan" or data.dual is None:
-        return out
-    for i, e in enumerate(data.dual.edges):
-        a = data.edge_values.get(i, 0)
-        hi = data.dual.dual_edge_length(e)
-        if not 0 <= a <= hi:
-            out.append(f"edge {i}: a = {a} outside [0, {hi}]")
-    return out
-
-
-def check_smooth_edge_data(data: DegenerationData):
-    """Smooth edge data means a_E in {l(E*) - 1, l(E*)}."""
-    out = []
-    if data.kind != "normal_fan" or data.dual is None:
-        return out
-    for i, e in enumerate(data.dual.edges):
-        a = data.edge_values.get(i, 0)
-        ell = data.dual.dual_edge_length(e)
-        if a not in (ell - 1, ell):
-            out.append(f"edge {i}: a = {a} not in {{{ell - 1}, {ell}}}")
-    return out
-
-
-def check_compatibility(data: DegenerationData):
-    """Pullback degree of L_rho on each invariant curve must equal
-    a_E / r(F*); reported per (ray, slab)."""
-    out = []
-    if data.kind != "normal_fan" or data.dual is None:
-        return out
-    dual = data.dual
-    for vid, f in enumerate(data.polytope.facets):
-        r = -f.level
-        summands = [s for s in data.ray_summands if s.ray == _ray_name(vid)]
-        for i, e in enumerate(dual.edges):
-            if vid not in e.vertex_ids:
-                continue
-            sname = _edge_name(i)
-            got = sum(1 for s in summands if sname in s.slabs)
-            a = data.edge_values.get(i, 0)
-            if a != got * r:
-                out.append(f"ray v{vid}, slab {sname}: degree {got} != "
-                           f"a/r = {a}/{r}")
-    return out
+# smooth-data verdicts
 
 
 def _d2_verdict(data, dual, f, t_dir):

@@ -198,7 +198,14 @@ def dual_graph(slab) -> tuple:
 
 def assemble_global(data: DegenerationData) -> DiscriminantGraph:
     """Glue the per-slab pieces: one positive trivalent node per triangle
-    summand, pass-through strands per segment summand."""
+    summand, pass-through strands per segment summand.
+
+    Every stub pool is used up exactly.  Edge i gets span_i stubs
+    (`dual_graph`), pooled by role, which is boundary, spine or a ray, and
+    every summand names distinct slabs of the data (`validate`).  Per slab,
+    the check equates a ray's span with the summands of that ray naming the
+    slab where the ray has an edge, and the spine span with the rest: so a
+    ray's own pool is never empty when it is asked, nor the spine's."""
     total = DiscriminantGraph()
     slab_stubs = {}
     for slab in data.slabs:
@@ -216,11 +223,8 @@ def assemble_global(data: DegenerationData) -> DiscriminantGraph:
             continue
         mine = []
         for sname in rs.slabs:
-            pools = slab_stubs.get(sname, {})
-            pool = pools.get(f"ray:{rs.ray}") or pools.get(ROLE_SPINE)
-            if not pool:
-                raise DegenerationError("compatibility violated: missing "
-                                        f"stub for {rs.ray} in {sname}")
+            pools = slab_stubs[sname]
+            pool = pools.get(f"ray:{rs.ray}") or pools[ROLE_SPINE]
             mine.append(pool.pop(0))
         if rs.kind == "triangle":
             ident = f"p{si}/{rs.ray}"
@@ -229,11 +233,6 @@ def assemble_global(data: DegenerationData) -> DiscriminantGraph:
                 total.edges.append(tuple(sorted((ident, stub))))
         else:
             total.edges.append(tuple(sorted(mine)))
-    leftovers = [v for pools in slab_stubs.values()
-                 for ids in pools.values() for v in ids]
-    if leftovers:
-        raise DegenerationError("compatibility violated: unconsumed stubs "
-                                f"{leftovers}")
     p, n, _ = total.census()
     if p != data.p_count or n != data.n_count:
         raise DegenerationError("graph census disagrees with slab arithmetic")

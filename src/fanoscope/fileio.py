@@ -6,9 +6,10 @@ from __future__ import annotations
 import json
 import os
 import warnings
+from dataclasses import replace
 from importlib import resources
 
-from .degeneration import (DegenerationData, RaySummand, Slab,
+from .degeneration import (SUMMAND_SLABS, DegenerationData, RaySummand, Slab,
                            line_fan_data, normal_fan_data, product_data)
 from .polytope import LatticePolytope, Polygon, PolytopeError
 
@@ -201,9 +202,22 @@ def data_from_fixture(doc: dict) -> DegenerationData:
         raise ParseError(f"fixture key {min(unread)!r} is read by no kind")
     name = _typed(doc.get("name", "fixture"), str, "fixture name")
     _require(doc, REQUIRED_KEYS[kind], f"{kind} fixture")
+    # the invariants a fixture pins, read before the data is built
+    extra = {attr: _typed(doc[key], int, f"fixture {key}")
+             for key, attr in (("vertex_count", "vertex_count"),
+                               ("degree", "degree_fixture"),
+                               ("boundary_components", "boundary_components"))
+             if doc.get(key) is not None}
+    if doc.get("b2") is not None:
+        _require(doc["b2"], ("value",), "fixture b2 block")
+        extra["b2_fixture"] = _typed(doc["b2"]["value"], int,
+                                     "fixture b2 value")
+        extra["b2_source"] = doc["b2"].get("source", "fixture")
     p = None
     if "polytope" in doc:
         p = _build(doc["polytope"], "fixture polytope")
+    if kind == "slabs":
+        return _slab_fixture(doc, name, p, extra)
     if kind == "normal_fan":
         data = normal_fan_data(p, _values(doc, "edge_values", int),
                                _values(doc, "choice", list), name)
@@ -211,24 +225,10 @@ def data_from_fixture(doc: dict) -> DegenerationData:
         data = line_fan_data(p, _vector(doc["direction"], 3, "direction"),
                              _points(doc["rays2d"], 3, "rays2d"),
                              _rules(doc.get("edge_data", [])), name)
-    elif kind == "product":
+    else:
         data = product_data(Polygon(_points(doc["base_polygon"], 2,
                                             "base_polygon")), name)
-    else:
-        data = _slab_fixture(doc, name, p)
-    if doc.get("vertex_count") is not None:
-        data.vertex_count = _typed(doc["vertex_count"], int,
-                                   "fixture vertex_count")
-    if doc.get("b2") is not None:
-        _require(doc["b2"], ("value",), "fixture b2 block")
-        data.b2_fixture = _typed(doc["b2"]["value"], int, "fixture b2 value")
-        data.b2_source = doc["b2"].get("source", "fixture")
-    if doc.get("degree") is not None:
-        data.degree_fixture = _typed(doc["degree"], int, "fixture degree")
-    if doc.get("boundary_components") is not None:
-        data.boundary_components = _typed(doc["boundary_components"], int,
-                                          "fixture boundary_components")
-    return data
+    return replace(data, **extra) if extra else data
 
 
 JSON_TYPES = {dict: "object", list: "list", int: "integer", str: "string"}
@@ -301,7 +301,7 @@ def _per_edge(value, where, cls, k=None):
     return out
 
 
-def _slab_fixture(doc, name, p):
+def _slab_fixture(doc, name, p, extra):
     slabs = []
     built = {}  # (polygon, coeffs) -> its first slab, within this fixture
     specs = _typed(doc["slabs"], list, "slab fixture slabs")
@@ -333,10 +333,10 @@ def _slab_fixture(doc, name, p):
             on = tuple(_typed(ent.get("slabs", []), list,
                               f"ray {ray} entry slabs"))
             kind = ent["kind"]
-            if kind not in ("point", "segment", "triangle"):
+            if type(kind) is not str or kind not in SUMMAND_SLABS:
                 raise ParseError(f"ray {ray} entry kind must be point, "
                                  f"segment or triangle, not {kind!r}")
-            need = {"point": 0, "segment": 2, "triangle": 3}[kind]
+            need = SUMMAND_SLABS[kind]
             if len(on) != need or any(s not in names or on.count(s) > 1
                                       for s in on):
                 raise ParseError(f"ray {ray} entry slabs must be {need} "
@@ -344,10 +344,9 @@ def _slab_fixture(doc, name, p):
                                  f"{kind}, not {list(on)}")
             for _ in range(cnt):
                 summands.append(RaySummand(ray, kind, on))
-    data = DegenerationData(name=name, kind="slabs", slabs=slabs,
+    return DegenerationData(name=name, kind="slabs", slabs=slabs,
                             ray_summands=summands, polytope=p,
-                            dual=p.polar_dual() if p else None)
-    return data
+                            dual=p.polar_dual() if p else None, **extra)
 
 
 def expected_rows():

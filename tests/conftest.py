@@ -14,9 +14,11 @@ import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
-from fanoscope.degeneration import (ROLE_SPINE, DegenerationError,
+from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
+                                    DegenerationData, DegenerationError,
                                     EmptyLinearSystem, NotCartier, NotNef,
-                                    Sections)
+                                    Sections, _edge_name, _ray_name)
+from fanoscope.discriminant import DiscriminantGraph, Node, dual_graph
 from fanoscope.fileio import bundled_polytopes, load_fixture
 from fanoscope.linalg import kernel_basis, lex_positive, primitive, saturate
 from fanoscope.minkowski import Summand
@@ -928,3 +930,108 @@ def unproject(basis, coord2):
     """`degeneration._unproject` as it was: the point x*b0 + y*b1."""
     return tuple(coord2[0] * b0 + coord2[1] * b1
                  for b0, b1 in zip(basis[0], basis[1]))
+
+
+def unchecked(build, *args, **kwargs):
+    """What build(*args, **kwargs) returns with the construction check
+    (`DegenerationData.validate`) switched off: data that construction
+    refuses, for the reference copies of the checks it retired."""
+    real = DegenerationData.validate
+    DegenerationData.validate = lambda self: True
+    try:
+        return build(*args, **kwargs)
+    finally:
+        DegenerationData.validate = real
+
+
+def ref_check_convexity(data: DegenerationData):
+    """`degeneration.check_convexity` as it was, verbatim."""
+    out = []
+    if data.kind != "normal_fan" or data.dual is None:
+        return out
+    for i, e in enumerate(data.dual.edges):
+        a = data.edge_values.get(i, 0)
+        hi = data.dual.dual_edge_length(e)
+        if not 0 <= a <= hi:
+            out.append(f"edge {i}: a = {a} outside [0, {hi}]")
+    return out
+
+
+def ref_check_smooth_edge_data(data: DegenerationData):
+    """`degeneration.check_smooth_edge_data` as it was, verbatim."""
+    out = []
+    if data.kind != "normal_fan" or data.dual is None:
+        return out
+    for i, e in enumerate(data.dual.edges):
+        a = data.edge_values.get(i, 0)
+        ell = data.dual.dual_edge_length(e)
+        if a not in (ell - 1, ell):
+            out.append(f"edge {i}: a = {a} not in {{{ell - 1}, {ell}}}")
+    return out
+
+
+def ref_check_compatibility(data: DegenerationData):
+    """`degeneration.check_compatibility` as it was, verbatim: the
+    pullback degree of L_rho on each invariant curve must equal a_E / r(F*);
+    reported per (ray, slab)."""
+    out = []
+    if data.kind != "normal_fan" or data.dual is None:
+        return out
+    dual = data.dual
+    for vid, f in enumerate(data.polytope.facets):
+        r = -f.level
+        summands = [s for s in data.ray_summands if s.ray == _ray_name(vid)]
+        for i, e in enumerate(dual.edges):
+            if vid not in e.vertex_ids:
+                continue
+            sname = _edge_name(i)
+            got = sum(1 for s in summands if sname in s.slabs)
+            a = data.edge_values.get(i, 0)
+            if a != got * r:
+                out.append(f"ray v{vid}, slab {sname}: degree {got} != "
+                           f"a/r = {a}/{r}")
+    return out
+
+
+def ref_assemble_with_stub_raises(data: DegenerationData):
+    """`discriminant.assemble_global` as it was, verbatim, with its
+    "missing stub" and "unconsumed stubs" raises."""
+    total = DiscriminantGraph()
+    slab_stubs = {}
+    for slab in data.slabs:
+        piece, stubs = dual_graph(slab)
+        total.nodes.extend(piece.nodes)
+        total.edges.extend(piece.edges)
+        ray_pools = {}
+        for i, role in enumerate(slab.roles):
+            if role == ROLE_BOUNDARY or not stubs.get(i):
+                continue
+            ray_pools.setdefault(role, []).extend(stubs[i])
+        slab_stubs[slab.name] = ray_pools
+    for si, rs in enumerate(data.ray_summands):
+        if rs.kind == "point":
+            continue
+        mine = []
+        for sname in rs.slabs:
+            pools = slab_stubs.get(sname, {})
+            pool = pools.get(f"ray:{rs.ray}") or pools.get(ROLE_SPINE)
+            if not pool:
+                raise DegenerationError("compatibility violated: missing "
+                                        f"stub for {rs.ray} in {sname}")
+            mine.append(pool.pop(0))
+        if rs.kind == "triangle":
+            ident = f"p{si}/{rs.ray}"
+            total.nodes.append(Node(ident, "positive", rs.ray, (0, 0)))
+            for stub in mine:
+                total.edges.append(tuple(sorted((ident, stub))))
+        else:
+            total.edges.append(tuple(sorted(mine)))
+    leftovers = [v for pools in slab_stubs.values()
+                 for ids in pools.values() for v in ids]
+    if leftovers:
+        raise DegenerationError("compatibility violated: unconsumed stubs "
+                                f"{leftovers}")
+    p, n, _ = total.census()
+    if p != data.p_count or n != data.n_count:
+        raise DegenerationError("graph census disagrees with slab arithmetic")
+    return total

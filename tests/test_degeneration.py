@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,13 @@ from hypothesis import strategies as st
 from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon,
                       dual_face_vertices, edge_vector_multiset,
                       lattice_polygons, mat_vec,
-                      random_unimodular3, ref_facet_in_ray_coords,
-                      ref_vertices)
-from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationError,
-                                    EmptyLinearSystem, NotCartier, NotNef,
-                                    Sections, Slab,
-                                    check_compatibility,
-                                    check_convexity, check_smooth_data,
-                                    check_smooth_edge_data,
+                      random_unimodular3, ref_check_compatibility,
+                      ref_check_convexity, ref_check_smooth_edge_data,
+                      ref_facet_in_ray_coords, ref_vertices, unchecked)
+from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationData,
+                                    DegenerationError, EmptyLinearSystem,
+                                    NotCartier, NotNef,
+                                    Sections, Slab, check_smooth_data,
                                     decomposition_regimes, line_fan_data,
                                     method1_data, normal_fan_data,
                                     polygon_of_sections, product_data,
@@ -66,15 +66,36 @@ def test_sections_errors():
         polygon_of_sections([(0, 1), (-1, -2), (1, 0)], [0, 1, 0])
 
 
+def test_every_route_hands_out_checked_data(monkeypatch):
+    # the last check each route runs is on the data it returns
+    checked = []
+    real = DegenerationData.validate
+    monkeypatch.setattr(DegenerationData, "validate",
+                        lambda self: checked.append(self) or real(self))
+    p3 = bundled("p3")
+    routes = {
+        "normal_fan_data": lambda: normal_fan_data(p3),
+        "method1_data": lambda: method1_data(p3),
+        "line_fan_data": b3_data,
+        "product_data": lambda: product_data(bundled_polygon("hexagon")),
+        "data_from_fixture": lambda: data_from_fixture(load_fixture("b1")),
+        "DegenerationData": lambda: DegenerationData("empty", "slabs", [], []),
+        "replace": lambda: replace(method1_data(p3), name="renamed")}
+    for name, build in routes.items():
+        checked.clear()
+        data = build()
+        assert checked and checked[-1] is data, name
+
+
 def test_method1_p3_counts():
     d = method1_data(bundled("p3"))
     assert (d.p_count, d.d_count, d.n_count) == (4, 0, 24)
     assert d.boundary_count == 24
     assert len(d.slabs) == len(d.dual.edges)
     assert [s.two_area for s in d.slabs] == [4] * 6
-    assert check_convexity(d) == []
-    assert check_smooth_edge_data(d) == []
-    assert check_compatibility(d) == []
+    assert ref_check_convexity(d) == []
+    assert ref_check_smooth_edge_data(d) == []
+    assert ref_check_compatibility(d) == []
     assert set(check_smooth_data(d).values()) == {"smooth"}
 
 
@@ -104,7 +125,7 @@ def test_v2_normal_fan_data():
         (20, 0, 144, 24)
     areas = sorted(s.two_area for s in d.slabs)
     assert areas == [12, 12, 12, 36, 36, 36]
-    assert check_compatibility(d) == []
+    assert ref_check_compatibility(d) == []
 
 
 def test_line_fan_b3():
@@ -147,8 +168,13 @@ def test_product_rejects_non_reflexive_base():
 
 
 def test_compatibility_names_each_broken_ray_and_slab():
-    # every label 0 where a/r = 1 is needed: p3's 4 rays meet 3 slabs each
-    out = check_compatibility(normal_fan_data(bundled("p3"), 0))
+    # every label 0 where a/r = 1 is needed: p3's 4 rays meet 3 slabs each;
+    # construction refuses the data at its first slab, where the retired
+    # check reported every (ray, slab) pair
+    with pytest.raises(DegenerationError) as err:
+        normal_fan_data(bundled("p3"), 0)
+    assert str(err.value) == "slab E0: edge span 0 != 1 attachments for ray:v0"
+    out = ref_check_compatibility(unchecked(normal_fan_data, bundled("p3"), 0))
     assert len(out) == 12
     assert out[0] == "ray v0, slab E0: degree 1 != a/r = 0/1"
 
@@ -158,28 +184,34 @@ def test_checks_do_not_apply_to_slab_fixtures(name):
     # mm2_2 has no polytope and b1 has one; neither has a fan to check
     data = data_from_fixture(load_fixture(name))
     assert (data.dual is None) == (name == "mm2_2")
-    assert check_convexity(data) == []
-    assert check_smooth_edge_data(data) == []
-    assert check_compatibility(data) == []
+    assert ref_check_convexity(data) == []
+    assert ref_check_smooth_edge_data(data) == []
+    assert ref_check_compatibility(data) == []
     assert check_smooth_data(data) == {}
 
 
 def test_edge_data_bounds_checked():
+    # construction refuses every label below other than l(E*); the retired
+    # checks, run on the data built without the check, say which
+    p3, cube = bundled("p3"), bundled("cube")
+    builds = ((p3, {i: 2 for i in range(6)}), (p3, {i: 0 for i in range(6)}),
+              (cube, {i: 0 for i in range(12)}))
+    for p, labels in builds:
+        with pytest.raises(DegenerationError, match="attachments"):
+            normal_fan_data(p, labels)
+    d, d0, dc = (unchecked(normal_fan_data, p, labels) for p, labels in builds)
     # a_E = l(E*) + 1 violates convexity on every edge
-    d = normal_fan_data(bundled("p3"), {i: 2 for i in range(6)})
-    assert len(check_convexity(d)) == 6
+    assert len(ref_check_convexity(d)) == 6
     # a_E = 0 with l(E*) = 1 still counts as smooth (0 = l - 1); a_E = -1
     # breaks convexity
-    d0 = normal_fan_data(bundled("p3"), {i: 0 for i in range(6)})
-    assert check_convexity(d0) == []
-    assert check_smooth_edge_data(d0) == []
+    assert ref_check_convexity(d0) == []
+    assert ref_check_smooth_edge_data(d0) == []
     # a negative label empties the slab linear system outright
     with pytest.raises(EmptyLinearSystem):
         normal_fan_data(bundled("p3"), {0: -1})
     # on the cube l(E*) = 2, so a_E = 0 is convex but no longer smooth
-    dc = normal_fan_data(bundled("cube"), {i: 0 for i in range(12)})
-    assert check_convexity(dc) == []
-    assert len(check_smooth_edge_data(dc)) == 12
+    assert ref_check_convexity(dc) == []
+    assert len(ref_check_smooth_edge_data(dc)) == 12
 
 
 def test_boundary_identity():

@@ -1,5 +1,6 @@
 import random
 import sys
+from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import (bundled, bundled_polygon, dilate_polygon,
                       lattice_polygons, mat_vec, random_unimodular2)
 from test_shared_geometry import builders
+from fanoscope import discriminant
 from fanoscope.degeneration import (DegenerationError, RaySummand,
                                     line_fan_data, method1_data,
                                     normal_fan_data, product_data)
@@ -213,9 +215,10 @@ def test_discriminant_builds_no_fraction(monkeypatch):
     drawn = 0
     for data in datas:
         try:
-            graph = assemble_global(data)
+            data.validate()
         except DegenerationError:
-            continue  # labels that break compatibility, refused as before
+            continue  # labels that construction refuses, built unchecked
+        graph = assemble_global(data)
         export_json(graph)
         render_svg(data, graph)
         drawn += 1
@@ -251,10 +254,40 @@ def test_positions_print_as_fractions_of_six(x, y):
 
 @pytest.mark.parametrize("kind, slabs", [("triangle", ("X", "Y", "Z")),
                                          ("segment", ("X", "Y"))])
-def test_summand_on_an_unknown_slab_is_refused(kind, slabs):
+def test_summand_on_an_unknown_slab_is_refused(monkeypatch, kind, slabs):
+    # refused as the data is built, naming the summand: no consumer runs
+    # (`validate` passed it, and `assemble_global` ended in a KeyError,
+    # later in "missing stub for v0 in X")
+    from fanoscope import gamma, invariants
+    ran = []
+    for module, name in ((invariants, "analyze"), (gamma, "build_system"),
+                         (discriminant, "assemble_global")):
+        monkeypatch.setattr(module, name, lambda data, name=name:
+                            ran.append(name))
     data = method1_data(bundled("p3"))
-    data.ray_summands.append(RaySummand("v0", kind, slabs))
-    data.validate()  # validate does not look the slabs up
-    with pytest.raises(DegenerationError) as err:
-        assemble_global(data)
-    assert str(err.value) == "compatibility violated: missing stub for v0 in X"
+    rs = RaySummand("v0", kind, slabs)
+    for consume in (invariants.analyze, gamma.build_system,
+                    discriminant.assemble_global):
+        with pytest.raises(DegenerationError) as err:
+            consume(replace(data, ray_summands=data.ray_summands + (rs,)))
+        assert str(err.value) == (
+            f"ray summand 4 (v0, {kind}): slabs must be {len(slabs)} "
+            f"distinct slabs of the data, not {list(slabs)}")
+    assert ran == []
+    # the data itself cannot be changed
+    with pytest.raises(AttributeError):
+        data.ray_summands.append(rs)
+    with pytest.raises(FrozenInstanceError):
+        data.ray_summands[0].slabs = slabs
+    with pytest.raises(FrozenInstanceError):
+        data.slabs[0].roles = ("boundary",) * 3
+
+
+def test_degeneration_dataclasses_are_frozen():
+    data = method1_data(bundled("p3"))
+    for obj, field_name in ((data, "name"), (data.slabs[0], "coeffs"),
+                            (data.ray_summands[0], "kind")):
+        assert type(obj).__dataclass_params__.frozen
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, field_name, getattr(obj, field_name))
+    assert type(data.slabs) is type(data.ray_summands) is tuple

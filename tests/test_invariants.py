@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from conftest import bundled, bundled_polygon
@@ -205,11 +207,19 @@ def test_hexagon_cone_regimes():
     assert rows == {(48, 6, 24, 6, 2), (48, 8, 24, 8, 3)}
 
 
-def test_euler_formula_mismatch_detected():
-    from fanoscope.degeneration import RaySummand
+def test_euler_formula_mismatch_detected(monkeypatch):
+    # a segment added to p3's data is refused as the data is built; one
+    # segment counted in |J| that the node census does not see breaks the
+    # slab formula alone
+    from fanoscope.degeneration import (DegenerationData, DegenerationError,
+                                        RaySummand)
     data = method1_data(bundled("p3"))
-    data.ray_summands.append(RaySummand("v0", "segment", ("E0", "E1")))
-    with pytest.raises(InvariantError, match="formula mismatch"):
+    with pytest.raises(DegenerationError,
+                       match="^slab E0: edge span 1 != 2 attachments"):
+        replace(data, ray_summands=data.ray_summands + (
+            RaySummand("v0", "segment", ("E0", "E1")),))
+    monkeypatch.setattr(DegenerationData, "d_count", property(lambda s: 1))
+    with pytest.raises(InvariantError, match="formula mismatch: 2 != 4"):
         euler_number(data)
 
 

@@ -1,4 +1,5 @@
 import builtins
+import copy
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ from conftest import (MISTYPED_POLYTOPES, bundled, malformed_slab_fixtures,
                       mistyped_fixtures, mistyped_manifests, same_polytope,
                       unparsable_slab_fixtures)
 from fanoscope import cli, degeneration
-from fanoscope.degeneration import DegenerationData
+from fanoscope.degeneration import DegenerationData, DegenerationError
 from fanoscope.fileio import (ParseError, bundled_polytopes,
                               data_from_fixture, ingest_database,
                               list_fixtures, load_fixture, parse_polytope)
@@ -358,7 +359,7 @@ def run_malformed_slab_fixture(tmp_path, key):
 
 def test_cli_slab_fixture_with_mismatched_ray_spans_exits_1(tmp_path,
                                                          monkeypatch):
-    # `analyze` validates the fixture, once
+    # construction checks the fixture, once, and `analyze` not again
     calls = []
     real = DegenerationData.validate
     monkeypatch.setattr(DegenerationData, "validate",
@@ -373,17 +374,95 @@ def test_cli_malformed_slab_fixture_exits_1(tmp_path, key):
 
 
 def test_cli_malformed_slab_fixture_discriminant_exits_1(tmp_path):
-    # `discriminant` does not validate: the stub pools are left over
-    doc, _ = malformed_slab_fixtures()["endpoints"]
+    # the reader's data is checked as it is built, so `discriminant` gives
+    # the construction check's message (it gave "unconsumed stubs ['P2/s8',
+    # 'P112a/s7', 'SQa/s8']" from `assemble_global`) and draws nothing
+    doc, message = malformed_slab_fixtures()["endpoints"]
     path = tmp_path / "mm2_2_endpoints.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli("discriminant", str(path),
                              "--svg", str(tmp_path / "svg"))
     assert code == 1 and out == ""
-    assert one_json_line(err) == {
-        "error": "DegenerationError",
-        "message": "compatibility violated: unconsumed stubs ['P2/s8', "
-                   "'P112a/s7', 'SQa/s8']"}
+    assert one_json_line(err) == {"error": "DegenerationError",
+                                  "message": message}
+    assert not (tmp_path / "svg").exists()
+
+
+P3_LABELS_0 = {"kind": "normal_fan", "polytope": [[1, 0, 0], [0, 1, 0],
+                                                  [0, 0, 1], [-1, -1, -1]],
+               "edge_values": 0}
+
+
+def refused_fixtures():
+    """id -> (fixture document, the construction check's message): p3's
+    normal fan with every label 0, and the malformed mm2_2 fixtures."""
+    out = {"p3_labels_0": (P3_LABELS_0, "slab E0: edge span 0 != 1 "
+                           "attachments for ray:v0")}
+    out.update(malformed_slab_fixtures())
+    return out
+
+
+@pytest.mark.parametrize("key", sorted(refused_fixtures()))
+def test_cli_commands_give_one_verdict_on_refused_data(tmp_path, key):
+    # `gamma` printed b2: 1 for p3 with labels 0 and raised a GammaError
+    # on the mm2_2 faults, and `discriminant` named leftover stubs: now
+    # every command refuses the data as it is read, with one message
+    doc, message = refused_fixtures()[key]
+    path = tmp_path / f"{key}.json"
+    path.write_text(json.dumps(doc))
+    outdir = tmp_path / "svg"
+    for argv in (("analyze", str(path)), ("gamma", str(path)),
+                 ("discriminant", str(path), "--svg", str(outdir))):
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == "", argv
+        assert one_json_line(err) == {"error": "DegenerationError",
+                                      "message": message}
+    assert not outdir.exists()
+
+
+def role_edits():
+    """(slab name, edge, document) for each edge of each slab of every slab
+    fixture, with that edge's role made "foo"."""
+    for name in list_fixtures():
+        doc = load_fixture(name)
+        if doc.get("kind") != "slabs":
+            continue
+        for i, spec in enumerate(doc["slabs"]):
+            for j in range(len(spec["polygon"])):
+                edit = copy.deepcopy(doc)
+                edit["slabs"][i].setdefault("roles", {})[str(j)] = "foo"
+                yield spec["name"], j, edit
+
+
+def test_every_unknown_role_is_refused_naming_its_slab_and_edge():
+    # the reader took any string as a role: 75 of these passed the old
+    # check, and only a cross-check or the leftover stubs refused them
+    edits = list(role_edits())
+    assert len(edits) == 111
+    for slab, j, doc in edits:
+        with pytest.raises(DegenerationError) as err:
+            data_from_fixture(doc)
+        assert str(err.value) == (f"slab {slab}: edge {j} has role 'foo', "
+                                  "not boundary, spine or ray:<r>")
+
+
+def test_cli_refuses_an_unknown_role(tmp_path):
+    # mm5_1 with its first slab's edge 1 given the role "foo": `analyze`
+    # refused it only through the Euler cross-check ("formula mismatch:
+    # 12 != 11") and `discriminant` through its leftover stubs
+    doc = load_fixture("mm5_1")
+    doc["slabs"][0].setdefault("roles", {})["1"] = "foo"
+    path = tmp_path / "mm5_1_foo.json"
+    path.write_text(json.dumps(doc))
+    for argv in (("analyze", str(path)),
+                 ("discriminant", str(path), "--svg", str(tmp_path / "s"))):
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == ""
+        assert one_json_line(err) == {
+            "error": "DegenerationError",
+            "message": f"slab {doc['slabs'][0]['name']}: edge 1 has role "
+                       "'foo', not boundary, spine or ray:<r>"}
+    assert not (tmp_path / "s").exists()
 
 
 def test_cli_discriminant_refuses_a_ray_on_an_unknown_slab(tmp_path):

@@ -49,7 +49,10 @@ DELETED = [("polytope", "convex_hull"),
            ("degeneration", "_unproject"),
            ("gamma", "_annihilators"),
            ("fileio", "_fixture_dir"),
-           ("polytope", "Polygon.is_integral")]
+           ("polytope", "Polygon.is_integral"),
+           ("degeneration", "check_convexity"),
+           ("degeneration", "check_smooth_edge_data"),
+           ("degeneration", "check_compatibility")]
 
 
 def resolves(obj, dotted):

@@ -37,6 +37,7 @@ import os
 import pkgutil
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from functools import cache, partial
 from itertools import product
@@ -52,8 +53,7 @@ from fanoscope import cli, invariants
 from fanoscope.cli import _resolve_data, build_parser
 from fanoscope.degeneration import (DegenerationData, DegenerationError,
                                     EmptyLinearSystem, NotCartier, NotNef,
-                                    RaySummand, check_compatibility,
-                                    check_smooth_data, decomposition_regimes,
+                                    RaySummand, check_smooth_data, decomposition_regimes,
                                     line_fan_data, method1_data,
                                     normal_fan_data, polygon_of_sections,
                                     product_data)
@@ -132,31 +132,36 @@ def malformed(key):
     return data_from_fixture(malformed_slab_fixtures()[key][0])
 
 
-def analyze_malformed(key):
-    analyze(malformed(key))
-
-
 def odd_euler():
     data = fixture_data("mm2_2")
-    data.vertex_count += 1
-    euler_number(data)
+    euler_number(replace(data, vertex_count=data.vertex_count + 1))
 
 
-def extra_segment():
-    data = method1_data(bundled("p3"))
-    data.ray_summands.append(RaySummand("v0", "segment", ("E0", "E1")))
-    euler_number(data)
-
-
-def moved_segment():
-    """hexagon_cone under choice 0: v3's segment moved from (E2, E9) to
-    (E2, E3), two cones that are not coplanar."""
+def moved_segments():
+    """hexagon_cone under choice 0 with v3's segments on (E2, E9) and
+    (E5, E7) moved to (E2, E7) and (E5, E9): each slab keeps its count of
+    v3's summands, so construction accepts it, but E2 and E7 are cones
+    that are not coplanar."""
     p = bundled("hexagon_cone")
     data = normal_fan_data(p, None, [0] * len(p.polar_dual().vertices))
-    rs = next(s for s in data.ray_summands
-              if s.ray == "v3" and s.slabs == ("E2", "E9"))
-    rs.slabs = ("E2", "E3")
-    gamma_dimension(data)
+    moved = {("E2", "E9"): ("E2", "E7"), ("E5", "E7"): ("E5", "E9")}
+    gamma_dimension(replace(data, ray_summands=[
+        replace(s, slabs=moved[s.slabs]) if s.ray == "v3"
+        and s.slabs in moved else s for s in data.ray_summands]))
+
+
+def with_summand(rs):
+    """p3's method-1 data, whose 4 summands are triangles, with rs added."""
+    data = method1_data(bundled("p3"))
+    return replace(data, ray_summands=data.ray_summands + (rs,))
+
+
+def with_slab(i, **changes):
+    """mm2_2's data with its slab i changed (slab 0 is the triangle P2)."""
+    data = fixture_data("mm2_2")
+    slabs = list(data.slabs)
+    slabs[i] = replace(slabs[i], **changes)
+    return replace(data, slabs=slabs)
 
 
 def level_zero_dual_vertex():
@@ -165,12 +170,36 @@ def level_zero_dual_vertex():
 
 
 def validate_pins():
-    """One pin per raise of `validate`: "endpoints" reaches the edge span
-    raise that "edge_span" pins already."""
-    return {f"degeneration.validate: {key}": (partial(analyze_malformed, key),
-                                              DegenerationError, message)
-            for key, (_, message) in malformed_slab_fixtures().items()
-            if key != "endpoints"}
+    """One pin per raise of `validate`, each refused as its data is built:
+    "endpoints" reaches the edge span raise that "edge_span" pins
+    already."""
+    summand = "ray summand 4 (v0{}): "
+    pins = {
+        "a repeated slab name": (
+            lambda: with_slab(0, name="F1"), "slab F1: the name of an "
+            "earlier slab"),
+        "two roles on a triangle": (
+            lambda: with_slab(0, roles=("boundary", "spine")),
+            "slab P2: 2 roles for 3 edges"),
+        "an unknown role": (
+            lambda: with_slab(0, roles=("boundary", "foo", "spine")),
+            "slab P2: edge 1 has role 'foo', not boundary, spine or "
+            "ray:<r>"),
+        "a disk summand": (
+            lambda: with_summand(RaySummand("v0", "disk", ("E0", "E1"))),
+            summand.format("") + "kind must be point, segment or triangle, "
+            "not 'disk'"),
+        "a triangle on unknown slabs": (
+            lambda: with_summand(RaySummand("v0", "triangle",
+                                            ("X", "Y", "Z"))),
+            summand.format(", triangle") + "slabs must be 3 distinct slabs "
+            "of the data, not ['X', 'Y', 'Z']")}
+    pins.update({key: (partial(malformed, key), message)
+                 for key, (_, message) in malformed_slab_fixtures().items()
+                 if key != "endpoints"})
+    return {f"degeneration.validate: {key}": (call, DegenerationError,
+                                              message)
+            for key, (call, message) in pins.items()}
 
 
 def cli_error(*argv):
@@ -313,13 +342,17 @@ PINS = {
         GammaError, "the Betti formula needs a complete normal fan "
         "(0-dimensional minimal cone)"),
     "gamma.gamma_dimension: a segment on two planes": (
-        moved_segment, GammaError,
+        moved_segments, GammaError,
         "baseline missing: the torus subspace fails the equations"),
     "gamma.barT_sections: a product": (
         lambda: barT_sections(product_data(bundled_polygon("diamond"))),
         GammaError, "fast path needs a complete normal fan"),
+    # one segment more in the slab formula's |J| than the data holds
     "invariants.euler_number: an extra segment": (
-        extra_segment, InvariantError, "formula mismatch: 2 != 4"),
+        broken(DegenerationData, "d_count",
+               lambda real: property(lambda self: real.fget(self) + 1),
+               lambda: euler_number(method1_data(bundled("p3")))),
+        InvariantError, "formula mismatch: 2 != 4"),
     "invariants.euler_number: mm2_2 with one vertex more": (
         odd_euler, InvariantError, "odd Euler number -33: invalid data"),
     "invariants.euler_smooth_mink: a product": (
@@ -367,13 +400,6 @@ PINS = {
         broken(invariants, "barT_sections", plus(1),
                lambda: analyze(method1_data(bundled("p3")))),
         InvariantError, "fast-path b2 disagrees with the limit"),
-    "discriminant.assemble_global: mm2_2 edge span": (
-        lambda: assemble_global(malformed("edge_span")), DegenerationError,
-        "compatibility violated: missing stub for R1 in P112a"),
-    "discriminant.assemble_global: mm2_2 endpoints": (
-        lambda: assemble_global(malformed("endpoints")), DegenerationError,
-        "compatibility violated: unconsumed stubs ['P2/s8', 'P112a/s7', "
-        "'SQa/s8']"),
     "discriminant.assemble_global: node census broken": (
         broken(DegenerationData, "n_count",
                lambda real: property(lambda self: real.fget(self) + 1),
@@ -568,15 +594,13 @@ REACHES = {
         lambda: [s.kind for s in line_fan_data(bundled("p3"), (-1, 0, 0),
                                                P2_FAN, []).ray_summands],
         ["point", "point"]),
-    "degeneration.check_compatibility: p3 with every label 0": (
-        lambda: check_compatibility(normal_fan_data(bundled("p3"), 0))[:2],
-        ["ray v0, slab E0: degree 1 != a/r = 0/1",
-         "ray v0, slab E1: degree 1 != a/r = 0/1"]),
     # v2's facets dual to vertices 1-3 are Cayley triangles, each with one
     # segment dual to an edge of P* with a rational end
     "degeneration._d2_verdict: v2's rational dual edges": (
         lambda: line_fan_verdicts("v2", (-1, -1, -1),
-                                  [(0, 0, 1), (0, 1, 0), (1, 0, 0)], []),
+                                  [(0, 0, 1), (0, 1, 0), (1, 0, 0)],
+                                  [{"meets": (Fraction(-1, 3),) * 3,
+                                    "value": 6}]),
         {0: "smooth", 1: RATIONAL_END.format(0), 2: RATIONAL_END.format(1),
          3: RATIONAL_END.format(2)}),
     # b3_cubic's polar vertex 1 lies on the line

@@ -12,8 +12,12 @@ every point that `normal_fan_data` and `line_fan_data` map to plane
 coordinates, the host triangle of every point in `max_triangulation`, the
 rank of a cell's edge functionals (`_cell_class_data`), the ring of
 facets around a vertex (`_dual_from_faces`), the cycle of a facet's
-vertices (`_facet_cycle`) and the ray-endpoint sum 3p + 2d that the
-per-slab checks of `DegenerationData.validate` imply.  The unimodular triangles of
+vertices (`_facet_cycle`), the ray-endpoint sum 3p + 2d that the
+per-slab checks of `DegenerationData.validate` imply, the stub pools that
+`assemble_global` uses up exactly on checked data, and the labels
+a_E = l(E*) of checked normal-fan data on a reflexive P (`analyze`), on
+which the deleted `check_convexity`, `check_smooth_edge_data` and
+`check_compatibility` report nothing.  The unimodular triangles of
 `max_triangulation` are also asserted in `tests/test_discriminant.py`.
 
 The fallbacks that no input reaches are gone the same way: `Sections`'
@@ -25,8 +29,9 @@ of its length, and `check_smooth_data` finds every line fan's
 `notes["fan"]`.
 """
 
-import copy
 import random
+from dataclasses import replace
+from functools import partial
 from itertools import product
 
 import pytest
@@ -37,23 +42,27 @@ from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon,
                       edge_vector_multiset, lattice_polygons,
                       malformed_slab_fixtures, mat_vec, normal_fan_routes,
                       normalized, polygon_polar, random_unimodular2,
-                      ref_minkowski_sum, ref_validate, whole_plane_slice,
-                      word_polygon)
+                      ref_assemble_with_stub_raises, ref_check_compatibility,
+                      ref_check_convexity, ref_check_smooth_edge_data,
+                      ref_minkowski_sum, ref_validate, unchecked,
+                      whole_plane_slice, word_polygon)
 from test_face_data import polytopes
 from test_minkowski import DILATED, decompose, smooth_sums
 from test_shared_geometry import SEEDS, image
 from test_slab_checks import bundled_slabs
 from fanoscope import degeneration, invariants
-from fanoscope.degeneration import (DegenerationData, DegenerationError,
-                                    GeneralizedFan, RaySummand,
+from fanoscope.degeneration import (DegenerationError, GeneralizedFan,
+                                    RaySummand,
                                     _along_line, _exit_point, _plane_slice,
                                     _two_cone,
                                     _two_cone_containing, check_smooth_data,
                                     decomposition_regimes, line_fan,
-                                    line_fan_data, method1_data, product_data,
+                                    line_fan_data, method1_data,
+                                    normal_fan_data, product_data,
                                     ray_lattice)
-from fanoscope.discriminant import _graph_piece, dual_graph, max_triangulation
-from fanoscope.fileio import (ParseError, bundled_polytopes, data_from_fixture,
+from fanoscope.discriminant import (_graph_piece, assemble_global, dual_graph,
+                                    export_json, max_triangulation)
+from fanoscope.fileio import (bundled_polytopes, data_from_fixture,
                               list_fixtures, load_fixture)
 from fanoscope.gamma import build_system, gamma_dimension
 from fanoscope.invariants import _cell_class_data
@@ -633,90 +642,153 @@ def test_degenerate_sections_have_two_sides_of_their_length(seed):
 KIND_SLABS = {"point": 0, "segment": 2, "triangle": 3}
 
 
-def refusal(check, data):
+def refusal(fn, *args):
     try:
-        check(data)
+        fn(*args)
     except DegenerationError as exc:
         return str(exc)
     return None
 
 
-def perturbed_fixture(doc, rng):
-    """A slab fixture with one to three of its counts, roles or ray entries'
-    slab lists redrawn, each list of the size its drawn kind needs."""
-    doc = copy.deepcopy(doc)
-    names = [s["name"] for s in doc["slabs"]]
-    entries = [e for ents in doc["rays"].values() for e in ents]
-    roles = ["boundary", "spine", "ray:R9"] + [f"ray:{r}" for r in doc["rays"]]
+def perturbed(data, rng, wild=False):
+    """A builder of `data` with one to three of its summands repeated or
+    dropped, slab roles redrawn, or summands moved to other distinct
+    slabs, each list of the size its drawn kind needs: `replace`, which
+    checks the result.  With wild, a role may be "foo" and a moved summand
+    may name a slab the data does not have."""
+    slabs, summands = list(data.slabs), list(data.ray_summands)
+    names = [s.name for s in slabs] + ["NOPE"] * wild
+    rays = sorted({s.ray for s in summands})
+    roles = (["boundary", "spine", "ray:none"] + [f"ray:{r}" for r in rays]
+             + ["foo"] * wild)
     for _ in range(rng.randint(1, 3)):
-        what = rng.randrange(3) if entries else 1
-        if what == 0:
-            rng.choice(entries)["count"] = rng.randint(0, 4)
-        elif what == 1:
-            slab = rng.choice(doc["slabs"])
-            slab.setdefault("roles", {})[str(rng.randrange(
-                len(slab["polygon"])))] = rng.choice(roles)
-        else:
-            entry = rng.choice(entries)
-            entry["kind"] = rng.choice(sorted(KIND_SLABS))
-            entry["slabs"] = rng.sample(names, KIND_SLABS[entry["kind"]])
-    return data_from_fixture(doc)
-
-
-def perturbed_method1(p, rng):
-    """Method-1 data with one to three summands repeated or dropped, slab
-    roles redrawn, or summands moved to other distinct slabs, each list of
-    the size its drawn kind needs."""
-    data = method1_data(p)
-    names = [s.name for s in data.slabs]
-    rays = sorted({s.ray for s in data.ray_summands})
-    roles = ["boundary", "spine", "ray:v99"] + [f"ray:{r}" for r in rays]
-    for _ in range(rng.randint(1, 3)):
-        what = rng.randrange(3)
-        i = rng.randrange(len(data.ray_summands))
+        what = rng.randrange(3) if summands else 1
+        i = rng.randrange(len(summands)) if summands else None
         if what == 0 and rng.randrange(2):
-            data.ray_summands.append(copy.copy(data.ray_summands[i]))
+            summands.append(summands[i])
         elif what == 0:
-            del data.ray_summands[i]
+            del summands[i]
         elif what == 1:
-            slab = rng.choice(data.slabs)
-            new = list(slab.roles)
+            k = rng.randrange(len(slabs))
+            new = list(slabs[k].roles)
             new[rng.randrange(len(new))] = rng.choice(roles)
-            slab.roles = tuple(new)
+            slabs[k] = replace(slabs[k], roles=tuple(new))
         else:
             kind = rng.choice(sorted(KIND_SLABS))
-            data.ray_summands[i] = RaySummand(
-                data.ray_summands[i].ray, kind,
-                tuple(rng.sample(names, KIND_SLABS[kind])))
-    return data
+            summands[i] = RaySummand(summands[i].ray, kind,
+                                     tuple(rng.sample(names, KIND_SLABS[kind])))
+    return partial(replace, data, slabs=slabs, ray_summands=summands)
+
+
+def perturbed_fixture(doc, rng, wild=False):
+    return perturbed(data_from_fixture(doc), rng, wild)
+
+
+def perturbed_method1(p, rng, wild=False):
+    return perturbed(method1_data(p), rng, wild)
+
+
+def perturbations(seed, per_fixture, per_polytope, wild=False):
+    """Builders of perturbed data: the malformed mm2_2 fixtures, and the
+    bundled slab fixtures and method-1 data, each perturbed."""
+    rng = random.Random(f"validate {seed}")
+    builds = [partial(data_from_fixture, doc)
+              for doc, _ in malformed_slab_fixtures().values()]
+    for name in list_fixtures():
+        doc = load_fixture(name)
+        if doc.get("kind") == "slabs":
+            builds += [perturbed_fixture(doc, rng, wild)
+                       for _ in range(per_fixture)]
+    for name in NORMAL_FAN_POLYTOPES:
+        builds += [perturbed_method1(bundled(name), rng, wild)
+                   for _ in range(per_polytope)]
+    return builds
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_per_slab_checks_refuse_what_the_endpoint_sum_refused(seed):
-    # slab names are unique and each summand names its kind's number of
-    # distinct slabs of the data, as every builder and `fileio` ensure;
-    # within that, `validate` refuses exactly what the old one did, with
-    # the old message wherever the old sum passed
-    rng = random.Random(f"validate {seed}")
-    datas = [data_from_fixture(doc)
-             for doc, _ in malformed_slab_fixtures().values()]
-    for name in list_fixtures():
-        doc = load_fixture(name)
-        for _ in range(25 if doc.get("kind") == "slabs" else 0):
-            try:
-                datas.append(perturbed_fixture(doc, rng))
-            except ParseError:
-                pass
-    for name in NORMAL_FAN_POLYTOPES:
-        p = bundled(name)
-        datas += [perturbed_method1(p, rng) for _ in range(6)]
+    # the perturbed data keeps its slab names unique and each summand on
+    # its kind's number of distinct slabs of the data; within that,
+    # construction refuses exactly what the old `validate` did, with the
+    # old message wherever the old sum passed
     sums = 0
-    for data in datas:
-        old, new = refusal(ref_validate, data), refusal(
-            DegenerationData.validate, data)
-        assert (old is None) == (new is None), (data.name, old)
+    for build in perturbations(seed, 25, 6):
+        old, new = refusal(ref_validate, unchecked(build)), refusal(build)
+        assert (old is None) == (new is None), old
         if old is not None and old.startswith("ray-side endpoints"):
             sums += 1
         else:
             assert new == old
     assert sums >= 10
+
+
+# ---------------------------------------------------------------------------
+# assemble_global: checked data uses up every stub pool exactly
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_stub_pools_are_used_up_on_checked_data(seed):
+    # summands repeated, dropped or moved (onto an unknown slab too), and
+    # roles redrawn (to "foo" or an unused ray too): what construction
+    # accepts, the old assembly with its stub raises glues into the same
+    # graph, and whatever those raises refused, construction refuses
+    accepted = stubs = 0
+    for build in perturbations(seed, 40, 20, wild=True):
+        old = refusal(ref_assemble_with_stub_raises, unchecked(build))
+        try:
+            data = build()
+        except DegenerationError:
+            if old is not None and old.startswith("compatibility violated"):
+                stubs += 1
+            continue
+        assert old is None
+        accepted += 1
+        assert export_json(assemble_global(data)) == export_json(
+            ref_assemble_with_stub_raises(data))
+    assert accepted >= 40 and stubs >= 400
+
+
+# ---------------------------------------------------------------------------
+# analyze: normal-fan data on a reflexive P has a_E = l(E*)
+
+
+def labelings(dual, rng):
+    """Edge labels for `normal_fan_data`: None, each constant 0-7, l(E*)
+    with one edge moved by +-1, and dicts drawn from 0..l(E*) + 1."""
+    lengths = [dual.dual_edge_length(e) for e in dual.edges]
+    out = [None, *range(8)]
+    for _ in range(4):
+        moved = dict(enumerate(lengths))
+        i = rng.randrange(len(lengths))
+        moved[i] = max(0, moved[i] + rng.choice((-1, 1)))
+        out += [moved, {i: rng.randint(0, ell + 1)
+                        for i, ell in enumerate(lengths)}]
+    return out
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_checked_normal_fan_labels_are_the_dual_lengths(seed):
+    # on every normal-fan data that construction accepts, each label and
+    # each boundary coefficient is l(E*), so `analyze` needs no scan for
+    # method-1 data, and the three deleted checks report nothing
+    rng = random.Random(f"labels {seed}")
+    accepted = refused = 0
+    for name in NORMAL_FAN_POLYTOPES + ("v2",):
+        p = image(bundled(name), seed)
+        dual = p.polar_dual()
+        for labels in labelings(dual, rng):
+            try:
+                data = normal_fan_data(p, labels)
+            except DegenerationError:
+                refused += 1
+                continue
+            accepted += 1
+            lengths = [dual.dual_edge_length(e) for e in dual.edges]
+            assert [data.edge_values[i] for i in range(len(lengths))] == \
+                lengths
+            assert [s.coeffs[s.roles.index("boundary")]
+                    for s in data.slabs] == lengths
+            assert ref_check_convexity(data) == []
+            assert ref_check_smooth_edge_data(data) == []
+            assert ref_check_compatibility(data) == []
+    assert accepted >= 7 and refused >= 100

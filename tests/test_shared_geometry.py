@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon,
                       facet_polygon, lattice_polygons, mat_vec,
-                      random_unimodular3)
+                      random_unimodular3, unchecked)
 from test_line_fan_routes import base_routes
 from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
                                     DegenerationData, DegenerationError,
@@ -221,7 +221,9 @@ def builders(seed=None):
     """Zero-argument builders of the bundled degenerations: each method-1
     polytope under each decomposition choice and with edge labels 0, 1, 0,
     ..., and v2's normal fan, moved by one seeded GL(3,Z) map when a seed is
-    given; without one, also the four products and every fixture."""
+    given; without one, also the four products and every fixture.  The
+    alternating labels fail the construction check, so that data is built
+    without it, for its slabs."""
     out = []
     for name in NORMAL_FAN_POLYTOPES:
         p = image(bundled(name), seed)
@@ -229,8 +231,8 @@ def builders(seed=None):
         out += [lambda p=p, c=c: method1_data(p, c)
                 for c in itertools.product(*map(range, counts))]
         # alternating labels: equal slab polygons with unequal coefficients
-        out.append(lambda p=p: normal_fan_data(
-            p, {i: i % 2 for i in range(len(p.polar_dual().edges))}))
+        out.append(lambda p=p: unchecked(normal_fan_data, p, {
+            i: i % 2 for i in range(len(p.polar_dual().edges))}))
     v2 = image(bundled("v2"), seed)
     out.append(lambda: normal_fan_data(v2, 6))
     if seed is None:
@@ -330,6 +332,10 @@ def test_graph_pieces_match_the_per_slab_route(seed):
         for slab in data.slabs:
             assert graph_outcome(dual_graph, slab) == \
                 graph_outcome(ref_dual_graph, slab)
+        try:
+            data.validate()
+        except DegenerationError:
+            continue  # built without the check: its slabs alone compare
         want = graph_outcome(ref_assemble_global, data)
         assert graph_outcome(assemble_global, data) == want
         assert graph_outcome(assemble_global, data) == want  # memo kept

@@ -12,6 +12,7 @@ reaches fails at once.
 
 import ast
 import inspect
+from fractions import Fraction
 
 import pytest
 
@@ -50,17 +51,25 @@ PINNED = {
                                {0: NOT_SMOOTH, 1: NOT_CAYLEY, 2: NOT_SMOOTH,
                                 3: NOT_SMOOTH}),
     # v2's facet dual to vertex 0 is at level -3
-    "v2_not_gorenstein": (("v2", (-1, 0, 0), P2_FAN, []),
-                          {0: NOT_GORENSTEIN, 1: SMOOTH, 2: SMOOTH,
+    "v2_not_gorenstein": (("v2", (-1, 0, 1), [(-1, -1, -1), (-1, 1, -1),
+                                               (0, 0, 1)], []),
+                          {0: NOT_GORENSTEIN, 1: SMOOTH, 2: NOT_SMOOTH,
                            3: SMOOTH}),
-    # no edge rule, so every label is 0 below a positive dual length
-    "mm2_5_neither_label": (("mm2_5", (-1, 0, 0), P2_FAN, []),
-                            {0: SMOOTH, 1: NOT_SIMPLICIAL, 2: NOT_SIMPLICIAL,
-                             3: NEITHER, 4: SMOOTH, 5: SMOOTH, 6: SMOOTH}),
+    # label 3 on the edges at two vertices: vertex 3's two labels are
+    # within 1 of each other and neither is its dual length
+    "mm2_5_neither_label": (("mm2_5", (-1, 0, 0), P2_FAN,
+                             [{"meets": (0, -1, -1), "value": 3},
+                              {"meets": (1, 0, 0), "value": 3}]),
+                            {0: LABEL_GAP_3, 1: NOT_SIMPLICIAL,
+                             2: NOT_SIMPLICIAL, 3: NEITHER, 4: LABEL_GAP_3,
+                             5: LABEL_GAP_3, 6: SMOOTH}),
     # a Cayley segment dual to an edge of P* with a rational end, which has
-    # no lattice length to hold the label against
+    # no lattice length to hold the label against; label 6 on the edges at
+    # P*'s rational vertex gives the spines their span
     "v2_rational_dual_edge": (("v2", (-1, -1, -1), [(0, 0, 1), (0, 1, 0),
-                                                    (1, 0, 0)], []),
+                                                    (1, 0, 0)],
+                               [{"meets": (Fraction(-1, 3),) * 3,
+                                 "value": 6}]),
                               {0: SMOOTH, 1: rational_end(0),
                                2: rational_end(1), 3: rational_end(2)}),
     # the cubic model's d = 2 vertices break the Cayley label bound
@@ -86,9 +95,31 @@ INCOMPLETE = {
 }
 
 
+# id -> (polytope, line, rays2d, the message of the construction check):
+# the earlier inputs of three verdicts above, whose spines meet summands
+# that no spine span holds
+REFUSED = {
+    "v2_not_gorenstein": ("v2", (-1, 0, 0), P2_FAN,
+                          "slab S0: spine span 0 != 6 attachments"),
+    "mm2_5_neither_label": ("mm2_5", (-1, 0, 0), P2_FAN,
+                            "slab S0: spine span 0 != 3 attachments"),
+    "v2_rational_dual_edge": ("v2", (-1, -1, -1), [(0, 0, 1), (0, 1, 0),
+                                                   (1, 0, 0)],
+                              "slab S0: spine span 0 != 2 attachments"),
+}
+
+
 def pinned_data(key):
     (name, line, rays, rule), _ = PINNED[key]
     return line_fan_data(bundled(name), line, rays, rule, name=key)
+
+
+@pytest.mark.parametrize("key", sorted(REFUSED))
+def test_unlabeled_fans_are_refused_as_they_are_built(key):
+    name, line, rays, message = REFUSED[key]
+    with pytest.raises(DegenerationError) as err:
+        line_fan_data(bundled(name), line, rays, [])
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("key", sorted(PINNED))

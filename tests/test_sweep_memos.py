@@ -29,7 +29,8 @@ from pathlib import Path
 import pytest
 
 from conftest import (bundled, mat_vec, random_unimodular2,
-                      random_unimodular3, ref_hull3d_facets, ref_ray_lattice)
+                      random_unimodular3, ref_hull3d_facets, ref_ray_lattice,
+                      unchecked)
 from fanoscope import degeneration, linalg
 from fanoscope.degeneration import (DegenerationError, decomposition_regimes,
                                     facet_regime, line_fan_data, method1_data,
@@ -236,8 +237,13 @@ def octagon_line_fan():
 
 def test_line_fan_takes_one_tied_decomposition_under_any_basis(monkeypatch):
     # the last entry of each ray's list, read in 3-space, is the same
-    # whatever basis of the line's plane the ray pass is handed
+    # whatever basis of the line's plane the ray pass is handed; no labels
+    # give the slabs' spines the span of their summands, so construction
+    # refuses the data, and it is built without the check: only the ray
+    # pass is read
     prism, rays = octagon_line_fan()
+    with pytest.raises(DegenerationError, match="spine span 0 != 2"):
+        line_fan_data(prism, (0, 0, 1), rays, [])
 
     def chosen(data, basis):
         # a decomposition's summands come in ray-coordinate order
@@ -245,7 +251,7 @@ def test_line_fan_takes_one_tied_decomposition_under_any_basis(monkeypatch):
                       for rs in data.ray_summands)
 
     real = degeneration.ray_lattice
-    want = chosen(line_fan_data(prism, (0, 0, 1), rays, []),
+    want = chosen(unchecked(line_fan_data, prism, (0, 0, 1), rays, []),
                   real((0, 0, 1)))
     rng = random.Random(29)
     for _ in range(8):
@@ -257,7 +263,7 @@ def test_line_fan_takes_one_tied_decomposition_under_any_basis(monkeypatch):
                     for r, s in a]
 
         monkeypatch.setattr(degeneration, "ray_lattice", turned)
-        data = line_fan_data(prism, (0, 0, 1), rays, [])
+        data = unchecked(line_fan_data, prism, (0, 0, 1), rays, [])
         assert chosen(data, turned((0, 0, 1))) == want
 
 
