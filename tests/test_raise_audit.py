@@ -400,6 +400,14 @@ PINS = {
         broken(invariants, "barT_sections", plus(1),
                lambda: analyze(method1_data(bundled("p3")))),
         InvariantError, "fast-path b2 disagrees with the limit"),
+    # mm2_2 with a broken edge span never reaches assemble_global's stub
+    # pools: building its data refuses it at the slab that fails
+    "discriminant.assemble_global: mm2_2 edge span": (
+        lambda: assemble_global(malformed("edge_span")), DegenerationError,
+        "slab P112a: edge span 2 != 4 attachments for ray:R1"),
+    "discriminant.assemble_global: mm2_2 endpoints": (
+        lambda: assemble_global(malformed("endpoints")), DegenerationError,
+        "slab P2: edge span 4 != 3 attachments for ray:R1"),
     "discriminant.assemble_global: node census broken": (
         broken(DegenerationData, "n_count",
                lambda real: property(lambda self: real.fget(self) + 1),
