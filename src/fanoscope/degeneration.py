@@ -482,31 +482,40 @@ def _ray_name(i: int) -> str:
     return f"v{i}"
 
 
-def _check_keys(mapping, what, part, count):
-    for key in mapping:
-        if not 0 <= key < count:
-            raise DegenerationError(f"{what} key {key} names no {part} "
-                                    f"0..{count - 1} of the polar dual")
-
-
-def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
+def normal_fan_data(p: LatticePolytope, choice=None,
                     name="") -> DegenerationData:
-    """Degeneration data with the normal fan of P.
+    """Degeneration data with the normal fan of P.  choice: None (the first
+    decomposition of every ray) or one decomposition index per vertex of
+    P*, in its order.  Each edge E of P* gets the label
+    a_E = l(E*) / r(E*) = l(E*)^2 // gcd(v x w), E* = [v, w] its dual edge.
 
-    edge_values: None (use l(E*)), an int (constant), or a dict keyed by the
-    dual-polytope edge index.  choice: per-ray decomposition indices.
+    That label is the only one the construction check can accept.  E's
+    ends are m_a = n_a / r_a and m_b, the duals of P's facets F_a and F_b
+    through E* (n_a primitive, r_a = -level), and E's slab is
+    conv(0, m_a, m_b) in the plane ann(v - w), with a_E on [m_a, m_b] and
+    0 on its ray edges.  On the plane v and w agree and are -1 on E.  The
+    integral functionals on its lattice are N / Z e, e = (v - w) / l(E*),
+    where v is d times a primitive class, d = gcd(e x v) =
+    gcd(v x w) / l(E*) = r(E*) (`gorenstein_index`: Z v + Z w has index
+    gcd(v x w) in its saturation, Z(w - v) has index l(E*)).  So
+    [m_a, m_b] is at lattice height 1 / r(E*), and the sections are the
+    slab triangle scaled by a_E r(E*): their face on ray a's edge is
+    [0, a_E r(E*) n_a / r_a], of span a_E r(E*) / r_a.  Ray a's summands
+    are unit segments and triangles that sum to F_a / r_a (`_ray_word`),
+    and one names E exactly when its face where <m_b, .> is least is an
+    edge; that face of F_a / r_a is E* / r_a, so they number l(E*) / r_a.
+    The check equates the two: a_E r(E*) = l(E*).  Where r(E*) does not
+    divide l(E*), no label passes, and construction refuses the one
+    built here.  `tests/test_retired_raises.py` moves each label and finds
+    this one alone accepted.
     """
     if not p.is_fano():
         raise DegenerationError("P is not a Fano polytope")
     dual = p.polar_dual()
-    if isinstance(choice, dict):
-        _check_keys(choice, "choice", "vertex", len(dual.vertices))
-    elif choice is not None and len(choice) != len(dual.vertices):
+    if choice is not None and len(choice) != len(dual.vertices):
         raise DegenerationError(
             f"got {len(choice)} decomposition indices, need one per vertex "
             f"0..{len(dual.vertices) - 1} of the polar dual")
-    if isinstance(edge_values, dict):
-        _check_keys(edge_values, "edge_values", "edge", len(dual.edges))
     # one pass over P*'s edges: labels, slabs, and (edge, other end) by end
     values = {}
     slabs = []
@@ -517,9 +526,10 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
         a_id, b_id = sorted(e.vertex_ids)
         ends[a_id].append((i, b_id))
         ends[b_id].append((i, a_id))
-        values[i] = (dual.dual_edge_length(e) if edge_values is None
-                     else edge_values if isinstance(edge_values, int)
-                     else edge_values.get(i, 0))
+        # facet j of P* is dual to vertex j of P
+        v, w = (p.vertices[j] for j in e.facet_ids)
+        ell = gcd(*(x - y for x, y in zip(v, w)))
+        values[i] = ell * ell // gcd(*cross(v, w))
         # P*'s rows lie in the saturated plane lattice: int coordinates
         basis = plane_basis([dual.vertices[a_id], dual.vertices[b_id]])
         ca, cb = plane_coords(basis, [rows[a_id], rows[b_id]])
@@ -545,8 +555,7 @@ def normal_fan_data(p: LatticePolytope, edge_values=None, choice=None,
             raise DegenerationError(
                 f"no smooth Minkowski decomposition for the facet dual "
                 f"to vertex {vid}")
-        idx = (choice.get(vid, 0) if isinstance(choice, dict)
-               else 0 if choice is None else choice[vid])
+        idx = 0 if choice is None else choice[vid]
         if not 0 <= idx < len(decos):
             raise DegenerationError(
                 f"decomposition index {idx} out of range for vertex {vid}")
@@ -572,7 +581,8 @@ def method1_data(p: LatticePolytope, choice=None, name="") -> DegenerationData:
     """Construction from smooth Minkowski decompositions: Sigma the normal
     fan, a_E = l(E*), J the chosen facet decompositions.
 
-    Method 1 assumes r(E*) = 1 on every edge E* of P, and reflexivity
+    Method 1 assumes r(E*) = 1 on every edge E* of P, so that
+    `normal_fan_data`'s label l(E*) / r(E*) is l(E*), and reflexivity
     proves it.  E* lies on a facet of P at level -1.  That facet's normal
     restricts to an integral functional on the saturated lattice of the
     cone over E*, constant on E*; it takes the value -1 there, so it is
@@ -581,7 +591,7 @@ def method1_data(p: LatticePolytope, choice=None, name="") -> DegenerationData:
     """
     if not p.is_reflexive():
         raise DegenerationError("method 1 needs a reflexive polytope")
-    return normal_fan_data(p, None, choice, name or "method-1 data")
+    return normal_fan_data(p, choice, name or "method-1 data")
 
 
 def _ray_decompositions(p: LatticePolytope, vids=None):

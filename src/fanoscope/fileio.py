@@ -172,16 +172,14 @@ def list_fixtures():
     return sorted(out)
 
 
-# keys each fixture kind cannot do without
-REQUIRED_KEYS = {"normal_fan": ("polytope",),
-                 "line_fan": ("polytope", "direction", "rays2d"),
-                 "product": ("base_polygon",),
-                 "slabs": ("slabs",)}
-# the keys some fixture kind reads, and the invariants a fixture pins
-FIXTURE_KEYS = {"kind", "name", "polytope", "edge_values", "choice",
-                "direction", "rays2d", "edge_data", "base_polygon", "slabs",
-                "rays", "vertex_count", "b2", "degree", "boundary_components",
-                "expected"}
+# the keys each fixture kind reads: those it cannot do without, then the rest
+KIND_KEYS = {"normal_fan": (("polytope",), ("choice",)),
+             "line_fan": (("polytope", "direction", "rays2d"), ("edge_data",)),
+             "product": (("base_polygon",), ()),
+             "slabs": (("slabs",), ("polytope", "rays"))}
+# the keys every kind reads: its kind and name, and the invariants it pins
+COMMON_KEYS = {"kind", "name", "expected", "b2", "degree", "vertex_count",
+               "boundary_components"}
 
 
 def _require(doc, keys, where):
@@ -195,13 +193,15 @@ def _require(doc, keys, where):
 def data_from_fixture(doc: dict) -> DegenerationData:
     _require(doc, (), "fixture")
     kind = doc.get("kind")
-    if type(kind) is not str or kind not in REQUIRED_KEYS:
+    if type(kind) is not str or kind not in KIND_KEYS:
         raise ParseError(f"unknown fixture kind {kind!r}")
-    unread = set(doc) - FIXTURE_KEYS
+    required, optional = KIND_KEYS[kind]
+    unread = set(doc).difference(COMMON_KEYS, required, optional)
     if unread:
-        raise ParseError(f"fixture key {min(unread)!r} is read by no kind")
+        raise ParseError(f"fixture key {min(unread)!r} is not read by a "
+                         f"{kind} fixture")
     name = _typed(doc.get("name", "fixture"), str, "fixture name")
-    _require(doc, REQUIRED_KEYS[kind], f"{kind} fixture")
+    _require(doc, required, f"{kind} fixture")
     # the invariants a fixture pins, read before the data is built
     extra = {attr: _typed(doc[key], int, f"fixture {key}")
              for key, attr in (("vertex_count", "vertex_count"),
@@ -219,8 +219,10 @@ def data_from_fixture(doc: dict) -> DegenerationData:
     if kind == "slabs":
         return _slab_fixture(doc, name, p, extra)
     if kind == "normal_fan":
-        data = normal_fan_data(p, _values(doc, "edge_values", int),
-                               _values(doc, "choice", list), name)
+        choice = doc.get("choice")
+        if choice is not None:
+            _vector(choice, None, "choice")
+        data = normal_fan_data(p, choice, name)
     elif kind == "line_fan":
         data = line_fan_data(p, _vector(doc["direction"], 3, "direction"),
                              _points(doc["rays2d"], 3, "rays2d"),
@@ -245,11 +247,12 @@ def _typed(value, cls, where):
 
 def _vector(value, n, where, kinds=(int,)):
     """value, refused unless it is a list of n JSON integers, or of n
-    numbers of the given kinds."""
-    if type(value) is not list or len(value) != n or any(
+    numbers of the given kinds; of any length when n is None."""
+    if type(value) is not list or n not in (None, len(value)) or any(
             type(x) not in kinds for x in value):
         what = "integers" if kinds == (int,) else "numbers"
-        raise ParseError(f"{where} must be a list of {n} {what}, not "
+        count = "" if n is None else f"{n} "
+        raise ParseError(f"{where} must be a list of {count}{what}, not "
                          f"{value!r}")
     return value
 
@@ -271,23 +274,9 @@ def _rules(value):
     return value
 
 
-def _values(doc, key, cls):
-    """doc[key] as `normal_fan_data` takes it: None when absent, a JSON
-    value of type cls (a list of integers for a list), or an object of
-    integers keyed by index."""
-    value = doc.get(key)
-    if type(value) is dict:
-        return _per_edge(value, key, int)
-    if value is not None and (type(value) is not cls or cls is list and any(
-            type(x) is not int for x in value)):
-        raise ParseError(f"{key} must be a JSON {JSON_TYPES[cls]} or object "
-                         f"of integers, not {value!r}")
-    return value
-
-
-def _per_edge(value, where, cls, k=None):
+def _per_edge(value, where, cls, k):
     """A JSON object keyed by index, read as {index: value} with each value
-    of JSON type cls; given k, each key must name one of k edges."""
+    of JSON type cls, each key naming one of k edges."""
     out = {}
     for key, val in _typed(value, dict, where).items():
         try:
@@ -295,7 +284,7 @@ def _per_edge(value, where, cls, k=None):
         except ValueError:
             raise ParseError(f"{where} key {key!r} is not an "
                              "integer") from None
-        if k is not None and not 0 <= idx < k:
+        if not 0 <= idx < k:
             raise ParseError(f"{where} key {key!r} names no edge 0..{k - 1}")
         out[idx] = _typed(val, cls, f"{where}[{key!r}]")
     return out

@@ -201,14 +201,10 @@ def analyze(data: DegenerationData) -> InvariantReport:
     """Full invariant report for degeneration data, which construction has
     checked (`DegenerationData.validate`).
 
-    Normal-fan data on a reflexive P has a_E = l(E*) on every edge
-    E = [a, b] of P*, so the closed form applies.  E's slab is conv(0, a, b)
-    with a_E on [a, b] and 0 on its ray edges, so the span on the edge of a
-    is a_E / |det(n_a, n_E)|; [a, b] is at height 1 (the facet of P over E*
-    is at level -1) and a is primitive, so that is a_E.  The summands of
-    ray a attached to E are those with a unit edge where <b, .> is least,
-    and they sum to a's facet (r = 1), where that face is E*: they number
-    l(E*), and the check equates the two.
+    Normal-fan data on a reflexive P has a_E = l(E*) on every edge E of
+    P*, so the closed form applies: its label is l(E*) / r(E*), the only
+    one the check accepts (`normal_fan_data`), and r(E*) = 1 on a
+    reflexive P (`method1_data`).
     """
     prov = {}
     e = euler_number(data)

@@ -5,6 +5,7 @@ import itertools
 import os
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import cmp_to_key, reduce
 from itertools import combinations
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
                                     DegenerationData, DegenerationError,
                                     EmptyLinearSystem, NotCartier, NotNef,
-                                    Sections, _edge_name, _ray_name)
+                                    Sections, Slab, _edge_name, _ray_name)
 from fanoscope.discriminant import DiscriminantGraph, Node, dual_graph
 from fanoscope.fileio import bundled_polytopes, load_fixture
 from fanoscope.linalg import kernel_basis, lex_positive, primitive, saturate
@@ -315,28 +316,27 @@ def unparsable_slab_fixtures():
 
 
 def mistyped_fixtures():
-    """id -> (a bundled fixture with one value of the wrong JSON type, the
-    message of the `ParseError` that refuses it, naming the key)."""
-    values = "edge_values must be a JSON integer or object of integers, not "
-    choices = "choice must be a JSON list or object of integers, not "
+    """id -> (a bundled fixture with one value of the wrong JSON type, or
+    with a key its kind does not read, and the message of the `ParseError`
+    that refuses it, naming the key)."""
+    # v2's edge labels are derived, so a fixture that still carries them,
+    # in any form, is refused by its key; a choice is a list
+    labels = "fixture key 'edge_values' is not read by a normal_fan fixture"
+    choices = "choice must be a list of integers, not "
     changes = {
-        "edge_values_list": ("v2", {"edge_values": [6, 6, 6]},
-                             values + "[6, 6, 6]"),
-        "edge_values_text": ("v2", {"edge_values": "6"},
-                             values + "'6'"),
-        "edge_values_fraction": ("v2", {"edge_values": 6.5},
-                                 values + "6.5"),
-        "edge_values_true": ("v2", {"edge_values": True},
-                             values + "True"),
-        "edge_value_text": ("v2", {"edge_values": {"0": "6"}},
-                            "edge_values['0'] must be a JSON integer, not "
-                            "'6'"),
+        "edge_values_list": ("v2", {"edge_values": [6, 6, 6]}, labels),
+        "edge_values_text": ("v2", {"edge_values": "6"}, labels),
+        "edge_values_fraction": ("v2", {"edge_values": 6.5}, labels),
+        "edge_values_true": ("v2", {"edge_values": True}, labels),
+        "edge_value_text": ("v2", {"edge_values": {"0": "6"}}, labels),
         "choice_number": ("v2", {"choice": 5}, choices + "5"),
         "choice_text": ("v2", {"choice": "0000"}, choices + "'0000'"),
         "choice_entry_text": ("v2", {"choice": ["0", 0, 0, 0]},
                               choices + "['0', 0, 0, 0]"),
         "choice_value_text": ("v2", {"choice": {"0": "1"}},
-                              "choice['0'] must be a JSON integer, not '1'"),
+                              choices + "{'0': '1'}"),
+        "choice_object": ("v2", {"choice": {"0": 0, "1": 0, "2": 0, "3": 0}},
+                          choices + "{'0': 0, '1': 0, '2': 0, '3': 0}"),
         "polytope_empty": ("v2", {"polytope": []},
                            "fixture polytope: expected 3-space points"),
         "polytope_point": ("v2", {"polytope": [[1, 0, 0], 5]},
@@ -381,7 +381,9 @@ def mistyped_fixtures():
                             "not '3'")}
     out = {}
     for key, (name, change, message) in changes.items():
-        out[key] = ({**load_fixture(name), **change}, message)
+        # keys sorted, as in the bundled files
+        doc = {**load_fixture(name), **change}
+        out[key] = (dict(sorted(doc.items())), message)
     out["base_polygon_3d"] = (
         {"kind": "product", "base_polygon": [[1, 0, 0], [0, 1, 0]]},
         "base_polygon entry must be a list of 2 integers, not [1, 0, 0]")
@@ -467,6 +469,9 @@ def random_unimodular3(rng: random.Random):
     return m
 
 
+# a non-reflexive Fano simplex whose edge E5 of P* has l(E*) = r(E*) = 2
+W_SIMPLEX = ((-2, 0, -1), (-2, 0, 1), (0, -2, -1), (2, 2, 1))
+
 NORMAL_FAN_POLYTOPES = ("b4_intersection", "cube", "hexagon_cone",
                         "octahedron", "p3", "q3_quadric")
 
@@ -488,7 +493,7 @@ def normal_fan_routes(seed=None):
         return LatticePolytope(verts)
 
     datas = [data_from_fixture(load_fixture("v2")) if seed is None
-             else normal_fan_data(image("v2"), 6)]
+             else normal_fan_data(image("v2"))]
     for name in NORMAL_FAN_POLYTOPES:
         p = image(name)
         counts = [len(r) for r in decomposition_regimes(p)]
@@ -942,6 +947,22 @@ def unchecked(build, *args, **kwargs):
         return build(*args, **kwargs)
     finally:
         DegenerationData.validate = real
+
+
+def relabelled(data, labels):
+    """Normal-fan data with its edge labels, and so its boundary
+    coefficients, set to labels: one int for every edge, or {edge: label}
+    over the labels it has.  `replace` checks the copy; under `unchecked`
+    it gives data that construction refuses.  A slab's sections still
+    refuse a label they cannot take."""
+    values = (dict.fromkeys(data.edge_values, labels)
+              if isinstance(labels, int) else {**data.edge_values, **labels})
+    built = {}  # shared as `normal_fan_data` shares them
+    slabs = [Slab.shared(built, s.name, s.polygon,
+                         tuple(values[i] if r == ROLE_BOUNDARY else c
+                               for c, r in zip(s.coeffs, s.roles)), s.roles)
+             for i, s in enumerate(data.slabs)]
+    return replace(data, slabs=slabs, edge_values=values)
 
 
 def ref_check_convexity(data: DegenerationData):

@@ -11,7 +11,8 @@ from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon,
                       lattice_polygons, mat_vec,
                       random_unimodular3, ref_check_compatibility,
                       ref_check_convexity, ref_check_smooth_edge_data,
-                      ref_facet_in_ray_coords, ref_vertices, unchecked)
+                      ref_facet_in_ray_coords, ref_vertices, relabelled,
+                      unchecked)
 from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationData,
                                     DegenerationError, EmptyLinearSystem,
                                     NotCartier, NotNef,
@@ -120,7 +121,7 @@ def test_method1_rejects_undecomposable():
 
 
 def test_v2_normal_fan_data():
-    d = normal_fan_data(bundled("v2"), 6, name="V2")
+    d = normal_fan_data(bundled("v2"), name="V2")
     assert (d.p_count, d.d_count, d.n_count, d.boundary_count) == \
         (20, 0, 144, 24)
     areas = sorted(s.two_area for s in d.slabs)
@@ -171,10 +172,11 @@ def test_compatibility_names_each_broken_ray_and_slab():
     # every label 0 where a/r = 1 is needed: p3's 4 rays meet 3 slabs each;
     # construction refuses the data at its first slab, where the retired
     # check reported every (ray, slab) pair
+    p3 = normal_fan_data(bundled("p3"))
     with pytest.raises(DegenerationError) as err:
-        normal_fan_data(bundled("p3"), 0)
+        relabelled(p3, 0)
     assert str(err.value) == "slab E0: edge span 0 != 1 attachments for ray:v0"
-    out = ref_check_compatibility(unchecked(normal_fan_data, bundled("p3"), 0))
+    out = ref_check_compatibility(unchecked(relabelled, p3, 0))
     assert len(out) == 12
     assert out[0] == "ray v0, slab E0: degree 1 != a/r = 0/1"
 
@@ -193,13 +195,13 @@ def test_checks_do_not_apply_to_slab_fixtures(name):
 def test_edge_data_bounds_checked():
     # construction refuses every label below other than l(E*); the retired
     # checks, run on the data built without the check, say which
-    p3, cube = bundled("p3"), bundled("cube")
-    builds = ((p3, {i: 2 for i in range(6)}), (p3, {i: 0 for i in range(6)}),
-              (cube, {i: 0 for i in range(12)}))
-    for p, labels in builds:
+    p3, cube = normal_fan_data(bundled("p3")), normal_fan_data(bundled("cube"))
+    builds = ((p3, 2), (p3, 0), (cube, 0))
+    for data, labels in builds:
         with pytest.raises(DegenerationError, match="attachments"):
-            normal_fan_data(p, labels)
-    d, d0, dc = (unchecked(normal_fan_data, p, labels) for p, labels in builds)
+            relabelled(data, labels)
+    d, d0, dc = (unchecked(relabelled, data, labels)
+                 for data, labels in builds)
     # a_E = l(E*) + 1 violates convexity on every edge
     assert len(ref_check_convexity(d)) == 6
     # a_E = 0 with l(E*) = 1 still counts as smooth (0 = l - 1); a_E = -1
@@ -208,7 +210,7 @@ def test_edge_data_bounds_checked():
     assert ref_check_smooth_edge_data(d0) == []
     # a negative label empties the slab linear system outright
     with pytest.raises(EmptyLinearSystem):
-        normal_fan_data(bundled("p3"), {0: -1})
+        relabelled(p3, {0: -1})
     # on the cube l(E*) = 2, so a_E = 0 is convex but no longer smooth
     assert ref_check_convexity(dc) == []
     assert len(ref_check_smooth_edge_data(dc)) == 12
@@ -218,7 +220,7 @@ def test_boundary_identity():
     # sum b_s - 3p - 2d = boundary intersection count, for every bundled case
     for make in (lambda: method1_data(bundled("p3")),
                  lambda: method1_data(bundled("cube")),
-                 lambda: normal_fan_data(bundled("v2"), 6),
+                 lambda: normal_fan_data(bundled("v2")),
                  b3_data,
                  lambda: product_data(bundled_polygon("diamond"))):
         d = make()
@@ -230,7 +232,7 @@ def test_smooth_data_vertex_classification():
     assert set(check_smooth_data(method1_data(bundled("p3"))).values()) == \
         {"smooth"}
     assert set(check_smooth_data(
-        normal_fan_data(bundled("v2"), 6)).values()) == {"smooth"}
+        normal_fan_data(bundled("v2"))).values()) == {"smooth"}
     # the cubic model keeps boundary edges: its three d = 2 vertices break
     # the Cayley label bound while the apex stays smooth
     verdicts = sorted(check_smooth_data(b3_data()).values())
@@ -360,16 +362,18 @@ def test_decomposition_regimes_index_the_normal_fan_choices(seed):
     # `decompositions` and `--decomposition i,j,...` read the same lists:
     # index c of ray vid is what `normal_fan_data` attaches for choice c,
     # on v2 (r = 3) too, where the undivided facet would list other ones
-    routes = [(name, None) for name in NORMAL_FAN_POLYTOPES] + [("v2", 6)]
-    for name, edge_values in routes:
+    for name in NORMAL_FAN_POLYTOPES + ("v2",):
         p = bundled(name)
         if seed is not None:
             m = random_unimodular3(random.Random(seed))
             p = LatticePolytope([tuple(mat_vec(m, list(v)))
                                  for v in p.vertices])
-        for vid, decos in enumerate(decomposition_regimes(p)):
+        regimes = decomposition_regimes(p)
+        for vid, decos in enumerate(regimes):
             assert decos
             for c, deco in enumerate(decos):
-                data = normal_fan_data(p, edge_values, {vid: c})
+                choice = [0] * len(regimes)
+                choice[vid] = c
+                data = normal_fan_data(p, choice)
                 assert attached(data, vid) == [
                     (s.kind, None if s.kind == "point" else s) for s in deco]

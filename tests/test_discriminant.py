@@ -58,7 +58,7 @@ def test_global_census():
     cases = [
         (method1_data(bundled("p3")), (4, 24, 24)),
         (method1_data(bundled("octahedron")), (8, 24, 24)),
-        (normal_fan_data(bundled("v2"), 6), (20, 144, 24)),
+        (normal_fan_data(bundled("v2")), (20, 144, 24)),
         (line_fan_data(bundled("b3_cubic"), (0, 0, 1),
                        [(1, 0, 0), (0, 1, 0), (-1, -1, 0)],
                        [{"meets": (0, 0, 1), "value": 3}]), (3, 27, 18)),

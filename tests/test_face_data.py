@@ -385,7 +385,7 @@ def ref_fano_index(data):
 
 RANK_ONE = {"p3": method1_data, "q3_quadric": method1_data,
             "cube": method1_data, "b4_intersection": method1_data,
-            "v2": lambda p: normal_fan_data(p, 6)}
+            "v2": lambda p: normal_fan_data(p)}
 
 
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)

@@ -29,7 +29,7 @@ def test_octahedron_rank_three():
 
 
 def test_v2_rank_one():
-    assert b2(normal_fan_data(bundled("v2"), 6)) == 1
+    assert b2(normal_fan_data(bundled("v2"))) == 1
 
 
 def test_baseline_always_satisfied():

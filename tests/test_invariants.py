@@ -21,7 +21,7 @@ def all_bundled_data():
            method1_data(bundled("cube"), name="cube"),
            method1_data(bundled("octahedron"), name="octa"),
            method1_data(bundled("q3_quadric"), name="q3"),
-           normal_fan_data(bundled("v2"), 6, name="v2")]
+           normal_fan_data(bundled("v2"), name="v2")]
     for poly in ("diamond", "triangle", "hexagon", "pentagon"):
         out.append(product_data(bundled_polygon(poly), poly))
     for fix in ("b3_cubic", "b1", "mm2_1", "mm2_2", "mm2_3", "mm2_5",
@@ -45,7 +45,7 @@ def test_euler_examples():
                        [(1, 0, 0), (0, 1, 0), (-1, -1, 0)],
                        [{"meets": (0, 0, 1), "value": 3}])
     assert euler_number(b3) == -6
-    v2 = normal_fan_data(bundled("v2"), 6)
+    v2 = normal_fan_data(bundled("v2"))
     assert euler_number(v2) == -100
     assert 2 * sum(1 - s.i_count for s in v2.slabs) - 2 * v2.j_count == -100
     assert euler_number(method1_data(bundled("cube"))) == -24
@@ -89,7 +89,7 @@ def test_fano_index_oracles():
     assert index_of(method1_data(bundled("p3"))) == 4
     assert index_of(method1_data(bundled("q3_quadric"))) == 3
     assert index_of(method1_data(bundled("cube"))) == 1
-    assert index_of(normal_fan_data(bundled("v2"), 6)) == 1
+    assert index_of(normal_fan_data(bundled("v2"))) == 1
 
 
 def test_fano_index_refuses_higher_rank():

@@ -1,5 +1,6 @@
 import builtins
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -7,15 +8,15 @@ import sys
 
 import pytest
 
-from conftest import (MISTYPED_POLYTOPES, bundled, malformed_slab_fixtures,
-                      mistyped_fixtures, mistyped_manifests, same_polytope,
+from conftest import (MISTYPED_POLYTOPES, W_SIMPLEX, bundled,
+                      malformed_slab_fixtures, mistyped_fixtures,
+                      mistyped_manifests, same_polytope,
                       unparsable_slab_fixtures)
 from fanoscope import cli, degeneration
 from fanoscope.degeneration import DegenerationData, DegenerationError
 from fanoscope.fileio import (ParseError, bundled_polytopes,
                               data_from_fixture, ingest_database,
                               list_fixtures, load_fixture, parse_polytope)
-from fanoscope.polytope import LatticePolytope
 
 P3_TEXT = "3 4\n1 0 0 -1\n0 1 0 -1\n0 0 1 -1\n"
 P3_VERTICES = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
@@ -244,7 +245,25 @@ def test_cli_fixture_ray_data_exits_2(tmp_path, ray_data):
     assert code == 2 and out == ""
     assert one_json_line(err) == {
         "error": "ParseError",
-        "message": "fixture key 'ray_data' is read by no kind"}
+        "message": "fixture key 'ray_data' is not read by a line_fan "
+                   "fixture"}
+
+
+@pytest.mark.parametrize("name, change, message", [
+    ("b3_cubic", {"choice": [5, 5, 5]},
+     "fixture key 'choice' is not read by a line_fan fixture"),
+    ("v2", {"base_polygon": "nonsense", "slabs": 7},
+     "fixture key 'base_polygon' is not read by a normal_fan fixture"),
+    ("mm2_2", {"direction": [0, 0, 1]},
+     "fixture key 'direction' is not read by a slabs fixture")])
+def test_cli_fixture_key_of_another_kind_exits_2(tmp_path, name, change,
+                                                 message):
+    # each key is read by some other kind, and was ignored by this one
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps({**load_fixture(name), **change}))
+    code, out, err = run_cli("analyze", str(path))
+    assert code == 2 and out == ""
+    assert one_json_line(err) == {"error": "ParseError", "message": message}
 
 
 def test_cli_verify24(tmp_path):
@@ -394,11 +413,14 @@ P3_LABELS_0 = {"kind": "normal_fan", "polytope": [[1, 0, 0], [0, 1, 0],
 
 
 def refused_fixtures():
-    """id -> (fixture document, the construction check's message): p3's
-    normal fan with every label 0, and the malformed mm2_2 fixtures."""
-    out = {"p3_labels_0": (P3_LABELS_0, "slab E0: edge span 0 != 1 "
-                           "attachments for ray:v0")}
-    out.update(malformed_slab_fixtures())
+    """id -> (fixture document, the error that refuses it): p3's normal
+    fan with every label 0, now refused for the key that writes a label,
+    and the malformed mm2_2 fixtures, by the construction check."""
+    out = {"p3_labels_0": (P3_LABELS_0, {
+        "error": "ParseError", "message": "fixture key 'edge_values' is not "
+        "read by a normal_fan fixture"})}
+    out.update((key, (doc, {"error": "DegenerationError", "message": message}))
+               for key, (doc, message) in malformed_slab_fixtures().items())
     return out
 
 
@@ -407,17 +429,52 @@ def test_cli_commands_give_one_verdict_on_refused_data(tmp_path, key):
     # `gamma` printed b2: 1 for p3 with labels 0 and raised a GammaError
     # on the mm2_2 faults, and `discriminant` named leftover stubs: now
     # every command refuses the data as it is read, with one message
-    doc, message = refused_fixtures()[key]
+    doc, error = refused_fixtures()[key]
     path = tmp_path / f"{key}.json"
     path.write_text(json.dumps(doc))
     outdir = tmp_path / "svg"
     for argv in (("analyze", str(path)), ("gamma", str(path)),
                  ("discriminant", str(path), "--svg", str(outdir))):
         code, out, err = run_cli(*argv)
-        assert code == 1 and out == "", argv
-        assert one_json_line(err) == {"error": "DegenerationError",
-                                      "message": message}
+        assert code == (2 if error["error"] == "ParseError" else 1), argv
+        assert out == "" and one_json_line(err) == error
     assert not outdir.exists()
+
+
+
+
+def test_cli_derives_the_labels_of_a_non_reflexive_simplex(tmp_path):
+    # with no labels written, `gamma` and `discriminant` print what they
+    # printed for W with the labels 2, 2, 2, 2, 2, 1 written out; a label
+    # l(E*) = 2 on E5 was refused, and `analyze` still refuses W's degree
+    path = tmp_path / "w.json"
+    path.write_text(json.dumps({"kind": "normal_fan", "name": "W",
+                                "polytope": W_SIMPLEX}))
+    code, out, err = run_cli("gamma", str(path))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {
+        "alpha_cones": ["E0", "E1", "E2", "E3", "E4", "E5"], "b2": 1,
+        "dim_gamma": 3, "name": "W",
+        "solution_basis": [["0", "0", "0", "1", "1", "-1"],
+                           ["0", "1", "1", "1", "1", "0"],
+                           ["1", "1", "0", "1", "0", "0"]]}
+    outdir = tmp_path / "svg"
+    code, out, err = run_cli("discriminant", str(path), "--svg", str(outdir))
+    assert (code, err) == (0, "")
+    assert json.loads(out) == [{
+        "boundary": 21, "graph": str(outdir / "W.json"), "name": "W",
+        "negative": 39, "positive": 6, "svg": str(outdir / "W.svg")}]
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+            for f in outdir.iterdir()} == {
+        "W.json": "e2a7c4c87273f3025f7231542fb40a3c"
+                  "598db2f4cf36211f068b42d49cc3948c",
+        "W.svg": "cefeecaff216fb810f6ecbbb8c25537"
+                 "863ae8d8eddd9fcf94d3a86c92c660bf6"}
+    code, out, err = run_cli("analyze", str(path))
+    assert code == 1 and out == ""
+    assert one_json_line(err) == {
+        "error": "InvariantError",
+        "message": "boundary area 27/2 of the polar dual is not an integer"}
 
 
 def role_edits():
@@ -517,48 +574,32 @@ def test_cli_fixture_is_told_by_its_kind_key(tmp_path):
                                "name": "kind.json"}
 
 
-def test_cli_fixture_edge_values_object_matches_int(tmp_path):
-    doc = load_fixture("v2")
-    dual = LatticePolytope(doc["polytope"]).polar_dual()
-    path = v2_fixture_with(
-        tmp_path,
-        edge_values={str(i): doc["edge_values"] for i in range(len(dual.edges))},
-        choice={str(i): 0 for i in range(len(dual.vertices))})
-    code, out, err = run_cli("analyze", path)
-    assert (code, err) == (0, "")
-    assert out == run_cli("analyze", "v2")[1]
-
-
 @pytest.mark.parametrize("key", ["edge_values", "choice"])
 def test_cli_fixture_non_integer_key_exits_2(tmp_path, key):
+    # an object keyed by index, once read for either key, is refused: the
+    # labels are derived and a choice is a list
     path = v2_fixture_with(tmp_path, **{key: {"0": 6, "x": 6}})
     code, out, err = run_cli("analyze", path)
     assert code == 2 and out == ""
-    assert one_json_line(err) == {"error": "ParseError",
-                                  "message": f"{key} key 'x' is not an integer"}
+    assert one_json_line(err) == {"error": "ParseError", "message": {
+        "edge_values": "fixture key 'edge_values' is not read by a "
+                       "normal_fan fixture",
+        "choice": "choice must be a list of integers, not {'0': 6, "
+                  "'x': 6}"}[key]}
 
 
 def test_cli_fixture_choice_key_off_the_dual_exits_1(tmp_path):
+    # ten indices for the four vertices of p3's polar dual
     path = tmp_path / "p3_choice.json"
     path.write_text(json.dumps({"kind": "normal_fan", "name": "P3",
                                 "polytope": bundled("p3").vertices,
-                                "choice": {"9": 0}}))
+                                "choice": [0] * 10}))
     code, out, err = run_cli("analyze", str(path))
     assert code == 1 and out == ""
     assert one_json_line(err) == {
         "error": "DegenerationError",
-        "message": "choice key 9 names no vertex 0..3 of the polar dual"}
-
-
-def test_cli_fixture_edge_values_key_off_the_dual_exits_1(tmp_path):
-    doc = load_fixture("v2")
-    values = {str(i): doc["edge_values"] for i in range(6)}
-    path = v2_fixture_with(tmp_path, edge_values={**values, "99": 7})
-    code, out, err = run_cli("analyze", path)
-    assert code == 1 and out == ""
-    assert one_json_line(err) == {
-        "error": "DegenerationError",
-        "message": "edge_values key 99 names no edge 0..5 of the polar dual"}
+        "message": "got 10 decomposition indices, need one per vertex 0..3 "
+                   "of the polar dual"}
 
 
 @pytest.mark.parametrize("argv", [("analyze",),

@@ -22,6 +22,7 @@ Cartier; it must give the outcome of the old candidate scan
 import random
 from fractions import Fraction
 from functools import cmp_to_key
+from math import gcd
 
 import pytest
 
@@ -31,11 +32,12 @@ from test_line_fan_routes import RefSlab, normals
 from fanoscope import degeneration
 from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationError,
                                     EmptyLinearSystem, NotCartier, NotNef,
-                                    normal_fan_data, polygon_of_sections)
+                                    Slab, normal_fan_data,
+                                    polygon_of_sections)
 from fanoscope.fileio import bundled_polytopes, data_from_fixture, load_fixture
 from fanoscope.linalg import primitive
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                plane_basis, plane_coords)
+                                gorenstein_index, plane_basis, plane_coords)
 
 FANO = sorted(k for k in bundled_polytopes() if k != "polygons"
               and LatticePolytope(bundled_polytopes()[k]["vertices"]).is_fano())
@@ -62,6 +64,29 @@ def ref_normal_fan_slabs(dual, values):
                 roles.append(f"ray:v{a_id if ca in pair else b_id}")
         out.append(RefSlab(f"E{i}", verts, tuple(coeffs), tuple(roles)))
     return out
+
+
+def ref_label(p, e):
+    """l(E*) // r(E*) for the edge e of P*: the lattice length of its dual
+    edge E* = [v, w] over `gorenstein_index`."""
+    v, w = (p.vertices[j] for j in e.facet_ids)
+    return gcd(*(x - y for x, y in zip(v, w))) // gorenstein_index([v, w])
+
+
+def labelled(p, labels):
+    """The slabs of P's normal-fan data, built without the check: with the
+    labels it derives, or with labels in their place on the polygons and
+    roles its slab loop gives, whose own sections may be refused."""
+    if labels is None:
+        return unchecked(normal_fan_data, p).slabs
+    specs = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Slab, "shared",
+                  staticmethod(lambda built, *spec: specs.append(spec)))
+        unchecked(normal_fan_data, p)
+    return [Slab(name, poly, tuple(labels if r == ROLE_BOUNDARY else c
+                                   for c, r in zip(coeffs, roles)), roles)
+            for name, poly, coeffs, roles in specs]
 
 
 def slab_key(s):
@@ -106,18 +131,18 @@ def test_normal_fan_slabs_match_the_unscaled_route(name, seed, monkeypatch):
         p._fano = True
         dual = p.polar_dual()
         rational += dual.vertex_rows[1] > 1
+        # the labels l(E*) / r(E*) it derives, then 0 and 1
         for labels in (None, 0, 1):
-            values = {i: dual.dual_edge_length(e) if labels is None
-                      else labels for i, e in enumerate(dual.edges)}
+            values = {i: ref_label(p, e) if labels is None else labels
+                      for i, e in enumerate(dual.edges)}
             want = slabs_outcome(lambda: ref_normal_fan_slabs(dual, values))
-            got = slabs_outcome(
-                lambda: unchecked(normal_fan_data, p, labels).slabs)
+            got = slabs_outcome(lambda: labelled(p, labels))
             assert got == want, (name, labels)
             if isinstance(got[0], type):
                 continue
             # the triangle is the unscaled one times the rows' denominator
             d = dual.vertex_rows[1]
-            for slab, ref in zip(unchecked(normal_fan_data, p, labels).slabs,
+            for slab, ref in zip(labelled(p, labels),
                                  ref_normal_fan_slabs(dual, values)):
                 assert slab.polygon.vertices == tuple(
                     tuple(d * x for x in v) for v in ref.vertices)

@@ -52,7 +52,9 @@ DELETED = [("polytope", "convex_hull"),
            ("polytope", "Polygon.is_integral"),
            ("degeneration", "check_convexity"),
            ("degeneration", "check_smooth_edge_data"),
-           ("degeneration", "check_compatibility")]
+           ("degeneration", "check_compatibility"),
+           ("degeneration", "_check_keys"),
+           ("fileio", "_values")]
 
 
 def resolves(obj, dotted):
@@ -85,8 +87,9 @@ def test_deleted_names_stay_gone():
 
 
 def test_explicit_decomposition_knobs_stay_gone():
-    assert "ray_decompositions" not in inspect.signature(
-        normal_fan_data).parameters
+    # normal_fan_data derives each edge label from P and takes no label
+    assert not {"ray_decompositions", "edge_values"} & set(
+        inspect.signature(normal_fan_data).parameters)
     assert "ray_summand_spec" not in inspect.signature(
         line_fan_data).parameters
 

@@ -143,7 +143,7 @@ def moved_segments():
     v3's summands, so construction accepts it, but E2 and E7 are cones
     that are not coplanar."""
     p = bundled("hexagon_cone")
-    data = normal_fan_data(p, None, [0] * len(p.polar_dual().vertices))
+    data = normal_fan_data(p, [0] * len(p.polar_dual().vertices))
     moved = {("E2", "E9"): ("E2", "E7"), ("E5", "E7"): ("E5", "E9")}
     gamma_dimension(replace(data, ray_summands=[
         replace(s, slabs=moved[s.slabs]) if s.ray == "v3"
@@ -279,15 +279,11 @@ PINS = {
         DegenerationError,
         "unmatched summand direction: Summand(kind='triangle', "
         "vectors=((-1, 0), (0, -1), (1, 1))) met ['S0', 'S1']"),
-    "degeneration._check_keys: choice off the dual": (
-        lambda: normal_fan_data(bundled("p3"), None, {9: 0}),
-        DegenerationError,
-        "choice key 9 names no vertex 0..3 of the polar dual"),
     "degeneration.normal_fan_data: not Fano": (
         lambda: normal_fan_data(LatticePolytope(NOT_FANO)),
         DegenerationError, "P is not a Fano polytope"),
     "degeneration.normal_fan_data: one index for four rays": (
-        lambda: normal_fan_data(bundled("p3"), None, [0]),
+        lambda: normal_fan_data(bundled("p3"), [0]),
         DegenerationError, "got 1 decomposition indices, need one per "
         "vertex 0..3 of the polar dual"),
     "degeneration.normal_fan_data: mm2_5 has an undecomposable facet": (
@@ -540,16 +536,17 @@ PINS = {
         lambda: data_from_fixture({"kind": "product"}), ParseError,
         "product fixture without required key 'base_polygon'"),
     "fileio._per_edge: a letter key": (
-        lambda: data_from_fixture({"kind": "normal_fan", "polytope": P3,
-                                   "edge_values": {"a": 1}}),
-        ParseError, "edge_values key 'a' is not an integer"),
+        lambda: data_from_fixture({"kind": "slabs", "slabs": [
+            {"name": "S0", "polygon": [[0, 0], [1, 0], [0, 1]],
+             "coeffs": {"a": 1}}]}),
+        ParseError, "slab S0: coeffs key 'a' is not an integer"),
     "fileio.data_from_fixture: unknown kind": (
         lambda: data_from_fixture({"kind": "torus"}), ParseError,
         "unknown fixture kind 'torus'"),
     "fileio.data_from_fixture: a key no kind reads": (
         lambda: data_from_fixture({"kind": "product", "base_polygon": UNIT,
                                    "colour": "red"}),
-        ParseError, "fixture key 'colour' is read by no kind"),
+        ParseError, "fixture key 'colour' is not read by a product fixture"),
     "fileio._slab_fixture: a polygon out of order": (
         lambda: data_from_fixture({"kind": "slabs", "slabs": [
             {"name": "S0", "polygon": [[0, 1], [0, 0], [1, 0]]}]}),

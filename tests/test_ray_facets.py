@@ -234,7 +234,7 @@ def ray_datas(name, seed=None, flip=False):
         return [product_image(name, m)]
     p = bundled(name) if m is None else image(bundled(name), seed, flip)
     if name == "v2":
-        return [normal_fan_data(p, 6)]
+        return [normal_fan_data(p)]
     counts = [len(r) for r in decomposition_regimes(p)]
     return [method1_data(p, choice)
             for choice in itertools.product(*map(range, counts))]

@@ -14,9 +14,10 @@ rank of a cell's edge functionals (`_cell_class_data`), the ring of
 facets around a vertex (`_dual_from_faces`), the cycle of a facet's
 vertices (`_facet_cycle`), the ray-endpoint sum 3p + 2d that the
 per-slab checks of `DegenerationData.validate` imply, the stub pools that
-`assemble_global` uses up exactly on checked data, and the labels
-a_E = l(E*) of checked normal-fan data on a reflexive P (`analyze`), on
-which the deleted `check_convexity`, `check_smooth_edge_data` and
+`assemble_global` uses up exactly on checked data, and the one label
+a_E = l(E*) / r(E*) that the check accepts on each edge of normal-fan data
+(`normal_fan_data`), which is l(E*) on a reflexive P (`analyze`), where
+the deleted `check_convexity`, `check_smooth_edge_data` and
 `check_compatibility` report nothing.  The unimodular triangles of
 `max_triangulation` are also asserted in `tests/test_discriminant.py`.
 
@@ -38,13 +39,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon,
-                      edge_vector_multiset, lattice_polygons,
+from conftest import (NORMAL_FAN_POLYTOPES, W_SIMPLEX, bundled,
+                      bundled_polygon, edge_vector_multiset, lattice_polygons,
                       malformed_slab_fixtures, mat_vec, normal_fan_routes,
                       normalized, polygon_polar, random_unimodular2,
                       ref_assemble_with_stub_raises, ref_check_compatibility,
                       ref_check_convexity, ref_check_smooth_edge_data,
-                      ref_minkowski_sum, ref_validate, unchecked,
+                      ref_minkowski_sum, ref_validate, relabelled, unchecked,
                       whole_plane_slice, word_polygon)
 from test_face_data import polytopes
 from test_minkowski import DILATED, decompose, smooth_sums
@@ -749,46 +750,46 @@ def test_stub_pools_are_used_up_on_checked_data(seed):
 
 
 # ---------------------------------------------------------------------------
-# analyze: normal-fan data on a reflexive P has a_E = l(E*)
+# normal_fan_data: the one label the check accepts is l(E*) / r(E*)
 
 
-def labelings(dual, rng):
-    """Edge labels for `normal_fan_data`: None, each constant 0-7, l(E*)
-    with one edge moved by +-1, and dicts drawn from 0..l(E*) + 1."""
-    lengths = [dual.dual_edge_length(e) for e in dual.edges]
-    out = [None, *range(8)]
-    for _ in range(4):
-        moved = dict(enumerate(lengths))
-        i = rng.randrange(len(lengths))
-        moved[i] = max(0, moved[i] + rng.choice((-1, 1)))
-        out += [moved, {i: rng.randint(0, ell + 1)
-                        for i, ell in enumerate(lengths)}]
+def accepted_labels(data, i, top):
+    """The labels 0..top of edge i that construction accepts, every other
+    edge keeping the label `normal_fan_data` derived."""
+    out = []
+    for label in range(top + 1):
+        try:
+            relabelled(data, {i: label})
+        except DegenerationError:
+            continue
+        out.append(label)
     return out
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_checked_normal_fan_labels_are_the_dual_lengths(seed):
-    # on every normal-fan data that construction accepts, each label and
-    # each boundary coefficient is l(E*), so `analyze` needs no scan for
-    # method-1 data, and the three deleted checks report nothing
-    rng = random.Random(f"labels {seed}")
-    accepted = refused = 0
-    for name in NORMAL_FAN_POLYTOPES + ("v2",):
-        p = image(bundled(name), seed)
-        dual = p.polar_dual()
-        for labels in labelings(dual, rng):
-            try:
-                data = normal_fan_data(p, labels)
-            except DegenerationError:
-                refused += 1
-                continue
-            accepted += 1
-            lengths = [dual.dual_edge_length(e) for e in dual.edges]
-            assert [data.edge_values[i] for i in range(len(lengths))] == \
-                lengths
-            assert [s.coeffs[s.roles.index("boundary")]
-                    for s in data.slabs] == lengths
-            assert ref_check_convexity(data) == []
-            assert ref_check_smooth_edge_data(data) == []
-            assert ref_check_compatibility(data) == []
-    assert accepted >= 7 and refused >= 100
+    # each edge of P* has one label that construction accepts, and it is
+    # the one `normal_fan_data` derives: l(E*) on a reflexive P (so
+    # `analyze` needs no scan for method-1 data) and on v2, where the
+    # three deleted checks report nothing, and l(E*) / r(E*) on W
+    for name in NORMAL_FAN_POLYTOPES + ("v2", "W"):
+        p = image(LatticePolytope(W_SIMPLEX) if name == "W" else bundled(name),
+                  seed)
+        data = normal_fan_data(p)
+        dual = data.dual
+        labels = [data.edge_values[i] for i in range(len(dual.edges))]
+        assert [s.coeffs[s.roles.index("boundary")]
+                for s in data.slabs] == labels
+        for i, label in enumerate(labels):
+            assert accepted_labels(data, i, 2 * label + 2) == [label], (
+                name, i)
+        lengths = [dual.dual_edge_length(e) for e in dual.edges]
+        if name == "W":
+            # l(E*) = 2 on every edge, and r(E*) = 2 on the one whose dual
+            # edge is [(-2, 0, -1), (-2, 0, 1)] before the map
+            assert (lengths, sorted(labels)) == ([2] * 6, [1] + [2] * 5)
+            continue
+        assert labels == lengths
+        assert ref_check_convexity(data) == []
+        assert ref_check_smooth_edge_data(data) == []
+        assert ref_check_compatibility(data) == []
