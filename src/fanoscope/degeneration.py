@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, replace
-from math import gcd, lcm
+from math import gcd
 
 from .linalg import clear_denominators, det, lex_positive, primitive
 from .minkowski import Summand, enumerate_smooth_decompositions
@@ -27,10 +27,6 @@ class NotNef(DegenerationError):
 
 
 class NotCartier(DegenerationError):
-    pass
-
-
-class EmptyLinearSystem(DegenerationError):
     pass
 
 
@@ -69,79 +65,54 @@ class Sections:
         return pick_area(self.polygon)
 
 
-def polygon_of_sections(normals, coeffs) -> Sections:
-    """Exact half-plane intersection S of <m, n_i> >= -a_i, checked nef and
-    Cartier in one pass over its vertices; `spans[i]` is the lattice length
-    of S's face on <., n_i> = -a_i.
+def polygon_of_sections(polygon, coeffs) -> Sections:
+    """S = {m : <m, n_i> >= -a_i} for the slab polygon's inner edge normals
+    n_i and the coefficients a_i, checked nef and Cartier on its corners;
+    `spans[i]` is the lattice length of S's face on <., n_i> = -a_i.
 
-    normals: ccw-ordered primitive inner normals of the slab polygon.
-    coeffs:  divisor coefficients per edge (same order).
+    The normals of a `Polygon` turn left and wind once, and its vertex i
+    lies on edges i - 1 and i, so its vertex cone is spanned by n_(i-1) and
+    n_i and holds one corner m_i, where those edge lines meet: the toric
+    nef criterion (Cox-Little-Schenck, Toric Varieties, section 6.1 and
+    Theorem 6.3.12) reads the divisor as nef iff every m_i lies in S,
+    Cartier iff every m_i is integral, and then S = conv(m_i) with
+    [m_i, m_(i+1)] its face on edge line i.  An empty S holds no m_i, so it
+    is refused as not nef.
 
-    Nef (no edge has slack) makes every corner m_i of the consecutive edge
-    lines i and i + 1 a point of S, and these corners are all its vertices:
-    each edge of S lies on an edge line, so the cone of n_i and n_(i+1) lies
-    in the normal cone of one vertex of S, which is then on both lines.  So
-    vertex cone i's tight set is {m_i}, and Cartier is "every vertex is
-    integral".  Both are decided on the corners, which are S's vertices
-    (`Sections`), so S is built after them, from integer points.
+    Nef is tested on the walls, m_i against edge i + 1 alone.  On edge line
+    i, <., n_(i+1)> falls along t_i, n_i turned right, to -a_(i+1) at
+    m_(i+1), so m_i passes iff m_(i+1) - m_i is a nonnegative multiple of
+    t_i.  If every m_i passes, then along the closed walk m_(j+1), ..., m_j
+    the value <., n_j> first rises and then falls, as n_i turns through the
+    half-turn after n_j and then the other, so no corner drops below its
+    value -a_j at both ends: every m_i lies in S.
 
-    That proof needs the order, so it is checked in O(k): each normal turns
-    strictly left into the next, and the normals wind once, i.e. they cross
-    from the lower half-plane (y < 0, or y = 0 < -x) to the upper one once.
-
-    Every test runs on local integers: a corner as a reduced triple
-    (x, y, den), den > 0, whose den is its least denominator, and S's
-    vertices as integer rows over D = lcm(dens), so the slack test compares
-    <n, row> with -a D, Cartier is D = 1, and a span is the gcd of its
-    face's two ends, as S is a polygon, segment or point whose vertices are
-    its corners, at most two on one line.
+    Each corner is a homogeneous triple (x, y, den), den = det(n_(i-1),
+    n_i) > 0, so every test runs on local integers.
     """
+    normals = [n for n, _ in polygon.edge_normals()]
     k = len(normals)
-    lower = [y < 0 or y == 0 > x for x, y in normals]
-    if (any(a * d - b * c <= 0 for (a, b), (c, d) in
-            ((normals[i - 1], normals[i]) for i in range(k)))
-            or sum(lower[i - 1] and not lower[i] for i in range(k)) != 1):
-        raise DegenerationError("edge normals are not in ccw order")
-    cuts = [(n0, n1, -q) for (n0, n1), q in zip(normals, coeffs)]
-    corners = set()
+    if len(coeffs) != k:
+        raise DegenerationError(f"{len(coeffs)} coefficients for a slab "
+                                f"polygon of {k} edges")
+    corners = []
     for i in range(k):
-        a, b = normals[i]
-        qi = coeffs[i]
-        for j in range(i + 1, k):
-            c, d = normals[j]
-            den = a * d - b * c
-            if den == 0:
-                continue
-            # the corner of edges i and j in homogeneous coordinates (x:y:den)
-            qj = coeffs[j]
-            x = qj * b - qi * d
-            y = qi * c - qj * a
-            if den < 0:
-                x, y, den = -x, -y, -den
-            for n0, n1, lvl in cuts:
-                if n0 * x + n1 * y < lvl * den:
-                    break
-            else:
-                g = gcd(x, y, den)
-                corners.add((x // g, y // g, den // g))
-    if not corners:
-        raise EmptyLinearSystem("empty linear system")
-    big = lcm(*(d for _, _, d in corners))
-    rows = [(x * (big // d), y * (big // d)) for x, y, d in corners]
-    faces = []
-    for n, q in zip(normals, coeffs):
-        n0, n1 = n
-        vals = [n0 * x + n1 * y for x, y in rows]
-        lo = min(vals)
-        if lo != -q * big:
-            raise NotNef(f"divisor not nef: slack on edge with normal {n}")
-        faces.append([r for r, v in zip(rows, vals) if v == lo])
-    if big != 1:
+        (a, b), (c, d) = normals[i - 1], normals[i]
+        p, q = coeffs[i - 1], coeffs[i]
+        corners.append((q * b - p * d, p * c - q * a, a * d - b * c))
+    for i, (x, y, den) in enumerate(corners):
+        j = (i + 1) % k
+        (c, d), q = normals[j], coeffs[j]
+        if c * x + d * y < -q * den:
+            raise NotNef(f"divisor not nef: the corner of slab vertex "
+                         f"{polygon.vertices[i]} breaks edge {j}")
+    if any(x % den or y % den for x, y, den in corners):
         raise NotCartier("not Cartier: no integral section witness at a "
                          "vertex cone")
-    sec = Sections(rows, normals, coeffs)
-    sec.spans = tuple(gcd(xb - xa, yb - ya)
-                      for (xa, ya), (xb, yb) in ((f[0], f[-1]) for f in faces))
+    points = [(x // den, y // den) for x, y, den in corners]
+    sec = Sections(points, normals, coeffs)
+    sec.spans = tuple(gcd(xb - xa, yb - ya) for (xa, ya), (xb, yb)
+                      in zip(points, points[1:] + points[:1]))
     return sec
 
 
@@ -172,8 +143,7 @@ class Slab:
     i_count: int = field(init=False)
 
     def __post_init__(self):
-        normals = [n for n, _ in self.polygon.edge_normals()]
-        sec = polygon_of_sections(normals, list(self.coeffs))
+        sec = polygon_of_sections(self.polygon, self.coeffs)
         two_area, b = sec.two_area(), sum(sec.spans)
         # frozen: the derived fields are set once, here
         vars(self).update(sections=sec, spans=sec.spans, two_area=two_area,

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
                                     DegenerationData, DegenerationError,
-                                    EmptyLinearSystem, NotCartier, NotNef,
-                                    Sections, Slab, _edge_name, _ray_name)
+                                    NotCartier, NotNef, Sections, Slab,
+                                    _edge_name, _ray_name)
 from fanoscope.discriminant import DiscriminantGraph, Node, dual_graph
 from fanoscope.fileio import bundled_polytopes, load_fixture
 from fanoscope.linalg import kernel_basis, lex_positive, primitive, saturate
@@ -761,6 +761,54 @@ def ref_vertices(points):
     integral coordinates as ints."""
     pts = sorted({_clean(p) for p in points})
     return tuple(_hull2d(pts) if len(pts) >= 3 else pts)
+
+
+class EmptyLinearSystem(DegenerationError):
+    """The refusal of an empty system by the reference sections routines;
+    `polygon_of_sections` refuses it as `NotNef`, since an empty S holds no
+    corner of its vertex cones."""
+
+
+def sections_refusal(exc):
+    """A refusal of sections as `polygon_of_sections` must repeat it: the
+    class alone for a divisor that is not nef, whose message the nef
+    criterion words on its corners (`NotNef` for the references' empty
+    system too), and the class and message otherwise."""
+    if isinstance(exc, (NotNef, EmptyLinearSystem)):
+        return NotNef
+    return type(exc), str(exc)
+
+
+def polygon_with_normals(normals):
+    """A lattice polygon whose inner edge normals are `normals`, a complete
+    fan in ccw order (each turn to the left, winding once), or None for any
+    other list.  Its edge vectors are l_i t_i, t_i = n_i turned right, with
+    l = the sum over i of the relation den t_i + A t_j + B t_(j+1) = 0 that
+    puts -t_i in the cone of two consecutive t's, so each l_i >= den > 0."""
+    k = len(normals)
+    lower = [y < 0 or y == 0 > x for x, y in normals]
+    if (k < 3 or any(a * d - b * c <= 0 for (a, b), (c, d) in
+                     ((normals[i - 1], normals[i]) for i in range(k)))
+            or sum(lower[i - 1] and not lower[i] for i in range(k)) != 1):
+        return None
+    t = [(n1, -n0) for n0, n1 in normals]
+    lengths = [0] * k
+    for u in range(k):
+        u0, u1 = t[u]
+        for j in range(k):
+            (v0, v1), (w0, w1) = t[j], t[(j + 1) % k]
+            a, b = u1 * w0 - u0 * w1, v1 * u0 - v0 * u1
+            if a >= 0 and b >= 0:
+                lengths[u] += v0 * w1 - v1 * w0
+                lengths[j] += a
+                lengths[(j + 1) % k] += b
+                break
+    pts, x, y = [], 0, 0
+    for (t0, t1), l in zip(t, lengths):
+        pts.append((x, y))
+        x, y = x + l * t0, y + l * t1
+    assert (x, y) == (0, 0)
+    return Polygon(pts)
 
 
 def ref_sections_one_pass(normals, coeffs) -> Sections:

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon,
-                      dual_face_vertices, edge_vector_multiset,
-                      lattice_polygons, mat_vec,
-                      random_unimodular3, ref_check_compatibility,
-                      ref_check_convexity, ref_check_smooth_edge_data,
-                      ref_facet_in_ray_coords, ref_vertices, relabelled,
-                      unchecked)
+from conftest import (NORMAL_FAN_POLYTOPES, EmptyLinearSystem, bundled,
+                      bundled_polygon, dual_face_vertices,
+                      edge_vector_multiset, face_length, lattice_polygons,
+                      mat_vec, random_unimodular2, random_unimodular3,
+                      ref_check_compatibility, ref_check_convexity,
+                      ref_check_smooth_edge_data, ref_facet_in_ray_coords,
+                      ref_sections_one_pass, ref_vertices, relabelled,
+                      sections_refusal, unchecked)
 from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationData,
-                                    DegenerationError, EmptyLinearSystem,
-                                    NotCartier, NotNef,
+                                    DegenerationError, NotCartier, NotNef,
                                     Sections, Slab, check_smooth_data,
                                     decomposition_regimes, line_fan_data,
                                     method1_data, normal_fan_data,
@@ -39,32 +39,50 @@ def slab_counts(vertices, coeffs):
     return slab.two_area, slab.b_count, slab.i_count
 
 
+# the standard triangle, its normals (0, 1), (-1, -1), (1, 0)
+TRIANGLE = Polygon([(0, 0), (1, 0), (0, 1)])
+
+
 def test_sections_cubic_slab():
     # coefficient 3 on the far edge of a P^2-shaped slab gives 3x the
     # standard triangle with one interior and nine boundary points
-    sec = polygon_of_sections([(0, 1), (-1, -1), (1, 0)], [0, 3, 0])
+    sec = polygon_of_sections(TRIANGLE, (0, 3, 0))
     assert sec.dim == 2
     assert sec.spans == (3, 3, 3)
     assert slab_counts([(0, 0), (1, 0), (0, 1)], (0, 3, 0)) == (9, 9, 1)
 
 
 def test_sections_v2_slabs():
-    big = polygon_of_sections([(0, 1), (-1, -1), (1, 0)], [0, 6, 0])
+    big = polygon_of_sections(TRIANGLE, (0, 6, 0))
     assert big.spans == (6, 6, 6)
     assert slab_counts([(0, 0), (1, 0), (0, 1)], (0, 6, 0)) == (36, 18, 10)
-    skew = polygon_of_sections([(0, 1), (-1, -3), (1, 0)], [0, 6, 0])
+    skew = polygon_of_sections(Polygon([(0, 0), (3, 0), (0, 1)]), (0, 6, 0))
     assert skew.spans == (6, 2, 2)
     assert slab_counts([(0, 0), (3, 0), (0, 1)], (0, 6, 0)) == (12, 10, 2)
     assert sorted(skew.vertices()) == [(0, 0), (0, 2), (6, 0)]
 
 
 def test_sections_errors():
-    with pytest.raises(EmptyLinearSystem):
-        polygon_of_sections([(0, 1), (-1, -1), (1, 0)], [0, -1, 0])
+    # an empty system holds no corner, so it is not nef
     with pytest.raises(NotNef):
-        polygon_of_sections([(0, 1), (-1, 0), (-1, -1), (1, 0)], [0, 3, 2, 0])
+        polygon_of_sections(TRIANGLE, (0, -1, 0))
+    # normals (0, 1), (-1, 0), (-1, -1), (1, 0)
+    with pytest.raises(NotNef):
+        polygon_of_sections(Polygon([(0, 0), (1, 0), (1, 1), (0, 2)]),
+                            (0, 3, 2, 0))
+    # normals (0, 1), (-1, -2), (1, 0)
     with pytest.raises(NotCartier):
-        polygon_of_sections([(0, 1), (-1, -2), (1, 0)], [0, 1, 0])
+        polygon_of_sections(Polygon([(0, 0), (2, 0), (0, 1)]), (0, 1, 0))
+
+
+@pytest.mark.parametrize("coeffs", [(1, 1), (1, 1, 1, 5)])
+def test_sections_need_one_coefficient_per_edge(coeffs):
+    triangle = Polygon([(0, 0), (2, 0), (0, 2)])
+    message = f"{len(coeffs)} coefficients for a slab polygon of 3 edges"
+    with pytest.raises(DegenerationError, match=f"^{message}$"):
+        polygon_of_sections(triangle, coeffs)
+    with pytest.raises(DegenerationError, match=f"^{message}$"):
+        Slab("X", triangle, coeffs, (ROLE_BOUNDARY,) * 3)
 
 
 def test_every_route_hands_out_checked_data(monkeypatch):
@@ -208,8 +226,9 @@ def test_edge_data_bounds_checked():
     # breaks convexity
     assert ref_check_convexity(d0) == []
     assert ref_check_smooth_edge_data(d0) == []
-    # a negative label empties the slab linear system outright
-    with pytest.raises(EmptyLinearSystem):
+    # a negative label empties the slab linear system: no corner is a
+    # section, so it is not nef
+    with pytest.raises(NotNef):
         relabelled(p3, {0: -1})
     # on the cube l(E*) = 2, so a_E = 0 is convex but no longer smooth
     assert ref_check_convexity(dc) == []
@@ -286,24 +305,75 @@ def ref_polygon_of_sections(normals, coeffs):
     return Sections(pts)
 
 
+def fraction_scan(normals, coeffs):
+    """`ref_polygon_of_sections` with each span read off its vertices."""
+    sec = ref_polygon_of_sections(normals, coeffs)
+    sec.spans = tuple(face_length(sec.vertices(), n) for n in normals)
+    return sec
+
+
 def outcome(fn, *args):
     try:
         sec = fn(*args)
     except DegenerationError as exc:
-        return type(exc), str(exc)
+        return sections_refusal(exc)
     return sec.dim, [(x, type(x)) for p in sec.points for x in p], \
-        sec.vertices()
+        sec.vertices(), sec.spans
 
 
 @settings(max_examples=400, deadline=None, derandomize=True, database=None)
 @given(lattice_polygons(span=3), st.data())
 def test_polygon_of_sections_matches_fraction_scan(poly, data):
+    # the corners of consecutive edge lines against both old scans over
+    # every pair of edge lines: the same sections, spans and NotCartier,
+    # and NotNef where they found no corner or an edge with slack; the
+    # one-pass copy still runs the retired ccw check, which every polygon's
+    # normals pass
     normals = [n for n, _ in poly.edge_normals()]
     coeffs = data.draw(st.lists(st.integers(-3, 6), min_size=len(normals),
                                 max_size=len(normals)))
-    want = outcome(ref_polygon_of_sections, normals, coeffs)
-    got = outcome(polygon_of_sections, normals, coeffs)
-    assert got == want
+    got = outcome(polygon_of_sections, poly, coeffs)
+    assert got == outcome(fraction_scan, normals, coeffs)
+    assert got == outcome(ref_sections_one_pass, normals, coeffs)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(lattice_polygons(span=3), st.data())
+def test_sections_follow_a_unimodular_map(poly, data):
+    # on g P + t, with each edge's coefficient carried to its image, S is
+    # g S (inner normals map by g^-T, so sections map by g) with the span
+    # of each edge on its image, or it is refused with the same class
+    g = random_unimodular2(random.Random(data.draw(st.integers(0, 10**6))))
+    tx, ty = data.draw(st.integers(-9, 9)), data.draw(st.integers(-9, 9))
+
+    def lin(m):
+        return tuple(mat_vec(g, m))
+
+    def move(v):
+        x, y = lin(v)
+        return x + tx, y + ty
+
+    edges = poly.edges()
+    coeff = {e: data.draw(st.integers(-3, 6)) for e in edges}
+    image = Polygon([move(v) for v in poly.vertices])
+    back = {frozenset(map(move, e)): e for e in edges}
+    image_edges = [back[frozenset(e)] for e in image.edges()]
+
+    def run(polygon, keys):
+        try:
+            sec = polygon_of_sections(polygon, [coeff[e] for e in keys])
+        except DegenerationError as exc:
+            return type(exc)
+        return sec
+    want, got = run(poly, edges), run(image, image_edges)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert not isinstance(got, type)
+    assert got.dim == want.dim
+    assert got.points == tuple(sorted(map(lin, want.points)))
+    span = dict(zip(edges, want.spans))
+    assert got.spans == tuple(span[e] for e in image_edges)
 
 
 def ref_decomposition_regimes(p):

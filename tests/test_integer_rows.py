@@ -25,7 +25,7 @@ from conftest import (bundled, edge_vector_multiset, lattice_polygons,
                       ref_boundary_area, ref_cell_class_data,
                       ref_dual_from_faces, ref_edge_normals,
                       ref_lattice_points, ref_match_summand_slabs,
-                      ref_sections_one_pass)
+                      ref_sections_one_pass, sections_refusal)
 from fanoscope.degeneration import (DegenerationError, match_summand_slabs,
                                     polygon_of_sections, quotient_functional,
                                     ray_lattice)
@@ -164,11 +164,11 @@ def test_edge_normals_match_the_generic_route(poly, k):
         [(int, int, int)] * len(got)
 
 
-def sections_outcome(fn, normals, coeffs):
+def sections_outcome(fn, *args):
     try:
-        sec = fn(normals, coeffs)
+        sec = fn(*args)
     except DegenerationError as exc:
-        return type(exc), str(exc)
+        return sections_refusal(exc)
     return (sec.dim, [(x, type(x)) for p in sec.points for x in p],
             sec.vertices(), sec.spans, [type(s) for s in sec.spans])
 
@@ -179,9 +179,7 @@ def test_polygon_of_sections_matches_the_generic_route(poly, data):
     normals = [n for n, _ in poly.edge_normals()]
     coeffs = data.draw(st.lists(st.integers(-3, 6), min_size=len(normals),
                                 max_size=len(normals)))
-    if data.draw(st.integers(0, 9)) == 0:  # the ccw-order refusal
-        normals = normals[::-1]
-    assert sections_outcome(polygon_of_sections, normals, coeffs) == \
+    assert sections_outcome(polygon_of_sections, poly, coeffs) == \
         sections_outcome(ref_sections_one_pass, normals, coeffs)
 
 

@@ -641,9 +641,15 @@ def test_cli_table_without_db():
 
 
 def test_cli_entrypoint_subprocess():
+    # the child imports fanoscope from where this process does, which
+    # pytest's `pythonpath` setting puts on sys.path but not in the
+    # environment
+    src = os.path.dirname(os.path.dirname(degeneration.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run([sys.executable, "-m", "fanoscope.cli",
                            "analyze", "octahedron"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["euler"] == 8
 

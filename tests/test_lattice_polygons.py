@@ -13,10 +13,11 @@ on both.  The line-fan half of that is `check_route` in
 `tests/test_line_fan_routes.py`, on `base_routes` (b3_cubic, the products,
 v2's and b1's line fans) and their GL(3,Z) images.
 
-`polygon_of_sections` keeps each feasible corner as a reduced homogeneous
-triple and builds `Sections` from integer points only, after nef and
-Cartier; it must give the outcome of the old candidate scan
-(`ref_sections_one_pass`).  `Polygon` takes int coordinates only.
+`polygon_of_sections` keeps the corner of each slab vertex as a
+homogeneous triple and builds `Sections` from integer points only, after nef
+and Cartier; it must give the outcome of the old candidate scan
+(`ref_sections_one_pass`) on the polygon of the scan's normals
+(`polygon_with_normals`).  `Polygon` takes int coordinates only.
 """
 
 import random
@@ -26,14 +27,15 @@ from math import gcd
 
 import pytest
 
-from conftest import (bundled, mat_vec, random_unimodular3, ref_vertices,
-                      ref_sections_one_pass, unchecked)
+from conftest import (EmptyLinearSystem, bundled, mat_vec,
+                      polygon_with_normals, random_unimodular3,
+                      ref_sections_one_pass, ref_vertices, sections_refusal,
+                      unchecked)
 from test_line_fan_routes import RefSlab, normals
 from fanoscope import degeneration
 from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationError,
-                                    EmptyLinearSystem, NotCartier, NotNef,
-                                    Slab, normal_fan_data,
-                                    polygon_of_sections)
+                                    NotCartier, NotNef, Slab,
+                                    normal_fan_data, polygon_of_sections)
 from fanoscope.fileio import bundled_polytopes, data_from_fixture, load_fixture
 from fanoscope.linalg import primitive
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
@@ -100,7 +102,7 @@ def slabs_outcome(build):
     try:
         return [slab_key(s) for s in build()]
     except (EmptyLinearSystem, NotNef, NotCartier) as exc:
-        return type(exc), str(exc)
+        return sections_refusal(exc)
 
 
 def images(name, seed):
@@ -199,13 +201,12 @@ def ccw_normals(rng):
     return out[::-1] if rng.randrange(10) == 0 else out
 
 
-def sections_outcome(fn, normals, coeffs):
-    try:
-        sec = fn(normals, coeffs)
-    except DegenerationError as exc:
-        return type(exc), str(exc)
+def sections_outcome(sec):
+    """The sections with each span keyed by its edge's normal, as a
+    polygon's edges start at its lex-least vertex."""
     return (sec.dim, [(x, type(x)) for p in sec.points for x in p],
-            sec.vertices(), sec.spans, [type(s) for s in sec.spans])
+            sec.vertices(), sorted(zip(sec.normals, sec.spans)),
+            [type(s) for s in sec.spans])
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -223,9 +224,25 @@ def test_sections_match_the_old_candidate_scan(seed):
         for i, (x, y) in enumerate(ns):  # a strip of width 0: S is flat
             if (-x, -y) in ns and rng.randrange(2):
                 coeffs[ns.index((-x, -y))] = -coeffs[i]
-        want = sections_outcome(ref_sections_one_pass, ns, coeffs)
-        assert sections_outcome(polygon_of_sections, ns, coeffs) == want
-        seen.add(want[0] if isinstance(want[0], type) else want[0] + 10)
+        poly = polygon_with_normals(ns)
+        try:
+            want = ref_sections_one_pass(ns, coeffs)
+        except DegenerationError as exc:
+            seen.add(type(exc))
+            if poly is None:  # the order refusal, retired with the list
+                assert str(exc) == "edge normals are not in ccw order"
+                continue
+            want = sections_refusal(exc)
+        else:
+            seen.add(want.dim + 10)
+            want = sections_outcome(want)
+        coeff = dict(zip(ns, coeffs))
+        try:
+            got = sections_outcome(polygon_of_sections(
+                poly, [coeff[n] for n, _ in poly.edge_normals()]))
+        except DegenerationError as exc:
+            got = sections_refusal(exc)
+        assert got == want
     # every refusal and every dimension of S is reached
     assert {EmptyLinearSystem, NotNef, NotCartier, DegenerationError,
             10, 11, 12} <= seen

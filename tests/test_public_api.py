@@ -54,7 +54,8 @@ DELETED = [("polytope", "convex_hull"),
            ("degeneration", "check_smooth_edge_data"),
            ("degeneration", "check_compatibility"),
            ("degeneration", "_check_keys"),
-           ("fileio", "_values")]
+           ("fileio", "_values"),
+           ("degeneration", "EmptyLinearSystem")]
 
 
 def resolves(obj, dotted):

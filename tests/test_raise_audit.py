@@ -52,7 +52,7 @@ from conftest import (MISTYPED_POLYTOPES, bundled, bundled_polygon,
 from fanoscope import cli, invariants
 from fanoscope.cli import _resolve_data, build_parser
 from fanoscope.degeneration import (DegenerationData, DegenerationError,
-                                    EmptyLinearSystem, NotCartier, NotNef,
+                                    NotCartier, NotNef,
                                     RaySummand, check_smooth_data, decomposition_regimes,
                                     line_fan_data, method1_data,
                                     normal_fan_data, polygon_of_sections,
@@ -239,8 +239,8 @@ def mistyped_pins():
     return pins
 
 
-def sections(normals, coeffs):
-    return partial(polygon_of_sections, normals, coeffs)
+def sections(vertices, coeffs):
+    return partial(polygon_of_sections, Polygon(vertices), coeffs)
 
 
 # name -> (call, exception class, message)
@@ -248,23 +248,19 @@ PINS = {
     **validate_pins(),
     **unparsable_pins(),
     **mistyped_pins(),
+    "degeneration.polygon_of_sections: too few coefficients": (
+        sections([(0, 0), (2, 0), (0, 2)], (1, 1)), DegenerationError,
+        "2 coefficients for a slab polygon of 3 edges"),
+    # an empty system: no corner is a section
     "degeneration.polygon_of_sections: empty": (
-        sections([(0, 1), (-1, -1), (1, 0)], [0, -1, 0]),
-        EmptyLinearSystem, "empty linear system"),
+        sections([(0, 0), (1, 0), (0, 1)], (0, -1, 0)), NotNef,
+        "divisor not nef: the corner of slab vertex (0, 0) breaks edge 1"),
+    # edge 1's line, normal (-1, 0), misses S
     "degeneration.polygon_of_sections: slack": (
-        sections([(0, 1), (-1, 0), (-1, -1), (1, 0)], [0, 3, 2, 0]),
-        NotNef, "divisor not nef: slack on edge with normal (-1, 0)"),
-    # the normals of the slack case with two of them swapped
-    "degeneration.polygon_of_sections: not_ccw": (
-        sections([(0, 1), (-1, -1), (-1, 0), (1, 0)], [0, 2, 3, 0]),
-        DegenerationError, "edge normals are not in ccw order"),
-    # every turn is to the left, but a pentagram's normals wind twice
-    "degeneration.polygon_of_sections: winds_twice": (
-        sections([(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)],
-                 [0, 0, 0, 0, 0]),
-        DegenerationError, "edge normals are not in ccw order"),
+        sections([(0, 0), (1, 0), (1, 1), (0, 2)], (0, 3, 2, 0)), NotNef,
+        "divisor not nef: the corner of slab vertex (1, 0) breaks edge 2"),
     "degeneration.polygon_of_sections: not_cartier": (
-        sections([(0, 1), (-1, -2), (1, 0)], [0, 1, 0]), NotCartier,
+        sections([(0, 0), (2, 0), (0, 1)], (0, 1, 0)), NotCartier,
         "not Cartier: no integral section witness at a vertex cone"),
     "degeneration.line_fan: two rays": (
         lambda: line_fan_data(bundled("p3"), (0, 0, 1), RAYS[:2], []),

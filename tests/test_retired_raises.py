@@ -444,12 +444,11 @@ def test_facet_cycles_close_on_random_polytopes(points):
 
 @st.composite
 def section_systems(draw):
-    """(normals, coeffs): the ccw edge normals of a drawn polygon with
-    coefficients drawn for them."""
-    normals = [n for n, _ in draw(lattice_polygons(span=3)).edge_normals()]
-    coeffs = draw(st.lists(st.integers(-2, 4), min_size=len(normals),
-                           max_size=len(normals)))
-    return normals, coeffs
+    """(polygon, coeffs): a drawn polygon with a coefficient drawn for each
+    of its edges."""
+    polygon = draw(lattice_polygons(span=3))
+    k = len(polygon.vertices)
+    return polygon, draw(st.lists(st.integers(-2, 4), min_size=k, max_size=k))
 
 
 def assert_points_are_vertices(sec):
@@ -471,7 +470,7 @@ def test_section_corners_are_vertices_on_drawn_systems(system):
         mp.setattr(degeneration, "Sections", Spy)
         try:
             degeneration.polygon_of_sections(*system)
-        except DegenerationError:  # empty, not nef or not Cartier
+        except DegenerationError:  # not nef or not Cartier
             pass
     for points in handed:
         assert_points_are_vertices(degeneration.Sections(points))

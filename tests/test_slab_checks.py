@@ -1,12 +1,13 @@
 """The slab layer's checks that a theorem retired, kept as references.
 
-`polygon_of_sections` reads nef, Cartier and the face spans off the vertices
-of the sections in one pass, and `Slab` takes b from the spans with no check
-of its own; the proofs are in their docstrings.  `RefSlab` still runs the
-old vertex-cone loop (in `ref_polygon_of_sections`), `Sections.counts` and
-both of `Slab`'s raises, and must agree with the new code on random lattice
-polygons and on every slab of every bundled route.  The raises that are
-left are pinned in `tests/test_raise_audit.py`.
+`polygon_of_sections` reads nef, Cartier and the face spans off the corners
+of the slab polygon's vertex cones, and `Slab` takes b from the spans with
+no check of its own; the proofs are in their docstrings.  `RefSlab` still
+runs the old vertex-cone loop (in `ref_polygon_of_sections`),
+`Sections.counts` and both of `Slab`'s raises, and must agree with the new
+code on random lattice polygons and on every slab of every bundled route,
+up to the wording of a refusal as not nef (`sections_refusal`).  The raises
+that are left are pinned in `tests/test_raise_audit.py`.
 """
 
 import random
@@ -15,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lattice_polygons, random_unimodular3, unchecked
+from conftest import (lattice_polygons, random_unimodular3, sections_refusal,
+                      unchecked)
 from test_line_fan_routes import RefSlab, base_routes, image
 from test_shared_geometry import SEEDS, builders
 from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationError, Slab,
@@ -29,13 +31,13 @@ RETIRED = {"divisor not nef: support function breaks on a vertex cone",
 
 
 def slab_outcome(cls, name, polygon, coeffs, roles):
-    """(exception type, message), or the slab's sections and counts; for
-    `RefSlab`, also that `counts` gives the slab's (2A, b, i)."""
+    """The refusal (`sections_refusal`), or the slab's sections and counts;
+    for `RefSlab`, also that `counts` gives the slab's (2A, b, i)."""
     try:
         slab = cls(name, polygon, coeffs, roles)
     except DegenerationError as exc:
         assert str(exc) not in RETIRED
-        return type(exc), str(exc)
+        return sections_refusal(exc)
     sec = slab.sections
     if cls is RefSlab:
         assert RefSlab.counts(sec) == (slab.two_area, slab.b_count,
