@@ -1,9 +1,8 @@
 """Exact-arithmetic toolkit for torus-fibration models of Fano threefolds."""
 
 from .degeneration import (DegenerationData, DegenerationError, Slab,
-                           check_smooth_data, decomposition_regimes,
-                           line_fan_data, method1_data, normal_fan_data,
-                           polygon_of_sections, product_data)
+                           decomposition_regimes, line_fan_data, method1_data,
+                           normal_fan_data, polygon_of_sections, product_data)
 from .discriminant import assemble_global, max_triangulation, render_svg
 from .gamma import b2, barT_sections, build_system, gamma_dimension
 from .invariants import (InvariantReport, analyze, b3_from, degree,
@@ -19,7 +18,7 @@ __all__ = [
     "DegenerationData", "DegenerationError", "InvariantReport",
     "LatticePolytope", "Polygon", "Slab", "Summand", "analyze",
     "assemble_global", "b2", "b3_from", "barT_sections", "build_system",
-    "check_smooth_data", "decomposition_regimes", "degree",
+    "decomposition_regimes", "degree",
     "enumerate_smooth_decompositions", "euler_number", "euler_product",
     "euler_smooth_mink", "fano_index", "gamma_dimension", "gorenstein_index",
     "identity24", "line_fan_data", "max_triangulation", "method1_data",

@@ -184,22 +184,24 @@ def cmd_discriminant(args):
 
 
 def _match_db_row(row, p: LatticePolytope):
-    """Try every decomposition choice; return a matching report dict."""
-    counts = [len(r) for r in decomposition_regimes(p)]
-    if 0 in counts:
-        return None, "no smooth decomposition"
-    if math.prod(counts) > 4096:
-        return None, "too many choices"
-    last = None
-    for ch in itertools.product(*map(range, counts)):
-        data = method1_data(p, ch, row["name"])
-        rep = analyze(data)
-        last = rep
-        if (rep.degree, rep.p, rep.n, rep.euler) == \
-                (row["degree"], row["p"], row["n"], row["chi"]):
-            return rep, None
-    return None, (f"no choice matches; last gave degree={last.degree} "
-                  f"p={last.p} n={last.n} chi={last.euler}")
+    """Try every decomposition choice: (the matching report, None), or
+    (None, why none matches), also when building or analysing P's data
+    refuses it."""
+    try:
+        counts = [len(r) for r in decomposition_regimes(p)]
+        if 0 in counts:
+            return None, "no smooth decomposition"
+        if math.prod(counts) > 4096:
+            return None, "too many choices"
+        for ch in itertools.product(*map(range, counts)):
+            rep = analyze(method1_data(p, ch, row["name"]))
+            if (rep.degree, rep.p, rep.n, rep.euler) == \
+                    (row["degree"], row["p"], row["n"], row["chi"]):
+                return rep, None
+    except (DegenerationError, PolytopeError) as exc:
+        return None, str(exc)
+    return None, (f"no choice matches; last gave degree={rep.degree} "
+                  f"p={rep.p} n={rep.n} chi={rep.euler}")
 
 
 def cmd_table(args):

@@ -11,7 +11,7 @@ import copy
 from dataclasses import dataclass, field, replace
 from math import gcd
 
-from .linalg import clear_denominators, det, lex_positive, primitive
+from .linalg import clear_denominators, lex_positive, primitive
 from .minkowski import Summand, enumerate_smooth_decompositions
 from .polytope import (LatticePolytope, Polygon, PolytopeError, cross, dot,
                        lattice_length, pick_area, plane_basis, plane_coords,
@@ -181,15 +181,10 @@ class Slab:
 # generalized fans
 
 
-@dataclass
-class GeneralizedFan:
-    direction: tuple      # direction of the minimal cone, a line
-    rays2d: tuple         # 3-space generators of the 2-cones mod the line
-
-
-def line_fan(direction, rays2d) -> GeneralizedFan:
-    """The fan whose minimal cone is the line through `direction`.  Mod the
-    line its `rays2d` must make a complete fan: none on the line, no two
+def line_fan(direction, rays2d):
+    """(d, rays): the primitive direction of the fan's minimal cone, a line,
+    and the primitive generators of its 2-cones mod the line.  Mod the
+    line `rays2d` must make a complete fan: none on the line, no two
     equal, not all in one closed half-plane (every angular gap < pi).  Ray r
     is d x r mod the line, and r to s turns about d as det(d, r, s)."""
     d = primitive(direction)
@@ -200,7 +195,7 @@ def line_fan(direction, rays2d) -> GeneralizedFan:
             or len(set(map(primitive, images))) < len(rays)
             or any(min(t) >= 0 or max(t) <= 0 for t in turns)):
         raise DegenerationError("line fan needs a complete quotient fan")
-    return GeneralizedFan(d, tuple(tuple(r) for r in rays))
+    return d, rays
 
 
 # how many slabs a ray summand of each kind names
@@ -665,8 +660,7 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     if not p.is_fano():
         raise DegenerationError("P is not a Fano polytope")
     dual = p.polar_dual()
-    fan = line_fan(direction, rays2d)
-    dirv = fan.direction
+    dirv, fan_rays = line_fan(direction, rays2d)
     w_basis = ray_lattice(dirv)
     rules = [(_clean(rule["meets"]), int(rule["value"])) for rule in edge_rule]
     for meets, _ in rules:
@@ -683,12 +677,12 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     spine = [tuple(_quotient(x * num, t_den * den) for x in r)
              for (_, r), (num, t_den) in zip(rays, exits)]
 
-    bases = [plane_basis([dirv, w]) for w in fan.rays2d]
-    two_cones = [_two_cone(dirv, w) for w in fan.rays2d]
+    bases = [plane_basis([dirv, w]) for w in fan_rays]
+    two_cones = [_two_cone(dirv, w) for w in fan_rays]
     slabs = []
     built = {}  # (polygon, coeffs) -> its first slab, within this call
     slab_functionals = {}
-    for k, w in enumerate(fan.rays2d):
+    for k, w in enumerate(fan_rays):
         basis, (nu, half) = bases[k], two_cones[k]
         pts, flat = _plane_slice(dual, rows, den, nu, half)
         pts += spine
@@ -750,7 +744,6 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
         dual=dual,
         vertex_count=v_count,
         edge_values=edge_values,
-        notes={"fan": fan},
     )
 
 
@@ -774,8 +767,8 @@ def product_data(q: Polygon, name="") -> DegenerationData:
              for i, ((x, y), n) in enumerate(zip(q.vertices, normals))]
     data = line_fan_data(p, (0, 0, 1), [(x, y, 0) for x, y in q.vertices],
                          rules, name=name or "product data")
-    return replace(data, kind="product", notes={
-        **data.notes, "a_values": [r["value"] for r in rules]})
+    return replace(data, kind="product",
+                   notes={"a_values": [r["value"] for r in rules]})
 
 
 # -- small geometric helpers -------------------------------------------------
@@ -866,102 +859,3 @@ def _two_cone_containing(two_cones, v):
         if dot(nu, v) == 0 and dot(half, v) >= 0:
             return nu
     return None
-
-
-# ---------------------------------------------------------------------------
-# smooth-data verdicts
-
-
-def _d2_verdict(data, dual, f, t_dir):
-    """Cayley condition at a vertex interior to a 2-cone: the dual facet f
-    is two parallel segments along ann(tau) with nearly equal labels.  A
-    two-vertex group is an edge of f (a triangle, or a quadrilateral whose
-    diagonals cross, so are not parallel), so P* has its dual edge."""
-    if f.level != -1:
-        return "violation: cone over v* is not Gorenstein"
-    groups = {}
-    for vid in f.cycle:
-        pt = data.polytope.vertices[vid]
-        key = tuple(pt[i] * t_dir[j] - pt[j] * t_dir[i]
-                    for i, j in ((0, 1), (0, 2), (1, 2)))
-        groups.setdefault(key, []).append(vid)
-    if len(groups) != 2 or any(len(g) > 2 for g in groups.values()):
-        return "violation: v* is not a Cayley sum of two segments"
-    a_vals, lens = [], []
-    for g in groups.values():
-        if len(g) == 1:
-            a_vals.append(0)
-            lens.append(0)
-            continue
-        # the segment is the dual face of an edge of the polar polytope:
-        # the edge on the two facets of P* dual to its vertices
-        eidx = next(i for i, e in enumerate(dual.edges)
-                    if e.facet_ids == frozenset(g))
-        a_vals.append(data.edge_values.get(eidx, 0))
-        try:
-            lens.append(dual.edge_length(dual.edges[eidx]))
-        except PolytopeError:
-            return (f"violation: edge {eidx} of P* has a rational end, so "
-                    f"its Cayley segment has no dual length")
-    if abs(a_vals[0] - a_vals[1]) > 1:
-        return (f"violation: |a(F1*) - a(F2*)| = "
-                f"{abs(a_vals[0] - a_vals[1])} > 1")
-    if all(lens) and not any(a == ell for a, ell in zip(a_vals, lens)):
-        return "violation: neither label equals its dual length"
-    return "smooth"
-
-
-def _d3_verdict(p, f):
-    facet_pts = [p.vertices[i] for i in f.cycle]
-    if len(facet_pts) != 3:
-        return "violation: cone over v* is not simplicial"
-    if abs(det([list(map(int, p)) for p in facet_pts])) != 1:
-        return "violation: cone over v* is not smooth"
-    return "corner"
-
-
-def check_smooth_data(data: DegenerationData):
-    """Vertex conditions for smooth degeneration data, classified by the
-    dimension of the minimal fan cone containing each polar vertex.
-
-    A vertex v on a ray of the fan (D1) needs v* = r P_L + S_v, with S_v a
-    point or a standard simplex, and every data built here meets it with
-    S_v a point, so D1 is "smooth" by construction.  The summands P_L of
-    the ray come from `enumerate_smooth_decompositions` on `_ray_word`,
-    the edge word of T: v*'s facet f of P in the ray's `ray_lattice`
-    basis, divided by r = -f.level.  `normal_fan_data` takes one of them
-    for each ray (a vertex of P*).  On a line fan a polar vertex on the
-    minimal line is where the ray rho+- through it leaves P* (the origin
-    is interior, so the ray meets the boundary once), so `line_fan_data`
-    finds it as that ray's `vertex_hit` and takes the last of them, in the
-    line's basis.  Each decomposition sums to T up to translation, since its
-    summands partition T's edge word (the proof is in the enumerator's
-    docstring), so r P_L = r T = v*, and T is a polygon, so P_L holds a
-    segment or a triangle.  `_ray_word` raises where r does not divide
-    v*, so no data with a nontrivial S_v is built.
-    `tests/test_ray_facets.py` re-sums every ray on the bundled polytopes,
-    b3_cubic, the products and their GL(3,Z) images.  `line_fan_data`
-    builds all line-fan and product data and stores its `notes["fan"]`.
-    """
-    verdicts = {}
-    if data.dual is None:
-        return verdicts
-    dual = data.dual
-    if data.kind == "normal_fan":
-        return dict.fromkeys(range(len(dual.vertices)), "smooth")
-    if data.kind not in ("line_fan", "product"):
-        return verdicts
-    fan = data.notes["fan"]
-    dirv = fan.direction
-    two_cones = [_two_cone(dirv, w) for w in fan.rays2d]
-    for vid, (vert, f) in enumerate(zip(dual.vertices,
-                                        data.polytope.facets)):
-        if _along_line(vert, dirv):
-            verdicts[vid] = "smooth"
-            continue
-        hit = _two_cone_containing(two_cones, vert)
-        if hit is not None:
-            verdicts[vid] = _d2_verdict(data, dual, f, hit)
-        else:
-            verdicts[vid] = _d3_verdict(data.polytope, f)
-    return verdicts

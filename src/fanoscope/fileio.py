@@ -123,7 +123,8 @@ def ingest_database(path):
     """Stream (id, LatticePolytope) from the published 3D reflexive list.
 
     Blocks are an 'r c ...' header line followed by an r x c integer matrix;
-    vertices sit in columns when r == 3.  Ids are 0-based positions.
+    vertices sit in columns when r == 3.  Ids are 0-based positions.  A
+    block that is no polytope of 3-space is a ParseError naming the block.
     """
     count = 0
     with open(path) as fh:
@@ -147,8 +148,11 @@ def ingest_database(path):
                     raise ParseError(f"database block {count}: {exc}") from exc
             if any(len(row) != c for row in block):
                 raise ParseError(f"database block {count} is ragged")
-            verts = _orient(block, r, c)
-            yield count, LatticePolytope(verts)
+            try:
+                p = LatticePolytope(_orient(block, r, c))
+            except (ParseError, PolytopeError) as exc:
+                raise ParseError(f"database block {count}: {exc}") from exc
+            yield count, p
             count += 1
     if count != EXPECTED_DB_SIZE:
         warnings.warn(f"database has {count} entries, expected "

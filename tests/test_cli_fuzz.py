@@ -7,14 +7,21 @@ key is dropped, and each value down to depth 2 is replaced by each of
 for a manifest.  Every fixture's mutants are also drawn with
 `discriminant --svg`, and a slab fixture's entries at depth 3 (each key of
 `slabs[i]` and of `rays.<R>[i]`) get the same drop and replacements under
-`analyze`.  Every in-process `cli.main` run must either exit 0 with a
-report, or exit 1 or 2 with an empty stdout and exactly one JSON error line
-on stderr: never a traceback.
+`analyze`.  A small database in the PALP layout (a p3 block and an
+octahedron block) has each line dropped and each token replaced by each of
+`DB_JUNK`, under `verify24 --db` and `table expected --db`; and each of
+`DECOMPOSITION_JUNK` is passed as `--decomposition` to `analyze`, `gamma`
+and `discriminant --svg` on a polytope of one choice, one of several, a
+product and a fixture.  Every in-process `cli.main` run must either exit 0
+with a report, or exit 1 or 2 with an empty stdout and exactly one JSON
+error line on stderr: never a traceback.
 """
 
 import contextlib
 import io
 import json
+
+import pytest
 
 from fanoscope import cli
 from fanoscope.fileio import (bundled_polytopes, expected_rows, list_fixtures,
@@ -113,10 +120,14 @@ def verdict(argv):
         return None if out.getvalue() and not err.getvalue() else \
             "exit 0 without a report"
     lines = err.getvalue().splitlines()
-    if code not in (1, 2) or out.getvalue() or len(lines) != 1:
+    if code not in (1, 2) or len(lines) != 1:
         return f"exit {code} with {len(lines)} stderr lines"
-    if set(json.loads(lines[0])) != {"error", "message"}:
+    doc = json.loads(lines[0])
+    if set(doc) != {"error", "message"}:
         return f"stderr line {lines[0]}"
+    # only a table whose rows fail is written before it is refused
+    if out.getvalue() and doc["error"] != "table":
+        return f"exit {code} with a report"
     return None
 
 
@@ -170,3 +181,68 @@ def test_every_slab_entry_mutant_exits_cleanly(tmp_path, monkeypatch):
 def test_the_fuzz_sees_a_traceback(monkeypatch):
     monkeypatch.setattr(cli, "cmd_analyze", lambda args: {}["x"])
     assert verdict(["analyze", "p3"]) == "KeyError: 'x'"
+
+
+# a header that reads, one that reads no block, one of the wrong size
+DB_JUNK = ("x", "", "-1", "0", "1.5", "3 4", "0 3", "2 2")
+DB_BLOCKS = ("p3", "octahedron")
+
+
+def database_mutants():
+    """(label, database text changed once): each line of a PALP-layout
+    database of `DB_BLOCKS` dropped, and each of its tokens replaced by
+    each of `DB_JUNK`."""
+    table = bundled_polytopes()
+    lines = []
+    for name in DB_BLOCKS:
+        vertices = table[name]["vertices"]
+        lines.append(f"3 {len(vertices)} {name}")
+        lines += [" ".join(map(str, col)) for col in zip(*vertices)]
+    out = [(f"drop line {i}", lines[:i] + lines[i + 1:])
+           for i in range(len(lines))]
+    for i, line in enumerate(lines):
+        tokens = line.split()
+        for j in range(len(tokens)):
+            for junk in DB_JUNK:
+                changed = " ".join(tokens[:j] + [junk] + tokens[j + 1:])
+                out.append((f"line {i} token {j} = {junk!r}",
+                            lines[:i] + [changed] + lines[i + 1:]))
+    return [(label, "\n".join(text) + "\n") for label, text in out]
+
+
+@pytest.mark.filterwarnings("ignore:database has:UserWarning")
+def test_every_database_mutant_exits_cleanly(tmp_path, monkeypatch):
+    monkeypatch.delenv("FANOSCOPE_DB", raising=False)
+    path = tmp_path / "db.txt"
+    cases = database_mutants()
+    assert len(cases) == 296
+    faults = []
+    for label, text in cases:
+        path.write_text(text)
+        for argv in (["verify24", "--db", str(path)],
+                     ["table", "expected", "--db", str(path)]):
+            fault = verdict(argv)
+            if fault:
+                faults.append(f"{label}, {argv[0]}: {fault}")
+    assert faults == []
+
+
+DECOMPOSITION_JUNK = ("", "x", ",", "0,", ",0", "-1", "0,0,0", "0,0,0,0,0",
+                      "9,9,9,9", "1.5", "0,x", "auto,0", "AUTO", " 0", "0 0",
+                      "1" * 30)
+# one choice, several choices, a product and a fixture
+DECOMPOSITION_TARGETS = ("p3", "hexagon_cone", "diamond", "b3_cubic")
+
+
+def test_every_junk_decomposition_exits_cleanly(tmp_path, monkeypatch):
+    monkeypatch.delenv("FANOSCOPE_DB", raising=False)
+    svg = str(tmp_path / "svg")
+    faults = []
+    for target in DECOMPOSITION_TARGETS:
+        for junk in DECOMPOSITION_JUNK:
+            for argv in (["analyze", target], ["gamma", target],
+                         ["discriminant", target, "--svg", svg]):
+                fault = verdict(argv + ["--decomposition", junk])
+                if fault:
+                    faults.append(f"{target} {junk!r}, {argv[0]}: {fault}")
+    assert faults == []

@@ -16,11 +16,10 @@ from conftest import (NORMAL_FAN_POLYTOPES, EmptyLinearSystem, bundled,
                       sections_refusal, unchecked)
 from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationData,
                                     DegenerationError, NotCartier, NotNef,
-                                    Sections, Slab, check_smooth_data,
-                                    decomposition_regimes, line_fan_data,
-                                    method1_data, normal_fan_data,
-                                    polygon_of_sections, product_data,
-                                    ray_lattice)
+                                    Sections, Slab, decomposition_regimes,
+                                    line_fan_data, method1_data,
+                                    normal_fan_data, polygon_of_sections,
+                                    product_data, ray_lattice)
 from fanoscope.fileio import bundled_polytopes, data_from_fixture, load_fixture
 from fanoscope.minkowski import enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
@@ -115,7 +114,6 @@ def test_method1_p3_counts():
     assert ref_check_convexity(d) == []
     assert ref_check_smooth_edge_data(d) == []
     assert ref_check_compatibility(d) == []
-    assert set(check_smooth_data(d).values()) == {"smooth"}
 
 
 def test_method1_cube_and_octahedron():
@@ -207,7 +205,6 @@ def test_checks_do_not_apply_to_slab_fixtures(name):
     assert ref_check_convexity(data) == []
     assert ref_check_smooth_edge_data(data) == []
     assert ref_check_compatibility(data) == []
-    assert check_smooth_data(data) == {}
 
 
 def test_edge_data_bounds_checked():
@@ -245,22 +242,6 @@ def test_boundary_identity():
         d = make()
         total_b = sum(s.b_count for s in d.slabs)
         assert total_b - 3 * d.p_count - 2 * d.d_count == d.boundary_count
-
-
-def test_smooth_data_vertex_classification():
-    assert set(check_smooth_data(method1_data(bundled("p3"))).values()) == \
-        {"smooth"}
-    assert set(check_smooth_data(
-        normal_fan_data(bundled("v2"))).values()) == {"smooth"}
-    # the cubic model keeps boundary edges: its three d = 2 vertices break
-    # the Cayley label bound while the apex stays smooth
-    verdicts = sorted(check_smooth_data(b3_data()).values())
-    assert verdicts[0] == "smooth"
-    assert all(v.startswith("violation") for v in verdicts[1:])
-    # product boundaries carry corner circles, so no d = 2 vertex is smooth
-    prod = product_data(bundled_polygon("diamond"))
-    assert all(v.startswith("violation")
-               for v in check_smooth_data(prod).values())
 
 
 def ref_polygon_of_sections(normals, coeffs):

@@ -213,6 +213,52 @@ def test_cli_database_non_integer_token_exits_2(tmp_path):
     assert doc["message"].startswith("database block 0:") and "'x'" in doc["message"]
 
 
+@pytest.mark.parametrize("command", ["verify24", "table"])
+@pytest.mark.parametrize("text, message", [
+    ("3 3\n1 0 0\n0 1 0\n0 0 1\n", "not full-dimensional"),
+    ("0 3\n", "expected 3-space points"),
+    ("2 2\n1 0\n0 1\n", "neither dimension is 3")])
+def test_cli_database_block_that_is_no_polytope_exits_2(tmp_path, command,
+                                                        text, message):
+    # the block after P3's: the hull fails, or the block holds no points of
+    # 3-space, and the error names the block, as a polytope file's does
+    path = tmp_path / "db.txt"
+    path.write_text(P3_TEXT + text)
+    argv = {"verify24": ("verify24", "--db", str(path)),
+            "table": ("table", "expected", "--db", str(path))}[command]
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert one_json_line(err) == {"error": "ParseError",
+                                  "message": f"database block 1: {message}"}
+
+
+# PALP id 0 read as conv(+-2 e1, +-e2, +-e3), whose facets have index 2 and
+# no smooth decomposition, or as a simplex with the origin on a facet
+REFUSED_DB_ROWS = {
+    "index 2": ("3 6\n2 -2 0 0 0 0\n0 0 1 -1 0 0\n0 0 0 0 1 -1\n",
+                "no smooth Minkowski decomposition: facet of ray 0 is not "
+                "divisible by its index 2"),
+    "origin on a facet": ("3 4\n1 0 0 -1\n0 1 0 0\n0 0 1 0\n",
+                          "origin is not interior")}
+
+
+@pytest.mark.parametrize("key", sorted(REFUSED_DB_ROWS))
+def test_table_fails_the_row_of_a_refused_polytope(tmp_path, key):
+    text, message = REFUSED_DB_ROWS[key]
+    path = tmp_path / "db.txt"
+    path.write_text(text)
+    csv_path = tmp_path / "table.csv"
+    with pytest.warns(UserWarning, match="database has 1 entries"):
+        code, out, err = run_cli("table", "expected", "--db", str(path),
+                                 "--out", str(csv_path))
+    assert code == 1 and out == ""
+    doc = one_json_line(err)
+    assert doc["error"] == "table" and "'P3'" in doc["message"]
+    rows = csv_path.read_text().splitlines()
+    assert len(rows) == 106
+    assert f"P3,0,64,4,24,4,FAIL: {message}" in rows
+
+
 LINE_FAN_WITHOUT_DIRECTION = {
     "kind": "line_fan",
     "polytope": [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]],

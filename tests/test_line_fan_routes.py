@@ -194,8 +194,7 @@ def ref_line_fan(p: LatticePolytope, direction, rays2d, edge_rule,
     if not p.is_fano():
         raise DegenerationError("P is not a Fano polytope")
     dual = p.polar_dual()
-    fan = line_fan(direction, rays2d)
-    dirv = fan.direction
+    dirv, fan_rays = line_fan(direction, rays2d)
     w_basis = ray_lattice(dirv)
     rules = [(_clean(rule["meets"]), int(rule["value"])) for rule in edge_rule]
     edge_values = {}  # a_E: the value of the first rule whose point is on E
@@ -208,10 +207,10 @@ def ref_line_fan(p: LatticePolytope, direction, rays2d, edge_rule,
     t_hi = ref_exit_parameter(dual, dirv)
     t_lo = ref_exit_parameter(dual, tuple(-x for x in dirv))
 
-    two_cones = [ref_two_cone(dirv, w) for w in fan.rays2d]
+    two_cones = [ref_two_cone(dirv, w) for w in fan_rays]
     slabs = []
     slab_functionals = {}
-    for k, w in enumerate(fan.rays2d):
+    for k, w in enumerate(fan_rays):
         basis, nu, side = two_cones[k]  # side cuts out the w-halfplane
         pts = ref_plane_slice(dual, nu)
         coords = plane_coords(basis, pts)
@@ -589,18 +588,17 @@ def slice_routes(seed):
         routes = {name: image(route, g) for name, route in routes.items()}
     for name, (p, direction, rays2d, _) in routes.items():
         try:
-            fan = line_fan(direction, rays2d)
+            dirv, fan_rays = line_fan(direction, rays2d)
         except DegenerationError:
             continue
         dual = p.polar_dual()
         rows, den = dual.vertex_rows
         levels = [dot(f.normal, rows[f.cycle[0]]) for f in dual.facets]
         spine = []
-        for r in (fan.direction, tuple(-x for x in fan.direction)):
+        for r in (dirv, tuple(-x for x in dirv)):
             num, t_den = _exit_point(dual, levels, r)
             spine.append(tuple(_quotient(x * num, t_den * den) for x in r))
-        yield name, dual, spine, [_two_cone(fan.direction, w)
-                                  for w in fan.rays2d]
+        yield name, dual, spine, [_two_cone(dirv, w) for w in fan_rays]
 
 
 @pytest.mark.parametrize("seed", [None, 5, 23, 71])

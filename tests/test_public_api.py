@@ -8,6 +8,7 @@ import inspect
 import pathlib
 
 import fanoscope
+from test_bench_targets import tracer_targets
 from fanoscope.degeneration import line_fan_data, normal_fan_data
 from fanoscope.discriminant import dual_graph
 from fanoscope.invariants import fano_index
@@ -55,7 +56,11 @@ DELETED = [("polytope", "convex_hull"),
            ("degeneration", "check_compatibility"),
            ("degeneration", "_check_keys"),
            ("fileio", "_values"),
-           ("degeneration", "EmptyLinearSystem")]
+           ("degeneration", "EmptyLinearSystem"),
+           ("degeneration", "check_smooth_data"),
+           ("degeneration", "_d2_verdict"),
+           ("degeneration", "_d3_verdict"),
+           ("degeneration", "GeneralizedFan")]
 
 
 def resolves(obj, dotted):
@@ -159,3 +164,37 @@ def test_every_imported_name_is_used():
                            if (alias.asname or alias.name.split(".")[0])
                            not in used]
     assert unused == []
+
+
+def reads(node):
+    """The package names a node reads: each `Name`, and each attribute of
+    a package module, as in `fileio.read_target`."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif (isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)
+              and sub.value.id in SOURCES):
+            out.add(sub.attr)
+    return out
+
+
+def test_every_public_routine_has_a_caller(monkeypatch):
+    # read by the package outside its own definition and the exports of
+    # `__init__`, or named by the bench's tracer
+    traced = {f"{layer}.{spec.partition('.')[0]}"
+              for layer, specs in tracer_targets(monkeypatch).items()
+              for spec in specs}
+    statements = [(module, node, reads(node))
+                  for module, tree in SOURCES.items() if module != "__init__"
+                  for node in tree.body]
+    unread = [f"{module}.{node.name}" for module, node, _ in statements
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and not any(node.name in names for _, other, names in statements
+                          if other is not node)]
+    assert sorted(set(unread) - traced) == []
+    # these wait for the tracer to drop them before they go
+    assert sorted(unread) == ["linalg.det", "linalg.solve_in_span",
+                              "polytope.embed_polygon",
+                              "polytope.gorenstein_index"]

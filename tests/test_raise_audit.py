@@ -53,7 +53,7 @@ from fanoscope import cli, invariants
 from fanoscope.cli import _resolve_data, build_parser
 from fanoscope.degeneration import (DegenerationData, DegenerationError,
                                     NotCartier, NotNef,
-                                    RaySummand, check_smooth_data, decomposition_regimes,
+                                    RaySummand, decomposition_regimes,
                                     line_fan_data, method1_data,
                                     normal_fan_data, polygon_of_sections,
                                     product_data)
@@ -119,6 +119,9 @@ def in_file(read, name, text):
 
 def database(text):
     return in_file(lambda path: list(ingest_database(path)), "db.txt", text)
+
+
+P3_DB = "3 4\n1 0 0 -1\n0 1 0 -1\n0 0 1 -1\n"
 
 
 def fixture_data(name, drop=None):
@@ -213,10 +216,6 @@ def cli_error(*argv):
 def database_ids(text):
     with pytest.warns(UserWarning, match="database has 1 entries"):
         return [ident for ident, _ in database(text)()]
-
-
-def line_fan_verdicts(name, line, rays, rule):
-    return check_smooth_data(line_fan_data(bundled(name), line, rays, rule))
 
 
 def unparsable_pins():
@@ -521,6 +520,13 @@ PINS = {
     "fileio.ingest_database: a short row": (
         database("3 4\n1 0 0 -1\n0 1 0\n0 0 1 -1\n"), ParseError,
         "database block 0 is ragged"),
+    # a block whose hull fails, and one that holds no 3-space points
+    "fileio.ingest_database: a flat block": (
+        database(P3_DB + "3 3\n1 0 0\n0 1 0\n0 0 1\n"), ParseError,
+        "database block 1: not full-dimensional"),
+    "fileio.ingest_database: a square block of 2": (
+        database(P3_DB + "2 2\n1 0\n0 1\n"), ParseError,
+        "database block 1: neither dimension is 3"),
     "fileio._json: a cut-off fixture": (
         in_file(read_target, "bad.json", '{"kind": "slabs", "slabs": ['),
         ParseError, "bad JSON polytope: Expecting value: line 1 column 29 "
@@ -574,8 +580,6 @@ PINS = {
 }
 
 P2_FAN = [(0, -1, -1), (0, 0, 1), (0, 1, 0)]  # P^2's fan mod (1, 0, 0)
-RATIONAL_END = ("violation: edge {} of P* has a rational end, so its Cayley "
-                "segment has no dual length")
 # the triangle (0, 0), (2, 1), (1, 2), of area 3
 AREA_3_WORD = [(2, 1), (-1, 1), (-1, -2)]
 
@@ -595,22 +599,15 @@ REACHES = {
         lambda: [s.kind for s in line_fan_data(bundled("p3"), (-1, 0, 0),
                                                P2_FAN, []).ray_summands],
         ["point", "point"]),
-    # v2's facets dual to vertices 1-3 are Cayley triangles, each with one
-    # segment dual to an edge of P* with a rational end
-    "degeneration._d2_verdict: v2's rational dual edges": (
-        lambda: line_fan_verdicts("v2", (-1, -1, -1),
-                                  [(0, 0, 1), (0, 1, 0), (1, 0, 0)],
-                                  [{"meets": (Fraction(-1, 3),) * 3,
-                                    "value": 6}]),
-        {0: "smooth", 1: RATIONAL_END.format(0), 2: RATIONAL_END.format(1),
-         3: RATIONAL_END.format(2)}),
-    # b3_cubic's polar vertex 1 lies on the line
-    "degeneration.check_smooth_data: b3_cubic's line fan": (
-        lambda: line_fan_verdicts("b3_cubic", (0, 0, 1), RAYS,
-                                  [{"meets": (0, 0, 1), "value": 3}]),
-        {0: "violation: |a(F1*) - a(F2*)| = 3 > 1", 1: "smooth",
-         2: "violation: |a(F1*) - a(F2*)| = 3 > 1",
-         3: "violation: |a(F1*) - a(F2*)| = 3 > 1"}),
+    # conv(+-2e1, +-e2, +-e3) has facets of index 2 with no smooth
+    # decomposition: P3's row fails and the table goes on
+    "cli._match_db_row: an index-2 facet": (
+        lambda: cli._match_db_row(
+            {"name": "P3", "degree": 64, "p": 4, "n": 24, "chi": 4},
+            LatticePolytope([(2, 0, 0), (-2, 0, 0), (0, 1, 0), (0, -1, 0),
+                             (0, 0, 1), (0, 0, -1)])),
+        (None, "no smooth Minkowski decomposition: facet of ray 0 is not "
+               "divisible by its index 2")),
     "discriminant.max_triangulation: the unit square": (
         lambda: max_triangulation(Polygon([(0, 0), (1, 0), (1, 1), (0, 1)]))
         .triangles, [(0, 2, 3), (0, 3, 1)]),

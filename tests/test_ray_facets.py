@@ -25,10 +25,10 @@ from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon,
                       ref_minkowski_sum, ref_ray_target)
 from fanoscope import cli
 from fanoscope.degeneration import (DegenerationError, _along_line,
-                                    _ray_word, check_smooth_data,
-                                    decomposition_regimes, line_fan_data,
-                                    method1_data, normal_fan_data,
-                                    product_data, ray_lattice)
+                                    _ray_word, decomposition_regimes,
+                                    line_fan_data, method1_data,
+                                    normal_fan_data, product_data,
+                                    ray_lattice)
 from fanoscope.fileio import bundled_polytopes
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 cross, dot, gorenstein_index, identity24)
@@ -143,6 +143,12 @@ def moved_line_fan(p, line, rays, rule, m=None, name=""):
     return line_fan_data(p, line, rays, rule, name=name)
 
 
+def line_direction(m=None):
+    """The minimal line of `b3_data` and `product_image`, or its image
+    under m."""
+    return (0, 0, 1) if m is None else tuple(mat_vec(m, [0, 0, 1]))
+
+
 def b3_data(m=None):
     """The b3_cubic line-fan data, or its image under m."""
     return moved_line_fan(bundled("b3_cubic"), (0, 0, 1),
@@ -163,13 +169,15 @@ def product_image(name, m):
 def line_fan_rays():
     """(P, P*, vertex id, ray basis) of every polar vertex on the minimal line
     of b3_cubic's data, its seeded images and the 4 products: the facets
-    whose ray summands `check_smooth_data` takes as smooth.  The products
-    have no polar vertex on their line."""
-    datas = [b3_data()] + [b3_data(image_map(seed, flip)) for seed in SEEDS
-                           for flip in (False, True)]
-    datas += [product_data(bundled_polygon(n), n) for n in PRODUCTS]
-    for data in datas:
-        dual, dirv = data.dual, data.notes["fan"].direction
+    whose ray summands `line_fan_data` builds.  The products have no polar
+    vertex on their line."""
+    maps = [None] + [image_map(seed, flip) for seed in SEEDS
+                     for flip in (False, True)]
+    datas = [(b3_data(m), line_direction(m)) for m in maps]
+    datas += [(product_data(bundled_polygon(n), n), line_direction())
+              for n in PRODUCTS]
+    for data, dirv in datas:
+        dual = data.dual
         for vid, v in enumerate(dual.vertices):
             if _along_line(v, dirv):
                 yield data.polytope, dual, vid, ray_lattice(dirv)
@@ -193,8 +201,9 @@ def test_ray_facets_match_on_line_fan_rays():
 
 
 def ref_d1_verdict(data, ray, f, w_basis):
-    """The D1 check that the proof in `check_smooth_data` makes unneeded: r
-    times the Minkowski sum of the ray's summands against the facet v*."""
+    """The D1 check of the retired smooth-data verdicts, which construction
+    makes unneeded: r times the Minkowski sum of the ray's summands against
+    the facet v*."""
     summands = [s.summand for s in data.ray_summands
                 if s.ray == ray and s.summand is not None]
     total = ref_minkowski_sum(summands) if summands else None
@@ -207,52 +216,49 @@ def ref_d1_verdict(data, ray, f, w_basis):
     return "violation: v* != r P_L + S_v"
 
 
-def d1_vertices(data):
-    """(vertex id, ray name, facet of P, ray basis) of every polar vertex
-    on a ray of the data's fan: every vertex of a normal fan, and a line
-    fan's vertices on its minimal line."""
+def d1_vertices(data, dirv):
+    """(ray name, facet of P, ray basis) of every polar vertex on a ray of
+    the data's fan: every vertex of a normal fan (dirv None), and a line
+    fan's vertices on its minimal line, through dirv."""
     facets = data.polytope.facets
-    if data.kind == "normal_fan":
+    if dirv is None:
         for vid, f in enumerate(facets):
-            yield vid, f"v{vid}", f, ray_lattice(f.dual)
+            yield f"v{vid}", f, ray_lattice(f.dual)
         return
-    dirv = data.notes["fan"].direction
-    for vid, (v, f) in enumerate(zip(data.dual.vertices, facets)):
+    for v, f in zip(data.dual.vertices, facets):
         if _along_line(v, dirv):
             ray = "rho_plus" if dot(v, dirv) > 0 else "rho_minus"
-            yield vid, ray, f, ray_lattice(dirv)
+            yield ray, f, ray_lattice(dirv)
 
 
 def ray_datas(name, seed=None, flip=False):
-    """The data of a bundled target, or of its seeded image: every method-1
-    choice, v2's normal fan with a_E = 6, or the line fan of b3_cubic or
-    a product."""
+    """(data, its minimal line or None) of a bundled target, or of its
+    seeded image: every method-1 choice, v2's normal fan with a_E = 6, or
+    the line fan of b3_cubic or a product."""
     m = None if seed is None else image_map(seed, flip)
     if name == "b3_cubic":
-        return [b3_data(m)]
+        return [(b3_data(m), line_direction(m))]
     if name in PRODUCTS:
-        return [product_image(name, m)]
+        return [(product_image(name, m), line_direction(m))]
     p = bundled(name) if m is None else image(bundled(name), seed, flip)
     if name == "v2":
-        return [normal_fan_data(p)]
+        return [(normal_fan_data(p), None)]
     counts = [len(r) for r in decomposition_regimes(p)]
-    return [method1_data(p, choice)
+    return [(method1_data(p, choice), None)
             for choice in itertools.product(*map(range, counts))]
 
 
 @pytest.mark.parametrize("name", NORMAL_FAN_POLYTOPES
                          + ("v2", "b3_cubic") + PRODUCTS)
 def test_ray_summands_resum_to_their_facet(name):
-    # what `check_smooth_data` relies on without checking: r times the sum
-    # of a ray's summands is its facet, so S_v is a point and D1 is smooth
+    # what construction holds without checking it: r times the sum of a
+    # ray's summands is its facet, so S_v is a point and D1 is smooth
     indices = set()
     for seed, flip in [(None, False)] + [(seed, flip) for seed in SEEDS
                                          for flip in (False, True)]:
-        for data in ray_datas(name, seed, flip):
-            verdicts = check_smooth_data(data)
-            for vid, ray, f, w_basis in d1_vertices(data):
+        for data, dirv in ray_datas(name, seed, flip):
+            for ray, f, w_basis in d1_vertices(data, dirv):
                 assert ref_d1_verdict(data, ray, f, w_basis) == "smooth"
-                assert verdicts[vid] == "smooth"
                 indices.add(-f.level)
     # the products have no polar vertex on their line
     assert indices == ({1, 3} if name == "v2" else

@@ -24,10 +24,8 @@ the deleted `check_convexity`, `check_smooth_edge_data` and
 The fallbacks that no input reaches are gone the same way: `Sections`'
 corners always make a polygon, the enumerator yields no point summand
 (`build_system`, `Summand`, `_attach`), a vertical edge never empties a
-column of `Polygon._lattice_scan`, each Cayley segment of `_d2_verdict`
-has its dual edge, a degenerate section of `dual_graph` has no side or two
-of its length, and `check_smooth_data` finds every line fan's
-`notes["fan"]`.
+column of `Polygon._lattice_scan`, and a degenerate section of
+`dual_graph` has no side or two of its length.
 """
 
 import random
@@ -52,15 +50,11 @@ from test_minkowski import DILATED, decompose, smooth_sums
 from test_shared_geometry import SEEDS, image
 from test_slab_checks import bundled_slabs
 from fanoscope import degeneration, invariants
-from fanoscope.degeneration import (DegenerationError, GeneralizedFan,
-                                    RaySummand,
-                                    _along_line, _exit_point, _plane_slice,
-                                    _two_cone,
-                                    _two_cone_containing, check_smooth_data,
+from fanoscope.degeneration import (DegenerationError, RaySummand,
+                                    _exit_point, _plane_slice, _two_cone,
                                     decomposition_regimes, line_fan,
                                     line_fan_data, method1_data,
-                                    normal_fan_data, product_data,
-                                    ray_lattice)
+                                    normal_fan_data, ray_lattice)
 from fanoscope.discriminant import (_graph_piece, assemble_global, dual_graph,
                                     export_json, max_triangulation)
 from fanoscope.fileio import (bundled_polytopes, data_from_fixture,
@@ -147,10 +141,9 @@ def complete_fans(p, rng, count=20):
         d = (rng.choice(lines) if rng.random() < 0.5 else
              rng.choice(box + [(1, 2, 0), (2, -1, 1), (0, 1, -2)]))
         try:
-            fan = line_fan(d, rng.sample(box, rng.randint(3, 5)))
+            fans.append(line_fan(d, rng.sample(box, rng.randint(3, 5))))
         except DegenerationError:
-            continue
-        fans.append((fan.direction, fan.rays2d))
+            pass
     return fans
 
 
@@ -544,72 +537,6 @@ def test_scan_matches_the_bounding_box_on_section_polygons(seed):
     assert any(n1 == 0 for poly in polys for (_, n1), _ in poly.edge_normals())
     for poly in polys:
         assert_scan(poly)
-
-
-# ---------------------------------------------------------------------------
-# line fans: each keeps its fan, and each Cayley segment has a dual edge
-
-
-def line_fan_datas(seed):
-    """Degeneration data of the line fans of `complete_fans` on the Fano
-    images that build, with the products and the b3_cubic fixture."""
-    rng = random.Random(f"line fan data {seed}")
-    out = []
-    for p in fano_images(seed):
-        for d, rays in complete_fans(p, rng):
-            try:
-                out.append(line_fan_data(p, d, rays, []))
-            except DegenerationError:  # an exit that no decomposition fits
-                pass
-    for name in bundled_polytopes()["polygons"]:
-        q = bundled_polygon(name)
-        if seed is not None:
-            m = random_unimodular2(random.Random(seed))
-            q = Polygon([tuple(mat_vec(m, list(v))) for v in q.vertices])
-        out.append(product_data(q))
-    if seed is None:
-        out.append(data_from_fixture(load_fixture("b3_cubic")))
-    return out
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_line_fan_data_keeps_its_fan(seed):
-    datas = line_fan_datas(seed)
-    assert len(datas) >= 40
-    for data in datas:
-        fan = data.notes["fan"]
-        assert data.kind in ("line_fan", "product")
-        assert isinstance(fan, GeneralizedFan)
-        assert check_smooth_data(data).keys() == set(range(
-            len(data.dual.vertices)))
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_cayley_segments_are_edges_dual_to_edges_of_the_polar(seed):
-    segments = 0
-    for data in line_fan_datas(seed):
-        p, dual, fan = data.polytope, data.dual, data.notes["fan"]
-        dual_edges = {e.facet_ids for e in dual.edges}
-        two_cones = [_two_cone(fan.direction, w) for w in fan.rays2d]
-        for vert, f in zip(dual.vertices, p.facets):
-            t_dir = _two_cone_containing(two_cones, vert)
-            if t_dir is None or _along_line(vert, fan.direction):
-                continue
-            groups = {}
-            for vid in f.cycle:
-                groups.setdefault(cross(p.vertices[vid], t_dir),
-                                  []).append(vid)
-            if len(groups) != 2 or any(len(g) > 2 for g in groups.values()):
-                continue
-            k = len(f.cycle)
-            for g in groups.values():
-                if len(g) == 2:
-                    i, j = sorted(map(f.cycle.index, g))
-                    assert j - i in (1, k - 1)  # an edge of the facet
-                    assert frozenset(g) in dual_edges
-                    segments += 1
-        check_smooth_data(data)
-    assert segments >= 10
 
 
 # ---------------------------------------------------------------------------
