@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from fractions import Fraction
 
 from . import fileio
@@ -33,6 +34,12 @@ def _fail(kind: str, message: str, code: int):
     sys.stderr.write(json.dumps({"error": kind, "message": message},
                                 sort_keys=True) + "\n")
     return code
+
+
+def _warn(message, category, *_):
+    """`warnings.showwarning` as one JSON line on stderr, as `_fail`'s."""
+    sys.stderr.write(json.dumps({"message": str(message),
+                                 "warning": category.__name__}) + "\n")
 
 
 def _emit(obj):
@@ -113,16 +120,17 @@ def cmd_verify24(args):
     path = args.db or os.environ.get("FANOSCOPE_DB")
     if not path:
         return _fail("usage", "no database: pass --db or set FANOSCOPE_DB", 2)
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["id", "sum", "pass"])
-    ok = True
+    rows = [["id", "sum", "pass"]]
     for ident, p in fileio.ingest_database(path):
-        total = identity24(p)
-        writer.writerow([ident, total, "pass" if total == 24 else "FAIL"])
-        ok = ok and total == 24
-    _write_out(args.out, buf.getvalue())
-    return 0 if ok else 1
+        try:
+            total = identity24(p)
+            note = "pass" if total == 24 else "FAIL"
+        except PolytopeError as exc:
+            total, note = "n/a", f"FAIL: {exc}"
+        rows.append([ident, total, note])
+    _write_csv(args.out, rows)
+    failures = [ident for ident, _, note in rows[1:] if note != "pass"]
+    return _fail("verify24", f"rows failed: {failures}", 1) if failures else 0
 
 
 def cmd_gamma(args):
@@ -211,12 +219,8 @@ def cmd_table(args):
     if db_path:
         wanted = {r["palp"] for r in rows
                   if r.get("method", "db") == "db" and r["palp"] is not None}
-        for i, p in fileio.ingest_database(db_path):
-            if i in wanted:
-                db[i] = p
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["Name", "PALP ID", "Degree", "p", "n", "chi", "Notes"])
+        db = {i: p for i, p in fileio.ingest_database(db_path) if i in wanted}
+    csv_rows = [["Name", "PALP ID", "Degree", "p", "n", "chi", "Notes"]]
     failures = []
     polygons = fileio.bundled_polytopes()["polygons"]
     for row in rows:
@@ -251,23 +255,22 @@ def cmd_table(args):
             note = "stated only (construction out of scope)"
         if row.get("chi_printed") is not None:
             note += f"; table prints chi = {row['chi_printed']}"
-        writer.writerow([row["name"], row["palp"] if row["palp"] is not None
+        csv_rows.append([row["name"], row["palp"] if row["palp"] is not None
                          else "n/a", row["degree"], row["p"], row["n"],
                          row["chi"], note])
-    _write_out(args.out, buf.getvalue())
-    if failures:
-        sys.stderr.write(json.dumps(
-            {"error": "table", "message": f"rows failed: {failures}"}) + "\n")
-        return 1
-    return 0
+    _write_csv(args.out, csv_rows)
+    return _fail("table", f"rows failed: {failures}", 1) if failures else 0
 
 
-def _write_out(path, text):
+def _write_csv(path, rows):
+    """rows as CSV, to the file at path, or to stdout when there is none."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
     if path:
         with open(path, "w") as fh:
-            fh.write(text)
+            fh.write(buf.getvalue())
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(buf.getvalue())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -323,15 +326,17 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    try:
-        args = build_parser().parse_args(argv)
-        return args.func(args)
-    except (ParseError, OSError, json.JSONDecodeError,
-            UnicodeDecodeError) as exc:  # a file that is not UTF-8 text
-        return _fail(type(exc).__name__, str(exc), 2)
-    except (DegenerationError, InvariantError, GammaError, PolytopeError,
-            ValueError) as exc:
-        return _fail(type(exc).__name__, str(exc), 1)
+    with warnings.catch_warnings():
+        warnings.showwarning = _warn
+        try:
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+        except (ParseError, OSError, json.JSONDecodeError,
+                UnicodeDecodeError) as exc:  # a file that is not UTF-8 text
+            return _fail(type(exc).__name__, str(exc), 2)
+        except (DegenerationError, InvariantError, GammaError, PolytopeError,
+                ValueError) as exc:
+            return _fail(type(exc).__name__, str(exc), 1)
 
 
 if __name__ == "__main__":

@@ -139,7 +139,6 @@ class Slab:
     sections: Sections = field(init=False)
     spans: tuple = field(init=False)
     two_area: int = field(init=False)
-    b_count: int = field(init=False)
     i_count: int = field(init=False)
 
     def __post_init__(self):
@@ -147,7 +146,7 @@ class Slab:
         two_area, b = sec.two_area(), sum(sec.spans)
         # frozen: the derived fields are set once, here
         vars(self).update(sections=sec, spans=sec.spans, two_area=two_area,
-                          b_count=b, i_count=(two_area + 2 - b) // 2)
+                          i_count=(two_area + 2 - b) // 2)
 
     @classmethod
     def shared(cls, built, name, polygon, coeffs, roles):
@@ -163,6 +162,10 @@ class Slab:
         slab = copy.copy(first)
         vars(slab).update(name=name, roles=roles)
         return slab
+
+    @property
+    def b_count(self) -> int:
+        return sum(self.spans)
 
     @property
     def boundary_points(self) -> int:
@@ -217,26 +220,25 @@ class RaySummand:
 @dataclass(frozen=True)
 class DegenerationData:
     """Slabs and ray summands, checked once, when built (`validate`), and
-    frozen after that: a changed copy comes from `dataclasses.replace`,
-    which checks it again."""
+    frozen: a changed copy comes from `dataclasses.replace`, which checks
+    it again.  `stated` maps what a fixture states to (value, source)."""
     name: str
     kind: str                          # normal_fan | line_fan | product | slabs
     slabs: tuple
     ray_summands: tuple                # RaySummand entries (points included)
     polytope: LatticePolytope | None = None
-    dual: LatticePolytope | None = None
     vertex_count: int = 0
-    edge_values: dict = field(default_factory=dict)
-    b2_fixture: int | None = None
-    b2_source: str = ""
-    degree_fixture: int | None = None
-    boundary_components: int | None = None
-    notes: dict = field(default_factory=dict)
+    stated: dict = field(default_factory=dict)
 
     def __post_init__(self):
         vars(self).update(slabs=tuple(self.slabs),
                           ray_summands=tuple(self.ray_summands))
         self.validate()
+
+    @property
+    def dual(self) -> LatticePolytope | None:
+        """P*, which P keeps once built, or None without P."""
+        return None if self.polytope is None else self.polytope.polar_dual()
 
     # -- node census ---------------------------------------------------------
 
@@ -482,7 +484,6 @@ def normal_fan_data(p: LatticePolytope, choice=None,
             f"got {len(choice)} decomposition indices, need one per vertex "
             f"0..{len(dual.vertices) - 1} of the polar dual")
     # one pass over P*'s edges: labels, slabs, and (edge, other end) by end
-    values = {}
     slabs = []
     built = {}  # (polygon, coeffs) -> its first slab, within this call
     ends = [[] for _ in dual.vertices]
@@ -494,23 +495,17 @@ def normal_fan_data(p: LatticePolytope, choice=None,
         # facet j of P* is dual to vertex j of P
         v, w = (p.vertices[j] for j in e.facet_ids)
         ell = gcd(*(x - y for x, y in zip(v, w)))
-        values[i] = ell * ell // gcd(*cross(v, w))
+        label = ell * ell // gcd(*cross(v, w))
         # P*'s rows lie in the saturated plane lattice: int coordinates
         basis = plane_basis([dual.vertices[a_id], dual.vertices[b_id]])
         ca, cb = plane_coords(basis, [rows[a_id], rows[b_id]])
         poly = Polygon([(0, 0), ca, cb])
         coeffs, roles = [], []
-        for x, y in poly.edges():
-            pair = {x, y}
-            if pair == {ca, cb}:
-                coeffs.append(values[i])
-                roles.append(ROLE_BOUNDARY)
-            elif ca in pair:
-                coeffs.append(0)
-                roles.append(f"ray:{_ray_name(a_id)}")
-            else:
-                coeffs.append(0)
-                roles.append(f"ray:{_ray_name(b_id)}")
+        for edge in poly.edges():  # [ca, cb], or a ray's edge from 0
+            boundary = set(edge) == {ca, cb}
+            coeffs.append(label if boundary else 0)
+            roles.append(ROLE_BOUNDARY if boundary else
+                         f"ray:{_ray_name(a_id if ca in edge else b_id)}")
         slabs.append(Slab.shared(built, _edge_name(i), poly, tuple(coeffs),
                                  tuple(roles)))
 
@@ -536,9 +531,6 @@ def normal_fan_data(p: LatticePolytope, choice=None,
         slabs=slabs,
         ray_summands=ray_summands,
         polytope=p,
-        dual=dual,
-        vertex_count=0,
-        edge_values=values,
     )
 
 
@@ -667,7 +659,7 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
         if len(meets) != 3:
             raise DegenerationError(f"edge rule point {meets} is not a point "
                                     "of 3-space")
-    edge_values = _rule_values(dual, rules)
+    labels = _rule_values(dual, rules)
 
     rows, den = dual.vertex_rows
     levels = [dot(f.normal, rows[f.cycle[0]]) for f in dual.facets]
@@ -698,7 +690,7 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
                 continue
             eidx = (_containing_edge(dual, flat, space[a], space[b])
                     if flat else None)
-            coeffs.append(0 if eidx is None else edge_values[eidx])
+            coeffs.append(0 if eidx is None else labels[eidx])
             roles.append(ROLE_BOUNDARY)
         sname = f"S{k}"
         slabs.append(Slab.shared(built, sname, poly, tuple(coeffs),
@@ -741,9 +733,7 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
         slabs=slabs,
         ray_summands=ray_summands,
         polytope=p,
-        dual=dual,
         vertex_count=v_count,
-        edge_values=edge_values,
     )
 
 
@@ -753,7 +743,12 @@ def product_data(q: Polygon, name="") -> DegenerationData:
     Q's edges (n, c): the polar vertex n / -c is integral exactly when
     c = -1, as n is primitive, and vertex i of Q lies on the lines of edges
     i - 1 and i alone, so l(v*) is the lattice length of [n_(i-1), n_i].
-    """
+
+    Slab k is [0, v_k] x [-1, 1], and its one nonzero coefficient is a_v on
+    {v_k} x [-1, 1], the edge of P* through the rule point (v_k, 0): its
+    spine gets 0, and [0, v_k] x {+-1} lie on no edge of P*, as 0 is
+    interior to Q.  So sum a_v is the sum of all slab coefficients, which
+    `tests/test_degeneration.py` asserts on every reflexive base polygon."""
     edges = q.edge_normals()
     if any(c >= 0 for _, c in edges):
         raise DegenerationError("origin not interior to the base polygon")
@@ -767,8 +762,7 @@ def product_data(q: Polygon, name="") -> DegenerationData:
              for i, ((x, y), n) in enumerate(zip(q.vertices, normals))]
     data = line_fan_data(p, (0, 0, 1), [(x, y, 0) for x, y in q.vertices],
                          rules, name=name or "product data")
-    return replace(data, kind="product",
-                   notes={"a_values": [r["value"] for r in rules]})
+    return replace(data, kind="product")
 
 
 # -- small geometric helpers -------------------------------------------------

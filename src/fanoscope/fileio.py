@@ -206,17 +206,20 @@ def data_from_fixture(doc: dict) -> DegenerationData:
                          f"{kind} fixture")
     name = _typed(doc.get("name", "fixture"), str, "fixture name")
     _require(doc, required, f"{kind} fixture")
-    # the invariants a fixture pins, read before the data is built
-    extra = {attr: _typed(doc[key], int, f"fixture {key}")
-             for key, attr in (("vertex_count", "vertex_count"),
-                               ("degree", "degree_fixture"),
-                               ("boundary_components", "boundary_components"))
+    # the invariants a fixture pins, read before the data is built; those
+    # it states go to `DegenerationData.stated` with their source: the
+    # paper's, or what a b2 block names ("fixture" when it names none)
+    extra = {key: _typed(doc[key], int, f"fixture {key}")
+             for key in ("vertex_count", "degree", "boundary_components")
              if doc.get(key) is not None}
+    stated = {key: (extra.pop(key), "paper")
+              for key in ("degree", "boundary_components") if key in extra}
     if doc.get("b2") is not None:
         _require(doc["b2"], ("value",), "fixture b2 block")
-        extra["b2_fixture"] = _typed(doc["b2"]["value"], int,
-                                     "fixture b2 value")
-        extra["b2_source"] = doc["b2"].get("source", "fixture")
+        stated["b2"] = (_typed(doc["b2"]["value"], int, "fixture b2 value"),
+                        doc["b2"].get("source") or "fixture")
+    if stated:
+        extra["stated"] = stated
     p = None
     if "polytope" in doc:
         p = _build(doc["polytope"], "fixture polytope")
@@ -338,8 +341,7 @@ def _slab_fixture(doc, name, p, extra):
             for _ in range(cnt):
                 summands.append(RaySummand(ray, kind, on))
     return DegenerationData(name=name, kind="slabs", slabs=slabs,
-                            ray_summands=summands, polytope=p,
-                            dual=p.polar_dual() if p else None, **extra)
+                            ray_summands=summands, polytope=p, **extra)
 
 
 def expected_rows():

@@ -51,10 +51,11 @@ def euler_smooth_mink(data: DegenerationData) -> int:
 
 
 def euler_product(data: DegenerationData) -> int:
-    """Product construction: e = 2 * sum a_v = 2 e(dP_d) with d = 12 - sum."""
+    """Product construction: e = 2 * sum a_v = 2 e(dP_d) with d = 12 - sum,
+    read as the sum of all slab coefficients (`product_data`)."""
     if data.kind != "product":
         raise InvariantError("not product data")
-    return 2 * sum(data.notes["a_values"])
+    return 2 * sum(sum(s.coeffs) for s in data.slabs)
 
 
 # ---------------------------------------------------------------------------
@@ -134,8 +135,8 @@ def fano_index(data: DegenerationData, b2: int, degree: int) -> int:
     `tests/test_invariants.py` builds the rows and asserts it on every
     bundled Fano polytope and its GL(3,Z) images.
     """
-    if data.boundary_components is not None:
-        k = data.boundary_components
+    if "boundary_components" in data.stated:
+        k = data.stated["boundary_components"][0]
         if degree != k ** 3:
             raise InvariantError("cannot determine the index from boundary "
                                  "components")
@@ -146,14 +147,6 @@ def fano_index(data: DegenerationData, b2: int, degree: int) -> int:
     if b2 != 1:
         raise InvariantError("not rank one")
     return gcd(*(_cell_class_data(data.dual, f) for f in data.dual.facets))
-
-
-def analyze_degree(data: DegenerationData) -> int:
-    if data.polytope is not None:
-        return degree(data.polytope)
-    if data.degree_fixture is not None:
-        return data.degree_fixture
-    raise InvariantError("no degree source available")
 
 
 # ---------------------------------------------------------------------------
@@ -220,11 +213,15 @@ def analyze(data: DegenerationData) -> InvariantReport:
         if closed != e:
             raise InvariantError(f"formula mismatch: product form {closed} != {e}")
         prov["euler"] += " + product form"
-    deg = analyze_degree(data)
-    prov["degree"] = ("2|P*.M| - 6" if data.polytope is not None
-                      and data.polytope.is_reflexive() else
-                      "dilated boundary area" if data.polytope is not None
-                      else "source: paper")
+    if data.polytope is not None:
+        deg = degree(data.polytope)
+        prov["degree"] = ("2|P*.M| - 6" if data.polytope.is_reflexive()
+                          else "dilated boundary area")
+    elif "degree" in data.stated:
+        deg, source = data.stated["degree"]
+        prov["degree"] = f"source: {source}"
+    else:
+        raise InvariantError("no degree source available")
 
     b2v = None
     if data.kind == "normal_fan":
@@ -236,16 +233,16 @@ def analyze(data: DegenerationData) -> InvariantReport:
                 raise InvariantError("fast-path b2 disagrees with the limit")
             prov["b2"] += " (fast path agrees)"
     elif data.kind == "product":
-        b2v = sum(data.notes["a_values"]) - 1
+        b2v = euler_product(data) // 2 - 1  # sum a_v - 1
         prov["b2"] = "product closed form"
-    elif data.b2_fixture is not None:
-        b2v = data.b2_fixture
-        prov["b2"] = f"source: {data.b2_source or 'fixture'}"
+    elif "b2" in data.stated:
+        b2v, source = data.stated["b2"]
+        prov["b2"] = f"source: {source}"
 
     b3v = b3_from(e, b2v) if b2v is not None else None
 
     idx = None
-    if data.boundary_components is not None:
+    if "boundary_components" in data.stated:
         idx = fano_index(data, b2v, deg)
         prov["index"] = "homologous boundary components"
     elif data.kind == "normal_fan" and b2v == 1:

@@ -26,7 +26,8 @@ from fanoscope.minkowski import Summand
 from fanoscope.polytope import (Edge, Facet, LatticePolytope, Polygon,
                                 PolytopeError, _clean, _hull2d, _lattice_index,
                                 _quotient, cross, dot, embed_polygon,
-                                is_integral, lattice_length, plane_coords,
+                                gorenstein_index, is_integral,
+                                lattice_length, plane_coords,
                                 plane_normal, vadd, vsub)
 
 
@@ -216,6 +217,33 @@ def bundled(name) -> LatticePolytope:
 
 def bundled_polygon(name) -> Polygon:
     return Polygon(bundled_polytopes()["polygons"][name])
+
+
+def product_labels(q: Polygon):
+    """a_v = l(v*) for each vertex v of a reflexive polygon Q, in its
+    order, read off Q's edge normals: vertex i lies on edges i - 1 and i,
+    so v* is [n_(i-1), n_i]."""
+    normals = [n for n, _ in q.edge_normals()]
+    return [gcd(a - c, b - d)
+            for (a, b), (c, d) in zip(normals[-1:] + normals[:-1], normals)]
+
+
+def dual_labels(p: LatticePolytope):
+    """l(E*) / r(E*) for each edge E of P*, in its order, as
+    `normal_fan_data`'s docstring derives it: E* = [v, w] is the edge of P
+    through the vertices dual to E's two facets, l its lattice length and
+    r its Gorenstein index."""
+    dual = p.polar_dual()
+    return [dual.dual_edge_length(e)
+            // gorenstein_index([p.vertices[j] for j in e.facet_ids])
+            for e in dual.edges]
+
+
+def edge_labels(data):
+    """{edge i: its label} of normal-fan data, read off the one boundary
+    edge of slab E<i>, where `normal_fan_data` puts it."""
+    return {i: s.coeffs[s.roles.index(ROLE_BOUNDARY)]
+            for i, s in enumerate(data.slabs)}
 
 
 def malformed_slab_fixtures():
@@ -1003,23 +1031,26 @@ def relabelled(data, labels):
     over the labels it has.  `replace` checks the copy; under `unchecked`
     it gives data that construction refuses.  A slab's sections still
     refuse a label they cannot take."""
-    values = (dict.fromkeys(data.edge_values, labels)
-              if isinstance(labels, int) else {**data.edge_values, **labels})
+    values = edge_labels(data)
+    values.update(dict.fromkeys(values, labels) if isinstance(labels, int)
+                  else labels)
     built = {}  # shared as `normal_fan_data` shares them
     slabs = [Slab.shared(built, s.name, s.polygon,
                          tuple(values[i] if r == ROLE_BOUNDARY else c
                                for c, r in zip(s.coeffs, s.roles)), s.roles)
              for i, s in enumerate(data.slabs)]
-    return replace(data, slabs=slabs, edge_values=values)
+    return replace(data, slabs=slabs)
 
 
 def ref_check_convexity(data: DegenerationData):
-    """`degeneration.check_convexity` as it was, verbatim."""
+    """`degeneration.check_convexity` as it was, verbatim but for the
+    labels, read off the slabs (`edge_labels`)."""
     out = []
     if data.kind != "normal_fan" or data.dual is None:
         return out
+    labels = edge_labels(data)
     for i, e in enumerate(data.dual.edges):
-        a = data.edge_values.get(i, 0)
+        a = labels.get(i, 0)
         hi = data.dual.dual_edge_length(e)
         if not 0 <= a <= hi:
             out.append(f"edge {i}: a = {a} outside [0, {hi}]")
@@ -1027,12 +1058,14 @@ def ref_check_convexity(data: DegenerationData):
 
 
 def ref_check_smooth_edge_data(data: DegenerationData):
-    """`degeneration.check_smooth_edge_data` as it was, verbatim."""
+    """`degeneration.check_smooth_edge_data` as it was, verbatim but for
+    the labels, read off the slabs (`edge_labels`)."""
     out = []
     if data.kind != "normal_fan" or data.dual is None:
         return out
+    labels = edge_labels(data)
     for i, e in enumerate(data.dual.edges):
-        a = data.edge_values.get(i, 0)
+        a = labels.get(i, 0)
         ell = data.dual.dual_edge_length(e)
         if a not in (ell - 1, ell):
             out.append(f"edge {i}: a = {a} not in {{{ell - 1}, {ell}}}")
@@ -1040,13 +1073,14 @@ def ref_check_smooth_edge_data(data: DegenerationData):
 
 
 def ref_check_compatibility(data: DegenerationData):
-    """`degeneration.check_compatibility` as it was, verbatim: the
-    pullback degree of L_rho on each invariant curve must equal a_E / r(F*);
-    reported per (ray, slab)."""
+    """`degeneration.check_compatibility` as it was, verbatim but for the
+    labels, read off the slabs (`edge_labels`): the pullback degree of
+    L_rho on each invariant curve must equal a_E / r(F*); reported per
+    (ray, slab)."""
     out = []
     if data.kind != "normal_fan" or data.dual is None:
         return out
-    dual = data.dual
+    dual, labels = data.dual, edge_labels(data)
     for vid, f in enumerate(data.polytope.facets):
         r = -f.level
         summands = [s for s in data.ray_summands if s.ray == _ray_name(vid)]
@@ -1055,7 +1089,7 @@ def ref_check_compatibility(data: DegenerationData):
                 continue
             sname = _edge_name(i)
             got = sum(1 for s in summands if sname in s.slabs)
-            a = data.edge_values.get(i, 0)
+            a = labels.get(i, 0)
             if a != got * r:
                 out.append(f"ray v{vid}, slab {sname}: degree {got} != "
                            f"a/r = {a}/{r}")

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from conftest import (NORMAL_FAN_POLYTOPES, EmptyLinearSystem, bundled,
                       bundled_polygon, dual_face_vertices,
                       edge_vector_multiset, face_length, lattice_polygons,
-                      mat_vec, random_unimodular2, random_unimodular3,
+                      mat_vec, product_labels, random_unimodular2,
+                      random_unimodular3,
                       ref_check_compatibility, ref_check_convexity,
                       ref_check_smooth_edge_data, ref_facet_in_ray_coords,
                       ref_sections_one_pass, ref_vertices, relabelled,
@@ -21,6 +22,7 @@ from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationData,
                                     normal_fan_data, polygon_of_sections,
                                     product_data, ray_lattice)
 from fanoscope.fileio import bundled_polytopes, data_from_fixture, load_fixture
+from fanoscope.invariants import euler_product
 from fanoscope.minkowski import enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 dot, gorenstein_index, is_integral)
@@ -172,16 +174,84 @@ def test_line_fan_rejects_a_rule_point_off_3_space():
 def test_products():
     for name, boundary, base in (("diamond", 16, 4), ("triangle", 18, 3),
                                  ("hexagon", 12, 6), ("pentagon", 14, 5)):
-        d = product_data(bundled_polygon(name), name)
+        q = bundled_polygon(name)
+        d = product_data(q, name)
         assert (d.p_count, d.n_count) == (0, 0)
         assert d.boundary_count == boundary
-        assert 12 - sum(d.notes["a_values"]) == base
+        assert 12 - sum(product_labels(q)) == base
         assert d.vertex_count == 0
 
 
 def test_product_rejects_non_reflexive_base():
     with pytest.raises(DegenerationError, match="reflexive"):
         product_data(Polygon([(1, 0), (0, 1), (-1, -3)]))
+
+
+# one polygon of each of the 16 GL(2,Z) classes of reflexive polygons, by
+# their number of boundary points, 3 to 9
+REFLEXIVE_POLYGONS = (
+    [(1, 0), (0, 1), (-1, -1)],
+    [(-1, -1), (1, 0), (-1, 1)],
+    [(-1, -1), (0, -1), (1, 1), (-1, 0)],
+    [(-1, -1), (1, 0), (1, 1), (-1, 0)],
+    [(-1, -1), (0, -1), (1, 2), (-1, 0)],
+    [(-1, -1), (0, -1), (1, 0), (0, 1), (-1, 0)],
+    [(-1, -1), (2, -1), (-1, 1)],
+    [(-1, -1), (0, -1), (1, 1), (1, 2), (-1, 0)],
+    [(-1, -1), (1, -1), (1, 1), (-1, 0)],
+    [(-1, -1), (0, -1), (1, 0), (1, 1), (0, 1), (-1, 0)],
+    [(-1, -1), (2, -1), (0, 1), (-1, 0)],
+    [(-1, -1), (0, -1), (2, 1), (0, 1), (-1, 0)],
+    [(-1, -1), (1, -1), (1, 2), (-1, 0)],
+    [(-1, -1), (1, -1), (1, 1), (-1, 1)],
+    [(-1, -1), (3, -1), (-1, 1)],
+    [(-1, -1), (2, -1), (-1, 2)])
+
+
+def reflexive_class(q: Polygon):
+    """A key of q's GL(2,Z) class, for a reflexive q: the least sorted
+    vertex tuple of its images with an edge on y = -1 and that edge's
+    least vertex at (0, -1), over every edge and both orientations."""
+    keys = []
+    for sign in (1, -1):
+        p = Polygon([(sign * x, y) for x, y in q.vertices])
+        for (n0, n1), _ in p.edge_normals():
+            # g = [[a, b], [n0, n1]] of determinant 1 takes the edge to
+            # y = -1: a n1 = 1 mod n0, as gcd(n0, n1) = 1
+            a = n1 if n0 == 0 else pow(n1, -1, abs(n0)) if abs(n0) > 1 else 0
+            b = 0 if n0 == 0 else (a * n1 - 1) // n0
+            image = [(a * x + b * y, n0 * x + n1 * y) for x, y in p.vertices]
+            k = min(x for x, y in image if y == -1)
+            keys.append(tuple(sorted((x + k * y, y) for x, y in image)))
+    return min(keys)
+
+
+def test_the_reflexive_polygons_are_the_16_classes():
+    polygons = [Polygon(q) for q in REFLEXIVE_POLYGONS]
+    assert all(c == -1 for q in polygons for _, c in q.edge_normals())
+    assert len({reflexive_class(q) for q in polygons}) == 16
+    # the key is a class invariant
+    h = random_unimodular2(random.Random(7))
+    for q in polygons:
+        moved = Polygon([tuple(mat_vec(h, list(v))) for v in q.vertices])
+        assert reflexive_class(moved) == reflexive_class(q)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32))
+def test_product_slabs_carry_one_label_each(seed):
+    # the sum a_v that `euler_product` and the product b2 read off the slab
+    # coefficients: slab k carries exactly one nonzero coefficient, the
+    # a_v of vertex k, on every reflexive base polygon and its images
+    h = random_unimodular2(random.Random(seed))
+    for verts in REFLEXIVE_POLYGONS:
+        q = Polygon([tuple(mat_vec(h, list(v))) for v in verts])
+        labels = product_labels(q)
+        d = product_data(q)
+        assert [[c for c in s.coeffs if c] for s in d.slabs] == [
+            [a] for a in labels]
+        assert sum(sum(s.coeffs) for s in d.slabs) == sum(labels)
+        assert euler_product(d) == 2 * sum(labels)
 
 
 def test_compatibility_names_each_broken_ray_and_slab():

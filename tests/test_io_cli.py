@@ -99,10 +99,17 @@ def test_table_manifest_row_without_method_is_a_db_row(tmp_path):
     manifest = tmp_path / "rows.json"
     row = {"name": "P3", "palp": 0, "degree": 64, "p": 4, "n": 24, "chi": 4}
     manifest.write_text(json.dumps({"rows": [row]}))
-    with pytest.warns(UserWarning, match="expected 4319"):
-        code, out, err = run_cli("table", str(manifest), "--db", path)
-    assert (code, err) == (0, "")
+    code, out, err = run_cli("table", str(manifest), "--db", path)
+    assert code == 0
+    assert one_json_line(err) == size_warning(3)
     assert out.splitlines()[1] == "P3,0,64,4,24,4,ok"
+
+
+def size_warning(count):
+    """The JSON line with which the CLI reports the database size warning
+    that `ingest_database` gives its library callers as a UserWarning."""
+    return {"warning": "UserWarning",
+            "message": f"database has {count} entries, expected 4319"}
 
 
 def test_parse_errors(tmp_path):
@@ -248,11 +255,11 @@ def test_table_fails_the_row_of_a_refused_polytope(tmp_path, key):
     path = tmp_path / "db.txt"
     path.write_text(text)
     csv_path = tmp_path / "table.csv"
-    with pytest.warns(UserWarning, match="database has 1 entries"):
-        code, out, err = run_cli("table", "expected", "--db", str(path),
-                                 "--out", str(csv_path))
+    code, out, err = run_cli("table", "expected", "--db", str(path),
+                             "--out", str(csv_path))
     assert code == 1 and out == ""
-    doc = one_json_line(err)
+    warning, doc = map(json.loads, err.splitlines())
+    assert warning == size_warning(1)
     assert doc["error"] == "table" and "'P3'" in doc["message"]
     rows = csv_path.read_text().splitlines()
     assert len(rows) == 106
@@ -314,11 +321,32 @@ def test_cli_fixture_key_of_another_kind_exits_2(tmp_path, name, change,
 
 def test_cli_verify24(tmp_path):
     path = minidb(tmp_path)
-    code, out, _ = run_cli("verify24", "--db", path)
+    code, out, err = run_cli("verify24", "--db", path)
     lines = out.strip().splitlines()
     assert code == 0
     assert lines[0] == "id,sum,pass"
     assert lines[1:] == ["0,24,pass", "1,24,pass", "2,24,pass"]
+    assert one_json_line(err) == size_warning(3)
+
+
+def test_cli_verify24_fails_the_row_of_a_block_that_is_not_reflexive(
+        tmp_path):
+    # P3, then conv(2e1, e2, e3, -e1-e2-e3), whose facet opposite -e1-e2-e3
+    # is at level -2: its row fails with the reason, the CSV is written,
+    # and the run ends with one rows-failed line
+    path = tmp_path / "db.txt"
+    path.write_text(P3_TEXT + "3 4\n2 0 0 -1\n0 1 0 -1\n0 0 1 -1\n")
+    csv_path = tmp_path / "verify24.csv"
+    for out in ((), ("--out", str(csv_path))):
+        code, stdout, err = run_cli("verify24", "--db", str(path), *out)
+        text = csv_path.read_text() if out else stdout
+        assert code == 1 and stdout == ("" if out else text)
+        assert text.splitlines() == [
+            "id,sum,pass", "0,24,pass",
+            "1,n/a,FAIL: identity24 needs a reflexive polytope"]
+        assert [json.loads(line) for line in err.splitlines()] == [
+            size_warning(2),
+            {"error": "verify24", "message": "rows failed: [1]"}]
 
 
 def one_json_line(err):

@@ -12,8 +12,10 @@ old slab polygons had rational vertices; they are kept here as vertex
 cycles (`ref_vertices`) with normals from `ref_edge_normals`, and each new
 slab polygon must be its old one times a positive integer.  Every route
 must give the same slabs (edge normals, coefficients, roles, sections,
-spans, counts), ray summands, edge values and vertex count, or raise the
-same exception with the same message.
+spans, counts), ray summands and vertex count, or raise the same exception
+with the same message.  The edge values, which the slab coefficients
+read, are compared with the segment scan on their own
+(`test_rule_values_match_the_segment_scan`).
 """
 
 import random
@@ -189,8 +191,8 @@ def _ray_target(p_dual: LatticePolytope, vertex_id: int, w_basis,
 
 def ref_line_fan(p: LatticePolytope, direction, rays2d, edge_rule,
                  ray_summand_spec="auto"):
-    """`line_fan_data` as it was, up to the slabs, ray summands, edge values
-    and vertex count."""
+    """`line_fan_data` as it was, up to the slabs, ray summands and vertex
+    count."""
     if not p.is_fano():
         raise DegenerationError("P is not a Fano polytope")
     dual = p.polar_dual()
@@ -268,7 +270,7 @@ def ref_line_fan(p: LatticePolytope, direction, rays2d, edge_rule,
     # vertices of the polar polytope in no 2-cone keep their corner
     v_count = sum(1 for v in dual.vertices if not _along_line(v, dirv)
                   and ref_two_cone_containing(two_cones, v) is None)
-    return slabs, ray_summands, edge_values, v_count
+    return slabs, ray_summands, v_count
 
 
 # ---------------------------------------------------------------------------
@@ -287,13 +289,13 @@ def normals(slab):
     return [n for n, _ in slab.polygon.edge_normals()]
 
 
-def summary(slabs, ray_summands, edge_values, v_count):
+def summary(slabs, ray_summands, v_count):
     return ([(s.name, normals(s), s.coeffs, s.roles,
               s.sections.dim, typed(s.sections.points),
               typed(s.sections.vertices()), s.spans, s.two_area, s.b_count,
               s.i_count) for s in slabs],
             [(r.ray, r.kind, r.slabs, r.summand) for r in ray_summands],
-            edge_values, v_count)
+            v_count)
 
 
 def outcome(fn, *args):
@@ -307,7 +309,7 @@ def new_route(p, direction, rays2d, rule):
     """The route's data built without the construction check, which the
     unlabeled b1 and v2 routes fail: their slab geometry still compares."""
     d = unchecked(line_fan_data, p, direction, rays2d, rule)
-    return d.slabs, d.ray_summands, d.edge_values, d.vertex_count
+    return d.slabs, d.ray_summands, d.vertex_count
 
 
 def product_route(q: Polygon):
@@ -439,12 +441,11 @@ def test_bundled_line_fans_match_the_fraction_route():
         assert str(err.value) == "slab S0: spine span 0 != 6 attachments"
     # the fixture and product entry points build the same slabs
     fixture = data_from_fixture(load_fixture("b3_cubic"))
-    assert summary(fixture.slabs, fixture.ray_summands, fixture.edge_values,
+    assert summary(fixture.slabs, fixture.ray_summands,
                    fixture.vertex_count) == got["b3_cubic"]
     for name in PRODUCTS:
         d = product_data(bundled_polygon(name), name)
-        assert summary(d.slabs, d.ray_summands, d.edge_values,
-                       d.vertex_count) == got[name]
+        assert summary(d.slabs, d.ray_summands, d.vertex_count) == got[name]
 
 
 @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -465,7 +466,7 @@ def test_gl2_images_of_product_bases_match_the_fraction_route(seed):
         route = product_route(q)
         assert not isinstance(check_route(route)[0], type)
         d = product_data(q)
-        assert summary(d.slabs, d.ray_summands, d.edge_values,
+        assert summary(d.slabs, d.ray_summands,
                        d.vertex_count) == outcome(ref_line_fan, *route)
 
 
@@ -524,23 +525,26 @@ def test_rule_values_match_the_segment_scan(seed):
 
 
 def product_outcome(q: Polygon):
-    """(P, edge values, a_values) of `product_data` over q, or its refusal."""
+    """(P, slab coefficients, each slab's nonzero ones) of `product_data`
+    over q, or its refusal."""
     try:
         d = product_data(q)
     except (DegenerationError, PolytopeError) as exc:
         return type(exc), str(exc)
-    return d.polytope.vertices, d.edge_values, d.notes["a_values"]
+    return (d.polytope.vertices, [s.coeffs for s in d.slabs],
+            [[c for c in s.coeffs if c] for s in d.slabs])
 
 
 def ref_product_outcome(q: Polygon):
-    """The same by the `Fraction` polar of q and its tight-vertex search."""
+    """The same by the `Fraction` polar of q and its tight-vertex search,
+    with slab k's one nonzero coefficient the value of vertex k's rule."""
     try:
         p, rules = ref_product_rules(q)
         d = line_fan_data(p, (0, 0, 1), [(x, y, 0) for x, y in q.vertices],
                           [{"meets": m, "value": v} for m, v in rules])
     except (DegenerationError, PolytopeError) as exc:
         return type(exc), str(exc)
-    return p.vertices, d.edge_values, [v for _, v in rules]
+    return p.vertices, [s.coeffs for s in d.slabs], [[v] for _, v in rules]
 
 
 def test_products_match_the_polar_route_on_bundled_bases_and_images():

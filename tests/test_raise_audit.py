@@ -63,10 +63,9 @@ from fanoscope.fileio import (ParseError, data_from_fixture, ingest_database,
                               read_target)
 from fanoscope.gamma import (GammaError, barT_sections, build_system,
                              gamma_dimension)
-from fanoscope.invariants import (InvariantError, analyze, analyze_degree,
-                                  b3_from, degree, euler_number,
-                                  euler_product, euler_smooth_mink,
-                                  fano_index)
+from fanoscope.invariants import (InvariantError, analyze, b3_from, degree,
+                                  euler_number, euler_product,
+                                  euler_smooth_mink, fano_index)
 from fanoscope.linalg import (LinalgError, hnf, lex_positive, primitive,
                               rank, saturate, snf)
 from fanoscope.minkowski import Summand, enumerate_smooth_decompositions
@@ -211,6 +210,15 @@ def cli_error(*argv):
     with contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     return code, json.loads(err.getvalue())
+
+
+def cli_run(*argv):
+    """cli.main(argv)'s exit code, its stdout and its JSON stderr lines."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return code, out.getvalue(), list(map(json.loads,
+                                          err.getvalue().splitlines()))
 
 
 def database_ids(text):
@@ -376,8 +384,8 @@ PINS = {
     "invariants.fano_index: b2 = 3": (
         lambda: fano_index(method1_data(bundled("octahedron")), 3, 48),
         InvariantError, "not rank one"),
-    "invariants.analyze_degree: mm2_2 without a degree": (
-        lambda: analyze_degree(fixture_data("mm2_2", drop="degree")),
+    "invariants.analyze: mm2_2 without a degree": (
+        lambda: analyze(fixture_data("mm2_2", drop="degree")),
         InvariantError, "no degree source available"),
     "invariants.analyze: closed form broken": (
         broken(invariants, "euler_smooth_mink", plus(2),
@@ -599,6 +607,16 @@ REACHES = {
         lambda: [s.kind for s in line_fan_data(bundled("p3"), (-1, 0, 0),
                                                P2_FAN, []).ray_summands],
         ["point", "point"]),
+    # conv(2e1, e2, e3, -e1-e2-e3) has a facet at level -2: its row fails
+    # after P3's passes
+    "cli.cmd_verify24: a block that is not reflexive": (
+        in_file(lambda path: cli_run("verify24", "--db", path), "db.txt",
+                P3_DB + "3 4\n2 0 0 -1\n0 1 0 -1\n0 0 1 -1\n"),
+        (1, "id,sum,pass\n0,24,pass\n"
+            "1,n/a,FAIL: identity24 needs a reflexive polytope\n",
+         [{"warning": "UserWarning",
+           "message": "database has 2 entries, expected 4319"},
+          {"error": "verify24", "message": "rows failed: [1]"}])),
     # conv(+-2e1, +-e2, +-e3) has facets of index 2 with no smooth
     # decomposition: P3's row fails and the table goes on
     "cli._match_db_row: an index-2 facet": (

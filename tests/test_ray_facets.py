@@ -20,9 +20,10 @@ from fractions import Fraction
 import pytest
 
 from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon,
-                      edge_vector_multiset, mat_vec, random_unimodular3,
-                      ref_cycle_in_ray_coords, ref_facet_in_ray_coords,
-                      ref_minkowski_sum, ref_ray_target)
+                      edge_vector_multiset, mat_vec, product_labels,
+                      random_unimodular3, ref_cycle_in_ray_coords,
+                      ref_facet_in_ray_coords, ref_minkowski_sum,
+                      ref_ray_target)
 from fanoscope import cli
 from fanoscope.degeneration import (DegenerationError, _along_line,
                                     _ray_word, decomposition_regimes,
@@ -162,7 +163,7 @@ def product_image(name, m):
     data = product_data(q, name)
     rays = [(x, y, 0) for x, y in q.vertices]
     rule = [{"meets": r, "value": a}
-            for r, a in zip(rays, data.notes["a_values"])]
+            for r, a in zip(rays, product_labels(q))]
     return moved_line_fan(data.polytope, (0, 0, 1), rays, rule, m, name)
 
 

@@ -38,7 +38,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (NORMAL_FAN_POLYTOPES, W_SIMPLEX, bundled,
-                      bundled_polygon, edge_vector_multiset, lattice_polygons,
+                      bundled_polygon, dual_labels, edge_vector_multiset,
+                      lattice_polygons,
                       malformed_slab_fixtures, mat_vec, normal_fan_routes,
                       normalized, polygon_polar, random_unimodular2,
                       ref_assemble_with_stub_raises, ref_check_compatibility,
@@ -703,7 +704,7 @@ def test_checked_normal_fan_labels_are_the_dual_lengths(seed):
                   seed)
         data = normal_fan_data(p)
         dual = data.dual
-        labels = [data.edge_values[i] for i in range(len(dual.edges))]
+        labels = dual_labels(p)
         assert [s.coeffs[s.roles.index("boundary")]
                 for s in data.slabs] == labels
         for i, label in enumerate(labels):
