@@ -1,7 +1,8 @@
 """Command-line surface: analyze, decompositions, verify24, gamma,
 discriminant, table.
 
-Exit codes: 0 success, 1 validation failure, 2 parse / IO / usage error.
+Exit codes: 0 success, 1 validation failure, 2 parse / IO / usage error
+or a warning that a warnings error filter raises.
 Errors are emitted as one JSON object on stderr.
 """
 
@@ -332,7 +333,8 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
             return args.func(args)
         except (ParseError, OSError, json.JSONDecodeError,
-                UnicodeDecodeError) as exc:  # a file that is not UTF-8 text
+                UnicodeDecodeError,  # a file that is not UTF-8 text
+                Warning) as exc:  # raised under a warnings error filter
             return _fail(type(exc).__name__, str(exc), 2)
         except (DegenerationError, InvariantError, GammaError, PolytopeError,
                 ValueError) as exc:

@@ -8,7 +8,7 @@ node counting is driven by the slab's polygon of sections.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import gcd
 
 from .linalg import clear_denominators, lex_positive, primitive
@@ -221,7 +221,11 @@ class RaySummand:
 class DegenerationData:
     """Slabs and ray summands, checked once, when built (`validate`), and
     frozen: a changed copy comes from `dataclasses.replace`, which checks
-    it again.  `stated` maps what a fixture states to (value, source)."""
+    it again.  `stated` maps what a fixture states to (value, source).
+    `validate` reads neither `stated` nor `vertex_count`, so
+    `data_from_fixture` sets the two a fixture pins on a copy of the
+    checked data (`copy.copy`, then `vars().update`, as `Slab.shared`
+    names a copy), with no second check."""
     name: str
     kind: str                          # normal_fan | line_fan | product | slabs
     slabs: tuple
@@ -738,17 +742,39 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
 
 
 def product_data(q: Polygon, name="") -> DegenerationData:
-    """Product construction from a reflexive base polygon Q: the polar
-    polytope is Q x [-1, 1], vertical edges labeled l(v*), both read off
-    Q's edges (n, c): the polar vertex n / -c is integral exactly when
-    c = -1, as n is primitive, and vertex i of Q lies on the lines of edges
-    i - 1 and i alone, so l(v*) is the lattice length of [n_(i-1), n_i].
+    """Product construction from a reflexive base polygon Q, in closed form:
+    the data that `line_fan_data` builds for P = conv(n_i x 0, +-e3), the
+    line through e3, the 2-cones through Q's vertices v_k and the rules
+    (v_k, 0) -> a_k, built from Q alone and checked once.
 
-    Slab k is [0, v_k] x [-1, 1], and its one nonzero coefficient is a_v on
-    {v_k} x [-1, 1], the edge of P* through the rule point (v_k, 0): its
-    spine gets 0, and [0, v_k] x {+-1} lie on no edge of P*, as 0 is
-    interior to Q.  So sum a_v is the sum of all slab coefficients, which
-    `tests/test_degeneration.py` asserts on every reflexive base polygon."""
+    Q's edges (n, c) give P* = Q x [-1, 1] and the labels: the polar vertex
+    n / -c is integral exactly when c = -1, as n is primitive, and vertex k
+    of Q lies on the lines of edges k - 1 and k alone, so a_k = l(v_k*) is
+    the lattice length of [n_(k-1), n_k].  A vertex of a reflexive Q is
+    primitive (a lattice point inside [0, v_k] would be a second interior
+    point), so it is its 2-cone's ray.  The line-fan route returns this:
+    - the plane through e3 and v_k meets Q in a segment through the
+      interior point 0, whose end on v_k's side is v_k, so it meets P*'s
+      half on that side in [0, v_k] x [-1, 1], whose boundary there is the
+      vertical edge {v_k} x [-1, 1] and two open segments inside the
+      facets z = +-1: no edge of P* crosses it, and the slab is
+      conv((v_k, +-1), +-e3) in the basis plane_basis([e3, v_k]) that
+      `line_fan_data` takes, so coordinates and reports are the same;
+    - +-e3 is interior to the facet z = +-1, as 0 is interior to Q, so the
+      ray through it leaves P* through that facet alone and rho_plus and
+      rho_minus are point summands;
+    - every vertex (v_j, +-1) of P* lies in 2-cone j, so `vertex_count`
+      is 0;
+    - the rule point (v_k, 0) lies on the vertical edge at v_k alone, so
+      that edge, the slab's far edge, carries a_k, and no other rule
+      labels it;
+    - the spine carries 0, and the edges from e3 and -e3 to (v_k, +-1) lie
+      on no edge of P*, as their points other than (v_k, +-1) lie inside a
+      facet z = +-1: they are boundary edges with 0.
+    So slab k carries exactly one nonzero coefficient, a_k, and sum a_v is
+    the sum of all slab coefficients, which `tests/test_degeneration.py`
+    asserts on every reflexive base polygon and its GL(2,Z) images, with
+    the data equal to the line-fan route's."""
     edges = q.edge_normals()
     if any(c >= 0 for _, c in edges):
         raise DegenerationError("origin not interior to the base polygon")
@@ -758,11 +784,29 @@ def product_data(q: Polygon, name="") -> DegenerationData:
     normals = [n for n, _ in edges]
     p = LatticePolytope([(x, y, 0) for x, y in normals]
                         + [(0, 0, 1), (0, 0, -1)])
-    rules = [{"meets": (x, y, 0), "value": lattice_length(normals[i - 1], n)}
-             for i, ((x, y), n) in enumerate(zip(q.vertices, normals))]
-    data = line_fan_data(p, (0, 0, 1), [(x, y, 0) for x, y in q.vertices],
-                         rules, name=name or "product data")
-    return replace(data, kind="product")
+    slabs = []
+    built = {}  # (polygon, coeffs) -> its first slab, within this call
+    for k, ((x, y), n) in enumerate(zip(q.vertices, normals)):
+        basis = plane_basis([(0, 0, 1), (x, y, 0)])
+        top, bottom, up, down = plane_coords(
+            basis, [(x, y, 1), (x, y, -1), (0, 0, 1), (0, 0, -1)])
+        poly = Polygon([top, bottom, up, down])
+        far, spine = {top, bottom}, {up, down}
+        a = lattice_length(normals[k - 1], n)
+        coeffs, roles = [], []
+        for edge in poly.edges():
+            coeffs.append(a if set(edge) == far else 0)
+            roles.append(ROLE_SPINE if set(edge) == spine else ROLE_BOUNDARY)
+        slabs.append(Slab.shared(built, f"S{k}", poly, tuple(coeffs),
+                                 tuple(roles)))
+    return DegenerationData(
+        name=name or "product data",
+        kind="product",
+        slabs=slabs,
+        ray_summands=[RaySummand("rho_plus", "point"),
+                      RaySummand("rho_minus", "point")],
+        polytope=p,
+    )
 
 
 # -- small geometric helpers -------------------------------------------------

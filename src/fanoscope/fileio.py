@@ -3,10 +3,10 @@ the reflexive-polytope database, and bundled fixtures."""
 
 from __future__ import annotations
 
+import copy
 import json
 import os
 import warnings
-from dataclasses import replace
 from importlib import resources
 
 from .degeneration import (SUMMAND_SLABS, DegenerationData, RaySummand, Slab,
@@ -237,7 +237,12 @@ def data_from_fixture(doc: dict) -> DegenerationData:
     else:
         data = product_data(Polygon(_points(doc["base_polygon"], 2,
                                             "base_polygon")), name)
-    return replace(data, **extra) if extra else data
+    if extra:
+        # `validate` reads neither `vertex_count` nor `stated`, so they
+        # go on a copy of the checked data, with no second check
+        data = copy.copy(data)
+        vars(data).update(extra)
+    return data
 
 
 JSON_TYPES = {dict: "object", list: "list", int: "integer", str: "string"}

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
                                     DegenerationData, DegenerationError,
                                     NotCartier, NotNef, Sections, Slab,
-                                    _edge_name, _ray_name)
+                                    _edge_name, _ray_name, line_fan_data)
 from fanoscope.discriminant import DiscriminantGraph, Node, dual_graph
 from fanoscope.fileio import bundled_polytopes, load_fixture
 from fanoscope.linalg import kernel_basis, lex_positive, primitive, saturate
@@ -968,6 +968,26 @@ def ref_product_rules(q: Polygon):
                         + [(0, 0, 1), (0, 0, -1)])
     return p, [((v[0], v[1], 0), dual_edge_length(v, qdualverts))
                for v in q.vertices]
+
+
+def ref_product_data(q: Polygon, name="") -> DegenerationData:
+    """`degeneration.product_data` as it was, through `line_fan_data`: the
+    line fan over P* = Q x [-1, 1], one rule (v_k, 0) -> a_k per vertex of
+    Q, then a `replace` that sets the kind (and checks the data again)."""
+    edges = q.edge_normals()
+    if any(c >= 0 for _, c in edges):
+        raise DegenerationError("origin not interior to the base polygon")
+    if any(c != -1 for _, c in edges):
+        raise DegenerationError("base polygon must be reflexive "
+                                "(r(v*) = 1 everywhere)")
+    normals = [n for n, _ in edges]
+    p = LatticePolytope([(x, y, 0) for x, y in normals]
+                        + [(0, 0, 1), (0, 0, -1)])
+    rules = [{"meets": (x, y, 0), "value": lattice_length(normals[i - 1], n)}
+             for i, ((x, y), n) in enumerate(zip(q.vertices, normals))]
+    data = line_fan_data(p, (0, 0, 1), [(x, y, 0) for x, y in q.vertices],
+                         rules, name=name or "product data")
+    return replace(data, kind="product")
 
 
 def whole_plane_slice(poly: LatticePolytope, rows, den, nu):

@@ -13,8 +13,9 @@ from conftest import (NORMAL_FAN_POLYTOPES, EmptyLinearSystem, bundled,
                       random_unimodular3,
                       ref_check_compatibility, ref_check_convexity,
                       ref_check_smooth_edge_data, ref_facet_in_ray_coords,
-                      ref_sections_one_pass, ref_vertices, relabelled,
-                      sections_refusal, unchecked)
+                      ref_product_data, ref_sections_one_pass, ref_vertices,
+                      relabelled, sections_refusal, unchecked)
+from fanoscope import degeneration
 from fanoscope.degeneration import (ROLE_BOUNDARY, DegenerationData,
                                     DegenerationError, NotCartier, NotNef,
                                     Sections, Slab, decomposition_regimes,
@@ -86,12 +87,18 @@ def test_sections_need_one_coefficient_per_edge(coeffs):
         Slab("X", triangle, coeffs, (ROLE_BOUNDARY,) * 3)
 
 
-def test_every_route_hands_out_checked_data(monkeypatch):
-    # the last check each route runs is on the data it returns
-    checked = []
+@pytest.fixture
+def checked(monkeypatch):
+    """The data that `DegenerationData.validate` checks, in call order."""
+    out = []
     real = DegenerationData.validate
     monkeypatch.setattr(DegenerationData, "validate",
-                        lambda self: checked.append(self) or real(self))
+                        lambda self: out.append(self) or real(self))
+    return out
+
+
+def test_every_route_hands_out_checked_data(checked):
+    # the last check each route runs is on the data it returns
     p3 = bundled("p3")
     routes = {
         "normal_fan_data": lambda: normal_fan_data(p3),
@@ -252,6 +259,69 @@ def test_product_slabs_carry_one_label_each(seed):
             [a] for a in labels]
         assert sum(sum(s.coeffs) for s in d.slabs) == sum(labels)
         assert euler_product(d) == 2 * sum(labels)
+
+
+def product_record(build, q, name=""):
+    """Everything of build(q, name) that a report or check reads: name,
+    kind, P's vertices, each slab's name, polygon, coefficients and roles,
+    the ray summands and `vertex_count`; or the refusal."""
+    try:
+        d = build(q, name)
+    except (DegenerationError, PolytopeError) as exc:
+        return type(exc), str(exc)
+    return (d.name, d.kind, d.polytope.vertices,
+            [(s.name, s.polygon.vertices, s.coeffs, s.roles) for s in d.slabs],
+            d.ray_summands, d.vertex_count)
+
+
+# base polygons that product_data refuses: the origin on an edge or a
+# vertex, outside, and three that are not reflexive
+REFUSED_BASES = (
+    [(0, 0), (1, 0), (0, 1)],
+    [(-1, 0), (1, 0), (0, 1)],
+    [(1, 1), (2, 1), (1, 2)],
+    [(1, 0), (0, 1), (-1, -3)],
+    [(-3, -1), (1, 0), (0, 1)],
+    [(-1, -1), (3, -1), (-1, 2)])
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(st.integers(0, 2 ** 32))
+def test_closed_form_products_equal_the_line_fan_route(seed):
+    # `product_data` builds its slabs from Q alone; `ref_product_data` is
+    # the line-fan route it replaced, over every reflexive class, its
+    # GL(2,Z) images and the refused bases
+    h = random_unimodular2(random.Random(seed))
+    for verts in REFLEXIVE_POLYGONS + REFUSED_BASES:
+        for q in (Polygon(verts),
+                  Polygon([tuple(mat_vec(h, list(v))) for v in verts])):
+            for name in ("", "Q"):
+                want = product_record(ref_product_data, q, name)
+                assert product_record(product_data, q, name) == want
+                assert isinstance(want[0], type) == (verts in REFUSED_BASES)
+
+
+def test_product_data_checks_once_and_slices_nothing(monkeypatch, checked):
+    sliced = []
+    real = degeneration.line_fan_data
+    monkeypatch.setattr(degeneration, "line_fan_data", lambda *args, **kw:
+                        sliced.append(args) or real(*args, **kw))
+    data = product_data(bundled_polygon("hexagon"))
+    assert len(checked) == 1 and checked[0] is data
+    assert sliced == []
+
+
+@pytest.mark.parametrize("name", ["b3_cubic", "v2"])
+def test_fan_fixtures_are_checked_once(checked, name):
+    # b3_cubic states b2, which goes on a copy of the checked data
+    doc = load_fixture(name)
+    data = data_from_fixture(doc)
+    assert len(checked) == 1
+    assert checked[0].slabs is data.slabs
+    assert checked[0].ray_summands is data.ray_summands
+    stated = {"b2": (doc["b2"]["value"], doc["b2"]["source"])} \
+        if "b2" in doc else {}
+    assert data.stated == stated
 
 
 def test_compatibility_names_each_broken_ray_and_slab():

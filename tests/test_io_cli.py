@@ -22,9 +22,9 @@ P3_TEXT = "3 4\n1 0 0 -1\n0 1 0 -1\n0 0 1 -1\n"
 P3_VERTICES = [[1, 0, 0], [0, 1, 0], [0, 0, 1], [-1, -1, -1]]
 
 
-def minidb(tmp_path):
+def minidb(tmp_path, names=("p3", "cube", "octahedron")):
     blocks = []
-    for name in ("p3", "cube", "octahedron"):
+    for name in names:
         p = bundled(name)
         cols = list(zip(*p.vertices))
         blocks.append(f"3 {len(p.vertices)} test {name}")
@@ -714,18 +714,35 @@ def test_cli_table_without_db():
     assert sum("ok (product)" in ln for ln in lines) == 4
 
 
-def test_cli_entrypoint_subprocess():
-    # the child imports fanoscope from where this process does, which
-    # pytest's `pythonpath` setting puts on sys.path but not in the
-    # environment
+def cli_subprocess(*argv, flags=()):
+    """`python <flags> -m fanoscope.cli <argv>` in a child process.  The
+    child imports fanoscope from where this process does, which pytest's
+    `pythonpath` setting puts on sys.path but not in the environment."""
     src = os.path.dirname(os.path.dirname(degeneration.__file__))
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-m", "fanoscope.cli",
-                           "analyze", "octahedron"],
-                          capture_output=True, text=True,
+    return subprocess.run([sys.executable, *flags, "-m", "fanoscope.cli",
+                           *argv], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path})
+
+
+def test_cli_entrypoint_subprocess():
+    proc = cli_subprocess("analyze", "octahedron")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["euler"] == 8
+
+
+@pytest.mark.parametrize("argv", [["verify24"], ["table", "expected"]])
+def test_cli_database_warning_under_an_error_filter(tmp_path, argv):
+    # `python -W error` raises the database size warning: one JSON line and
+    # exit 2, no traceback
+    db = minidb(tmp_path, ("p3", "cube"))
+    proc = cli_subprocess(*argv, "--db", db, "--out",
+                          str(tmp_path / "out.csv"), flags=("-W", "error"))
+    assert proc.returncode == 2
+    assert proc.stdout == "" and not (tmp_path / "out.csv").exists()
+    assert one_json_line(proc.stderr) == {
+        "error": "UserWarning",
+        "message": "database has 2 entries, expected 4319"}
 
 
 def test_cli_analyze_fixture_file(tmp_path):
