@@ -331,18 +331,6 @@ class DegenerationData:
 # geometric construction helpers
 
 
-def _two_cone(dirv, w):
-    """The 2-cone spanned by the line through dirv and the ray through w:
-    (primitive annihilator nu of the plane, a functional `half` that
-    vanishes on the line and is > 0 on w).  The cone is where <nu, .> = 0
-    and <half, .> >= 0."""
-    nu = plane_normal(dirv, w)
-    half = cross(nu, dirv)
-    if dot(half, w) < 0:
-        half = tuple(-x for x in half)
-    return nu, half
-
-
 def ray_lattice(dir3):
     """Basis (b0, b1) of W = ann(u) in the opposite lattice, u = (a, b, c)
     the lex-positive primitive direction of dir3, so -dir3 gets the same
@@ -426,7 +414,7 @@ def match_summand_slabs(summand: Summand, slab_functionals: dict):
             vals.append(vals[-1] + f0 * x + f1 * y)
         if vals.count(min(vals)) > 1:
             hits.append(name)
-    need = {"segment": 2, "triangle": 3}[summand.kind]
+    need = SUMMAND_SLABS[summand.kind]
     if len(hits) != need:
         raise DegenerationError(
             f"unmatched summand direction: {summand} met {hits}")
@@ -652,6 +640,8 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     which lie on the line.  So `plane_coords` maps them, scaled by their
     common denominator, one to one to int coordinates (scaling keeps the
     edge normals), and a slab vertex's 3-space point is found by them.
+    The spine's ends and the face each ray leaves P* through are read off
+    P's vertices (`_exit`), and the free corners off d x v (`_free_corners`).
     """
     if not p.is_fano():
         raise DegenerationError("P is not a Fano polytope")
@@ -666,23 +656,23 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     labels = _rule_values(dual, rules)
 
     rows, den = dual.vertex_rows
-    levels = [dot(f.normal, rows[f.cycle[0]]) for f in dual.facets]
     # the spine: P^dual cut by the minimal line, from rho_minus to rho_plus
     rays = (("rho_plus", dirv), ("rho_minus", tuple(-x for x in dirv)))
-    exits = [_exit_point(dual, levels, r) for _, r in rays]
-    spine = [tuple(_quotient(x * num, t_den * den) for x in r)
-             for (_, r), (num, t_den) in zip(rays, exits)]
+    exits = [_exit(p, r) for _, r in rays]
+    spine = [end for end, _, _ in exits]
 
-    bases = [plane_basis([dirv, w]) for w in fan_rays]
-    two_cones = [_two_cone(dirv, w) for w in fan_rays]
     slabs = []
     built = {}  # (polygon, coeffs) -> its first slab, within this call
     slab_functionals = {}
     for k, w in enumerate(fan_rays):
-        basis, (nu, half) = bases[k], two_cones[k]
+        # w's 2-cone: <nu, .> = 0 and <half, .> >= 0, half 0 on the line
+        nu = plane_normal(dirv, w)
+        half = cross(nu, dirv)
+        half = tuple(-x for x in half) if dot(half, w) < 0 else half
         pts, flat = _plane_slice(dual, rows, den, nu, half)
         pts += spine
-        coords = plane_coords(basis, clear_denominators(pts)[0])
+        coords = plane_coords(plane_basis([dirv, w]),
+                              clear_denominators(pts)[0])
         space = dict(zip(coords, pts))
         chord = set(coords[-2:])
         poly = Polygon(coords)
@@ -702,23 +692,17 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
         slab_functionals[sname] = quotient_functional(w_basis, w)
 
     ray_summands = []
-    for (ray_id, rdir), (num, t_den) in zip(rays, exits):
-        # the ray leaves through the vertex rows[i] = rdir * num / t_den ...
-        vertex_hit = next((i for i, v in enumerate(rows)
-                           if all(x * t_den == y * num
-                                  for x, y in zip(v, rdir))), None)
-        if vertex_hit is None:
-            # ... or through the one facet <n, .> = level that it meets there
-            tight = sum(1 for f, lvl in zip(dual.facets, levels)
-                        if dot(f.normal, rdir) * num == lvl * t_den)
-            if tight != 1:
-                raise DegenerationError(
-                    f"{ray_id}: the ray leaves through a face of unsupported "
-                    "dimension")
+    for (ray_id, _), (_, tight, fid) in zip(rays, exits):
+        if tight == 1:  # through the inside of a facet of P*
             ray_summands.append(RaySummand(ray_id, "point"))
             continue
+        if tight == 2:
+            raise DegenerationError(
+                f"{ray_id}: the ray leaves through a face of unsupported "
+                "dimension")
+        # through vertex fid of P*, dual to P's facet fid
         decos = enumerate_smooth_decompositions(
-            _ray_word(p, p.facets[vertex_hit], w_basis, ray_id))
+            _ray_word(p, p.facets[fid], w_basis, ray_id))
         if not decos:
             raise DegenerationError("no smooth Minkowski decomposition "
                                     f"for {ray_id}")
@@ -727,17 +711,13 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
         # prefer the triangle-rich canonical choice
         ray_summands += _attach(ray_id, decos[-1], slab_functionals)
 
-    # vertices of the polar polytope in no 2-cone keep their corner
-    v_count = sum(1 for v in rows if not _along_line(v, dirv)
-                  and _two_cone_containing(two_cones, v) is None)
-
     return DegenerationData(
         name=name or "line-fan data",
         kind="line_fan",
         slabs=slabs,
         ray_summands=ray_summands,
         polytope=p,
-        vertex_count=v_count,
+        vertex_count=_free_corners(rows, dirv, fan_rays),
     )
 
 
@@ -812,9 +792,34 @@ def product_data(q: Polygon, name="") -> DegenerationData:
 # -- small geometric helpers -------------------------------------------------
 
 
-def _along_line(p, dirv) -> bool:
-    return all(p[i] * dirv[j] == p[j] * dirv[i]
-               for i, j in ((0, 1), (0, 2), (1, 2)))
+def _exit(p: LatticePolytope, r):
+    """(end, k, fid): the ray through r, primitive, leaves P* at end =
+    r / -m, m = min <v, r> over P's vertices, k of which reach it, and
+    through vertex fid of P* when k > 2 (fid is None otherwise).
+
+    P* = {y : <v, y> >= -1} is bounded around 0 (P is Fano), so m < 0
+    and t r, t >= 0, is in P* iff t <= 1 / -m.  The facets v* through end are those with
+    <v, r> = m, so the ray leaves through the face dual to P's face F
+    where <., r> is least (Ziegler, Lectures on Polytopes, ch. 2): a facet
+    when F is a vertex (k = 1), an edge when F is one (k = 2), else the
+    vertex dual to the facet F, whose primitive inner normal is r."""
+    vals = [dot(v, r) for v in p.vertices]
+    m = min(vals)
+    k = vals.count(m)
+    fid = (next(i for i, f in enumerate(p.facets) if f.normal == r)
+           if k > 2 else None)
+    return tuple(_quotient(x, -m) for x in r), k, fid
+
+
+def _free_corners(rows, dirv, fan_rays) -> int:
+    """How many vertices v of P* (`rows`) lie on neither the line through
+    d = dirv nor a 2-cone: those with d x v != 0 whose primitive is no
+    fan ray w's primitive d x w.  v = a d + b w gives d x v = b (d x w),
+    and d x v = b (d x w) gives d x (v - b w) = 0, so v = a d + b w: v off
+    the line is in w's 2-cone (b > 0) iff the primitives agree."""
+    cones = {primitive(cross(dirv, w)) for w in fan_rays}
+    return sum(1 for v in rows
+               if any(dv := cross(dirv, v)) and primitive(dv) not in cones)
 
 
 def _rule_values(poly: LatticePolytope, rules):
@@ -832,22 +837,6 @@ def _rule_values(poly: LatticePolytope, rules):
                                     "edge of the polar polytope")
         values.update(dict.fromkeys(hits, value))
     return values
-
-
-def _exit_point(poly: LatticePolytope, levels, r):
-    """(num, den), den > 0: the ray through r leaves poly at r * num / den,
-    in the units of `levels` (each facet's level times the common
-    denominator of the vertices).
-
-    poly is P* for a Fano P, so it is bounded and has the origin inside:
-    the ray through r != 0 leaves it, through a facet with <n, r> < 0.
-    """
-    best = None
-    for f, lvl in zip(poly.facets, levels):
-        pace = dot(f.normal, r)
-        if pace < 0 and (best is None or lvl * best[1] > best[0] * pace):
-            best = (-lvl, -pace)
-    return best
 
 
 def _plane_slice(poly: LatticePolytope, rows, den, nu, half):
@@ -887,13 +876,4 @@ def _containing_edge(poly: LatticePolytope, edge_ids, a3, b3):
         if all(dot(f.normal, x) == f.level for x in (a3, b3)
                for f in map(poly.facets.__getitem__, poly.edges[i].facet_ids)):
             return i
-    return None
-
-
-def _two_cone_containing(two_cones, v):
-    """Annihilator of the first of the `_two_cone` pairs whose 2-cone
-    holds v, or None."""
-    for nu, half in two_cones:
-        if dot(nu, v) == 0 and dot(half, v) >= 0:
-            return nu
     return None

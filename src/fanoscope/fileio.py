@@ -8,6 +8,7 @@ import json
 import os
 import warnings
 from importlib import resources
+from math import isfinite
 
 from .degeneration import (SUMMAND_SLABS, DegenerationData, RaySummand, Slab,
                            line_fan_data, normal_fan_data, product_data)
@@ -70,9 +71,18 @@ def _json(text):
     if not text.lstrip().startswith(("{", "[")):
         return None
     try:
-        return json.loads(text)
+        return json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ParseError(f"bad JSON polytope: {exc}") from exc
+
+
+def _json_int(digits):
+    """`parse_int` of the input files' JSON: an integer of more digits
+    than int() reads is a ParseError."""
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise ParseError(f"bad JSON integer: {exc}") from None
 
 
 def _polytope(doc, text):
@@ -277,11 +287,15 @@ def _points(value, n, where):
 
 
 def _rules(value):
-    """A line fan's edge_data: a list of {"meets": 3 numbers, "value": an
-    integer}."""
+    """A line fan's edge_data: a list of {"meets": 3 finite numbers,
+    "value": an integer}."""
     for i, rule in enumerate(_typed(value, list, "edge_data")):
         _require(rule, ("meets", "value"), f"edge_data entry {i}")
-        _vector(rule["meets"], 3, f"edge_data entry {i} meets", (int, float))
+        meets = _vector(rule["meets"], 3, f"edge_data entry {i} meets",
+                        (int, float))
+        if any(type(x) is float and not isfinite(x) for x in meets):
+            raise ParseError(f"edge_data entry {i} meets must be finite, not "
+                             f"{meets!r}")
         _typed(rule["value"], int, f"edge_data entry {i} value")
     return value
 
@@ -371,7 +385,7 @@ def read_manifest(target):
     if target == "expected":
         return expected_rows()
     with open(target) as fh:
-        doc = json.load(fh)
+        doc = json.load(fh, parse_int=_json_int)
     _require(doc, ("rows",), "manifest")
     names = {"fixture": list_fixtures(),
              "product": bundled_polytopes()["polygons"]}

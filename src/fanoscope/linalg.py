@@ -1,7 +1,8 @@
 """Exact integer and rational linear algebra.
 
-Everything in this package runs on plain Python ints and fractions.Fraction;
-no floating point is used anywhere.  Matrices are lists of row lists;
+Every computation in this package runs on plain Python ints and
+fractions.Fraction; floats are only drawn (`render_svg`) or read as the
+exact double of a JSON float edge rule point.  Matrices are lists of rows;
 `rank` and `nullity` also take each row as {column: entry}.
 """
 

@@ -1158,3 +1158,53 @@ def ref_assemble_with_stub_raises(data: DegenerationData):
     if p != data.p_count or n != data.n_count:
         raise DegenerationError("graph census disagrees with slab arithmetic")
     return total
+
+
+# ---------------------------------------------------------------------------
+# the line-fan helpers that read P*'s facets and cones, verbatim, which
+# `line_fan_data` replaced by reading P's vertices (`_exit`) and the cross
+# products d x v (`_free_corners`): the references of
+# `tests/test_retired_raises.py` and the spine and 2-cones of
+# `tests/test_line_fan_routes.py`
+
+
+def _two_cone(dirv, w):
+    """The 2-cone spanned by the line through dirv and the ray through w:
+    (primitive annihilator nu of the plane, a functional `half` that
+    vanishes on the line and is > 0 on w).  The cone is where <nu, .> = 0
+    and <half, .> >= 0."""
+    nu = plane_normal(dirv, w)
+    half = cross(nu, dirv)
+    if dot(half, w) < 0:
+        half = tuple(-x for x in half)
+    return nu, half
+
+
+def _along_line(p, dirv) -> bool:
+    return all(p[i] * dirv[j] == p[j] * dirv[i]
+               for i, j in ((0, 1), (0, 2), (1, 2)))
+
+
+def _exit_point(poly: LatticePolytope, levels, r):
+    """(num, den), den > 0: the ray through r leaves poly at r * num / den,
+    in the units of `levels` (each facet's level times the common
+    denominator of the vertices).
+
+    poly is P* for a Fano P, so it is bounded and has the origin inside:
+    the ray through r != 0 leaves it, through a facet with <n, r> < 0.
+    """
+    best = None
+    for f, lvl in zip(poly.facets, levels):
+        pace = dot(f.normal, r)
+        if pace < 0 and (best is None or lvl * best[1] > best[0] * pace):
+            best = (-lvl, -pace)
+    return best
+
+
+def _two_cone_containing(two_cones, v):
+    """Annihilator of the first of the `_two_cone` pairs whose 2-cone
+    holds v, or None."""
+    for nu, half in two_cones:
+        if dot(nu, v) == 0 and dot(half, v) >= 0:
+            return nu
+    return None

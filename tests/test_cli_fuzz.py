@@ -3,8 +3,10 @@
 The inputs are every bundled fixture, every bundled polytope written as a
 JSON file, and a table manifest of four bundled rows (one per method).  Each
 key is dropped, and each value down to depth 2 is replaced by each of
-`JUNK`; a manifest's rows get the same.  Each run is `analyze`, or `table`
-for a manifest.  Every fixture's mutants are also drawn with
+`JUNK`; a manifest's rows get the same, and so does each coordinate of
+each edge rule point (`meets`) of a line-fan fixture.  Each run is
+`analyze`, or `table` for a manifest.  Every fixture's mutants are also
+drawn with
 `discriminant --svg`, and a slab fixture's entries at depth 3 (each key of
 `slabs[i]` and of `rays.<R>[i]`) get the same drop and replacements under
 `analyze`.  A small database in the PALP layout (a p3 block and an
@@ -29,7 +31,7 @@ from fanoscope import cli
 from fanoscope.fileio import (bundled_polytopes, expected_rows, list_fixtures,
                               load_fixture)
 
-JUNK = ("x", [], {}, True, None, 1.5, [["x"]])
+JUNK = ("x", [], {}, True, None, 1.5, [["x"]], float("inf"), float("nan"))
 # a db row, a fixture row, a product row and one stated only
 MANIFEST_ROWS = ("P3", "MM2-2", "MM8-1", "MM9-1")
 
@@ -80,6 +82,19 @@ def entry_mutants(doc):
     return out
 
 
+def fixture_mutants(doc):
+    """`mutants` of a fixture, and for a line fan each coordinate of each
+    edge rule point replaced by each of JUNK."""
+    out = mutants(doc)
+    for i, rule in enumerate(doc.get("edge_data", [])):
+        for j in range(len(rule["meets"])):
+            for junk in JUNK:
+                new = json.loads(json.dumps(doc))
+                new["edge_data"][i]["meets"][j] = junk
+                out.append((f"edge_data.{i}.meets.{j} = {junk!r}", new))
+    return out
+
+
 def manifest_mutants():
     by_name = {row["name"]: row for row in expected_rows()}
     rows = [by_name[name] for name in MANIFEST_ROWS]
@@ -98,7 +113,7 @@ def inputs():
         doc = load_fixture(name)
         if "kind" in doc:
             out += [("analyze", f"{name}: {label}", changed)
-                    for label, changed in mutants(doc)]
+                    for label, changed in fixture_mutants(doc)]
     table = bundled_polytopes()
     for name in sorted(set(table) - {"polygons"}):
         doc = {"name": name, **table[name]}
@@ -145,7 +160,7 @@ def test_every_malformed_input_exits_cleanly(tmp_path, monkeypatch):
     monkeypatch.delenv("FANOSCOPE_DB", raising=False)
     path = tmp_path / "target.json"
     cases = inputs()
-    assert len(cases) > 2500  # 2,841 runs
+    assert len(cases) > 3000  # 3,596 runs
     faults = []
     for command, label, doc in cases:
         path.write_text(json.dumps(doc))
@@ -173,8 +188,8 @@ def test_every_fixture_mutant_is_drawn_or_refused(tmp_path, monkeypatch):
     svg = str(tmp_path / "svg")
     cases = [(f"{name}: {label}", changed) for name in list_fixtures()
              if "kind" in (doc := load_fixture(name))
-             for label, changed in mutants(doc)]
-    assert len(cases) == 1854  # v2 has no edge_values key to mutate
+             for label, changed in fixture_mutants(doc)]
+    assert len(cases) == 2357  # v2 has no edge_values key to mutate
     assert run_all(cases, lambda path: ["discriminant", path, "--svg", svg],
                    tmp_path) == []
 
@@ -184,7 +199,7 @@ def test_every_slab_entry_mutant_exits_cleanly(tmp_path, monkeypatch):
     cases = [(f"{name}: {label}", changed) for name in list_fixtures()
              if (doc := load_fixture(name)).get("kind") == "slabs"
              for label, changed in entry_mutants(doc)]
-    assert len(cases) == 1368
+    assert len(cases) == 1710
     assert run_all(cases, lambda path: ["analyze", path], tmp_path) == []
 
 

@@ -766,6 +766,9 @@ def test_parse_rejects_non_fano(tmp_path):
         parse_polytope(shifted.read_text())
 
 
+# a JSON integer of more digits than int() reads
+HUGE = "1" * 5000
+
 SLAB_OUT_OF_ORDER = {"kind": "slabs",
                      "slabs": [{"name": "S0",
                                 "polygon": [[0, 1], [0, 0], [1, 0]]}]}
@@ -794,6 +797,12 @@ SLAB_OUT_OF_ORDER = {"kind": "slabs",
      "the lex-least vertex; canonical is [[0, 0], [1, 0], [0, 1]]"),
     ("verify24", "ragged.txt", "3 4\n1 0 0 -1\n0 1 0\n0 0 1 -1\n",
      "database block 0 is ragged"),
+    pytest.param("analyze", "huge.json", '{"vertices": [[1, 0, 0], '
+                 f'[0, 1, 0], [0, 0, 1], [-1, -1, {HUGE}]]}}',
+                 "bad JSON integer: ", id="analyze-huge-integer"),
+    pytest.param("table", "huge.json", '{"rows": [{"name": "P3", '
+                 f'"degree": {HUGE}, "p": 0, "n": 0, "chi": 0, "palp": 0}}]}}',
+                 "bad JSON integer: ", id="table-huge-integer"),
     *[(command, f"mm2_2_{key}.json", json.dumps(doc), message)
       for command in ("analyze", "discriminant")
       for key, (doc, message) in unparsable_slab_fixtures().items()],
@@ -817,7 +826,7 @@ def test_cli_malformed_input_exits_2(tmp_path, command, file, text, message):
     assert code == 2 and out == ""
     doc = one_json_line(err)
     assert doc["error"] == "ParseError"
-    # a JSON error message goes on with the decoder's own words
+    # a JSON error message goes on with the decoder's or int()'s own words
     assert doc["message"] == message or (
         message.endswith(": ") and doc["message"].startswith(message))
 
@@ -841,6 +850,28 @@ def test_cli_non_utf8_input_exits_2(tmp_path, command, file):
     code, out, err = run_cli(*argv)
     assert code == 2 and out == ""
     assert one_json_line(err)["error"] == "UnicodeDecodeError"
+
+
+@pytest.mark.parametrize("command", ["analyze", "gamma", "discriminant"])
+@pytest.mark.parametrize("number, shown", [
+    ("Infinity", "inf"), ("-Infinity", "-inf"), ("1e400", "inf"),
+    ("NaN", "nan")])
+def test_cli_non_finite_edge_rule_point_exits_2(tmp_path, command, number,
+                                                shown):
+    # Python's JSON reader takes all four as floats; 1e400 overflows to inf
+    doc = load_fixture("b3_cubic")
+    doc["edge_data"][0]["meets"] = "POINT"
+    path = tmp_path / "b3_cubic.json"
+    path.write_text(json.dumps(doc).replace('"POINT"', f"[{number}, 0, 1]"))
+    argv = [command, str(path)]
+    if command == "discriminant":
+        argv += ["--svg", str(tmp_path / "svg")]
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert one_json_line(err) == {
+        "error": "ParseError",
+        "message": f"edge_data entry 0 meets must be finite, not [{shown}, "
+                   "0, 1]"}
 
 
 @pytest.mark.parametrize("target", ["p3", "cube"])

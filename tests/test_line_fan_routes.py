@@ -26,7 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (_frac, bundled, bundled_polygon, clip_halfplane,
+from conftest import (_along_line, _exit_point, _frac, _two_cone, bundled,
+                      bundled_polygon, clip_halfplane,
                       edge_vector_multiset, face_length, lattice_polygons,
                       mat_vec, on_segment, random_unimodular2,
                       random_unimodular3, ref_cycle_in_ray_coords,
@@ -35,10 +36,9 @@ from conftest import (_frac, bundled, bundled_polygon, clip_halfplane,
 from test_degeneration import ref_polygon_of_sections
 from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
                                     DegenerationError, NotCartier,
-                                    RaySummand,
-                                    _along_line, _containing_edge,
-                                    _exit_point, _plane_slice, _rule_values,
-                                    _two_cone, line_fan, line_fan_data,
+                                    RaySummand, _containing_edge,
+                                    _plane_slice, _rule_values,
+                                    line_fan, line_fan_data,
                                     match_summand_slabs, product_data,
                                     quotient_functional, ray_lattice)
 from fanoscope.fileio import (bundled_polytopes, data_from_fixture,

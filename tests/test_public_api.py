@@ -70,7 +70,11 @@ DELETED = [("polytope", "convex_hull"),
            ("degeneration", "DegenerationData.b2_source"),
            ("degeneration", "DegenerationData.degree_fixture"),
            ("degeneration", "DegenerationData.boundary_components"),
-           ("invariants", "analyze_degree")]
+           ("invariants", "analyze_degree"),
+           ("degeneration", "_exit_point"),
+           ("degeneration", "_along_line"),
+           ("degeneration", "_two_cone_containing"),
+           ("degeneration", "_two_cone")]
 
 
 # deleted fields that a read-only property now derives: no field, and

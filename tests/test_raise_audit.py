@@ -539,6 +539,15 @@ PINS = {
         in_file(read_target, "bad.json", '{"kind": "slabs", "slabs": ['),
         ParseError, "bad JSON polytope: Expecting value: line 1 column 29 "
         "(char 28)"),
+    "fileio._json_int: a manifest integer of 5,000 digits": (
+        in_file(read_manifest, "rows.json", '{"rows": ' + "1" * 5000 + "}"),
+        ParseError, "bad JSON integer: Exceeds the limit (4300 digits) for "
+        "integer string conversion: value has 5000 digits; use "
+        "sys.set_int_max_str_digits() to increase the limit"),
+    "fileio._rules: an edge rule point at infinity": (
+        lambda: data_from_fixture({**load_fixture("b3_cubic"), "edge_data": [
+            {"meets": [float("inf"), 0, 1], "value": 3}]}), ParseError,
+        "edge_data entry 0 meets must be finite, not [inf, 0, 1]"),
     "fileio._require: a list": (
         lambda: data_from_fixture([1, 2]), ParseError,
         "fixture must be a JSON object"),

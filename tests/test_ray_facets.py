@@ -19,14 +19,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon,
-                      edge_vector_multiset, mat_vec, product_labels,
+from conftest import (NORMAL_FAN_POLYTOPES, _along_line, bundled,
+                      bundled_polygon, edge_vector_multiset, mat_vec,
+                      product_labels,
                       random_unimodular3, ref_cycle_in_ray_coords,
                       ref_facet_in_ray_coords, ref_minkowski_sum,
                       ref_ray_target)
 from fanoscope import cli
-from fanoscope.degeneration import (DegenerationError, _along_line,
-                                    _ray_word, decomposition_regimes,
+from fanoscope.degeneration import (DegenerationError, _ray_word,
+                                    decomposition_regimes,
                                     line_fan_data, method1_data,
                                     normal_fan_data, product_data,
                                     ray_lattice)

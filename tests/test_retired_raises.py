@@ -4,7 +4,10 @@ and polytopes.
 
 Each check is gone from its routine, whose docstring holds the proof:
 `ray_lattice`'s plane, `product_data`'s two edge lines at each vertex,
-`_exit_point` and `_plane_slice`'s non-empty half on a line fan,
+a line fan's exits and free corners read off P's vertices and d x v
+(`_exit`, `_free_corners`) against the facet scan and 2-cone test they
+replaced (`_exit_point`, `_two_cone_containing`, in `conftest.py`), and
+`_plane_slice`'s non-empty half on a line fan,
 `build_system`'s coplanar segment cones, `gamma_dimension`'s lower bound 3,
 `_graph_piece` and `dual_graph`'s boundary segments, the re-sum of every
 smooth decomposition (`enumerate_smooth_decompositions`), the plane of
@@ -37,7 +40,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (NORMAL_FAN_POLYTOPES, W_SIMPLEX, bundled,
+from conftest import (NORMAL_FAN_POLYTOPES, W_SIMPLEX, _along_line,
+                      _exit_point, _two_cone, _two_cone_containing, bundled,
                       bundled_polygon, dual_labels, edge_vector_multiset,
                       lattice_polygons,
                       malformed_slab_fixtures, mat_vec, normal_fan_routes,
@@ -51,8 +55,8 @@ from test_minkowski import DILATED, decompose, smooth_sums
 from test_shared_geometry import SEEDS, image
 from test_slab_checks import bundled_slabs
 from fanoscope import degeneration, invariants
-from fanoscope.degeneration import (DegenerationError, RaySummand,
-                                    _exit_point, _plane_slice, _two_cone,
+from fanoscope.degeneration import (DegenerationError, RaySummand, _exit,
+                                    _free_corners, _plane_slice,
                                     decomposition_regimes, line_fan,
                                     line_fan_data, method1_data,
                                     normal_fan_data, ray_lattice)
@@ -148,23 +152,44 @@ def complete_fans(p, rng, count=20):
     return fans
 
 
+def ref_exit(dual, rows, den, levels, r):
+    """(end, face kind, vertex id or None) of the ray through r as
+    `line_fan_data` found them before it read P's vertices: the exit
+    parameter over P*'s facet levels, then the vertex row it hits, else
+    the count of facets tight there."""
+    num, t_den = _exit_point(dual, levels, r)
+    assert num > 0 and t_den > 0
+    end = tuple(_quotient(x * num, t_den * den) for x in r)
+    hit = next((i for i, v in enumerate(rows)
+                if all(x * t_den == y * num for x, y in zip(v, r))), None)
+    tight = sum(1 for f, lvl in zip(dual.facets, levels)
+                if dot(f.normal, r) * num == lvl * t_den)
+    kind = "vertex" if hit is not None else {1: "facet", 2: "edge"}[tight]
+    return end, kind, hit
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_line_fan_cuts_are_never_degenerate(seed):
     rng = random.Random(f"line fans {seed}")  # a str seed is reproducible
+    kinds, free, refused = set(), 0, 0
     for p in fano_images(seed):
         dual = p.polar_dual()
         rows, den = clear_denominators(dual.vertices)
         levels = [dot(f.normal, rows[f.cycle[0]]) for f in dual.facets]
         for d, rays in complete_fans(p, rng):
-            spine = []
+            spine, exits = [], []
             for r in (d, neg(d)):
                 # P* is bounded with the origin inside: the ray leaves it
-                num, t_den = _exit_point(dual, levels, r)
-                assert num > 0 and t_den > 0
-                end = tuple(_quotient(x * num, t_den * den) for x in r)
+                end, kind, hit = ref_exit(dual, rows, den, levels, r)
                 assert min(dot(f.normal, end) - f.level
                            for f in dual.facets) == 0
+                # the same end, face and vertex off P's vertices alone
+                got, k, fid = _exit(p, r)
+                assert (got, fid) == (end, hit)
+                assert kind == {1: "facet", 2: "edge"}.get(k, "vertex")
                 spine.append(end)
+                exits.append(kind)
+            kinds.update(exits)
             for w in rays:
                 nu, half = _two_cone(d, w)
                 # a plane through the origin cuts P* in a polygon, which
@@ -180,6 +205,30 @@ def test_line_fan_cuts_are_never_degenerate(seed):
                 inside, _ = _plane_slice(dual, rows, den, nu, half)
                 assert inside
                 assert all(dot(half, x) > 0 for x in inside)
+            # P*'s vertices on neither the line nor a 2-cone
+            cones = [_two_cone(d, w) for w in rays]
+            count = sum(1 for v in rows if not _along_line(v, d)
+                        and _two_cone_containing(cones, v) is None)
+            assert _free_corners(rows, d, rays) == count
+            free += count > 0
+            # with no edge rule every slab is built and checked, so the
+            # first ray that leaves through no facet decides the outcome
+            first = next((i for i, kind in enumerate(exits)
+                          if kind != "facet"), None)
+            if first is None:
+                data = line_fan_data(p, d, rays, [])
+                assert data.vertex_count == count
+                assert [(s.ray, s.kind) for s in data.ray_summands] == [
+                    ("rho_plus", "point"), ("rho_minus", "point")]
+            elif exits[first] == "edge":
+                ray = ("rho_plus", "rho_minus")[first]
+                with pytest.raises(DegenerationError, match=(
+                        f"^{ray}: the ray leaves through a face of "
+                        "unsupported dimension$")):
+                    line_fan_data(p, d, rays, [])
+                refused += 1
+    assert kinds == {"facet", "edge", "vertex"}
+    assert free and refused
 
 
 # ---------------------------------------------------------------------------
