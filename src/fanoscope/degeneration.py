@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 
-from .linalg import clear_denominators, lex_positive, primitive
+from .linalg import lex_positive, primitive
 from .minkowski import Summand, enumerate_smooth_decompositions
 from .polytope import (LatticePolytope, Polygon, PolytopeError, cross, dot,
                        lattice_length, pick_area, plane_basis, plane_coords,
-                       plane_normal, _clean, _quotient)
+                       _clean)
 
 
 class DegenerationError(ValueError):
@@ -222,10 +222,10 @@ class DegenerationData:
     """Slabs and ray summands, checked once, when built (`validate`), and
     frozen: a changed copy comes from `dataclasses.replace`, which checks
     it again.  `stated` maps what a fixture states to (value, source).
-    `validate` reads neither `stated` nor `vertex_count`, so
-    `data_from_fixture` sets the two a fixture pins on a copy of the
-    checked data (`copy.copy`, then `vars().update`, as `Slab.shared`
-    names a copy), with no second check."""
+    `validate` does not read `stated`, so `data_from_fixture` sets what a
+    line-fan or product fixture states on a copy of the checked data
+    (`copy.copy`, then `vars().update`, as `Slab.shared` names a copy),
+    with no second check."""
     name: str
     kind: str                          # normal_fan | line_fan | product | slabs
     slabs: tuple
@@ -630,50 +630,54 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
     """Degeneration data whose fan has a one-dimensional minimal cone.
 
     edge_rule: {"meets": point, "value": a} entries; an edge of the polar
-    polytope lying in a 2-cone gets the value when it contains the point.
+    polytope lying in a 2-cone gets the value of the first rule whose point
+    it contains.
 
-    The geometry runs on the polar polytope's vertices times their common
-    denominator (`rows`), so every test is on integers and a coordinate
-    becomes a `Fraction` only where it is not integral.  A slab's points
-    all lie in its 2-cone's plane <nu, .> = 0, which its basis spans: the
-    slice's points satisfy it (`_plane_slice`), and so do the spine's ends,
-    which lie on the line.  So `plane_coords` maps them, scaled by their
-    common denominator, one to one to int coordinates (scaling keeps the
-    edge normals), and a slab vertex's 3-space point is found by them.
-    The spine's ends and the face each ray leaves P* through are read off
-    P's vertices (`_exit`), and the free corners off d x v (`_free_corners`).
+    Everything is read off P's vertices v, with no P* built.  In the basis
+    (b0, b1) = plane_basis([d, w]) of the plane H of ray w's 2-cone,
+    <v, x0 b0 + x1 b1> = <q_v, x> for q_v = (<v, b0>, <v, b1>), so H cuts
+    P* = {y : <v, y> >= -1} in the polar Q* of Q = conv(q_v): one corner
+    n / -c per edge (n, c) of Q, and the edge dual to a vertex q of Q on
+    <q, .> = -1.  The slab is Q*'s corners on w's side of the line (where
+    det(d, .) has det(d, w)'s sign) and the spine's ends +-d / t (`_exit`),
+    scaled by the lcm of their denominators.  Each point is in lowest
+    terms (n is primitive, and so is d in the saturated basis, in which a
+    point of H is integral iff its coordinates are), so this is the
+    section in 3-space times its common denominator, in plane coordinates.
+
+    A slab edge off the spine lies on the edge of Q* dual to one q, so on
+    the facets v* of P* for the vertices v over q, and on an edge of P*
+    iff two are: three facets of a 3-polytope share no segment, and two
+    that share one meet in an edge, dual to the edge [v1, v2] of P.  A
+    rule point m lies on that edge iff <v1, m> = <v2, m> = -1, as every
+    rule point is in P* (`_edge_rules`).  The face each ray leaves P*
+    through is read off P's vertices (`_exit`), and the free corners off
+    P's facet normals (`_free_corners`).
     """
     if not p.is_fano():
         raise DegenerationError("P is not a Fano polytope")
-    dual = p.polar_dual()
     dirv, fan_rays = line_fan(direction, rays2d)
     w_basis = ray_lattice(dirv)
-    rules = [(_clean(rule["meets"]), int(rule["value"])) for rule in edge_rule]
-    for meets, _ in rules:
-        if len(meets) != 3:
-            raise DegenerationError(f"edge rule point {meets} is not a point "
-                                    "of 3-space")
-    labels = _rule_values(dual, rules)
+    rules = _edge_rules(p, edge_rule)
 
-    rows, den = dual.vertex_rows
-    # the spine: P^dual cut by the minimal line, from rho_minus to rho_plus
+    # the spine: P* cut by the minimal line, from rho_minus to rho_plus
     rays = (("rho_plus", dirv), ("rho_minus", tuple(-x for x in dirv)))
     exits = [_exit(p, r) for _, r in rays]
-    spine = [end for end, _, _ in exits]
 
     slabs = []
     built = {}  # (polygon, coeffs) -> its first slab, within this call
     slab_functionals = {}
     for k, w in enumerate(fan_rays):
-        # w's 2-cone: <nu, .> = 0 and <half, .> >= 0, half 0 on the line
-        nu = plane_normal(dirv, w)
-        half = cross(nu, dirv)
-        half = tuple(-x for x in half) if dot(half, w) < 0 else half
-        pts, flat = _plane_slice(dual, rows, den, nu, half)
-        pts += spine
-        coords = plane_coords(plane_basis([dirv, w]),
-                              clear_denominators(pts)[0])
-        space = dict(zip(coords, pts))
+        b0, b1 = plane_basis([dirv, w])
+        (d0, d1), (w0, w1) = plane_coords((b0, b1), [dirv, w])
+        side = d0 * w1 - d1 * w0
+        qs = [(dot(v, b0), dot(v, b1)) for v in p.vertices]
+        # (point, denominator): Q*'s corners on w's side, then the spine
+        ends = [(n, -c) for n, c in Polygon(qs).edge_normals()
+                if (d0 * n[1] - d1 * n[0]) * side > 0]
+        ends += [((d0, d1), exits[0][0]), ((-d0, -d1), exits[1][0])]
+        den = lcm(*(t for _, t in ends))
+        coords = [(x * (den // t), y * (den // t)) for (x, y), t in ends]
         chord = set(coords[-2:])
         poly = Polygon(coords)
         coeffs, roles = [], []
@@ -682,9 +686,10 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
                 coeffs.append(0)
                 roles.append(ROLE_SPINE)
                 continue
-            eidx = (_containing_edge(dual, flat, space[a], space[b])
-                    if flat else None)
-            coeffs.append(0 if eidx is None else labels[eidx])
+            over = [v for v, q in zip(p.vertices, qs)
+                    if dot(q, a) == dot(q, b) == -den]
+            coeffs.append(next((value for m, value in rules if len(over) == 2
+                                and all(dot(v, m) == -1 for v in over)), 0))
             roles.append(ROLE_BOUNDARY)
         sname = f"S{k}"
         slabs.append(Slab.shared(built, sname, poly, tuple(coeffs),
@@ -717,8 +722,39 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
         slabs=slabs,
         ray_summands=ray_summands,
         polytope=p,
-        vertex_count=_free_corners(rows, dirv, fan_rays),
+        vertex_count=_free_corners(p, dirv, fan_rays),
     )
+
+
+def _edge_rules(p: LatticePolytope, edge_rule):
+    """[(point, value)] of a line fan's edge rules, each refused, naming
+    it, unless its point is three finite numbers and its value an int, and
+    then refused, naming the last, unless each point m is on an edge of P*:
+    <v, m> >= -1 for every vertex v of P, with equality at both ends of
+    some edge of P, whose dual edge it is then on."""
+    rules = []
+    for i, rule in enumerate(edge_rule):
+        meets, value = rule["meets"], rule["value"]
+        try:
+            point = _clean(meets)
+        except (TypeError, ValueError, OverflowError):  # inf, nan, "x"
+            point = None
+        if point is None or len(point) != 3:
+            raise DegenerationError(
+                f"edge rule point {meets if point is None else point} is "
+                "not a point of 3-space")
+        if type(value) is not int:
+            raise DegenerationError(f"edge rule {i}: value {value!r} is not "
+                                    "an integer")
+        rules.append((point, value))
+    edges = [e.vertex_ids for e in p.edges]
+    for meets, _ in reversed(rules):
+        vals = [dot(v, meets) for v in p.vertices]
+        if min(vals) < -1 or not any(vals[i] == vals[j] == -1
+                                     for i, j in edges):
+            raise DegenerationError(f"edge rule point {meets} lies on no "
+                                    "edge of the polar polytope")
+    return rules
 
 
 def product_data(q: Polygon, name="") -> DegenerationData:
@@ -793,87 +829,33 @@ def product_data(q: Polygon, name="") -> DegenerationData:
 
 
 def _exit(p: LatticePolytope, r):
-    """(end, k, fid): the ray through r, primitive, leaves P* at end =
-    r / -m, m = min <v, r> over P's vertices, k of which reach it, and
-    through vertex fid of P* when k > 2 (fid is None otherwise).
+    """(t, k, fid): the ray through r, primitive, leaves P* at r / t,
+    t = -min <v, r> over P's vertices, k of which reach it, and through
+    vertex fid of P* when k > 2 (fid is None otherwise).
 
-    P* = {y : <v, y> >= -1} is bounded around 0 (P is Fano), so m < 0
-    and t r, t >= 0, is in P* iff t <= 1 / -m.  The facets v* through end are those with
-    <v, r> = m, so the ray leaves through the face dual to P's face F
-    where <., r> is least (Ziegler, Lectures on Polytopes, ch. 2): a facet
-    when F is a vertex (k = 1), an edge when F is one (k = 2), else the
-    vertex dual to the facet F, whose primitive inner normal is r."""
+    P* = {y : <v, y> >= -1} is bounded around 0 (P is Fano), so t > 0
+    and s r, s >= 0, is in P* iff s <= 1 / t.  The facets v* through r / t
+    are those with <v, r> = -t, so the ray leaves through the face dual to
+    P's face F where <., r> is least (Ziegler, Lectures on Polytopes,
+    ch. 2): a facet when F is a vertex (k = 1), an edge when F is one
+    (k = 2), else the vertex dual to the facet F, whose primitive inner
+    normal is r."""
     vals = [dot(v, r) for v in p.vertices]
     m = min(vals)
     k = vals.count(m)
     fid = (next(i for i, f in enumerate(p.facets) if f.normal == r)
            if k > 2 else None)
-    return tuple(_quotient(x, -m) for x in r), k, fid
+    return -m, k, fid
 
 
-def _free_corners(rows, dirv, fan_rays) -> int:
-    """How many vertices v of P* (`rows`) lie on neither the line through
-    d = dirv nor a 2-cone: those with d x v != 0 whose primitive is no
-    fan ray w's primitive d x w.  v = a d + b w gives d x v = b (d x w),
-    and d x v = b (d x w) gives d x (v - b w) = 0, so v = a d + b w: v off
+def _free_corners(p: LatticePolytope, dirv, fan_rays) -> int:
+    """How many vertices v of P* lie on neither the line through d = dirv
+    nor a 2-cone, read off P's facet normals, of which P*'s vertices are
+    positive multiples: those with d x v != 0 whose primitive is no fan
+    ray w's primitive d x w.  v = a d + b w gives d x v = b (d x w), and
+    d x v = b (d x w) gives d x (v - b w) = 0, so v = a d + b w: v off
     the line is in w's 2-cone (b > 0) iff the primitives agree."""
     cones = {primitive(cross(dirv, w)) for w in fan_rays}
-    return sum(1 for v in rows
-               if any(dv := cross(dirv, v)) and primitive(dv) not in cones)
-
-
-def _rule_values(poly: LatticePolytope, rules):
-    """{edge id: the value of the first (point, value) rule whose point is
-    on the edge, else 0}.  A point of poly lies on an edge exactly when it
-    lies on both facets through the edge; a rule whose point is on no edge
-    labels nothing and is refused."""
-    values = dict.fromkeys(range(len(poly.edges)), 0)
-    for meets, value in reversed(rules):  # the first rule writes last
-        gaps = [dot(f.normal, meets) - f.level for f in poly.facets]
-        hits = [i for i, e in enumerate(poly.edges)
-                if all(gaps[j] == 0 for j in e.facet_ids)]
-        if min(gaps) < 0 or not hits:
-            raise DegenerationError(f"edge rule point {meets} lies on no "
-                                    "edge of the polar polytope")
-        values.update(dict.fromkeys(hits, value))
-    return values
-
-
-def _plane_slice(poly: LatticePolytope, rows, den, nu, half):
-    """The vertices of the section of a 3-polytope by the plane ann(nu) at
-    which <half, .> > 0, and the ids of the polytope's edges in the plane.
-
-    rows are the polytope's vertices times den.  A vertex on the plane is
-    kept as it is; an edge [a, b] with g = <nu, .> of opposite signs at its
-    ends crosses it at (g_b a - g_a b) / (g_b - g_a), one exact quotient,
-    built only where <half, g_b a - g_a b> (g_b - g_a) > 0.  The plane
-    passes through the origin, interior to poly (= P* for a Fano P), so
-    the section is a polygon around the origin, and `half`, which is > 0 on
-    the 2-cone's ray, is > 0 at one of its vertices: never none.
-    """
-    g = [dot(nu, v) for v in rows]
-    pts = [v for v, r, x in zip(poly.vertices, rows, g)
-           if x == 0 and dot(half, r) > 0]
-    flat = []
-    for i, e in enumerate(poly.edges):
-        ia, ib = e.vertex_ids
-        ga, gb = g[ia], g[ib]
-        if ga * gb < 0:
-            num = [gb * x - ga * y for x, y in zip(rows[ia], rows[ib])]
-            if dot(half, num) * (gb - ga) > 0:
-                d = (gb - ga) * den
-                pts.append(tuple(_quotient(x, d) for x in num))
-        elif ga == gb == 0:
-            flat.append(i)
-    return pts, flat
-
-
-def _containing_edge(poly: LatticePolytope, edge_ids, a3, b3):
-    """The first of the given edges of poly that holds both a3 and b3,
-    points of poly: as in `_rule_values`, a point of poly lies on an edge
-    exactly when it lies on both facets through the edge."""
-    for i in edge_ids:
-        if all(dot(f.normal, x) == f.level for x in (a3, b3)
-               for f in map(poly.facets.__getitem__, poly.edges[i].facet_ids)):
-            return i
-    return None
+    return sum(1 for f in p.facets
+               if any(dv := cross(dirv, f.normal))
+               and primitive(dv) not in cones)

@@ -186,14 +186,17 @@ def list_fixtures():
     return sorted(out)
 
 
-# the keys each fixture kind reads: those it cannot do without, then the rest
+# the keys each fixture kind reads: those it cannot do without, then the
+# rest, among them the invariants it pins where it cannot derive them (a
+# slab fixture reads "degree" only without a polytope, whose degree it is)
 KIND_KEYS = {"normal_fan": (("polytope",), ("choice",)),
-             "line_fan": (("polytope", "direction", "rays2d"), ("edge_data",)),
-             "product": (("base_polygon",), ()),
-             "slabs": (("slabs",), ("polytope", "rays"))}
-# the keys every kind reads: its kind and name, and the invariants it pins
-COMMON_KEYS = {"kind", "name", "expected", "b2", "degree", "vertex_count",
-               "boundary_components"}
+             "line_fan": (("polytope", "direction", "rays2d"),
+                          ("edge_data", "b2", "boundary_components")),
+             "product": (("base_polygon",), ("boundary_components",)),
+             "slabs": (("slabs",), ("polytope", "rays", "vertex_count", "b2",
+                                    "boundary_components", "degree"))}
+# the keys every kind reads
+COMMON_KEYS = {"kind", "name", "expected"}
 
 
 def _require(doc, keys, where):
@@ -211,6 +214,8 @@ def data_from_fixture(doc: dict) -> DegenerationData:
         raise ParseError(f"unknown fixture kind {kind!r}")
     required, optional = KIND_KEYS[kind]
     unread = set(doc).difference(COMMON_KEYS, required, optional)
+    if "polytope" in doc and "degree" in doc:
+        unread.add("degree")
     if unread:
         raise ParseError(f"fixture key {min(unread)!r} is not read by a "
                          f"{kind} fixture")
@@ -248,8 +253,8 @@ def data_from_fixture(doc: dict) -> DegenerationData:
         data = product_data(Polygon(_points(doc["base_polygon"], 2,
                                             "base_polygon")), name)
     if extra:
-        # `validate` reads neither `vertex_count` nor `stated`, so they
-        # go on a copy of the checked data, with no second check
+        # `validate` does not read `stated`, so it goes on a copy of the
+        # checked data, with no second check
         data = copy.copy(data)
         vars(data).update(extra)
     return data

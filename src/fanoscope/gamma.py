@@ -104,28 +104,6 @@ def b2(data: DegenerationData) -> int:
 # fast path through the constructible system on the one-skeleton
 
 
-_ALLOWED_PATTERNS = {
-    (1, 1, 1),            # P^2
-    (0, 0, 0, 0),         # P^1 x P^1
-    (1, 0, -1, 0),        # F_1 (Hirzebruch)
-    (-1, -1, -1, 0, 0),   # dP_7
-}
-
-
-def _cyclic_variants(seq):
-    seq = list(seq)
-    out = set()
-    for s in (seq, seq[::-1]):
-        for i in range(len(s)):
-            out.add(tuple(s[i:] + s[:i]))
-    return out
-
-
-# every rotation and reversal of an allowed pattern
-_ALLOWED = frozenset(v for pat in _ALLOWED_PATTERNS
-                     for v in _cyclic_variants(pat))
-
-
 def _fan_pattern(cycle, normal):
     """Self-intersection sequence of the smooth complete fan normal to a
     polygon given by its vertex cycle in 3-space and the primitive normal
@@ -154,10 +132,19 @@ def _fan_pattern(cycle, normal):
 
 
 def barT_hypothesis(data: DegenerationData):
-    """Every facet of P must have normal fan among P^2, P^1xP^1, F_1, dP_7."""
+    """Every facet of P must have normal fan among P^2, P^1xP^1, F_1, dP_7:
+    a smooth fan (`_fan_pattern` is not None) of at most 5 rays with no
+    self-intersection below -1.
+
+    On a smooth complete toric surface each D_i is a P^1, so adjunction
+    gives -K.D_i = D_i^2 + 2, and by toric Kleiman -K is ample iff every
+    D_i^2 >= -1.  The smooth toric del Pezzo surfaces are P^2, P^1xP^1,
+    F_1, dP_7 and dP_6, and only dP_6 has 6 rays."""
     p = data.polytope
-    return all(_fan_pattern([p.vertices[i] for i in f.cycle], f.normal)
-               in _ALLOWED for f in p.facets)
+    patterns = (_fan_pattern([p.vertices[i] for i in f.cycle], f.normal)
+                for f in p.facets)
+    return all(pat is not None and len(pat) <= 5 and min(pat) >= -1
+               for pat in patterns)
 
 
 def barT_sections(data: DegenerationData) -> int | None:

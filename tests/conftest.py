@@ -17,17 +17,21 @@ from hypothesis import strategies as st
 
 from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
                                     DegenerationData, DegenerationError,
-                                    NotCartier, NotNef, Sections, Slab,
-                                    _edge_name, _ray_name, line_fan_data)
+                                    NotCartier, NotNef, RaySummand, Sections,
+                                    Slab, _attach, _edge_name, _exit,
+                                    _ray_name, _ray_word, _space_order,
+                                    _tied, line_fan, line_fan_data,
+                                    quotient_functional, ray_lattice)
 from fanoscope.discriminant import DiscriminantGraph, Node, dual_graph
 from fanoscope.fileio import bundled_polytopes, load_fixture
-from fanoscope.linalg import kernel_basis, lex_positive, primitive, saturate
-from fanoscope.minkowski import Summand
+from fanoscope.linalg import (clear_denominators, kernel_basis, lex_positive,
+                              primitive, saturate)
+from fanoscope.minkowski import Summand, enumerate_smooth_decompositions
 from fanoscope.polytope import (Edge, Facet, LatticePolytope, Polygon,
                                 PolytopeError, _clean, _hull2d, _lattice_index,
                                 _quotient, cross, dot, embed_polygon,
                                 gorenstein_index, is_integral,
-                                lattice_length, plane_coords,
+                                lattice_length, plane_basis, plane_coords,
                                 plane_normal, vadd, vsub)
 
 
@@ -1208,3 +1212,179 @@ def _two_cone_containing(two_cones, v):
         if dot(nu, v) == 0 and dot(half, v) >= 0:
             return nu
     return None
+
+
+# ---------------------------------------------------------------------------
+# the slab helpers that sliced P* in 3-space, verbatim, which
+# `line_fan_data` replaced by reading each slab off P's vertices as the
+# polar of their projection to the 2-cone's plane, and the route they
+# made (`ref_line_fan_data`): the references of
+# `tests/test_line_fan_routes.py` and `tests/test_retired_raises.py`
+
+
+def _rule_values(poly: LatticePolytope, rules):
+    """{edge id: the value of the first (point, value) rule whose point is
+    on the edge, else 0}.  A point of poly lies on an edge exactly when it
+    lies on both facets through the edge; a rule whose point is on no edge
+    labels nothing and is refused."""
+    values = dict.fromkeys(range(len(poly.edges)), 0)
+    for meets, value in reversed(rules):  # the first rule writes last
+        gaps = [dot(f.normal, meets) - f.level for f in poly.facets]
+        hits = [i for i, e in enumerate(poly.edges)
+                if all(gaps[j] == 0 for j in e.facet_ids)]
+        if min(gaps) < 0 or not hits:
+            raise DegenerationError(f"edge rule point {meets} lies on no "
+                                    "edge of the polar polytope")
+        values.update(dict.fromkeys(hits, value))
+    return values
+
+
+def _plane_slice(poly: LatticePolytope, rows, den, nu, half):
+    """The vertices of the section of a 3-polytope by the plane ann(nu) at
+    which <half, .> > 0, and the ids of the polytope's edges in the plane.
+
+    rows are the polytope's vertices times den.  A vertex on the plane is
+    kept as it is; an edge [a, b] with g = <nu, .> of opposite signs at its
+    ends crosses it at (g_b a - g_a b) / (g_b - g_a), one exact quotient,
+    built only where <half, g_b a - g_a b> (g_b - g_a) > 0.  The plane
+    passes through the origin, interior to poly (= P* for a Fano P), so
+    the section is a polygon around the origin, and `half`, which is > 0 on
+    the 2-cone's ray, is > 0 at one of its vertices: never none.
+    """
+    g = [dot(nu, v) for v in rows]
+    pts = [v for v, r, x in zip(poly.vertices, rows, g)
+           if x == 0 and dot(half, r) > 0]
+    flat = []
+    for i, e in enumerate(poly.edges):
+        ia, ib = e.vertex_ids
+        ga, gb = g[ia], g[ib]
+        if ga * gb < 0:
+            num = [gb * x - ga * y for x, y in zip(rows[ia], rows[ib])]
+            if dot(half, num) * (gb - ga) > 0:
+                d = (gb - ga) * den
+                pts.append(tuple(_quotient(x, d) for x in num))
+        elif ga == gb == 0:
+            flat.append(i)
+    return pts, flat
+
+
+def _containing_edge(poly: LatticePolytope, edge_ids, a3, b3):
+    """The first of the given edges of poly that holds both a3 and b3,
+    points of poly: as in `_rule_values`, a point of poly lies on an edge
+    exactly when it lies on both facets through the edge."""
+    for i in edge_ids:
+        if all(dot(f.normal, x) == f.level for x in (a3, b3)
+               for f in map(poly.facets.__getitem__, poly.edges[i].facet_ids)):
+            return i
+    return None
+
+
+def ref_line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
+                      name="") -> DegenerationData:
+    """`degeneration.line_fan_data` as it was, verbatim but for `_exit`,
+    which returned the spine's end r / t where it now returns t, and
+    `_free_corners`, which read P*'s vertex rows where it now reads P's
+    facet normals, both inlined: it slices P* in 3-space."""
+    if not p.is_fano():
+        raise DegenerationError("P is not a Fano polytope")
+    dual = p.polar_dual()
+    dirv, fan_rays = line_fan(direction, rays2d)
+    w_basis = ray_lattice(dirv)
+    rules = [(_clean(rule["meets"]), int(rule["value"])) for rule in edge_rule]
+    for meets, _ in rules:
+        if len(meets) != 3:
+            raise DegenerationError(f"edge rule point {meets} is not a point "
+                                    "of 3-space")
+    labels = _rule_values(dual, rules)
+
+    rows, den = dual.vertex_rows
+    # the spine: P^dual cut by the minimal line, from rho_minus to rho_plus
+    rays = (("rho_plus", dirv), ("rho_minus", tuple(-x for x in dirv)))
+    exits = [_exit(p, r) for _, r in rays]
+    spine = [tuple(_quotient(x, t) for x in r)
+             for (_, r), (t, _, _) in zip(rays, exits)]
+
+    slabs = []
+    built = {}  # (polygon, coeffs) -> its first slab, within this call
+    slab_functionals = {}
+    for k, w in enumerate(fan_rays):
+        # w's 2-cone: <nu, .> = 0 and <half, .> >= 0, half 0 on the line
+        nu = plane_normal(dirv, w)
+        half = cross(nu, dirv)
+        half = tuple(-x for x in half) if dot(half, w) < 0 else half
+        pts, flat = _plane_slice(dual, rows, den, nu, half)
+        pts += spine
+        coords = plane_coords(plane_basis([dirv, w]),
+                              clear_denominators(pts)[0])
+        space = dict(zip(coords, pts))
+        chord = set(coords[-2:])
+        poly = Polygon(coords)
+        coeffs, roles = [], []
+        for a, b in poly.edges():
+            if {a, b} == chord:
+                coeffs.append(0)
+                roles.append(ROLE_SPINE)
+                continue
+            eidx = (_containing_edge(dual, flat, space[a], space[b])
+                    if flat else None)
+            coeffs.append(0 if eidx is None else labels[eidx])
+            roles.append(ROLE_BOUNDARY)
+        sname = f"S{k}"
+        slabs.append(Slab.shared(built, sname, poly, tuple(coeffs),
+                                 tuple(roles)))
+        slab_functionals[sname] = quotient_functional(w_basis, w)
+
+    ray_summands = []
+    for (ray_id, _), (_, tight, fid) in zip(rays, exits):
+        if tight == 1:  # through the inside of a facet of P*
+            ray_summands.append(RaySummand(ray_id, "point"))
+            continue
+        if tight == 2:
+            raise DegenerationError(
+                f"{ray_id}: the ray leaves through a face of unsupported "
+                "dimension")
+        # through vertex fid of P*, dual to P's facet fid
+        decos = enumerate_smooth_decompositions(
+            _ray_word(p, p.facets[fid], w_basis, ray_id))
+        if not decos:
+            raise DegenerationError("no smooth Minkowski decomposition "
+                                    f"for {ray_id}")
+        if _tied(decos):
+            decos = _space_order(decos, w_basis)
+        # prefer the triangle-rich canonical choice
+        ray_summands += _attach(ray_id, decos[-1], slab_functionals)
+
+    cones = {primitive(cross(dirv, w)) for w in fan_rays}
+    return DegenerationData(
+        name=name or "line-fan data",
+        kind="line_fan",
+        slabs=slabs,
+        ray_summands=ray_summands,
+        polytope=p,
+        vertex_count=sum(1 for v in rows if any(dv := cross(dirv, v))
+                         and primitive(dv) not in cones),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the fast path's table of facet fan patterns and its variant generator,
+# verbatim, which `gamma.barT_hypothesis` replaced by the del Pezzo
+# criterion (at most 5 rays, no self-intersection below -1): the
+# references of `tests/test_gamma.py` and `tests/test_shared_geometry.py`
+
+
+_ALLOWED_PATTERNS = {
+    (1, 1, 1),            # P^2
+    (0, 0, 0, 0),         # P^1 x P^1
+    (1, 0, -1, 0),        # F_1 (Hirzebruch)
+    (-1, -1, -1, 0, 0),   # dP_7
+}
+
+
+def _cyclic_variants(seq):
+    seq = list(seq)
+    out = set()
+    for s in (seq, seq[::-1]):
+        for i in range(len(s)):
+            out.add(tuple(s[i:] + s[:i]))
+    return out

@@ -4,7 +4,9 @@ The inputs are every bundled fixture, every bundled polytope written as a
 JSON file, and a table manifest of four bundled rows (one per method).  Each
 key is dropped, and each value down to depth 2 is replaced by each of
 `JUNK`; a manifest's rows get the same, and so does each coordinate of
-each edge rule point (`meets`) of a line-fan fixture.  Each run is
+each edge rule point (`meets`) of a line-fan fixture.  Each fixture also
+gets each pinned invariant (`PINNED`) it lacks, which its kind reads or
+refuses.  Each run is
 `analyze`, or `table` for a manifest.  Every fixture's mutants are also
 drawn with
 `discriminant --svg`, and a slab fixture's entries at depth 3 (each key of
@@ -82,10 +84,18 @@ def entry_mutants(doc):
     return out
 
 
+# the invariants a fixture may pin, each with a value of its JSON type
+PINNED = {"b2": {"value": 1}, "degree": 1, "vertex_count": 1,
+          "boundary_components": 1}
+
+
 def fixture_mutants(doc):
-    """`mutants` of a fixture, and for a line fan each coordinate of each
-    edge rule point replaced by each of JUNK."""
+    """`mutants` of a fixture, each pinned key it lacks added, and for a
+    line fan each coordinate of each edge rule point replaced by each of
+    JUNK."""
     out = mutants(doc)
+    out += [(f"add {key}", {**doc, key: value})
+            for key, value in PINNED.items() if key not in doc]
     for i, rule in enumerate(doc.get("edge_data", [])):
         for j in range(len(rule["meets"])):
             for junk in JUNK:
@@ -189,7 +199,7 @@ def test_every_fixture_mutant_is_drawn_or_refused(tmp_path, monkeypatch):
     cases = [(f"{name}: {label}", changed) for name in list_fixtures()
              if "kind" in (doc := load_fixture(name))
              for label, changed in fixture_mutants(doc)]
-    assert len(cases) == 2357  # v2 has no edge_values key to mutate
+    assert len(cases) == 2374  # 2,357 changed and 17 pinned keys added
     assert run_all(cases, lambda path: ["discriminant", path, "--svg", svg],
                    tmp_path) == []
 

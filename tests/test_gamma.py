@@ -1,17 +1,23 @@
+import json
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (NORMAL_FAN_POLYTOPES, bundled, densify, facet_polygon,
+from conftest import (_ALLOWED_PATTERNS, NORMAL_FAN_POLYTOPES,
+                      _cyclic_variants, bundled, densify, facet_polygon,
                       lattice_polygons, mat_vec, normal_fan_routes, random_unimodular2,
                       random_unimodular3, ref_annihilators)
+from test_sweep_memos import SWEEP_BASES
 from fanoscope.degeneration import line_fan_data, method1_data, normal_fan_data
-from fanoscope.gamma import (_ALLOWED, GammaError,
-                             _fan_pattern, b2, barT_hypothesis, barT_sections, baseline_ok,
+from fanoscope.fileio import bundled_polytopes
+from fanoscope.gamma import (GammaError, _fan_pattern, b2, barT_hypothesis, barT_sections, baseline_ok,
                              build_system, gamma_dimension)
 from fanoscope.linalg import rank
 from fanoscope.polytope import LatticePolytope, Polygon, dot
@@ -241,41 +247,70 @@ def test_fan_pattern_matches_fraction_route(polygon):
     assert _fan_pattern(padded, (0, 0, 1)) == fraction_fan_pattern(polygon)
 
 
-# `barT_hypothesis`'s verdict on one facet pattern as it was before the
-# allowed set was closed under rotation and reversal at import, with the
-# variant generator it called, kept verbatim as a reference
+# the fast path's criterion against its table: every lattice polygon in a
+# box, and every facet of the bundled polytopes, the `sweep` bases and
+# their GL(3,Z) images; a pattern no fan has is not compared
 
 
-REF_ALLOWED_PATTERNS = {
-    (1, 1, 1),            # P^2
-    (0, 0, 0, 0),         # P^1 x P^1
-    (1, 0, -1, 0),        # F_1 (Hirzebruch)
-    (-1, -1, -1, 0, 0),   # dP_7
-}
+def box_polygons(n):
+    """Every lattice polygon in [0, n]^2, as its vertex cycle: hulls grown
+    from each triangle one box point at a time, which reach every polygon
+    through its vertices, as any of them are in convex position."""
+    box = list(product(range(n + 1), repeat=2))
+    seen = set()
+    for tri in combinations(box, 3):
+        if (tri[1][0] - tri[0][0]) * (tri[2][1] - tri[0][1]) != \
+                (tri[2][0] - tri[0][0]) * (tri[1][1] - tri[0][1]):
+            seen.add(Polygon(tri).vertices)
+    todo = list(seen)
+    while todo:
+        vs = todo.pop()
+        for x in box:
+            grown = Polygon(vs + (x,)).vertices
+            if grown not in seen:
+                seen.add(grown)
+                todo.append(grown)
+    return seen
 
 
-def ref_cyclic_variants(seq):
-    seq = list(seq)
-    out = set()
-    for s in (seq, seq[::-1]):
-        for i in range(len(s)):
-            out.add(tuple(s[i:] + s[:i]))
-    return out
+def one_facet(cycle, normal):
+    """Data whose polytope has the one facet given by its vertex cycle and
+    normal: what `barT_hypothesis` reads."""
+    facet = SimpleNamespace(cycle=range(len(cycle)), normal=normal)
+    return SimpleNamespace(polytope=SimpleNamespace(vertices=cycle,
+                                                    facets=[facet]))
 
 
-def ref_pattern_allowed(pat):
-    if pat is None:
-        return False
-    if not any(v in REF_ALLOWED_PATTERNS for v in ref_cyclic_variants(pat)):
-        return False
-    return True
+def check_against_the_table(cycle, normal, seen):
+    """barT_hypothesis on the facet equals the table's verdict on its
+    pattern up to rotation and reversal; counts the pattern in seen."""
+    pattern = _fan_pattern(cycle, normal)
+    table = pattern is not None and any(
+        v in _ALLOWED_PATTERNS for v in _cyclic_variants(pattern))
+    assert barT_hypothesis(one_facet(cycle, normal)) == table, pattern
+    seen[None if pattern is None else min(_cyclic_variants(pattern))] += 1
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.one_of(
-    st.none(),
-    st.lists(st.integers(-2, 2), max_size=6).map(tuple),
-    st.sampled_from(sorted(REF_ALLOWED_PATTERNS)).flatmap(
-        lambda pat: st.sampled_from(sorted(ref_cyclic_variants(pat))))))
-def test_allowed_set_matches_the_any_variant_route(pat):
-    assert (pat in _ALLOWED) == ref_pattern_allowed(pat)
+def test_fast_path_criterion_matches_the_table_on_occurring_patterns():
+    seen = Counter()
+    for vs in box_polygons(3):
+        check_against_the_table([(x, y, 0) for x, y in vs], (0, 0, 1), seen)
+    bases = [bundled(name) for name in sorted(bundled_polytopes())
+             if name != "polygons"] + [
+        LatticePolytope(doc["vertices"]) for doc in
+        json.loads(SWEEP_BASES.read_text())["sweep_bases"].values()]
+    for base in bases:
+        for seed in (None, 1, 2):
+            p = base
+            if seed is not None:
+                m = random_unimodular3(random.Random(seed))
+                p = LatticePolytope([tuple(mat_vec(m, list(v)))
+                                     for v in base.vertices])
+            for f in p.facets:
+                check_against_the_table([p.vertices[i] for i in f.cycle],
+                                        f.normal, seen)
+    # each allowed surface occurs, and so do dP_6, F_1's neighbour F_2 and
+    # singular fans, which the criterion refuses
+    for pat in _ALLOWED_PATTERNS:
+        assert seen[min(_cyclic_variants(pat))]
+    assert seen[(-1,) * 6] and seen[(-2, 0, 2, 0)] and seen[None]

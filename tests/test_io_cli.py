@@ -319,6 +319,26 @@ def test_cli_fixture_key_of_another_kind_exits_2(tmp_path, name, change,
     assert one_json_line(err) == {"error": "ParseError", "message": message}
 
 
+@pytest.mark.parametrize("name, key, value", [
+    ("b3_cubic", "vertex_count", 2), ("v2", "vertex_count", 2),
+    ("v2", "b2", {"value": 7}), ("b3_cubic", "degree", 5),
+    ("v2", "boundary_components", 1), ("b1", "degree", 5)])
+def test_cli_fixture_key_its_kind_derives_exits_2(tmp_path, name, key,
+                                                   value):
+    # a stated value replaced the derived one or was dropped, and v2's
+    # boundary components stood in for its H^2 gluing-kernel index; b1 is
+    # a slab fixture with a polytope, whose degree it derives
+    doc = {**load_fixture(name), key: value}
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli("analyze", str(path))
+    assert code == 2 and out == ""
+    assert one_json_line(err) == {
+        "error": "ParseError",
+        "message": f"fixture key {key!r} is not read by a {doc['kind']} "
+                   "fixture"}
+
+
 def test_cli_verify24(tmp_path):
     path = minidb(tmp_path)
     code, out, err = run_cli("verify24", "--db", path)

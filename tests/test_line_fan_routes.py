@@ -16,29 +16,36 @@ spans, counts), ray summands and vertex count, or raise the same exception
 with the same message.  The edge values, which the slab coefficients
 read, are compared with the segment scan on their own
 (`test_rule_values_match_the_segment_scan`).
+
+The last section compares `line_fan_data`, which reads each slab off P's
+vertices as the polar of their projection to the 2-cone's plane, with the
+route that sliced P* in 3-space (`ref_line_fan_data`, with `_plane_slice`,
+`_containing_edge` and `_rule_values`, in `conftest.py`) on random line
+fans, asserts the lemma behind it, and spies that it builds no P* and no
+`Fraction` on integral rules.
 """
 
 import random
 from collections import Counter
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (_along_line, _exit_point, _frac, _two_cone, bundled,
+from conftest import (_along_line, _containing_edge, _exit_point, _frac,
+                      _plane_slice, _rule_values, _two_cone, bundled,
                       bundled_polygon, clip_halfplane,
                       edge_vector_multiset, face_length, lattice_polygons,
                       mat_vec, on_segment, random_unimodular2,
                       random_unimodular3, ref_cycle_in_ray_coords,
-                      ref_edge_normals, ref_product_rules, ref_vertices,
-                      unchecked, unproject, whole_plane_slice)
+                      ref_edge_normals, ref_line_fan_data, ref_product_rules,
+                      ref_vertices, unchecked, unproject, whole_plane_slice)
 from test_degeneration import ref_polygon_of_sections
 from fanoscope.degeneration import (ROLE_BOUNDARY, ROLE_SPINE,
                                     DegenerationError, NotCartier,
-                                    RaySummand, _containing_edge,
-                                    _plane_slice, _rule_values,
-                                    line_fan, line_fan_data,
+                                    RaySummand, _exit, line_fan, line_fan_data,
                                     match_summand_slabs, product_data,
                                     quotient_functional, ray_lattice)
 from fanoscope.fileio import (bundled_polytopes, data_from_fixture,
@@ -47,7 +54,7 @@ from fanoscope.invariants import analyze
 from fanoscope.linalg import clear_denominators, primitive
 from fanoscope.minkowski import enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                dot, gorenstein_index, lattice_length,
+                                cross, dot, gorenstein_index, lattice_length,
                                 plane_basis, plane_coords, plane_normal,
                                 _clean, _quotient)
 
@@ -635,3 +642,193 @@ def test_products_and_b3_cubic_build_no_fraction(monkeypatch):
     analyze(data_from_fixture(load_fixture("b3_cubic")))
     monkeypatch.undo()
     assert built == []
+
+
+# ---------------------------------------------------------------------------
+# each slab read off P as the polar of its projection, against the route
+# that sliced P* in 3-space (`ref_line_fan_data`)
+
+
+def slicing_route(p, direction, rays2d, rule):
+    d = unchecked(ref_line_fan_data, p, direction, rays2d, rule)
+    return d.slabs, d.ray_summands, d.vertex_count
+
+
+BOX = [v for v in product((-1, 0, 1), repeat=3) if any(v)]
+
+
+def fano_polytopes(rng):
+    """An endless stream of the bundled Fano polytopes, most of them moved
+    by a random GL(3,Z) map."""
+    names = sorted(k for k in bundled_polytopes() if k != "polygons")
+    while True:
+        p = bundled(rng.choice(names))
+        if rng.random() < 0.7:
+            m = random_unimodular3(rng)
+            p = LatticePolytope([tuple(mat_vec(m, list(v)))
+                                 for v in p.vertices])
+        if p.is_fano():
+            yield p
+
+
+def random_line_fans(rng, count):
+    """(P, d, rays, rules, bad) of `count` line fans that `line_fan`
+    accepts.  An edge [a, b] of P* is flat in the first ray's 2-cone: the
+    ray is a or b, and the line is mostly through a combination of a and b
+    (else through a vertex of P* or a small vector).  Rule points are
+    drawn from a, b and two points between them, and from a vertex and
+    the midpoint of another edge, with values 0..3; `bad` names the rule
+    point added outside P*, or inside it on no edge, or is None."""
+    out = []
+    polytopes = fano_polytopes(rng)
+    while len(out) < count:
+        p = next(polytopes)
+        dual = p.polar_dual()
+        vs = dual.vertices
+        a, b = (vs[i] for i in sorted(rng.choice(dual.edges).vertex_ids))
+        x, y = rng.choice([(1, -1), (1, 1), (2, -1), (1, -2), (1, 0)])
+        d = tuple(x * s + y * t for s, t in zip(a, b))
+        if not any(d) or rng.random() < 0.3:
+            d = rng.choice(vs) if rng.random() < 0.5 else rng.choice(BOX)
+        rays = [rng.choice((a, b))] + rng.sample(BOX, rng.randint(2, 4))
+        try:
+            line_fan(d, rays)
+        except DegenerationError:
+            continue
+        c, e = (vs[i] for i in sorted(rng.choice(dual.edges).vertex_ids))
+        pts = [a, b, [Fraction(s + t, 2) for s, t in zip(a, b)],
+               [Fraction(s + 2 * t, 3) for s, t in zip(a, b)],
+               c, [Fraction(s + t, 2) for s, t in zip(c, e)], rng.choice(vs)]
+        rules = [{"meets": rng.choice(pts), "value": rng.randint(0, 3)}
+                 for _ in range(rng.randint(0, 4))]
+        bad = rng.choice([None] * 10 + ["outside", "inside"])
+        if bad == "outside":
+            rules.append({"meets": [2 * s for s in rng.choice(vs)],
+                          "value": 1})
+        elif bad == "inside":
+            rules.insert(0, {"meets": (0, 0, 0), "value": 1})
+        out.append((p, d, rays, rules, bad))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_line_fans_match_the_slicing_route(seed):
+    # 3 x 350 fans: slabs, summands, vertex counts and refusals agree with
+    # the rules in both orders, and each case of the slice occurs
+    seen = Counter()
+    for p, d, rays, rules, bad in random_line_fans(
+            random.Random(f"line fans {seed}"), 350):
+        got = []
+        for order in (rules, rules[::-1]):
+            want = outcome(slicing_route, p, d, rays, order)
+            got.append(outcome(new_route, p, d, rays, order))
+            assert got[-1] == want
+        first, last = (g[0] for g in got)
+        if isinstance(first, type) and "on no edge" in got[0][1]:
+            seen[bad] += 1
+        elif not isinstance(first, type) and not isinstance(last, type):
+            # the first of two rules on a flat edge labels it
+            seen["order"] += [s[2] for s in first] != [s[2] for s in last]
+        dirv, fan_rays = line_fan(d, rays)
+        for r in (dirv, tuple(-x for x in dirv)):
+            t, k, _ = _exit(p, r)
+            seen["rational end"] += t > 1
+            seen["vertex exit"] += k > 2
+        for w in fan_rays:
+            nu, half = _two_cone(dirv, w)
+            seen["vertex on plane"] += any(dot(nu, v) == 0 < dot(half, v)
+                                           for v in p.polar_dual().vertices)
+    assert all(seen[key] for key in ("outside", "inside", "order",
+                                     "rational end", "vertex exit",
+                                     "vertex on plane")), seen
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.lists(st.tuples(*[st.integers(-2, 2)] * 3), max_size=6),
+       st.tuples(*[st.integers(-2, 2)] * 3),
+       st.tuples(*[st.integers(-2, 2)] * 3), st.integers(0, 2 ** 32))
+def test_a_plane_cuts_the_polar_in_the_polar_of_the_projection(
+        extra, d, w, seed):
+    # P* = {y : <v, y> >= -1} meets the plane H through 0 in Q*, for Q the
+    # projection of P to H's dual lattice, q_v = (<v, b0>, <v, b1>): so
+    # Q*'s corners n / -c, one per edge (n, c) of Q, mapped to 3-space, are
+    # the section's vertices.  P holds the octahedron, so it is Fano, and
+    # is moved by a drawn GL(3,Z) map
+    units = [v for v in product((-1, 0, 1), repeat=3) if sum(map(abs, v)) == 1]
+    m = random_unimodular3(random.Random(seed))
+    p = LatticePolytope([tuple(mat_vec(m, list(primitive(v))))
+                         for v in units + [v for v in extra if any(v)]])
+    assert p.is_fano()
+    if not any(cross(d, w)):
+        return
+    b0, b1 = plane_basis([d, w])
+    q = Polygon([(dot(v, b0), dot(v, b1)) for v in p.vertices])
+    corners = {tuple(Fraction(x * n0 + y * n1, -c) for x, y in zip(b0, b1))
+               for (n0, n1), c in q.edge_normals()}
+    dual = p.polar_dual()
+    rows, den = dual.vertex_rows
+    section, _ = whole_plane_slice(dual, rows, den, plane_normal(d, w))
+    assert corners == set(section)
+
+
+def spied(monkeypatch, target, name, calls):
+    """Record in calls the arguments of each call of target.name."""
+    real = getattr(target, name)
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, spy)
+
+
+INTEGRAL_FANS = ("b3_cubic", "octahedron_generic", "hexagon_cone_generic",
+                 "p3_edge_exit", "v2_generic")
+
+
+def test_line_fan_data_builds_no_fraction_on_integral_rules(monkeypatch):
+    # nor does it refuse p3's fan mod (1, 1, 0) with one: the slicing route
+    # builds some there, before it refuses the same way
+    routes = base_routes()
+    routes["p3_mod_110"] = (bundled("p3"), (1, 1, 0),
+                            [(1, 0, 0), (0, 0, 1), (-1, 0, -1)], [])
+    built = []
+    spied(monkeypatch, Fraction, "__new__", built)
+    got = {name: outcome(new_route, *routes[name])
+           for name in INTEGRAL_FANS + ("p3_mod_110",)}
+    assert built == []
+    assert outcome(slicing_route, *routes["p3_mod_110"]) == \
+        got["p3_mod_110"] == (DegenerationError, "rho_minus: the ray leaves "
+                              "through a face of unsupported dimension")
+    assert built
+
+
+def test_line_fan_data_never_builds_the_polar_dual(monkeypatch):
+    routes = base_routes()
+    calls = []
+    spied(monkeypatch, LatticePolytope, "polar_dual", calls)
+    for route in routes.values():
+        outcome(new_route, *route)
+    assert calls == []
+    outcome(slicing_route, *routes["b3_cubic"])
+    assert calls
+
+
+@pytest.mark.parametrize("rule, message", [
+    ({"meets": (float("inf"), 0, 0), "value": 1},
+     "edge rule point (inf, 0, 0) is not a point of 3-space"),
+    ({"meets": (0, float("nan"), 0), "value": 1},
+     "edge rule point (0, nan, 0) is not a point of 3-space"),
+    ({"meets": ("x", 0, 0), "value": 1},
+     "edge rule point ('x', 0, 0) is not a point of 3-space"),
+    ({"meets": (0, 0), "value": 1},
+     "edge rule point (0, 0) is not a point of 3-space"),
+    ({"meets": (0, 0, 1), "value": "x"},
+     "edge rule 1: value 'x' is not an integer"),
+    ({"meets": (0, 0, 1), "value": 2.5},
+     "edge rule 1: value 2.5 is not an integer")])
+def test_rule_intake_names_the_bad_rule(rule, message):
+    p, direction, rays2d, rules = base_routes()["b3_cubic"]
+    with pytest.raises(DegenerationError) as err:
+        line_fan_data(p, direction, rays2d, rules[:1] + [rule])
+    assert str(err.value) == message

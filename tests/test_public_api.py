@@ -74,7 +74,13 @@ DELETED = [("polytope", "convex_hull"),
            ("degeneration", "_exit_point"),
            ("degeneration", "_along_line"),
            ("degeneration", "_two_cone_containing"),
-           ("degeneration", "_two_cone")]
+           ("degeneration", "_two_cone"),
+           ("degeneration", "_plane_slice"),
+           ("degeneration", "_containing_edge"),
+           ("degeneration", "_rule_values"),
+           ("gamma", "_ALLOWED_PATTERNS"),
+           ("gamma", "_cyclic_variants"),
+           ("gamma", "_ALLOWED")]
 
 
 # deleted fields that a read-only property now derives: no field, and

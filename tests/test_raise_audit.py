@@ -315,7 +315,17 @@ PINS = {
                               [{"meets": (0, 0), "value": 1}]),
         DegenerationError,
         "edge rule point (0, 0) is not a point of 3-space"),
-    "degeneration._rule_values: a rule point outside P*": (
+    "degeneration._edge_rules: an infinite rule point": (
+        lambda: line_fan_data(bundled("b3_cubic"), (0, 0, 1), RAYS,
+                              [{"meets": (float("inf"), 0, 0), "value": 1}]),
+        DegenerationError,
+        "edge rule point (inf, 0, 0) is not a point of 3-space"),
+    "degeneration._edge_rules: a value of 2.5": (
+        lambda: line_fan_data(bundled("b3_cubic"), (0, 0, 1), RAYS,
+                              [{"meets": (0, 0, 1), "value": 3},
+                               {"meets": (0, 0, 1), "value": 2.5}]),
+        DegenerationError, "edge rule 1: value 2.5 is not an integer"),
+    "degeneration._edge_rules: a rule point outside P*": (
         lambda: line_fan_data(bundled("b3_cubic"), (0, 0, 1), RAYS,
                               [{"meets": (0, 0, 1), "value": 3},
                                {"meets": (50, 50, 50), "value": 7}]),

@@ -7,7 +7,8 @@ Each check is gone from its routine, whose docstring holds the proof:
 a line fan's exits and free corners read off P's vertices and d x v
 (`_exit`, `_free_corners`) against the facet scan and 2-cone test they
 replaced (`_exit_point`, `_two_cone_containing`, in `conftest.py`), and
-`_plane_slice`'s non-empty half on a line fan,
+the non-empty half of the slice (`_plane_slice`, in `conftest.py`, which
+`line_fan_data` replaced by the polar of P's projection) on a line fan,
 `build_system`'s coplanar segment cones, `gamma_dimension`'s lower bound 3,
 `_graph_piece` and `dual_graph`'s boundary segments, the re-sum of every
 smooth decomposition (`enumerate_smooth_decompositions`), the plane of
@@ -41,7 +42,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (NORMAL_FAN_POLYTOPES, W_SIMPLEX, _along_line,
-                      _exit_point, _two_cone, _two_cone_containing, bundled,
+                      _exit_point, _plane_slice, _two_cone,
+                      _two_cone_containing, bundled,
                       bundled_polygon, dual_labels, edge_vector_multiset,
                       lattice_polygons,
                       malformed_slab_fixtures, mat_vec, normal_fan_routes,
@@ -56,9 +58,8 @@ from test_shared_geometry import SEEDS, image
 from test_slab_checks import bundled_slabs
 from fanoscope import degeneration, invariants
 from fanoscope.degeneration import (DegenerationError, RaySummand, _exit,
-                                    _free_corners, _plane_slice,
-                                    decomposition_regimes, line_fan,
-                                    line_fan_data, method1_data,
+                                    _free_corners, decomposition_regimes,
+                                    line_fan, line_fan_data, method1_data,
                                     normal_fan_data, ray_lattice)
 from fanoscope.discriminant import (_graph_piece, assemble_global, dual_graph,
                                     export_json, max_triangulation)
@@ -184,8 +185,8 @@ def test_line_fan_cuts_are_never_degenerate(seed):
                 assert min(dot(f.normal, end) - f.level
                            for f in dual.facets) == 0
                 # the same end, face and vertex off P's vertices alone
-                got, k, fid = _exit(p, r)
-                assert (got, fid) == (end, hit)
+                t, k, fid = _exit(p, r)
+                assert (tuple(_quotient(x, t) for x in r), fid) == (end, hit)
                 assert kind == {1: "facet", 2: "edge"}.get(k, "vertex")
                 spine.append(end)
                 exits.append(kind)
@@ -209,7 +210,7 @@ def test_line_fan_cuts_are_never_degenerate(seed):
             cones = [_two_cone(d, w) for w in rays]
             count = sum(1 for v in rows if not _along_line(v, d)
                         and _two_cone_containing(cones, v) is None)
-            assert _free_corners(rows, d, rays) == count
+            assert _free_corners(p, d, rays) == count
             free += count > 0
             # with no edge rule every slab is built and checked, so the
             # first ray that leaves through no facet decides the outcome

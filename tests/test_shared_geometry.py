@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (NORMAL_FAN_POLYTOPES, bundled, bundled_polygon,
+from conftest import (_ALLOWED_PATTERNS, NORMAL_FAN_POLYTOPES,
+                      _cyclic_variants, bundled, bundled_polygon,
                       facet_polygon, lattice_polygons, mat_vec,
                       random_unimodular3, relabelled, unchecked)
 from test_line_fan_routes import base_routes
@@ -30,7 +31,7 @@ from fanoscope.discriminant import (DiscriminantGraph, Node,
                                     assemble_global, dual_graph, export_json,
                                     max_triangulation)
 from fanoscope.fileio import data_from_fixture, list_fixtures, load_fixture
-from fanoscope.gamma import _cyclic_variants, _fan_pattern, barT_hypothesis
+from fanoscope.gamma import _fan_pattern, barT_hypothesis
 from fanoscope.linalg import primitive
 from fanoscope.polytope import (LatticePolytope, PolytopeError, cross, dot,
                                 lattice_length, vsub)
@@ -188,10 +189,6 @@ def ref_fan_pattern(polygon):
             return None
         pattern.append(-lam)
     return tuple(pattern)
-
-
-_ALLOWED_PATTERNS = {(1, 1, 1), (0, 0, 0, 0), (1, 0, -1, 0),
-                     (-1, -1, -1, 0, 0)}
 
 
 def ref_barT_hypothesis(data: DegenerationData):
