@@ -25,8 +25,8 @@ from .degeneration import (DegenerationData, DegenerationError,
                            product_data)
 from .discriminant import assemble_global, export_json, render_svg
 from .fileio import ParseError
-from .gamma import GammaError, build_system, gamma_dimension
-from .invariants import InvariantError, analyze
+from .gamma import build_system, gamma_dimension
+from .invariants import analyze
 from .linalg import kernel_basis
 from .polytope import LatticePolytope, Polygon, PolytopeError, identity24
 
@@ -336,8 +336,7 @@ def main(argv=None) -> int:
                 UnicodeDecodeError,  # a file that is not UTF-8 text
                 Warning) as exc:  # raised under a warnings error filter
             return _fail(type(exc).__name__, str(exc), 2)
-        except (DegenerationError, InvariantError, GammaError, PolytopeError,
-                ValueError) as exc:
+        except ValueError as exc:  # every package error is a ValueError
             return _fail(type(exc).__name__, str(exc), 1)
 
 

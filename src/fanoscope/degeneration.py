@@ -8,6 +8,7 @@ node counting is driven by the slab's polygon of sections.
 from __future__ import annotations
 
 import copy
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from math import gcd, lcm
 
@@ -126,7 +127,7 @@ ROLE_SPINE = "spine"
 @dataclass(frozen=True)
 class Slab:
     """A slab polygon with a coefficient and a role per edge.  Its sections
-    S give 2A = `two_area`, b = `b_count`, the sum of S's face spans, and
+    S give 2A = `two_area`, b, the sum of S's face `spans`, and
     i = `i_count` = (2A + 2 - b) / 2.  A polygon S has its edges on distinct
     edge lines and spans 0 elsewhere, so the spans sum to Pick's b.  A
     segment of length l is the face of two opposite edge lines and an end
@@ -162,10 +163,6 @@ class Slab:
         slab = copy.copy(first)
         vars(slab).update(name=name, roles=roles)
         return slab
-
-    @property
-    def b_count(self) -> int:
-        return sum(self.spans)
 
     @property
     def boundary_points(self) -> int:
@@ -728,21 +725,26 @@ def line_fan_data(p: LatticePolytope, direction, rays2d, edge_rule,
 
 def _edge_rules(p: LatticePolytope, edge_rule):
     """[(point, value)] of a line fan's edge rules, each refused, naming
-    it, unless its point is three finite numbers and its value an int, and
-    then refused, naming the last, unless each point m is on an edge of P*:
-    <v, m> >= -1 for every vertex v of P, with equality at both ends of
-    some edge of P, whose dual edge it is then on."""
+    it, unless it is a mapping with a "meets" and a "value", its point
+    three finite numbers and its value an int, and then refused, naming
+    the last, unless each point m is on an edge of P*: <v, m> >= -1 for
+    every vertex v of P, with equality at both ends of some edge of P,
+    whose dual edge it is then on."""
     rules = []
     for i, rule in enumerate(edge_rule):
+        if not (isinstance(rule, Mapping)
+                and rule.keys() >= {"meets", "value"}):
+            raise DegenerationError(f"edge rule {i}: {rule!r} is not a "
+                                    "mapping with a meets and a value")
         meets, value = rule["meets"], rule["value"]
-        try:
-            point = _clean(meets)
-        except (TypeError, ValueError, OverflowError):  # inf, nan, "x"
+        try:  # a string would be read digit by digit
+            point = None if isinstance(meets, str) else _clean(meets)
+        except (TypeError, ValueError, OverflowError):  # inf, nan, 5
             point = None
         if point is None or len(point) != 3:
-            raise DegenerationError(
-                f"edge rule point {meets if point is None else point} is "
-                "not a point of 3-space")
+            shown = repr(meets) if point is None else point
+            raise DegenerationError(f"edge rule point {shown} is not a point "
+                                    "of 3-space")
         if type(value) is not int:
             raise DegenerationError(f"edge rule {i}: value {value!r} is not "
                                     "an integer")

@@ -37,8 +37,9 @@ def build_system(data: DegenerationData) -> GammaSystem:
 
     A segment of ray v_a runs along some s in W = ann(v_a), and each cone it
     is matched to, over the dual edge [v_a, v_b], has <v_b, s> = 0, so both
-    cone planes are s^perp and `plane_normal` gives both the same nu.
-    The system holds its own list of the nu, which P* keeps as a tuple.
+    cone planes are s^perp and `edge_annihilators` gives both the same nu,
+    the primitive lex-positive annihilator of that plane.  The system holds
+    its own list of the nu, which P* keeps as a tuple.
     `baseline_ok` fails on a row whose cones do not share a nu.
     """
     if data.kind != "normal_fan":

@@ -9,8 +9,7 @@ from math import gcd
 
 from .degeneration import DegenerationData, DegenerationError
 from .gamma import b2 as gamma_b2, barT_sections
-from .linalg import primitive
-from .polytope import LatticePolytope, _lattice_index, cross
+from .polytope import LatticePolytope, _edge_lengths, _lattice_index
 
 
 class InvariantError(DegenerationError):
@@ -40,14 +39,13 @@ def euler_number(data: DegenerationData) -> int:
 
 
 def euler_smooth_mink(data: DegenerationData) -> int:
-    """Closed form for method-1 data: 24 + T - sum l(E) l(E*)^2."""
-    if data.kind != "normal_fan" or data.dual is None:
+    """Closed form for method-1 data: 24 + T - sum l(E) l(E*)^2 over the
+    edges E of P*, which is the sum of l(E)^2 l(E*) over the edges E of
+    the reflexive P (`_edge_lengths`), with no P* built."""
+    p = data.polytope
+    if data.kind != "normal_fan" or p is None or not p.is_reflexive():
         raise InvariantError("closed form only applies to method-1 data")
-    dual = data.dual
-    total = 0
-    for e in dual.edges:
-        total += dual.edge_length(e) * dual.dual_edge_length(e) ** 2
-    return 24 + data.p_count - total
+    return 24 + data.p_count - sum(a * a * b for a, b in _edge_lengths(p))
 
 
 def euler_product(data: DegenerationData) -> int:
@@ -96,27 +94,15 @@ def p1c1_expected(deg: int) -> int:
 # Fano index
 
 
-def _cell_class_data(dual: LatticePolytope, facet):
-    """Divisibility of the base divisor of the cone cell over a facet of the
-    polar polytope, measured in the free part of the cell's class group.
-
-    The cell's rays are the facet normal followed by one functional per
-    facet edge, primitive(a x b) for edge [a, b] up to sign: negating a row
-    negates every minor that holds it, and `_lattice_index` reads only gcds
-    of minors.  The base divisor (the first ray) is divisible by
-    d3(rays[1:]) / d3(rays), d3 the gcd of the 3x3 minors.  It is never
-    torsion, which needs the other rays to have rank < 3: they are the
-    inner normals of the cone over the facet, which is strictly convex
-    (the origin is interior to the polar polytope, so off the facet) and
-    3-dimensional, so its dual cone, which they span, is 3-dimensional.
-    The vertices are read as the polar polytope's vertex rows, which are
-    them times d > 0: the same primitive cross products.
-    """
-    rows = dual.vertex_rows[0]
-    cyc = facet.cycle
-    rays = [facet.normal] + [primitive(cross(rows[a], rows[b]))
-                             for a, b in zip(cyc, cyc[1:] + cyc[:1])]
-    return _lattice_index(rays[1:])[1] // _lattice_index(rays)[1]
+def _cell_divisibilities(dual: LatticePolytope):
+    """Divisibility of the base divisor of each maximal cell, the cone over
+    a facet of the polar polytope, in facet order (`fano_index`)."""
+    stars = [[f.normal] for f in dual.facets]
+    for e, nu in zip(dual.edges, dual.edge_annihilators()):
+        for j in e.facet_ids:
+            stars[j].append(nu)
+    for rays in stars:
+        yield _lattice_index(rays[1:])[1] // _lattice_index(rays)[1]
 
 
 def fano_index(data: DegenerationData, b2: int, degree: int) -> int:
@@ -127,11 +113,23 @@ def fano_index(data: DegenerationData, b2: int, degree: int) -> int:
     the polar polytope), glued along walls; returns the saturation index
     of the boundary tuple d in the kernel.  Only valid for rank-one data.
 
+    A cell's rays are the facet normal and the annihilators of the edges
+    on the facet (`edge_annihilators`, the memo that Gamma reads): for
+    consecutive vertices a, b of the facet, primitive(a x b) is +-nu of
+    their edge, and `_lattice_index` reads only gcds of minors, so neither
+    the sign nor the order of the rays matters.  The base divisor (the
+    first ray) is divisible by d_f = d3(rays[1:]) / d3(rays), d3 the gcd
+    of the 3x3 minors.  It is never torsion, which needs the other rays to
+    have rank < 3: they are the inner normals of the cone over the facet,
+    which is strictly convex (the origin is interior to the polar
+    polytope, so off the facet) and 3-dimensional, so its dual cone, which
+    they span, is 3-dimensional.
+
     The kernel is the line through d, so the index is gcd(d).  Each wall's
     gluing row, d_g x_f - d_f x_g = 0, equates x_f / d_f across its two
-    cells, and every d_f >= 1 (`_cell_class_data` divides a gcd of minors
-    by the gcd of a superset of them).  The facet graph of a 3-polytope is
-    connected, so x / d is constant: nullity 1, and no row is built.
+    cells, and every d_f >= 1 (a gcd of minors divided by the gcd of a
+    superset of them).  The facet graph of a 3-polytope is connected, so
+    x / d is constant: nullity 1, and no row is built.
     `tests/test_invariants.py` builds the rows and asserts it on every
     bundled Fano polytope and its GL(3,Z) images.
     """
@@ -146,7 +144,7 @@ def fano_index(data: DegenerationData, b2: int, degree: int) -> int:
                              "normal-fan data")
     if b2 != 1:
         raise InvariantError("not rank one")
-    return gcd(*(_cell_class_data(data.dual, f) for f in data.dual.facets))
+    return gcd(*_cell_divisibilities(data.dual))
 
 
 # ---------------------------------------------------------------------------

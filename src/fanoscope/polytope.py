@@ -230,11 +230,6 @@ def plane_basis(vectors):
     return [tuple(b) for b in basis]
 
 
-def plane_normal(a, b):
-    """Primitive lex-positive annihilator of the plane spanned by a and b."""
-    return lex_positive(primitive(cross(a, b)))
-
-
 def embed_polygon(points3):
     """Project coplanar 3-space points to their saturated rank-2 sublattice.
 
@@ -361,22 +356,20 @@ class LatticePolytope:
 
     def edge_annihilators(self):
         """The primitive lex-positive annihilator of the plane through the
-        origin and each edge, in edge order, computed once from the vertex
-        rows (the rows of an edge span the same plane as its vertices)."""
+        origin and each edge, in edge order, computed once, with the origin
+        interior.  It is v - w for the dual vertices v and w of the edge's
+        two facets, as both ends m of the edge have <v, m> = <w, m> = -1;
+        on the polar dual of a Fano P, v and w are two integer vertices of
+        P."""
         if self._annihilators is None:
-            rows = self.vertex_rows[0]
+            facets = self.facets
             self._annihilators = tuple(
-                plane_normal(*(rows[i] for i in e.vertex_ids))
+                lex_positive(primitive(vsub(*(facets[i].dual
+                                              for i in e.facet_ids))))
                 for e in self.edges)
         return self._annihilators
 
     # -- duality ------------------------------------------------------------
-
-    def dual_vertex(self, facet: Facet):
-        """Vertex of the polar dual corresponding to a facet."""
-        if facet.dual is None:
-            raise PolytopeError("facet through the origin has no dual vertex")
-        return facet.dual
 
     def polar_dual(self) -> "LatticePolytope":
         if self._dual is None:
@@ -476,9 +469,12 @@ class LatticePolytope:
         Over a facet cycle, sum v_i x v_(i+1) is twice the vector area, and
         the facet's lattice has covolume |n| for the primitive normal n, so
         the facet's normalized area is <sum v_i x v_(i+1), n> / <n, n>.
-        It is read off the vertex rows, the vertices times d, so the sum is
-        d^2 times as large: one exact quotient per facet, over <n, n> d^2.
-        Exact on rational vertices too; an int when the total is integral.
+        It is read off the vertex rows r_i, the vertices times d, so the
+        sum is d^2 times as large.  The sum is also sum (r_i - r_0) x
+        (r_(i+1) - r_0), and the differences lie in n^perp, a rank-2 lattice
+        whose basis has cross product +-n, so it is k n for an integer k:
+        each facet gives |k| with no remainder, and the total is one exact
+        quotient over d^2, an int when it is integral.
         """
         rows, d = self.vertex_rows
         total = 0
@@ -491,16 +487,8 @@ class LatticePolytope:
                 s += (n0 * (ay * bz - az * by) + n1 * (az * bx - ax * bz)
                       + n2 * (ax * by - ay * bx))
                 ax, ay, az = bx, by, bz
-            total += _quotient(abs(s), (n0 * n0 + n1 * n1 + n2 * n2) * d * d)
-        return _clean((total,))[0]
-
-    def edge_length(self, edge: Edge) -> int:
-        a, b = (self.vertices[i] for i in sorted(edge.vertex_ids))
-        return lattice_length(a, b)
-
-    def dual_edge_length(self, edge: Edge) -> int:
-        f1, f2 = (self.facets[i] for i in sorted(edge.facet_ids))
-        return lattice_length(self.dual_vertex(f1), self.dual_vertex(f2))
+            total += abs(s) // (n0 * n0 + n1 * n1 + n2 * n2)
+        return _quotient(total, d * d)
 
 
 def _facet_rows(facets):
@@ -652,16 +640,19 @@ def _lattice_index(rows):
     return (1, g) if g else (0, 1)
 
 
-def identity24(p: LatticePolytope) -> int:
-    """Sum of l(E) * l(E*) over the edges E of P, read off P's face data:
-    the gcd of the difference of E's vertices times that of the dual
-    vertices of its two facets.  Both are integral on a reflexive P, and
-    P* is not built."""
-    if not p.is_reflexive():
-        raise PolytopeError("identity24 needs a reflexive polytope")
-    total = 0
+def _edge_lengths(p: LatticePolytope):
+    """(l(E), l(E*)) for each edge E of a reflexive P, read off P's face
+    data: the gcd of the difference of E's vertices, and that of the dual
+    vertices of its two facets, which are integral.  P* is not built."""
     for e in p.edges:
         a, b = (p.vertices[i] for i in e.vertex_ids)
         f, g = (p.facets[i].dual for i in e.facet_ids)
-        total += gcd(*vsub(a, b)) * gcd(*vsub(f, g))
-    return total
+        yield gcd(*vsub(a, b)), gcd(*vsub(f, g))
+
+
+def identity24(p: LatticePolytope) -> int:
+    """Sum of l(E) * l(E*) over the edges E of a reflexive P
+    (`_edge_lengths`)."""
+    if not p.is_reflexive():
+        raise PolytopeError("identity24 needs a reflexive polytope")
+    return sum(a * b for a, b in _edge_lengths(p))

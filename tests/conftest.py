@@ -32,8 +32,30 @@ from fanoscope.polytope import (Edge, Facet, LatticePolytope, Polygon,
                                 _quotient, cross, dot, embed_polygon,
                                 gorenstein_index, is_integral,
                                 lattice_length, plane_basis, plane_coords,
-                                plane_normal, vadd, vsub)
+                                vadd, vsub)
 
+
+
+def plane_normal(a, b):
+    """`polytope.plane_normal` as it was, the rows reference of
+    `LatticePolytope.edge_annihilators`: the primitive lex-positive
+    annihilator of the plane spanned by a and b."""
+    return lex_positive(primitive(cross(a, b)))
+
+
+def ref_edge_length(p: LatticePolytope, edge) -> int:
+    """`LatticePolytope.edge_length` as it was: the lattice length of an
+    edge of p."""
+    a, b = (p.vertices[i] for i in sorted(edge.vertex_ids))
+    return lattice_length(a, b)
+
+
+def ref_dual_edge_length(p: LatticePolytope, edge) -> int:
+    """`LatticePolytope.dual_edge_length` as it was: the lattice length of
+    the edge of the polar dual through the dual vertices of the edge's two
+    facets."""
+    f1, f2 = (p.facets[i] for i in sorted(edge.facet_ids))
+    return lattice_length(f1.dual, f2.dual)
 
 def db_path():
     path = os.environ.get("FANOSCOPE_DB")
@@ -110,7 +132,7 @@ def dual_face_vertices(p: LatticePolytope, vertex_ids):
     """The dual vertices of the facets of p through all the given vertex
     ids, in facet order (`LatticePolytope.dual_face_vertices` as it was,
     for a proper face): the vertices of the face dual to theirs."""
-    return [p.dual_vertex(f) for f in p.facets
+    return [f.dual for f in p.facets
             if all(vid in f.vertex_ids for vid in vertex_ids)]
 
 
@@ -238,7 +260,7 @@ def dual_labels(p: LatticePolytope):
     through the vertices dual to E's two facets, l its lattice length and
     r its Gorenstein index."""
     dual = p.polar_dual()
-    return [dual.dual_edge_length(e)
+    return [ref_dual_edge_length(dual, e)
             // gorenstein_index([p.vertices[j] for j in e.facet_ids])
             for e in dual.edges]
 
@@ -1075,7 +1097,7 @@ def ref_check_convexity(data: DegenerationData):
     labels = edge_labels(data)
     for i, e in enumerate(data.dual.edges):
         a = labels.get(i, 0)
-        hi = data.dual.dual_edge_length(e)
+        hi = ref_dual_edge_length(data.dual, e)
         if not 0 <= a <= hi:
             out.append(f"edge {i}: a = {a} outside [0, {hi}]")
     return out
@@ -1090,7 +1112,7 @@ def ref_check_smooth_edge_data(data: DegenerationData):
     labels = edge_labels(data)
     for i, e in enumerate(data.dual.edges):
         a = labels.get(i, 0)
-        ell = data.dual.dual_edge_length(e)
+        ell = ref_dual_edge_length(data.dual, e)
         if a not in (ell - 1, ell):
             out.append(f"edge {i}: a = {a} not in {{{ell - 1}, {ell}}}")
     return out

@@ -61,9 +61,11 @@ def test_bundled_passes_build_alike(workloads, monkeypatch):
     outlives it."""
     from fanoscope import discriminant, polytope
     from fanoscope.degeneration import Slab
+    from fanoscope.polytope import LatticePolytope
     counts = {"Slab": 0, "max_triangulation": 0, "_facet_rows": 0,
-              "plane_normal": 0}
+              "edge_annihilators": 0}
     init, triangulate = Slab.__init__, discriminant.max_triangulation
+    annihilators = LatticePolytope.edge_annihilators
 
     def counted_init(self, *args, **kwargs):
         counts["Slab"] += 1
@@ -72,6 +74,11 @@ def test_bundled_passes_build_alike(workloads, monkeypatch):
     def counted_triangulation(polygon):
         counts["max_triangulation"] += 1
         return triangulate(polygon)
+
+    def counted_annihilators(self):
+        # a build: the call that fills the memo
+        counts["edge_annihilators"] += self._annihilators is None
+        return annihilators(self)
 
     def counted(module, name):
         real = getattr(module, name)
@@ -84,9 +91,10 @@ def test_bundled_passes_build_alike(workloads, monkeypatch):
     monkeypatch.setattr(Slab, "__init__", counted_init)
     monkeypatch.setattr(discriminant, "max_triangulation",
                         counted_triangulation)
-    # P*'s rows, and one annihilator per edge of P* (`edge_annihilators`)
+    monkeypatch.setattr(LatticePolytope, "edge_annihilators",
+                        counted_annihilators)
+    # P*'s rows, and its annihilators once per P* (`edge_annihilators`)
     counted(polytope, "_facet_rows")
-    counted(polytope, "plane_normal")
     items = workloads.build("bundled", 0)
     passes = []
     for _ in range(2):

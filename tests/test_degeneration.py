@@ -38,7 +38,7 @@ def b3_data():
 def slab_counts(vertices, coeffs):
     """(2A, b, i) of the sections of a slab with boundary edges."""
     slab = Slab("s", Polygon(vertices), coeffs, (ROLE_BOUNDARY,) * len(coeffs))
-    return slab.two_area, slab.b_count, slab.i_count
+    return slab.two_area, sum(slab.spans), slab.i_count
 
 
 # the standard triangle, its normals (0, 1), (-1, -1), (1, 0)
@@ -380,7 +380,7 @@ def test_boundary_identity():
                  b3_data,
                  lambda: product_data(bundled_polygon("diamond"))):
         d = make()
-        total_b = sum(s.b_count for s in d.slabs)
+        total_b = sum(sum(s.spans) for s in d.slabs)
         assert total_b - 3 * d.p_count - 2 * d.d_count == d.boundary_count
 
 

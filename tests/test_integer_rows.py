@@ -13,24 +13,30 @@ the vertices, which a polar dual reads off the facets of its P
 rational facet levels, and so gives every kernel rational input.
 """
 
+import json
 import random
 from fractions import Fraction
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (bundled, edge_vector_multiset, lattice_polygons,
-                      mat_vec, random_unimodular3, ref_annihilators,
+from conftest import (W_SIMPLEX, bundled, edge_vector_multiset,
+                      lattice_polygons, mat_vec, plane_normal,
+                      random_unimodular3, ref_annihilators,
                       ref_boundary_area, ref_cell_class_data,
                       ref_dual_from_faces, ref_edge_normals,
                       ref_lattice_points, ref_match_summand_slabs,
                       ref_sections_one_pass, sections_refusal)
+from test_face_data import ref_cell_class_data as smith_cell_class_data
+from test_line_fan_routes import spied
+from test_sweep_memos import SWEEP_BASES
 from fanoscope.degeneration import (DegenerationError, match_summand_slabs,
                                     polygon_of_sections, quotient_functional,
                                     ray_lattice)
 from fanoscope.fileio import bundled_polytopes
-from fanoscope.invariants import _cell_class_data
+from fanoscope.invariants import _cell_divisibilities
 from fanoscope.linalg import clear_denominators
 from fanoscope.minkowski import enumerate_smooth_decompositions
 from fanoscope.polytope import LatticePolytope, PolytopeError
@@ -128,8 +134,55 @@ def test_edge_annihilators_match_the_fraction_route(p):
 @ROWS
 @given(polytopes())
 def test_cell_class_data_matches_the_fraction_route(p):
-    assert [_cell_class_data(p, f) for f in p.facets] == \
+    assert list(_cell_divisibilities(p)) == \
         [ref_cell_class_data(p, f) for f in p.facets]
+
+
+# a candidate for B1 with Fano index 2 (ROADMAP item 21)
+B1_CANDIDATE = ((-1, -2, 2), (-1, 1, -1), (2, -2, -1), (2, 1, 2))
+
+
+def fano_bases():
+    """The bundled Fano polytopes, W, the B1 candidate and the `sweep`
+    bases."""
+    sweep = json.loads(SWEEP_BASES.read_text())["sweep_bases"]
+    return ([bundled(name).vertices for name in NAMES]
+            + [W_SIMPLEX, B1_CANDIDATE]
+            + [doc["vertices"] for doc in sweep.values()])
+
+
+@pytest.mark.parametrize("seed", (0, 1, 2, 3))
+def test_edge_facts_match_the_references_on_fano_polytopes(seed):
+    # P*'s annihilators against the rows route, and each cell's
+    # divisibility against the Fraction and the Smith routes
+    for verts in fano_bases():
+        if seed:
+            m = random_unimodular3(random.Random(seed))
+            verts = [tuple(mat_vec(m, list(v))) for v in verts]
+        p = LatticePolytope(verts)
+        assert p.is_fano()
+        dual = p.polar_dual()
+        rows = dual.vertex_rows[0]
+        assert dual.edge_annihilators() == tuple(
+            plane_normal(*(rows[i] for i in sorted(e.vertex_ids)))
+            for e in dual.edges)
+        cells = list(_cell_divisibilities(dual))
+        assert cells == [ref_cell_class_data(dual, f) for f in dual.facets]
+        assert cells == [smith_cell_class_data(dual, f)
+                         for f in dual.facets]
+
+
+def test_boundary_area_divides_once(monkeypatch):
+    # one exact quotient over d^2: none on v2's P*, whose area is integral
+    # (the per-facet quotients built some), and one for W's 27/2
+    duals = [bundled("v2").polar_dual(), LatticePolytope(W_SIMPLEX)
+             .polar_dual()]
+    built = []
+    spied(monkeypatch, Fraction, "__new__", built)
+    areas = [dual.boundary_area() for dual in duals]
+    monkeypatch.undo()
+    assert len(built) == 1
+    assert areas == [2, Fraction(27, 2)] and type(areas[0]) is int
 
 
 @ROWS

@@ -9,8 +9,8 @@ from fanoscope.degeneration import (line_fan_data, method1_data,
 from fanoscope.fileio import (bundled_polytopes, data_from_fixture,
                               list_fixtures, load_fixture)
 from fanoscope.gamma import b2
-from fanoscope.invariants import (InvariantError, _cell_class_data, analyze,
-                                  b3_from, degree, euler_number,
+from fanoscope.invariants import (InvariantError, _cell_divisibilities,
+                                  analyze, b3_from, degree, euler_number,
                                   euler_product, euler_smooth_mink,
                                   fano_index, p1c1_expected)
 from fanoscope.linalg import nullity
@@ -54,6 +54,9 @@ def test_euler_examples():
 def test_euler_closed_forms():
     assert euler_smooth_mink(method1_data(bundled("p3"))) == 24 + 4 - 24
     assert euler_smooth_mink(method1_data(bundled("cube"))) == 24 + 0 - 48
+    # normal-fan data on a non-reflexive P has no closed form
+    with pytest.raises(InvariantError, match="only applies to method-1"):
+        euler_smooth_mink(normal_fan_data(bundled("v2")))
 
 
 def test_degree():
@@ -108,7 +111,7 @@ def test_gluing_kernel_is_the_line_through_d():
         for q in [base] + [image(base, seed, flip) for seed in SEEDS
                            for flip in (False, True)]:
             dual = q.polar_dual()
-            d = [_cell_class_data(dual, f) for f in dual.facets]
+            d = list(_cell_divisibilities(dual))
             rows = [{f: d[g], g: -d[f]}
                     for f, g in (sorted(e.facet_ids) for e in dual.edges)]
             assert min(d) >= 1

@@ -93,7 +93,8 @@ def labelled(p, labels):
 
 def slab_key(s):
     return (s.name, normals(s), s.coeffs, s.roles, s.sections.dim,
-            s.sections.points, s.spans, s.two_area, s.b_count, s.i_count)
+            s.sections.points, s.spans, s.two_area, sum(s.spans),
+            s.i_count)
 
 
 def slabs_outcome(build):

@@ -38,7 +38,7 @@ from conftest import (_along_line, _containing_edge, _exit_point, _frac,
                       _plane_slice, _rule_values, _two_cone, bundled,
                       bundled_polygon, clip_halfplane,
                       edge_vector_multiset, face_length, lattice_polygons,
-                      mat_vec, on_segment, random_unimodular2,
+                      mat_vec, on_segment, plane_normal, random_unimodular2,
                       random_unimodular3, ref_cycle_in_ray_coords,
                       ref_edge_normals, ref_line_fan_data, ref_product_rules,
                       ref_vertices, unchecked, unproject, whole_plane_slice)
@@ -55,8 +55,8 @@ from fanoscope.linalg import clear_denominators, primitive
 from fanoscope.minkowski import enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 cross, dot, gorenstein_index, lattice_length,
-                                plane_basis, plane_coords, plane_normal,
-                                _clean, _quotient)
+                                plane_basis, plane_coords, _clean,
+                                _quotient)
 
 # ---------------------------------------------------------------------------
 # the Fraction route
@@ -299,8 +299,8 @@ def normals(slab):
 def summary(slabs, ray_summands, v_count):
     return ([(s.name, normals(s), s.coeffs, s.roles,
               s.sections.dim, typed(s.sections.points),
-              typed(s.sections.vertices()), s.spans, s.two_area, s.b_count,
-              s.i_count) for s in slabs],
+              typed(s.sections.vertices()), s.spans, s.two_area,
+              sum(s.spans), s.i_count) for s in slabs],
             [(r.ray, r.kind, r.slabs, r.summand) for r in ray_summands],
             v_count)
 
@@ -826,7 +826,15 @@ def test_line_fan_data_never_builds_the_polar_dual(monkeypatch):
     ({"meets": (0, 0, 1), "value": "x"},
      "edge rule 1: value 'x' is not an integer"),
     ({"meets": (0, 0, 1), "value": 2.5},
-     "edge rule 1: value 2.5 is not an integer")])
+     "edge rule 1: value 2.5 is not an integer"),
+    # read digit by digit, this was the point (0, 0, 1)
+    ({"meets": "001", "value": 1},
+     "edge rule point '001' is not a point of 3-space"),
+    ({"value": 1},
+     "edge rule 1: {'value': 1} is not a mapping with a meets and a value"),
+    (((0, 0, 1), 1),
+     "edge rule 1: ((0, 0, 1), 1) is not a mapping with a meets and a "
+     "value")])
 def test_rule_intake_names_the_bad_rule(rule, message):
     p, direction, rays2d, rules = base_routes()["b3_cubic"]
     with pytest.raises(DegenerationError) as err:

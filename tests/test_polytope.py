@@ -8,8 +8,8 @@ from conftest import (bundled, dilate_polygon, dilate_polytope,
                       lattice_polygons, mat_vec, point_counts,
                       random_unimodular2)
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
-                                embed_polygon, gorenstein_index, identity24,
-                                pick_area)
+                                _edge_lengths, embed_polygon,
+                                gorenstein_index, identity24, pick_area)
 
 
 def test_hull_p3_simplex():
@@ -80,8 +80,9 @@ def test_dual_edge_of_p3_has_length_four():
     p = bundled("p3")
     e1 = p.vertices.index((0, 1, 0))
     e2 = p.vertices.index((0, 0, 1))
-    edge = next(e for e in p.edges if e.vertex_ids == frozenset((e1, e2)))
-    assert p.dual_edge_length(edge) == 4
+    k = next(k for k, e in enumerate(p.edges)
+             if e.vertex_ids == frozenset((e1, e2)))
+    assert list(_edge_lengths(p))[k] == (1, 4)
 
 
 def test_lattice_point_counts():

@@ -166,11 +166,6 @@ def with_slab(i, **changes):
     return replace(data, slabs=slabs)
 
 
-def level_zero_dual_vertex():
-    p = LatticePolytope(ORIGIN_ON_FACET)
-    p.dual_vertex(next(f for f in p.facets if f.level == 0))
-
-
 def validate_pins():
     """One pin per raise of `validate`, each refused as its data is built:
     "endpoints" reaches the edge span raise that "edge_span" pins
@@ -320,6 +315,25 @@ PINS = {
                               [{"meets": (float("inf"), 0, 0), "value": 1}]),
         DegenerationError,
         "edge rule point (inf, 0, 0) is not a point of 3-space"),
+    # fileio refuses these three before the CLI builds a line fan
+    "degeneration._edge_rules: a string rule point": (
+        lambda: line_fan_data(bundled("b3_cubic"), (0, 0, 1), RAYS,
+                              [{"meets": "001", "value": 3}]),
+        DegenerationError,
+        "edge rule point '001' is not a point of 3-space"),
+    "degeneration._edge_rules: a rule without meets": (
+        lambda: line_fan_data(bundled("b3_cubic"), (0, 0, 1), RAYS,
+                              [{"meets": (0, 0, 1), "value": 3},
+                               {"value": 3}]),
+        DegenerationError,
+        "edge rule 1: {'value': 3} is not a mapping with a meets and a "
+        "value"),
+    "degeneration._edge_rules: a rule that is not a mapping": (
+        lambda: line_fan_data(bundled("b3_cubic"), (0, 0, 1), RAYS,
+                              [((0, 0, 1), 3)]),
+        DegenerationError,
+        "edge rule 0: ((0, 0, 1), 3) is not a mapping with a meets and a "
+        "value"),
     "degeneration._edge_rules: a value of 2.5": (
         lambda: line_fan_data(bundled("b3_cubic"), (0, 0, 1), RAYS,
                               [{"meets": (0, 0, 1), "value": 3},
@@ -444,9 +458,6 @@ PINS = {
     "polytope.LatticePolytope: points of the plane": (
         lambda: LatticePolytope([(1, 0), (0, 1), (-1, -1)]), PolytopeError,
         "expected 3-space points"),
-    "polytope.LatticePolytope.dual_vertex: a level-0 facet": (
-        level_zero_dual_vertex, PolytopeError,
-        "facet through the origin has no dual vertex"),
     "polytope.LatticePolytope.polar_dual: origin on a facet": (
         lambda: LatticePolytope(ORIGIN_ON_FACET).polar_dual(), PolytopeError,
         "origin is not interior"),

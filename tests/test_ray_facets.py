@@ -23,8 +23,11 @@ from conftest import (NORMAL_FAN_POLYTOPES, _along_line, bundled,
                       bundled_polygon, edge_vector_multiset, mat_vec,
                       product_labels,
                       random_unimodular3, ref_cycle_in_ray_coords,
+                      ref_dual_edge_length, ref_edge_length,
                       ref_facet_in_ray_coords, ref_minkowski_sum,
                       ref_ray_target)
+from test_line_fan_routes import spied
+from test_sweep_memos import SWEEP_BASES
 from fanoscope import cli
 from fanoscope.degeneration import (DegenerationError, _ray_word,
                                     decomposition_regimes,
@@ -32,6 +35,7 @@ from fanoscope.degeneration import (DegenerationError, _ray_word,
                                     normal_fan_data, product_data,
                                     ray_lattice)
 from fanoscope.fileio import bundled_polytopes
+from fanoscope.invariants import euler_number, euler_smooth_mink
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
                                 cross, dot, gorenstein_index, identity24)
 
@@ -401,7 +405,8 @@ def test_origin_on_a_facet_cli_line(tmp_path, capsys):
 
 
 def edge_route(p):
-    return sum(p.edge_length(e) * p.dual_edge_length(e) for e in p.edges)
+    return sum(ref_edge_length(p, e) * ref_dual_edge_length(p, e)
+               for e in p.edges)
 
 
 def test_identity24_matches_the_edge_length_route():
@@ -417,6 +422,36 @@ def test_identity24_matches_the_edge_length_route():
             assert identity24(q) == edge_route(q) == 24
             checked += 1
     assert checked > 0
+
+
+def test_closed_euler_form_matches_the_polar_route(monkeypatch):
+    # `euler_smooth_mink` reads sum l(E)^2 l(E*) off the edges E of P,
+    # where it read sum l(E) l(E*)^2 off those of P*; neither it nor
+    # `identity24` calls `polar_dual`
+    sweep = json.loads(SWEEP_BASES.read_text())["sweep_bases"]
+    bases = [bundled(name) for name in NAMES] + [
+        LatticePolytope(doc["vertices"]) for doc in sweep.values()]
+    checked = 0
+    for p in bases:
+        if not p.is_reflexive():
+            continue
+        for q in [p, image(p, 1), image(p, 2, True)]:
+            try:
+                data = method1_data(q)
+            except DegenerationError:  # mm2_5: a facet with no decomposition
+                continue
+            dual = data.dual
+            want = 24 + data.p_count - sum(
+                ref_edge_length(dual, e) * ref_dual_edge_length(dual, e) ** 2
+                for e in dual.edges)
+            calls = []
+            spied(monkeypatch, LatticePolytope, "polar_dual", calls)
+            assert euler_smooth_mink(data) == want == euler_number(data)
+            assert identity24(q) == 24
+            monkeypatch.undo()
+            assert calls == []
+            checked += 1
+    assert checked == 3 * 22
 
 
 def test_identity24_refuses_non_reflexive():

@@ -14,7 +14,7 @@ the non-empty half of the slice (`_plane_slice`, in `conftest.py`, which
 smooth decomposition (`enumerate_smooth_decompositions`), the plane of
 every point that `normal_fan_data` and `line_fan_data` map to plane
 coordinates, the host triangle of every point in `max_triangulation`, the
-rank of a cell's edge functionals (`_cell_class_data`), the ring of
+rank of a cell's edge functionals (`_cell_divisibilities`), the ring of
 facets around a vertex (`_dual_from_faces`), the cycle of a facet's
 vertices (`_facet_cycle`), the ray-endpoint sum 3p + 2d that the
 per-slab checks of `DegenerationData.validate` imply, the stub pools that
@@ -50,7 +50,8 @@ from conftest import (NORMAL_FAN_POLYTOPES, W_SIMPLEX, _along_line,
                       normalized, polygon_polar, random_unimodular2,
                       ref_assemble_with_stub_raises, ref_check_compatibility,
                       ref_check_convexity, ref_check_smooth_edge_data,
-                      ref_minkowski_sum, ref_validate, relabelled, unchecked,
+                      ref_dual_edge_length, ref_minkowski_sum, ref_validate,
+                      relabelled, unchecked,
                       whole_plane_slice, word_polygon)
 from test_face_data import polytopes
 from test_minkowski import DILATED, decompose, smooth_sums
@@ -66,7 +67,7 @@ from fanoscope.discriminant import (_graph_piece, assemble_global, dual_graph,
 from fanoscope.fileio import (bundled_polytopes, data_from_fixture,
                               list_fixtures, load_fixture)
 from fanoscope.gamma import build_system, gamma_dimension
-from fanoscope.invariants import _cell_class_data
+from fanoscope.invariants import _cell_divisibilities
 from fanoscope.linalg import clear_denominators, primitive, rank
 from fanoscope.minkowski import enumerate_smooth_decompositions
 from fanoscope.polytope import (LatticePolytope, Polygon, PolytopeError,
@@ -383,7 +384,7 @@ def test_triangles_cover_every_section_polygon(seed):
 
 
 # ---------------------------------------------------------------------------
-# _cell_class_data: the edge functionals of a cell have rank 3
+# _cell_divisibilities: the edge functionals of a cell have rank 3
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -399,8 +400,7 @@ def test_cell_edge_functionals_have_rank_3(monkeypatch, seed):
     monkeypatch.setattr(invariants, "_lattice_index", spy)
     for p in fano_images(seed):
         dual = p.polar_dual()
-        for f in dual.facets:
-            _cell_class_data(dual, f)
+        list(_cell_divisibilities(dual))
     assert len(ranks) > 100 and set(ranks) == {3}
 
 
@@ -760,7 +760,7 @@ def test_checked_normal_fan_labels_are_the_dual_lengths(seed):
         for i, label in enumerate(labels):
             assert accepted_labels(data, i, 2 * label + 2) == [label], (
                 name, i)
-        lengths = [dual.dual_edge_length(e) for e in dual.edges]
+        lengths = [ref_dual_edge_length(dual, e) for e in dual.edges]
         if name == "W":
             # l(E*) = 2 on every edge, and r(E*) = 2 on the one whose dual
             # edge is [(-2, 0, -1), (-2, 0, 1)] before the map

@@ -245,7 +245,7 @@ def slab_view(s):
     sec = s.sections
     return (s.name, s.polygon.vertices, s.coeffs, s.roles, sec.dim,
             tuple(sec.vertices()), sec.points, s.spans,
-            s.two_area, s.b_count, s.i_count)
+            s.two_area, sum(s.spans), s.i_count)
 
 
 def slabs_outcome(build):

@@ -40,10 +40,10 @@ def slab_outcome(cls, name, polygon, coeffs, roles):
         return sections_refusal(exc)
     sec = slab.sections
     if cls is RefSlab:
-        assert RefSlab.counts(sec) == (slab.two_area, slab.b_count,
+        assert RefSlab.counts(sec) == (slab.two_area, sum(slab.spans),
                                        slab.i_count)
     return (sec.dim, tuple(sec.vertices()), slab.spans, slab.two_area,
-            slab.b_count, slab.i_count)
+            sum(slab.spans), slab.i_count)
 
 
 def check_slab(name, polygon, coeffs, roles):
